@@ -13,10 +13,10 @@ or parameters, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +46,14 @@ def _require_keys(obj: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _cell_at_frac(mesh: Mesh, fracs):
+def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
+    """Cell center at the given per-axis box fractions.
+
+    ``fracs`` None means ``per_axis`` on every axis, in any dimension; an
+    explicit fraction list must have one entry per axis.
+    """
+    if fracs is None:
+        fracs = [per_axis] * mesh.n
     fracs = np.atleast_1d(np.asarray(fracs, dtype=float))
     if len(fracs) != mesh.n:
         raise ConfigError("position fraction dimension mismatch")
@@ -60,6 +67,22 @@ def _cell_at_frac(mesh: Mesh, fracs):
 
 def _rho_from_cells(mesh: Mesh, k) -> float:
     return float(k) * float(np.max(mesh.h))
+
+
+def _cylinder_steps(mesh: Mesh, r: float) -> int:
+    """Whole time steps that cover r^2: ceil(r^2 / tau), robust to roundoff.
+
+    Default poles sit this many steps into the window, and the duality
+    windows reach this far past their poles.  Kept apart from
+    ``Mesh.slab_count`` (a floor): the two differ when r^2 / tau is not an
+    integer, and the default poles sit on this one.
+    """
+    return int(math.ceil(r ** 2 / mesh.tau * (1 - 1e-12)))
+
+
+def _time(mesh: Mesh, step, default=None) -> float:
+    """Mesh time at ``step``, or at ``default`` when the step is not given."""
+    return float(mesh.times[int(default if step is None else step)])
 
 
 def load_scenario(path) -> dict:
@@ -122,97 +145,74 @@ def build_context(sc: dict) -> Context:
 # ----------------------------------------------------------------------
 
 
-def _run_duality(ctx: Context, p: dict):
+def _run_duality(ctx: Context, y_fracs=(None,), x_fracs=(None,), rho_cells=(4,),
+                 sigma_cells=(4,), s_step=None, t_step=None, tolerance=1e-10):
     mesh = ctx.mesh
-    y_fracs = p.get("y_fracs", [[0.25]])
-    x_fracs = p.get("x_fracs", [[0.75]])
-    rho_cells = p.get("rho_cells", [4])
-    sigma_cells = p.get("sigma_cells", [4])
-    s_step = int(p.get("s_step", mesh.steps // 4))
-    t_step = int(p.get("t_step", (3 * mesh.steps) // 4))
-    pairs = []
-    max_rho = max(_rho_from_cells(mesh, k) for k in rho_cells)
-    max_sigma = max(_rho_from_cells(mesh, k) for k in sigma_cells)
-    for yf in y_fracs:
-        for xf in x_fracs:
-            for rk in rho_cells:
-                for sk in sigma_cells:
-                    pairs.append(((float(mesh.times[s_step]), _cell_at_frac(mesh, yf)),
-                                  (float(mesh.times[t_step]), _cell_at_frac(mesh, xf)),
-                                  _rho_from_cells(mesh, rk), _rho_from_cells(mesh, sk)))
-    S_idx = s_step - int(math.ceil(max_rho ** 2 / mesh.tau)) - 1
-    T_idx = t_step + int(math.ceil(max_sigma ** 2 / mesh.tau)) + 1
+    s_step = int(mesh.steps // 4 if s_step is None else s_step)
+    t_step = int((3 * mesh.steps) // 4 if t_step is None else t_step)
+    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
+    sigmas = [_rho_from_cells(mesh, k) for k in sigma_cells]
+    poles = [(_time(mesh, s_step), _cell_at_frac(mesh, f, 0.25)) for f in y_fracs]
+    probes = [(_time(mesh, t_step), _cell_at_frac(mesh, f, 0.75)) for f in x_fracs]
+    pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
+             for rho in rhos for sigma in sigmas]
+    S_idx = s_step - _cylinder_steps(mesh, max(rhos)) - 1
+    T_idx = t_step + _cylinder_steps(mesh, max(sigmas)) + 1
     if S_idx < 0 or T_idx > mesh.steps:
         raise ConfigError("duality windows leave the mesh time grid")
-    return V.check_duality(ctx.spec, mesh, pairs, float(mesh.times[T_idx]),
-                           float(mesh.times[S_idx]),
-                           tolerance=float(p.get("tolerance", 1e-10)))
+    return V.check_duality(ctx.spec, mesh, pairs, _time(mesh, T_idx), _time(mesh, S_idx),
+                           tolerance=float(tolerance))
 
 
-def _run_semigroup(ctx: Context, p: dict):
+def _run_semigroup(ctx: Context, s_step=0, r_step=None, t_step=None, tolerance=1e-12):
     mesh = ctx.mesh
-    s = int(p.get("s_step", 0))
-    r = int(p.get("r_step", mesh.steps // 2))
-    t = int(p.get("t_step", mesh.steps))
-    return V.check_semigroup(ctx.spec, mesh, float(mesh.times[s]), float(mesh.times[r]),
-                             float(mesh.times[t]),
-                             tolerance=float(p.get("tolerance", 1e-12)))
+    return V.check_semigroup(ctx.spec, mesh, _time(mesh, s_step),
+                             _time(mesh, r_step, mesh.steps // 2),
+                             _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
 
 
-def _run_normalization(ctx: Context, p: dict):
+def _run_normalization(ctx: Context, s_step=0, t_step=None, tolerance=1e-12):
     mesh = ctx.mesh
-    s = int(p.get("s_step", 0))
-    t = int(p.get("t_step", mesh.steps))
-    return V.check_normalization(ctx.spec, mesh, float(mesh.times[s]),
-                                 float(mesh.times[t]),
-                                 tolerance=float(p.get("tolerance", 1e-12)))
+    return V.check_normalization(ctx.spec, mesh, _time(mesh, s_step),
+                                 _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
 
 
-def _run_causality(ctx: Context, p: dict):
+def _run_causality(ctx: Context, rho_cells=(6, 4), s_step=None, t_step=None, y_frac=None):
     mesh = ctx.mesh
-    rho_cells = p.get("rho_cells", [6, 4])
     rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
-    nmax = int(math.ceil(max(rhos) ** 2 / mesh.tau))
-    s_step = int(p.get("s_step", nmax + 1))
-    t_step = int(p.get("t_step", mesh.steps))
-    Y = (float(mesh.times[s_step]), _cell_at_frac(mesh, p.get("y_frac", [0.5])))
-    return V.check_causality(ctx.spec, mesh, Y, rhos, float(mesh.times[t_step]))
+    Y = (_time(mesh, s_step, _cylinder_steps(mesh, max(rhos)) + 1),
+         _cell_at_frac(mesh, y_frac, 0.5))
+    return V.check_causality(ctx.spec, mesh, Y, rhos, _time(mesh, t_step, mesh.steps))
 
 
-def _run_heat_kernel(ctx: Context, p: dict):
+def _run_heat_kernel(ctx: Context, rho_cells=(8, 6, 4), s_step=None, dt=0.05, y_frac=None,
+                     tolerance=0.02, radius_factor=3.0):
     mesh = ctx.mesh
-    rho_cells = p.get("rho_cells", [8, 6, 4])
     rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
-    nmax = int(math.ceil(max(rhos) ** 2 / mesh.tau * (1 - 1e-12)))
-    s_step = int(p.get("s_step", nmax))
-    dt = float(p.get("dt", 0.05))
-    t_step = s_step + max(1, int(round(dt / mesh.tau)))
+    s_step = int(_cylinder_steps(mesh, max(rhos)) if s_step is None else s_step)
+    t_step = s_step + max(1, int(round(float(dt) / mesh.tau)))
     if t_step > mesh.steps:
         raise ConfigError("heat kernel probe time leaves the mesh window")
-    Y = (float(mesh.times[s_step]), _cell_at_frac(mesh, p.get("y_frac", [0.5])))
-    return V.heat_kernel_check(ctx.spec, mesh, Y, float(mesh.times[t_step]), rhos,
-                               tolerance=float(p.get("tolerance", 0.02)),
-                               radius_factor=float(p.get("radius_factor", 3.0)))
+    Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.5))
+    return V.heat_kernel_check(ctx.spec, mesh, Y, _time(mesh, t_step), rhos,
+                               tolerance=float(tolerance),
+                               radius_factor=float(radius_factor))
 
 
 def _segment_mask(mesh: Mesh, center_frac: float, halfwidth: float):
-    gaps = mesh.centers[:, 0] - (mesh.domain.lo[0] + center_frac * mesh.domain.lengths[0])
-    if mesh.periodic:
-        L = mesh.domain.lengths[0]
-        gaps = gaps - L * np.round(gaps / L)
-    return np.abs(gaps) < halfwidth
+    center = mesh.domain.lo + float(center_frac) * mesh.domain.lengths
+    return np.abs(mesh.wrap_gaps(mesh.centers - center[None, :])[:, 0]) < float(halfwidth)
 
 
-def _run_gaffney(ctx: Context, p: dict):
+def _run_gaffney(ctx: Context, F_frac=0.2, E_frac=0.8, halfwidth=0.05, s_step=0,
+                 t_step=None, slack=1.05):
     mesh = ctx.mesh
-    F = _segment_mask(mesh, float(p.get("F_frac", 0.2)), float(p.get("halfwidth", 0.05)))
-    E = _segment_mask(mesh, float(p.get("E_frac", 0.8)), float(p.get("halfwidth", 0.05)))
+    F = _segment_mask(mesh, F_frac, halfwidth)
+    E = _segment_mask(mesh, E_frac, halfwidth)
     g = np.zeros((ctx.spec.coeffs.N, mesh.ncells))
     g[:, F] = 1.0
-    s = float(mesh.times[int(p.get("s_step", 0))])
-    t = float(mesh.times[int(p.get("t_step", mesh.steps))])
-    return V.check_gaffney(ctx.spec, mesh, E, F, g, s, t,
-                           slack=float(p.get("slack", 1.05)), theta=ctx.theta)
+    return V.check_gaffney(ctx.spec, mesh, E, F, g, _time(mesh, s_step),
+                           _time(mesh, t_step, mesh.steps), slack=float(slack), theta=ctx.theta)
 
 
 def tent_profile(mesh: Mesh, gamma: float) -> np.ndarray:
@@ -223,183 +223,160 @@ def tent_profile(mesh: Mesh, gamma: float) -> np.ndarray:
     return gamma * (L / 2.0 - np.abs(x - lo - L / 2.0))
 
 
-def _run_davies(ctx: Context, p: dict):
+def _run_davies(ctx: Context, gamma=1.0, s_step=0, t_step=None, slack=1.05):
     mesh = ctx.mesh
-    gamma = float(p.get("gamma", 1.0))
+    gamma = float(gamma)
     psi = tent_profile(mesh, gamma)
     f = np.ones((ctx.spec.coeffs.N, mesh.ncells))
-    s = float(mesh.times[int(p.get("s_step", 0))])
-    t = float(mesh.times[int(p.get("t_step", mesh.steps))])
-    return V.davies_growth(ctx.spec, mesh, psi, gamma, f, s, t,
-                           slack=float(p.get("slack", 1.05)), theta=ctx.theta)
+    return V.davies_growth(ctx.spec, mesh, psi, gamma, f, _time(mesh, s_step),
+                           _time(mesh, t_step, mesh.steps), slack=float(slack), theta=ctx.theta)
 
 
-def _run_gaussian(ctx: Context, p: dict):
+def _run_gaussian(ctx: Context, rho_cells=4, s_step=None, dt_steps=None, y_frac=None,
+                  c_max=10.0):
     mesh = ctx.mesh
-    rho = _rho_from_cells(mesh, p.get("rho_cells", 4))
-    nmax = int(math.ceil(rho ** 2 / mesh.tau * (1 - 1e-12)))
-    s_step = int(p.get("s_step", nmax))
-    s = float(mesh.times[s_step])
-    frac_list = p.get("dt_steps", [(mesh.steps - s_step) // 3,
-                                   2 * (mesh.steps - s_step) // 3,
-                                   mesh.steps - s_step])
-    times = [float(mesh.times[s_step + int(k)]) for k in frac_list]
-    Y = (s, _cell_at_frac(mesh, p.get("y_frac", [0.5])))
+    rho = _rho_from_cells(mesh, rho_cells)
+    s_step = int(_cylinder_steps(mesh, rho) if s_step is None else s_step)
+    left = mesh.steps - s_step
+    if dt_steps is None:
+        dt_steps = [left // 3, 2 * left // 3, left]
+    times = [_time(mesh, s_step + int(k)) for k in dt_steps]
+    Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.5))
     samples = V.gaussian_samples(ctx.spec, mesh, Y, times, rho)
     return V.fit_gaussian(samples, ctx.spec.coeffs.lam, ctx.spec.coeffs.Lam, mesh.n,
-                          c_max=float(p.get("c_max", 10.0)))
+                          c_max=float(c_max))
 
 
-def _run_pointwise_decay(ctx: Context, p: dict):
+def _run_pointwise_decay(ctx: Context, rho_cells=2, s_step=None, d_min_cells=6, n_points=8,
+                         decade=1.0, margin=0.15, y_frac=None, axis=0):
     mesh = ctx.mesh
-    rho = _rho_from_cells(mesh, p.get("rho_cells", 2))
-    nmax = int(math.ceil(rho ** 2 / mesh.tau * (1 - 1e-12)))
-    s_step = int(p.get("s_step", nmax))
-    d_min = float(p.get("d_min_cells", 6)) * float(np.max(mesh.h))
-    npts = int(p.get("n_points", 8))
-    decade = float(p.get("decade", 1.0))
+    rho = _rho_from_cells(mesh, rho_cells)
+    d_min = float(d_min_cells) * float(np.max(mesh.h))
+    npts, decade = int(n_points), float(decade)
     ds = [d_min * 10 ** (decade * k / (npts - 1)) for k in range(npts)]
-    Y = (float(mesh.times[s_step]), _cell_at_frac(mesh, p.get("y_frac", [0.1])))
-    d_act, g = V.pointwise_ray_samples(ctx.spec, mesh, Y, ds, rho,
-                                       axis=int(p.get("axis", 0)))
-    return V.fit_pointwise_decay(d_act, g, mesh.n, margin=float(p.get("margin", 0.15)))
+    Y = (_time(mesh, s_step, _cylinder_steps(mesh, rho)), _cell_at_frac(mesh, y_frac, 0.1))
+    d_act, g = V.pointwise_ray_samples(ctx.spec, mesh, Y, ds, rho, axis=int(axis))
+    return V.fit_pointwise_decay(d_act, g, mesh.n, margin=float(margin))
 
 
-def _run_weak_levels(ctx: Context, p: dict):
+def _run_weak_levels(ctx: Context, rho_cells=2, s_step=None, t_step=None, y_frac=None,
+                     gradient=False, margin=0.2):
     mesh = ctx.mesh
-    rho = _rho_from_cells(mesh, p.get("rho_cells", 2))
-    nmax = int(math.ceil(rho ** 2 / mesh.tau * (1 - 1e-12)))
-    s_step = int(p.get("s_step", nmax))
-    t_step = int(p.get("t_step", mesh.steps))
-    Y = (float(mesh.times[s_step]), _cell_at_frac(mesh, p.get("y_frac", [0.5])))
-    col = averaged_green_column(ctx.spec, mesh, Y, 1, rho, float(mesh.times[t_step]))
-    return V.weak_lp_levels(col, use_gradient=bool(p.get("gradient", False)),
-                            margin=float(p.get("margin", 0.2)))
+    rho = _rho_from_cells(mesh, rho_cells)
+    Y = (_time(mesh, s_step, _cylinder_steps(mesh, rho)), _cell_at_frac(mesh, y_frac, 0.5))
+    col = averaged_green_column(ctx.spec, mesh, Y, 1, rho, _time(mesh, t_step, mesh.steps))
+    return V.weak_lp_levels(col, use_gradient=bool(gradient), margin=float(margin))
 
 
-def _run_interior_decay(ctx: Context, p: dict):
+def _run_interior_decay(ctx: Context, ladder_cells=(6, 8, 12, 16, 24, 32), t_step=None,
+                        x_frac=None, solutions=10, seed=None, mu_min=0.9):
     mesh = ctx.mesh
     hmax = float(np.max(mesh.h))
-    ladder = [float(k) * hmax for k in p.get("ladder_cells", [6, 8, 12, 16, 24, 32])]
-    t_step = int(p.get("t_step", mesh.steps))
-    X0 = (float(mesh.times[t_step]), _cell_at_frac(mesh, p.get("x_frac", [0.5])))
-    return V.ph_decay_fit(ctx.spec, mesh, X0, ladder,
-                          n_solutions=int(p.get("solutions", 10)),
-                          seed=int(p.get("seed", ctx.seed)),
-                          mu_min=float(p.get("mu_min", 0.9)))
+    ladder = [float(k) * hmax for k in ladder_cells]
+    X0 = (_time(mesh, t_step, mesh.steps), _cell_at_frac(mesh, x_frac, 0.5))
+    return V.ph_decay_fit(ctx.spec, mesh, X0, ladder, n_solutions=int(solutions),
+                          seed=int(ctx.seed if seed is None else seed),
+                          mu_min=float(mu_min))
 
 
-def _bump_datum(ctx: Context, width: float, x0_frac) -> np.ndarray:
+def _bump_datum(ctx: Context, width: float, x0) -> np.ndarray:
     mesh = ctx.mesh
-    x0 = _cell_at_frac(mesh, x0_frac)
-    gaps = mesh.centers - x0[None, :]
-    if mesh.periodic:
-        L = mesh.domain.lengths
-        gaps = gaps - L[None, :] * np.round(gaps / L[None, :])
+    gaps = mesh.wrap_gaps(mesh.centers - x0[None, :])
     prof = np.exp(-0.5 * (np.linalg.norm(gaps, axis=1) / width) ** 2)
     return np.tile(prof, (ctx.spec.coeffs.N, 1))
 
 
-def _run_initial_trace(ctx: Context, p: dict):
+def _run_initial_trace(ctx: Context, width=None, x0_frac=None, s_step=0,
+                       t_steps=(4, 8, 16, 32), tolerance=0.02):
     mesh = ctx.mesh
-    width = float(p.get("width", 0.1 * float(np.min(mesh.domain.lengths))))
-    x0_frac = p.get("x0_frac", [0.5])
-    g = _bump_datum(ctx, width, x0_frac)
-    s_step = int(p.get("s_step", 0))
-    t_steps = p.get("t_steps", [4, 8, 16, 32])
-    t_list = [float(mesh.times[s_step + int(k)]) for k in t_steps]
-    return V.initial_trace_test(ctx.spec, mesh, g, _cell_at_frac(mesh, x0_frac),
-                                float(mesh.times[s_step]), t_list,
-                                tolerance=float(p.get("tolerance", 0.02)),
-                                theta=ctx.theta)
+    width = 0.1 * float(np.min(mesh.domain.lengths)) if width is None else float(width)
+    x0 = _cell_at_frac(mesh, x0_frac, 0.5)
+    g = _bump_datum(ctx, width, x0)
+    s_step = int(s_step)
+    t_list = [_time(mesh, s_step + int(k)) for k in t_steps]
+    return V.initial_trace_test(ctx.spec, mesh, g, x0, _time(mesh, s_step), t_list,
+                                tolerance=float(tolerance), theta=ctx.theta)
 
 
-def _run_bounded_initial(ctx: Context, p: dict):
+def _run_bounded_initial(ctx: Context, center_frac=0.3, halfwidth=0.1, s_step=0,
+                         t_step=None):
     mesh = ctx.mesh
     g = np.zeros((ctx.spec.coeffs.N, mesh.ncells))
-    mask = _segment_mask(mesh, float(p.get("center_frac", 0.3)),
-                         float(p.get("halfwidth", 0.1)))
-    g[:, mask] = 1.0
-    s = float(mesh.times[int(p.get("s_step", 0))])
-    t = float(mesh.times[int(p.get("t_step", mesh.steps))])
-    return V.check_bounded_initial(ctx.spec, mesh, g, s, t, theta=ctx.theta)
+    g[:, _segment_mask(mesh, center_frac, halfwidth)] = 1.0
+    return V.check_bounded_initial(ctx.spec, mesh, g, _time(mesh, s_step),
+                                   _time(mesh, t_step, mesh.steps), theta=ctx.theta)
 
 
-def _run_local_boundedness(ctx: Context, p: dict):
+def _run_local_boundedness(ctx: Context, t_step=None, x_frac=None, R=None, seed=None,
+                           stability=0.2):
     mesh = ctx.mesh
     fine = Mesh(mesh.domain, tuple(2 * c for c in mesh.cells), mesh.tau / 2.0,
                 mesh.t0, 2 * mesh.steps)
-    t_step = int(p.get("t_step", mesh.steps))
-    X0 = (float(mesh.times[t_step]), _cell_at_frac(mesh, p.get("x_frac", [0.5])))
-    R = float(p.get("R", 8 * float(np.max(mesh.h))))
+    X0 = (_time(mesh, t_step, mesh.steps), _cell_at_frac(mesh, x_frac, 0.5))
+    R = 8 * float(np.max(mesh.h)) if R is None else float(R)
     return V.check_local_boundedness(ctx.spec, mesh, fine, X0, R,
-                                     seed=int(p.get("seed", ctx.seed)),
-                                     stability=float(p.get("stability", 0.2)))
+                                     seed=int(ctx.seed if seed is None else seed),
+                                     stability=float(stability))
 
 
-def _run_oracle(ctx: Context, p: dict):
+def _run_oracle(ctx: Context, t_step=None, seed=None, tolerance=1e-9):
     mesh = ctx.mesh
-    rng = np.random.default_rng(int(p.get("seed", ctx.seed)))
+    rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
     g = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
-    t_step = int(p.get("t_step", min(mesh.steps, 24)))
-    s, t = float(mesh.times[0]), float(mesh.times[t_step])
+    t_step = int(min(mesh.steps, 24) if t_step is None else t_step)
+    s, t = _time(mesh, 0), _time(mesh, t_step)
     marched = solve_forward(ctx.spec, mesh, g, None, s, t, theta=ctx.theta)
     dense = dense_spacetime_oracle(ctx.spec, mesh, g, None, s, t, theta=ctx.theta)
     num = float(np.max(np.abs(marched.values - dense.values)))
     den = float(np.max(np.abs(dense.values)))
     resid = num / den if den > 0 else 0.0
-    tol = float(p.get("tolerance", 1e-9))
+    tol = float(tolerance)
     return V.CheckRecord("oracle", "spacetime-oracle-equivalence",
                          "pass" if resid <= tol else "fail", tol,
                          fitted={"max_rel_diff": resid},
                          samples={"t_step": t_step})
 
 
-def _run_adjoint(ctx: Context, p: dict):
+def _run_adjoint(ctx: Context, t_step=None, seed=None, tolerance=1e-12):
     mesh = ctx.mesh
-    rng = np.random.default_rng(int(p.get("seed", ctx.seed)))
+    rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
     a = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
     b = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
-    t_step = int(p.get("t_step", mesh.steps))
-    s, t = float(mesh.times[0]), float(mesh.times[t_step])
+    t_step = int(mesh.steps if t_step is None else t_step)
+    s, t = _time(mesh, 0), _time(mesh, t_step)
     fa = solve_forward(ctx.spec, mesh, a, None, s, t, theta=ctx.theta).values[-1]
     bb = solve_backward(ctx.spec, mesh, b, None, t, s, theta=ctx.theta).values[0]
     lhs, rhs = float(np.sum(fa * b)), float(np.sum(a * bb))
     resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    tol = float(p.get("tolerance", 1e-12))
+    tol = float(tolerance)
     return V.CheckRecord("adjoint", "forward-backward-adjointness",
                          "pass" if resid <= tol else "fail", tol,
                          fitted={"pairing_residual": resid},
                          samples={"t_step": t_step})
 
 
-CHECKS = {
-    "duality": ({"y_fracs", "x_fracs", "rho_cells", "sigma_cells", "s_step", "t_step",
-                 "tolerance"}, _run_duality),
-    "semigroup": ({"s_step", "r_step", "t_step", "tolerance"}, _run_semigroup),
-    "normalization": ({"s_step", "t_step", "tolerance"}, _run_normalization),
-    "causality": ({"rho_cells", "s_step", "t_step", "y_frac"}, _run_causality),
-    "heat-kernel": ({"rho_cells", "s_step", "dt", "y_frac", "tolerance",
-                     "radius_factor"}, _run_heat_kernel),
-    "gaffney": ({"F_frac", "E_frac", "halfwidth", "s_step", "t_step", "slack"},
-                _run_gaffney),
-    "davies": ({"gamma", "s_step", "t_step", "slack"}, _run_davies),
-    "gaussian": ({"rho_cells", "s_step", "dt_steps", "y_frac", "c_max"}, _run_gaussian),
-    "pointwise-decay": ({"rho_cells", "s_step", "d_min_cells", "n_points", "decade",
-                         "margin", "y_frac", "axis"}, _run_pointwise_decay),
-    "weak-levels": ({"rho_cells", "s_step", "t_step", "y_frac", "gradient", "margin"},
-                    _run_weak_levels),
-    "interior-decay": ({"ladder_cells", "t_step", "x_frac", "solutions", "seed",
-                        "mu_min"}, _run_interior_decay),
-    "initial-trace": ({"width", "x0_frac", "s_step", "t_steps", "tolerance"},
-                      _run_initial_trace),
-    "bounded-initial": ({"center_frac", "halfwidth", "s_step", "t_step"},
-                        _run_bounded_initial),
-    "local-boundedness": ({"t_step", "x_frac", "R", "seed", "stability"},
-                          _run_local_boundedness),
-    "oracle": ({"t_step", "seed", "tolerance"}, _run_oracle),
-    "adjoint": ({"t_step", "seed", "tolerance"}, _run_adjoint),
-}
+# Each check's parameters are the keyword arguments of its builder; the
+# allowed scenario keys are read from the signature.  Builders are looked up
+# here at call time, so wrappers installed in this table take effect.
+CHECKS = {name: (set(inspect.signature(builder).parameters) - {"ctx"}, builder)
+          for name, builder in {
+              "duality": _run_duality,
+              "semigroup": _run_semigroup,
+              "normalization": _run_normalization,
+              "causality": _run_causality,
+              "heat-kernel": _run_heat_kernel,
+              "gaffney": _run_gaffney,
+              "davies": _run_davies,
+              "gaussian": _run_gaussian,
+              "pointwise-decay": _run_pointwise_decay,
+              "weak-levels": _run_weak_levels,
+              "interior-decay": _run_interior_decay,
+              "initial-trace": _run_initial_trace,
+              "bounded-initial": _run_bounded_initial,
+              "local-boundedness": _run_local_boundedness,
+              "oracle": _run_oracle,
+              "adjoint": _run_adjoint,
+          }.items()}
 
 
 # ----------------------------------------------------------------------
@@ -432,23 +409,15 @@ def _write_outputs(out_dir: Path, name: str, scenario: dict, report: V.Verificat
         write_samples_csv(out_dir / f"{idx:02d}-{rec.name}.csv", keys, rows)
 
 
-def run(scenario_path, out_dir=None, jobs: int = 1) -> int:
+def run(scenario_path, out_dir=None) -> int:
     """Execute a scenario; returns the process exit code."""
     try:
         sc = load_scenario(scenario_path)
         ctx = build_context(sc)
         report = V.VerificationReport()
-        builders = [(chk["name"], {k: v for k, v in chk.items() if k != "name"})
-                    for chk in sc["checks"]]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futs = [pool.submit(CHECKS[name][1], ctx, params)
-                        for name, params in builders]
-                for fut in futs:
-                    report.add(fut.result())
-        else:
-            for name, params in builders:
-                report.add(CHECKS[name][1](ctx, params))
+        for chk in sc["checks"]:
+            params = {k: v for k, v in chk.items() if k != "name"}
+            report.add(CHECKS[chk["name"]][1](ctx, **params))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -516,7 +485,7 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
             params = {k: val for k, val in
                       next(c for c in sc_v["checks"] if c["name"] == metric_check).items()
                       if k != "name"}
-            rec = CHECKS[metric_check][1](ctx, params)
+            rec = CHECKS[metric_check][1](ctx, **params)
             metric = rec.fitted.get(metric_field)
             if metric is None:
                 raise ConfigError(f"metric field {metric_field!r} not in record")
@@ -546,7 +515,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_sweep = sub.add_parser("sweep", help="refinement study along one axis")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--axis", required=True, choices=["h", "tau", "rho"])
@@ -554,7 +522,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.scenario, args.out, args.jobs)
+        return run(args.scenario, args.out)
     return sweep(args.scenario, args.axis, _parse_values(args.values), args.out)
 
 

@@ -4,17 +4,8 @@ A Green column with pole Y = (s, y) and component k is the forward solve
 whose source is the normalized cell indicator of the backward parabolic
 cylinder of radius rho at Y (cell-counted measure), started from zero at
 s - rho^2 and extended by zero below.  The transpose column mirrors this
-with the adjoint solver on the forward cylinder.  Discrete cylinder
-conventions (fixed by the exact duality pairing at theta = 1):
-
-* a backward ("minus") cylinder covers the time slabs [t_m, t_{m+1}]
-  inside (s - rho^2, s]; sources and averages attach to the slab's early
-  end t_m;
-* a forward ("plus") cylinder covers slabs inside [t, t + sigma^2);
-  sources and averages attach to the slab's late end t_{m+1}.
-
-With these conventions the averaged duality identity holds to solver
-roundoff, not just to discretization accuracy.
+with the adjoint solver on the forward cylinder.  The discrete cylinders
+and their slab conventions are those of ``Mesh.cylinder``.
 """
 
 from __future__ import annotations
@@ -61,10 +52,6 @@ def wrapped_heat_kernel(n: int, t: float, dx, lengths, images: int = 6) -> np.nd
 # ----------------------------------------------------------------------
 
 
-def _slab_count(mesh: Mesh, radius: float) -> int:
-    return int(math.floor(radius * radius / mesh.tau * (1 + 1e-12) + 1e-12))
-
-
 def _check_resolvable(mesh: Mesh, radius: float):
     hmax = float(np.max(mesh.h))
     if radius < 2.0 * hmax or radius * radius < 4.0 * mesh.tau:
@@ -72,13 +59,10 @@ def _check_resolvable(mesh: Mesh, radius: float):
             f"mollifier radius {radius} below resolution: need rho >= 2*max(h, sqrt(tau))")
 
 
-def _pole_indices(mesh: Mesh, pole):
-    s, y = pole
-    it = mesh.time_index(float(s))
-    ic = mesh.cell_index(y)
-    if not mesh.periodic and not mesh.interior_mask[ic]:
+def _check_pole(mesh: Mesh, pole):
+    """The pole's point must be a cell center off the pinned dirichlet layer."""
+    if not mesh.interior_mask[mesh.cell_index(pole[1])]:
         raise ConfigError("pole sits on the pinned dirichlet boundary layer")
-    return it, ic
 
 
 def _mollifier(mesh: Mesh, N: int, y, radius: float, k: int) -> np.ndarray:
@@ -86,8 +70,7 @@ def _mollifier(mesh: Mesh, N: int, y, radius: float, k: int) -> np.ndarray:
     ball = mesh.ball_cells(y, radius)
     if len(ball) == 0:
         raise ConfigError("mollifier ball contains no cells")
-    nslab = _slab_count(mesh, radius)
-    c = 1.0 / (nslab * mesh.tau * len(ball) * mesh.volume)
+    c = 1.0 / (mesh.slab_count(radius) * mesh.tau * len(ball) * mesh.volume)
     g = np.zeros((N, mesh.ncells))
     g[k - 1, ball] = c
     return g.ravel()
@@ -144,18 +127,14 @@ def averaged_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho: float,
     if not 1 <= k <= spec.coeffs.N:
         raise ConfigError(f"component k={k} outside 1..{spec.coeffs.N}")
     s, y = float(Y[0]), Y[1]
-    i_pole, _ = _pole_indices(mesh, Y)
-    nslab = _slab_count(mesh, rho)
-    i_start = i_pole - nslab
-    if i_start < 0:
-        raise ConfigError("mesh window clips the mollifier below s - rho^2")
+    _check_pole(mesh, Y)
+    active, _ = mesh.cylinder(Y, rho, "minus")
     g = _mollifier(mesh, spec.coeffs.N, y, rho, k)
-    active = range(i_start, i_pole)
 
     def src(m):
         return g if m in active else None
 
-    traj = solve_forward(spec, mesh, None, None, float(mesh.times[i_start]), T,
+    traj = solve_forward(spec, mesh, None, None, float(mesh.times[active.start]), T,
                          theta=GREEN_THETA, slab_source=src)
     return GreenColumn(spec, mesh, (s, np.atleast_1d(np.asarray(y, dtype=float))),
                        k, rho, traj, "forward")
@@ -168,18 +147,14 @@ def transpose_green_column(spec: OperatorSpec, mesh: Mesh, X, k: int, sigma: flo
     if not 1 <= k <= spec.coeffs.N:
         raise ConfigError(f"component k={k} outside 1..{spec.coeffs.N}")
     t, x = float(X[0]), X[1]
-    i_pole, _ = _pole_indices(mesh, X)
-    nslab = _slab_count(mesh, sigma)
-    i_end = i_pole + nslab
-    if i_end > mesh.steps:
-        raise ConfigError("mesh window clips the mollifier above t + sigma^2")
+    _check_pole(mesh, X)
+    active, _ = mesh.cylinder(X, sigma, "plus")
     q = _mollifier(mesh, spec.coeffs.N, x, sigma, k)
-    active = range(i_pole, i_end)
 
     def src(m):
         return q if m in active else None
 
-    traj = solve_backward(spec, mesh, None, None, float(mesh.times[i_end]), S,
+    traj = solve_backward(spec, mesh, None, None, float(mesh.times[active.stop]), S,
                           theta=GREEN_THETA, slab_source=src)
     return GreenColumn(spec, mesh, (t, np.atleast_1d(np.asarray(x, dtype=float))),
                        k, sigma, traj, "backward")
@@ -188,26 +163,11 @@ def transpose_green_column(spec: OperatorSpec, mesh: Mesh, X, k: int, sigma: flo
 def cylinder_average(traj: Trajectory, pole, radius: float, kind: str) -> np.ndarray:
     """Cell-and-slab average of a trajectory over a discrete cylinder.
 
-    kind "minus" averages the slabs inside (s - r^2, s] at their early
-    ends; kind "plus" averages the slabs inside [s, s + r^2) at their late
-    ends, matching the source conventions of the Green columns.
+    Averages over the slices and ball cells of ``Trajectory.cylinder``,
+    which match the source conventions of the Green columns.
     """
-    mesh = traj.mesh
-    s = float(pole[0])
-    ip = mesh.time_index(s)
-    nslab = _slab_count(mesh, radius)
-    ball = mesh.ball_cells(pole[1], radius)
-    if kind == "minus":
-        idx = range(ip - nslab, ip)
-    elif kind == "plus":
-        idx = range(ip + 1, ip + nslab + 1)
-    else:
-        raise ConfigError("kind must be 'minus' or 'plus'")
-    local = [m - traj.i0 for m in idx]
-    if not local or local[0] < 0 or local[-1] >= traj.nslices:
-        raise ConfigError("cylinder lies outside the trajectory window")
-    vals = traj.values[local][:, :, ball]
-    return vals.mean(axis=(0, 2))
+    vals, ball = traj.cylinder(pole, radius, kind)
+    return vals[:, :, ball].mean(axis=(0, 2))
 
 
 # ----------------------------------------------------------------------

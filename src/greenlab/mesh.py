@@ -12,14 +12,17 @@ from .errors import ConfigError
 from .problem import Domain
 
 
+def _torus_gaps(gaps, lengths) -> np.ndarray:
+    """Shortest representatives of coordinate gaps (last axis) on a torus."""
+    L = np.asarray(lengths, dtype=float)
+    return gaps - L * np.round(gaps / L)
+
+
 def parabolic_distance(X, Y, lengths=None) -> float:
     """max(sqrt|t-s|, |x-y|); with ``lengths`` the spatial gap wraps on the torus."""
     t, x = X[0], np.atleast_1d(np.asarray(X[1], dtype=float))
     s, y = Y[0], np.atleast_1d(np.asarray(Y[1], dtype=float))
-    dx = x - y
-    if lengths is not None:
-        L = np.asarray(lengths, dtype=float)
-        dx = dx - L * np.round(dx / L)
+    dx = x - y if lengths is None else _torus_gaps(x - y, lengths)
     return max(math.sqrt(abs(t - s)), float(np.linalg.norm(dx)))
 
 
@@ -123,12 +126,13 @@ class Mesh:
             raise ConfigError(f"time {t} is not on the mesh time grid")
         return k
 
-    def spatial_gap(self, x, y) -> float:
-        dx = np.atleast_1d(np.asarray(x, dtype=float)) - np.atleast_1d(np.asarray(y, dtype=float))
-        if self.periodic:
-            L = self.domain.lengths
-            dx = dx - L * np.round(dx / L)
-        return float(np.linalg.norm(dx))
+    def wrap_gaps(self, gaps) -> np.ndarray:
+        """Coordinate gaps (space on the last axis) in the mesh metric.
+
+        Periodic meshes wrap each gap to its shortest torus representative;
+        dirichlet meshes return the gaps unchanged.
+        """
+        return _torus_gaps(gaps, self.domain.lengths) if self.periodic else gaps
 
     def pdist(self, X, Y) -> float:
         lengths = self.domain.lengths if self.periodic else None
@@ -141,15 +145,50 @@ class Mesh:
         ball at the boundary is allowed).
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        gaps = self.centers - y[None, :]
-        if self.periodic:
-            L = self.domain.lengths
-            gaps = gaps - L[None, :] * np.round(gaps / L[None, :])
-        dist = np.linalg.norm(gaps, axis=1)
+        dist = np.linalg.norm(self.wrap_gaps(self.centers - y[None, :]), axis=1)
         mask = dist < radius
         if not self.periodic:
             mask &= self.interior_mask
         return np.nonzero(mask)[0]
+
+    def slab_count(self, r: float) -> int:
+        """Number of time slabs a parabolic cylinder of radius r spans: floor(r^2 / tau).
+
+        The guards keep r^2 / tau that is an integer up to roundoff at that
+        integer.
+        """
+        return int(math.floor(r * r / self.tau * (1 + 1e-12) + 1e-12))
+
+    def cylinder(self, pole, r: float, kind: str):
+        """(slab indices, ball cells) of the discrete parabolic cylinder at pole = (s, y).
+
+        Slab m is the time interval [t_m, t_{m+1}].  The conventions are
+        fixed by the exact duality pairing at theta = 1:
+
+        * a backward ("minus") cylinder covers the slabs inside
+          (s - r^2, s], i.e. ip - n ... ip - 1 for s = t_ip and
+          n = ``slab_count(r)``; sources and averages attach to each
+          slab's early end t_m;
+        * a forward ("plus") cylinder covers the slabs inside
+          [s, s + r^2), i.e. ip ... ip + n - 1; sources and averages
+          attach to each slab's late end t_{m+1}.
+
+        With these conventions the averaged duality identity holds to
+        solver roundoff, not just to discretization accuracy.  A cylinder
+        whose slabs leave the mesh time grid is a ConfigError.
+        """
+        ip = self.time_index(float(pole[0]))
+        n = self.slab_count(r)
+        if kind == "minus":
+            slabs = range(ip - n, ip)
+        elif kind == "plus":
+            slabs = range(ip, ip + n)
+        else:
+            raise ConfigError("kind must be 'minus' or 'plus'")
+        if slabs.start < 0 or slabs.stop > self.steps:
+            raise ConfigError(f"{kind} cylinder of radius {r} at t={float(pole[0])} "
+                              "leaves the mesh time grid")
+        return slabs, self.ball_cells(pole[1], r)
 
     def face_positions(self, ax: int):
         """(points, left_flat, right_flat) for the faces normal to axis ax.
@@ -234,6 +273,20 @@ class Trajectory:
         if not 0 <= k < self.nslices:
             raise ConfigError(f"time {t} outside the trajectory window")
         return self.values[k]
+
+    def cylinder(self, pole, r: float, kind: str):
+        """(values on the attached slices, ball cells) of ``mesh.cylinder(pole, r, kind)``.
+
+        The values are a view of shape (slab count, N, ncells), one slice
+        per slab in time order; cylinders reaching outside this window are
+        a ConfigError.
+        """
+        slabs, cells = self.mesh.cylinder(pole, r, kind)
+        lo = slabs.start - self.i0 + (1 if kind == "plus" else 0)
+        hi = lo + len(slabs)
+        if not slabs or lo < 0 or hi > self.nslices:
+            raise ConfigError("cylinder lies outside the trajectory window")
+        return self.values[lo:hi], cells
 
     def slice_l2(self, m: int) -> float:
         """Cell-volume weighted L2 norm of slice m."""

@@ -231,11 +231,9 @@ def heat_kernel_check(spec: OperatorSpec, mesh: Mesh, Y, t_probe: float, rho_lis
         col = extrapolated_green_column(spec, mesh, Y, 1, rho_list, t_probe)
     dt = float(mesh.times[mesh.time_index(t_probe)] - s)
     u = col.field.slice_at(float(mesh.times[mesh.time_index(t_probe)]))[0]
-    gaps = mesh.centers - y[None, :]
-    L = mesh.domain.lengths
-    gaps = gaps - L[None, :] * np.round(gaps / L[None, :])
+    gaps = mesh.wrap_gaps(mesh.centers - y[None, :])
     dist = np.linalg.norm(gaps, axis=1)
-    ref = wrapped_heat_kernel(mesh.n, dt, gaps, L)
+    ref = wrapped_heat_kernel(mesh.n, dt, gaps, mesh.domain.lengths)
     mask = dist <= radius_factor * math.sqrt(dt)
     rel = np.abs(u[mask] - ref[mask]) / ref[mask]
     err = float(np.max(rel))
@@ -299,11 +297,8 @@ def gaussian_samples(spec: OperatorSpec, mesh: Mesh, Y, times, rho: float,
     y = np.atleast_1d(np.asarray(Y[1], dtype=float))
     t_max = max(times)
     cols = green_block_columns(spec, mesh, Y, rho, t_max)
-    gaps = mesh.centers - y[None, :]
-    L = mesh.domain.lengths
-    gaps = gaps - L[None, :] * np.round(gaps / L[None, :])
-    dist = np.linalg.norm(gaps, axis=1)
-    keep_dist = dist <= wrap_cut * float(np.min(L))
+    dist = np.linalg.norm(mesh.wrap_gaps(mesh.centers - y[None, :]), axis=1)
+    keep_dist = dist <= wrap_cut * float(np.min(mesh.domain.lengths))
     N = spec.coeffs.N
     out = []
     for t in times:
@@ -378,10 +373,7 @@ def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t
     gF = mesh.centers[F_mask]
     if len(gE) == 0 or len(gF) == 0:
         raise ConfigError("E and F must both contain cells")
-    diff = gE[:, None, :] - gF[None, :, :]
-    if mesh.periodic:
-        L = mesh.domain.lengths
-        diff = diff - L[None, None, :] * np.round(diff / L[None, None, :])
+    diff = mesh.wrap_gaps(gE[:, None, :] - gF[None, :, :])
     d = float(np.min(np.linalg.norm(diff, axis=2)))
     traj = solve_forward(spec, mesh, g, None, s, t, theta=theta)
     u_t = traj.values[-1]
@@ -507,24 +499,17 @@ def weak_lp_levels(column, thresholds=None, use_gradient: bool = False,
 
 
 def _cylinder_energy(mesh: Mesh, traj: Trajectory, X0, radius: float) -> float:
-    """Dirichlet energy over the discrete backward cylinder at X0."""
-    tc = float(X0[0])
+    """Dirichlet energy over the discrete backward cylinder at X0.
+
+    Counts the faces whose midpoints lie inside the cylinder's ball.
+    """
     xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
-    ip = mesh.time_index(tc)
-    nslab = int(math.floor(radius * radius / mesh.tau * (1 + 1e-12) + 1e-12))
-    k0, k1 = ip - nslab - traj.i0, ip - traj.i0
-    if k0 < 0:
-        raise ConfigError("trajectory window too short for the cylinder")
+    vals, _ = traj.cylinder(X0, radius, "minus")
     total = 0.0
     for ax in range(mesh.n):
         pts, left, right = mesh.face_positions(ax)
-        gaps = pts - xc[None, :]
-        if mesh.periodic:
-            L = mesh.domain.lengths
-            gaps = gaps - L[None, :] * np.round(gaps / L[None, :])
-        inside = np.linalg.norm(gaps, axis=1) < radius
-        diff = (traj.values[k0:k1][:, :, right[inside]]
-                - traj.values[k0:k1][:, :, left[inside]]) / mesh.h[ax]
+        inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+        diff = (vals[:, :, right[inside]] - vals[:, :, left[inside]]) / mesh.h[ax]
         total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
     return total
 
@@ -606,14 +591,10 @@ def check_local_boundedness(spec: OperatorSpec, mesh: Mesh, mesh_fine: Mesh, X0,
         tc = float(X0[0])
         g = smooth_data(m)
         traj = solve_forward(spec, m, g, None, float(m.t0), tc)
-        ip = m.time_index(tc)
 
         def cyl(rad):
-            nslab = int(math.floor(rad * rad / m.tau * (1 + 1e-12) + 1e-12))
-            ball = m.ball_cells(X0[1], rad)
-            sl = range(ip - nslab, ip)
-            vals = traj.values[[k - traj.i0 for k in sl]][:, :, ball]
-            return vals
+            vals, ball = traj.cylinder(X0, rad, "minus")
+            return vals[:, :, ball]
 
         inner = cyl(R / 4.0)
         outer = cyl(R)

@@ -17,7 +17,6 @@ from greenlab import (Domain, Mesh, OperatorSpec, averaged_green_column,
                       transpose_green_column, wrapped_heat_kernel)
 from greenlab import verify as V
 from greenlab.cli import tent_profile
-from greenlab.green import _slab_count
 
 from conftest import bundle_1d
 
@@ -170,7 +169,7 @@ class TestCriterion06GaussianBound:
         details = []
         all_ok = True
         for name, spec in configs:
-            s_step = _slab_count(mesh, rho) + 1
+            s_step = mesh.slab_count(rho) + 1
             s = float(mesh.times[s_step])
             times = [float(mesh.times[s_step + k]) for k in (64, 128, 256)]
             samples = V.gaussian_samples(spec, mesh, (s, mesh.centers[cells // 2]),
@@ -294,7 +293,7 @@ class TestCriterion09DecayExponents:
                            ("x-oscillatory",
                             OperatorSpec(make_preset("x-oscillatory", n=1), dom))):
             rho = 2 * h
-            s = float(mesh.times[_slab_count(mesh, rho) + 1])
+            s = float(mesh.times[mesh.slab_count(rho) + 1])
             ds = [6 * h * 10 ** (k / 7) for k in range(8)]
             d_act, g = V.pointwise_ray_samples(spec, mesh, (s, mesh.centers[64]),
                                                ds, rho)
@@ -321,7 +320,7 @@ class TestCriterion09DecayExponents:
             rho = 2 * h
             k_off = int(round(d_target / h))
             t_idx = int(round((k_off * h) ** 2 / tau))
-            nm = _slab_count(Mesh(dom, (cells, cells), tau=tau, t0=0.0, steps=8), rho)
+            nm = Mesh(dom, (cells, cells), tau=tau, t0=0.0, steps=8).slab_count(rho)
             mesh = Mesh(dom, (cells, cells), tau=tau, t0=0.0, steps=nm + t_idx + 2)
             spec = OperatorSpec(make_preset("heat", n=2), dom)
             y = mesh.centers[mesh.cell_index((mesh.axis_centers(0)[cells // 2],

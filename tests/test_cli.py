@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 
 import pytest
@@ -32,9 +33,9 @@ def test_rotating_golden_run(tmp_path):
     assert code == 0
 
 
-def test_jobs_flag_equivalent(tmp_path):
-    c1 = cli.run(scenario_path("rotating-2x2.json"), out_dir=tmp_path / "o1", jobs=1)
-    c2 = cli.run(scenario_path("rotating-2x2.json"), out_dir=tmp_path / "o2", jobs=3)
+def test_rotating_report_byte_determinism(tmp_path):
+    c1 = cli.run(scenario_path("rotating-2x2.json"), out_dir=tmp_path / "o1")
+    c2 = cli.run(scenario_path("rotating-2x2.json"), out_dir=tmp_path / "o2")
     assert c1 == c2 == 0
     assert (tmp_path / "o1" / "report.json").read_bytes() == \
         (tmp_path / "o2" / "report.json").read_bytes()
@@ -191,3 +192,44 @@ class TestBuilderCoverage:
         p = tmp_path / "local.json"
         p.write_text(json.dumps(sc))
         assert cli.run(str(p), out_dir=tmp_path / "out") == 0
+
+    def test_2d_default_positions(self, tmp_path):
+        # every check below takes its positions from the per-axis defaults
+        sc = {
+            "name": "builder-2d-defaults",
+            "preset": {"name": "heat", "n": 2},
+            "mesh": {"cells": [16, 16], "box": [[0.0, 1.0], [0.0, 1.0]],
+                     "tau": 1 / 1024, "steps": 96, "boundary": "periodic"},
+            "checks": [
+                {"name": "duality", "rho_cells": [2], "sigma_cells": [2]},
+                {"name": "causality", "rho_cells": [3, 2]},
+                {"name": "initial-trace", "width": 0.25, "t_steps": [1, 2, 4, 8]},
+                {"name": "interior-decay", "ladder_cells": [2, 3, 4], "solutions": 2},
+                {"name": "local-boundedness", "R": 0.25},
+            ],
+        }
+        p = tmp_path / "defaults2d.json"
+        p.write_text(json.dumps(sc))
+        assert cli.run(str(p), out_dir=tmp_path / "out") == 0
+        # an explicit fraction must still name every axis
+        sc["checks"] = [{"name": "causality", "rho_cells": [3, 2], "y_frac": [0.5]}]
+        p.write_text(json.dumps(sc))
+        assert cli.run(str(p), out_dir=tmp_path / "bad") == 2
+
+    @pytest.mark.parametrize("slabs", [80, 200])
+    def test_local_boundedness_cylinder_taller_than_window_exit_2(self, tmp_path, capsys,
+                                                                  slabs):
+        # the outer cylinder spans more slabs than the 64-step window holds
+        tau = 2.0 ** -9
+        sc = {
+            "name": "builder-local-tall",
+            "preset": {"name": "heat", "n": 1},
+            "mesh": {"cells": [32], "box": [[0.0, 1.0]], "tau": tau, "steps": 64,
+                     "boundary": "periodic"},
+            "checks": [{"name": "local-boundedness", "t_step": 64,
+                        "R": math.sqrt(slabs * tau)}],
+        }
+        p = tmp_path / "tall.json"
+        p.write_text(json.dumps(sc))
+        assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+        assert "leaves the mesh time grid" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, apply_initial,
                       green_block_columns, heat_kernel, make_preset, propagator,
                       rho_refinement, solve_forward, transpose_green_column,
                       wrapped_heat_kernel)
-from greenlab.green import _slab_count
 from greenlab.solver import ThetaScheme
 
 
@@ -42,7 +41,7 @@ class TestAveragedColumn:
         col = averaged_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]),
                                     1, rho, 48 / 512)
         padded = col.padded_values()
-        nslab = _slab_count(mesh32, rho)
+        nslab = mesh32.slab_count(rho)
         assert np.all(padded[:24 - nslab] == 0.0)
         assert np.any(padded[24] != 0.0)
         assert np.all(col.value_at(0.0, mesh32.centers[3]) == 0.0)
@@ -60,7 +59,7 @@ class TestAveragedColumn:
         # support reproduces it within a percent
         dom, mesh, spec = fine_heat_setup()
         rho = 4 * mesh.h[0]
-        nslab = _slab_count(mesh, rho)
+        nslab = mesh.slab_count(rho)
         i_pole = nslab + 2
         s = float(mesh.times[i_pole])
         y = mesh.centers[64]
@@ -111,7 +110,7 @@ class TestTransposeColumn:
         sigma = 4 / 32
         col = transpose_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]),
                                      1, sigma, 0.0)
-        nslab = _slab_count(mesh32, sigma)
+        nslab = mesh32.slab_count(sigma)
         assert col.field.i0 == 0
         assert np.all(col.value_at(60 / 512, mesh32.centers[10]) == 0.0)
         padded = col.padded_values()
@@ -140,7 +139,7 @@ class TestTransposeColumn:
         spec = OperatorSpec(make_preset("x-oscillatory", n=1), periodic_1d)
         K = mesh32.steps
         sigma = 4 / 32
-        nslab = _slab_count(mesh32, sigma)
+        nslab = mesh32.slab_count(sigma)
         it = 40
         bwd = transpose_green_column(spec, mesh32, (it / 512, mesh32.centers[20]),
                                      1, sigma, 0.0)
@@ -197,7 +196,7 @@ class TestRhoRefinement:
     def test_heat_extrapolation_hits_kernel(self):
         dom, mesh, spec = fine_heat_setup()
         h = mesh.h[0]
-        nmax = _slab_count(mesh, 8 * h)
+        nmax = mesh.slab_count(8 * h)
         s = float(mesh.times[nmax])
         y = mesh.centers[64]
         t_probe = float(mesh.times[mesh.steps])
@@ -251,9 +250,9 @@ class TestRepresentation:
         rho = 4 / 32
         Y = (24 / 512, mesh32.centers[16])
         col = averaged_green_column(heat_spec, mesh32, Y, 1, rho, 48 / 512)
-        from greenlab.green import _mollifier, _slab_count
+        from greenlab.green import _mollifier
         g = _mollifier(mesh32, 1, Y[1], rho, 1)
-        nslab = _slab_count(mesh32, rho)
+        nslab = mesh32.slab_count(rho)
         active = range(24 - nslab, 24)
         traj = apply_representation(heat_spec, mesh32, None,
                                     float(mesh32.times[24 - nslab]), 48 / 512,

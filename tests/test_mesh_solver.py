@@ -31,6 +31,33 @@ class TestMesh:
         ball = mesh32.ball_cells(y, 4 * mesh32.h[0])
         assert len(ball) == 7  # strict inequality excludes the radius itself
 
+    def test_wrap_gaps_periodic_only(self, mesh32, dirichlet_1d):
+        gaps = np.array([[0.9], [-0.7], [0.2]])
+        assert np.allclose(mesh32.wrap_gaps(gaps), [[-0.1], [0.3], [0.2]])
+        dirichlet = Mesh(dirichlet_1d, (32,), tau=1 / 512, t0=0.0, steps=64)
+        assert np.array_equal(dirichlet.wrap_gaps(gaps), gaps)
+
+    def test_cylinder_slab_conventions(self, mesh32):
+        r = 4 / 32  # r^2 / tau = 8 slabs
+        pole = (24 / 512, mesh32.centers[16])
+        assert mesh32.slab_count(r) == 8
+        minus, cells = mesh32.cylinder(pole, r, "minus")
+        plus, _ = mesh32.cylinder(pole, r, "plus")
+        assert list(minus) == list(range(16, 24))
+        assert list(plus) == list(range(24, 32))
+        assert np.array_equal(cells, mesh32.ball_cells(pole[1], r))
+        # minus slabs attach at their early ends, plus slabs at their late ends
+        vals = np.arange(65, dtype=float)[:, None, None] * np.ones((1, 1, 32))
+        traj = Trajectory(mesh32, 0, vals)
+        assert traj.cylinder(pole, r, "minus")[0][:, 0, 0].tolist() == list(range(16, 24))
+        assert traj.cylinder(pole, r, "plus")[0][:, 0, 0].tolist() == list(range(25, 33))
+        with pytest.raises(ConfigError):
+            Trajectory(mesh32, 20, vals[20:]).cylinder(pole, r, "minus")
+        with pytest.raises(ConfigError):
+            mesh32.cylinder((4 / 512, pole[1]), r, "minus")
+        with pytest.raises(ConfigError):
+            mesh32.cylinder((60 / 512, pole[1]), r, "plus")
+
     def test_interior_mask_dirichlet(self, dirichlet_1d):
         mesh = Mesh(dirichlet_1d, (8,), tau=0.01, t0=0.0, steps=4)
         assert list(mesh.interior_mask) == [False] + [True] * 6 + [False]

@@ -7,7 +7,7 @@ from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
                       averaged_green_column, cylinder_average, make_preset,
                       solve_forward, transpose_coefficients)
 from greenlab import verify as V
-from greenlab.green import _mollifier, _slab_count
+from greenlab.green import _mollifier
 from greenlab.solver import ThetaScheme
 
 from conftest import bundle_1d
@@ -47,7 +47,7 @@ class TestDuality:
         t_spec = OperatorSpec(transpose_coefficients(spec.coeffs), periodic_1d)
         scheme = ThetaScheme(mesh32, t_spec, 1.0)
         q = _mollifier(mesh32, 2, X[1], sigma, 1)
-        n_sig = _slab_count(mesh32, sigma)
+        n_sig = mesh32.slab_count(sigma)
         i_pole = 44
         w = np.zeros(2 * 32)
         vals = np.zeros((mesh32.steps + 1, 2, 32))
@@ -111,6 +111,26 @@ class TestDecayFits:
     def test_ray_fit_decade_required(self):
         with pytest.raises(ConfigError):
             V.fit_pointwise_decay([0.1, 0.2, 0.5], [1.0, 0.5, 0.2], 1)
+
+
+class TestGaussianSamples:
+    def test_dirichlet_distances_are_unwrapped(self, dirichlet_1d):
+        # pole near the left wall: on a torus the cells near the right wall
+        # would be closer, but a dirichlet box records the plain |x - y|
+        mesh = Mesh(dirichlet_1d, (64,), tau=1 / 8192, t0=0.0, steps=400)
+        spec = OperatorSpec(make_preset("heat", n=1), dirichlet_1d)
+        rho = 2 * mesh.h[0]
+        y = mesh.centers[8]
+        s = float(mesh.times[mesh.slab_count(rho) + 1])
+        times = [float(mesh.times[200]), float(mesh.times[400])]
+        samples = V.gaussian_samples(spec, mesh, (s, y), times, rho)
+        col = averaged_green_column(spec, mesh, (s, y), 1, rho, times[-1])
+        true = np.abs(mesh.centers[:, 0] - y[0])
+        assert samples
+        for dt, d, g in samples:
+            cells = np.nonzero(np.abs(col.field.slice_at(s + dt)[0]) == g)[0]
+            assert len(cells) > 0
+            assert np.all(true[cells] == d)
 
 
 class TestGaffney:
@@ -201,6 +221,13 @@ class TestInteriorDecayAndBoundedness:
         rec = V.check_local_boundedness(spec, mesh, fine, X0, R=8 / 48, seed=3)
         assert rec.status == "pass"
         assert rec.fitted["ratio"] >= 1.0  # sup dominates the mean square
+
+    def test_local_boundedness_cylinder_outside_window_rejected(self, mesh32, heat_spec):
+        fine = Mesh(mesh32.domain, (64,), tau=mesh32.tau / 2, t0=0.0, steps=128)
+        X0 = (float(mesh32.times[-1]), mesh32.centers[16])
+        with pytest.raises(ConfigError):
+            V.check_local_boundedness(heat_spec, mesh32, fine, X0,
+                                      R=math.sqrt(80 * mesh32.tau))
 
 
 class TestInitialData:
