@@ -82,7 +82,10 @@ def _cylinder_steps(mesh: Mesh, r: float) -> int:
 
 def _time(mesh: Mesh, step, default=None) -> float:
     """Mesh time at ``step``, or at ``default`` when the step is not given."""
-    return float(mesh.times[int(default if step is None else step)])
+    m = int(default if step is None else step)
+    if not 0 <= m <= mesh.steps:
+        raise ConfigError(f"step {m} is outside the mesh window 0..{mesh.steps}")
+    return float(mesh.times[m])
 
 
 def load_scenario(path) -> dict:

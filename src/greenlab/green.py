@@ -205,10 +205,9 @@ class Propagator:
 
 
 def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
-               theta: float = GREEN_THETA, cap: int = PROPAGATOR_CAP,
-               scheme: ThetaScheme | None = None) -> Propagator:
+               theta: float = GREEN_THETA, cap: int = PROPAGATOR_CAP) -> Propagator:
     """Assemble P(t, s) by composing the per-step dense solution operators."""
-    scheme = scheme or ThetaScheme(mesh, spec, theta)
+    scheme = ThetaScheme(mesh, spec, theta)
     if scheme.nn > cap:
         raise ConfigError(f"propagator size {scheme.nn} exceeds cap {cap}")
     i0, i1 = mesh.time_index(s), mesh.time_index(t)

@@ -122,8 +122,12 @@ class Mesh:
     def time_index(self, t: float, tol: float = 1e-9) -> int:
         pos = (t - self.t0) / self.tau
         k = int(round(pos))
-        if not 0 <= k <= self.steps or abs(pos - k) > tol * max(1.0, abs(pos)):
+        if abs(pos - k) > tol * max(1.0, abs(pos)):
             raise ConfigError(f"time {t} is not on the mesh time grid")
+        if not 0 <= k <= self.steps:
+            raise ConfigError(f"time {t} is step {k} of the time lattice, outside the mesh "
+                              f"window [{self.t0}, {float(self.times[-1])}] "
+                              f"(steps 0..{self.steps})")
         return k
 
     def wrap_gaps(self, gaps) -> np.ndarray:

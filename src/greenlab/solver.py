@@ -10,11 +10,24 @@ of the neighboring differences).  One step of the theta scheme solves
 and the backward solver applies the exact matrix transpose of the forward
 one-step maps, which is what makes the discrete duality identities exact.
 State layout: slices are (N, ncells) arrays, flattened component-major.
+
+``assemble`` is a pure function of (mesh, spec, t), so every
+``ThetaScheme`` of the same (mesh, spec, theta) shares one process-wide
+store of step matrices: the operator, the (splu, matrix) pair of the
+implicit side and the explicit matrix.  A key holds the frozen mesh and
+spec themselves (equal by value; coefficient functions by identity), the
+theta, the entry kind and the step index (``"const"`` for static
+coefficients).  The store charges a factor 12 bytes per L+U nonzero plus
+the CSC arrays of its matrix, and a matrix its CSR/CSC arrays; past
+``CACHE_BYTES`` it evicts the least recently used entries, never the one
+just built.  ``cache_info`` reports its size.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +38,7 @@ from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
 
 RESIDUAL_TOL = 1e-11
+CACHE_BYTES = 256 * 2**20
 
 
 @dataclass
@@ -95,8 +109,74 @@ def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
     return slc
 
 
+class CacheInfo(NamedTuple):
+    """Size of the step store: entries held, bytes charged, byte budget."""
+
+    entries: int
+    bytes: int
+    budget: int
+
+
+def _csr_bytes(mat) -> int:
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def _factor_bytes(pair) -> int:
+    lu, D = pair
+    return 12 * int(lu.nnz) + _csr_bytes(D)
+
+
+class _StepStore:
+    """Least-recently-used map from step keys to matrices, bounded by CACHE_BYTES.
+
+    Every caller gets the same stored object, so no caller may modify one.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()  # key -> (value, charged bytes)
+        self.nbytes = 0
+
+    def get(self, key, build, size=_csr_bytes):
+        hit = self.entries.get(key)
+        if hit is not None:
+            self.entries.move_to_end(key)
+            return hit[0]
+        value = build()
+        cost = size(value)
+        self.entries[key] = (value, cost)
+        self.nbytes += cost
+        while self.nbytes > CACHE_BYTES and len(self.entries) > 1:
+            _, (_, old) = self.entries.popitem(last=False)
+            self.nbytes -= old
+        return value
+
+
+_STORE = _StepStore()
+
+
+def cache_info() -> CacheInfo:
+    """Entries, charged bytes and byte budget of the shared step store."""
+    return CacheInfo(len(_STORE.entries), _STORE.nbytes, CACHE_BYTES)
+
+
+class _SchemeKey:
+    """The (mesh, spec, theta) part of a store key, hashed once."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, mesh: Mesh, spec: OperatorSpec, theta: float):
+        self.parts = (mesh, spec, theta)
+        self._hash = hash(self.parts)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+
 class ThetaScheme:
-    """Cached step matrices and factorizations for one operator spec."""
+    """Step matrices and factorizations of one (mesh, spec, theta), from the shared store."""
 
     def __init__(self, mesh: Mesh, spec: OperatorSpec, theta: float = 1.0):
         if not 0.5 <= theta <= 1.0:
@@ -108,34 +188,28 @@ class ThetaScheme:
         self.N = coeffs.N
         self.nn = coeffs.N * mesh.ncells
         self._static = not coeffs.time_dependent
-        self._ops: dict = {}
-        self._lu: dict = {}
-        self._expl: dict = {}
+        self._base = _SchemeKey(mesh, spec, self.theta)
 
-    def _key(self, m: int):
-        return "const" if self._static else m
+    def _key(self, kind: str, m: int):
+        return (self._base, kind, "const" if self._static else m)
 
     def operator(self, m: int) -> sp.csr_matrix:
-        key = self._key(m)
-        if key not in self._ops:
-            self._ops[key] = assemble(self.mesh, self.spec, float(self.mesh.times[m])).matrix
-        return self._ops[key]
+        return _STORE.get(self._key("op", m),
+                          lambda: assemble(self.mesh, self.spec, float(self.mesh.times[m])).matrix)
 
     def implicit_lu(self, m: int):
-        """splu factorization of I + tau*theta*L(t_m)."""
-        key = self._key(m)
-        if key not in self._lu:
+        """splu factorization of I + tau*theta*L(t_m), with that matrix."""
+        def build():
             D = (sp.identity(self.nn, format="csr")
                  + self.mesh.tau * self.theta * self.operator(m)).tocsc()
-            self._lu[key] = (spla.splu(D), D)
-        return self._lu[key]
+            return spla.splu(D), D
+
+        return _STORE.get(self._key("lu", m), build, _factor_bytes)
 
     def explicit(self, m: int) -> sp.csr_matrix:
-        key = self._key(m)
-        if key not in self._expl:
-            self._expl[key] = (sp.identity(self.nn, format="csr")
-                               - self.mesh.tau * (1.0 - self.theta) * self.operator(m))
-        return self._expl[key]
+        return _STORE.get(self._key("expl", m),
+                          lambda: (sp.identity(self.nn, format="csr")
+                                   - self.mesh.tau * (1.0 - self.theta) * self.operator(m)))
 
     def solve_implicit(self, m: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         lu, D = self.implicit_lu(m)
@@ -188,8 +262,7 @@ def _slab_source_fn(scheme: ThetaScheme, f):
 
 
 def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
-                  theta: float = 1.0, scheme: ThetaScheme | None = None,
-                  slab_source=None) -> Trajectory:
+                  theta: float = 1.0, slab_source=None) -> Trajectory:
     """March the Cauchy problem from data g at time s up to time T.
 
     ``f`` is a per-slice source sampled as f(t) -> (N, ncells); the step
@@ -197,7 +270,7 @@ def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
     need exact per-slab control (mollified sources) pass ``slab_source``,
     a callable m -> flat array, instead of f.
     """
-    scheme = scheme or ThetaScheme(mesh, spec, theta)
+    scheme = ThetaScheme(mesh, spec, theta)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
     if i1 <= i0:
         raise ConfigError("need T > s on the time grid")
@@ -212,8 +285,7 @@ def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
 
 
 def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
-                   theta: float = 1.0, scheme: ThetaScheme | None = None,
-                   slab_source=None) -> Trajectory:
+                   theta: float = 1.0, slab_source=None) -> Trajectory:
     """March the adjoint problem from final data g at time b down to S.
 
     Each backward step is the exact matrix transpose of the corresponding
@@ -221,7 +293,7 @@ def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
     for matching windows.  Sources pair with the slab convention of
     ``solve_forward`` (stated for theta = 1).
     """
-    scheme = scheme or ThetaScheme(mesh, spec, theta)
+    scheme = ThetaScheme(mesh, spec, theta)
     i0, i1 = mesh.time_index(S), mesh.time_index(b)
     if i1 <= i0:
         raise ConfigError("need b > S on the time grid")

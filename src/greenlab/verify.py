@@ -20,7 +20,7 @@ from .green import (averaged_green_column, cylinder_average, extrapolated_green_
                     wrapped_heat_kernel)
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
-from .solver import ThetaScheme, project_slice, solve_forward
+from .solver import project_slice, solve_forward
 
 # ----------------------------------------------------------------------
 # records and fits
@@ -533,11 +533,10 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
         raise ConfigError("mesh window too short for the outer cylinder")
     rng = np.random.default_rng(seed)
     n = mesh.n
-    scheme = ThetaScheme(mesh, spec, 1.0)
     slopes, consts = [], []
     for _ in range(n_solutions):
         g = rng.standard_normal((spec.coeffs.N, mesh.ncells))
-        traj = solve_forward(spec, mesh, g, None, float(mesh.t0), tc, scheme=scheme)
+        traj = solve_forward(spec, mesh, g, None, float(mesh.t0), tc)
         E = np.array([_cylinder_energy(mesh, traj, X0, r) for r in ladder])
         if np.any(E <= 0):
             continue

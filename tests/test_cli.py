@@ -75,6 +75,36 @@ def test_unknown_check_param_exit_2(tmp_path):
     assert cli.run(str(p)) == 2
 
 
+@pytest.mark.parametrize("t_step", [-40, 200])
+def test_step_outside_window_exit_2(tmp_path, capsys, t_step):
+    # heat-1d-core has 96 steps; neither end may be indexed past
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["checks"] = [{"name": "adjoint", "t_step": t_step}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    assert f"step {t_step} is outside the mesh window 0..96" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_time_past_window_names_window_and_step(tmp_path, capsys):
+    # the longest default ray lands on lattice step 3604 of a 640-step window
+    sc = {
+        "name": "decay-past-window",
+        "preset": {"name": "heat", "n": 1},
+        "mesh": {"cells": [64], "box": [[0.0, 1.0]], "tau": 2.0 ** -12, "steps": 640,
+                 "boundary": "periodic"},
+        "checks": [{"name": "pointwise-decay"}],
+    }
+    p = tmp_path / "decay.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "step 3604 of the time lattice" in err
+    assert "outside the mesh window [0.0, 0.15625] (steps 0..640)" in err
+    assert "not on the mesh time grid" not in err
+
+
 def test_failing_check_exit_1(tmp_path):
     sc = json.loads((SCEN / "heat-1d-core.json").read_text())
     sc["checks"] = [{"name": "semigroup", "s_step": 0, "r_step": 32, "t_step": 80,

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
-                      assemble, dense_spacetime_oracle, dirichlet_energy,
-                      energy_norm, make_preset, parabolic_distance, solve_backward,
-                      solve_forward, step_forward, wrapped_heat_kernel)
+                      assemble, averaged_green_column, dense_spacetime_oracle,
+                      dirichlet_energy, energy_norm, make_preset, parabolic_distance,
+                      solve_backward, solve_forward, step_forward,
+                      transpose_green_column, wrapped_heat_kernel)
+from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
 
 from conftest import bundle_1d
@@ -330,3 +333,123 @@ class TestSchemeContracts:
         a = scheme.operator(0).toarray()
         b = scheme.operator(5).toarray()
         assert not np.allclose(a, b)
+
+
+class TestStepStore:
+    @pytest.fixture
+    def store(self, monkeypatch):
+        """A cold, private step store for the test."""
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+
+    @pytest.fixture
+    def rotating(self, periodic_1d):
+        return OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+
+    def _rotating_fields(self, spec, mesh):
+        Y = (20 / 512, np.array([0.25 + 0.5 / 32]))
+        X = (44 / 512, np.array([0.75 + 0.5 / 32]))
+        b = np.random.default_rng(3).standard_normal((2, 32))
+        return [averaged_green_column(spec, mesh, Y, 2, 4 / 32, 64 / 512).field.values,
+                transpose_green_column(spec, mesh, X, 1, 4 / 32, 0.0).field.values,
+                solve_backward(spec, mesh, b, None, 48 / 512, 8 / 512).values]
+
+    def test_cold_and_warm_store_bitwise_equal(self, store, mesh32, rotating):
+        cold = self._rotating_fields(rotating, mesh32)
+        filled = solver.cache_info()
+        assert filled.entries > 0 and filled.bytes > 0
+        warm = self._rotating_fields(rotating, mesh32)
+        assert solver.cache_info() == filled  # the warm pass built nothing
+        for a, b in zip(cold, warm):
+            assert a.tobytes() == b.tobytes()
+
+    def test_equal_keys_share_and_distinct_keys_do_not(self, store, mesh32, rotating,
+                                                        periodic_1d):
+        def touch(scheme):
+            return scheme.operator(3), scheme.implicit_lu(3), scheme.explicit(3)
+
+        base = touch(ThetaScheme(mesh32, rotating, 1.0))
+        assert solver.cache_info().entries == 3
+        # equal by value: a rebuilt mesh and spec hit the same entries
+        same_mesh = Mesh(Domain((0.0,), (1.0,), "periodic"), (32,), tau=1.0 / 512,
+                         t0=0.0, steps=64)
+        same_spec = OperatorSpec(rotating.coeffs, Domain((0.0,), (1.0,), "periodic"))
+        again = touch(ThetaScheme(same_mesh, same_spec, 1.0))
+        assert solver.cache_info().entries == 3
+        assert all(a is b for a, b in zip(base, again))
+        longer = Mesh(periodic_1d, (32,), tau=1.0 / 512, t0=0.0, steps=65)
+        others = [ThetaScheme(mesh32, OperatorSpec(rotating.coeffs, periodic_1d,
+                                                   transposed=True), 1.0),
+                  ThetaScheme(mesh32, rotating, 0.5),
+                  ThetaScheme(longer, rotating, 1.0)]
+        for i, scheme in enumerate(others, start=2):
+            got = touch(scheme)
+            assert solver.cache_info().entries == 3 * i
+            assert not any(a is b for a, b in zip(base, got))
+
+    def test_evicts_least_recently_used(self, store, monkeypatch):
+        def get(key):
+            return solver._STORE.get(key, lambda: [key], size=lambda value: 10)
+
+        monkeypatch.setattr(solver, "CACHE_BYTES", 20)
+        a = get("a")
+        get("b")
+        assert get("a") is a  # a hit makes "a" the most recent entry
+        get("c")
+        assert list(solver._STORE.entries) == ["a", "c"]
+        assert solver.cache_info() == (2, 20, 20)
+        monkeypatch.setattr(solver, "CACHE_BYTES", 5)
+        get("d")  # over the budget on its own: kept, the rest evicted
+        assert list(solver._STORE.entries) == ["d"]
+
+    def test_byte_budget_holds_and_results_match(self, store, monkeypatch, periodic_2d):
+        mesh = Mesh(periodic_2d, (16, 16), tau=1 / 1024, t0=0.0, steps=24)
+        spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.01), periodic_2d)
+        g = np.random.default_rng(5).standard_normal((1, 256))
+        T = 24 / 1024
+
+        def solve_both(check):
+            def src(m):
+                check()
+                return None
+
+            fwd = solve_forward(spec, mesh, g, None, 0.0, T, slab_source=src).values
+            bwd = solve_backward(spec, mesh, g, None, T, 0.0, slab_source=src).values
+            check()
+            return fwd, bwd
+
+        unbounded = solve_both(lambda: None)
+        full = solver.cache_info()
+        largest = max(cost for _, cost in solver._STORE.entries.values())
+        budget = 4 * largest
+        assert budget < full.bytes // 4  # the run must evict
+
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+        monkeypatch.setattr(solver, "CACHE_BYTES", budget)
+
+        def within_budget():
+            info = solver.cache_info()
+            assert info.budget == budget
+            assert info.bytes <= budget
+
+        bounded = solve_both(within_budget)
+        assert solver.cache_info().entries < full.entries
+        for a, b in zip(unbounded, bounded):
+            assert a.tobytes() == b.tobytes()
+
+    def test_rotating_duality_assembles_each_step_once(self, store, monkeypatch):
+        path = resources.files("greenlab") / "scenarios" / "rotating-2x2.json"
+        sc = cli.load_scenario(str(path))
+        ctx = cli.build_context(sc)
+        assert sc["checks"][0]["name"] == "duality"
+        params = {k: v for k, v in sc["checks"][0].items() if k != "name"}
+        calls = []
+        real = solver.assemble
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(solver, "assemble", counting)
+        rec = cli.CHECKS["duality"][1](ctx, **params)
+        assert rec.status == "pass"
+        assert len(calls) <= ctx.mesh.steps + 1
