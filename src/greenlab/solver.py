@@ -11,22 +11,33 @@ and the backward solver applies the exact matrix transpose of the forward
 one-step maps, which is what makes the discrete duality identities exact.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
+The operator's sparsity pattern depends only on (mesh, N), never on t.
+``_stencil`` builds it once per (mesh, N), together with a sparse gather
+from the raveled face tensors to the CSR data, and keeps the last eight;
+each ``assemble`` only evaluates the face tensors and fills the data.
+Implicit matrices are factorized with the ``MMD_AT_PLUS_A`` ordering
+(minimum degree on the pattern of A^T + A), which suits the structurally
+symmetric operator.  With theta = 1 the explicit side is the identity,
+stored once per scheme and built without assembling anything.
+
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec, theta) shares one process-wide
 store of step matrices: the operator, the (splu, matrix) pair of the
 implicit side and the explicit matrix.  A key holds the frozen mesh and
 spec themselves (equal by value; coefficient functions by identity), the
 theta, the entry kind and the step index (``"const"`` for static
-coefficients).  The store charges a factor 12 bytes per L+U nonzero plus
-the CSC arrays of its matrix, and a matrix its CSR/CSC arrays; past
-``CACHE_BYTES`` it evicts the least recently used entries, never the one
-just built.  ``cache_info`` reports its size.
+coefficients and for the theta = 1 identity).  The store charges a factor
+12 bytes per L+U nonzero plus the CSC arrays of its matrix, and a matrix
+its CSR/CSC arrays (the pattern arrays an operator shares with the stencil
+included); past ``CACHE_BYTES`` it evicts the least recently used entries,
+never the one just built.  ``cache_info`` reports its size.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,27 +62,28 @@ class DiscreteOperator:
     N: int
 
 
-def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> DiscreteOperator:
-    """Assemble the flux-form spatial operator at time t.
+@lru_cache(maxsize=8)
+def _stencil(mesh: Mesh, N: int):
+    """Face points, value gather and CSR pattern of ``assemble`` on one mesh.
 
-    Each face contributes A(face midpoint) times the centered difference;
-    in dirichlet mode the pinned boundary layer is projected out (rows and
-    columns zeroed), in periodic mode indices wrap and row sums vanish.
+    The operator's pattern depends only on (mesh, N): its CSR data at time t
+    is ``gather @ A``, where A concatenates the raveled face tensors
+    ``tensor(t, pts[a])`` of every axis a, and the dirichlet projection is
+    already applied to ``indices`` and ``indptr``.
     """
-    coeffs = spec.effective_coeffs()
-    n, N = coeffs.n, coeffs.N
-    C = mesh.ncells
-    rows, cols, vals = [], [], []
+    n, C = mesh.n, mesh.ncells
+    pts_axes, rows, cols, src, wts = [], [], [], [], []
+    offset = 0
     for a in range(n):
         pts, left, right = mesh.face_positions(a)
-        A = coeffs.tensor(t, pts)
-        if not np.isfinite(A).all():
-            raise ConfigError(f"non-finite coefficient at a face (t={t})")
+        pts_axes.append(pts)
         P = len(left)
+        # position of A[p, a, b, i, j] in the concatenated raveled tensors
+        flat = offset + np.arange(P * n * n * N * N).reshape(P, n, n, N, N)
+        offset += flat.size
         ones = np.ones(P, dtype=bool)
         inv_ha = 1.0 / mesh.h[a]
         for b in range(n):
-            Aab = A[:, a, b]
             if b == a:
                 col_specs = [(right, ones, +1.0 / mesh.h[b]),
                              (left, ones, -1.0 / mesh.h[b])]
@@ -86,19 +98,45 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> DiscreteOperator:
                 for col_cells, valid, w in col_specs:
                     for i in range(N):
                         for j in range(N):
-                            v = sgn * w * Aab[valid, i, j]
                             rows.append(i * C + row_cells[valid])
                             cols.append(j * C + col_cells[valid])
-                            vals.append(v)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+                            src.append(flat[valid, a, b, i, j])
+                            wts.append(np.full(int(valid.sum()), sgn * w))
+    rows, cols, src, wts = (np.concatenate(v) for v in (rows, cols, src, wts))
     if not mesh.periodic:
         mask = np.tile(mesh.interior_mask, N)
         keep = mask[rows] & mask[cols]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(N * C, N * C)).tocsr()
-    return DiscreteOperator(mat, t, mesh, N)
+        rows, cols, src, wts = rows[keep], cols[keep], src[keep], wts[keep]
+    nn = N * C
+    keys, slot = np.unique(rows * nn + cols, return_inverse=True)
+    gather = sp.csr_matrix((wts, (slot, src)), shape=(len(keys), offset))
+    indices = (keys % nn).astype(np.int32)
+    indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
+    for arr in (*pts_axes, indices, indptr):
+        arr.flags.writeable = False  # shared by every assembly on this mesh
+    return tuple(pts_axes), gather, indices, indptr
+
+
+def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> DiscreteOperator:
+    """Assemble the flux-form spatial operator at time t.
+
+    Each face contributes A(face midpoint) times the centered difference;
+    in dirichlet mode the pinned boundary layer is projected out (rows and
+    columns zeroed), in periodic mode indices wrap and row sums vanish.
+    Only the face tensors are evaluated here; the pattern and the gather
+    come from ``_stencil``, built once per (mesh, N).
+    """
+    coeffs = spec.effective_coeffs()
+    pts_axes, gather, indices, indptr = _stencil(mesh, coeffs.N)
+    tensors = []
+    for pts in pts_axes:
+        A = coeffs.tensor(t, pts)
+        if not np.isfinite(A).all():
+            raise ConfigError(f"non-finite coefficient at a face (t={t})")
+        tensors.append(A.ravel())
+    nn = coeffs.N * mesh.ncells
+    mat = sp.csr_matrix((gather @ np.concatenate(tensors), indices, indptr), shape=(nn, nn))
+    return DiscreteOperator(mat, t, mesh, coeffs.N)
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -202,11 +240,15 @@ class ThetaScheme:
         def build():
             D = (sp.identity(self.nn, format="csr")
                  + self.mesh.tau * self.theta * self.operator(m)).tocsc()
-            return spla.splu(D), D
+            return spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D
 
         return _STORE.get(self._key("lu", m), build, _factor_bytes)
 
     def explicit(self, m: int) -> sp.csr_matrix:
+        """I - tau*(1-theta)*L(t_m); one identity for every step when theta = 1."""
+        if self.theta == 1.0:
+            return _STORE.get((self._base, "expl", "const"),
+                              lambda: sp.identity(self.nn, format="csr"))
         return _STORE.get(self._key("expl", m),
                           lambda: (sp.identity(self.nn, format="csr")
                                    - self.mesh.tau * (1.0 - self.theta) * self.operator(m)))

@@ -263,3 +263,29 @@ class TestBuilderCoverage:
         p.write_text(json.dumps(sc))
         assert cli.run(str(p), out_dir=tmp_path / "out") == 2
         assert "leaves the mesh time grid" in capsys.readouterr().err
+
+
+def test_non_finite_table_coefficient_exit_2(tmp_path, capsys):
+    # heat table on 4 x-nodes at t = 0 and t = 0.05; the node x = 2/3 is inf
+    # in the second time slice only (every face weighs it by 0 or by a
+    # positive weight, so no inf * 0), and the first step past t = 0.05 must fail
+    xs = [0.0, 1 / 3, 2 / 3, 1.0]
+    lines = ["# 1 1 2 4"]
+    for t in (0.0, 0.05):
+        for k, x in enumerate(xs):
+            value = "inf" if (t, k) == (0.05, 2) else "1.0"
+            lines.append(f"{t},{x},1,1,1,1,{value}")
+    table = tmp_path / "inf-once.csv"
+    table.write_text("\n".join(lines) + "\n")
+    sc = {
+        "name": "non-finite-table",
+        "preset": {"table": str(table), "lambda": 1.0, "Lambda": 1.0, "R_c": 1.0},
+        "mesh": {"cells": [16], "box": [[0.0, 1.0]], "tau": 2.0 ** -8, "steps": 32,
+                 "boundary": "periodic"},
+        "checks": [{"name": "adjoint", "t_step": 32, "tolerance": 1e-12}],
+    }
+    p = tmp_path / "inf.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    # step 13 (t = 13 / 256) is the first time past the faulty slice
+    assert "non-finite coefficient at a face (t=0.05078125)" in capsys.readouterr().err

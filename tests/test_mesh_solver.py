@@ -3,10 +3,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
+from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
                       assemble, averaged_green_column, dense_spacetime_oracle,
                       dirichlet_energy, energy_norm, make_preset, parabolic_distance,
                       solve_backward, solve_forward, step_forward,
@@ -453,3 +455,140 @@ class TestStepStore:
         rec = cli.CHECKS["duality"][1](ctx, **params)
         assert rec.status == "pass"
         assert len(calls) <= ctx.mesh.steps + 1
+
+
+def _loop_assemble(mesh, spec, t):
+    """Reference: the per-entry loop that assembled every step before the pattern was memoised."""
+    coeffs = spec.effective_coeffs()
+    n, N = coeffs.n, coeffs.N
+    C = mesh.ncells
+    rows, cols, vals = [], [], []
+    for a in range(n):
+        pts, left, right = mesh.face_positions(a)
+        A = coeffs.tensor(t, pts)
+        ones = np.ones(len(left), dtype=bool)
+        inv_ha = 1.0 / mesh.h[a]
+        for b in range(n):
+            Aab = A[:, a, b]
+            if b == a:
+                col_specs = [(right, ones, +1.0 / mesh.h[b]),
+                             (left, ones, -1.0 / mesh.h[b])]
+            else:
+                lp, vlp = mesh.shift_flat(left, b, +1)
+                rp, vrp = mesh.shift_flat(right, b, +1)
+                lm, vlm = mesh.shift_flat(left, b, -1)
+                rm, vrm = mesh.shift_flat(right, b, -1)
+                q = 1.0 / (4.0 * mesh.h[b])
+                col_specs = [(lp, vlp, +q), (rp, vrp, +q), (lm, vlm, -q), (rm, vrm, -q)]
+            for row_cells, sgn in ((left, -inv_ha), (right, +inv_ha)):
+                for col_cells, valid, w in col_specs:
+                    for i in range(N):
+                        for j in range(N):
+                            rows.append(i * C + row_cells[valid])
+                            cols.append(j * C + col_cells[valid])
+                            vals.append(sgn * w * Aab[valid, i, j])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if not mesh.periodic:
+        mask = np.tile(mesh.interior_mask, N)
+        keep = mask[rows] & mask[cols]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(N * C, N * C)).tocsr()
+
+
+def _random_n2_N3():
+    """A nonsymmetric N=3, n=2 field with every cross-derivative and coupling term, in x and t."""
+    B0, B1 = np.random.default_rng(11).standard_normal((2, 2, 2, 3, 3))
+
+    def fn(t, pts):
+        m = np.sin(2 * np.pi * pts[:, 0] + 3.0 * t) * np.cos(2 * np.pi * pts[:, 1])
+        return B0 + m[:, None, None, None, None] * B1
+
+    return CoefficientField(2, 3, 1.0, 10.0, math.inf, "random-n2-N3", fn,
+                            time_dependent=True, x_dependent=True)
+
+
+class TestStepLayer:
+    @pytest.fixture
+    def store(self, monkeypatch):
+        """A cold, private step store for the test."""
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("field", ["random-n2-N3", "rotating"])
+    def test_fixed_pattern_matches_loop(self, field, mode, transposed):
+        if field == "rotating":
+            coeffs = make_preset("rotating", w0=0.5, omega=2.0)
+            domain = Domain((0.0,), (1.0,), mode)
+            cells = (16,)
+        else:
+            coeffs = _random_n2_N3()
+            domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
+            cells = (8, 6)
+        mesh = Mesh(domain, cells, tau=1 / 256, t0=0.0, steps=8)
+        spec = OperatorSpec(coeffs, domain, transposed=transposed)
+        got = [assemble(mesh, spec, t).matrix for t in (0.0, 3 / 256)]
+        for t, L in zip((0.0, 3 / 256), got):
+            ref = _loop_assemble(mesh, spec, t)
+            assert np.array_equal(L.indices, ref.indices)
+            assert np.array_equal(L.indptr, ref.indptr)
+            assert np.max(np.abs(L.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+        # one pattern at every time, with values that do move
+        assert np.array_equal(got[0].indices, got[1].indices)
+        assert np.array_equal(got[0].indptr, got[1].indptr)
+        assert not np.allclose(got[0].data, got[1].data)
+        if mesh.periodic:
+            N, C = coeffs.N, mesh.ncells
+            for L in got:
+                blocks = L.toarray().reshape(N, C, N, C)
+                scale = np.max(np.abs(blocks))
+                assert np.max(np.abs(blocks.sum(axis=3))) <= 1e-14 * scale  # row sums
+                assert np.max(np.abs(blocks.sum(axis=1))) <= 1e-14 * scale  # column sums
+
+    def test_non_finite_coefficient_stops_at_its_step(self, store, mesh32, periodic_1d):
+        bad_t = float(mesh32.times[5])
+
+        def fn(t, pts):
+            out = np.ones((len(pts), 1, 1, 1, 1))
+            if abs(t - bad_t) < mesh32.tau / 2:
+                out[7] = np.nan
+            return out
+
+        spec = OperatorSpec(CoefficientField(1, 1, 1.0, 1.0, math.inf, "nan-at-t5", fn,
+                                             time_dependent=True), periodic_1d)
+        for m in range(5):
+            assemble(mesh32, spec, float(mesh32.times[m]))
+        with pytest.raises(ConfigError, match="non-finite coefficient"):
+            assemble(mesh32, spec, bad_t)
+        reached = []
+        g = np.random.default_rng(2).standard_normal((1, 32))
+        with pytest.raises(ConfigError, match="non-finite coefficient"):
+            solve_forward(spec, mesh32, g, None, 0.0, float(mesh32.times[10]),
+                          slab_source=lambda m: reached.append(m))
+        assert reached == [0, 1, 2, 3, 4]  # the step into t_5 is the first to fail
+
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    def test_ordering_fills_less_than_default(self, store, mode):
+        domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
+        mesh = Mesh(domain, (32, 32), tau=2.0 ** -12, t0=0.0, steps=4)
+        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("heat", n=2), domain), 1.0)
+        lu, D = scheme.implicit_lu(1)
+        assert lu.nnz < spla.splu(D).nnz
+        rhs = np.random.default_rng(4).standard_normal(scheme.nn)
+        for trans, mat in (("N", D), ("T", D.T)):
+            x = scheme.solve_implicit(1, rhs, trans=trans)
+            assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+
+    def test_theta_one_explicit_is_one_identity(self, store, monkeypatch, mesh32, periodic_1d):
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        calls = []
+        real = solver.assemble
+        monkeypatch.setattr(solver, "assemble", lambda *args: calls.append(args) or real(*args))
+        scheme = ThetaScheme(mesh32, spec, 1.0)
+        E = scheme.explicit(0)
+        assert all(scheme.explicit(m) is E for m in range(1, 8))
+        assert calls == [] and solver.cache_info().entries == 1
+        assert (E != sp.identity(scheme.nn, format="csr")).nnz == 0
+        # theta < 1 keeps one explicit matrix per step
+        half = ThetaScheme(mesh32, spec, 0.5)
+        assert half.explicit(0) is not half.explicit(1)
