@@ -10,8 +10,8 @@ from .solver import (DiscreteOperator, ThetaScheme, assemble, dense_spacetime_or
 from .green import (GreenColumn, Propagator, apply_initial, apply_representation,
                     averaged_green_column, block_at, cylinder_average,
                     extrapolated_green_column, green_block_columns, heat_kernel,
-                    propagator, rho_refinement, transpose_green_column,
-                    wrapped_heat_kernel)
+                    propagator, rho_refinement, transpose_block_columns,
+                    transpose_green_column, wrapped_heat_kernel)
 
 __version__ = "0.1.0"
 

@@ -6,6 +6,11 @@ cylinder of radius rho at Y (cell-counted measure), started from zero at
 s - rho^2 and extended by zero below.  The transpose column mirrors this
 with the adjoint solver on the forward cylinder.  The discrete cylinders
 and their slab conventions are those of ``Mesh.cylinder``.
+
+One private builder makes every column: the N source components of a pole
+share their source window, so ``green_block_columns`` and
+``transpose_block_columns`` march them as one block, bitwise equal to the
+single-component ``averaged_green_column`` and ``transpose_green_column``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
-from .solver import ThetaScheme, project_slice, solve_backward, solve_forward
+from .solver import ThetaScheme, _march_backward, _march_forward, project_slice
 
 GREEN_THETA = 1.0  # Green objects are built with the implicit Euler scheme
 
@@ -115,6 +120,44 @@ class GreenColumn:
         return full
 
 
+def _green_columns(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
+                   direction: str) -> list:
+    """Columns of source components ``ks`` at one pole, marched as one block.
+
+    Forward columns carry the minus-cylinder source and run up to the
+    horizon; backward (transpose) columns carry the plus-cylinder source and
+    run down to it.  Each column's field is a view of the block.
+    """
+    _check_resolvable(mesh, radius)
+    N = spec.coeffs.N
+    for k in ks:
+        if not 1 <= k <= N:
+            raise ConfigError(f"component k={k} outside 1..{N}")
+    _check_pole(mesh, pole)
+    forward = direction == "forward"
+    active, _ = mesh.cylinder(pole, radius, "minus" if forward else "plus")
+    G = np.stack([_mollifier(mesh, N, pole[1], radius, k) for k in ks], axis=1)
+
+    def src(m):
+        return G if m in active else None
+
+    scheme = ThetaScheme(mesh, spec, GREEN_THETA)
+    if forward:
+        i0, i1 = active.start, mesh.time_index(horizon)
+        if i1 <= i0:
+            raise ConfigError("need T > s on the time grid")
+        block = _march_forward(scheme, i0, i1, np.zeros_like(G), src)
+    else:
+        i0, i1 = mesh.time_index(horizon), active.stop
+        if i1 <= i0:
+            raise ConfigError("need b > S on the time grid")
+        block = _march_backward(scheme, i0, i1, np.zeros_like(G), src)
+    where = (float(pole[0]), np.atleast_1d(np.asarray(pole[1], dtype=float)))
+    return [GreenColumn(spec, mesh, where, k, radius,
+                        Trajectory(mesh, i0, vals.reshape(-1, N, mesh.ncells)), direction)
+            for k, vals in zip(ks, block)]
+
+
 def averaged_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho: float,
                           T: float) -> GreenColumn:
     """Forward solve with the normalized minus-cylinder indicator source.
@@ -123,41 +166,13 @@ def averaged_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho: float,
     s - rho^2 (time clipping is an error, spatial clipping at a dirichlet
     boundary is allowed).
     """
-    _check_resolvable(mesh, rho)
-    if not 1 <= k <= spec.coeffs.N:
-        raise ConfigError(f"component k={k} outside 1..{spec.coeffs.N}")
-    s, y = float(Y[0]), Y[1]
-    _check_pole(mesh, Y)
-    active, _ = mesh.cylinder(Y, rho, "minus")
-    g = _mollifier(mesh, spec.coeffs.N, y, rho, k)
-
-    def src(m):
-        return g if m in active else None
-
-    traj = solve_forward(spec, mesh, None, None, float(mesh.times[active.start]), T,
-                         theta=GREEN_THETA, slab_source=src)
-    return GreenColumn(spec, mesh, (s, np.atleast_1d(np.asarray(y, dtype=float))),
-                       k, rho, traj, "forward")
+    return _green_columns(spec, mesh, Y, [k], rho, T, "forward")[0]
 
 
 def transpose_green_column(spec: OperatorSpec, mesh: Mesh, X, k: int, sigma: float,
                            S: float) -> GreenColumn:
     """Adjoint solve with the plus-cylinder indicator source (mirror image)."""
-    _check_resolvable(mesh, sigma)
-    if not 1 <= k <= spec.coeffs.N:
-        raise ConfigError(f"component k={k} outside 1..{spec.coeffs.N}")
-    t, x = float(X[0]), X[1]
-    _check_pole(mesh, X)
-    active, _ = mesh.cylinder(X, sigma, "plus")
-    q = _mollifier(mesh, spec.coeffs.N, x, sigma, k)
-
-    def src(m):
-        return q if m in active else None
-
-    traj = solve_backward(spec, mesh, None, None, float(mesh.times[active.stop]), S,
-                          theta=GREEN_THETA, slab_source=src)
-    return GreenColumn(spec, mesh, (t, np.atleast_1d(np.asarray(x, dtype=float))),
-                       k, sigma, traj, "backward")
+    return _green_columns(spec, mesh, X, [k], sigma, S, "backward")[0]
 
 
 def cylinder_average(traj: Trajectory, pole, radius: float, kind: str) -> np.ndarray:
@@ -289,6 +304,14 @@ def _rho_weights(rhos: np.ndarray) -> np.ndarray:
     return pinv[0]
 
 
+def _rho_ladder(rho_list) -> np.ndarray:
+    """The radii as floats; a ladder must decrease strictly and hold >= 2 entries."""
+    rhos = np.asarray([float(r) for r in rho_list])
+    if len(rhos) < 2 or np.any(np.diff(rhos) >= 0):
+        raise ConfigError("rho_list must be strictly decreasing with >= 2 entries")
+    return rhos
+
+
 def rho_refinement(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
                    X_probe, T: float | None = None) -> RhoTable:
     """Sample one Green column at a probe across a ladder of radii.
@@ -298,9 +321,7 @@ def rho_refinement(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
     observed convergence order; non-monotone ladders are flagged, not
     fatal.
     """
-    rhos = np.asarray([float(r) for r in rho_list])
-    if len(rhos) < 2 or np.any(np.diff(rhos) >= 0):
-        raise ConfigError("rho_list must be strictly decreasing with >= 2 entries")
+    rhos = _rho_ladder(rho_list)
     tp, xp = float(X_probe[0]), X_probe[1]
     if mesh.pdist((tp, xp), (float(Y[0]), Y[1])) <= 3.0 * rhos[0]:
         raise ConfigError("probe must satisfy |X - Y|_p > 3 * max(rho)")
@@ -325,26 +346,34 @@ def rho_refinement(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
 def extrapolated_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
                               T: float) -> GreenColumn:
     """Richardson-combined column with rho = 0; exactly zero before the pole time."""
-    rhos = np.asarray([float(r) for r in rho_list])
-    if len(rhos) < 2 or np.any(np.diff(rhos) >= 0):
-        raise ConfigError("rho_list must be strictly decreasing with >= 2 entries")
+    rhos = _rho_ladder(rho_list)
     cols = [averaged_green_column(spec, mesh, Y, k, float(r), T) for r in rhos]
+    return _richardson_column(rhos, cols, T)
+
+
+def _richardson_column(rhos: np.ndarray, cols, T: float) -> GreenColumn:
+    """Combine finished columns of one pole, at the radii ``rhos``, into rho = 0."""
+    first = cols[0]
+    mesh = first.mesh
     w = _rho_weights(rhos)
-    i_pole = mesh.time_index(float(Y[0]))
+    i_pole = mesh.time_index(first.pole[0])
     i1 = mesh.time_index(T)
-    combined = np.zeros((i1 - i_pole + 1, cols[0].N, mesh.ncells))
+    combined = np.zeros((i1 - i_pole + 1, first.N, mesh.ncells))
     for wj, col in zip(w, cols):
         off = i_pole - col.field.i0
         combined += wj * col.field.values[off:off + combined.shape[0]]
     traj = Trajectory(mesh, i_pole, combined)
-    return GreenColumn(spec, mesh, (float(Y[0]), np.atleast_1d(np.asarray(Y[1], dtype=float))),
-                       k, 0.0, traj, "forward")
+    return GreenColumn(first.spec, mesh, first.pole, first.k, 0.0, traj, "forward")
 
 
 def green_block_columns(spec: OperatorSpec, mesh: Mesh, Y, rho: float, T: float):
-    """All N source components of the averaged column at one pole."""
-    return [averaged_green_column(spec, mesh, Y, k, rho, T)
-            for k in range(1, spec.coeffs.N + 1)]
+    """All N source components of the averaged column at one pole, as one block."""
+    return _green_columns(spec, mesh, Y, range(1, spec.coeffs.N + 1), rho, T, "forward")
+
+
+def transpose_block_columns(spec: OperatorSpec, mesh: Mesh, X, sigma: float, S: float):
+    """All N source components of the transpose column at one pole, as one block."""
+    return _green_columns(spec, mesh, X, range(1, spec.coeffs.N + 1), sigma, S, "backward")
 
 
 def block_at(columns, t: float, x) -> np.ndarray:

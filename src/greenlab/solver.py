@@ -18,7 +18,16 @@ each ``assemble`` only evaluates the face tensors and fills the data.
 Implicit matrices are factorized with the ``MMD_AT_PLUS_A`` ordering
 (minimum degree on the pattern of A^T + A), which suits the structurally
 symmetric operator.  With theta = 1 the explicit side is the identity,
-stored once per scheme and built without assembling anything.
+stored once per scheme and built without assembling anything; the steps
+skip multiplying by it.
+
+One private marcher per direction runs the time loop, for a flat (nn,)
+state or an (nn, B) block of B states sharing every step's factor;
+``solve_forward``/``solve_backward`` march one state, the Green column
+builders march all source components of a pole as one block.  SuperLU
+solves a block bitwise equal to its columns one by one.  Every solve checks
+the relative residual of each column against ``RESIDUAL_TOL``, so a bad
+small column cannot hide behind a large one.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec, theta) shares one process-wide
@@ -26,11 +35,13 @@ store of step matrices: the operator, the (splu, matrix) pair of the
 implicit side and the explicit matrix.  A key holds the frozen mesh and
 spec themselves (equal by value; coefficient functions by identity), the
 theta, the entry kind and the step index (``"const"`` for static
-coefficients and for the theta = 1 identity).  The store charges a factor
-12 bytes per L+U nonzero plus the CSC arrays of its matrix, and a matrix
-its CSR/CSC arrays (the pattern arrays an operator shares with the stencil
-included); past ``CACHE_BYTES`` it evicts the least recently used entries,
-never the one just built.  ``cache_info`` reports its size.
+coefficients and for the theta = 1 identity).  At theta = 1 a step's
+factor assembles L(t_m) itself and the operator is not stored, since
+nothing else reads it; ``operator(m)`` still stores what it builds.  The
+store charges a factor 12 bytes per L+U nonzero plus the CSC arrays of its
+matrix, and a matrix its CSR/CSC arrays (the pattern arrays an operator
+shares with the stencil included); past ``CACHE_BYTES`` it evicts the least
+recently used entries, never the one just built.  ``cache_info`` reports its size.
 """
 
 from __future__ import annotations
@@ -236,10 +247,15 @@ class ThetaScheme:
                           lambda: assemble(self.mesh, self.spec, float(self.mesh.times[m])).matrix)
 
     def implicit_lu(self, m: int):
-        """splu factorization of I + tau*theta*L(t_m), with that matrix."""
+        """splu factorization of I + tau*theta*L(t_m), with that matrix.
+
+        At theta = 1 nothing else reads L(t_m), so it is assembled here and
+        not stored; at theta < 1 ``explicit(m)`` shares the stored operator.
+        """
         def build():
-            D = (sp.identity(self.nn, format="csr")
-                 + self.mesh.tau * self.theta * self.operator(m)).tocsc()
+            L = (assemble(self.mesh, self.spec, float(self.mesh.times[m])).matrix
+                 if self.theta == 1.0 else self.operator(m))
+            D = (sp.identity(self.nn, format="csr") + self.mesh.tau * self.theta * L).tocsc()
             return spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D
 
         return _STORE.get(self._key("lu", m), build, _factor_bytes)
@@ -254,18 +270,30 @@ class ThetaScheme:
                                    - self.mesh.tau * (1.0 - self.theta) * self.operator(m)))
 
     def solve_implicit(self, m: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve with the implicit matrix of step m; rhs is (nn,) or a block (nn, B).
+
+        Each column's relative residual must stay within RESIDUAL_TOL.
+        """
         lu, D = self.implicit_lu(m)
         x = lu.solve(rhs, trans=trans)
         mat = D if trans == "N" else D.T
-        num = np.linalg.norm(mat @ x - rhs)
-        den = np.linalg.norm(rhs)
-        if den > 0 and num > RESIDUAL_TOL * den:
-            raise SolverError(f"linear solve residual {num / den:.3e} exceeds {RESIDUAL_TOL}")
+        res = mat @ x - rhs
+        if rhs.ndim == 1:
+            num, den = np.linalg.norm(res), np.linalg.norm(rhs)
+            bad = den > 0 and num > RESIDUAL_TOL * den
+        else:  # per column: a bad small column must not hide behind a large one
+            num = np.sqrt(np.einsum("ij,ij->j", res, res))
+            den = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
+            bad = bool(np.any((den > 0) & (num > RESIDUAL_TOL * den)))
+        if bad:
+            num, den = np.atleast_1d(num, den)
+            worst = np.max(num[den > 0] / den[den > 0])
+            raise SolverError(f"linear solve residual {worst:.3e} exceeds {RESIDUAL_TOL}")
         return x
 
     def forward_step(self, m: int, u: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-        """One step t_m -> t_{m+1}; g is the per-step source (flat)."""
-        rhs = self.explicit(m) @ u
+        """One step t_m -> t_{m+1} of a flat state or an (nn, B) block; g is the source."""
+        rhs = u if self.theta == 1.0 else self.explicit(m) @ u
         if g is not None:
             rhs = rhs + self.mesh.tau * g
         return self.solve_implicit(m + 1, rhs)
@@ -274,7 +302,7 @@ class ThetaScheme:
         """Adjoint step t_{m+1} -> t_m: the transpose of forward_step(m, .)."""
         rhs = w if q is None else w + self.mesh.tau * q
         z = self.solve_implicit(m + 1, rhs, trans="T")
-        return self.explicit(m).T @ z
+        return z if self.theta == 1.0 else self.explicit(m).T @ z
 
 
 def _as_slice(mesh: Mesh, N: int, data) -> np.ndarray:
@@ -303,6 +331,30 @@ def _slab_source_fn(scheme: ThetaScheme, f):
     raise ConfigError("source must be None or a callable t -> slice")
 
 
+def _march_forward(scheme: ThetaScheme, i0: int, i1: int, u: np.ndarray, src) -> np.ndarray:
+    """Forward steps t_{i0} -> t_{i1} of a flat state (nn,) or a block (nn, B).
+
+    ``src(m)`` gives the step's source, shaped like ``u`` (or None).  Returns
+    the states as (i1 - i0 + 1, nn), or (B, i1 - i0 + 1, nn) for a block.
+    """
+    out = np.empty(u.shape[1:] + (i1 - i0 + 1, u.shape[0]))
+    out[..., 0, :] = u.T
+    for m in range(i0, i1):
+        u = scheme.forward_step(m, u, src(m))
+        out[..., m - i0 + 1, :] = u.T
+    return out
+
+
+def _march_backward(scheme: ThetaScheme, i0: int, i1: int, w: np.ndarray, src) -> np.ndarray:
+    """Adjoint steps t_{i1} -> t_{i0}; shapes as in ``_march_forward``."""
+    out = np.empty(w.shape[1:] + (i1 - i0 + 1, w.shape[0]))
+    out[..., -1, :] = w.T
+    for m in range(i1 - 1, i0 - 1, -1):
+        w = scheme.backward_step(m, w, src(m))
+        out[..., m - i0, :] = w.T
+    return out
+
+
 def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
                   theta: float = 1.0, slab_source=None) -> Trajectory:
     """March the Cauchy problem from data g at time s up to time T.
@@ -318,12 +370,8 @@ def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
         raise ConfigError("need T > s on the time grid")
     src = _slab_source_fn(scheme, f) if slab_source is None else slab_source
     u = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
-    out = np.empty((i1 - i0 + 1, scheme.N, mesh.ncells))
-    out[0] = u.reshape(scheme.N, -1)
-    for m in range(i0, i1):
-        u = scheme.forward_step(m, u, src(m))
-        out[m - i0 + 1] = u.reshape(scheme.N, -1)
-    return Trajectory(mesh, i0, out)
+    out = _march_forward(scheme, i0, i1, u, src)
+    return Trajectory(mesh, i0, out.reshape(-1, scheme.N, mesh.ncells))
 
 
 def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
@@ -341,12 +389,8 @@ def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
         raise ConfigError("need b > S on the time grid")
     src = _slab_source_fn(scheme, f) if slab_source is None else slab_source
     w = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
-    out = np.empty((i1 - i0 + 1, scheme.N, mesh.ncells))
-    out[-1] = w.reshape(scheme.N, -1)
-    for m in range(i1 - 1, i0 - 1, -1):
-        w = scheme.backward_step(m, w, src(m))
-        out[m - i0] = w.reshape(scheme.N, -1)
-    return Trajectory(mesh, i0, out)
+    out = _march_backward(scheme, i0, i1, w, src)
+    return Trajectory(mesh, i0, out.reshape(-1, scheme.N, mesh.ncells))
 
 
 def step_forward(u, t: float, mesh: Mesh, spec: OperatorSpec, theta: float = 1.0):
@@ -386,8 +430,7 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: fl
     tau = mesh.tau
     for k in range(K):
         m = i0 + k
-        D = (sp.identity(nn, format="csr") + tau * scheme.theta * scheme.operator(m + 1))
-        A[k * nn:(k + 1) * nn, k * nn:(k + 1) * nn] = D.toarray()
+        A[k * nn:(k + 1) * nn, k * nn:(k + 1) * nn] = scheme.implicit_lu(m + 1)[1].toarray()
         E = scheme.explicit(m)
         if k == 0:
             rhs[:nn] += E @ u0

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .green import (averaged_green_column, cylinder_average, extrapolated_green_column,
-                    green_block_columns, propagator, transpose_green_column,
-                    wrapped_heat_kernel)
+from .green import (_richardson_column, _rho_ladder, averaged_green_column, cylinder_average,
+                    extrapolated_green_column, green_block_columns, propagator,
+                    transpose_block_columns, wrapped_heat_kernel)
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
 from .solver import project_slice, solve_forward
@@ -113,6 +113,30 @@ def _rel_residual(a: float, b: float) -> float:
 # ----------------------------------------------------------------------
 
 
+def _block_averages(spec: OperatorSpec, mesh: Mesh, wants, build, horizon: float,
+                    kind: str) -> list:
+    """Cylinder averages of each distinct block of Green columns.
+
+    ``wants`` lists (pole, radius, cylinder pole, cylinder radius) per pair.
+    ``build`` marches the block of each distinct (pole, radius) once, and the
+    block is dropped once it is averaged.  Entry [k, l] of each returned
+    (N, N) array is component l of column k averaged over the pair's cylinder.
+    """
+    groups: dict = {}
+    for i, (P, r, _, _) in enumerate(wants):
+        key = (float(P[0]), tuple(np.atleast_1d(np.asarray(P[1], dtype=float))), float(r))
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(wants)
+    for idx in groups.values():
+        P, r = wants[idx[0]][:2]
+        cols = build(spec, mesh, P, r, horizon)
+        for i in idx:
+            Q, q = wants[i][2:]
+            out[i] = np.stack([cylinder_average(col.field, Q, q, kind) for col in cols])
+        del cols
+    return out
+
+
 def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
                   tolerance: float = 1e-10) -> CheckRecord:
     """Averaged duality: minus-cylinder average of the adjoint column equals
@@ -120,21 +144,20 @@ def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
 
     ``pairs`` is an iterable of (Y, X, rho, sigma); the forward column is
     solved up to T >= t + sigma^2 and the adjoint column down to
-    S <= s - rho^2 so the pairing windows overlap.
+    S <= s - rho^2 so the pairing windows overlap.  Each distinct forward
+    (Y, rho) and transpose (X, sigma) block is marched once.
     """
-    N = spec.coeffs.N
+    pairs = list(pairs)
+    fwd = _block_averages(spec, mesh, [(Y, rho, X, sigma) for Y, X, rho, sigma in pairs],
+                          green_block_columns, T, "plus")
+    bwd = _block_averages(spec, mesh, [(X, sigma, Y, rho) for Y, X, rho, sigma in pairs],
+                          transpose_block_columns, S, "minus")
     worst = 0.0
     count = 0
-    for (Y, X, rho, sigma) in pairs:
-        fwd = {k: averaged_green_column(spec, mesh, Y, k, rho, T) for k in range(1, N + 1)}
-        bwd = {l: transpose_green_column(spec, mesh, X, l, sigma, S) for l in range(1, N + 1)}
-        for k in range(1, N + 1):
-            rhs_all = cylinder_average(fwd[k].field, X, sigma, "plus")
-            for l in range(1, N + 1):
-                lhs = float(cylinder_average(bwd[l].field, Y, rho, "minus")[k - 1])
-                rhs = float(rhs_all[l - 1])
-                worst = max(worst, _rel_residual(lhs, rhs))
-                count += 1
+    for F, B in zip(fwd, bwd):
+        for lhs, rhs in zip(B.T.ravel(), F.ravel()):
+            worst = max(worst, _rel_residual(float(lhs), float(rhs)))
+            count += 1
     status = "pass" if worst <= tolerance else "fail"
     return CheckRecord("duality", "averaged-duality", status, tolerance,
                        fitted={"max_residual": worst}, samples={"pairs": count})
@@ -190,15 +213,12 @@ def check_normalization(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
 
 def check_causality(spec: OperatorSpec, mesh: Mesh, Y, rho_list, T: float) -> CheckRecord:
     """Zero extension: columns vanish identically before their source window."""
+    cols = [averaged_green_column(spec, mesh, Y, 1, float(rho), T) for rho in rho_list]
+    ext = _richardson_column(_rho_ladder(rho_list), cols, T)
     worst = 0.0
-    for rho in rho_list:
-        col = averaged_green_column(spec, mesh, Y, 1, float(rho), T)
-        padded = col.padded_values()
-        worst = max(worst, float(np.max(np.abs(padded[:col.field.i0]))) if col.field.i0 else 0.0)
-    ext = extrapolated_green_column(spec, mesh, Y, 1, rho_list, T)
-    padded = ext.padded_values()
-    if ext.field.i0:
-        worst = max(worst, float(np.max(np.abs(padded[:ext.field.i0]))))
+    for col in (*cols, ext):
+        if col.field.i0:
+            worst = max(worst, float(np.max(np.abs(col.padded_values()[:col.field.i0]))))
     status = "pass" if worst == 0.0 else "fail"
     return CheckRecord("causality", "zero-extension", status, 0.0,
                        fitted={"max_early_value": worst},

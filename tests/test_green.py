@@ -9,6 +9,7 @@ from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, apply_initial,
                       green_block_columns, heat_kernel, make_preset, propagator,
                       rho_refinement, solve_forward, transpose_green_column,
                       wrapped_heat_kernel)
+from greenlab import green
 from greenlab.solver import ThetaScheme
 
 
@@ -301,6 +302,29 @@ class TestBlockSampling:
         assert blk.shape == (2, 2)
         # symmetric coupling: the block is symmetric for this preset
         assert blk[0, 1] == pytest.approx(blk[1, 0], rel=1e-9)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_block_columns_bitwise_equal_single_columns(self, boundary):
+        dom = Domain((0.0,), (1.0,), boundary)
+        mesh = Mesh(dom, (32,), tau=1 / 512, t0=0.0, steps=64)
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), dom)
+        Y = (20 / 512, mesh.centers[9])
+        X = (44 / 512, mesh.centers[22])
+        fwd = green_block_columns(spec, mesh, Y, 4 / 32, 53 / 512)
+        bwd = green.transpose_block_columns(spec, mesh, X, 3 / 32, 11 / 512)
+        singles = ([averaged_green_column(spec, mesh, Y, k, 4 / 32, 53 / 512) for k in (1, 2)]
+                   + [transpose_green_column(spec, mesh, X, k, 3 / 32, 11 / 512)
+                      for k in (1, 2)])
+        assert len(fwd) == len(bwd) == 2
+        for blk, one in zip(fwd + bwd, singles):
+            assert (blk.k, blk.rho, blk.direction) == (one.k, one.rho, one.direction)
+            assert blk.pole[0] == one.pole[0]
+            assert blk.pole[1].tobytes() == one.pole[1].tobytes()
+            assert blk.field.i0 == one.field.i0
+            assert blk.field.values.shape == one.field.values.shape
+            assert blk.field.values.tobytes() == one.field.values.tobytes()
+        # the rotating coupling reaches both field components of every column
+        assert all(np.abs(col.field.values).max(axis=(0, 2)).min() > 0 for col in fwd + bwd)
 
 
 class TestScalarNonnegativity:

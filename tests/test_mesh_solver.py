@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
+from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, SolverError,
+                      Trajectory,
                       assemble, averaged_green_column, dense_spacetime_oracle,
                       dirichlet_energy, energy_norm, make_preset, parabolic_distance,
                       solve_backward, solve_forward, step_forward,
@@ -438,6 +439,19 @@ class TestStepStore:
         for a, b in zip(unbounded, bounded):
             assert a.tobytes() == b.tobytes()
 
+    def test_theta_one_keeps_no_operators(self, store, periodic_2d):
+        mesh = Mesh(periodic_2d, (16, 16), tau=2.0 ** -10, t0=0.0, steps=8)
+        spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), periodic_2d)
+        g = np.random.default_rng(6).standard_normal((1, 256))
+        T = float(mesh.times[8])
+        solve_forward(spec, mesh, g, None, 0.0, T)
+        kinds = [key[1] for key in solver._STORE.entries]
+        assert kinds.count("lu") == 8 and "op" not in kinds
+        # theta < 1: explicit(m) reads the same operator, so it stays stored
+        solve_forward(spec, mesh, g, None, 0.0, T, theta=0.5)
+        kinds = [key[1] for key in solver._STORE.entries if key[0].parts[2] == 0.5]
+        assert kinds.count("op") == 9
+
     def test_rotating_duality_assembles_each_step_once(self, store, monkeypatch):
         path = resources.files("greenlab") / "scenarios" / "rotating-2x2.json"
         sc = cli.load_scenario(str(path))
@@ -579,6 +593,22 @@ class TestStepLayer:
             x = scheme.solve_implicit(1, rhs, trans=trans)
             assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
 
+    def test_theta_one_steps_skip_the_identity(self, store, monkeypatch, mesh32, periodic_1d):
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        g = np.random.default_rng(7).standard_normal((2, 32))
+        T = float(mesh32.times[24])
+        ref = [solve_forward(spec, mesh32, g, None, 0.0, T).values,
+               solve_backward(spec, mesh32, g, None, T, 0.0).values]
+
+        def no_explicit(self, m):
+            raise AssertionError("theta = 1 steps need no explicit matrix")
+
+        monkeypatch.setattr(ThetaScheme, "explicit", no_explicit)
+        got = [solve_forward(spec, mesh32, g, None, 0.0, T).values,
+               solve_backward(spec, mesh32, g, None, T, 0.0).values]
+        for a, b in zip(ref, got):
+            assert a.tobytes() == b.tobytes()
+
     def test_theta_one_explicit_is_one_identity(self, store, monkeypatch, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
         calls = []
@@ -592,3 +622,32 @@ class TestStepLayer:
         # theta < 1 keeps one explicit matrix per step
         half = ThetaScheme(mesh32, spec, 0.5)
         assert half.explicit(0) is not half.explicit(1)
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_small_bad_column_raises(self, monkeypatch, mesh32, periodic_1d, trans):
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        scheme = ThetaScheme(mesh32, spec, 1.0)
+        lu, D = scheme.implicit_lu(1)
+        rng = np.random.default_rng(8)
+        rhs = np.stack([1e6 * rng.standard_normal(64), 1e-6 * rng.standard_normal(64)], axis=1)
+        block = scheme.solve_implicit(1, rhs, trans=trans)
+        for j in (0, 1):
+            assert block[:, j].tobytes() == scheme.solve_implicit(1, rhs[:, j], trans).tobytes()
+
+        class Perturbed:
+            """Solves like the factor, but spoils the small second column."""
+
+            def solve(self, b, trans="N"):
+                x = lu.solve(b, trans=trans)
+                x[:, 1] *= 1 + 1e-4
+                return x
+
+        monkeypatch.setattr(scheme, "implicit_lu", lambda m: (Perturbed(), D))
+        mat = D if trans == "N" else D.T
+        x = Perturbed().solve(rhs, trans)
+        # one norm over the whole block would not see the bad column
+        assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+        with pytest.raises(SolverError, match="residual"):
+            scheme.solve_implicit(1, rhs, trans=trans)

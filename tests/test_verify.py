@@ -5,7 +5,8 @@ import pytest
 
 from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
                       averaged_green_column, cylinder_average, make_preset,
-                      solve_forward, transpose_coefficients)
+                      solve_forward, transpose_coefficients, transpose_green_column)
+from greenlab import green, solver
 from greenlab import verify as V
 from greenlab.green import _mollifier
 from greenlab.solver import ThetaScheme
@@ -13,7 +14,67 @@ from greenlab.solver import ThetaScheme
 from conftest import bundle_1d
 
 
+def _per_pair_duality(spec, mesh, pairs, T, S, tolerance=1e-10):
+    """Reference: the per-pair loop that marched 2N columns for every pair."""
+    N = spec.coeffs.N
+    worst = 0.0
+    count = 0
+    for (Y, X, rho, sigma) in pairs:
+        fwd = {k: averaged_green_column(spec, mesh, Y, k, rho, T) for k in range(1, N + 1)}
+        bwd = {l: transpose_green_column(spec, mesh, X, l, sigma, S) for l in range(1, N + 1)}
+        for k in range(1, N + 1):
+            rhs_all = cylinder_average(fwd[k].field, X, sigma, "plus")
+            for l in range(1, N + 1):
+                lhs = float(cylinder_average(bwd[l].field, Y, rho, "minus")[k - 1])
+                rhs = float(rhs_all[l - 1])
+                worst = max(worst, V._rel_residual(lhs, rhs))
+                count += 1
+    status = "pass" if worst <= tolerance else "fail"
+    return V.CheckRecord("duality", "averaged-duality", status, tolerance,
+                         fitted={"max_residual": worst}, samples={"pairs": count})
+
+
+@pytest.fixture
+def scheme_log(monkeypatch):
+    """Every ThetaScheme built through solver or green, with the rhs shapes it solved."""
+    made = []
+
+    class Logged(ThetaScheme):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shapes = set()
+            made.append(self)
+
+        def solve_implicit(self, m, rhs, trans="N"):
+            self.shapes.add(rhs.shape)
+            return super().solve_implicit(m, rhs, trans)
+
+    for module in (solver, green):
+        monkeypatch.setattr(module, "ThetaScheme", Logged)
+    return made
+
+
 class TestDuality:
+    def test_rotating_grid_marches_each_block_once(self, mesh32, periodic_1d, scheme_log,
+                                                   monkeypatch):
+        # the columns-rotating-1d grid: 3 poles x 3 probes x rho {4, 3} x sigma {4, 3} cells
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        poles = [(20 / 512, mesh32.centers[c]) for c in (6, 9, 12)]
+        probes = [(44 / 512, mesh32.centers[c]) for c in (19, 22, 25)]
+        radii = [4 / 32, 3 / 32]
+        pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
+                 for rho in radii for sigma in radii]
+        rec = V.check_duality(spec, mesh32, pairs, T=53 / 512, S=11 / 512)
+        # 3 poles x 2 radii forward, 3 probes x 2 radii transpose; 144 per-pair columns before
+        assert len(scheme_log) == 12
+        assert all(scheme.shapes == {(64, 2)} for scheme in scheme_log)
+        monkeypatch.undo()
+        ref = _per_pair_duality(spec, mesh32, pairs, T=53 / 512, S=11 / 512)
+        assert rec.to_dict() == ref.to_dict()
+        assert rec.fitted["max_residual"] == ref.fitted["max_residual"] > 0
+        assert rec.samples["pairs"] == 36 * 4
+        assert rec.status == "pass"
+
     def test_heat_tight(self, mesh32, heat_spec):
         pairs = [((16 / 512, mesh32.centers[8]), (44 / 512, mesh32.centers[24]),
                   4 / 32, 4 / 32)]
@@ -65,6 +126,13 @@ class TestDuality:
 
 
 class TestExactChecks:
+    def test_causality_marches_each_radius_once(self, mesh32, periodic_1d, scheme_log):
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        Y = (20 / 512, mesh32.centers[16])
+        rec = V.check_causality(spec, mesh32, Y, [4 / 32, 3 / 32], 53 / 512)
+        assert rec.status == "pass" and rec.fitted["max_early_value"] == 0.0
+        assert len(scheme_log) == 2  # the Richardson column reuses both columns
+
     def test_semigroup_associativity(self, mesh32, heat_spec):
         rec1 = V.check_semigroup(heat_spec, mesh32, 0.0, 16 / 512, 48 / 512)
         rec2 = V.check_semigroup(heat_spec, mesh32, 16 / 512, 32 / 512, 48 / 512)
