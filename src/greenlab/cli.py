@@ -257,7 +257,14 @@ def _run_pointwise_decay(ctx: Context, rho_cells=2, s_step=None, d_min_cells=6, 
     d_min = float(d_min_cells) * float(np.max(mesh.h))
     npts, decade = int(n_points), float(decade)
     ds = [d_min * 10 ** (decade * k / (npts - 1)) for k in range(npts)]
-    Y = (_time(mesh, s_step, _cylinder_steps(mesh, rho)), _cell_at_frac(mesh, y_frac, 0.1))
+    s_step = int(_cylinder_steps(mesh, rho) if s_step is None else s_step)
+    Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.1))
+    # the ray probe at distance d sits round(d^2 / tau) steps past the pole
+    need = s_step + round(max(ds) ** 2 / mesh.tau)
+    if need > mesh.steps:
+        raise ConfigError(f"pointwise-decay: the longest ray (d_min_cells={d_min_cells}, "
+                          f"decade={decade:g}) needs step {need}, but the mesh has steps "
+                          f"0..{mesh.steps}; lower d_min_cells or decade, or add steps")
     d_act, g = V.pointwise_ray_samples(ctx.spec, mesh, Y, ds, rho, axis=int(axis))
     return V.fit_pointwise_decay(d_act, g, mesh.n, margin=float(margin))
 

@@ -1,4 +1,4 @@
-"""Averaged Green's matrices, propagators, and representation formulas.
+"""Averaged Green's matrices and dense propagators.
 
 A Green column with pole Y = (s, y) and component k is the forward solve
 whose source is the normalized cell indicator of the backward parabolic
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
-from .solver import ThetaScheme, _march_backward, _march_forward, project_slice
+from .solver import ThetaScheme, _march_backward, _march_forward
 
 GREEN_THETA = 1.0  # Green objects are built with the implicit Euler scheme
 
@@ -202,21 +202,11 @@ class Propagator:
     P: np.ndarray
     N: int
 
-    def green_block(self, x_cell: int, y_cell: int) -> np.ndarray:
-        """N x N Green sample: P entries divided by the cell volume."""
-        C = self.mesh.ncells
-        idx_r = [i * C + x_cell for i in range(self.N)]
-        idx_c = [j * C + y_cell for j in range(self.N)]
-        return self.P[np.ix_(idx_r, idx_c)] / self.mesh.volume
-
     def row_sums(self) -> np.ndarray:
         """For each (i, x): sum_y of the Green block row times volume -> (i, x, j)."""
         C = self.mesh.ncells
         R = self.P.reshape(self.N, C, self.N, C).sum(axis=3)
         return R
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        return (self.P @ np.asarray(g, dtype=float).ravel()).reshape(self.N, -1)
 
 
 def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
@@ -233,54 +223,6 @@ def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
         X = scheme.explicit(m) @ X
         X = scheme.implicit_lu(m + 1)[0].solve(X)
     return Propagator(mesh, float(mesh.times[i0]), float(mesh.times[i1]), X, scheme.N)
-
-
-def apply_initial(spec: OperatorSpec, mesh: Mesh, g, s: float, t: float,
-                  theta: float = GREEN_THETA, cap: int = PROPAGATOR_CAP) -> np.ndarray:
-    """Solution slice at t from data g at s, via the propagator matrix."""
-    if mesh.time_index(t) <= mesh.time_index(s):
-        raise ConfigError("need t > s")
-    P = propagator(spec, mesh, s, t, theta=theta, cap=cap)
-    return P.apply(project_slice(mesh, g))
-
-
-def apply_representation(spec: OperatorSpec, mesh: Mesh, f, s: float, T: float,
-                         theta: float = GREEN_THETA, cap: int = PROPAGATOR_CAP,
-                         slab_source=None) -> Trajectory:
-    """Quadrature of Green samples against a source, via dense step factors.
-
-    Must agree with solve_forward from zero data; f has to vanish outside
-    the [s, T] window.
-    """
-    scheme = ThetaScheme(mesh, spec, theta)
-    if scheme.nn > cap:
-        raise ConfigError(f"representation size {scheme.nn} exceeds cap {cap}")
-    i0, i1 = mesh.time_index(s), mesh.time_index(T)
-    if i1 <= i0:
-        raise ConfigError("need T > s on the time grid")
-    if f is not None and callable(f):
-        for m in range(0, mesh.steps + 1):
-            if not (i0 <= m <= i1):
-                slc = np.asarray(f(float(mesh.times[m])), dtype=float)
-                if np.any(slc != 0.0):
-                    raise ConfigError("source support leaves the [s, T] window")
-    if slab_source is None:
-        from .solver import _slab_source_fn
-        src = _slab_source_fn(scheme, f)
-    else:
-        src = slab_source
-    u = np.zeros(scheme.nn)
-    out = np.empty((i1 - i0 + 1, scheme.N, mesh.ncells))
-    out[0] = 0.0
-    for m in range(i0, i1):
-        lu = scheme.implicit_lu(m + 1)[0]
-        step = lu.solve(scheme.explicit(m).toarray())
-        u = step @ u
-        gm = src(m)
-        if gm is not None:
-            u = u + mesh.tau * lu.solve(gm)
-        out[m - i0 + 1] = u.reshape(scheme.N, -1)
-    return Trajectory(mesh, i0, out)
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +317,3 @@ def transpose_block_columns(spec: OperatorSpec, mesh: Mesh, X, sigma: float, S: 
     """All N source components of the transpose column at one pole, as one block."""
     return _green_columns(spec, mesh, X, range(1, spec.coeffs.N + 1), sigma, S, "backward")
 
-
-def block_at(columns, t: float, x) -> np.ndarray:
-    """Assemble the N x N sample G[j, k] from the per-component columns."""
-    vecs = [col.value_at(t, x) for col in columns]
-    return np.stack(vecs, axis=1)

@@ -1,4 +1,4 @@
-"""Uniform space-time meshes, discrete trajectories, and energy norms."""
+"""Uniform space-time meshes and discrete trajectories."""
 
 from __future__ import annotations
 
@@ -222,6 +222,16 @@ class Mesh:
         right_flat = np.ravel_multi_index(right, self.cells)
         return pts, left_flat, right_flat
 
+    def face_difference(self, x: np.ndarray, ax: int, faces=slice(None)) -> np.ndarray:
+        """(x[..., right] - x[..., left]) / h[ax] over the faces of ``face_positions(ax)``.
+
+        ``x`` holds cell values on its last axis: a flat cell function or a
+        (slices, N, ncells) array.  ``faces`` (a boolean mask or indices into
+        the face list) differences only those faces.
+        """
+        _, left, right = self.face_positions(ax)
+        return (x[..., right[faces]] - x[..., left[faces]]) / self.h[ax]
+
     def shift_flat(self, flat: np.ndarray, ax: int, by: int):
         """Shift flat cell indices along an axis; returns (shifted, valid)."""
         idx = np.array(np.unravel_index(flat, self.cells))
@@ -291,44 +301,3 @@ class Trajectory:
         if not slabs or lo < 0 or hi > self.nslices:
             raise ConfigError("cylinder lies outside the trajectory window")
         return self.values[lo:hi], cells
-
-    def slice_l2(self, m: int) -> float:
-        """Cell-volume weighted L2 norm of slice m."""
-        return math.sqrt(self.mesh.volume * float(np.sum(self.values[m] ** 2)))
-
-
-def dirichlet_energy(mesh: Mesh, slc: np.ndarray) -> float:
-    """Sum over faces of |face difference / h|^2 times cell volume.
-
-    The face set matches the assembled operator: wrap faces in periodic
-    mode, interior faces only in dirichlet mode (pinned cells carry zeros).
-    """
-    slc = np.asarray(slc, dtype=float)
-    total = 0.0
-    for ax in range(mesh.n):
-        _, left, right = mesh.face_positions(ax)
-        diff = (slc[:, right] - slc[:, left]) / mesh.h[ax]
-        total += float(np.sum(diff ** 2)) * mesh.volume
-    return total
-
-
-@dataclass(frozen=True)
-class EnergyNorm:
-    triple: float
-    grad_l2: float
-    sup_l2: float
-
-
-def energy_norm(traj: Trajectory) -> EnergyNorm:
-    """Discrete V2 norm: trapezoid-in-time Dirichlet energy and sup slice L2."""
-    if traj.nslices < 1:
-        raise ConfigError("empty trajectory")
-    mesh = traj.mesh
-    energies = np.array([dirichlet_energy(mesh, traj.values[m]) for m in range(traj.nslices)])
-    if traj.nslices == 1:
-        grad_sq = 0.0
-    else:
-        grad_sq = float(np.trapezoid(energies, dx=mesh.tau))
-    sup = max(traj.slice_l2(m) for m in range(traj.nslices))
-    grad = math.sqrt(grad_sq)
-    return EnergyNorm(math.sqrt(grad_sq + sup * sup), grad, sup)

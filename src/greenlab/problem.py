@@ -14,7 +14,7 @@ numpy blocks of shape (P, n, n, N, N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -81,11 +81,6 @@ class CoefficientField:
         return replace(self, tensor_fn=t_fn, name=self.name + "^T")
 
 
-def transpose_coefficients(coeffs: CoefficientField) -> CoefficientField:
-    """Transposed tensor tA[alpha,beta,i,j] = A[beta,alpha,j,i]; an involution."""
-    return coeffs.transposed()
-
-
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned box with either a Dirichlet or a periodic boundary."""
@@ -113,15 +108,6 @@ class Domain:
     @property
     def periodic(self) -> bool:
         return self.boundary_mode == "periodic"
-
-    def dist_to_boundary(self, x) -> float:
-        """d_X: distance from x to the box boundary; +inf in periodic mode."""
-        if self.periodic:
-            return math.inf
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return float(np.min(np.minimum(x - lo, hi - x)))
 
 
 @dataclass(frozen=True)
@@ -422,96 +408,3 @@ def validate_parabolicity(coeffs: CoefficientField, sample_count: int,
         lam_est = min(lam_est, float(np.min(q)))
     ok = (lam_est >= coeffs.lam - tol) and (Lam_est <= coeffs.Lam + tol)
     return ParabolicityReport(lam_est, Lam_est, ok)
-
-
-def diagonal_distance(coeffs: CoefficientField, scalar: CoefficientField,
-                      sample_count: int = 64, seed: int = 0, box=None) -> float:
-    """Sup over samples of the Frobenius distance to a scalar-diagonal tensor.
-
-    ``scalar`` supplies a^{alpha beta}(t,x) as an N=1 field; the distance at
-    X is |A[a,b,i,j](X) - a[a,b](X) delta_{ij}| summed in quadrature.
-    """
-    if scalar.n != coeffs.n:
-        raise ConfigError("scalar field dimension mismatch")
-    if scalar.N != 1:
-        raise ConfigError("scalar comparison field must have N = 1")
-    rng = np.random.default_rng(seed)
-    ts, pts = _sample_points(coeffs, sample_count, rng, box=box)
-    N = coeffs.N
-    worst = 0.0
-    eye = np.eye(N)
-    for t in ts:
-        A = coeffs.tensor(float(t), pts)
-        a = scalar.tensor(float(t), pts)[:, :, :, 0, 0]
-        diff = A - a[:, :, :, None, None] * eye[None, None, None, :, :]
-        worst = max(worst, float(np.sqrt(np.max(np.sum(diff ** 2, axis=(1, 2, 3, 4))))))
-    return worst
-
-
-@dataclass(frozen=True)
-class VmoProbe:
-    """Sampling plan for the mean-oscillation modulus.
-
-    ``radii_ladder`` is a fixed decreasing ladder of candidate radii; a call
-    with threshold delta uses the ladder entries <= delta, which makes the
-    modulus monotone nondecreasing in delta by construction.
-    """
-
-    centers_per_axis: int = 17
-    time_centers: int = 5
-    quad_per_axis: int = 64
-    quad_time: int = 16
-    radii_ladder: tuple = (0.25, 0.177, 0.125, 0.088, 0.0625)
-    box: tuple = ((0.0,), (1.0,))
-    t_span: tuple = (0.0, 1.0)
-
-
-def vmo_modulus(coeffs: CoefficientField, delta: float,
-                probe: VmoProbe | None = None) -> float:
-    """Discrete estimate of the x-oscillation modulus at scale delta.
-
-    For each probe center X = (t, x) and ladder radius r <= delta, computes
-    by midpoint quadrature the cylinder average of |A(s, y) - Abar_{x,r}(s)|
-    where Abar is the spatial mean over the r-ball at each time s, and takes
-    the sup.  Vanishes identically for x-independent coefficients.
-    """
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
-    if probe is None:
-        probe = VmoProbe()
-    n = coeffs.n
-    lo = np.asarray(probe.box[0], dtype=float)
-    hi = np.asarray(probe.box[1], dtype=float)
-    if lo.shape[0] != n:
-        raise ConfigError("probe box dimension mismatch")
-    radii = [r for r in probe.radii_ladder if r <= delta]
-    if not radii:
-        return 0.0
-    centers_x = [np.linspace(lo[ax], hi[ax], probe.centers_per_axis) for ax in range(n)]
-    grids = np.meshgrid(*centers_x, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1)
-    t_centers = np.linspace(probe.t_span[0], probe.t_span[1], probe.time_centers) \
-        if coeffs.time_dependent else np.array([0.5 * (probe.t_span[0] + probe.t_span[1])])
-
-    worst = 0.0
-    for r in radii:
-        s_off = (np.arange(probe.quad_time) + 0.5) / probe.quad_time * (2 * r * r) - r * r
-        if n == 1:
-            y_off = ((np.arange(probe.quad_per_axis) + 0.5) / probe.quad_per_axis * 2 - 1) * r
-            offsets = y_off[:, None]
-        else:
-            g = ((np.arange(probe.quad_per_axis) + 0.5) / probe.quad_per_axis * 2 - 1) * r
-            gx, gy = np.meshgrid(g, g, indexing="ij")
-            mask = gx ** 2 + gy ** 2 < r * r
-            offsets = np.stack([gx[mask], gy[mask]], axis=1)
-        for tc in t_centers:
-            for x0 in centers:
-                pts = x0[None, :] + offsets
-                vals = []
-                for s in tc + s_off:
-                    A = coeffs.tensor(float(s), pts)
-                    Abar = A.mean(axis=0)
-                    dev = np.sqrt(np.sum((A - Abar[None]) ** 2, axis=(1, 2, 3, 4)))
-                    vals.append(dev.mean())
-                worst = max(worst, float(np.mean(vals)))
-    return worst

@@ -47,7 +47,6 @@ recently used entries, never the one just built.  ``cache_info`` reports its siz
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -61,16 +60,6 @@ from .problem import OperatorSpec
 
 RESIDUAL_TOL = 1e-11
 CACHE_BYTES = 256 * 2**20
-
-
-@dataclass
-class DiscreteOperator:
-    """Sparse matrix of -div(A D u) on the mesh at a fixed time."""
-
-    matrix: sp.csr_matrix
-    t: float
-    mesh: Mesh
-    N: int
 
 
 @lru_cache(maxsize=8)
@@ -128,8 +117,8 @@ def _stencil(mesh: Mesh, N: int):
     return tuple(pts_axes), gather, indices, indptr
 
 
-def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> DiscreteOperator:
-    """Assemble the flux-form spatial operator at time t.
+def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
+    """Assemble the flux-form spatial operator -div(A D u) at time t, as a CSR matrix.
 
     Each face contributes A(face midpoint) times the centered difference;
     in dirichlet mode the pinned boundary layer is projected out (rows and
@@ -146,8 +135,7 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> DiscreteOperator:
             raise ConfigError(f"non-finite coefficient at a face (t={t})")
         tensors.append(A.ravel())
     nn = coeffs.N * mesh.ncells
-    mat = sp.csr_matrix((gather @ np.concatenate(tensors), indices, indptr), shape=(nn, nn))
-    return DiscreteOperator(mat, t, mesh, coeffs.N)
+    return sp.csr_matrix((gather @ np.concatenate(tensors), indices, indptr), shape=(nn, nn))
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -244,7 +232,7 @@ class ThetaScheme:
 
     def operator(self, m: int) -> sp.csr_matrix:
         return _STORE.get(self._key("op", m),
-                          lambda: assemble(self.mesh, self.spec, float(self.mesh.times[m])).matrix)
+                          lambda: assemble(self.mesh, self.spec, float(self.mesh.times[m])))
 
     def implicit_lu(self, m: int):
         """splu factorization of I + tau*theta*L(t_m), with that matrix.
@@ -253,7 +241,7 @@ class ThetaScheme:
         not stored; at theta < 1 ``explicit(m)`` shares the stored operator.
         """
         def build():
-            L = (assemble(self.mesh, self.spec, float(self.mesh.times[m])).matrix
+            L = (assemble(self.mesh, self.spec, float(self.mesh.times[m]))
                  if self.theta == 1.0 else self.operator(m))
             D = (sp.identity(self.nn, format="csr") + self.mesh.tau * self.theta * L).tocsc()
             return spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D
@@ -356,26 +344,24 @@ def _march_backward(scheme: ThetaScheme, i0: int, i1: int, w: np.ndarray, src) -
 
 
 def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
-                  theta: float = 1.0, slab_source=None) -> Trajectory:
+                  theta: float = 1.0) -> Trajectory:
     """March the Cauchy problem from data g at time s up to time T.
 
     ``f`` is a per-slice source sampled as f(t) -> (N, ncells); the step
-    from t_m to t_{m+1} uses the theta-weighted combination.  Callers that
-    need exact per-slab control (mollified sources) pass ``slab_source``,
-    a callable m -> flat array, instead of f.
+    from t_m to t_{m+1} uses the theta-weighted combination.
     """
     scheme = ThetaScheme(mesh, spec, theta)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
     if i1 <= i0:
         raise ConfigError("need T > s on the time grid")
-    src = _slab_source_fn(scheme, f) if slab_source is None else slab_source
+    src = _slab_source_fn(scheme, f)
     u = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
     out = _march_forward(scheme, i0, i1, u, src)
     return Trajectory(mesh, i0, out.reshape(-1, scheme.N, mesh.ncells))
 
 
 def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
-                   theta: float = 1.0, slab_source=None) -> Trajectory:
+                   theta: float = 1.0) -> Trajectory:
     """March the adjoint problem from final data g at time b down to S.
 
     Each backward step is the exact matrix transpose of the corresponding
@@ -387,27 +373,17 @@ def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
     i0, i1 = mesh.time_index(S), mesh.time_index(b)
     if i1 <= i0:
         raise ConfigError("need b > S on the time grid")
-    src = _slab_source_fn(scheme, f) if slab_source is None else slab_source
+    src = _slab_source_fn(scheme, f)
     w = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
     out = _march_backward(scheme, i0, i1, w, src)
     return Trajectory(mesh, i0, out.reshape(-1, scheme.N, mesh.ncells))
-
-
-def step_forward(u, t: float, mesh: Mesh, spec: OperatorSpec, theta: float = 1.0):
-    """Single theta-scheme step of the homogeneous problem from time t."""
-    scheme = ThetaScheme(mesh, spec, theta)
-    m = mesh.time_index(t)
-    if m >= mesh.steps:
-        raise ConfigError("step would leave the mesh time window")
-    u = project_slice(mesh, _as_slice(mesh, scheme.N, u))
-    return scheme.forward_step(m, u.ravel()).reshape(scheme.N, -1)
 
 
 ORACLE_CAP = 20_000
 
 
 def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
-                           theta: float = 1.0, slab_source=None) -> Trajectory:
+                           theta: float = 1.0) -> Trajectory:
     """Brute-force reference: one dense solve of the stacked theta scheme.
 
     Assembles the block-bidiagonal space-time system over all unknown
@@ -422,7 +398,7 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: fl
     nn = scheme.nn
     if K * nn > ORACLE_CAP:
         raise ConfigError(f"oracle size {K * nn} exceeds cap {ORACLE_CAP}")
-    src = _slab_source_fn(scheme, f) if slab_source is None else slab_source
+    src = _slab_source_fn(scheme, f)
     u0 = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
 
     A = np.zeros((K * nn, K * nn))

@@ -419,8 +419,7 @@ def davies_growth(spec: OperatorSpec, mesh: Mesh, psi, gamma: float, f, s: float
     if psi.shape != (mesh.ncells,):
         raise ConfigError("psi must be a flat cell function")
     for ax in range(mesh.n):
-        _, left, right = mesh.face_positions(ax)
-        slope = np.abs(psi[right] - psi[left]) / mesh.h[ax]
+        slope = np.abs(mesh.face_difference(psi, ax))
         if float(slope.max(initial=0.0)) > gamma * (1 + 1e-9) + 1e-15:
             raise ConfigError("psi violates the declared Lipschitz constant on a face")
     f = np.array(f, dtype=float)
@@ -474,12 +473,8 @@ def weak_lp_levels(column, thresholds=None, use_gradient: bool = False,
     traj = column.field
     n = mesh.n
     if use_gradient:
-        samples = []
-        for ax in range(n):
-            _, left, right = mesh.face_positions(ax)
-            diff = (traj.values[:, :, right] - traj.values[:, :, left]) / mesh.h[ax]
-            samples.append(np.linalg.norm(diff, axis=1).ravel())
-        samples = np.concatenate(samples)
+        samples = np.concatenate([np.linalg.norm(mesh.face_difference(traj.values, ax),
+                                                 axis=1).ravel() for ax in range(n)])
         target = -(n + 2.0) / (n + 1.0)
         name, anchor = "weak-levels-gradient", "gradient-level-measure"
     else:
@@ -527,9 +522,9 @@ def _cylinder_energy(mesh: Mesh, traj: Trajectory, X0, radius: float) -> float:
     vals, _ = traj.cylinder(X0, radius, "minus")
     total = 0.0
     for ax in range(mesh.n):
-        pts, left, right = mesh.face_positions(ax)
+        pts, _, _ = mesh.face_positions(ax)
         inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
-        diff = (vals[:, :, right[inside]] - vals[:, :, left[inside]]) / mesh.h[ax]
+        diff = mesh.face_difference(vals, ax, inside)
         total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
     return total
 

@@ -100,9 +100,10 @@ def test_time_past_window_names_window_and_step(tmp_path, capsys):
     p.write_text(json.dumps(sc))
     assert cli.run(str(p), out_dir=tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "step 3604 of the time lattice" in err
-    assert "outside the mesh window [0.0, 0.15625] (steps 0..640)" in err
-    assert "not on the mesh time grid" not in err
+    # the check fails before it builds a column, naming its parameters and the window
+    assert "pointwise-decay" in err and "d_min_cells=6" in err and "decade=1" in err
+    assert "needs step 3604" in err and "steps 0..640" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_failing_check_exit_1(tmp_path):

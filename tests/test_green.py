@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, apply_initial,
-                      apply_representation, averaged_green_column, block_at,
+from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, averaged_green_column,
                       cylinder_average, extrapolated_green_column,
                       green_block_columns, heat_kernel, make_preset, propagator,
                       rho_refinement, solve_forward, transpose_green_column,
@@ -21,6 +20,21 @@ def fine_heat_setup(cells=128, extra=0):
     mesh = Mesh(dom, (cells,), tau=tau, t0=0.0, steps=steps)
     spec = OperatorSpec(make_preset("heat", n=1), dom)
     return dom, mesh, spec
+
+
+def duhamel_slice(spec, mesh, slab_source, i0, K):
+    """Duhamel's formula at theta = 1 from zero data at t_i0: u(t_K) = tau sum_m P(t_K, t_m) g_m.
+
+    An implicit Euler step from t_m is P(t_{m+1}, t_m) = (I + tau L(t_{m+1}))^{-1}, so
+    the slab source g_m (a flat array, or None) enters u(t_K) as tau P(t_K, t_m) g_m.
+    """
+    u = np.zeros(spec.coeffs.N * mesh.ncells)
+    for m in range(i0, K):
+        g = slab_source(m)
+        if g is not None:
+            P = propagator(spec, mesh, float(mesh.times[m]), float(mesh.times[K]))
+            u += mesh.tau * (P.P @ g)
+    return u
 
 
 class TestHeatKernelHelpers:
@@ -173,7 +187,7 @@ class TestPropagator:
 
     def test_green_block_sampling(self, mesh32, heat_spec):
         P = propagator(heat_spec, mesh32, 0.0, 8 / 512)
-        blk = P.green_block(10, 10)
+        blk = P.P.reshape(1, 32, 1, 32)[:, 10, :, 10] / mesh32.volume
         assert blk.shape == (1, 1)
         assert blk[0, 0] > 0
 
@@ -239,12 +253,14 @@ class TestRepresentation:
             prof = np.sin(2 * math.pi * mesh32.centers[:, 0]) * math.cos(20 * t)
             return np.stack([prof, 0.3 * prof])
 
-        a = apply_representation(spec, mesh32, f, 0.0, 32 / 512)
         b = solve_forward(spec, mesh32, None, f, 0.0, 32 / 512)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-9 * np.max(np.abs(b.values))
+        # at theta = 1 the slab source of step m is f(t_{m+1})
+        for K in (16, 32):
+            a = duhamel_slice(spec, mesh32, lambda m: f(float(mesh32.times[m + 1])).ravel(), 0, K)
+            assert np.max(np.abs(a - b.values[K].ravel())) <= 1e-9 * np.max(np.abs(b.values))
 
     def test_zero_source(self, mesh32, heat_spec):
-        traj = apply_representation(heat_spec, mesh32, None, 0.0, 16 / 512)
+        traj = solve_forward(heat_spec, mesh32, None, lambda t: np.zeros((1, 32)), 0.0, 16 / 512)
         assert np.all(traj.values == 0.0)
 
     def test_mollified_source_reproduces_column(self, mesh32, heat_spec):
@@ -255,42 +271,37 @@ class TestRepresentation:
         g = _mollifier(mesh32, 1, Y[1], rho, 1)
         nslab = mesh32.slab_count(rho)
         active = range(24 - nslab, 24)
-        traj = apply_representation(heat_spec, mesh32, None,
-                                    float(mesh32.times[24 - nslab]), 48 / 512,
-                                    slab_source=lambda m: g if m in active else None)
-        assert np.max(np.abs(traj.values - col.field.values)) <= 1e-11 * np.max(col.field.values)
-
-    def test_support_outside_window_rejected(self, mesh32, heat_spec):
-        def f(t):
-            return np.ones((1, 32))
-
-        with pytest.raises(ConfigError):
-            apply_representation(heat_spec, mesh32, f, 8 / 512, 24 / 512)
+        assert col.field.i0 == 24 - nslab
+        for K in (20, 24, 36, 48):
+            u = duhamel_slice(heat_spec, mesh32, lambda m: g if m in active else None,
+                              24 - nslab, K)
+            assert np.max(np.abs(u - col.field.values[K - col.field.i0, 0])) <= \
+                1e-11 * np.max(col.field.values)
 
 
 class TestApplyInitial:
     def test_constant_preserved_periodic(self, mesh32, heat_spec):
         g = np.full((1, 32), 1.7)
-        out = apply_initial(heat_spec, mesh32, g, 0.0, 24 / 512)
-        assert np.allclose(out, g, rtol=0, atol=1e-12)
+        out = propagator(heat_spec, mesh32, 0.0, 24 / 512).P @ g.ravel()
+        assert np.allclose(out, g.ravel(), rtol=0, atol=1e-12)
 
     def test_point_mass_gives_green_column_slice(self, mesh32, heat_spec):
         g = np.zeros((1, 32))
         g[0, 16] = 1.0 / mesh32.volume
-        out = apply_initial(heat_spec, mesh32, g, 0.0, 16 / 512)
+        out = solve_forward(heat_spec, mesh32, g, None, 0.0, 16 / 512).values[-1]
         P = propagator(heat_spec, mesh32, 0.0, 16 / 512)
         assert np.allclose(out[0], P.P[:, 16] / mesh32.volume, rtol=0, atol=1e-12)
 
     def test_equals_solve_forward(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("almost-diagonal"), periodic_1d)
         g = np.random.default_rng(1).standard_normal((2, 32))
-        out = apply_initial(spec, mesh32, g, 0.0, 24 / 512)
+        out = propagator(spec, mesh32, 0.0, 24 / 512).P @ g.ravel()
         traj = solve_forward(spec, mesh32, g, None, 0.0, 24 / 512)
-        assert np.max(np.abs(out - traj.values[-1])) <= 1e-12 * np.max(np.abs(out))
+        assert np.max(np.abs(out - traj.values[-1].ravel())) <= 1e-12 * np.max(np.abs(out))
 
     def test_needs_future_time(self, mesh32, heat_spec):
         with pytest.raises(ConfigError):
-            apply_initial(heat_spec, mesh32, np.ones((1, 32)), 8 / 512, 8 / 512)
+            propagator(heat_spec, mesh32, 8 / 512, 8 / 512)
 
 
 class TestBlockSampling:
@@ -298,7 +309,7 @@ class TestBlockSampling:
         spec = OperatorSpec(make_preset("almost-diagonal"), periodic_1d)
         cols = green_block_columns(spec, mesh32, (24 / 512, mesh32.centers[8]),
                                    4 / 32, 56 / 512)
-        blk = block_at(cols, 48 / 512, mesh32.centers[20])
+        blk = np.stack([c.value_at(48 / 512, mesh32.centers[20]) for c in cols], axis=1)
         assert blk.shape == (2, 2)
         # symmetric coupling: the block is symmetric for this preset
         assert blk[0, 1] == pytest.approx(blk[1, 0], rel=1e-9)

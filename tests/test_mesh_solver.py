@@ -11,13 +11,29 @@ from hypothesis import strategies as st
 from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, SolverError,
                       Trajectory,
                       assemble, averaged_green_column, dense_spacetime_oracle,
-                      dirichlet_energy, energy_norm, make_preset, parabolic_distance,
-                      solve_backward, solve_forward, step_forward,
+                      make_preset, parabolic_distance, solve_backward, solve_forward,
                       transpose_green_column, wrapped_heat_kernel)
 from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
 
 from conftest import bundle_1d
+
+
+def dirichlet_energy(mesh, slc):
+    """Sum over the operator's faces of |face difference|^2 times the cell volume."""
+    return mesh.volume * sum(float(np.sum(mesh.face_difference(slc, ax) ** 2))
+                             for ax in range(mesh.n))
+
+
+def slice_l2(traj):
+    """Cell-volume weighted L2 norm of every slice of a trajectory."""
+    return np.sqrt(traj.mesh.volume * np.sum(traj.values ** 2, axis=(1, 2)))
+
+
+def step_forward(u, mesh, spec, theta=1.0):
+    """One theta-scheme step from t_0, as a one-step forward solve."""
+    return solve_forward(spec, mesh, u, None, float(mesh.times[0]), float(mesh.times[1]),
+                         theta=theta).values[-1]
 
 
 class TestMesh:
@@ -42,6 +58,46 @@ class TestMesh:
         assert np.allclose(mesh32.wrap_gaps(gaps), [[-0.1], [0.3], [0.2]])
         dirichlet = Mesh(dirichlet_1d, (32,), tau=1 / 512, t0=0.0, steps=64)
         assert np.array_equal(dirichlet.wrap_gaps(gaps), gaps)
+
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_face_difference(self, n, mode):
+        domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+        cells = (6, 5)[:n]
+        mesh = Mesh(domain, cells, tau=0.01, t0=0.0, steps=4)
+        rng = np.random.default_rng(n)
+        arrays = [rng.standard_normal(mesh.ncells)]  # a flat cell function
+        arrays += [rng.standard_normal((3, N, mesh.ncells)) for N in (1, 2)]
+        for ax in range(n):
+            pts, left, right = mesh.face_positions(ax)
+            others = mesh.ncells // cells[ax]
+            # periodic meshes have the wrap face, dirichlet meshes only interior faces
+            assert len(left) == (cells[ax] if mesh.periodic else cells[ax] - 1) * others
+            grid = np.array(np.unravel_index(right, cells))
+            assert np.any(grid[ax] == 0) == mesh.periodic
+            inside = pts[:, ax] > 0.5 * float(domain.hi[ax])
+            picks = np.nonzero(inside)[0]
+            for x in arrays:
+                full = mesh.face_difference(x, ax)
+                assert full.shape == x.shape[:-1] + (len(left),)
+                assert np.array_equal(full, (x[..., right] - x[..., left]) / mesh.h[ax])
+                # a subset is the full difference masked afterwards, bit for bit
+                assert mesh.face_difference(x, ax, inside).tobytes() == \
+                    full[..., inside].tobytes()
+                assert mesh.face_difference(x, ax, picks).tobytes() == \
+                    full[..., picks].tobytes()
+        if n == 1 and mesh.periodic:
+            ramp = np.arange(6.0)
+            assert mesh.face_difference(ramp, 0)[0] == (0.0 - 5.0) / mesh.h[0]  # the wrap face
+
+    def test_time_index_past_window_names_window_and_step(self, periodic_1d):
+        mesh = Mesh(periodic_1d, (64,), tau=2.0 ** -12, t0=0.0, steps=640)
+        with pytest.raises(ConfigError) as err:
+            mesh.time_index(3604 * 2.0 ** -12)
+        msg = str(err.value)
+        assert "step 3604 of the time lattice" in msg
+        assert "outside the mesh window [0.0, 0.15625] (steps 0..640)" in msg
+        assert "not on the mesh time grid" not in msg
 
     def test_cylinder_slab_conventions(self, mesh32):
         r = 4 / 32  # r^2 / tau = 8 slabs
@@ -71,7 +127,7 @@ class TestMesh:
 
 class TestAssemble:
     def test_heat_stencil(self, mesh32, heat_spec):
-        L = assemble(mesh32, heat_spec, 0.0).matrix.toarray()
+        L = assemble(mesh32, heat_spec, 0.0).toarray()
         h2 = mesh32.h[0] ** 2
         row = L[5]
         assert row[5] == pytest.approx(2 / h2)
@@ -83,8 +139,8 @@ class TestAssemble:
         c = 3.5
         spec_c = OperatorSpec(make_preset("diag", values=(c,)), periodic_1d)
         heat = OperatorSpec(make_preset("heat", n=1), periodic_1d)
-        Lc = assemble(mesh32, spec_c, 0.0).matrix.toarray()
-        L1 = assemble(mesh32, heat, 0.0).matrix.toarray()
+        Lc = assemble(mesh32, spec_c, 0.0).toarray()
+        L1 = assemble(mesh32, heat, 0.0).toarray()
         assert np.allclose(Lc, c * L1, rtol=1e-15, atol=0)
 
     def test_checkerboard_face_rule_hand_row(self, periodic_1d):
@@ -93,7 +149,7 @@ class TestAssemble:
         mesh = Mesh(periodic_1d, (8,), tau=0.001, t0=0.0, steps=4)
         h = mesh.h[0]
         spec = OperatorSpec(make_preset("checkerboard", n=1, period=float(h)), periodic_1d)
-        L = assemble(mesh, spec, 0.0).matrix.toarray()
+        L = assemble(mesh, spec, 0.0).toarray()
         # cell 3 (tile value 4): left face at 3h -> tile 3 value 4,
         # right face at 4h -> tile 4 value 1
         row = L[3] * h * h
@@ -111,7 +167,7 @@ class TestAssemble:
         from greenlab import CoefficientField
         mixed = CoefficientField(2, 1, 0.6, math.sqrt(5.32), math.inf, "mixed",
                                  lambda t, pts: np.broadcast_to(mat, (pts.shape[0],) + mat.shape).copy())
-        L = assemble(mesh, OperatorSpec(mixed, periodic_2d), 0.0).matrix
+        L = assemble(mesh, OperatorSpec(mixed, periodic_2d), 0.0)
         assert np.max(np.abs(L @ np.ones(64))) < 1e-13
         assert np.max(np.abs(L.T @ np.ones(64))) < 1e-13
 
@@ -120,7 +176,7 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         for spec in bundle_1d(periodic_1d):
             N = spec.coeffs.N
-            L = assemble(mesh, spec, 0.0).matrix
+            L = assemble(mesh, spec, 0.0)
             for _ in range(5):
                 u = rng.standard_normal(N * mesh.ncells)
                 form = float(u @ (L @ u)) * mesh.volume
@@ -137,7 +193,7 @@ class TestAssemble:
         from greenlab import CoefficientField
         mixed = CoefficientField(2, 1, 0.7, math.sqrt(2.18), math.inf, "mixed",
                                  lambda t, pts: np.broadcast_to(mat, (pts.shape[0],) + mat.shape).copy())
-        L = assemble(mesh, OperatorSpec(mixed, periodic_2d), 0.0).matrix
+        L = assemble(mesh, OperatorSpec(mixed, periodic_2d), 0.0)
         rng = np.random.default_rng(1)
         for _ in range(8):
             u = rng.standard_normal(mesh.ncells)
@@ -151,7 +207,7 @@ class TestStepForward:
     def test_constant_fixed_point(self, mesh32, periodic_1d):
         for spec in bundle_1d(periodic_1d):
             u = np.ones((spec.coeffs.N, mesh32.ncells)) * 2.5
-            out = step_forward(u, 0.0, mesh32, spec)
+            out = step_forward(u, mesh32, spec)
             assert np.allclose(out, u, rtol=0, atol=1e-13)
 
     def test_fourier_mode_amplification(self, mesh32, heat_spec):
@@ -159,22 +215,22 @@ class TestStepForward:
         x = mesh32.centers[:, 0]
         u = np.sin(2 * math.pi * x)[None, :]
         mu = 4 * math.sin(math.pi * h) ** 2 / h ** 2
-        out = step_forward(u, 0.0, mesh32, heat_spec, theta=1.0)
+        out = step_forward(u, mesh32, heat_spec, theta=1.0)
         assert np.allclose(out, u / (1 + tau * mu), rtol=1e-12, atol=1e-14)
-        out_cn = step_forward(u, 0.0, mesh32, heat_spec, theta=0.5)
+        out_cn = step_forward(u, mesh32, heat_spec, theta=0.5)
         factor = (1 - tau * mu / 2) / (1 + tau * mu / 2)
         assert np.allclose(out_cn, factor * u, rtol=1e-12, atol=1e-14)
 
     def test_theta_below_half_rejected(self, mesh32, heat_spec):
         with pytest.raises(ConfigError):
-            step_forward(np.zeros((1, 32)), 0.0, mesh32, heat_spec, theta=0.25)
+            step_forward(np.zeros((1, 32)), mesh32, heat_spec, theta=0.25)
 
     def test_dirichlet_boundary_stays_zero(self, dirichlet_1d):
         mesh = Mesh(dirichlet_1d, (16,), tau=0.001, t0=0.0, steps=4)
         spec = OperatorSpec(make_preset("heat", n=1), dirichlet_1d)
         u = np.zeros((1, 16))
         u[0, 8] = 1.0
-        out = step_forward(u, 0.0, mesh, spec)
+        out = step_forward(u, mesh, spec)
         assert out[0, 0] == 0.0 and out[0, 15] == 0.0
         assert out[0, 7] > 0 and out[0, 9] > 0
         # the implicit solve has global but rapidly decaying tails
@@ -248,7 +304,7 @@ class TestSolveForward:
     def test_oracle_one_step_equals_step_forward(self, mesh32, heat_spec):
         g = np.random.default_rng(0).standard_normal((1, 32))
         one = dense_spacetime_oracle(heat_spec, mesh32, g, None, 0.0, 1 / 512)
-        stepped = step_forward(g, 0.0, mesh32, heat_spec)
+        stepped = step_forward(g, mesh32, heat_spec)
         assert np.allclose(one.values[-1], stepped, rtol=0, atol=1e-13)
 
     def test_oracle_cap(self, periodic_1d):
@@ -288,28 +344,21 @@ class TestSolveBackward:
 
 
 class TestEnergyAndMonotonicity:
-    def test_zero_trajectory(self, mesh32, heat_spec):
-        traj = solve_forward(heat_spec, mesh32, None, None, 0.0, 8 / 512)
-        en = energy_norm(traj)
-        assert en.triple == en.grad_l2 == en.sup_l2 == 0.0
-
     def test_constant_trajectory(self, mesh32):
         vals = np.full((5, 1, 32), 3.0)
         traj = Trajectory(mesh32, 0, vals)
-        en = energy_norm(traj)
-        assert en.grad_l2 == 0.0
-        assert en.sup_l2 == pytest.approx(3.0 * math.sqrt(1.0), rel=1e-12)
-        assert en.triple == pytest.approx(en.sup_l2)
+        # constants carry no Dirichlet energy on any face, the wrap face included
+        assert not np.any(mesh32.face_difference(traj.values, 0))
+        assert dirichlet_energy(mesh32, traj.values[0]) == 0.0
+        assert max(slice_l2(traj)) == pytest.approx(3.0, rel=1e-12)
 
     def test_l2_monotone_all_presets(self, mesh32, periodic_1d):
         rng = np.random.default_rng(4)
         for spec in bundle_1d(periodic_1d):
             g = rng.standard_normal((spec.coeffs.N, 32))
             traj = solve_forward(spec, mesh32, g, None, 0.0, 40 / 512)
-            norms = [traj.slice_l2(m) for m in range(traj.nslices)]
+            norms = slice_l2(traj)
             assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
-            en = energy_norm(traj)
-            assert en.sup_l2 == pytest.approx(norms[0])
 
     def test_dirichlet_trajectory_boundary_zero(self, dirichlet_1d):
         mesh = Mesh(dirichlet_1d, (16,), tau=1 / 256, t0=0.0, steps=16)
@@ -318,7 +367,7 @@ class TestEnergyAndMonotonicity:
         traj = solve_forward(spec, mesh, g, None, 0.0, 16 / 256)
         assert np.all(traj.values[:, :, 0] == 0.0)
         assert np.all(traj.values[:, :, 15] == 0.0)
-        norms = [traj.slice_l2(m) for m in range(traj.nslices)]
+        norms = slice_l2(traj)
         assert norms[-1] < norms[0]  # boundary absorbs mass
 
 
@@ -411,12 +460,12 @@ class TestStepStore:
         T = 24 / 1024
 
         def solve_both(check):
-            def src(m):
+            def f(t):  # a zero source that checks the store at every step
                 check()
                 return None
 
-            fwd = solve_forward(spec, mesh, g, None, 0.0, T, slab_source=src).values
-            bwd = solve_backward(spec, mesh, g, None, T, 0.0, slab_source=src).values
+            fwd = solve_forward(spec, mesh, g, f, 0.0, T).values
+            bwd = solve_backward(spec, mesh, g, f, T, 0.0).values
             check()
             return fwd, bwd
 
@@ -541,7 +590,7 @@ class TestStepLayer:
             cells = (8, 6)
         mesh = Mesh(domain, cells, tau=1 / 256, t0=0.0, steps=8)
         spec = OperatorSpec(coeffs, domain, transposed=transposed)
-        got = [assemble(mesh, spec, t).matrix for t in (0.0, 3 / 256)]
+        got = [assemble(mesh, spec, t) for t in (0.0, 3 / 256)]
         for t, L in zip((0.0, 3 / 256), got):
             ref = _loop_assemble(mesh, spec, t)
             assert np.array_equal(L.indices, ref.indices)
@@ -577,8 +626,8 @@ class TestStepLayer:
         reached = []
         g = np.random.default_rng(2).standard_normal((1, 32))
         with pytest.raises(ConfigError, match="non-finite coefficient"):
-            solve_forward(spec, mesh32, g, None, 0.0, float(mesh32.times[10]),
-                          slab_source=lambda m: reached.append(m))
+            solver._march_forward(ThetaScheme(mesh32, spec, 1.0), 0, 10, g.ravel(),
+                                  lambda m: reached.append(m))
         assert reached == [0, 1, 2, 3, 4]  # the step into t_5 is the first to fail
 
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])

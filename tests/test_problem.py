@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import (CoefficientField, ConfigError, Domain, VmoProbe,
-                      diagonal_distance, load_table, make_preset,
-                      transpose_coefficients, validate_parabolicity, vmo_modulus)
+from greenlab import (CoefficientField, ConfigError, Domain, load_table, make_preset,
+                      validate_parabolicity)
 from greenlab.io import write_coefficient_table
 
 
@@ -81,19 +80,19 @@ class TestValidateParabolicity:
 class TestTranspose:
     def test_heat_unchanged(self):
         heat = make_preset("heat", n=2)
-        t = transpose_coefficients(heat)
+        t = heat.transposed()
         pts = np.array([[0.3, 0.7]])
         assert np.array_equal(heat.tensor(0.0, pts), t.tensor(0.0, pts))
 
     def test_symmetric_scalar_pointwise_equal(self):
         f = make_preset("x-oscillatory", n=2)
-        t = transpose_coefficients(f)
+        t = f.transposed()
         pts = np.random.default_rng(0).random((5, 2))
         assert np.allclose(f.tensor(0.2, pts), t.tensor(0.2, pts), atol=0, rtol=0)
 
     def test_spot_index_swap(self):
         field, mat = random_field(11)
-        t = transpose_coefficients(field)
+        t = field.transposed()
         assert t.eval(0.0, [0.1, 0.2], 1, 2, 1, 2) == pytest.approx(
             field.eval(0.0, [0.1, 0.2], 2, 1, 2, 1), abs=0)
 
@@ -101,95 +100,12 @@ class TestTranspose:
     @given(st.integers(0, 10_000))
     def test_involution(self, seed):
         field, mat = random_field(seed)
-        tt = transpose_coefficients(transpose_coefficients(field))
+        tt = field.transposed().transposed()
         pts = np.random.default_rng(seed).random((4, 2))
         assert np.array_equal(tt.tensor(0.0, pts), field.tensor(0.0, pts))
 
 
-class TestDiagonalDistance:
-    def test_exactly_diagonal_zero(self):
-        heat2 = make_preset("decoupled-heat-pair", n=1)
-        scalar = make_preset("heat", n=1)
-        assert diagonal_distance(heat2, scalar) == 0.0
-
-    def test_almost_diagonal_both_entries(self):
-        f = make_preset("almost-diagonal", eps=0.1)
-        scalar = make_preset("heat", n=1)
-        assert diagonal_distance(f, scalar) == pytest.approx(0.1 * math.sqrt(2), rel=1e-12)
-
-    def test_single_entry(self):
-        mat = np.zeros((1, 1, 2, 2))
-        mat[0, 0] = np.array([[1.0, 0.1], [0.0, 1.0]])
-        f = CoefficientField(1, 2, 0.9, math.sqrt(2.01), math.inf, "one-sided",
-                             lambda t, pts: np.broadcast_to(mat, (pts.shape[0],) + mat.shape).copy())
-        assert diagonal_distance(f, make_preset("heat", n=1)) == pytest.approx(0.1, rel=1e-12)
-
-    def test_time_oscillating_diagonal_zero(self):
-        base = make_preset("t-oscillating", n=1)
-
-        def fn(t, pts):
-            a = base.tensor(t, pts)
-            out = np.zeros((pts.shape[0], 1, 1, 2, 2))
-            out[:, 0, 0, 0, 0] = a[:, 0, 0, 0, 0]
-            out[:, 0, 0, 1, 1] = a[:, 0, 0, 0, 0]
-            return out
-
-        sys2 = CoefficientField(1, 2, base.lam, base.Lam * math.sqrt(2), math.inf,
-                                "t-osc-pair", fn, time_dependent=True)
-        assert diagonal_distance(sys2, base) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            diagonal_distance(make_preset("heat", n=2), make_preset("heat", n=1))
-
-
-class TestVmoModulus:
-    def test_constant_zero(self):
-        assert vmo_modulus(make_preset("heat", n=1), 0.25) == 0.0
-
-    def test_time_only_zero(self):
-        f = make_preset("t-oscillating", n=1, period=0.3)
-        assert vmo_modulus(f, 0.25) == pytest.approx(0.0, abs=1e-14)
-
-    def test_sine_against_dense_quadrature(self):
-        L = 1.0
-        f = make_preset("x-oscillatory", n=1, offset=2.0, amp=1.0, wavelength=L)
-        delta = L / 4
-        probe = VmoProbe(centers_per_axis=41, quad_per_axis=192,
-                         radii_ladder=(delta,), box=((0.0,), (1.0,)))
-        got = vmo_modulus(f, delta, probe)
-
-        # independent dense midpoint quadrature of the same oscillation integral
-        best = 0.0
-        r = delta
-        for x0 in np.linspace(0.0, 1.0, 257):
-            y = x0 - r + (np.arange(4096) + 0.5) / 4096 * (2 * r)
-            vals = 2.0 + np.sin(2 * math.pi * y / L)
-            best = max(best, float(np.mean(np.abs(vals - vals.mean()))))
-        assert got == pytest.approx(best, rel=0.01)
-
-    def test_monotone_in_delta(self):
-        f = make_preset("x-oscillatory", n=1)
-        probe = VmoProbe(centers_per_axis=17, quad_per_axis=64)
-        vals = [vmo_modulus(f, d, probe) for d in (0.07, 0.1, 0.15, 0.26)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > 0
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ConfigError):
-            vmo_modulus(make_preset("heat", n=1), 0.0)
-
-
 class TestDomain:
-    def test_dirichlet_distance(self):
-        d = Domain((0.0,), (1.0,), "dirichlet")
-        assert d.dist_to_boundary([0.25]) == pytest.approx(0.25)
-        assert d.dist_to_boundary([0.9]) == pytest.approx(0.1)
-
-    def test_periodic_distance_infinite(self):
-        d = Domain((0.0,), (1.0,), "periodic")
-        assert d.dist_to_boundary([0.5]) == math.inf
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             Domain((0.0,), (1.0,), "neumann")

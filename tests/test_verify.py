@@ -5,7 +5,7 @@ import pytest
 
 from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
                       averaged_green_column, cylinder_average, make_preset,
-                      solve_forward, transpose_coefficients, transpose_green_column)
+                      solve_forward, transpose_green_column)
 from greenlab import green, solver
 from greenlab import verify as V
 from greenlab.green import _mollifier
@@ -105,7 +105,7 @@ class TestDuality:
 
         # fixture: march the transposed operator backward in time with the
         # same implicit-Euler recipe (coefficients at each step's own time)
-        t_spec = OperatorSpec(transpose_coefficients(spec.coeffs), periodic_1d)
+        t_spec = OperatorSpec(spec.coeffs.transposed(), periodic_1d)
         scheme = ThetaScheme(mesh32, t_spec, 1.0)
         q = _mollifier(mesh32, 2, X[1], sigma, 1)
         n_sig = mesh32.slab_count(sigma)
