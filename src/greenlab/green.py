@@ -221,7 +221,7 @@ def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
     X = np.eye(scheme.nn)
     for m in range(i0, i1):
         X = scheme.explicit(m) @ X
-        X = scheme.implicit_lu(m + 1)[0].solve(X)
+        X = scheme.solve_implicit(m + 1, X)
     return Propagator(mesh, float(mesh.times[i0]), float(mesh.times[i1]), X, scheme.N)
 
 

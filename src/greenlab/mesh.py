@@ -194,33 +194,44 @@ class Mesh:
                               "leaves the mesh time grid")
         return slabs, self.ball_cells(pole[1], r)
 
+    @cached_property
+    def _faces(self) -> tuple:
+        """``face_positions`` of every axis, built once per mesh as read-only arrays."""
+        faces = []
+        for ax in range(self.n):
+            M = self.cells[ax]
+            lo_face = 0 if self.periodic else 1
+            face_ids = np.arange(lo_face, M)
+            axis_grids = []
+            for a2 in range(self.n):
+                if a2 == ax:
+                    axis_grids.append(self.domain.lo[ax] + face_ids * self.h[ax])
+                else:
+                    axis_grids.append(self.axis_centers(a2))
+            grids = np.meshgrid(*axis_grids, indexing="ij")
+            pts = np.stack([g.ravel() for g in grids], axis=1)
+
+            idx_axes = [np.arange(m) for m in self.cells]
+            idx_axes[ax] = face_ids
+            igrids = np.meshgrid(*idx_axes, indexing="ij")
+            right = list(g.ravel() for g in igrids)
+            left = [r.copy() for r in right]
+            left[ax] = (left[ax] - 1) % M if self.periodic else left[ax] - 1
+            arrays = (pts, np.ravel_multi_index(left, self.cells),
+                      np.ravel_multi_index(right, self.cells))
+            for arr in arrays:
+                arr.flags.writeable = False  # shared by every caller on this mesh
+            faces.append(arrays)
+        return tuple(faces)
+
     def face_positions(self, ax: int):
         """(points, left_flat, right_flat) for the faces normal to axis ax.
 
         Periodic meshes include the wrap face; dirichlet meshes only list
-        interior faces (both neighbor cells in-grid).
+        interior faces (both neighbor cells in-grid).  The arrays are built
+        once per mesh and are read-only.
         """
-        M = self.cells[ax]
-        lo_face = 0 if self.periodic else 1
-        face_ids = np.arange(lo_face, M)
-        axis_grids = []
-        for a2 in range(self.n):
-            if a2 == ax:
-                axis_grids.append(self.domain.lo[ax] + face_ids * self.h[ax])
-            else:
-                axis_grids.append(self.axis_centers(a2))
-        grids = np.meshgrid(*axis_grids, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-
-        idx_axes = [np.arange(m) for m in self.cells]
-        idx_axes[ax] = face_ids
-        igrids = np.meshgrid(*idx_axes, indexing="ij")
-        right = list(g.ravel() for g in igrids)
-        left = [r.copy() for r in right]
-        left[ax] = (left[ax] - 1) % M if self.periodic else left[ax] - 1
-        left_flat = np.ravel_multi_index(left, self.cells)
-        right_flat = np.ravel_multi_index(right, self.cells)
-        return pts, left_flat, right_flat
+        return self._faces[ax]
 
     def face_difference(self, x: np.ndarray, ax: int, faces=slice(None)) -> np.ndarray:
         """(x[..., right] - x[..., left]) / h[ax] over the faces of ``face_positions(ax)``.

@@ -14,34 +14,56 @@ State layout: slices are (N, ncells) arrays, flattened component-major.
 The operator's sparsity pattern depends only on (mesh, N), never on t.
 ``_stencil`` builds it once per (mesh, N), together with a sparse gather
 from the raveled face tensors to the CSR data, and keeps the last eight;
-each ``assemble`` only evaluates the face tensors and fills the data.
-Implicit matrices are factorized with the ``MMD_AT_PLUS_A`` ordering
-(minimum degree on the pattern of A^T + A), which suits the structurally
-symmetric operator.  With theta = 1 the explicit side is the identity,
-stored once per scheme and built without assembling anything; the steps
-skip multiplying by it.
+each assembly only evaluates the face tensors and fills the data.
+
+The implicit matrix D = I + tau*theta*L(t_m) is solved by one of two
+solvers, chosen from the values of the face tensors the assembly already
+evaluated, never from a flag such as ``CoefficientField.x_dependent``:
+
+* Fourier: on a periodic 2-D mesh whose face tensors are exactly equal at
+  every face, D is block-circulant.  ``_FourierSolver`` takes the N columns
+  of D at cell 0 as a kernel, inverts its ``rfft2`` symbol once (one N x N
+  block per wavenumber) and solves with ``rfft2``, a batched N x N product
+  and ``irfft2``.
+* SuperLU: everywhere else (n = 1, where per-call FFT overhead loses to a
+  small ``splu``; dirichlet meshes; x-dependent fields and tables), D is
+  factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
+  degree on the pattern of A^T + A), which suits the structurally
+  symmetric operator.
+
+With theta = 1 the explicit side is the identity, stored once per scheme
+and built without assembling anything; the steps skip multiplying by it.
 
 One private marcher per direction runs the time loop, for a flat (nn,)
-state or an (nn, B) block of B states sharing every step's factor;
+state or an (nn, B) block of B states sharing every step's solver;
 ``solve_forward``/``solve_backward`` march one state, the Green column
-builders march all source components of a pole as one block.  SuperLU
-solves a block bitwise equal to its columns one by one.  Every solve checks
-the relative residual of each column against ``RESIDUAL_TOL``, so a bad
-small column cannot hide behind a large one.
+builders march all source components of a pole as one block, and
+``propagator`` solves an (nn, nn) block.  Both solvers solve a block
+bitwise equal to its columns one by one.  Every solve checks the relative
+residual of each column against ``RESIDUAL_TOL`` with the assembled D, so
+a bad small column cannot hide behind a large one and a wrong Fourier
+symbol fails loudly.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec, theta) shares one process-wide
-store of step matrices: the operator, the (splu, matrix) pair of the
+store of step matrices: the operator, the (solver, D) pair of the
 implicit side and the explicit matrix.  A key holds the frozen mesh and
 spec themselves (equal by value; coefficient functions by identity), the
 theta, the entry kind and the step index (``"const"`` for static
 coefficients and for the theta = 1 identity).  At theta = 1 a step's
-factor assembles L(t_m) itself and the operator is not stored, since
+solver assembles L(t_m) itself and the operator is not stored, since
 nothing else reads it; ``operator(m)`` still stores what it builds.  The
-store charges a factor 12 bytes per L+U nonzero plus the CSC arrays of its
-matrix, and a matrix its CSR/CSC arrays (the pattern arrays an operator
-shares with the stencil included); past ``CACHE_BYTES`` it evicts the least
-recently used entries, never the one just built.  ``cache_info`` reports its size.
+store charges a SuperLU factor 12 bytes per L+U nonzero, a Fourier solver
+the bytes of its inverse blocks (plain and conjugate-transposed), either
+one plus the CSC/CSR arrays of D, and a matrix its CSR/CSC arrays (the
+pattern arrays an operator shares with the stencil included); past
+``CACHE_BYTES`` it evicts the least recently used entries, never the one
+just built.  ``cache_info`` reports its size.
+
+``dense_spacetime_oracle`` stacks the stored step matrices into one sparse
+block-bidiagonal space-time system and solves it with ``spsolve``; the
+dense ``np.linalg.solve`` it replaced gave results that moved with the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -112,9 +134,26 @@ def _stencil(mesh: Mesh, N: int):
     gather = sp.csr_matrix((wts, (slot, src)), shape=(len(keys), offset))
     indices = (keys % nn).astype(np.int32)
     indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
-    for arr in (*pts_axes, indices, indptr):
+    for arr in (indices, indptr):
         arr.flags.writeable = False  # shared by every assembly on this mesh
     return tuple(pts_axes), gather, indices, indptr
+
+
+def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
+    """``assemble(mesh, spec, t)`` and whether its implicit matrices take the Fourier path.
+
+    That path needs a periodic 2-D mesh and face tensors that are exactly
+    equal at every face, which makes the operator block-circulant.
+    """
+    coeffs = spec.effective_coeffs()
+    pts_axes, gather, indices, indptr = _stencil(mesh, coeffs.N)
+    tensors = [coeffs.tensor(t, pts) for pts in pts_axes]
+    if not all(np.isfinite(A).all() for A in tensors):
+        raise ConfigError(f"non-finite coefficient at a face (t={t})")
+    fourier = mesh.periodic and mesh.n == 2 and all((A == A[:1]).all() for A in tensors)
+    nn = coeffs.N * mesh.ncells
+    data = gather @ np.concatenate([A.ravel() for A in tensors])
+    return sp.csr_matrix((data, indices, indptr), shape=(nn, nn)), fourier
 
 
 def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
@@ -126,16 +165,7 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
     Only the face tensors are evaluated here; the pattern and the gather
     come from ``_stencil``, built once per (mesh, N).
     """
-    coeffs = spec.effective_coeffs()
-    pts_axes, gather, indices, indptr = _stencil(mesh, coeffs.N)
-    tensors = []
-    for pts in pts_axes:
-        A = coeffs.tensor(t, pts)
-        if not np.isfinite(A).all():
-            raise ConfigError(f"non-finite coefficient at a face (t={t})")
-        tensors.append(A.ravel())
-    nn = coeffs.N * mesh.ncells
-    return sp.csr_matrix((gather @ np.concatenate(tensors), indices, indptr), shape=(nn, nn))
+    return _assemble(mesh, spec, t)[0]
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -158,9 +188,41 @@ def _csr_bytes(mat) -> int:
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
+class _FourierSolver:
+    """Solves with a block-circulant implicit matrix D on a periodic 2-D mesh.
+
+    The N columns of D at cell 0 are an (N, N, c0, c1) kernel; ``rfft2`` of
+    the kernel is one N x N symbol block per wavenumber, inverted here once.
+    A solve is ``rfft2``, one N x N product per wavenumber and ``irfft2``;
+    ``trans="T"`` uses the conjugate-transposed inverse blocks, which are
+    the inverse symbol of D^T.
+    """
+
+    def __init__(self, D, N: int, cells):
+        self.N, self.cells = N, tuple(cells)
+        C = D.shape[0] // N
+        cols = D[:, np.arange(N) * C].toarray()  # column j is D[:, j*C]
+        kernel = cols.T.reshape(N, N, *self.cells).swapaxes(0, 1)  # [i, j] = D[i*C + x, j*C]
+        inv = np.linalg.inv(np.moveaxis(np.fft.rfft2(kernel), (0, 1), (-2, -1)))
+        self.inv = {"N": np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1))),
+                    "T": np.ascontiguousarray(np.moveaxis(inv.conj(), (-2, -1), (1, 0)))}
+        self.nbytes = sum(blocks.nbytes for blocks in self.inv.values())
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Solve for a flat (nn,) state or an (nn, B) block, bitwise column by column."""
+        M = self.inv[trans]
+        r = np.fft.rfft2(rhs.T.reshape(-1, self.N, *self.cells))  # (B, N, c0, c1 // 2 + 1)
+        x = M[:, 0] * r[:, None, 0]
+        for j in range(1, self.N):
+            x += M[:, j] * r[:, None, j]
+        x = np.fft.irfft2(x, s=self.cells).reshape(len(r), -1)
+        return x.T if rhs.ndim == 2 else x[0]
+
+
 def _factor_bytes(pair) -> int:
-    lu, D = pair
-    return 12 * int(lu.nnz) + _csr_bytes(D)
+    solver, D = pair
+    held = solver.nbytes if isinstance(solver, _FourierSolver) else 12 * int(solver.nnz)
+    return held + _csr_bytes(D)
 
 
 class _StepStore:
@@ -230,20 +292,30 @@ class ThetaScheme:
     def _key(self, kind: str, m: int):
         return (self._base, kind, "const" if self._static else m)
 
-    def operator(self, m: int) -> sp.csr_matrix:
+    def _operator(self, m: int):
+        """The stored pair (L(t_m), whether its implicit matrix takes the Fourier path)."""
         return _STORE.get(self._key("op", m),
-                          lambda: assemble(self.mesh, self.spec, float(self.mesh.times[m])))
+                          lambda: _assemble(self.mesh, self.spec, float(self.mesh.times[m])),
+                          lambda pair: _csr_bytes(pair[0]))
+
+    def operator(self, m: int) -> sp.csr_matrix:
+        return self._operator(m)[0]
 
     def implicit_lu(self, m: int):
-        """splu factorization of I + tau*theta*L(t_m), with that matrix.
+        """Solver of D = I + tau*theta*L(t_m), with D.
 
+        The solver is a ``_FourierSolver`` when the face tensors of L(t_m)
+        allow it (see ``_assemble``), otherwise the ``splu`` factorization of D.
         At theta = 1 nothing else reads L(t_m), so it is assembled here and
         not stored; at theta < 1 ``explicit(m)`` shares the stored operator.
         """
         def build():
-            L = (assemble(self.mesh, self.spec, float(self.mesh.times[m]))
-                 if self.theta == 1.0 else self.operator(m))
-            D = (sp.identity(self.nn, format="csr") + self.mesh.tau * self.theta * L).tocsc()
+            L, fourier = (_assemble(self.mesh, self.spec, float(self.mesh.times[m]))
+                          if self.theta == 1.0 else self._operator(m))
+            D = sp.identity(self.nn, format="csr") + self.mesh.tau * self.theta * L
+            if fourier:
+                return _FourierSolver(D, self.N, self.mesh.cells), D
+            D = D.tocsc()
             return spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D
 
         return _STORE.get(self._key("lu", m), build, _factor_bytes)
@@ -384,11 +456,12 @@ ORACLE_CAP = 20_000
 
 def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
                            theta: float = 1.0) -> Trajectory:
-    """Brute-force reference: one dense solve of the stacked theta scheme.
+    """Brute-force reference: one sparse direct solve of the stacked theta scheme.
 
-    Assembles the block-bidiagonal space-time system over all unknown
-    slices and solves it directly; only meant as a test oracle, capped at
-    ORACLE_CAP space-time unknowns.
+    Stacks the stored implicit and explicit step matrices into the
+    block-bidiagonal space-time system over all unknown slices and solves
+    it with ``spsolve``; only meant as a test oracle, capped at ORACLE_CAP
+    space-time unknowns.
     """
     scheme = ThetaScheme(mesh, spec, theta)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
@@ -401,23 +474,21 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: fl
     src = _slab_source_fn(scheme, f)
     u0 = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
 
-    A = np.zeros((K * nn, K * nn))
+    blocks = [[None] * K for _ in range(K)]
     rhs = np.zeros(K * nn)
-    tau = mesh.tau
     for k in range(K):
         m = i0 + k
-        A[k * nn:(k + 1) * nn, k * nn:(k + 1) * nn] = scheme.implicit_lu(m + 1)[1].toarray()
+        blocks[k][k] = scheme.implicit_lu(m + 1)[1]
         E = scheme.explicit(m)
         if k == 0:
             rhs[:nn] += E @ u0
         else:
-            A[k * nn:(k + 1) * nn, (k - 1) * nn:k * nn] = -E.toarray()
+            blocks[k][k - 1] = -E
         gm = src(m)
         if gm is not None:
-            rhs[k * nn:(k + 1) * nn] += tau * gm
-    sol = np.linalg.solve(A, rhs)
+            rhs[k * nn:(k + 1) * nn] += mesh.tau * gm
+    sol = spla.spsolve(sp.bmat(blocks, format="csc"), rhs)
     out = np.empty((K + 1, scheme.N, mesh.ncells))
     out[0] = u0.reshape(scheme.N, -1)
-    for k in range(K):
-        out[k + 1] = sol[k * nn:(k + 1) * nn].reshape(scheme.N, -1)
+    out[1:] = sol.reshape(K, scheme.N, mesh.ncells)
     return Trajectory(mesh, i0, out)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import greenlab
 from greenlab import cli
 
 SCEN = resources.files("greenlab") / "scenarios"
@@ -120,6 +124,22 @@ def test_report_byte_determinism(tmp_path):
     cli.run(scenario_path("heat-1d-core.json"), out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "report.json").read_bytes() == \
         (tmp_path / "b" / "report.json").read_bytes()
+
+
+def test_report_independent_of_blas_threads(tmp_path):
+    """The same scenario writes the same report.json under 1 and 2 BLAS threads."""
+    src = os.path.dirname(os.path.dirname(greenlab.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "greenlab.cli", "run",
+                        scenario_path("heat-1d-core.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 class TestSweep:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, averaged_green_column,
-                      cylinder_average, extrapolated_green_column,
+from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, SolverError,
+                      averaged_green_column, cylinder_average, extrapolated_green_column,
                       green_block_columns, heat_kernel, make_preset, propagator,
                       rho_refinement, solve_forward, transpose_green_column,
                       wrapped_heat_kernel)
@@ -190,6 +190,28 @@ class TestPropagator:
         blk = P.P.reshape(1, 32, 1, 32)[:, 10, :, 10] / mesh32.volume
         assert blk.shape == (1, 1)
         assert blk[0, 0] > 0
+
+    def test_spoiled_column_raises(self, monkeypatch, mesh32, heat_spec):
+        real = ThetaScheme.implicit_lu
+
+        class Spoiled:
+            """Solves like the factor, but spoils one column of the block."""
+
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b, trans="N"):
+                x = self.lu.solve(b, trans=trans)
+                x[:, 5] *= 1 + 1e-4
+                return x
+
+        def spoiled(self, m):
+            lu, D = real(self, m)
+            return Spoiled(lu), D
+
+        monkeypatch.setattr(ThetaScheme, "implicit_lu", spoiled)
+        with pytest.raises(SolverError, match="residual"):
+            propagator(heat_spec, mesh32, 0.0, 4 / 512)
 
     def test_size_cap(self, periodic_1d):
         mesh = Mesh(periodic_1d, (64,), tau=1 / 512, t0=0.0, steps=8)

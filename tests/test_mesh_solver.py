@@ -15,6 +15,7 @@ from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec,
                       transpose_green_column, wrapped_heat_kernel)
 from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
+from greenlab.verify import _cylinder_energy
 
 from conftest import bundle_1d
 
@@ -89,6 +90,36 @@ class TestMesh:
         if n == 1 and mesh.periodic:
             ramp = np.arange(6.0)
             assert mesh.face_difference(ramp, 0)[0] == (0.0 - 5.0) / mesh.h[0]  # the wrap face
+
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    def test_face_geometry_built_once_and_read_only(self, mode):
+        domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
+        mesh = Mesh(domain, (8, 6), tau=1 / 256, t0=0.0, steps=16)
+        for ax in range(mesh.n):
+            first = mesh.face_positions(ax)
+            assert all(a is b for a, b in zip(first, mesh.face_positions(ax)))
+            for arr in first:
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+        vals = np.random.default_rng(12).standard_normal((17, 2, mesh.ncells))
+        X0 = (16 / 256, mesh.centers[21])
+        warm = [_cylinder_energy(mesh, Trajectory(mesh, 0, vals), X0, r) for r in (0.2, 0.25)]
+        # an equal mesh builds its geometry afresh: the same energies, bit for bit
+        cold = Mesh(domain, (8, 6), tau=1 / 256, t0=0.0, steps=16)
+        assert warm == [_cylinder_energy(cold, Trajectory(cold, 0, vals), X0, r)
+                        for r in (0.2, 0.25)]
+        # and the same as a sum over the faces built by hand (the cell to the right of
+        # each face and the one on its left along the axis), to roundoff
+        grid = vals.reshape(17, 2, 8, 6)[6:16]  # early ends of the minus cylinder's 10 slabs
+        ref = 0.0
+        for ax in range(2):
+            diff = (grid - np.roll(grid, 1, axis=2 + ax)) / mesh.h[ax]
+            mid = mesh.centers.reshape(8, 6, 2) - 0.5 * mesh.h[ax] * np.eye(2)[ax]
+            inside = np.linalg.norm(mesh.wrap_gaps(mid - X0[1]), axis=2) < 0.2
+            if not mesh.periodic:  # no wrap face: the left neighbour must be in the grid
+                inside &= np.indices((8, 6))[ax] > 0
+            ref += float(np.sum(diff[..., inside] ** 2)) * mesh.volume * mesh.tau
+        assert warm[0] == pytest.approx(ref, rel=1e-13)
 
     def test_time_index_past_window_names_window_and_step(self, periodic_1d):
         mesh = Mesh(periodic_1d, (64,), tau=2.0 ** -12, t0=0.0, steps=640)
@@ -508,13 +539,13 @@ class TestStepStore:
         assert sc["checks"][0]["name"] == "duality"
         params = {k: v for k, v in sc["checks"][0].items() if k != "name"}
         calls = []
-        real = solver.assemble
+        real = solver._assemble
 
         def counting(*args):
             calls.append(args[2])
             return real(*args)
 
-        monkeypatch.setattr(solver, "assemble", counting)
+        monkeypatch.setattr(solver, "_assemble", counting)
         rec = cli.CHECKS["duality"][1](ctx, **params)
         assert rec.status == "pass"
         assert len(calls) <= ctx.mesh.steps + 1
@@ -634,7 +665,9 @@ class TestStepLayer:
     def test_ordering_fills_less_than_default(self, store, mode):
         domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
         mesh = Mesh(domain, (32, 32), tau=2.0 ** -12, t0=0.0, steps=4)
-        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("heat", n=2), domain), 1.0)
+        # periodic heat takes the Fourier path; an x-dependent field keeps splu
+        preset = "x-oscillatory" if mode == "periodic" else "heat"
+        scheme = ThetaScheme(mesh, OperatorSpec(make_preset(preset, n=2), domain), 1.0)
         lu, D = scheme.implicit_lu(1)
         assert lu.nnz < spla.splu(D).nnz
         rhs = np.random.default_rng(4).standard_normal(scheme.nn)
@@ -661,8 +694,8 @@ class TestStepLayer:
     def test_theta_one_explicit_is_one_identity(self, store, monkeypatch, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
         calls = []
-        real = solver.assemble
-        monkeypatch.setattr(solver, "assemble", lambda *args: calls.append(args) or real(*args))
+        real = solver._assemble
+        monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or real(*args))
         scheme = ThetaScheme(mesh32, spec, 1.0)
         E = scheme.explicit(0)
         assert all(scheme.explicit(m) is E for m in range(1, 8))
@@ -700,3 +733,95 @@ class TestBlockSolve:
         assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
         with pytest.raises(SolverError, match="residual"):
             scheme.solve_implicit(1, rhs, trans=trans)
+
+
+def _coupled_N2():
+    """An x- and t-independent coupled N=2, n=2 field: 3 I plus a random coupling."""
+    B = np.random.default_rng(13).standard_normal((2, 2, 2, 2))
+    mat = 3.0 * np.einsum("ab,ij->abij", np.eye(2), np.eye(2)) + 0.3 * B
+
+    def fn(t, pts):
+        return np.broadcast_to(mat, (len(pts),) + mat.shape).copy()
+
+    return CoefficientField(2, 2, 1.0, 10.0, math.inf, "coupled-N2", fn)
+
+
+def _x_bump_unflagged():
+    """An x-dependent scalar field that keeps the default ``x_dependent=False``."""
+    def fn(t, pts):
+        a = 1.0 + 0.5 * np.sin(2 * np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1])
+        return a[:, None, None, None, None] * np.eye(2)[None, :, :, None, None]
+
+    return CoefficientField(2, 1, 0.5, 2.0, math.inf, "x-bump", fn)
+
+
+FOURIER_FIELDS = {
+    "heat": lambda: make_preset("heat", n=2),
+    "decoupled-heat-pair": lambda: make_preset("decoupled-heat-pair", n=2),
+    "diag": lambda: make_preset("diag", values=(2.0, 0.5)),
+    "t-oscillating": lambda: make_preset("t-oscillating", n=2, period=0.01),
+    "coupled-N2": _coupled_N2,
+}
+
+
+class TestFourierPath:
+    @pytest.fixture
+    def store(self, monkeypatch):
+        """A cold, private step store for the test."""
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
+    def test_matches_superlu(self, store, field, transposed):
+        domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
+        mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=4)
+        scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain,
+                                                transposed=transposed), 1.0)
+        fourier, D = scheme.implicit_lu(2)
+        assert isinstance(fourier, solver._FourierSolver)
+        # the store charges the inverse blocks and the arrays of D
+        assert solver.cache_info().bytes == fourier.nbytes + solver._csr_bytes(D)
+        lu = spla.splu(D.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        rhs = np.random.default_rng(9).standard_normal((scheme.nn, 3))
+        for trans in ("N", "T"):
+            block = scheme.solve_implicit(2, rhs, trans=trans)
+            ref = lu.solve(rhs, trans=trans)
+            for j in range(3):
+                flat = scheme.solve_implicit(2, rhs[:, j].copy(), trans=trans)
+                assert flat.shape == (scheme.nn,)
+                assert flat.tobytes() == block[:, j].tobytes()
+                assert np.linalg.norm(flat - ref[:, j]) <= 1e-14 * np.linalg.norm(ref[:, j])
+
+    @pytest.mark.parametrize("case", ["dirichlet", "x-oscillatory", "n=1", "x-bump-unflagged"])
+    def test_other_cases_keep_splu(self, store, monkeypatch, case):
+        mode = "dirichlet" if case == "dirichlet" else "periodic"
+        n = 1 if case == "n=1" else 2
+        domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+        mesh = Mesh(domain, (16, 9)[:n], tau=2.0 ** -10, t0=0.0, steps=4)
+        if case == "x-oscillatory":
+            coeffs = make_preset("x-oscillatory", n=2)
+        elif case == "x-bump-unflagged":
+            coeffs = _x_bump_unflagged()
+        else:
+            coeffs = make_preset("heat", n=n)
+        calls = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(a) or real(*a, **k))
+        scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain), 1.0)
+        lu, D = scheme.implicit_lu(1)
+        assert len(calls) == 1 and not isinstance(lu, solver._FourierSolver)
+        rhs = np.random.default_rng(10).standard_normal(scheme.nn)
+        for trans, mat in (("N", D), ("T", D.T)):
+            x = scheme.solve_implicit(1, rhs, trans=trans)
+            assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+
+    def test_fourier_path_on_x_dependent_field_fails_loudly(self, store, monkeypatch):
+        domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
+        mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=4)
+        real = solver._assemble
+        monkeypatch.setattr(solver, "_assemble", lambda *args: (real(*args)[0], True))
+        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("x-oscillatory", n=2), domain), 1.0)
+        assert isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver)
+        rhs = np.random.default_rng(11).standard_normal(scheme.nn)
+        with pytest.raises(SolverError, match="residual"):
+            scheme.solve_implicit(1, rhs)
