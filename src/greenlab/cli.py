@@ -28,7 +28,7 @@ from .green import averaged_green_column
 from .io import report_to_json, write_samples_csv
 from .mesh import Mesh
 from .problem import Domain, OperatorSpec, load_table, make_preset
-from .solver import dense_spacetime_oracle, solve_backward, solve_forward
+from .solver import _Keep, _solve, dense_spacetime_oracle, solve_forward
 
 
 @dataclass
@@ -354,8 +354,8 @@ def _run_adjoint(ctx: Context, t_step=None, seed=None, tolerance=1e-12):
     b = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
     t_step = int(mesh.steps if t_step is None else t_step)
     s, t = _time(mesh, 0), _time(mesh, t_step)
-    fa = solve_forward(ctx.spec, mesh, a, None, s, t, theta=ctx.theta).values[-1]
-    bb = solve_backward(ctx.spec, mesh, b, None, t, s, theta=ctx.theta).values[0]
+    fa = _solve(ctx.spec, mesh, a, None, s, t, ctx.theta, "forward", _Keep([t_step]))[0]
+    bb = _solve(ctx.spec, mesh, b, None, s, t, ctx.theta, "backward", _Keep([0]))[0]
     lhs, rhs = float(np.sum(fa * b)), float(np.sum(a * bb))
     resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     tol = float(tolerance)

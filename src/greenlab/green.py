@@ -7,10 +7,12 @@ s - rho^2 and extended by zero below.  The transpose column mirrors this
 with the adjoint solver on the forward cylinder.  The discrete cylinders
 and their slab conventions are those of ``Mesh.cylinder``.
 
-One private builder makes every column: the N source components of a pole
-share their source window, so ``green_block_columns`` and
+One private builder marches every column: the N source components of a
+pole share their source window, so ``green_block_columns`` and
 ``transpose_block_columns`` march them as one block, bitwise equal to the
 single-component ``averaged_green_column`` and ``transpose_green_column``.
+The public builders keep the whole window; the duality check asks the same
+builder for only the slices and cells of the cylinders it averages over.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
-from .solver import ThetaScheme, _march_backward, _march_forward
+from .solver import ThetaScheme, _Keep, _march_backward, _march_forward
 
 GREEN_THETA = 1.0  # Green objects are built with the implicit Euler scheme
 
@@ -120,13 +122,14 @@ class GreenColumn:
         return full
 
 
-def _green_columns(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
-                   direction: str) -> list:
-    """Columns of source components ``ks`` at one pole, marched as one block.
+def _green_block(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
+                 direction: str, keep: _Keep = _Keep()):
+    """The columns of source components ``ks`` at one pole, marched as one block.
 
     Forward columns carry the minus-cylinder source and run up to the
     horizon; backward (transpose) columns carry the plus-cylinder source and
-    run down to it.  Each column's field is a view of the block.
+    run down to it.  Returns the first time index of the march window and
+    what ``keep`` keeps of the columns, as (len(ks), slices, N, kept cells).
     """
     _check_resolvable(mesh, radius)
     N = spec.coeffs.N
@@ -146,15 +149,21 @@ def _green_columns(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, hori
         i0, i1 = active.start, mesh.time_index(horizon)
         if i1 <= i0:
             raise ConfigError("need T > s on the time grid")
-        block = _march_forward(scheme, i0, i1, np.zeros_like(G), src)
+        block = _march_forward(scheme, i0, i1, np.zeros_like(G), src, keep)
     else:
         i0, i1 = mesh.time_index(horizon), active.stop
         if i1 <= i0:
             raise ConfigError("need b > S on the time grid")
-        block = _march_backward(scheme, i0, i1, np.zeros_like(G), src)
+        block = _march_backward(scheme, i0, i1, np.zeros_like(G), src, keep)
+    return i0, block.reshape(block.shape[:2] + (N, block.shape[2] // N))
+
+
+def _green_columns(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
+                   direction: str) -> list:
+    """Columns of ``_green_block``; each column's field is a view of the whole block."""
+    i0, block = _green_block(spec, mesh, pole, ks, radius, horizon, direction)
     where = (float(pole[0]), np.atleast_1d(np.asarray(pole[1], dtype=float)))
-    return [GreenColumn(spec, mesh, where, k, radius,
-                        Trajectory(mesh, i0, vals.reshape(-1, N, mesh.ncells)), direction)
+    return [GreenColumn(spec, mesh, where, k, radius, Trajectory(mesh, i0, vals), direction)
             for k, vals in zip(ks, block)]
 
 

@@ -26,6 +26,14 @@ def parabolic_distance(X, Y, lengths=None) -> float:
     return max(math.sqrt(abs(t - s)), float(np.linalg.norm(dx)))
 
 
+def _positions_in(cells: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Positions of the flat cells ``wanted`` in the increasing index array ``cells``."""
+    pos = np.searchsorted(cells, wanted)
+    if not ((pos < len(cells)).all() and np.array_equal(cells[pos], wanted)):
+        raise ConfigError("cells must hold both neighbours of every differenced face")
+    return pos
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Cell-centered uniform grid over a box, plus an arithmetic time grid.
@@ -194,6 +202,18 @@ class Mesh:
                               "leaves the mesh time grid")
         return slabs, self.ball_cells(pole[1], r)
 
+    def cylinder_slices(self, pole, r: float, kind: str):
+        """(time indices of the slices attached to the slabs of ``cylinder``, ball cells).
+
+        A slab's early end t_m for "minus", its late end t_{m+1} for "plus";
+        a cylinder that spans no slab is a ConfigError.
+        """
+        slabs, cells = self.cylinder(pole, r, kind)
+        if not slabs:
+            raise ConfigError(f"{kind} cylinder of radius {r} spans no time slab")
+        shift = 1 if kind == "plus" else 0
+        return range(slabs.start + shift, slabs.stop + shift), cells
+
     @cached_property
     def _faces(self) -> tuple:
         """``face_positions`` of every axis, built once per mesh as read-only arrays."""
@@ -233,15 +253,25 @@ class Mesh:
         """
         return self._faces[ax]
 
-    def face_difference(self, x: np.ndarray, ax: int, faces=slice(None)) -> np.ndarray:
+    def face_difference(self, x: np.ndarray, ax: int, faces=slice(None),
+                        cells=None) -> np.ndarray:
         """(x[..., right] - x[..., left]) / h[ax] over the faces of ``face_positions(ax)``.
 
         ``x`` holds cell values on its last axis: a flat cell function or a
         (slices, N, ncells) array.  ``faces`` (a boolean mask or indices into
-        the face list) differences only those faces.
+        the face list) differences only those faces.  When ``x`` holds only
+        some cells, ``cells`` names them (increasing flat indices); it must
+        hold both neighbours of every differenced face.
         """
         _, left, right = self.face_positions(ax)
-        return (x[..., right[faces]] - x[..., left[faces]]) / self.h[ax]
+        left, right = left[faces], right[faces]
+        if cells is not None:
+            left, right = (_positions_in(np.asarray(cells), side) for side in (left, right))
+        x = np.asarray(x, dtype=float)
+        diff = x[..., right]  # a fresh array (advanced indexing), so updated in place
+        diff -= x[..., left]
+        diff /= self.h[ax]
+        return diff
 
     def shift_flat(self, flat: np.ndarray, ax: int, by: int):
         """Shift flat cell indices along an axis; returns (shifted, valid)."""
@@ -306,9 +336,8 @@ class Trajectory:
         per slab in time order; cylinders reaching outside this window are
         a ConfigError.
         """
-        slabs, cells = self.mesh.cylinder(pole, r, kind)
-        lo = slabs.start - self.i0 + (1 if kind == "plus" else 0)
-        hi = lo + len(slabs)
-        if not slabs or lo < 0 or hi > self.nslices:
+        slices, cells = self.mesh.cylinder_slices(pole, r, kind)
+        lo, hi = slices.start - self.i0, slices.stop - self.i0
+        if lo < 0 or hi > self.nslices:
             raise ConfigError("cylinder lies outside the trajectory window")
         return self.values[lo:hi], cells

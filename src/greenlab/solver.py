@@ -42,7 +42,16 @@ builders march all source components of a pole as one block, and
 bitwise equal to its columns one by one.  Every solve checks the relative
 residual of each column against ``RESIDUAL_TOL`` with the assembled D, so
 a bad small column cannot hide behind a large one and a wrong Fourier
-symbol fails loudly.
+symbol fails loudly; the residual of a ``trans="T"`` solve uses D's
+transpose, built once per stored step as a view of D's arrays.
+
+A marcher keeps what a ``_Keep`` names: the slices at some mesh time
+indices and some flat state rows, copied as the march passes them, so a
+check that reads one slice or one cylinder holds that and not the whole
+(steps + 1, N, ncells) field.  The default keeps every slice and row, which
+is what the public solvers and column builders return; the checks in
+``verify`` and the adjoint pairing in ``cli`` march through ``_solve``
+with the slices and cells they read.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec, theta) shares one process-wide
@@ -70,7 +79,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,6 +228,19 @@ class _FourierSolver:
         return x.T if rhs.ndim == 2 else x[0]
 
 
+class _Implicit(tuple):
+    """The stored (solver, D) pair of one step's implicit matrix.
+
+    ``DT`` is D's transpose for the residual checks of ``trans="T"`` solves,
+    built once per entry; it is a view that shares D's arrays.
+    """
+
+    def __new__(cls, solver, D):
+        pair = super().__new__(cls, (solver, D))
+        pair.DT = D.T
+        return pair
+
+
 def _factor_bytes(pair) -> int:
     solver, D = pair
     held = solver.nbytes if isinstance(solver, _FourierSolver) else 12 * int(solver.nnz)
@@ -302,7 +324,7 @@ class ThetaScheme:
         return self._operator(m)[0]
 
     def implicit_lu(self, m: int):
-        """Solver of D = I + tau*theta*L(t_m), with D.
+        """Solver of D = I + tau*theta*L(t_m), with D: the stored ``_Implicit`` pair.
 
         The solver is a ``_FourierSolver`` when the face tensors of L(t_m)
         allow it (see ``_assemble``), otherwise the ``splu`` factorization of D.
@@ -314,9 +336,9 @@ class ThetaScheme:
                           if self.theta == 1.0 else self._operator(m))
             D = sp.identity(self.nn, format="csr") + self.mesh.tau * self.theta * L
             if fourier:
-                return _FourierSolver(D, self.N, self.mesh.cells), D
+                return _Implicit(_FourierSolver(D, self.N, self.mesh.cells), D)
             D = D.tocsc()
-            return spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D
+            return _Implicit(spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D)
 
         return _STORE.get(self._key("lu", m), build, _factor_bytes)
 
@@ -334,10 +356,10 @@ class ThetaScheme:
 
         Each column's relative residual must stay within RESIDUAL_TOL.
         """
-        lu, D = self.implicit_lu(m)
+        pair = self.implicit_lu(m)
+        lu, D = pair
         x = lu.solve(rhs, trans=trans)
-        mat = D if trans == "N" else D.T
-        res = mat @ x - rhs
+        res = (D if trans == "N" else pair.DT) @ x - rhs
         if rhs.ndim == 1:
             num, den = np.linalg.norm(res), np.linalg.norm(rhs)
             bad = den > 0 and num > RESIDUAL_TOL * den
@@ -391,28 +413,83 @@ def _slab_source_fn(scheme: ThetaScheme, f):
     raise ConfigError("source must be None or a callable t -> slice")
 
 
-def _march_forward(scheme: ThetaScheme, i0: int, i1: int, u: np.ndarray, src) -> np.ndarray:
+class _Keep(NamedTuple):
+    """What a march keeps: the slices at the mesh time indices ``slices``
+    (increasing) and the flat state rows ``rows``, in that order; None keeps
+    every slice or every row."""
+
+    slices: Sequence[int] | None = None
+    rows: np.ndarray | None = None
+
+    @classmethod
+    def on_cells(cls, mesh: Mesh, N: int, slices, cells) -> "_Keep":
+        """Keep ``slices`` and all N components at the flat cells ``cells``."""
+        return cls(slices, (np.arange(N)[:, None] * mesh.ncells + cells).ravel())
+
+    def start(self, i0: int, i1: int, x: np.ndarray):
+        """An empty array for what is kept of a march over t_{i0}..t_{i1} of
+        states shaped like x, and ``put(m, state)``, which fills slice m."""
+        slices = range(i0, i1 + 1) if self.slices is None else [int(m) for m in self.slices]
+        if self.slices is not None and (slices != sorted(set(slices))
+                                        or not all(i0 <= m <= i1 for m in slices)):
+            raise ConfigError("kept slices must be increasing steps inside the march "
+                              f"window {i0}..{i1}")
+        slot = {m: j for j, m in enumerate(slices)}
+        rows = slice(None) if self.rows is None else self.rows
+        nrows = x.shape[0] if self.rows is None else len(self.rows)
+        out = np.empty(x.shape[1:] + (len(slot), nrows))
+
+        def put(m, state):
+            j = slot.get(m)
+            if j is not None:
+                out[..., j, :] = state[rows].T
+
+        return out, put
+
+
+def _march_forward(scheme: ThetaScheme, i0: int, i1: int, u: np.ndarray, src,
+                   keep: _Keep = _Keep()) -> np.ndarray:
     """Forward steps t_{i0} -> t_{i1} of a flat state (nn,) or a block (nn, B).
 
     ``src(m)`` gives the step's source, shaped like ``u`` (or None).  Returns
-    the states as (i1 - i0 + 1, nn), or (B, i1 - i0 + 1, nn) for a block.
+    the kept states as (slices, rows), or (B, slices, rows) for a block; by
+    default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
     """
-    out = np.empty(u.shape[1:] + (i1 - i0 + 1, u.shape[0]))
-    out[..., 0, :] = u.T
+    out, put = keep.start(i0, i1, u)
+    put(i0, u)
     for m in range(i0, i1):
         u = scheme.forward_step(m, u, src(m))
-        out[..., m - i0 + 1, :] = u.T
+        put(m + 1, u)
     return out
 
 
-def _march_backward(scheme: ThetaScheme, i0: int, i1: int, w: np.ndarray, src) -> np.ndarray:
+def _march_backward(scheme: ThetaScheme, i0: int, i1: int, w: np.ndarray, src,
+                    keep: _Keep = _Keep()) -> np.ndarray:
     """Adjoint steps t_{i1} -> t_{i0}; shapes as in ``_march_forward``."""
-    out = np.empty(w.shape[1:] + (i1 - i0 + 1, w.shape[0]))
-    out[..., -1, :] = w.T
+    out, put = keep.start(i0, i1, w)
+    put(i1, w)
     for m in range(i1 - 1, i0 - 1, -1):
         w = scheme.backward_step(m, w, src(m))
-        out[..., m - i0, :] = w.T
+        put(m, w)
     return out
+
+
+def _solve(spec: OperatorSpec, mesh: Mesh, g, f, lo: float, hi: float, theta: float,
+           direction: str, keep: _Keep = _Keep()) -> np.ndarray:
+    """March one state over [lo, hi]: forward from data g at lo, or backward from g at hi.
+
+    Returns what ``keep`` keeps, as (slices, N, kept cells).
+    """
+    scheme = ThetaScheme(mesh, spec, theta)
+    forward = direction == "forward"
+    i0, i1 = mesh.time_index(lo), mesh.time_index(hi)
+    if i1 <= i0:
+        raise ConfigError("need T > s on the time grid" if forward
+                          else "need b > S on the time grid")
+    src = _slab_source_fn(scheme, f)
+    x = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
+    out = (_march_forward if forward else _march_backward)(scheme, i0, i1, x, src, keep)
+    return out.reshape(len(out), scheme.N, out.shape[1] // scheme.N)
 
 
 def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
@@ -422,14 +499,8 @@ def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
     ``f`` is a per-slice source sampled as f(t) -> (N, ncells); the step
     from t_m to t_{m+1} uses the theta-weighted combination.
     """
-    scheme = ThetaScheme(mesh, spec, theta)
-    i0, i1 = mesh.time_index(s), mesh.time_index(T)
-    if i1 <= i0:
-        raise ConfigError("need T > s on the time grid")
-    src = _slab_source_fn(scheme, f)
-    u = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
-    out = _march_forward(scheme, i0, i1, u, src)
-    return Trajectory(mesh, i0, out.reshape(-1, scheme.N, mesh.ncells))
+    values = _solve(spec, mesh, g, f, s, T, theta, "forward")
+    return Trajectory(mesh, mesh.time_index(s), values)
 
 
 def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
@@ -441,14 +512,8 @@ def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
     for matching windows.  Sources pair with the slab convention of
     ``solve_forward`` (stated for theta = 1).
     """
-    scheme = ThetaScheme(mesh, spec, theta)
-    i0, i1 = mesh.time_index(S), mesh.time_index(b)
-    if i1 <= i0:
-        raise ConfigError("need b > S on the time grid")
-    src = _slab_source_fn(scheme, f)
-    w = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
-    out = _march_backward(scheme, i0, i1, w, src)
-    return Trajectory(mesh, i0, out.reshape(-1, scheme.N, mesh.ncells))
+    values = _solve(spec, mesh, g, f, S, b, theta, "backward")
+    return Trajectory(mesh, mesh.time_index(S), values)
 
 
 ORACLE_CAP = 20_000

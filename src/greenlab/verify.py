@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .green import (_richardson_column, _rho_ladder, averaged_green_column, cylinder_average,
+from .green import (_green_block, _richardson_column, _rho_ladder, averaged_green_column,
                     extrapolated_green_column, green_block_columns, propagator,
-                    transpose_block_columns, wrapped_heat_kernel)
-from .mesh import Mesh, Trajectory
+                    wrapped_heat_kernel)
+from .mesh import Mesh
 from .problem import OperatorSpec
-from .solver import project_slice, solve_forward
+from .solver import _Keep, _solve, project_slice
 
 # ----------------------------------------------------------------------
 # records and fits
@@ -113,27 +113,34 @@ def _rel_residual(a: float, b: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _block_averages(spec: OperatorSpec, mesh: Mesh, wants, build, horizon: float,
-                    kind: str) -> list:
+def _block_averages(spec: OperatorSpec, mesh: Mesh, wants, horizon: float,
+                    direction: str) -> list:
     """Cylinder averages of each distinct block of Green columns.
 
-    ``wants`` lists (pole, radius, cylinder pole, cylinder radius) per pair.
-    ``build`` marches the block of each distinct (pole, radius) once, and the
-    block is dropped once it is averaged.  Entry [k, l] of each returned
-    (N, N) array is component l of column k averaged over the pair's cylinder.
+    ``wants`` lists (pole, radius, cylinder pole, cylinder radius) per pair;
+    forward columns are averaged over plus cylinders, transpose columns over
+    minus cylinders.  The block of each distinct (pole, radius) is marched
+    once and keeps only the slices and ball cells of its pairs' cylinders.
+    Entry [k, l] of each returned (N, N) array is component l of column k
+    averaged over the pair's cylinder, as ``cylinder_average`` averages it.
     """
+    kind = "plus" if direction == "forward" else "minus"
+    N = spec.coeffs.N
     groups: dict = {}
-    for i, (P, r, _, _) in enumerate(wants):
+    for i, (P, r, Q, q) in enumerate(wants):
         key = (float(P[0]), tuple(np.atleast_1d(np.asarray(P[1], dtype=float))), float(r))
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(key, []).append((i, *mesh.cylinder_slices(Q, q, kind)))
     out = [None] * len(wants)
-    for idx in groups.values():
-        P, r = wants[idx[0]][:2]
-        cols = build(spec, mesh, P, r, horizon)
-        for i in idx:
-            Q, q = wants[i][2:]
-            out[i] = np.stack([cylinder_average(col.field, Q, q, kind) for col in cols])
-        del cols
+    for members in groups.values():
+        P, r = wants[members[0][0]][:2]
+        slices = sorted(set().union(*(idx for _, idx, _ in members)))
+        cells = np.unique(np.concatenate([ball for _, _, ball in members]))
+        _, block = _green_block(spec, mesh, P, range(1, N + 1), r, horizon, direction,
+                                _Keep.on_cells(mesh, N, slices, cells))
+        for i, idx, ball in members:
+            j, at = slices.index(idx.start), np.searchsorted(cells, ball)
+            out[i] = np.stack([col[j:j + len(idx)][:, :, at].mean(axis=(0, 2))
+                               for col in block])
     return out
 
 
@@ -149,9 +156,9 @@ def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
     """
     pairs = list(pairs)
     fwd = _block_averages(spec, mesh, [(Y, rho, X, sigma) for Y, X, rho, sigma in pairs],
-                          green_block_columns, T, "plus")
+                          T, "forward")
     bwd = _block_averages(spec, mesh, [(X, sigma, Y, rho) for Y, X, rho, sigma in pairs],
-                          transpose_block_columns, S, "minus")
+                          S, "backward")
     worst = 0.0
     count = 0
     for F, B in zip(fwd, bwd):
@@ -393,10 +400,9 @@ def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t
     gF = mesh.centers[F_mask]
     if len(gE) == 0 or len(gF) == 0:
         raise ConfigError("E and F must both contain cells")
-    diff = mesh.wrap_gaps(gE[:, None, :] - gF[None, :, :])
-    d = float(np.min(np.linalg.norm(diff, axis=2)))
-    traj = solve_forward(spec, mesh, g, None, s, t, theta=theta)
-    u_t = traj.values[-1]
+    # one E cell at a time: the |E| x |F| gap array would dwarf the rest of the check
+    d = min(float(np.min(np.linalg.norm(mesh.wrap_gaps(e - gF), axis=1))) for e in gE)
+    u_t = _solve(spec, mesh, g, None, s, t, theta, "forward", _Keep([mesh.time_index(t)]))[0]
     num = mesh.volume * float(np.sum(u_t[:, E_mask] ** 2))
     den = mesh.volume * float(np.sum(g[:, F_mask] ** 2))
     ratio = num / den
@@ -424,10 +430,11 @@ def davies_growth(spec: OperatorSpec, mesh: Mesh, psi, gamma: float, f, s: float
             raise ConfigError("psi violates the declared Lipschitz constant on a face")
     f = np.array(f, dtype=float)
     u0 = project_slice(mesh, f * np.exp(-psi)[None, :])
-    traj = solve_forward(spec, mesh, u0, None, s, t, theta=theta)
+    u_s, u_t = _solve(spec, mesh, u0, None, s, t, theta, "forward",
+                      _Keep([mesh.time_index(s), mesh.time_index(t)]))
     w = np.exp(2.0 * psi)[None, :]
-    I_s = mesh.volume * float(np.sum(w * traj.values[0] ** 2))
-    I_t = mesh.volume * float(np.sum(w * traj.values[-1] ** 2))
+    I_s = mesh.volume * float(np.sum(w * u_s ** 2))
+    I_t = mesh.volume * float(np.sum(w * u_t ** 2))
     nu = spec.coeffs.Lam ** 2 / spec.coeffs.lam
     if gamma == 0.0:
         bound = 1.0
@@ -513,18 +520,38 @@ def weak_lp_levels(column, thresholds=None, use_gradient: bool = False,
                                 "measures": [float(v) for v in meas]})
 
 
-def _cylinder_energy(mesh: Mesh, traj: Trajectory, X0, radius: float) -> float:
+def _faces_inside(mesh: Mesh, ax: int, X0, radius: float) -> np.ndarray:
+    """Mask of the faces normal to ax whose midpoints lie inside the ball at X0."""
+    xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
+    pts, _, _ = mesh.face_positions(ax)
+    return np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+
+
+def _face_cells(mesh: Mesh, X0, radius: float) -> np.ndarray:
+    """The cells on either side of the faces inside the ball at X0, increasing."""
+    sides = []
+    for ax in range(mesh.n):
+        _, left, right = mesh.face_positions(ax)
+        inside = _faces_inside(mesh, ax, X0, radius)
+        sides += [left[inside], right[inside]]
+    return np.unique(np.concatenate(sides))
+
+
+def _cylinder_energy(mesh: Mesh, X0, radius: float, vals: np.ndarray, cells=None) -> float:
     """Dirichlet energy over the discrete backward cylinder at X0.
 
-    Counts the faces whose midpoints lie inside the cylinder's ball.
+    ``vals`` holds the slices up to the pole, as (slices, N, cells), at the
+    flat cells ``cells`` (None for all); the cylinder reads the last
+    ``slab_count(radius)`` of them, since a backward cylinder's slices end
+    at its pole.  Counts the faces whose midpoints lie inside the ball.
     """
-    xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
-    vals, _ = traj.cylinder(X0, radius, "minus")
+    slabs = mesh.slab_count(radius)
+    if slabs > len(vals):
+        raise ConfigError(f"cylinder of radius {radius} spans more slices than are held")
+    vals = vals[len(vals) - slabs:]
     total = 0.0
     for ax in range(mesh.n):
-        pts, _, _ = mesh.face_positions(ax)
-        inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
-        diff = mesh.face_difference(vals, ax, inside)
+        diff = mesh.face_difference(vals, ax, _faces_inside(mesh, ax, X0, radius), cells)
         total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
     return total
 
@@ -546,13 +573,17 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
     R = ladder[-1]
     if mesh.time_index(tc) * mesh.tau < R * R:
         raise ConfigError("mesh window too short for the outer cylinder")
+    mesh.cylinder_slices(X0, ladder[0], "minus")  # the smallest must span a slab
+    slices, _ = mesh.cylinder_slices(X0, R, "minus")
+    cells = _face_cells(mesh, X0, R)
+    keep = _Keep.on_cells(mesh, spec.coeffs.N, slices, cells)
     rng = np.random.default_rng(seed)
     n = mesh.n
     slopes, consts = [], []
     for _ in range(n_solutions):
         g = rng.standard_normal((spec.coeffs.N, mesh.ncells))
-        traj = solve_forward(spec, mesh, g, None, float(mesh.t0), tc)
-        E = np.array([_cylinder_energy(mesh, traj, X0, r) for r in ladder])
+        vals = _solve(spec, mesh, g, None, float(mesh.t0), tc, 1.0, "forward", keep)
+        E = np.array([_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
         if np.any(E <= 0):
             continue
         fit = loglog_fit(np.asarray(ladder), E)
@@ -602,13 +633,15 @@ def check_local_boundedness(spec: OperatorSpec, mesh: Mesh, mesh_fine: Mesh, X0,
         return np.tile(vals, (spec.coeffs.N, 1)) + 2.0
 
     def ratio_on(m: Mesh) -> float:
-        tc = float(X0[0])
-        g = smooth_data(m)
-        traj = solve_forward(spec, m, g, None, float(m.t0), tc)
+        slices, ball = m.cylinder_slices(X0, R, "minus")
+        kept = _solve(spec, m, smooth_data(m), None, float(m.t0), float(X0[0]), 1.0,
+                      "forward", _Keep.on_cells(m, spec.coeffs.N, slices, ball))
 
         def cyl(rad):
-            vals, ball = traj.cylinder(X0, rad, "minus")
-            return vals[:, :, ball]
+            # a backward cylinder's slices end at the pole; the fancy index gives
+            # the memory order, and so the reduction order, of the whole-field cut
+            rad_slices, rad_ball = m.cylinder_slices(X0, rad, "minus")
+            return kept[len(kept) - len(rad_slices):][:, :, np.searchsorted(ball, rad_ball)]
 
         inner = cyl(R / 4.0)
         outer = cyl(R)
@@ -639,10 +672,11 @@ def initial_trace_test(spec: OperatorSpec, mesh: Mesh, g, x0, s: float, t_list,
     g = np.array(g, dtype=float)
     cell = mesh.cell_index(x0)
     gx0 = g[:, cell].copy()
-    traj = solve_forward(spec, mesh, g, None, s, t_list[-1], theta=theta)
+    probes = sorted({mesh.time_index(t) for t in t_list})
+    vals = _solve(spec, mesh, g, None, s, t_list[-1], theta, "forward", _Keep(probes))
     errs = []
     for t in t_list:
-        u = traj.slice_at(float(mesh.times[mesh.time_index(t)]))
+        u = vals[probes.index(mesh.time_index(t))]
         errs.append(float(np.linalg.norm(u[:, cell] - gx0)))
     # errs are ordered by increasing t; recovery must improve toward s
     monotone = all(errs[i] <= errs[i + 1] + 1e-12 for i in range(len(errs) - 1))
@@ -661,8 +695,8 @@ def check_bounded_initial(spec: OperatorSpec, mesh: Mesh, g, s: float, t: float,
     """Sup bound by the data sup; exact (max principle) for scalar implicit Euler."""
     g = np.array(g, dtype=float)
     gmax = float(np.max(np.abs(g)))
-    traj = solve_forward(spec, mesh, g, None, s, t, theta=theta)
-    umax = float(np.max(np.abs(traj.values[-1])))
+    u_t = _solve(spec, mesh, g, None, s, t, theta, "forward", _Keep([mesh.time_index(t)]))[0]
+    umax = float(np.max(np.abs(u_t)))
     ratio = umax / gmax if gmax > 0 else 0.0
     if spec.coeffs.N == 1 and theta == 1.0:
         status = "pass" if ratio <= 1.0 + tolerance else "fail"

@@ -15,7 +15,7 @@ from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec,
                       transpose_green_column, wrapped_heat_kernel)
 from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
-from greenlab.verify import _cylinder_energy
+from greenlab.verify import _cylinder_energy, _face_cells
 
 from conftest import bundle_1d
 
@@ -103,11 +103,18 @@ class TestMesh:
                     arr[0] = 0
         vals = np.random.default_rng(12).standard_normal((17, 2, mesh.ncells))
         X0 = (16 / 256, mesh.centers[21])
-        warm = [_cylinder_energy(mesh, Trajectory(mesh, 0, vals), X0, r) for r in (0.2, 0.25)]
+        # the slices up to the pole at step 16; radius 0.25 spans all 16 slabs
+        warm = [_cylinder_energy(mesh, X0, r, vals[:16]) for r in (0.2, 0.25)]
         # an equal mesh builds its geometry afresh: the same energies, bit for bit
         cold = Mesh(domain, (8, 6), tau=1 / 256, t0=0.0, steps=16)
-        assert warm == [_cylinder_energy(cold, Trajectory(cold, 0, vals), X0, r)
+        assert warm == [_cylinder_energy(cold, X0, r, vals[:16]) for r in (0.2, 0.25)]
+        # and so do the values at only the cells next to the outer ball's faces
+        cells = _face_cells(mesh, X0, 0.25)
+        assert len(cells) < mesh.ncells
+        assert warm == [_cylinder_energy(mesh, X0, r, vals[:16, :, cells], cells)
                         for r in (0.2, 0.25)]
+        with pytest.raises(ConfigError, match="more slices than are held"):
+            _cylinder_energy(mesh, X0, 0.25, vals[1:16])
         # and the same as a sum over the faces built by hand (the cell to the right of
         # each face and the one on its left along the axis), to roundoff
         grid = vals.reshape(17, 2, 8, 6)[6:16]  # early ends of the minus cylinder's 10 slabs
@@ -726,7 +733,7 @@ class TestBlockSolve:
                 x[:, 1] *= 1 + 1e-4
                 return x
 
-        monkeypatch.setattr(scheme, "implicit_lu", lambda m: (Perturbed(), D))
+        monkeypatch.setattr(scheme, "implicit_lu", lambda m: solver._Implicit(Perturbed(), D))
         mat = D if trans == "N" else D.T
         x = Perturbed().solve(rhs, trans)
         # one norm over the whole block would not see the bad column
@@ -825,3 +832,90 @@ class TestFourierPath:
         rhs = np.random.default_rng(11).standard_normal(scheme.nn)
         with pytest.raises(SolverError, match="residual"):
             scheme.solve_implicit(1, rhs)
+
+
+def _march_scheme(case):
+    """A scheme on the Fourier path, or on SuperLU (a dirichlet mesh, or n = 1 with N = 2)."""
+    mode = "dirichlet" if case == "dirichlet" else "periodic"
+    n = 1 if case == "n=1" else 2
+    domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+    mesh = Mesh(domain, (16, 9)[:n], tau=2.0 ** -10, t0=0.0, steps=12)
+    coeffs = (make_preset("rotating", w0=0.5, omega=2.0) if n == 1
+              else make_preset("decoupled-heat-pair" if case == "fourier" else "heat", n=2))
+    scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain), 1.0)
+    assert isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver) == (case == "fourier")
+    return scheme
+
+
+class TestStoredTranspose:
+    @pytest.fixture
+    def store(self, monkeypatch):
+        """A cold, private step store for the test."""
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+
+    @pytest.mark.parametrize("case", ["fourier", "dirichlet", "n=1"])
+    def test_transposed_residual_matrix_built_once(self, store, monkeypatch, case):
+        scheme = _march_scheme(case)
+        pair = scheme.implicit_lu(1)
+        D = pair[1]
+        # a view that shares D's arrays, so the store's byte charge is the pair's alone
+        assert all(np.shares_memory(getattr(D, a), getattr(pair.DT, a))
+                   for a in ("data", "indices", "indptr"))
+        assert solver.cache_info().bytes == solver._factor_bytes(pair)
+        made = []
+        real = type(D).transpose
+        monkeypatch.setattr(type(D), "transpose", lambda *a, **k: made.append(1) or real(*a, **k))
+        rhs = np.random.default_rng(4).standard_normal(scheme.nn)
+        for _ in range(3):
+            x = scheme.solve_implicit(1, rhs, trans="T")
+        assert made == [] and scheme.implicit_lu(1).DT is pair.DT
+        assert np.linalg.norm(real(D) @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+
+
+class TestStreamingMarch:
+    """A march keeps the slices and rows it is asked for, bitwise as the full march has them."""
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("case", ["fourier", "dirichlet", "n=1"])
+    def test_kept_equals_full_march_sliced(self, case, direction, block):
+        scheme = _march_scheme(case)
+        rng = np.random.default_rng(5)
+        shape = (scheme.nn, 3) if block else (scheme.nn,)
+        x, G = rng.standard_normal(shape), rng.standard_normal(shape)
+        march = solver._march_forward if direction == "forward" else solver._march_backward
+
+        def run(keep=solver._Keep()):
+            return march(scheme, 2, 11, x, lambda m: G if m in (4, 5) else None, keep)
+
+        full = run()
+        assert full.shape == shape[1:] + (10, scheme.nn)
+        slices = [2, 5, 6, 11]  # both ends of the window and the source steps
+        at = [m - 2 for m in slices]
+        rows = rng.permutation(scheme.nn)[:20]
+        for keep, want in ((solver._Keep(slices, rows), full[..., at, :][..., rows]),
+                           (solver._Keep(slices), full[..., at, :]),
+                           (solver._Keep(rows=rows), full[..., rows])):
+            kept = run(keep)
+            assert kept.shape == want.shape and kept.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_cells_of_every_component(self, direction):
+        scheme = _march_scheme("n=1")
+        mesh, spec = scheme.mesh, scheme.spec
+        g = np.random.default_rng(6).standard_normal((2, mesh.ncells))
+        cells = np.array([0, 3, 4, 15])
+        lo, hi = float(mesh.times[1]), float(mesh.times[9])
+        full = (solve_forward(spec, mesh, g, None, lo, hi) if direction == "forward"
+                else solve_backward(spec, mesh, g, None, hi, lo))
+        kept = solver._solve(spec, mesh, g, None, lo, hi, 1.0, direction,
+                             solver._Keep.on_cells(mesh, 2, [1, 4, 9], cells))
+        assert kept.tobytes() == full.values[[0, 3, 8]][:, :, cells].tobytes()
+
+    @pytest.mark.parametrize("slices", [[1, 5], [5, 12], [6, 4], [4, 4]])
+    def test_slices_outside_or_out_of_order_rejected(self, slices):
+        scheme = _march_scheme("n=1")
+        x = np.zeros(scheme.nn)
+        for march in (solver._march_forward, solver._march_backward):
+            with pytest.raises(ConfigError, match="kept slices"):
+                march(scheme, 2, 11, x, lambda m: None, solver._Keep(slices))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
                       averaged_green_column, cylinder_average, make_preset,
                       solve_forward, transpose_green_column)
-from greenlab import green, solver
+from greenlab import cli, green, solver
 from greenlab import verify as V
 from greenlab.green import _mollifier
 from greenlab.solver import ThetaScheme
@@ -364,3 +365,160 @@ class TestReport:
         assert d["records"][0]["anchor"] == "semigroup-composition"
         rep.add(V.CheckRecord("bad", "x", "fail", 0.0))
         assert not rep.all_pass
+
+
+# References for the streamed checks: the same computations on whole trajectories.
+
+
+def _whole_ph_decay_fit(spec, mesh, X0, ladder, n_solutions, seed, mu_min=0.9):
+    """``ph_decay_fit`` with each energy read from the whole trajectory."""
+    ladder = sorted(float(r) for r in ladder)
+    xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
+
+    def energy(traj, radius):
+        vals, _ = traj.cylinder(X0, radius, "minus")
+        total = 0.0
+        for ax in range(mesh.n):
+            pts, left, right = mesh.face_positions(ax)
+            inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+            diff = (vals[..., right[inside]] - vals[..., left[inside]]) / mesh.h[ax]
+            total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
+        return total
+
+    rng = np.random.default_rng(seed)
+    slopes, consts = [], []
+    for _ in range(n_solutions):
+        g = rng.standard_normal((spec.coeffs.N, mesh.ncells))
+        traj = solve_forward(spec, mesh, g, None, float(mesh.t0), float(X0[0]))
+        E = np.array([energy(traj, r) for r in ladder])
+        fit = V.loglog_fit(np.asarray(ladder), E)
+        slopes.append(fit.exponent)
+        consts.append(max((E[i] / E[j]) * (ladder[j] / ladder[i]) ** fit.exponent
+                          for i in range(len(ladder)) for j in range(i + 1, len(ladder))))
+    mu0 = (min(slopes) - mesh.n) / 2.0
+    status = ("informational" if spec.coeffs.x_dependent
+              else "pass" if mu0 >= mu_min else "fail")
+    return V.CheckRecord("interior-decay", "interior-energy-decay", status, mu_min,
+                         fitted={"mu0": mu0, "exponent": float(min(slopes)),
+                                 "C0": float(max(consts))},
+                         samples={"ladder": ladder, "solutions": len(slopes)})
+
+
+def _whole_gaffney(spec, mesh, E_mask, F_mask, g, s, t, slack=1.05):
+    """``check_gaffney`` with the whole |E| x |F| gap array and the whole trajectory."""
+    g = np.array(g, dtype=float)
+    g[:, ~F_mask] = 0.0
+    gE, gF = mesh.centers[E_mask], mesh.centers[F_mask]
+    d = float(np.min(np.linalg.norm(mesh.wrap_gaps(gE[:, None, :] - gF[None, :, :]), axis=2)))
+    u_t = solve_forward(spec, mesh, g, None, s, t).values[-1]
+    num = mesh.volume * float(np.sum(u_t[:, E_mask] ** 2))
+    den = mesh.volume * float(np.sum(g[:, F_mask] ** 2))
+    c = spec.coeffs.lam / (2.0 * spec.coeffs.Lam ** 2)
+    bound = math.exp(-c * d * d / (t - s))
+    return V.CheckRecord("gaffney", "offdiagonal-l2-decay",
+                         "pass" if num / den <= slack * bound else "fail", slack,
+                         fitted={"ratio": num / den, "bound": bound, "dist": d, "c": c},
+                         samples={"t-s": t - s})
+
+
+def _whole_sup_ratio(spec, mesh, X0, R, seed):
+    """The ratio ``check_local_boundedness`` reports on one mesh, from the whole trajectory."""
+    rng = np.random.default_rng(seed)
+    modes = rng.integers(1, 4, size=(3, mesh.n))
+    amps = rng.standard_normal(3)
+    phases = rng.random(3) * 2 * math.pi
+    vals = np.zeros(mesh.ncells)
+    for a, md, ph in zip(amps, modes, phases):
+        arg = np.zeros(mesh.ncells)
+        for ax in range(mesh.n):
+            arg += 2 * math.pi * md[ax] * mesh.centers[:, ax] / mesh.domain.lengths[ax]
+        vals += a * np.cos(arg + ph)
+    g = np.tile(vals, (spec.coeffs.N, 1)) + 2.0
+    traj = solve_forward(spec, mesh, g, None, float(mesh.t0), float(X0[0]))
+
+    def cyl(rad):
+        vals, ball = traj.cylinder(X0, rad, "minus")
+        return vals[:, :, ball]
+
+    inner, outer = cyl(R / 4.0), cyl(R)
+    return (float(np.max(np.linalg.norm(inner, axis=1)))
+            / math.sqrt(float(np.mean(np.sum(outer ** 2, axis=1)))))
+
+
+STREAM_CASES = {  # (preset, n, boundary): the Fourier path, SuperLU on dirichlet, and n = 1
+    "fourier": ("decoupled-heat-pair", 2, "periodic"),
+    "dirichlet": ("x-oscillatory", 2, "dirichlet"),
+    "n=1": ("rotating", 1, "periodic"),
+}
+
+
+def _stream_case(case, cells, tau, steps):
+    preset, n, mode = STREAM_CASES[case]
+    domain = Domain((0.0,) * n, (1.0,) * n, mode)
+    kw = {} if preset == "rotating" else {"n": n}
+    return (OperatorSpec(make_preset(preset, **kw), domain),
+            Mesh(domain, (cells,) * n, tau=tau, t0=0.0, steps=steps))
+
+
+class TestStreamedChecks:
+    """Checks that keep only the slices and cells they read report what whole
+    trajectories give, bit for bit, and hold less than one trajectory."""
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_interior_decay_matches_whole_trajectories(self, case):
+        spec, mesh = _stream_case(case, 32, 2.0 ** -10, 64)
+        X0 = (float(mesh.times[-1]), mesh.centers[mesh.ncells // 2 - 5])
+        ladder = [k / 32 for k in (3, 4, 6, 8)]
+        rec = V.ph_decay_fit(spec, mesh, X0, ladder, n_solutions=3, seed=4)
+        assert rec.to_dict() == _whole_ph_decay_fit(spec, mesh, X0, ladder, 3, 4).to_dict()
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_gaffney_matches_whole_trajectory(self, case):
+        spec, mesh = _stream_case(case, 32, 2.0 ** -10, 64)
+        x = mesh.centers[:, 0]
+        E, F = np.abs(x - 0.7) < 0.1, np.abs(x - 0.25) < 0.1
+        g = np.random.default_rng(7).standard_normal((spec.coeffs.N, mesh.ncells))
+        s, t = float(mesh.times[8]), float(mesh.times[64])  # a window that starts late
+        rec = V.check_gaffney(spec, mesh, E, F, g, s, t)
+        assert rec.to_dict() == _whole_gaffney(spec, mesh, E, F, g, s, t).to_dict()
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_local_boundedness_matches_whole_trajectories(self, case):
+        spec, mesh = _stream_case(case, 16, 2.0 ** -9, 48)
+        fine = Mesh(mesh.domain, tuple(2 * c for c in mesh.cells), mesh.tau / 2, 0.0, 96)
+        X0 = (float(mesh.times[-1]), mesh.centers[mesh.ncells // 2 - 5])
+        rec = V.check_local_boundedness(spec, mesh, fine, X0, R=0.25, seed=2)
+        assert rec.fitted == {"ratio": _whole_sup_ratio(spec, mesh, X0, 0.25, 2),
+                              "ratio_refined": _whole_sup_ratio(spec, fine, X0, 0.25, 2)}
+
+    @pytest.mark.parametrize("case", ["fourier", "dirichlet"])
+    def test_duality_2d_matches_per_pair_columns(self, case):
+        spec, mesh = _stream_case(case, 16, 2.0 ** -10, 128)
+        poles = [(40 / 1024, mesh.centers[c]) for c in (4 * 16 + 5, 6 * 16 + 4)]
+        probes = [(80 / 1024, mesh.centers[c]) for c in (10 * 16 + 11, 11 * 16 + 9)]
+        radii = [2 / 16, 3 / 16]
+        pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
+                 for rho in radii for sigma in radii]
+        rec = V.check_duality(spec, mesh, pairs, T=117 / 1024, S=3 / 1024)
+        ref = _per_pair_duality(spec, mesh, pairs, T=117 / 1024, S=3 / 1024)
+        assert rec.to_dict() == ref.to_dict() and rec.status == "pass"
+
+    def test_peaks_below_one_trajectory(self):
+        domain = Domain((0.0, 0.0), (1.0, 1.0), "periodic")
+        mesh = Mesh(domain, (64, 64), tau=2.0 ** -12, t0=0.0, steps=256)
+        spec = OperatorSpec(make_preset("heat", n=2), domain)
+        ThetaScheme(mesh, spec, 1.0).implicit_lu(1)  # the step store, shared by every check
+        trajectory = (mesh.steps + 1) * mesh.ncells * 8  # bytes of one whole trajectory
+        ctx = cli.Context("heat-64", spec, mesh, 1.0, 0)
+        X0 = (float(mesh.times[-1]), mesh.centers[32 * 64 + 32])
+        ladder = [k / 64 for k in (4, 6, 8, 12, 16)]  # the outer cylinder spans all 256 slabs
+        for check in (lambda: cli._run_adjoint(ctx),
+                      lambda: V.ph_decay_fit(spec, mesh, X0, ladder, n_solutions=2)):
+            tracemalloc.start()
+            try:
+                rec = check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.status == "pass"
+            assert peak < trajectory, (rec.name, peak)
