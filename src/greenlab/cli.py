@@ -65,6 +65,13 @@ def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
     return mesh.centers[flat]
 
 
+def _listed(check: str, key: str, values) -> list:
+    """The list a scenario gives for ``check``'s ``key``; it must not be empty."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{check}: {key} must be a non-empty list")
+    return list(values)
+
+
 def _rho_from_cells(mesh: Mesh, k) -> float:
     return float(k) * float(np.max(mesh.h))
 
@@ -153,10 +160,12 @@ def _run_duality(ctx: Context, y_fracs=(None,), x_fracs=(None,), rho_cells=(4,),
     mesh = ctx.mesh
     s_step = int(mesh.steps // 4 if s_step is None else s_step)
     t_step = int((3 * mesh.steps) // 4 if t_step is None else t_step)
-    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
-    sigmas = [_rho_from_cells(mesh, k) for k in sigma_cells]
-    poles = [(_time(mesh, s_step), _cell_at_frac(mesh, f, 0.25)) for f in y_fracs]
-    probes = [(_time(mesh, t_step), _cell_at_frac(mesh, f, 0.75)) for f in x_fracs]
+    rhos = [_rho_from_cells(mesh, k) for k in _listed("duality", "rho_cells", rho_cells)]
+    sigmas = [_rho_from_cells(mesh, k) for k in _listed("duality", "sigma_cells", sigma_cells)]
+    poles = [(_time(mesh, s_step), _cell_at_frac(mesh, f, 0.25))
+             for f in _listed("duality", "y_fracs", y_fracs)]
+    probes = [(_time(mesh, t_step), _cell_at_frac(mesh, f, 0.75))
+              for f in _listed("duality", "x_fracs", x_fracs)]
     pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
              for rho in rhos for sigma in sigmas]
     S_idx = s_step - _cylinder_steps(mesh, max(rhos)) - 1
@@ -182,7 +191,7 @@ def _run_normalization(ctx: Context, s_step=0, t_step=None, tolerance=1e-12):
 
 def _run_causality(ctx: Context, rho_cells=(6, 4), s_step=None, t_step=None, y_frac=None):
     mesh = ctx.mesh
-    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
+    rhos = [_rho_from_cells(mesh, k) for k in _listed("causality", "rho_cells", rho_cells)]
     Y = (_time(mesh, s_step, _cylinder_steps(mesh, max(rhos)) + 1),
          _cell_at_frac(mesh, y_frac, 0.5))
     return V.check_causality(ctx.spec, mesh, Y, rhos, _time(mesh, t_step, mesh.steps))
@@ -191,7 +200,7 @@ def _run_causality(ctx: Context, rho_cells=(6, 4), s_step=None, t_step=None, y_f
 def _run_heat_kernel(ctx: Context, rho_cells=(8, 6, 4), s_step=None, dt=0.05, y_frac=None,
                      tolerance=0.02, radius_factor=3.0):
     mesh = ctx.mesh
-    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
+    rhos = [_rho_from_cells(mesh, k) for k in _listed("heat-kernel", "rho_cells", rho_cells)]
     s_step = int(_cylinder_steps(mesh, max(rhos)) if s_step is None else s_step)
     t_step = s_step + max(1, int(round(float(dt) / mesh.tau)))
     if t_step > mesh.steps:
@@ -243,7 +252,7 @@ def _run_gaussian(ctx: Context, rho_cells=4, s_step=None, dt_steps=None, y_frac=
     left = mesh.steps - s_step
     if dt_steps is None:
         dt_steps = [left // 3, 2 * left // 3, left]
-    times = [_time(mesh, s_step + int(k)) for k in dt_steps]
+    times = [_time(mesh, s_step + int(k)) for k in _listed("gaussian", "dt_steps", dt_steps)]
     Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.5))
     samples = V.gaussian_samples(ctx.spec, mesh, Y, times, rho)
     return V.fit_gaussian(samples, ctx.spec.coeffs.lam, ctx.spec.coeffs.Lam, mesh.n,
@@ -256,6 +265,8 @@ def _run_pointwise_decay(ctx: Context, rho_cells=2, s_step=None, d_min_cells=6, 
     rho = _rho_from_cells(mesh, rho_cells)
     d_min = float(d_min_cells) * float(np.max(mesh.h))
     npts, decade = int(n_points), float(decade)
+    if npts < 2:
+        raise ConfigError(f"pointwise-decay: n_points must be at least 2, got {npts}")
     ds = [d_min * 10 ** (decade * k / (npts - 1)) for k in range(npts)]
     s_step = int(_cylinder_steps(mesh, rho) if s_step is None else s_step)
     Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.1))
@@ -303,7 +314,7 @@ def _run_initial_trace(ctx: Context, width=None, x0_frac=None, s_step=0,
     x0 = _cell_at_frac(mesh, x0_frac, 0.5)
     g = _bump_datum(ctx, width, x0)
     s_step = int(s_step)
-    t_list = [_time(mesh, s_step + int(k)) for k in t_steps]
+    t_list = [_time(mesh, s_step + int(k)) for k in _listed("initial-trace", "t_steps", t_steps)]
     return V.initial_trace_test(ctx.spec, mesh, g, x0, _time(mesh, s_step), t_list,
                                 tolerance=float(tolerance), theta=ctx.theta)
 

@@ -13,6 +13,8 @@ pole share their source window, so ``green_block_columns`` and
 single-component ``averaged_green_column`` and ``transpose_green_column``.
 The public builders keep the whole window; the duality check asks the same
 builder for only the slices and cells of the cylinders it averages over.
+Columns and ``propagator``, which marches the identity block and keeps its
+last slice, all step through the solver's one marcher, ``solver._march``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
-from .solver import ThetaScheme, _Keep, _march_backward, _march_forward
+from .solver import ThetaScheme, _Keep, _march
 
 GREEN_THETA = 1.0  # Green objects are built with the implicit Euler scheme
 
@@ -38,11 +40,11 @@ def heat_kernel(n: int, t: float, r) -> np.ndarray:
     return (4.0 * math.pi * t) ** (-n / 2.0) * np.exp(-(r ** 2) / (4.0 * t))
 
 
-def wrapped_heat_kernel(n: int, t: float, dx, lengths, images: int = 6) -> np.ndarray:
+def wrapped_heat_kernel(n: int, t: float, dx, lengths) -> np.ndarray:
     """Torus heat kernel: image sum of the free kernel over lattice shifts."""
     dx = np.atleast_2d(np.asarray(dx, dtype=float))
     L = np.asarray(lengths, dtype=float)
-    shifts = np.arange(-images, images + 1)
+    shifts = np.arange(-6, 7)  # six lattice images per axis and side
     if n == 1:
         d = dx[:, 0][:, None] + shifts[None, :] * L[0]
         return heat_kernel(1, t, np.abs(d)).sum(axis=1)
@@ -144,17 +146,10 @@ def _green_block(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizo
     def src(m):
         return G if m in active else None
 
-    scheme = ThetaScheme(mesh, spec, GREEN_THETA)
-    if forward:
-        i0, i1 = active.start, mesh.time_index(horizon)
-        if i1 <= i0:
-            raise ConfigError("need T > s on the time grid")
-        block = _march_forward(scheme, i0, i1, np.zeros_like(G), src, keep)
-    else:
-        i0, i1 = mesh.time_index(horizon), active.stop
-        if i1 <= i0:
-            raise ConfigError("need b > S on the time grid")
-        block = _march_backward(scheme, i0, i1, np.zeros_like(G), src, keep)
+    i0, i1 = ((active.start, mesh.time_index(horizon)) if forward
+              else (mesh.time_index(horizon), active.stop))
+    block = _march(ThetaScheme(mesh, spec, GREEN_THETA), i0, i1, np.zeros_like(G), src, keep,
+                   backward=not forward)
     return i0, block.reshape(block.shape[:2] + (N, block.shape[2] // N))
 
 
@@ -218,20 +213,15 @@ class Propagator:
         return R
 
 
-def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
-               theta: float = GREEN_THETA, cap: int = PROPAGATOR_CAP) -> Propagator:
-    """Assemble P(t, s) by composing the per-step dense solution operators."""
-    scheme = ThetaScheme(mesh, spec, theta)
-    if scheme.nn > cap:
-        raise ConfigError(f"propagator size {scheme.nn} exceeds cap {cap}")
+def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float) -> Propagator:
+    """P(t, s): the identity block marched from s to t; column j is unit state j's march."""
+    scheme = ThetaScheme(mesh, spec, GREEN_THETA)
+    if scheme.nn > PROPAGATOR_CAP:
+        raise ConfigError(f"propagator size {scheme.nn} exceeds cap {PROPAGATOR_CAP}")
     i0, i1 = mesh.time_index(s), mesh.time_index(t)
-    if i1 <= i0:
-        raise ConfigError("need t > s on the grid")
-    X = np.eye(scheme.nn)
-    for m in range(i0, i1):
-        X = scheme.explicit(m) @ X
-        X = scheme.solve_implicit(m + 1, X)
-    return Propagator(mesh, float(mesh.times[i0]), float(mesh.times[i1]), X, scheme.N)
+    out = _march(scheme, i0, i1, np.eye(scheme.nn), lambda m: None, _Keep([i1]))
+    # keep the F-ordered view: a C-ordered copy changes the reduction order of row_sums
+    return Propagator(mesh, float(mesh.times[i0]), float(mesh.times[i1]), out[:, 0].T, scheme.N)
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +254,7 @@ def _rho_ladder(rho_list) -> np.ndarray:
 
 
 def rho_refinement(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
-                   X_probe, T: float | None = None) -> RhoTable:
+                   X_probe) -> RhoTable:
     """Sample one Green column at a probe across a ladder of radii.
 
     Extrapolates with the quadratic-in-rho model (averaging a twice
@@ -276,10 +266,9 @@ def rho_refinement(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
     tp, xp = float(X_probe[0]), X_probe[1]
     if mesh.pdist((tp, xp), (float(Y[0]), Y[1])) <= 3.0 * rhos[0]:
         raise ConfigError("probe must satisfy |X - Y|_p > 3 * max(rho)")
-    horizon = tp if T is None else float(T)
     vals = []
     for r in rhos:
-        col = averaged_green_column(spec, mesh, Y, k, float(r), horizon)
+        col = averaged_green_column(spec, mesh, Y, k, float(r), tp)
         vals.append(col.value_at(tp, xp))
     vals = np.asarray(vals)
     w = _rho_weights(rhos)

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import ConfigError
 from .problem import Domain
 
+GRID_TOL = 1e-9  # snap tolerance onto the grid: in cells for points, relative steps for times
+
 
 def _torus_gaps(gaps, lengths) -> np.ndarray:
     """Shortest representatives of coordinate gaps (last axis) on a torus."""
@@ -113,7 +115,7 @@ class Mesh:
             mask[tuple(sl)] = False
         return mask.ravel()
 
-    def cell_index(self, x, tol: float = 1e-9) -> int:
+    def cell_index(self, x) -> int:
         """Flat index of the cell whose center is x (must be on the grid)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = []
@@ -122,15 +124,15 @@ class Mesh:
             k = int(round(pos))
             if self.periodic:
                 k %= self.cells[ax]
-            if not 0 <= k < self.cells[ax] or abs(pos - round(pos)) > tol:
+            if not 0 <= k < self.cells[ax] or abs(pos - round(pos)) > GRID_TOL:
                 raise ConfigError(f"point {x} is not a grid cell center")
             idx.append(k)
         return int(np.ravel_multi_index(idx, self.cells))
 
-    def time_index(self, t: float, tol: float = 1e-9) -> int:
+    def time_index(self, t: float) -> int:
         pos = (t - self.t0) / self.tau
         k = int(round(pos))
-        if abs(pos - k) > tol * max(1.0, abs(pos)):
+        if abs(pos - k) > GRID_TOL * max(1.0, abs(pos)):
             raise ConfigError(f"time {t} is not on the mesh time grid")
         if not 0 <= k <= self.steps:
             raise ConfigError(f"time {t} is step {k} of the time lattice, outside the mesh "

@@ -356,35 +356,31 @@ class ParabolicityReport:
     ok: bool
 
 
-def _sample_points(coeffs, sample_count, rng, box=None, t_span=(0.0, 1.0)):
-    n = coeffs.n
-    if box is None:
-        box = (np.zeros(n), np.ones(n))
-    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-    ts = np.linspace(t_span[0], t_span[1], max(2, int(math.isqrt(sample_count)) + 1))
-    pts = lo + (hi - lo) * rng.random((sample_count, n))
+def _sample_points(coeffs, sample_count, rng):
+    """Sample times in [0, 1] and points in the unit box."""
+    ts = np.linspace(0.0, 1.0, max(2, int(math.isqrt(sample_count)) + 1))
+    pts = rng.random((sample_count, coeffs.n))
     return ts, pts
 
 
 def validate_parabolicity(coeffs: CoefficientField, sample_count: int,
-                          tol: float | None = None, seed: int = 0,
-                          box=None) -> ParabolicityReport:
+                          seed: int = 0) -> ParabolicityReport:
     """Audit the declared (lam, Lam) by sampling the quadratic form.
 
     lambda_est is the minimum of the form over sampled (t, x) and a set of
     directions xi (coordinate axes, random unit vectors, and the extremal
     eigendirection of the symmetrized tensor at each sample).  Lambda_est
     is the largest sampled Frobenius norm.  ``ok`` holds when both sit on
-    the declared side of the constants within ``tol``.
+    the declared side of the constants within 1e-12 (1e-8 for a loaded
+    table).
     """
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
-    if tol is None:
-        tol = 1e-8 if coeffs.from_table else 1e-12
+    tol = 1e-8 if coeffs.from_table else 1e-12
     rng = np.random.default_rng(seed)
     n, N = coeffs.n, coeffs.N
     d = n * N
-    ts, pts = _sample_points(coeffs, sample_count, rng, box=box)
+    ts, pts = _sample_points(coeffs, sample_count, rng)
 
     dirs = [np.eye(d)]
     nrand = max(8, 4 * d)

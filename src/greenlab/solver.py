@@ -34,18 +34,20 @@ evaluated, never from a flag such as ``CoefficientField.x_dependent``:
 With theta = 1 the explicit side is the identity, stored once per scheme
 and built without assembling anything; the steps skip multiplying by it.
 
-One private marcher per direction runs the time loop, for a flat (nn,)
-state or an (nn, B) block of B states sharing every step's solver;
-``solve_forward``/``solve_backward`` march one state, the Green column
-builders march all source components of a pole as one block, and
-``propagator`` solves an (nn, nn) block.  Both solvers solve a block
-bitwise equal to its columns one by one.  Every solve checks the relative
-residual of each column against ``RESIDUAL_TOL`` with the assembled D, so
-a bad small column cannot hide behind a large one and a wrong Fourier
-symbol fails loudly; the residual of a ``trans="T"`` solve uses D's
-transpose, built once per stored step as a view of D's arrays.
+One private marcher, ``_march``, runs every time loop, forward or (with
+``backward``) through the adjoint steps, for a flat (nn,) state or an
+(nn, B) block of B states sharing every step's solver; it alone checks
+that a window spans a step.  ``solve_forward``/``solve_backward`` march
+one state, the Green column builders march all source components of a
+pole as one block, and ``green.propagator`` marches the (nn, nn) identity
+block.  Both solvers solve a block bitwise equal to its columns one by
+one.  Every solve checks the relative residual of each column against
+``RESIDUAL_TOL`` with the assembled D, so a bad small column cannot hide
+behind a large one and a wrong Fourier symbol fails loudly; the residual
+of a ``trans="T"`` solve uses D's transpose, built once per stored step as
+a view of D's arrays.
 
-A marcher keeps what a ``_Keep`` names: the slices at some mesh time
+The marcher keeps what a ``_Keep`` names: the slices at some mesh time
 indices and some flat state rows, copied as the march passes them, so a
 check that reads one slice or one cylinder holds that and not the whole
 (steps + 1, N, ncells) field.  The default keeps every slice and row, which
@@ -426,51 +428,37 @@ class _Keep(NamedTuple):
         """Keep ``slices`` and all N components at the flat cells ``cells``."""
         return cls(slices, (np.arange(N)[:, None] * mesh.ncells + cells).ravel())
 
-    def start(self, i0: int, i1: int, x: np.ndarray):
-        """An empty array for what is kept of a march over t_{i0}..t_{i1} of
-        states shaped like x, and ``put(m, state)``, which fills slice m."""
-        slices = range(i0, i1 + 1) if self.slices is None else [int(m) for m in self.slices]
-        if self.slices is not None and (slices != sorted(set(slices))
-                                        or not all(i0 <= m <= i1 for m in slices)):
-            raise ConfigError("kept slices must be increasing steps inside the march "
-                              f"window {i0}..{i1}")
-        slot = {m: j for j, m in enumerate(slices)}
-        rows = slice(None) if self.rows is None else self.rows
-        nrows = x.shape[0] if self.rows is None else len(self.rows)
-        out = np.empty(x.shape[1:] + (len(slot), nrows))
 
-        def put(m, state):
-            j = slot.get(m)
-            if j is not None:
-                out[..., j, :] = state[rows].T
+def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
+           keep: _Keep = _Keep(), backward: bool = False) -> np.ndarray:
+    """Steps over t_{i0}..t_{i1} of a flat state (nn,) or a block (nn, B).
 
-        return out, put
-
-
-def _march_forward(scheme: ThetaScheme, i0: int, i1: int, u: np.ndarray, src,
-                   keep: _Keep = _Keep()) -> np.ndarray:
-    """Forward steps t_{i0} -> t_{i1} of a flat state (nn,) or a block (nn, B).
-
-    ``src(m)`` gives the step's source, shaped like ``u`` (or None).  Returns
-    the kept states as (slices, rows), or (B, slices, rows) for a block; by
-    default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
+    Forward steps start from x at t_{i0}; with ``backward`` adjoint steps
+    start from x at t_{i1}.  ``src(m)`` gives step m's source, shaped like x
+    (or None).  Returns the kept states as (slices, rows), or (B, slices,
+    rows) for a block; by default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
     """
-    out, put = keep.start(i0, i1, u)
-    put(i0, u)
-    for m in range(i0, i1):
-        u = scheme.forward_step(m, u, src(m))
-        put(m + 1, u)
-    return out
+    if i1 <= i0:
+        raise ConfigError(f"the march window {i0}..{i1} must span at least one time step")
+    slices = range(i0, i1 + 1) if keep.slices is None else [int(m) for m in keep.slices]
+    if keep.slices is not None and (slices != sorted(set(slices))
+                                    or not all(i0 <= m <= i1 for m in slices)):
+        raise ConfigError("kept slices must be increasing steps inside the march "
+                          f"window {i0}..{i1}")
+    slot = {m: j for j, m in enumerate(slices)}
+    rows = slice(None) if keep.rows is None else keep.rows
+    out = np.empty(x.shape[1:] + (len(slot), x.shape[0] if keep.rows is None else len(rows)))
 
+    def put(m, state):
+        j = slot.get(m)
+        if j is not None:
+            out[..., j, :] = state[rows].T
 
-def _march_backward(scheme: ThetaScheme, i0: int, i1: int, w: np.ndarray, src,
-                    keep: _Keep = _Keep()) -> np.ndarray:
-    """Adjoint steps t_{i1} -> t_{i0}; shapes as in ``_march_forward``."""
-    out, put = keep.start(i0, i1, w)
-    put(i1, w)
-    for m in range(i1 - 1, i0 - 1, -1):
-        w = scheme.backward_step(m, w, src(m))
-        put(m, w)
+    step = scheme.backward_step if backward else scheme.forward_step
+    put(i1 if backward else i0, x)
+    for m in (range(i1 - 1, i0 - 1, -1) if backward else range(i0, i1)):
+        x = step(m, x, src(m))
+        put(m if backward else m + 1, x)
     return out
 
 
@@ -481,14 +469,9 @@ def _solve(spec: OperatorSpec, mesh: Mesh, g, f, lo: float, hi: float, theta: fl
     Returns what ``keep`` keeps, as (slices, N, kept cells).
     """
     scheme = ThetaScheme(mesh, spec, theta)
-    forward = direction == "forward"
-    i0, i1 = mesh.time_index(lo), mesh.time_index(hi)
-    if i1 <= i0:
-        raise ConfigError("need T > s on the time grid" if forward
-                          else "need b > S on the time grid")
-    src = _slab_source_fn(scheme, f)
     x = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
-    out = (_march_forward if forward else _march_backward)(scheme, i0, i1, x, src, keep)
+    out = _march(scheme, mesh.time_index(lo), mesh.time_index(hi), x,
+                 _slab_source_fn(scheme, f), keep, direction == "backward")
     return out.reshape(len(out), scheme.N, out.shape[1] // scheme.N)
 
 

@@ -155,6 +155,8 @@ def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
     (Y, rho) and transpose (X, sigma) block is marched once.
     """
     pairs = list(pairs)
+    if not pairs:
+        raise ConfigError("duality needs at least one (Y, X, rho, sigma) pair")
     fwd = _block_averages(spec, mesh, [(Y, rho, X, sigma) for Y, X, rho, sigma in pairs],
                           T, "forward")
     bwd = _block_averages(spec, mesh, [(X, sigma, Y, rho) for Y, X, rho, sigma in pairs],
@@ -312,20 +314,19 @@ def fit_pointwise_decay(samples_d, samples_g, n: int, margin: float = 0.15) -> C
                        samples={"distances": [float(v) for v in d]})
 
 
-def gaussian_samples(spec: OperatorSpec, mesh: Mesh, Y, times, rho: float,
-                     wrap_cut: float = 0.4, floor_rel: float = 1e-10):
+def gaussian_samples(spec: OperatorSpec, mesh: Mesh, Y, times, rho: float):
     """(dt, |x-y|, |Gamma^rho|_op) samples for the Gaussian bound fit.
 
-    Samples beyond ``wrap_cut`` times the box size, or with magnitude below
-    ``floor_rel`` of the slice peak, are excluded (torus wrap-around and
-    roundoff would otherwise pollute the far tail).
+    Samples beyond 0.4 times the smallest box side, or with magnitude below
+    1e-10 of the slice peak, are excluded (torus wrap-around and roundoff
+    would otherwise pollute the far tail).
     """
     s = float(Y[0])
     y = np.atleast_1d(np.asarray(Y[1], dtype=float))
     t_max = max(times)
     cols = green_block_columns(spec, mesh, Y, rho, t_max)
     dist = np.linalg.norm(mesh.wrap_gaps(mesh.centers - y[None, :]), axis=1)
-    keep_dist = dist <= wrap_cut * float(np.min(mesh.domain.lengths))
+    keep_dist = dist <= 0.4 * float(np.min(mesh.domain.lengths))
     N = spec.coeffs.N
     out = []
     for t in times:
@@ -338,15 +339,14 @@ def gaussian_samples(spec: OperatorSpec, mesh: Mesh, Y, times, rho: float,
         for k, col in enumerate(cols):
             blocks[:, :, k] = col.field.slice_at(t_snap).T
         norms = operator_norms(blocks)
-        floor = floor_rel * float(norms.max())
+        floor = 1e-10 * float(norms.max())
         keep = keep_dist & (norms > floor)
         for dd, g in zip(dist[keep], norms[keep]):
             out.append((dt, float(dd), float(g)))
     return out
 
 
-def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0,
-                 slack: float = 0.0) -> CheckRecord:
+def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0) -> CheckRecord:
     """Largest kappa for which |Gamma| <= C (t-s)^{-n/2} exp(-kappa xi^2), C <= c_max.
 
     Passes when that rate is at least lam / (8 Lam^2), the conservative
@@ -377,7 +377,7 @@ def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0,
             else:
                 hi = mid
         kappa_fit = lo
-    status = "pass" if kappa_fit >= kappa_target * (1.0 - slack) else "fail"
+    status = "pass" if kappa_fit >= kappa_target else "fail"
     return CheckRecord("gaussian", "gaussian-upper-bound", status, c_max,
                        fitted={"kappa_fit": kappa_fit, "kappa_target": kappa_target,
                                "C_at_target": c_fit(kappa_target)},
@@ -464,17 +464,16 @@ def _cylinder_measure(r: float, n: int) -> float:
     return 2.0 * r * r * ball
 
 
-def weak_lp_levels(column, thresholds=None, use_gradient: bool = False,
-                   margin: float = 0.2, r_hi_factor: float = 3.0) -> CheckRecord:
+def weak_lp_levels(column, use_gradient: bool = False, margin: float = 0.2) -> CheckRecord:
     """Superlevel-set measure of a column (or its gradient) vs the threshold.
 
     Measures |{|Gamma^rho| > tau}| with the cell-counted space-time measure
     and fits the log-log slope; the target exponents are -(n+2)/n for
-    values and -(n+2)/(n+1) for gradients.  When no thresholds are given,
-    a decade is placed measure-matched to the resolvable window: the top
-    threshold is the level whose set fills a parabolic cylinder of radius
-    ``r_hi_factor * rho`` (above the mollifier scale), and the ladder must
-    stay inside the box and the time horizon.
+    values and -(n+2)/(n+1) for gradients.  The thresholds are one decade
+    placed measure-matched to the resolvable window: the top threshold is
+    the level whose set fills a parabolic cylinder of radius 3 rho (above
+    the mollifier scale), and the ladder must stay inside the box and the
+    time horizon.
     """
     mesh = column.mesh
     traj = column.field
@@ -495,16 +494,10 @@ def weak_lp_levels(column, thresholds=None, use_gradient: bool = False,
     s_pole = float(column.pole[0])
     horizon = column.field.window[1] - s_pole
     r_max = min(float(np.min(mesh.domain.lengths)) / 4.0, math.sqrt(max(horizon, 0.0)))
-    if thresholds is None:
-        m_hi = _cylinder_measure(r_hi_factor * column.rho, n)
-        k = int(round(m_hi / weight))
-        if not 1 <= k < len(samples):
-            raise ConfigError("window too small to resolve the top level set")
-        tau_hi = float(samples[-k])
-        thresholds = tau_hi * 10.0 ** np.linspace(-1.0, 0.0, 9)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.max() / thresholds.min() < 10.0 * (1 - 1e-9):
-        raise ConfigError("thresholds must span at least one decade")
+    k = int(round(_cylinder_measure(3.0 * column.rho, n) / weight))
+    if not 1 <= k < len(samples):
+        raise ConfigError("window too small to resolve the top level set")
+    thresholds = float(samples[-k]) * 10.0 ** np.linspace(-1.0, 0.0, 9)
     meas = _level_measure(samples, weight, thresholds)
     if np.any(meas == 0):
         raise ConfigError("thresholds exceed the sampled range")

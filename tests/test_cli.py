@@ -91,6 +91,25 @@ def test_step_outside_window_exit_2(tmp_path, capsys, t_step):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("check, key, value", [
+    ("duality", "rho_cells", []), ("duality", "sigma_cells", []),
+    ("duality", "y_fracs", []), ("duality", "x_fracs", []),
+    ("causality", "rho_cells", []), ("heat-kernel", "rho_cells", []),
+    ("gaussian", "dt_steps", []), ("initial-trace", "t_steps", []),
+    ("pointwise-decay", "n_points", 1),
+])
+def test_empty_or_short_list_parameter_exit_2(tmp_path, capsys, check, key, value):
+    # exit 1 is a failing check; a list too short to sample from is a bad scenario
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["checks"] = [{"name": check, key: value}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{check}: {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_past_window_names_window_and_step(tmp_path, capsys):
     # the longest default ray lands on lattice step 3604 of a 640-step window
     sc = {

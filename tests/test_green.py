@@ -213,11 +213,37 @@ class TestPropagator:
         with pytest.raises(SolverError, match="residual"):
             propagator(heat_spec, mesh32, 0.0, 4 / 512)
 
-    def test_size_cap(self, periodic_1d):
+    def test_size_cap(self, monkeypatch, periodic_1d):
         mesh = Mesh(periodic_1d, (64,), tau=1 / 512, t0=0.0, steps=8)
         spec = OperatorSpec(make_preset("heat", n=1), periodic_1d)
-        with pytest.raises(ConfigError):
-            propagator(spec, mesh, 0.0, 8 / 512, cap=32)
+        monkeypatch.setattr(green, "PROPAGATOR_CAP", 32)
+        with pytest.raises(ConfigError, match="exceeds cap 32"):
+            propagator(spec, mesh, 0.0, 8 / 512)
+
+    @pytest.mark.parametrize("case", ["heat-1d", "rotating-1d", "fourier-2d"])
+    def test_columns_are_single_column_marches(self, monkeypatch, case):
+        """Column j of P is the forward march of unit state j, bit for bit, and P
+        steps through ``ThetaScheme.forward_step`` once per step."""
+        n = 2 if case == "fourier-2d" else 1
+        domain = Domain((0.0,) * n, (1.0,) * n, "periodic")
+        mesh = Mesh(domain, (8,) * n if n == 2 else (16,), tau=1 / 512, t0=0.0, steps=8)
+        coeffs = {"heat-1d": make_preset("heat", n=1),
+                  "rotating-1d": make_preset("rotating", omega=2.0),
+                  "fourier-2d": make_preset("decoupled-heat-pair", n=2)}[case]
+        spec = OperatorSpec(coeffs, domain)
+        stepped = []
+        real = ThetaScheme.forward_step
+        monkeypatch.setattr(ThetaScheme, "forward_step",
+                            lambda self, m, *args: stepped.append(m) or real(self, m, *args))
+        i0, i1 = 2, 7
+        s, t = float(mesh.times[i0]), float(mesh.times[i1])
+        P = propagator(spec, mesh, s, t).P
+        assert stepped == list(range(i0, i1))
+        for j in range(P.shape[1]):
+            e = np.zeros(P.shape[0])
+            e[j] = 1.0
+            col = solve_forward(spec, mesh, e.reshape(coeffs.N, -1), None, s, t).values[-1]
+            assert col.ravel().tobytes() == P[:, j].tobytes()
 
     def test_scaling_covariance_bitwise(self, mesh32, periodic_1d):
         # doubling the coefficients and halving the step leaves P unchanged

@@ -1,4 +1,5 @@
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, SolverError,
                       Trajectory,
                       assemble, averaged_green_column, dense_spacetime_oracle,
-                      make_preset, parabolic_distance, solve_backward, solve_forward,
-                      transpose_green_column, wrapped_heat_kernel)
+                      make_preset, parabolic_distance, propagator, solve_backward,
+                      solve_forward, transpose_green_column, wrapped_heat_kernel)
 from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
 from greenlab.verify import _cylinder_energy, _face_cells
@@ -664,8 +665,8 @@ class TestStepLayer:
         reached = []
         g = np.random.default_rng(2).standard_normal((1, 32))
         with pytest.raises(ConfigError, match="non-finite coefficient"):
-            solver._march_forward(ThetaScheme(mesh32, spec, 1.0), 0, 10, g.ravel(),
-                                  lambda m: reached.append(m))
+            solver._march(ThetaScheme(mesh32, spec, 1.0), 0, 10, g.ravel(),
+                          lambda m: reached.append(m))
         assert reached == [0, 1, 2, 3, 4]  # the step into t_5 is the first to fail
 
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
@@ -883,10 +884,9 @@ class TestStreamingMarch:
         rng = np.random.default_rng(5)
         shape = (scheme.nn, 3) if block else (scheme.nn,)
         x, G = rng.standard_normal(shape), rng.standard_normal(shape)
-        march = solver._march_forward if direction == "forward" else solver._march_backward
-
         def run(keep=solver._Keep()):
-            return march(scheme, 2, 11, x, lambda m: G if m in (4, 5) else None, keep)
+            return solver._march(scheme, 2, 11, x, lambda m: G if m in (4, 5) else None, keep,
+                                 backward=direction == "backward")
 
         full = run()
         assert full.shape == shape[1:] + (10, scheme.nn)
@@ -912,10 +912,32 @@ class TestStreamingMarch:
                              solver._Keep.on_cells(mesh, 2, [1, 4, 9], cells))
         assert kept.tobytes() == full.values[[0, 3, 8]][:, :, cells].tobytes()
 
+    def test_window_without_a_step_is_one_error(self, mesh32, heat_spec):
+        """Every march path rejects a window that spans no step with the marcher's error."""
+        r, y = 4 / 32, mesh32.centers[16]  # the pole's cylinders span 8 slabs
+        s = float(mesh32.times[20])
+        first, last = float(mesh32.times[12]), float(mesh32.times[28])
+        calls = {
+            "solve_forward": lambda: solve_forward(heat_spec, mesh32, None, None, s, s),
+            "solve_backward": lambda: solve_backward(heat_spec, mesh32, None, None, s, s),
+            # the forward column starts at its source's first slice, the transpose
+            # column at its source's last one
+            "averaged_green_column":
+                lambda: averaged_green_column(heat_spec, mesh32, (s, y), 1, r, first),
+            "transpose_green_column":
+                lambda: transpose_green_column(heat_spec, mesh32, (s, y), 1, r, last),
+            "propagator": lambda: propagator(heat_spec, mesh32, s, s),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert re.fullmatch(r"the march window (\d+)\.\.\1 must span at least one time "
+                                r"step", str(err.value)), name
+
     @pytest.mark.parametrize("slices", [[1, 5], [5, 12], [6, 4], [4, 4]])
     def test_slices_outside_or_out_of_order_rejected(self, slices):
         scheme = _march_scheme("n=1")
         x = np.zeros(scheme.nn)
-        for march in (solver._march_forward, solver._march_backward):
+        for backward in (False, True):
             with pytest.raises(ConfigError, match="kept slices"):
-                march(scheme, 2, 11, x, lambda m: None, solver._Keep(slices))
+                solver._march(scheme, 2, 11, x, lambda m: None, solver._Keep(slices), backward)

@@ -83,6 +83,10 @@ class TestDuality:
         assert rec.status == "pass"
         assert rec.fitted["max_residual"] <= 1e-12
 
+    def test_no_pairs_rejected(self, mesh32, heat_spec):
+        with pytest.raises(ConfigError, match="at least one"):
+            V.check_duality(heat_spec, mesh32, [], T=64 / 512, S=0.0)
+
     def test_nonsymmetric_system(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("rotating", omega=2.0), periodic_1d)
         pairs = [((16 / 512, mesh32.centers[8]), (44 / 512, mesh32.centers[22]),
