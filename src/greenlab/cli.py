@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -65,9 +66,38 @@ def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
     return mesh.centers[flat]
 
 
+# A check parameter's JSON type is its builder's annotation: float is any
+# number, int an integer, list[X] a list of X values and a union any of its
+# arms.  ``_check_params`` holds every scenario value to it.
+Frac = float | list[float]  # one box fraction for every axis, or one per axis
+
+_JSON_NAMES = {float: ("a number", "numbers"), int: ("an integer", "integers"),
+               bool: ("true or false", "booleans"), type(None): ("null", "nulls")}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has the type of a builder annotation."""
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(kind)[0]) for v in value)
+    if get_args(kind):
+        return any(_fits(value, arm) for arm in get_args(kind))
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _describe(kind, many: bool = False) -> str:
+    """A builder annotation's JSON type in words, plural when ``many``."""
+    if get_origin(kind) is list:
+        return ("lists of " if many else "a list of ") + _describe(get_args(kind)[0], True)
+    if get_args(kind):
+        return " or ".join(_describe(arm, many) for arm in get_args(kind))
+    return _JSON_NAMES[kind][many]
+
+
 def _listed(check: str, key: str, values) -> list:
     """The list a scenario gives for ``check``'s ``key``; it must not be empty."""
-    if not isinstance(values, (list, tuple)) or not values:
+    if not values:
         raise ConfigError(f"{check}: {key} must be a non-empty list")
     return list(values)
 
@@ -120,9 +150,19 @@ def load_scenario(path) -> dict:
             raise ConfigError("every check needs a name")
         if chk["name"] not in CHECKS:
             raise ConfigError(f"unknown check name {chk['name']!r}")
-        allowed, _ = CHECKS[chk["name"]]
-        _require_keys(chk, allowed | {"name"}, f"check {chk['name']!r}")
+        _check_params(chk)
     return sc
+
+
+def _check_params(chk: dict) -> None:
+    """Reject a check config's unknown keys and values of the wrong JSON type."""
+    name = chk["name"]
+    kinds, _ = CHECKS[name]
+    _require_keys(chk, set(kinds) | {"name"}, f"check {name!r}")
+    for key, value in chk.items():
+        if key != "name" and not _fits(value, kinds[key]):
+            raise ConfigError(f"{name}: {key} must be {_describe(kinds[key])}, "
+                              f"got {json.dumps(value)}")
 
 
 def build_context(sc: dict) -> Context:
@@ -155,8 +195,10 @@ def build_context(sc: dict) -> Context:
 # ----------------------------------------------------------------------
 
 
-def _run_duality(ctx: Context, y_fracs=(None,), x_fracs=(None,), rho_cells=(4,),
-                 sigma_cells=(4,), s_step=None, t_step=None, tolerance=1e-10):
+def _run_duality(ctx: Context, y_fracs: list[Frac | None] = (None,),
+                 x_fracs: list[Frac | None] = (None,), rho_cells: list[float] = (4,),
+                 sigma_cells: list[float] = (4,), s_step: int | None = None,
+                 t_step: int | None = None, tolerance: float = 1e-10):
     mesh = ctx.mesh
     s_step = int(mesh.steps // 4 if s_step is None else s_step)
     t_step = int((3 * mesh.steps) // 4 if t_step is None else t_step)
@@ -176,20 +218,23 @@ def _run_duality(ctx: Context, y_fracs=(None,), x_fracs=(None,), rho_cells=(4,),
                            tolerance=float(tolerance))
 
 
-def _run_semigroup(ctx: Context, s_step=0, r_step=None, t_step=None, tolerance=1e-12):
+def _run_semigroup(ctx: Context, s_step: int = 0, r_step: int | None = None,
+                   t_step: int | None = None, tolerance: float = 1e-12):
     mesh = ctx.mesh
     return V.check_semigroup(ctx.spec, mesh, _time(mesh, s_step),
                              _time(mesh, r_step, mesh.steps // 2),
                              _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
 
 
-def _run_normalization(ctx: Context, s_step=0, t_step=None, tolerance=1e-12):
+def _run_normalization(ctx: Context, s_step: int = 0, t_step: int | None = None,
+                       tolerance: float = 1e-12):
     mesh = ctx.mesh
     return V.check_normalization(ctx.spec, mesh, _time(mesh, s_step),
                                  _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
 
 
-def _run_causality(ctx: Context, rho_cells=(6, 4), s_step=None, t_step=None, y_frac=None):
+def _run_causality(ctx: Context, rho_cells: list[float] = (6, 4), s_step: int | None = None,
+                   t_step: int | None = None, y_frac: Frac | None = None):
     mesh = ctx.mesh
     rhos = [_rho_from_cells(mesh, k) for k in _listed("causality", "rho_cells", rho_cells)]
     Y = (_time(mesh, s_step, _cylinder_steps(mesh, max(rhos)) + 1),
@@ -197,8 +242,9 @@ def _run_causality(ctx: Context, rho_cells=(6, 4), s_step=None, t_step=None, y_f
     return V.check_causality(ctx.spec, mesh, Y, rhos, _time(mesh, t_step, mesh.steps))
 
 
-def _run_heat_kernel(ctx: Context, rho_cells=(8, 6, 4), s_step=None, dt=0.05, y_frac=None,
-                     tolerance=0.02, radius_factor=3.0):
+def _run_heat_kernel(ctx: Context, rho_cells: list[float] = (8, 6, 4),
+                     s_step: int | None = None, dt: float = 0.05, y_frac: Frac | None = None,
+                     tolerance: float = 0.02, radius_factor: float = 3.0):
     mesh = ctx.mesh
     rhos = [_rho_from_cells(mesh, k) for k in _listed("heat-kernel", "rho_cells", rho_cells)]
     s_step = int(_cylinder_steps(mesh, max(rhos)) if s_step is None else s_step)
@@ -216,8 +262,9 @@ def _segment_mask(mesh: Mesh, center_frac: float, halfwidth: float):
     return np.abs(mesh.wrap_gaps(mesh.centers - center[None, :])[:, 0]) < float(halfwidth)
 
 
-def _run_gaffney(ctx: Context, F_frac=0.2, E_frac=0.8, halfwidth=0.05, s_step=0,
-                 t_step=None, slack=1.05):
+def _run_gaffney(ctx: Context, F_frac: float = 0.2, E_frac: float = 0.8,
+                 halfwidth: float = 0.05, s_step: int = 0, t_step: int | None = None,
+                 slack: float = 1.05):
     mesh = ctx.mesh
     F = _segment_mask(mesh, F_frac, halfwidth)
     E = _segment_mask(mesh, E_frac, halfwidth)
@@ -235,7 +282,8 @@ def tent_profile(mesh: Mesh, gamma: float) -> np.ndarray:
     return gamma * (L / 2.0 - np.abs(x - lo - L / 2.0))
 
 
-def _run_davies(ctx: Context, gamma=1.0, s_step=0, t_step=None, slack=1.05):
+def _run_davies(ctx: Context, gamma: float = 1.0, s_step: int = 0, t_step: int | None = None,
+                slack: float = 1.05):
     mesh = ctx.mesh
     gamma = float(gamma)
     psi = tent_profile(mesh, gamma)
@@ -244,8 +292,9 @@ def _run_davies(ctx: Context, gamma=1.0, s_step=0, t_step=None, slack=1.05):
                            _time(mesh, t_step, mesh.steps), slack=float(slack), theta=ctx.theta)
 
 
-def _run_gaussian(ctx: Context, rho_cells=4, s_step=None, dt_steps=None, y_frac=None,
-                  c_max=10.0):
+def _run_gaussian(ctx: Context, rho_cells: float = 4, s_step: int | None = None,
+                  dt_steps: list[int] | None = None, y_frac: Frac | None = None,
+                  c_max: float = 10.0):
     mesh = ctx.mesh
     rho = _rho_from_cells(mesh, rho_cells)
     s_step = int(_cylinder_steps(mesh, rho) if s_step is None else s_step)
@@ -259,8 +308,9 @@ def _run_gaussian(ctx: Context, rho_cells=4, s_step=None, dt_steps=None, y_frac=
                           c_max=float(c_max))
 
 
-def _run_pointwise_decay(ctx: Context, rho_cells=2, s_step=None, d_min_cells=6, n_points=8,
-                         decade=1.0, margin=0.15, y_frac=None, axis=0):
+def _run_pointwise_decay(ctx: Context, rho_cells: float = 2, s_step: int | None = None,
+                         d_min_cells: float = 6, n_points: int = 8, decade: float = 1.0,
+                         margin: float = 0.15, y_frac: Frac | None = None, axis: int = 0):
     mesh = ctx.mesh
     rho = _rho_from_cells(mesh, rho_cells)
     d_min = float(d_min_cells) * float(np.max(mesh.h))
@@ -280,8 +330,9 @@ def _run_pointwise_decay(ctx: Context, rho_cells=2, s_step=None, d_min_cells=6, 
     return V.fit_pointwise_decay(d_act, g, mesh.n, margin=float(margin))
 
 
-def _run_weak_levels(ctx: Context, rho_cells=2, s_step=None, t_step=None, y_frac=None,
-                     gradient=False, margin=0.2):
+def _run_weak_levels(ctx: Context, rho_cells: float = 2, s_step: int | None = None,
+                     t_step: int | None = None, y_frac: Frac | None = None,
+                     gradient: bool = False, margin: float = 0.2):
     mesh = ctx.mesh
     rho = _rho_from_cells(mesh, rho_cells)
     Y = (_time(mesh, s_step, _cylinder_steps(mesh, rho)), _cell_at_frac(mesh, y_frac, 0.5))
@@ -289,8 +340,9 @@ def _run_weak_levels(ctx: Context, rho_cells=2, s_step=None, t_step=None, y_frac
     return V.weak_lp_levels(col, use_gradient=bool(gradient), margin=float(margin))
 
 
-def _run_interior_decay(ctx: Context, ladder_cells=(6, 8, 12, 16, 24, 32), t_step=None,
-                        x_frac=None, solutions=10, seed=None, mu_min=0.9):
+def _run_interior_decay(ctx: Context, ladder_cells: list[float] = (6, 8, 12, 16, 24, 32),
+                        t_step: int | None = None, x_frac: Frac | None = None,
+                        solutions: int = 10, seed: int | None = None, mu_min: float = 0.9):
     mesh = ctx.mesh
     hmax = float(np.max(mesh.h))
     ladder = [float(k) * hmax for k in ladder_cells]
@@ -307,8 +359,9 @@ def _bump_datum(ctx: Context, width: float, x0) -> np.ndarray:
     return np.tile(prof, (ctx.spec.coeffs.N, 1))
 
 
-def _run_initial_trace(ctx: Context, width=None, x0_frac=None, s_step=0,
-                       t_steps=(4, 8, 16, 32), tolerance=0.02):
+def _run_initial_trace(ctx: Context, width: float | None = None, x0_frac: Frac | None = None,
+                       s_step: int = 0, t_steps: list[int] = (4, 8, 16, 32),
+                       tolerance: float = 0.02):
     mesh = ctx.mesh
     width = 0.1 * float(np.min(mesh.domain.lengths)) if width is None else float(width)
     x0 = _cell_at_frac(mesh, x0_frac, 0.5)
@@ -319,8 +372,8 @@ def _run_initial_trace(ctx: Context, width=None, x0_frac=None, s_step=0,
                                 tolerance=float(tolerance), theta=ctx.theta)
 
 
-def _run_bounded_initial(ctx: Context, center_frac=0.3, halfwidth=0.1, s_step=0,
-                         t_step=None):
+def _run_bounded_initial(ctx: Context, center_frac: float = 0.3, halfwidth: float = 0.1,
+                         s_step: int = 0, t_step: int | None = None):
     mesh = ctx.mesh
     g = np.zeros((ctx.spec.coeffs.N, mesh.ncells))
     g[:, _segment_mask(mesh, center_frac, halfwidth)] = 1.0
@@ -328,8 +381,9 @@ def _run_bounded_initial(ctx: Context, center_frac=0.3, halfwidth=0.1, s_step=0,
                                    _time(mesh, t_step, mesh.steps), theta=ctx.theta)
 
 
-def _run_local_boundedness(ctx: Context, t_step=None, x_frac=None, R=None, seed=None,
-                           stability=0.2):
+def _run_local_boundedness(ctx: Context, t_step: int | None = None,
+                           x_frac: Frac | None = None, R: float | None = None,
+                           seed: int | None = None, stability: float = 0.2):
     mesh = ctx.mesh
     fine = Mesh(mesh.domain, tuple(2 * c for c in mesh.cells), mesh.tau / 2.0,
                 mesh.t0, 2 * mesh.steps)
@@ -340,7 +394,8 @@ def _run_local_boundedness(ctx: Context, t_step=None, x_frac=None, R=None, seed=
                                      stability=float(stability))
 
 
-def _run_oracle(ctx: Context, t_step=None, seed=None, tolerance=1e-9):
+def _run_oracle(ctx: Context, t_step: int | None = None, seed: int | None = None,
+                tolerance: float = 1e-9):
     mesh = ctx.mesh
     rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
     g = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
@@ -358,7 +413,8 @@ def _run_oracle(ctx: Context, t_step=None, seed=None, tolerance=1e-9):
                          samples={"t_step": t_step})
 
 
-def _run_adjoint(ctx: Context, t_step=None, seed=None, tolerance=1e-12):
+def _run_adjoint(ctx: Context, t_step: int | None = None, seed: int | None = None,
+                 tolerance: float = 1e-12):
     mesh = ctx.mesh
     rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
     a = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
@@ -377,9 +433,12 @@ def _run_adjoint(ctx: Context, t_step=None, seed=None, tolerance=1e-12):
 
 
 # Each check's parameters are the keyword arguments of its builder; the
-# allowed scenario keys are read from the signature.  Builders are looked up
-# here at call time, so wrappers installed in this table take effect.
-CHECKS = {name: (set(inspect.signature(builder).parameters) - {"ctx"}, builder)
+# allowed scenario keys and their JSON types are read from the signature.
+# Builders are looked up here at call time, so wrappers installed in this
+# table take effect.
+CHECKS = {name: ({key: param.annotation for key, param
+                  in inspect.signature(builder, eval_str=True).parameters.items()
+                  if key != "ctx"}, builder)
           for name, builder in {
               "duality": _run_duality,
               "semigroup": _run_semigroup,
@@ -499,13 +558,14 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
                 mesh_cfg["tau"] = v
                 mesh_cfg["steps"] = int(round(mesh_cfg["steps"] / scale))
             else:
+                listed = get_origin(CHECKS[metric_check][0].get("rho_cells")) is list
                 for c in sc_v["checks"]:
                     if c["name"] == metric_check:
-                        c["rho_cells"] = [int(v)]
+                        c["rho_cells"] = [int(v)] if listed else int(v)
             ctx = build_context(sc_v)
-            params = {k: val for k, val in
-                      next(c for c in sc_v["checks"] if c["name"] == metric_check).items()
-                      if k != "name"}
+            chk_v = next(c for c in sc_v["checks"] if c["name"] == metric_check)
+            _check_params(chk_v)
+            params = {k: val for k, val in chk_v.items() if k != "name"}
             rec = CHECKS[metric_check][1](ctx, **params)
             metric = rec.fitted.get(metric_field)
             if metric is None:

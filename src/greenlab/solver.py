@@ -24,7 +24,11 @@ evaluated, never from a flag such as ``CoefficientField.x_dependent``:
   every face, D is block-circulant.  ``_FourierSolver`` takes the N columns
   of D at cell 0 as a kernel, inverts its ``rfft2`` symbol once (one N x N
   block per wavenumber) and solves with ``rfft2``, a batched N x N product
-  and ``irfft2``.
+  and ``irfft2``.  A scheme keeps the state its last Fourier solve returned
+  together with that state's spectrum; a solve whose right-hand side is
+  that very state (a theta = 1 step without a source, forward or adjoint,
+  flat or block) reuses the spectrum and skips the ``rfft2``, so a march
+  transforms forward once, plus once per step with a source.
 * SuperLU: everywhere else (n = 1, where per-call FFT overhead loses to a
   small ``splu``; dirichlet meshes; x-dependent fields and tables), D is
   factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
@@ -36,8 +40,9 @@ and built without assembling anything; the steps skip multiplying by it.
 
 One private marcher, ``_march``, runs every time loop, forward or (with
 ``backward``) through the adjoint steps, for a flat (nn,) state or an
-(nn, B) block of B states sharing every step's solver; it alone checks
-that a window spans a step.  ``solve_forward``/``solve_backward`` march
+(nn, B) block of B states sharing every step's solver.  It and
+``dense_spacetime_oracle`` check that a window spans a step with one
+``_check_window``.  ``solve_forward``/``solve_backward`` march
 one state, the Green column builders march all source components of a
 pole as one block, and ``green.propagator`` marches the (nn, nn) identity
 block.  Both solvers solve a block bitwise equal to its columns one by
@@ -206,7 +211,9 @@ class _FourierSolver:
     the kernel is one N x N symbol block per wavenumber, inverted here once.
     A solve is ``rfft2``, one N x N product per wavenumber and ``irfft2``;
     ``trans="T"`` uses the conjugate-transposed inverse blocks, which are
-    the inverse symbol of D^T.
+    the inverse symbol of D^T.  Given the spectrum a previous solve returned
+    with its right-hand side, a solve skips the ``rfft2`` and costs one
+    ``irfft2``.
     """
 
     def __init__(self, D, N: int, cells):
@@ -219,15 +226,20 @@ class _FourierSolver:
                     "T": np.ascontiguousarray(np.moveaxis(inv.conj(), (-2, -1), (1, 0)))}
         self.nbytes = sum(blocks.nbytes for blocks in self.inv.values())
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Solve for a flat (nn,) state or an (nn, B) block, bitwise column by column."""
+    def solve(self, rhs: np.ndarray, trans: str = "N", spectrum=None):
+        """Solve for a flat (nn,) state or an (nn, B) block, bitwise column by column.
+
+        ``spectrum`` is rhs's spectrum as an earlier solve returned it, or None
+        to transform rhs.  Returns the solution and the spectrum it is the
+        ``irfft2`` of, shaped (B, N, c0, c1 // 2 + 1).
+        """
         M = self.inv[trans]
-        r = np.fft.rfft2(rhs.T.reshape(-1, self.N, *self.cells))  # (B, N, c0, c1 // 2 + 1)
-        x = M[:, 0] * r[:, None, 0]
+        r = np.fft.rfft2(rhs.T.reshape(-1, self.N, *self.cells)) if spectrum is None else spectrum
+        y = M[:, 0] * r[:, None, 0]
         for j in range(1, self.N):
-            x += M[:, j] * r[:, None, j]
-        x = np.fft.irfft2(x, s=self.cells).reshape(len(r), -1)
-        return x.T if rhs.ndim == 2 else x[0]
+            y += M[:, j] * r[:, None, j]
+        x = np.fft.irfft2(y, s=self.cells).reshape(len(r), -1)
+        return (x.T if rhs.ndim == 2 else x[0]), y
 
 
 class _Implicit(tuple):
@@ -299,7 +311,11 @@ class _SchemeKey:
 
 
 class ThetaScheme:
-    """Step matrices and factorizations of one (mesh, spec, theta), from the shared store."""
+    """Step matrices and factorizations of one (mesh, spec, theta), from the shared store.
+
+    The scheme also holds its last Fourier solution and that solution's
+    spectrum, never in the store: one state per scheme, for one march.
+    """
 
     def __init__(self, mesh: Mesh, spec: OperatorSpec, theta: float = 1.0):
         if not 0.5 <= theta <= 1.0:
@@ -312,6 +328,7 @@ class ThetaScheme:
         self.nn = coeffs.N * mesh.ncells
         self._static = not coeffs.time_dependent
         self._base = _SchemeKey(mesh, spec, self.theta)
+        self._carry = (None, None)  # the last Fourier solution and its spectrum
 
     def _key(self, kind: str, m: int):
         return (self._base, kind, "const" if self._static else m)
@@ -356,11 +373,20 @@ class ThetaScheme:
     def solve_implicit(self, m: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the implicit matrix of step m; rhs is (nn,) or a block (nn, B).
 
-        Each column's relative residual must stay within RESIDUAL_TOL.
+        A Fourier solve of the state the previous Fourier solve returned
+        reuses that state's spectrum, so a caller must not change a returned
+        state in place and solve with it again.  Each column's relative
+        residual, with the physical rhs, must stay within RESIDUAL_TOL; a
+        stale spectrum fails that check.
         """
         pair = self.implicit_lu(m)
         lu, D = pair
-        x = lu.solve(rhs, trans=trans)
+        if isinstance(lu, _FourierSolver):
+            state, spectrum = self._carry
+            x, spectrum = lu.solve(rhs, trans, spectrum if rhs is state else None)
+            self._carry = (x, spectrum)
+        else:
+            x = lu.solve(rhs, trans=trans)
         res = (D if trans == "N" else pair.DT) @ x - rhs
         if rhs.ndim == 1:
             num, den = np.linalg.norm(res), np.linalg.norm(rhs)
@@ -429,6 +455,12 @@ class _Keep(NamedTuple):
         return cls(slices, (np.arange(N)[:, None] * mesh.ncells + cells).ravel())
 
 
+def _check_window(i0: int, i1: int) -> None:
+    """Reject a window t_{i0}..t_{i1} that spans no time step."""
+    if i1 <= i0:
+        raise ConfigError(f"the march window {i0}..{i1} must span at least one time step")
+
+
 def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
            keep: _Keep = _Keep(), backward: bool = False) -> np.ndarray:
     """Steps over t_{i0}..t_{i1} of a flat state (nn,) or a block (nn, B).
@@ -438,8 +470,7 @@ def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
     (or None).  Returns the kept states as (slices, rows), or (B, slices,
     rows) for a block; by default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
     """
-    if i1 <= i0:
-        raise ConfigError(f"the march window {i0}..{i1} must span at least one time step")
+    _check_window(i0, i1)
     slices = range(i0, i1 + 1) if keep.slices is None else [int(m) for m in keep.slices]
     if keep.slices is not None and (slices != sorted(set(slices))
                                     or not all(i0 <= m <= i1 for m in slices)):
@@ -513,8 +544,7 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: fl
     """
     scheme = ThetaScheme(mesh, spec, theta)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
-    if i1 <= i0:
-        raise ConfigError("need T > s on the time grid")
+    _check_window(i0, i1)
     K = i1 - i0
     nn = scheme.nn
     if K * nn > ORACLE_CAP:

@@ -110,6 +110,33 @@ def test_empty_or_short_list_parameter_exit_2(tmp_path, capsys, check, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("check, key, value, want", [
+    # a list where a number is expected
+    ("gaussian", "rho_cells", [4], "a number"),
+    ("adjoint", "t_step", [48], "an integer or null"),
+    ("davies", "gamma", [1.0], "a number"),
+    # a number where a list is expected
+    ("duality", "rho_cells", 4, "a list of numbers"),
+    ("initial-trace", "t_steps", 4, "a list of integers"),
+    # a list of the wrong entries, and the wrong scalar type
+    ("causality", "rho_cells", [[6]], "a list of numbers"),
+    ("duality", "y_fracs", ["a"], "a list of numbers or lists of numbers or nulls"),
+    ("semigroup", "tolerance", "1e-12", "a number"),
+    ("oracle", "seed", 1.5, "an integer or null"),
+    ("weak-levels", "gradient", 1, "true or false"),
+])
+def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value, want):
+    # exit 1 is a failing check; a value of the wrong type is a bad scenario
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["checks"] = [{"name": check, key: value}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{check}: {key} must be {want}, got {json.dumps(value)}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_past_window_names_window_and_step(tmp_path, capsys):
     # the longest default ray lands on lattice step 3604 of a 640-step window
     sc = {
@@ -178,6 +205,33 @@ class TestSweep:
         assert code == 0
         order = float((tmp_path / "sw" / "order.txt").read_text().split()[2])
         assert 1.5 <= order <= 2.6
+
+    def test_rho_sweep_keeps_the_checks_own_shape(self, tmp_path, monkeypatch):
+        # gaussian takes one radius, heat-kernel a list of them
+        sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
+        sc["checks"].append({"name": "gaussian"})
+        sc["sweep"] = {"check": "gaussian", "field": "c_fit"}
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps(sc))
+        seen = []
+        kinds, _ = cli.CHECKS["gaussian"]
+
+        def builder(ctx, **params):
+            seen.append(params["rho_cells"])
+            return cli.V.CheckRecord("gaussian", "-", "pass", 0.0, fitted={"c_fit": 1.0})
+
+        monkeypatch.setitem(cli.CHECKS, "gaussian", (kinds, builder))
+        assert cli.sweep(str(p), "rho", [8, 4], out_dir=tmp_path / "sw") == 0
+        assert seen == [8, 4]
+
+    def test_rho_sweep_of_a_check_without_radius_exit_2(self, tmp_path, capsys):
+        sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
+        sc["checks"].append({"name": "semigroup"})
+        sc["sweep"] = {"check": "semigroup", "field": "max_residual"}
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps(sc))
+        assert cli.sweep(str(p), "rho", [8, 4], out_dir=tmp_path / "sw") == 2
+        assert "rho_cells" in capsys.readouterr().err
 
     def test_single_value_no_fit(self, tmp_path):
         code = cli.sweep(scenario_path("heat-1d-sweep.json"), "h", [1 / 64],

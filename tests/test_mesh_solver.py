@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -913,7 +915,8 @@ class TestStreamingMarch:
         assert kept.tobytes() == full.values[[0, 3, 8]][:, :, cells].tobytes()
 
     def test_window_without_a_step_is_one_error(self, mesh32, heat_spec):
-        """Every march path rejects a window that spans no step with the marcher's error."""
+        """Every march path, and the space-time oracle, rejects a window that spans no
+        step with the marcher's error."""
         r, y = 4 / 32, mesh32.centers[16]  # the pole's cylinders span 8 slabs
         s = float(mesh32.times[20])
         first, last = float(mesh32.times[12]), float(mesh32.times[28])
@@ -927,6 +930,8 @@ class TestStreamingMarch:
             "transpose_green_column":
                 lambda: transpose_green_column(heat_spec, mesh32, (s, y), 1, r, last),
             "propagator": lambda: propagator(heat_spec, mesh32, s, s),
+            "dense_spacetime_oracle":
+                lambda: dense_spacetime_oracle(heat_spec, mesh32, None, None, s, s),
         }
         for name, call in calls.items():
             with pytest.raises(ConfigError) as err:
@@ -941,3 +946,106 @@ class TestStreamingMarch:
         for backward in (False, True):
             with pytest.raises(ConfigError, match="kept slices"):
                 solver._march(scheme, 2, 11, x, lambda m: None, solver._Keep(slices), backward)
+
+
+def _carry_scheme(field):
+    """A scheme on the Fourier path with every step's solver already in the store."""
+    domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
+    mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=12)
+    scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain), 1.0)
+    for m in range(1, mesh.steps + 1):
+        assert isinstance(scheme.implicit_lu(m)[0], solver._FourierSolver)
+    return scheme
+
+
+def _count_rfft2(monkeypatch):
+    calls = []
+    real = solver.np.fft.rfft2
+    monkeypatch.setattr(solver.np.fft, "rfft2",
+                        lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    return calls
+
+
+class TestSpectrumCarry:
+    """A Fourier step whose rhs is the state the previous step returned reuses its spectrum."""
+
+    @pytest.fixture
+    def store(self, monkeypatch):
+        """A cold, private step store for the test."""
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+
+    @staticmethod
+    def _run(scheme, x, G, direction):
+        return solver._march(scheme, 2, 11, x, lambda m: G if m in (4, 5) else None,
+                             backward=direction == "backward")
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("field", ["heat", "t-oscillating", "coupled-N2"])
+    def test_one_rfft2_per_march_and_source_step(self, store, monkeypatch, field, direction,
+                                                 block):
+        scheme = _carry_scheme(field)
+        rng = np.random.default_rng(14)
+        shape = (scheme.nn, 3) if block else (scheme.nn,)
+        x, G = rng.standard_normal(shape), rng.standard_normal(shape)
+        calls = _count_rfft2(monkeypatch)
+        self._run(scheme, x, None, direction)
+        assert len(calls) == 1  # the first step's rhs
+        del calls[:]
+        self._run(scheme, x, G, direction)
+        assert len(calls) == 3  # the first step and the two source steps
+
+    @pytest.mark.parametrize("case", ["dirichlet", "n=1"])
+    def test_superlu_march_transforms_nothing(self, store, monkeypatch, case):
+        scheme = _march_scheme(case)
+        calls = _count_rfft2(monkeypatch)
+        rng = np.random.default_rng(15)
+        x, G = rng.standard_normal(scheme.nn), rng.standard_normal(scheme.nn)
+        for direction in ("forward", "backward"):
+            self._run(scheme, x, G, direction)
+        assert calls == []
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("field", ["heat", "t-oscillating", "coupled-N2"])
+    def test_matches_march_transforming_every_step(self, store, monkeypatch, field, direction,
+                                                   block):
+        scheme = _carry_scheme(field)
+        rng = np.random.default_rng(16)
+        shape = (scheme.nn, 3) if block else (scheme.nn,)
+        x, G = rng.standard_normal(shape), rng.standard_normal(shape)
+        carried = self._run(scheme, x, G, direction)
+        if block:  # each column marched alone, bit for bit
+            for j in range(3):
+                alone = self._run(scheme, x[:, j].copy(), G[:, j].copy(), direction)
+                assert alone.tobytes() == carried[j].tobytes()
+        real = solver._FourierSolver.solve
+        monkeypatch.setattr(solver._FourierSolver, "solve",
+                            lambda self, rhs, trans="N", spectrum=None: real(self, rhs, trans))
+        ref = self._run(scheme, x, G, direction)
+        err = np.linalg.norm(carried - ref, axis=-1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=-1))
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_corrupted_spectrum_fails_the_residual(self, store, direction):
+        scheme = _carry_scheme("heat")
+        step = scheme.forward_step if direction == "forward" else scheme.backward_step
+        y = step(4, np.random.default_rng(17).standard_normal(scheme.nn))
+        state, spectrum = scheme._carry
+        assert state is y
+        spectrum[0, 0, 1, 1] += 1e-6 * np.max(np.abs(spectrum))  # not a self-conjugate bin
+        with pytest.raises(SolverError, match="residual"):
+            step(5, y)
+
+    def test_march_holds_nothing_past_its_scheme(self, store):
+        scheme = _carry_scheme("t-oscillating")
+        filled = solver.cache_info()
+        x = np.random.default_rng(18).standard_normal(scheme.nn)
+        solver._march(scheme, 0, 12, x, lambda m: None)
+        assert solver.cache_info() == filled  # no spectrum in the step store
+        for m in range(12):
+            x = scheme.forward_step(m, x)
+        last = weakref.ref(x)
+        del x, scheme
+        gc.collect()
+        assert last() is None
