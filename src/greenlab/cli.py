@@ -29,7 +29,7 @@ from .green import averaged_green_column
 from .io import report_to_json, write_samples_csv
 from .mesh import Mesh
 from .problem import Domain, OperatorSpec, load_table, make_preset
-from .solver import _Keep, _solve, dense_spacetime_oracle, solve_forward
+from .solver import _Keep, _preload_linalg, _solve, dense_spacetime_oracle, solve_forward
 
 
 @dataclass
@@ -186,6 +186,7 @@ def build_context(sc: dict) -> Context:
                 float(mesh_cfg["tau"]), float(mesh_cfg.get("t0", 0.0)),
                 int(mesh_cfg["steps"]))
     spec = OperatorSpec(coeffs, domain)
+    _preload_linalg(mesh, spec, any(chk["name"] == "oracle" for chk in sc["checks"]))
     return Context(str(sc["name"]), spec, mesh, float(sc.get("theta", 1.0)),
                    int(sc.get("seed", 0)))
 

@@ -1,95 +1,10 @@
-"""Dump formats: trajectory CSV/binary, propagator CSV, coefficient tables.
-
-Binary trajectory layout (little endian): magic ``GLAB1`` (5 bytes), then
-uint32 n, N, nslices, cells[n]; float64 window start time, tau, box lo[n],
-box hi[n]; then the values as float64, row-major over (slice, component,
-cell).
-"""
+"""Output formats: per-check sample CSVs and canonical JSON reports."""
 
 from __future__ import annotations
 
 import json
-import struct
 
 import numpy as np
-
-from .errors import ConfigError
-from .mesh import Mesh, Trajectory
-
-MAGIC = b"GLAB1"
-
-
-def trajectory_to_csv(traj: Trajectory, path):
-    """Rows ``t,x[,y],component,value`` (components are 1-based)."""
-    mesh = traj.mesh
-    with open(path, "w") as fh:
-        cols = "t,x" + (",y" if mesh.n == 2 else "") + ",component,value\n"
-        fh.write(cols)
-        for m, t in enumerate(traj.times):
-            for comp in range(traj.N):
-                for c in range(mesh.ncells):
-                    xy = ",".join(repr(float(v)) for v in mesh.centers[c])
-                    fh.write(f"{float(t)!r},{xy},{comp + 1},"
-                             f"{float(traj.values[m, comp, c])!r}\n")
-
-
-def trajectory_to_binary(traj: Trajectory, path):
-    mesh = traj.mesh
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<3I", mesh.n, traj.N, traj.nslices))
-        fh.write(struct.pack(f"<{mesh.n}I", *mesh.cells))
-        fh.write(struct.pack("<2d", float(traj.times[0]), mesh.tau))
-        fh.write(struct.pack(f"<{mesh.n}d", *mesh.domain.lo))
-        fh.write(struct.pack(f"<{mesh.n}d", *mesh.domain.hi))
-        fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
-
-
-def trajectory_from_binary(path, mesh: Mesh) -> Trajectory:
-    """Read a binary dump back onto its mesh (layout must match)."""
-    with open(path, "rb") as fh:
-        if fh.read(5) != MAGIC:
-            raise ConfigError("bad magic in binary trajectory dump")
-        n, N, nslices = struct.unpack("<3I", fh.read(12))
-        cells = struct.unpack(f"<{n}I", fh.read(4 * n))
-        t_start, tau = struct.unpack("<2d", fh.read(16))
-        fh.read(16 * n)  # box metadata, validated against the mesh below
-        if n != mesh.n or cells != tuple(mesh.cells) or abs(tau - mesh.tau) > 1e-15:
-            raise ConfigError("binary dump does not match the target mesh")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(nslices, N, mesh.ncells)
-    return Trajectory(mesh, mesh.time_index(t_start), data.copy())
-
-
-def propagator_to_csv(prop, path):
-    """Dense dump ``row,col,value`` with a ``# s t cells N`` header."""
-    cells = "x".join(str(c) for c in prop.mesh.cells)
-    with open(path, "w") as fh:
-        fh.write(f"# {prop.s!r} {prop.t!r} {cells} {prop.N}\n")
-        fh.write("row,col,value\n")
-        nn = prop.P.shape[0]
-        for r in range(nn):
-            for c in range(nn):
-                fh.write(f"{r},{c},{float(prop.P[r, c])!r}\n")
-
-
-def write_coefficient_table(path, coeffs, t_vals, axes):
-    """Sample a field onto a grid and write the loadable CSV table."""
-    n, N = coeffs.n, coeffs.N
-    dims = tuple(len(a) for a in axes)
-    with open(path, "w") as fh:
-        fh.write(f"# {n} {N} {len(t_vals)} " + " ".join(str(d) for d in dims) + "\n")
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        for t in t_vals:
-            blk = coeffs.tensor(float(t), pts)
-            for p in range(pts.shape[0]):
-                xs = ",".join(repr(float(v)) for v in pts[p])
-                for a in range(n):
-                    for b in range(n):
-                        for i in range(N):
-                            for j in range(N):
-                                fh.write(f"{float(t)!r},{xs},{a + 1},{b + 1},"
-                                         f"{i + 1},{j + 1},{float(blk[p, a, b, i, j])!r}\n")
 
 
 def write_samples_csv(path, header, rows):

@@ -80,6 +80,14 @@ just built.  ``cache_info`` reports its size.
 block-bidiagonal space-time system and solves it with ``spsolve``; the
 dense ``np.linalg.solve`` it replaced gave results that moved with the
 BLAS thread count.
+
+``scipy.sparse.linalg`` (``splu`` and ``spsolve``) loads on first use:
+``spla`` is a stand-in that imports it on its first attribute lookup.  A
+periodic 2-D run that solves only by Fourier never loads it, nor the
+``scipy.linalg`` it pulls in, which saves about 10 MB of RSS and 0.1 to
+0.2 s per process.  A run that will use it pays the import during set-up:
+``cli.build_context`` calls ``_preload_linalg``, whose guess sits next to
+the ``_assemble`` rule it predicts.
 """
 
 from __future__ import annotations
@@ -90,7 +98,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .mesh import Mesh, Trajectory
@@ -98,6 +105,23 @@ from .problem import OperatorSpec
 
 RESIDUAL_TOL = 1e-11
 CACHE_BYTES = 256 * 2**20
+
+
+class _DeferredLinalg:
+    """Stands in for ``scipy.sparse.linalg`` and imports it on the first attribute lookup.
+
+    Every lookup reads the imported module, so a patch of
+    ``scipy.sparse.linalg.splu`` takes effect, and ``spla`` itself stays a
+    module attribute that a wrapper may replace.
+    """
+
+    def __getattr__(self, name):
+        import scipy.sparse.linalg
+
+        return getattr(scipy.sparse.linalg, name)
+
+
+spla = _DeferredLinalg()
 
 
 @lru_cache(maxsize=8)
@@ -109,22 +133,25 @@ def _stencil(mesh: Mesh, N: int):
     ``tensor(t, pts[a])`` of every axis a, and the dirichlet projection is
     already applied to ``indices`` and ``indptr``.
     """
-    n, C = mesh.n, mesh.ncells
-    pts_axes, rows, cols, src, wts = [], [], [], [], []
+    n, C, nn = mesh.n, mesh.ncells, N * mesh.ncells
+    faces = [mesh.face_positions(a) for a in range(n)]
+    stride = n * n * N * N  # tensor values per face
+    size = stride * sum(len(pts) for pts, _, _ in faces)
+    itype = np.int32 if max(size, nn) < 2**31 else np.int64
+    comp = C * np.arange(N, dtype=itype)[:, None]
+    # one (i, j) block per (a, b, side, shift): rows, columns and positions in
+    # A of its valid faces, shaped (N, N, faces), and one weight for all of them
+    rows, cols, src, wts, counts = [], [], [], [], []
     offset = 0
-    for a in range(n):
-        pts, left, right = mesh.face_positions(a)
-        pts_axes.append(pts)
-        P = len(left)
-        # position of A[p, a, b, i, j] in the concatenated raveled tensors
-        flat = offset + np.arange(P * n * n * N * N).reshape(P, n, n, N, N)
-        offset += flat.size
-        ones = np.ones(P, dtype=bool)
+    for a, (pts, left, right) in enumerate(faces):
+        # A[p, a, b, i, j] sits at offset + p * stride + (a * n + b) * N * N + i * N + j
+        base = offset + stride * np.arange(len(left), dtype=itype)
+        offset += stride * len(left)
         inv_ha = 1.0 / mesh.h[a]
         for b in range(n):
             if b == a:
-                col_specs = [(right, ones, +1.0 / mesh.h[b]),
-                             (left, ones, -1.0 / mesh.h[b])]
+                col_specs = [(right, None, +1.0 / mesh.h[b]),
+                             (left, None, -1.0 / mesh.h[b])]
             else:
                 lp, vlp = mesh.shift_flat(left, b, +1)
                 rp, vrp = mesh.shift_flat(right, b, +1)
@@ -132,27 +159,42 @@ def _stencil(mesh: Mesh, N: int):
                 rm, vrm = mesh.shift_flat(right, b, -1)
                 q = 1.0 / (4.0 * mesh.h[b])
                 col_specs = [(lp, vlp, +q), (rp, vrp, +q), (lm, vlm, -q), (rm, vrm, -q)]
+            ij = (a * n + b) * N * N + np.arange(N * N, dtype=itype).reshape(N, N, 1)
             for row_cells, sgn in ((left, -inv_ha), (right, +inv_ha)):
                 for col_cells, valid, w in col_specs:
-                    for i in range(N):
-                        for j in range(N):
-                            rows.append(i * C + row_cells[valid])
-                            cols.append(j * C + col_cells[valid])
-                            src.append(flat[valid, a, b, i, j])
-                            wts.append(np.full(int(valid.sum()), sgn * w))
-    rows, cols, src, wts = (np.concatenate(v) for v in (rows, cols, src, wts))
-    if not mesh.periodic:
-        mask = np.tile(mesh.interior_mask, N)
-        keep = mask[rows] & mask[cols]
-        rows, cols, src, wts = rows[keep], cols[keep], src[keep], wts[keep]
-    nn = N * C
-    keys, slot = np.unique(rows * nn + cols, return_inverse=True)
-    gather = sp.csr_matrix((wts, (slot, src)), shape=(len(keys), offset))
+                    if not mesh.periodic:  # project out the pinned boundary layer
+                        inside = mesh.interior_mask[row_cells] & mesh.interior_mask[col_cells]
+                        valid = inside if valid is None else valid & inside
+                    r, c, p = (v if valid is None else v[valid]
+                               for v in (row_cells, col_cells, base))
+                    shape = (N, N, len(p))
+                    rows.append(np.broadcast_to((comp + r.astype(itype))[:, None], shape))
+                    cols.append(np.broadcast_to((comp + c.astype(itype))[None], shape))
+                    src.append(p + ij)
+                    wts.append(sgn * w)
+                    counts.append(len(p) * N * N)
+    src = np.concatenate(src, axis=None)
+    key = np.concatenate(rows, axis=None, dtype=np.int64)
+    key *= nn
+    key += np.concatenate(cols, axis=None)
+    del rows, cols
+    # one sort by (row, column, position); with at least 4 cells per axis no
+    # (row, column, position) repeats, so each run of one (row, column) is a
+    # row of the gather, already in canonical CSR order
+    order = np.lexsort((src, key))
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    keys = key[starts]
+    del key
+    src = src[order]
+    data = np.repeat(wts, counts)[order]
+    del order
+    gather = sp.csr_matrix((data, src, np.append(starts, len(data))), shape=(len(keys), offset))
     indices = (keys % nn).astype(np.int32)
     indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
     for arr in (indices, indptr):
         arr.flags.writeable = False  # shared by every assembly on this mesh
-    return tuple(pts_axes), gather, indices, indptr
+    return tuple(pts for pts, _, _ in faces), gather, indices, indptr
 
 
 def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
@@ -170,6 +212,19 @@ def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
     nn = coeffs.N * mesh.ncells
     data = gather @ np.concatenate([A.ravel() for A in tensors])
     return sp.csr_matrix((data, indices, indptr), shape=(nn, nn)), fourier
+
+
+def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
+    """Import ``scipy.sparse.linalg`` now when a run on (mesh, spec) is expected to use it.
+
+    It is, when the run lists the space-time oracle (``spsolve``) or when
+    ``_assemble`` will send the implicit matrices to SuperLU: sure to on a
+    1-D or dirichlet mesh, and nearly sure to for an x-dependent field (every
+    table is one).  The guess only moves the import into set-up; a wrong one
+    costs time, never correctness.
+    """
+    if oracle or mesh.n != 2 or not mesh.periodic or spec.effective_coeffs().x_dependent:
+        import scipy.sparse.linalg  # noqa: F401
 
 
 def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:

@@ -2,7 +2,7 @@ import inspect
 import types
 
 import greenlab
-from greenlab import green, mesh, problem, solver
+from greenlab import green, io, mesh, problem, solver
 
 # Public names that only tests called; they are gone from the package.
 DELETED = {
@@ -10,6 +10,8 @@ DELETED = {
     solver: ("step_forward", "DiscreteOperator"),
     mesh: ("dirichlet_energy", "EnergyNorm", "energy_norm"),
     problem: ("vmo_modulus", "VmoProbe", "diagonal_distance", "transpose_coefficients"),
+    io: ("trajectory_to_csv", "trajectory_to_binary", "trajectory_from_binary",
+         "propagator_to_csv", "MAGIC", "write_coefficient_table"),
 }
 
 

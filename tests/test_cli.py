@@ -188,6 +188,97 @@ def test_report_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+LINALG = ("scipy.sparse.linalg", "scipy.linalg")
+
+
+def _fresh(tmp_path, code: str):
+    """Run ``code`` in a fresh interpreter; return its ``result`` and which of LINALG it loaded.
+
+    The test modules import ``scipy.sparse.linalg`` themselves, so only a
+    fresh process shows what greenlab imports.
+    """
+    src = os.path.dirname(os.path.dirname(greenlab.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (f"result = None\n{code}\nimport json, sys\n"
+             f"print(json.dumps([result, [m for m in {LINALG!r} if m in sys.modules]]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _heat_2d(**changes):
+    """A small periodic 2-D heat scenario, which solves only by Fourier."""
+    sc = {"name": "heat-2d-small", "preset": {"name": "heat", "n": 2},
+          "mesh": {"cells": [16, 16], "box": [[0.0, 1.0], [0.0, 1.0]], "tau": 2.0 ** -10,
+                   "t0": 0.0, "steps": 64, "boundary": "periodic"},
+          "theta": 1.0, "seed": 3,
+          "checks": [{"name": "duality", "y_fracs": [[0.3, 0.3]], "x_fracs": [[0.7, 0.7]],
+                      "rho_cells": [2], "sigma_cells": [2], "s_step": 20, "t_step": 44},
+                     {"name": "adjoint"},
+                     {"name": "davies", "gamma": 0.5},
+                     {"name": "bounded-initial"},
+                     {"name": "interior-decay", "ladder_cells": [2, 3, 4], "solutions": 2,
+                      "x_frac": [0.5, 0.5]}]}
+    return dict(sc, **changes)
+
+
+class TestDeferredLinalg:
+    """``scipy.sparse.linalg`` loads only in runs that use it, and set-up pays for it."""
+
+    def test_import_loads_no_linalg(self, tmp_path):
+        assert _fresh(tmp_path, "import greenlab.cli") == [None, []]
+
+    def test_fourier_run_loads_no_linalg(self, tmp_path):
+        (tmp_path / "sc.json").write_text(json.dumps(_heat_2d()))
+        code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
+        assert _fresh(tmp_path, code) == [0, []]
+
+    @pytest.mark.parametrize("case", ["heat-1d-core", "dirichlet", "oracle", "x-oscillatory"])
+    def test_set_up_imports_what_the_run_will_use(self, tmp_path, case):
+        if case == "heat-1d-core":
+            sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+        elif case == "dirichlet":
+            sc = _heat_2d(mesh=dict(_heat_2d()["mesh"], boundary="dirichlet"))
+        elif case == "oracle":
+            sc = _heat_2d(checks=[{"name": "oracle", "t_step": 4}])
+        else:
+            sc = _heat_2d(preset={"name": "x-oscillatory", "n": 2})
+        (tmp_path / "sc.json").write_text(json.dumps(sc))
+        code = "from greenlab import cli\ncli.build_context(cli.load_scenario('sc.json'))"
+        assert _fresh(tmp_path, code) == [None, list(LINALG)]
+
+    def test_replaced_spla_sees_every_factorization(self, tmp_path):
+        # a wrapper that replaces ``solver.spla`` and reads ``splu`` when it is
+        # installed, as a tracer does, before anything has imported the module
+        code = """
+import numpy as np
+from greenlab import Domain, Mesh, OperatorSpec, make_preset, solve_forward, solver
+
+class Counting:
+    def __init__(self, spla):
+        self._spla, self.calls, real = spla, 0, spla.splu
+
+        def splu(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        self.splu = splu
+
+    def __getattr__(self, name):
+        return getattr(self._spla, name)
+
+solver.spla = wrapper = Counting(solver.spla)
+domain = Domain((0.0,), (1.0,), "periodic")
+mesh = Mesh(domain, (16,), tau=1 / 256, t0=0.0, steps=8)
+spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), domain)
+solve_forward(spec, mesh, np.ones((2, 16)), None, 0.0, float(mesh.times[8]))
+factors = sum(key[1] == "lu" for key in solver._STORE.entries)
+result = [wrapper.calls, factors]
+"""
+        assert _fresh(tmp_path, code) == [[8, 8], list(LINALG)]
+
+
 class TestSweep:
     def test_h_sweep_order(self, tmp_path, capsys):
         code = cli.sweep(scenario_path("heat-1d-sweep.json"), "h",

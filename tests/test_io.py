@@ -1,59 +1,6 @@
 import json
 
-import numpy as np
-import pytest
-
-from greenlab import ConfigError, Mesh, make_preset, propagator, solve_forward
-from greenlab.io import (propagator_to_csv, report_to_json, trajectory_from_binary,
-                         trajectory_to_binary, trajectory_to_csv)
-
-
-@pytest.fixture
-def traj(mesh32, heat_spec):
-    g = np.random.default_rng(0).standard_normal((1, 32))
-    return solve_forward(heat_spec, mesh32, g, None, 0.0, 8 / 512)
-
-
-def test_csv_layout(tmp_path, traj):
-    path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,component,value"
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert int(first[2]) == 1
-    assert len(lines) == 1 + traj.nslices * 32
-
-
-def test_binary_roundtrip(tmp_path, traj, mesh32):
-    path = tmp_path / "traj.bin"
-    trajectory_to_binary(traj, path)
-    raw = path.read_bytes()
-    assert raw[:5] == b"GLAB1"
-    back = trajectory_from_binary(path, mesh32)
-    assert back.i0 == traj.i0
-    assert np.array_equal(back.values, traj.values)
-
-
-def test_binary_rejects_wrong_mesh(tmp_path, traj, periodic_1d):
-    path = tmp_path / "traj.bin"
-    trajectory_to_binary(traj, path)
-    other = Mesh(periodic_1d, (16,), tau=1 / 512, t0=0.0, steps=16)
-    with pytest.raises(ConfigError):
-        trajectory_from_binary(path, other)
-
-
-def test_propagator_csv_header(tmp_path, mesh32, heat_spec):
-    P = propagator(heat_spec, mesh32, 0.0, 4 / 512)
-    path = tmp_path / "prop.csv"
-    propagator_to_csv(P, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# 0.0 ")
-    assert lines[0].endswith("32 1")
-    assert lines[1] == "row,col,value"
-    r, c, v = lines[2].split(",")
-    assert (int(r), int(c)) == (0, 0)
-    assert float(v) == pytest.approx(P.P[0, 0])
+from greenlab.io import report_to_json
 
 
 def test_report_json_stable(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 from importlib import resources
 
@@ -611,6 +612,13 @@ def _random_n2_N3():
                             time_dependent=True, x_dependent=True)
 
 
+# cells of each case of test_fixed_pattern_matches_loop: on 4- and 5-cell
+# axes the +1 and -1 transverse shifts of one face wrap onto nearby columns
+PATTERN_CELLS = {"rotating": (16,), "rotating-4": (4,), "rotating-5": (5,),
+                 "random-n2-N3": (8, 6), "random-n2-N3-4x5": (4, 5),
+                 "random-n2-N3-5x4": (5, 4)}
+
+
 class TestStepLayer:
     @pytest.fixture
     def store(self, monkeypatch):
@@ -619,16 +627,15 @@ class TestStepLayer:
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
-    @pytest.mark.parametrize("field", ["random-n2-N3", "rotating"])
+    @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
     def test_fixed_pattern_matches_loop(self, field, mode, transposed):
-        if field == "rotating":
+        cells = PATTERN_CELLS[field]
+        if field.startswith("rotating"):
             coeffs = make_preset("rotating", w0=0.5, omega=2.0)
             domain = Domain((0.0,), (1.0,), mode)
-            cells = (16,)
         else:
             coeffs = _random_n2_N3()
             domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
-            cells = (8, 6)
         mesh = Mesh(domain, cells, tau=1 / 256, t0=0.0, steps=8)
         spec = OperatorSpec(coeffs, domain, transposed=transposed)
         got = [assemble(mesh, spec, t) for t in (0.0, 3 / 256)]
@@ -648,6 +655,20 @@ class TestStepLayer:
                 scale = np.max(np.abs(blocks))
                 assert np.max(np.abs(blocks.sum(axis=3))) <= 1e-14 * scale  # row sums
                 assert np.max(np.abs(blocks.sum(axis=1))) <= 1e-14 * scale  # column sums
+
+    def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d):
+        mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=4)
+        for a in range(mesh.n):
+            mesh.face_positions(a)  # the mesh's own geometry, built before the stencil
+        tracemalloc.start()
+        try:
+            _, gather, indices, indptr = solver._stencil.__wrapped__(mesh, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(arr.nbytes for arr in (gather.data, gather.indices, gather.indptr,
+                                          indices, indptr))
+        assert peak <= 3 * kept, (peak, kept)
 
     def test_non_finite_coefficient_stops_at_its_step(self, store, mesh32, periodic_1d):
         bad_t = float(mesh32.times[5])

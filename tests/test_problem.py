@@ -7,7 +7,26 @@ from hypothesis import strategies as st
 
 from greenlab import (CoefficientField, ConfigError, Domain, load_table, make_preset,
                       validate_parabolicity)
-from greenlab.io import write_coefficient_table
+
+
+def write_coefficient_table(path, coeffs, t_vals, axes):
+    """Sample a field onto a grid and write the CSV table that ``load_table`` reads."""
+    n, N = coeffs.n, coeffs.N
+    dims = tuple(len(a) for a in axes)
+    with open(path, "w") as fh:
+        fh.write(f"# {n} {N} {len(t_vals)} " + " ".join(str(d) for d in dims) + "\n")
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        for t in t_vals:
+            blk = coeffs.tensor(float(t), pts)
+            for p in range(pts.shape[0]):
+                xs = ",".join(repr(float(v)) for v in pts[p])
+                for a in range(n):
+                    for b in range(n):
+                        for i in range(N):
+                            for j in range(N):
+                                fh.write(f"{float(t)!r},{xs},{a + 1},{b + 1},"
+                                         f"{i + 1},{j + 1},{float(blk[p, a, b, i, j])!r}\n")
 
 
 def random_field(seed, n=2, N=2):
@@ -140,7 +159,6 @@ class TestTableLoader:
 
 
 def test_table_loader_2d(tmp_path):
-    from greenlab.io import write_coefficient_table
     field = make_preset("diag", values=(2.0, 0.5))
     path = tmp_path / "t2d.csv"
     axes = [np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)]
