@@ -465,6 +465,12 @@ CHECKS = {name: ({key: param.annotation for key, param
 # ----------------------------------------------------------------------
 
 
+def _run_check(ctx: Context, chk: dict) -> V.CheckRecord:
+    """Run one scenario check entry, its name and its parameters, on ctx."""
+    params = {k: v for k, v in chk.items() if k != "name"}
+    return CHECKS[chk["name"]][1](ctx, **params)
+
+
 def _write_outputs(out_dir: Path, name: str, scenario: dict, report: V.VerificationReport):
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"scenario": name, "config": scenario, "report": report.to_dict()}
@@ -497,8 +503,7 @@ def run(scenario_path, out_dir=None) -> int:
         ctx = build_context(sc)
         report = V.VerificationReport()
         for chk in sc["checks"]:
-            params = {k: v for k, v in chk.items() if k != "name"}
-            report.add(CHECKS[chk["name"]][1](ctx, **params))
+            report.add(_run_check(ctx, chk))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -566,8 +571,7 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
             ctx = build_context(sc_v)
             chk_v = next(c for c in sc_v["checks"] if c["name"] == metric_check)
             _check_params(chk_v)
-            params = {k: val for k, val in chk_v.items() if k != "name"}
-            rec = CHECKS[metric_check][1](ctx, **params)
+            rec = _run_check(ctx, chk_v)
             metric = rec.fitted.get(metric_field)
             if metric is None:
                 raise ConfigError(f"metric field {metric_field!r} not in record")

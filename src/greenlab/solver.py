@@ -12,23 +12,35 @@ one-step maps, which is what makes the discrete duality identities exact.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
 The operator's sparsity pattern depends only on (mesh, N), never on t.
-``_stencil`` builds it once per (mesh, N), together with a sparse gather
-from the raveled face tensors to the CSR data, and keeps the last eight;
-each assembly only evaluates the face tensors and fills the data.
+``_stencil`` builds it once per (mesh, N), together with the face points
+of all axes stacked into one array and a sparse gather from the raveled
+face tensors to the CSR data, and keeps the last eight; each assembly
+evaluates the face tensors with one ``tensor`` call and fills the data.
+
+The step matrices D = I + tau*theta*L and, at theta < 1, the explicit
+E = I - tau*(1-theta)*L come straight from L's CSR data: ``_shifted``
+scales it, adds 1 at the diagonal positions and drops exact zeros, which
+gives ``sp.identity(nn) +- c*L`` to the bit.  The pattern of I + L and its
+diagonal positions are cached per (mesh, N) by ``_shift_pattern`` (on a
+dirichlet mesh L's pinned rows are empty, so that pattern gains their
+diagonals), and the pattern left after dropping the zeros is cached per
+zero mask by ``_pruned_pattern``: the steps of a run share one pattern and
+each stored matrix owns only its exact-size data.
 
 The implicit matrix D = I + tau*theta*L(t_m) is solved by one of two
 solvers, chosen from the values of the face tensors the assembly already
 evaluated, never from a flag such as ``CoefficientField.x_dependent``:
 
 * Fourier: on a periodic 2-D mesh whose face tensors are exactly equal at
-  every face, D is block-circulant.  ``_FourierSolver`` takes the N columns
-  of D at cell 0 as a kernel, inverts its ``rfft2`` symbol once (one N x N
-  block per wavenumber) and solves with ``rfft2``, a batched N x N product
-  and ``irfft2``.  A scheme keeps the state its last Fourier solve returned
-  together with that state's spectrum; a solve whose right-hand side is
-  that very state (a theta = 1 step without a source, forward or adjoint,
-  flat or block) reuses the spectrum and skips the ``rfft2``, so a march
-  transforms forward once, plus once per step with a source.
+  every face, D is block-circulant.  ``_FourierSolver`` reads the N columns
+  of D at cell 0 from D's entries as a kernel, inverts its ``rfft2`` symbol
+  once (one N x N block per wavenumber, a reciprocal when N = 1) and
+  solves with ``rfft2``, a batched N x N product and ``irfft2``.  A scheme
+  keeps the state its last Fourier solve returned together with that
+  state's spectrum; a solve whose right-hand side is that very state (a
+  theta = 1 step without a source, forward or adjoint, flat or block)
+  reuses the spectrum and skips the ``rfft2``, so a march transforms
+  forward once, plus once per step with a source.
 * SuperLU: everywhere else (n = 1, where per-call FFT overhead loses to a
   small ``splu``; dirichlet meshes; x-dependent fields and tables), D is
   factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
@@ -71,8 +83,10 @@ solver assembles L(t_m) itself and the operator is not stored, since
 nothing else reads it; ``operator(m)`` still stores what it builds.  The
 store charges a SuperLU factor 12 bytes per L+U nonzero, a Fourier solver
 the bytes of its inverse blocks (plain and conjugate-transposed), either
-one plus the CSC/CSR arrays of D, and a matrix its CSR/CSC arrays (the
-pattern arrays an operator shares with the stencil included); past
+one plus the CSC/CSR arrays of D, and a matrix its CSR/CSC arrays.  No
+stored array views a larger buffer; a pattern array that entries share
+with the stencil or the cached patterns is charged to each of them, so
+the charge bounds what the store holds from above.  Past
 ``CACHE_BYTES`` it evicts the least recently used entries, never the one
 just built.  ``cache_info`` reports its size.
 
@@ -129,8 +143,8 @@ def _stencil(mesh: Mesh, N: int):
     """Face points, value gather and CSR pattern of ``assemble`` on one mesh.
 
     The operator's pattern depends only on (mesh, N): its CSR data at time t
-    is ``gather @ A``, where A concatenates the raveled face tensors
-    ``tensor(t, pts[a])`` of every axis a, and the dirichlet projection is
+    is ``gather @ tensor(t, pts).ravel()``, where ``pts`` stacks the face
+    points of every axis in axis order, and the dirichlet projection is
     already applied to ``indices`` and ``indptr``.
     """
     n, C, nn = mesh.n, mesh.ncells, N * mesh.ncells
@@ -192,9 +206,75 @@ def _stencil(mesh: Mesh, N: int):
     gather = sp.csr_matrix((data, src, np.append(starts, len(data))), shape=(len(keys), offset))
     indices = (keys % nn).astype(np.int32)
     indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
-    for arr in (indices, indptr):
+    pts = np.concatenate([pts for pts, _, _ in faces])
+    for arr in (pts, indices, indptr):
         arr.flags.writeable = False  # shared by every assembly on this mesh
-    return tuple(pts for pts, _, _ in faces), gather, indices, indptr
+    return pts, gather, indices, indptr
+
+
+@lru_cache(maxsize=8)
+def _shift_pattern(mesh: Mesh, N: int):
+    """(indices, indptr, lpos, diag): the CSR pattern of I + L on one mesh, the
+    positions of L's entries in it and those of its diagonal.
+
+    On a periodic mesh L's pattern already holds every diagonal, so it is the
+    stencil's own and ``lpos`` is None; on a dirichlet mesh the pinned rows
+    of L are empty and the pattern gains their diagonals.
+    """
+    _, _, indices, indptr = _stencil(mesh, N)
+    nn = len(indptr) - 1
+    keys = np.repeat(np.arange(nn, dtype=np.int64) * nn, np.diff(indptr)) + indices
+    diag = np.arange(nn, dtype=np.int64) * (nn + 1)
+    # search and merge, never sort: a first sort pages in numpy's sort
+    # kernels, about 0.3 MB of peak RSS in a run that sorts nothing else
+    at = np.searchsorted(keys, diag)
+    missing = keys[np.minimum(at, len(keys) - 1)] != diag
+    if not missing.any():
+        return indices, indptr, None, at
+    union = np.insert(keys, at[missing], diag[missing])
+    indices = (union % nn).astype(np.int32)
+    indptr = np.searchsorted(union, nn * np.arange(nn + 1)).astype(np.int32)
+    for arr in (indices, indptr):
+        arr.flags.writeable = False
+    return indices, indptr, np.searchsorted(union, keys), np.searchsorted(union, diag)
+
+
+@lru_cache(maxsize=8)
+def _pruned_pattern(mesh: Mesh, N: int, bits: bytes):
+    """The entries of ``_shift_pattern(mesh, N)`` that the packed mask ``bits`` keeps.
+
+    Returns their positions and the CSR pattern they form.  Exact zeros come
+    from zero entries of the face tensors, which stay zero from step to step,
+    so the steps of a run share one mask and one pruned pattern.
+    """
+    indices, indptr, _, _ = _shift_pattern(mesh, N)
+    nz = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=len(indices)))
+    pattern = (indices[nz], np.searchsorted(nz, indptr).astype(np.int32))
+    for arr in pattern:
+        arr.flags.writeable = False
+    return (nz, *pattern)
+
+
+def _shifted(mesh: Mesh, N: int, L, c: float) -> sp.csr_matrix:
+    """I + c*L as a CSR matrix, straight from L's data.
+
+    Bitwise equal to ``sp.identity(nn, format="csr") + c*L`` (and, for c < 0,
+    to ``sp.identity(nn, format="csr") - (-c)*L``): the same entries, exact
+    zeros dropped.  The data is a fresh exact-size array; the pattern arrays
+    are the cached ones of this mesh.
+    """
+    indices, indptr, lpos, diag = _shift_pattern(mesh, N)
+    if lpos is None:
+        data = L.data * c
+    else:
+        data = np.zeros(len(indices))
+        data[lpos] = L.data * c
+    data[diag] += 1.0
+    keep = data != 0
+    if not keep.all():
+        nz, indices, indptr = _pruned_pattern(mesh, N, np.packbits(keep).tobytes())
+        data = data[nz]
+    return sp.csr_matrix((data, indices, indptr), shape=L.shape)
 
 
 def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
@@ -204,14 +284,16 @@ def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
     equal at every face, which makes the operator block-circulant.
     """
     coeffs = spec.effective_coeffs()
-    pts_axes, gather, indices, indptr = _stencil(mesh, coeffs.N)
-    tensors = [coeffs.tensor(t, pts) for pts in pts_axes]
-    if not all(np.isfinite(A).all() for A in tensors):
+    pts, gather, indices, indptr = _stencil(mesh, coeffs.N)
+    A = coeffs.tensor(t, pts)
+    if not np.isfinite(A).all():
         raise ConfigError(f"non-finite coefficient at a face (t={t})")
-    fourier = mesh.periodic and mesh.n == 2 and all((A == A[:1]).all() for A in tensors)
+    # equal on the faces of each axis, which translating by one cell maps onto
+    # themselves; a periodic mesh has one face per cell on each axis
+    fourier = mesh.periodic and mesh.n == 2 and all(
+        (B[1:] == B[:-1]).all() for B in np.split(A, 2))
     nn = coeffs.N * mesh.ncells
-    data = gather @ np.concatenate([A.ravel() for A in tensors])
-    return sp.csr_matrix((data, indices, indptr), shape=(nn, nn)), fourier
+    return sp.csr_matrix((gather @ A.ravel(), indices, indptr), shape=(nn, nn)), fourier
 
 
 def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
@@ -263,23 +345,35 @@ class _FourierSolver:
     """Solves with a block-circulant implicit matrix D on a periodic 2-D mesh.
 
     The N columns of D at cell 0 are an (N, N, c0, c1) kernel; ``rfft2`` of
-    the kernel is one N x N symbol block per wavenumber, inverted here once.
-    A solve is ``rfft2``, one N x N product per wavenumber and ``irfft2``;
-    ``trans="T"`` uses the conjugate-transposed inverse blocks, which are
-    the inverse symbol of D^T.  Given the spectrum a previous solve returned
-    with its right-hand side, a solve skips the ``rfft2`` and costs one
-    ``irfft2``.
+    the kernel is one N x N symbol block per wavenumber, inverted here once
+    (by a reciprocal when N = 1).  A solve is ``rfft2``, one N x N product
+    per wavenumber and ``irfft2``; ``trans="T"`` uses the conjugate-transposed
+    inverse blocks, which are the inverse symbol of D^T.  Given the spectrum
+    a previous solve returned with its right-hand side, a solve skips the
+    ``rfft2`` and costs one ``irfft2``.
     """
 
     def __init__(self, D, N: int, cells):
         self.N, self.cells = N, tuple(cells)
-        C = D.shape[0] // N
-        cols = D[:, np.arange(N) * C].toarray()  # column j is D[:, j*C]
-        kernel = cols.T.reshape(N, N, *self.cells).swapaxes(0, 1)  # [i, j] = D[i*C + x, j*C]
-        inv = np.linalg.inv(np.moveaxis(np.fft.rfft2(kernel), (0, 1), (-2, -1)))
+        kernel = self.kernel(D, N, self.cells)
+        symbol = np.moveaxis(np.fft.rfft2(kernel), (0, 1), (-2, -1))
+        inv = 1.0 / symbol if N == 1 else np.linalg.inv(symbol)
         self.inv = {"N": np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1))),
                     "T": np.ascontiguousarray(np.moveaxis(inv.conj(), (-2, -1), (1, 0)))}
         self.nbytes = sum(blocks.nbytes for blocks in self.inv.values())
+
+    @staticmethod
+    def kernel(D, N: int, cells) -> np.ndarray:
+        """[i, j, x] = D[i*C + x, j*C], read from D's CSR entries in the columns j*C."""
+        C = D.shape[0] // N
+        in_cols = D.indices == 0
+        for j in range(1, N):
+            in_cols |= D.indices == j * C
+        pos = np.flatnonzero(in_cols)
+        rows = np.searchsorted(D.indptr, pos, side="right") - 1
+        kernel = np.zeros((N, N, C))
+        kernel[rows // C, D.indices[pos] // C, rows % C] = D.data[pos]
+        return kernel.reshape(N, N, *cells)
 
     def solve(self, rhs: np.ndarray, trans: str = "N", spectrum=None):
         """Solve for a flat (nn,) state or an (nn, B) block, bitwise column by column.
@@ -408,7 +502,10 @@ class ThetaScheme:
         def build():
             L, fourier = (_assemble(self.mesh, self.spec, float(self.mesh.times[m]))
                           if self.theta == 1.0 else self._operator(m))
-            D = sp.identity(self.nn, format="csr") + self.mesh.tau * self.theta * L
+            D = _shifted(self.mesh, self.N, L, self.mesh.tau * self.theta)
+            # let the factorization reuse L's memory: keeping L alive through
+            # splu left the heap 0.1-0.2 MB larger on a 1-D run of 128 steps
+            del L
             if fourier:
                 return _Implicit(_FourierSolver(D, self.N, self.mesh.cells), D)
             D = D.tocsc()
@@ -422,8 +519,8 @@ class ThetaScheme:
             return _STORE.get((self._base, "expl", "const"),
                               lambda: sp.identity(self.nn, format="csr"))
         return _STORE.get(self._key("expl", m),
-                          lambda: (sp.identity(self.nn, format="csr")
-                                   - self.mesh.tau * (1.0 - self.theta) * self.operator(m)))
+                          lambda: _shifted(self.mesh, self.N, self.operator(m),
+                                           -(self.mesh.tau * (1.0 - self.theta))))
 
     def solve_implicit(self, m: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the implicit matrix of step m; rhs is (nn,) or a block (nn, B).

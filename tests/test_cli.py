@@ -315,6 +315,22 @@ class TestSweep:
         assert cli.sweep(str(p), "rho", [8, 4], out_dir=tmp_path / "sw") == 0
         assert seen == [8, 4]
 
+    def test_run_and_sweep_share_one_check_runner(self, tmp_path, monkeypatch):
+        sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
+        sc["checks"] = [{"name": "gaussian", "rho_cells": 6}]
+        sc["sweep"] = {"check": "gaussian", "field": "c_fit"}
+        p = tmp_path / "sweep.json"
+        p.write_text(json.dumps(sc))
+        kinds, _ = cli.CHECKS["gaussian"]
+        monkeypatch.setitem(cli.CHECKS, "gaussian", (kinds, lambda ctx, **params: cli.V.CheckRecord(
+            "gaussian", "-", "pass", 0.0, fitted={"c_fit": 1.0})))
+        ran = []
+        real = cli._run_check
+        monkeypatch.setattr(cli, "_run_check", lambda ctx, chk: ran.append(dict(chk)) or real(ctx, chk))
+        assert cli.run(str(p), out_dir=tmp_path / "out") == 0
+        assert cli.sweep(str(p), "rho", [8, 4], out_dir=tmp_path / "sw") == 0
+        assert [chk["rho_cells"] for chk in ran] == [6, 8, 4]
+
     def test_rho_sweep_of_a_check_without_radius_exit_2(self, tmp_path, capsys):
         sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
         sc["checks"].append({"name": "semigroup"})

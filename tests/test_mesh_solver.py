@@ -530,6 +530,30 @@ class TestStepStore:
         for a, b in zip(unbounded, bounded):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    def test_stored_matrices_own_exact_size_arrays(self, store, mode):
+        """The store charges a matrix its arrays' bytes, so no array may view a larger buffer."""
+        domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
+        mesh = Mesh(domain, (16, 16), tau=2.0 ** -10, t0=0.0, steps=4)
+        # the cross-derivative entries of I + c*L are exact zeros, dropped from D and E
+        spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), domain)
+        g = np.random.default_rng(6).standard_normal((1, 256))
+        for theta in (1.0, 0.5):
+            solve_forward(spec, mesh, g, None, 0.0, float(mesh.times[4]), theta=theta)
+
+        def allocated(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr.nbytes
+
+        kinds = set()
+        for key, (value, _) in solver._STORE.entries.items():
+            kinds.add(key[1])
+            mat = value if key[1] == "expl" else value[0] if key[1] == "op" else value[1]
+            for arr in (mat.data, mat.indices, mat.indptr):
+                assert allocated(arr) == arr.nbytes, (key[1], arr.shape)
+        assert kinds == {"op", "lu", "expl"}
+
     def test_theta_one_keeps_no_operators(self, store, periodic_2d):
         mesh = Mesh(periodic_2d, (16, 16), tau=2.0 ** -10, t0=0.0, steps=8)
         spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), periodic_2d)
@@ -548,7 +572,6 @@ class TestStepStore:
         sc = cli.load_scenario(str(path))
         ctx = cli.build_context(sc)
         assert sc["checks"][0]["name"] == "duality"
-        params = {k: v for k, v in sc["checks"][0].items() if k != "name"}
         calls = []
         real = solver._assemble
 
@@ -557,7 +580,7 @@ class TestStepStore:
             return real(*args)
 
         monkeypatch.setattr(solver, "_assemble", counting)
-        rec = cli.CHECKS["duality"][1](ctx, **params)
+        rec = cli._run_check(ctx, sc["checks"][0])
         assert rec.status == "pass"
         assert len(calls) <= ctx.mesh.steps + 1
 
@@ -613,10 +636,24 @@ def _random_n2_N3():
 
 
 # cells of each case of test_fixed_pattern_matches_loop: on 4- and 5-cell
-# axes the +1 and -1 transverse shifts of one face wrap onto nearby columns
+# axes the +1 and -1 transverse shifts of one face wrap onto nearby columns;
+# t-oscillating is the N = 1 case, whose cross-derivative entries are zero
 PATTERN_CELLS = {"rotating": (16,), "rotating-4": (4,), "rotating-5": (5,),
                  "random-n2-N3": (8, 6), "random-n2-N3-4x5": (4, 5),
-                 "random-n2-N3-5x4": (5, 4)}
+                 "random-n2-N3-5x4": (5, 4), "t-oscillating": (8, 6)}
+
+
+def _pattern_case(field, mode, transposed=False):
+    """Mesh and spec of one case of PATTERN_CELLS."""
+    if field.startswith("rotating"):
+        coeffs = make_preset("rotating", w0=0.5, omega=2.0)
+        domain = Domain((0.0,), (1.0,), mode)
+    else:
+        coeffs = (make_preset("t-oscillating", n=2, period=0.05) if field == "t-oscillating"
+                  else _random_n2_N3())
+        domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
+    mesh = Mesh(domain, PATTERN_CELLS[field], tau=1 / 256, t0=0.0, steps=8)
+    return mesh, OperatorSpec(coeffs, domain, transposed=transposed)
 
 
 class TestStepLayer:
@@ -629,15 +666,8 @@ class TestStepLayer:
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
     def test_fixed_pattern_matches_loop(self, field, mode, transposed):
-        cells = PATTERN_CELLS[field]
-        if field.startswith("rotating"):
-            coeffs = make_preset("rotating", w0=0.5, omega=2.0)
-            domain = Domain((0.0,), (1.0,), mode)
-        else:
-            coeffs = _random_n2_N3()
-            domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
-        mesh = Mesh(domain, cells, tau=1 / 256, t0=0.0, steps=8)
-        spec = OperatorSpec(coeffs, domain, transposed=transposed)
+        mesh, spec = _pattern_case(field, mode, transposed)
+        coeffs = spec.coeffs
         got = [assemble(mesh, spec, t) for t in (0.0, 3 / 256)]
         for t, L in zip((0.0, 3 / 256), got):
             ref = _loop_assemble(mesh, spec, t)
@@ -655,6 +685,28 @@ class TestStepLayer:
                 scale = np.max(np.abs(blocks))
                 assert np.max(np.abs(blocks.sum(axis=3))) <= 1e-14 * scale  # row sums
                 assert np.max(np.abs(blocks.sum(axis=1))) <= 1e-14 * scale  # column sums
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
+    def test_step_matrices_bitwise_equal_identity_plus_operator(self, store, field, mode,
+                                                                theta):
+        """D and E, built from L's data, equal ``sp.identity(nn) +- c*L`` to the bit."""
+        mesh, spec = _pattern_case(field, mode)
+        scheme = ThetaScheme(mesh, spec, theta)
+        eye = sp.identity(scheme.nn, format="csr")
+        for m in (1, 3):
+            L = assemble(mesh, spec, float(mesh.times[m]))
+            lu, D = scheme.implicit_lu(m)
+            want = eye + mesh.tau * theta * L
+            pairs = [(D, want if isinstance(lu, solver._FourierSolver) else want.tocsc())]
+            if theta < 1.0:
+                pairs.append((scheme.explicit(m), eye - mesh.tau * (1.0 - theta) * L))
+            for got, want in pairs:
+                assert type(got) is type(want)
+                for attr in ("data", "indices", "indptr"):
+                    a, b = getattr(got, attr), getattr(want, attr)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
     def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d):
         mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=4)
@@ -786,12 +838,23 @@ def _x_bump_unflagged():
     return CoefficientField(2, 1, 0.5, 2.0, math.inf, "x-bump", fn)
 
 
+def _axiswise_N1():
+    """Equal on the faces of each axis and different between the axes: on the (16, 9)
+    mesh of unit width, 32 x_1 is even on the axis-0 faces and odd on the axis-1 faces."""
+    def fn(t, pts):
+        a = 1.0 + 0.5 * (np.round(2 * 16 * pts[:, 0]) % 2)
+        return a[:, None, None, None, None] * np.eye(2)[None, :, :, None, None]
+
+    return CoefficientField(2, 1, 1.0, 2.0, math.inf, "axiswise-N1", fn)
+
+
 FOURIER_FIELDS = {
     "heat": lambda: make_preset("heat", n=2),
     "decoupled-heat-pair": lambda: make_preset("decoupled-heat-pair", n=2),
     "diag": lambda: make_preset("diag", values=(2.0, 0.5)),
     "t-oscillating": lambda: make_preset("t-oscillating", n=2, period=0.01),
     "coupled-N2": _coupled_N2,
+    "axiswise-N1": _axiswise_N1,
 }
 
 
@@ -845,6 +908,29 @@ class TestFourierPath:
         for trans, mat in (("N", D), ("T", D.T)):
             x = scheme.solve_implicit(1, rhs, trans=trans)
             assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
+    def test_kernel_and_inverse_symbol(self, store, monkeypatch, field):
+        domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
+        mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=4)
+        scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain), 1.0)
+        D = scheme.implicit_lu(2)[1]
+        N, C = scheme.N, mesh.ncells
+        # reference: slice D's columns at cell 0 of each component
+        cols = D[:, np.arange(N) * C].toarray()
+        want = np.ascontiguousarray(cols.T.reshape(N, N, *mesh.cells).swapaxes(0, 1))
+        kernel = solver._FourierSolver.kernel(D, N, mesh.cells)
+        assert kernel.tobytes() == want.tobytes()
+        inv = np.linalg.inv
+        inverted = []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+        fourier = solver._FourierSolver(D, N, mesh.cells)
+        assert len(inverted) == (0 if N == 1 else 1)  # 1 x 1 blocks take a reciprocal
+        ref = np.moveaxis(inv(np.moveaxis(np.fft.rfft2(want), (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        if N == 1:  # within roundoff of LAPACK's inverse of each 1 x 1 block
+            assert np.max(np.abs(fourier.inv["N"] - ref) / np.abs(ref)) <= 1e-15
+        else:
+            assert fourier.inv["N"].tobytes() == ref.tobytes()
 
     def test_fourier_path_on_x_dependent_field_fails_loudly(self, store, monkeypatch):
         domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
