@@ -37,7 +37,6 @@ class Context:
     name: str
     spec: OperatorSpec
     mesh: Mesh
-    theta: float
     seed: int
 
 
@@ -136,9 +135,10 @@ def load_scenario(path) -> dict:
     for key in ("name", "preset", "mesh", "checks"):
         if key not in sc:
             raise ConfigError(f"scenario is missing required key {key!r}")
-    theta = float(sc.get("theta", 1.0))
-    if not 0.5 <= theta <= 1.0:
-        raise ConfigError(f"theta must lie in [1/2, 1], got {theta}")
+    theta = sc.get("theta", 1)
+    if isinstance(theta, bool) or theta != 1:
+        raise ConfigError("theta must be 1 (implicit Euler is the only time scheme), "
+                          f"got {json.dumps(theta)}")
     mesh_cfg = sc["mesh"]
     _require_keys(mesh_cfg, {"cells", "box", "tau", "steps", "t0", "boundary"},
                   "mesh")
@@ -187,8 +187,7 @@ def build_context(sc: dict) -> Context:
                 int(mesh_cfg["steps"]))
     spec = OperatorSpec(coeffs, domain)
     _preload_linalg(mesh, spec, any(chk["name"] == "oracle" for chk in sc["checks"]))
-    return Context(str(sc["name"]), spec, mesh, float(sc.get("theta", 1.0)),
-                   int(sc.get("seed", 0)))
+    return Context(str(sc["name"]), spec, mesh, int(sc.get("seed", 0)))
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +271,7 @@ def _run_gaffney(ctx: Context, F_frac: float = 0.2, E_frac: float = 0.8,
     g = np.zeros((ctx.spec.coeffs.N, mesh.ncells))
     g[:, F] = 1.0
     return V.check_gaffney(ctx.spec, mesh, E, F, g, _time(mesh, s_step),
-                           _time(mesh, t_step, mesh.steps), slack=float(slack), theta=ctx.theta)
+                           _time(mesh, t_step, mesh.steps), slack=float(slack))
 
 
 def tent_profile(mesh: Mesh, gamma: float) -> np.ndarray:
@@ -290,7 +289,7 @@ def _run_davies(ctx: Context, gamma: float = 1.0, s_step: int = 0, t_step: int |
     psi = tent_profile(mesh, gamma)
     f = np.ones((ctx.spec.coeffs.N, mesh.ncells))
     return V.davies_growth(ctx.spec, mesh, psi, gamma, f, _time(mesh, s_step),
-                           _time(mesh, t_step, mesh.steps), slack=float(slack), theta=ctx.theta)
+                           _time(mesh, t_step, mesh.steps), slack=float(slack))
 
 
 def _run_gaussian(ctx: Context, rho_cells: float = 4, s_step: int | None = None,
@@ -370,7 +369,7 @@ def _run_initial_trace(ctx: Context, width: float | None = None, x0_frac: Frac |
     s_step = int(s_step)
     t_list = [_time(mesh, s_step + int(k)) for k in _listed("initial-trace", "t_steps", t_steps)]
     return V.initial_trace_test(ctx.spec, mesh, g, x0, _time(mesh, s_step), t_list,
-                                tolerance=float(tolerance), theta=ctx.theta)
+                                tolerance=float(tolerance))
 
 
 def _run_bounded_initial(ctx: Context, center_frac: float = 0.3, halfwidth: float = 0.1,
@@ -379,7 +378,7 @@ def _run_bounded_initial(ctx: Context, center_frac: float = 0.3, halfwidth: floa
     g = np.zeros((ctx.spec.coeffs.N, mesh.ncells))
     g[:, _segment_mask(mesh, center_frac, halfwidth)] = 1.0
     return V.check_bounded_initial(ctx.spec, mesh, g, _time(mesh, s_step),
-                                   _time(mesh, t_step, mesh.steps), theta=ctx.theta)
+                                   _time(mesh, t_step, mesh.steps))
 
 
 def _run_local_boundedness(ctx: Context, t_step: int | None = None,
@@ -402,8 +401,8 @@ def _run_oracle(ctx: Context, t_step: int | None = None, seed: int | None = None
     g = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
     t_step = int(min(mesh.steps, 24) if t_step is None else t_step)
     s, t = _time(mesh, 0), _time(mesh, t_step)
-    marched = solve_forward(ctx.spec, mesh, g, None, s, t, theta=ctx.theta)
-    dense = dense_spacetime_oracle(ctx.spec, mesh, g, None, s, t, theta=ctx.theta)
+    marched = solve_forward(ctx.spec, mesh, g, None, s, t)
+    dense = dense_spacetime_oracle(ctx.spec, mesh, g, None, s, t)
     num = float(np.max(np.abs(marched.values - dense.values)))
     den = float(np.max(np.abs(dense.values)))
     resid = num / den if den > 0 else 0.0
@@ -422,8 +421,8 @@ def _run_adjoint(ctx: Context, t_step: int | None = None, seed: int | None = Non
     b = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
     t_step = int(mesh.steps if t_step is None else t_step)
     s, t = _time(mesh, 0), _time(mesh, t_step)
-    fa = _solve(ctx.spec, mesh, a, None, s, t, ctx.theta, "forward", _Keep([t_step]))[0]
-    bb = _solve(ctx.spec, mesh, b, None, s, t, ctx.theta, "backward", _Keep([0]))[0]
+    fa = _solve(ctx.spec, mesh, a, None, s, t, "forward", _Keep([t_step]))[0]
+    bb = _solve(ctx.spec, mesh, b, None, s, t, "backward", _Keep([0]))[0]
     lhs, rhs = float(np.sum(fa * b)), float(np.sum(a * bb))
     resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     tol = float(tolerance)

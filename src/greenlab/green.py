@@ -12,9 +12,11 @@ pole share their source window, so ``green_block_columns`` and
 ``transpose_block_columns`` march them as one block, bitwise equal to the
 single-component ``averaged_green_column`` and ``transpose_green_column``.
 The public builders keep the whole window; the duality check asks the same
-builder for only the slices and cells of the cylinders it averages over.
-Columns and ``propagator``, which marches the identity block and keeps its
-last slice, all step through the solver's one marcher, ``solver._march``.
+builder for only the slices and cells of the cylinders it averages over,
+the causality check for the slices from step 0 to a column's first source
+slab.  Columns and ``propagator``, which marches the identity block and
+keeps its last slice, all take implicit Euler steps through the solver's
+one marcher, ``solver._march``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .errors import ConfigError
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
 from .solver import ThetaScheme, _Keep, _march
-
-GREEN_THETA = 1.0  # Green objects are built with the implicit Euler scheme
 
 
 def heat_kernel(n: int, t: float, r) -> np.ndarray:
@@ -117,12 +117,6 @@ class GreenColumn:
             return np.zeros(self.N)
         return self.field.slice_at(t)[:, self.mesh.cell_index(x)].copy()
 
-    def padded_values(self) -> np.ndarray:
-        """Values over the whole mesh window with the zero extension applied."""
-        full = np.zeros((self.mesh.steps + 1, self.N, self.mesh.ncells))
-        full[self.field.i0:self.field.i0 + self.field.nslices] = self.field.values
-        return full
-
 
 def _green_block(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
                  direction: str, keep: _Keep = _Keep()):
@@ -130,8 +124,11 @@ def _green_block(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizo
 
     Forward columns carry the minus-cylinder source and run up to the
     horizon; backward (transpose) columns carry the plus-cylinder source and
-    run down to it.  Returns the first time index of the march window and
-    what ``keep`` keeps of the columns, as (len(ks), slices, N, kept cells).
+    run down to it.  A forward march starts at its source window, or at the
+    first kept slice when that comes earlier, so the zero extension below
+    the window is marched rather than assumed.  Returns the first time index
+    of the march window and what ``keep`` keeps of the columns, as
+    (len(ks), slices, N, kept cells).
     """
     _check_resolvable(mesh, radius)
     N = spec.coeffs.N
@@ -146,9 +143,13 @@ def _green_block(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizo
     def src(m):
         return G if m in active else None
 
-    i0, i1 = ((active.start, mesh.time_index(horizon)) if forward
-              else (mesh.time_index(horizon), active.stop))
-    block = _march(ThetaScheme(mesh, spec, GREEN_THETA), i0, i1, np.zeros_like(G), src, keep,
+    if forward:
+        i0, i1 = active.start, mesh.time_index(horizon)
+        if keep.slices is not None and len(keep.slices) and keep.slices[0] < i0:
+            i0 = int(keep.slices[0])
+    else:
+        i0, i1 = mesh.time_index(horizon), active.stop
+    block = _march(ThetaScheme(mesh, spec), i0, i1, np.zeros_like(G), src, keep,
                    backward=not forward)
     return i0, block.reshape(block.shape[:2] + (N, block.shape[2] // N))
 
@@ -215,7 +216,7 @@ class Propagator:
 
 def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float) -> Propagator:
     """P(t, s): the identity block marched from s to t; column j is unit state j's march."""
-    scheme = ThetaScheme(mesh, spec, GREEN_THETA)
+    scheme = ThetaScheme(mesh, spec)
     if scheme.nn > PROPAGATOR_CAP:
         raise ConfigError(f"propagator size {scheme.nn} exceeds cap {PROPAGATOR_CAP}")
     i0, i1 = mesh.time_index(s), mesh.time_index(t)
@@ -288,22 +289,13 @@ def extrapolated_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_lis
     """Richardson-combined column with rho = 0; exactly zero before the pole time."""
     rhos = _rho_ladder(rho_list)
     cols = [averaged_green_column(spec, mesh, Y, k, float(r), T) for r in rhos]
-    return _richardson_column(rhos, cols, T)
-
-
-def _richardson_column(rhos: np.ndarray, cols, T: float) -> GreenColumn:
-    """Combine finished columns of one pole, at the radii ``rhos``, into rho = 0."""
-    first = cols[0]
-    mesh = first.mesh
-    w = _rho_weights(rhos)
-    i_pole = mesh.time_index(first.pole[0])
-    i1 = mesh.time_index(T)
-    combined = np.zeros((i1 - i_pole + 1, first.N, mesh.ncells))
-    for wj, col in zip(w, cols):
+    i_pole = mesh.time_index(cols[0].pole[0])
+    combined = np.zeros((mesh.time_index(T) - i_pole + 1, cols[0].N, mesh.ncells))
+    for wj, col in zip(_rho_weights(rhos), cols):
         off = i_pole - col.field.i0
         combined += wj * col.field.values[off:off + combined.shape[0]]
-    traj = Trajectory(mesh, i_pole, combined)
-    return GreenColumn(first.spec, mesh, first.pole, first.k, 0.0, traj, "forward")
+    return GreenColumn(spec, mesh, cols[0].pole, k, 0.0, Trajectory(mesh, i_pole, combined),
+                       "forward")
 
 
 def green_block_columns(spec: OperatorSpec, mesh: Mesh, Y, rho: float, T: float):

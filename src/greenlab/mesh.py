@@ -177,7 +177,8 @@ class Mesh:
         """(slab indices, ball cells) of the discrete parabolic cylinder at pole = (s, y).
 
         Slab m is the time interval [t_m, t_{m+1}].  The conventions are
-        fixed by the exact duality pairing at theta = 1:
+        fixed by the exact duality pairing of the implicit Euler steps, whose
+        step m takes the source of slab m:
 
         * a backward ("minus") cylinder covers the slabs inside
           (s - r^2, s], i.e. ip - n ... ip - 1 for s = t_ip and

@@ -112,18 +112,14 @@ class Domain:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A divergence-form operator: coefficients on a domain, optionally transposed."""
+    """A divergence-form operator: coefficients on a domain."""
 
     coeffs: CoefficientField
     domain: Domain
-    transposed: bool = False
 
     def __post_init__(self):
         if self.coeffs.n != self.domain.n:
             raise ConfigError("coefficient and domain dimensions differ")
-
-    def effective_coeffs(self) -> CoefficientField:
-        return self.coeffs.transposed() if self.transposed else self.coeffs
 
 
 # ----------------------------------------------------------------------

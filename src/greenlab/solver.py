@@ -1,14 +1,16 @@
-"""Divergence-form finite differences and theta-scheme time stepping.
+"""Divergence-form finite differences and implicit Euler time stepping.
 
 The spatial operator is the negative discrete divergence of face fluxes,
 with coefficients evaluated at face midpoints and centered differences
 across each face (transverse gradients on a face use the 4-point average
-of the neighboring differences).  One step of the theta scheme solves
+of the neighboring differences).  One implicit Euler step solves
 
-    (I + tau*theta*L(t+tau)) u' = (I - tau*(1-theta)*L(t)) u + tau*g,
+    (I + tau*L(t+tau)) u' = u + tau*g,
 
 and the backward solver applies the exact matrix transpose of the forward
 one-step maps, which is what makes the discrete duality identities exact.
+Implicit Euler is the only time scheme: the slab conventions of
+``Mesh.cylinder`` make the duality identity exact for it alone.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
 The operator's sparsity pattern depends only on (mesh, N), never on t.
@@ -17,18 +19,17 @@ of all axes stacked into one array and a sparse gather from the raveled
 face tensors to the CSR data, and keeps the last eight; each assembly
 evaluates the face tensors with one ``tensor`` call and fills the data.
 
-The step matrices D = I + tau*theta*L and, at theta < 1, the explicit
-E = I - tau*(1-theta)*L come straight from L's CSR data: ``_shifted``
-scales it, adds 1 at the diagonal positions and drops exact zeros, which
-gives ``sp.identity(nn) +- c*L`` to the bit.  The pattern of I + L and its
-diagonal positions are cached per (mesh, N) by ``_shift_pattern`` (on a
-dirichlet mesh L's pinned rows are empty, so that pattern gains their
-diagonals), and the pattern left after dropping the zeros is cached per
-zero mask by ``_pruned_pattern``: the steps of a run share one pattern and
-each stored matrix owns only its exact-size data.
+The step matrix D = I + tau*L comes straight from L's CSR data:
+``_shifted`` scales it, adds 1 at the diagonal positions and drops exact
+zeros, which gives ``sp.identity(nn) + tau*L`` to the bit.  The pattern
+of I + L and its diagonal positions are cached per (mesh, N) by
+``_shift_pattern`` (on a dirichlet mesh L's pinned rows are empty, so that
+pattern gains their diagonals), and the pattern left after dropping the
+zeros is cached per zero mask by ``_pruned_pattern``: the steps of a run
+share one pattern and each stored matrix owns only its exact-size data.
 
-The implicit matrix D = I + tau*theta*L(t_m) is solved by one of two
-solvers, chosen from the values of the face tensors the assembly already
+The implicit matrix D = I + tau*L(t_m) is solved by one of two solvers,
+chosen from the values of the face tensors the assembly already
 evaluated, never from a flag such as ``CoefficientField.x_dependent``:
 
 * Fourier: on a periodic 2-D mesh whose face tensors are exactly equal at
@@ -38,17 +39,14 @@ evaluated, never from a flag such as ``CoefficientField.x_dependent``:
   solves with ``rfft2``, a batched N x N product and ``irfft2``.  A scheme
   keeps the state its last Fourier solve returned together with that
   state's spectrum; a solve whose right-hand side is that very state (a
-  theta = 1 step without a source, forward or adjoint, flat or block)
-  reuses the spectrum and skips the ``rfft2``, so a march transforms
-  forward once, plus once per step with a source.
+  step without a source, forward or adjoint, flat or block) reuses the
+  spectrum and skips the ``rfft2``, so a march transforms forward once,
+  plus once per step with a source.
 * SuperLU: everywhere else (n = 1, where per-call FFT overhead loses to a
   small ``splu``; dirichlet meshes; x-dependent fields and tables), D is
   factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
   degree on the pattern of A^T + A), which suits the structurally
   symmetric operator.
-
-With theta = 1 the explicit side is the identity, stored once per scheme
-and built without assembling anything; the steps skip multiplying by it.
 
 One private marcher, ``_march``, runs every time loop, forward or (with
 ``backward``) through the adjoint steps, for a flat (nn,) state or an
@@ -73,20 +71,17 @@ is what the public solvers and column builders return; the checks in
 with the slices and cells they read.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
-``ThetaScheme`` of the same (mesh, spec, theta) shares one process-wide
-store of step matrices: the operator, the (solver, D) pair of the
-implicit side and the explicit matrix.  A key holds the frozen mesh and
-spec themselves (equal by value; coefficient functions by identity), the
-theta, the entry kind and the step index (``"const"`` for static
-coefficients and for the theta = 1 identity).  At theta = 1 a step's
-solver assembles L(t_m) itself and the operator is not stored, since
-nothing else reads it; ``operator(m)`` still stores what it builds.  The
-store charges a SuperLU factor 12 bytes per L+U nonzero, a Fourier solver
-the bytes of its inverse blocks (plain and conjugate-transposed), either
-one plus the CSC/CSR arrays of D, and a matrix its CSR/CSC arrays.  No
-stored array views a larger buffer; a pattern array that entries share
-with the stencil or the cached patterns is charged to each of them, so
-the charge bounds what the store holds from above.  Past
+``ThetaScheme`` of the same (mesh, spec) shares one process-wide store of
+step matrices: the (solver, D) pair of each step's implicit matrix.  A key
+holds the frozen mesh and spec themselves (equal by value; coefficient
+functions by identity) and the step index (``"const"`` for static
+coefficients).  A step's solver assembles L(t_m) itself and the operator
+is not stored, since nothing else reads it.  The store charges a SuperLU
+factor 12 bytes per L+U nonzero, a Fourier solver the bytes of its inverse
+blocks (plain and conjugate-transposed), and either one the CSC/CSR arrays
+of D.  No stored array views a larger buffer; a pattern array that entries
+share with the stencil or the cached patterns is charged to each of them,
+so the charge bounds what the store holds from above.  Past
 ``CACHE_BYTES`` it evicts the least recently used entries, never the one
 just built.  ``cache_info`` reports its size.
 
@@ -258,10 +253,9 @@ def _pruned_pattern(mesh: Mesh, N: int, bits: bytes):
 def _shifted(mesh: Mesh, N: int, L, c: float) -> sp.csr_matrix:
     """I + c*L as a CSR matrix, straight from L's data.
 
-    Bitwise equal to ``sp.identity(nn, format="csr") + c*L`` (and, for c < 0,
-    to ``sp.identity(nn, format="csr") - (-c)*L``): the same entries, exact
-    zeros dropped.  The data is a fresh exact-size array; the pattern arrays
-    are the cached ones of this mesh.
+    Bitwise equal to ``sp.identity(nn, format="csr") + c*L``: the same
+    entries, exact zeros dropped.  The data is a fresh exact-size array; the
+    pattern arrays are the cached ones of this mesh.
     """
     indices, indptr, lpos, diag = _shift_pattern(mesh, N)
     if lpos is None:
@@ -283,7 +277,7 @@ def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
     That path needs a periodic 2-D mesh and face tensors that are exactly
     equal at every face, which makes the operator block-circulant.
     """
-    coeffs = spec.effective_coeffs()
+    coeffs = spec.coeffs
     pts, gather, indices, indptr = _stencil(mesh, coeffs.N)
     A = coeffs.tensor(t, pts)
     if not np.isfinite(A).all():
@@ -305,7 +299,7 @@ def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
     table is one).  The guess only moves the import into set-up; a wrong one
     costs time, never correctness.
     """
-    if oracle or mesh.n != 2 or not mesh.periodic or spec.effective_coeffs().x_dependent:
+    if oracle or mesh.n != 2 or not mesh.periodic or spec.coeffs.x_dependent:
         import scipy.sparse.linalg  # noqa: F401
 
 
@@ -411,7 +405,7 @@ def _factor_bytes(pair) -> int:
 
 
 class _StepStore:
-    """Least-recently-used map from step keys to matrices, bounded by CACHE_BYTES.
+    """Least-recently-used map from step keys to ``_Implicit`` pairs, bounded by CACHE_BYTES.
 
     Every caller gets the same stored object, so no caller may modify one.
     """
@@ -420,13 +414,13 @@ class _StepStore:
         self.entries: OrderedDict = OrderedDict()  # key -> (value, charged bytes)
         self.nbytes = 0
 
-    def get(self, key, build, size=_csr_bytes):
+    def get(self, key, build):
         hit = self.entries.get(key)
         if hit is not None:
             self.entries.move_to_end(key)
             return hit[0]
         value = build()
-        cost = size(value)
+        cost = _factor_bytes(value)
         self.entries[key] = (value, cost)
         self.nbytes += cost
         while self.nbytes > CACHE_BYTES and len(self.entries) > 1:
@@ -444,12 +438,12 @@ def cache_info() -> CacheInfo:
 
 
 class _SchemeKey:
-    """The (mesh, spec, theta) part of a store key, hashed once."""
+    """The (mesh, spec) part of a store key, hashed once."""
 
     __slots__ = ("parts", "_hash")
 
-    def __init__(self, mesh: Mesh, spec: OperatorSpec, theta: float):
-        self.parts = (mesh, spec, theta)
+    def __init__(self, mesh: Mesh, spec: OperatorSpec):
+        self.parts = (mesh, spec)
         self._hash = hash(self.parts)
 
     def __hash__(self):
@@ -460,49 +454,31 @@ class _SchemeKey:
 
 
 class ThetaScheme:
-    """Step matrices and factorizations of one (mesh, spec, theta), from the shared store.
+    """Implicit Euler step matrices and factorizations of one (mesh, spec), from the shared store.
 
     The scheme also holds its last Fourier solution and that solution's
     spectrum, never in the store: one state per scheme, for one march.
     """
 
-    def __init__(self, mesh: Mesh, spec: OperatorSpec, theta: float = 1.0):
-        if not 0.5 <= theta <= 1.0:
-            raise ConfigError(f"theta must lie in [1/2, 1], got {theta}")
+    def __init__(self, mesh: Mesh, spec: OperatorSpec):
         self.mesh = mesh
         self.spec = spec
-        self.theta = float(theta)
-        coeffs = spec.effective_coeffs()
-        self.N = coeffs.N
-        self.nn = coeffs.N * mesh.ncells
-        self._static = not coeffs.time_dependent
-        self._base = _SchemeKey(mesh, spec, self.theta)
+        self.N = spec.coeffs.N
+        self.nn = self.N * mesh.ncells
+        self._static = not spec.coeffs.time_dependent
+        self._base = _SchemeKey(mesh, spec)
         self._carry = (None, None)  # the last Fourier solution and its spectrum
 
-    def _key(self, kind: str, m: int):
-        return (self._base, kind, "const" if self._static else m)
-
-    def _operator(self, m: int):
-        """The stored pair (L(t_m), whether its implicit matrix takes the Fourier path)."""
-        return _STORE.get(self._key("op", m),
-                          lambda: _assemble(self.mesh, self.spec, float(self.mesh.times[m])),
-                          lambda pair: _csr_bytes(pair[0]))
-
-    def operator(self, m: int) -> sp.csr_matrix:
-        return self._operator(m)[0]
-
     def implicit_lu(self, m: int):
-        """Solver of D = I + tau*theta*L(t_m), with D: the stored ``_Implicit`` pair.
+        """Solver of D = I + tau*L(t_m), with D: the stored ``_Implicit`` pair.
 
         The solver is a ``_FourierSolver`` when the face tensors of L(t_m)
         allow it (see ``_assemble``), otherwise the ``splu`` factorization of D.
-        At theta = 1 nothing else reads L(t_m), so it is assembled here and
-        not stored; at theta < 1 ``explicit(m)`` shares the stored operator.
+        Nothing else reads L(t_m), so it is assembled here and not stored.
         """
         def build():
-            L, fourier = (_assemble(self.mesh, self.spec, float(self.mesh.times[m]))
-                          if self.theta == 1.0 else self._operator(m))
-            D = _shifted(self.mesh, self.N, L, self.mesh.tau * self.theta)
+            L, fourier = _assemble(self.mesh, self.spec, float(self.mesh.times[m]))
+            D = _shifted(self.mesh, self.N, L, self.mesh.tau)
             # let the factorization reuse L's memory: keeping L alive through
             # splu left the heap 0.1-0.2 MB larger on a 1-D run of 128 steps
             del L
@@ -511,16 +487,7 @@ class ThetaScheme:
             D = D.tocsc()
             return _Implicit(spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D)
 
-        return _STORE.get(self._key("lu", m), build, _factor_bytes)
-
-    def explicit(self, m: int) -> sp.csr_matrix:
-        """I - tau*(1-theta)*L(t_m); one identity for every step when theta = 1."""
-        if self.theta == 1.0:
-            return _STORE.get((self._base, "expl", "const"),
-                              lambda: sp.identity(self.nn, format="csr"))
-        return _STORE.get(self._key("expl", m),
-                          lambda: _shifted(self.mesh, self.N, self.operator(m),
-                                           -(self.mesh.tau * (1.0 - self.theta))))
+        return _STORE.get((self._base, "const" if self._static else m), build)
 
     def solve_implicit(self, m: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the implicit matrix of step m; rhs is (nn,) or a block (nn, B).
@@ -555,16 +522,13 @@ class ThetaScheme:
 
     def forward_step(self, m: int, u: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         """One step t_m -> t_{m+1} of a flat state or an (nn, B) block; g is the source."""
-        rhs = u if self.theta == 1.0 else self.explicit(m) @ u
-        if g is not None:
-            rhs = rhs + self.mesh.tau * g
+        rhs = u if g is None else u + self.mesh.tau * g
         return self.solve_implicit(m + 1, rhs)
 
     def backward_step(self, m: int, w: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
         """Adjoint step t_{m+1} -> t_m: the transpose of forward_step(m, .)."""
         rhs = w if q is None else w + self.mesh.tau * q
-        z = self.solve_implicit(m + 1, rhs, trans="T")
-        return z if self.theta == 1.0 else self.explicit(m).T @ z
+        return self.solve_implicit(m + 1, rhs, trans="T")
 
 
 def _as_slice(mesh: Mesh, N: int, data) -> np.ndarray:
@@ -577,20 +541,16 @@ def _as_slice(mesh: Mesh, N: int, data) -> np.ndarray:
 
 
 def _slab_source_fn(scheme: ThetaScheme, f):
-    """Normalize the user source into a per-step flat source callable."""
+    """Normalize the user source into a per-step flat source callable.
+
+    Step m, from t_m to t_{m+1}, takes the source f(t_{m+1}).
+    """
     if f is None:
         return lambda m: None
+    if not callable(f):
+        raise ConfigError("source must be None or a callable t -> slice")
     mesh, N = scheme.mesh, scheme.N
-    if callable(f):
-        th = scheme.theta
-
-        def g(m):
-            early = _as_slice(mesh, N, f(float(mesh.times[m])))
-            late = _as_slice(mesh, N, f(float(mesh.times[m + 1])))
-            return project_slice(mesh, th * late + (1.0 - th) * early).ravel()
-
-        return g
-    raise ConfigError("source must be None or a callable t -> slice")
+    return lambda m: project_slice(mesh, _as_slice(mesh, N, f(float(mesh.times[m + 1])))).ravel()
 
 
 class _Keep(NamedTuple):
@@ -645,56 +605,54 @@ def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
     return out
 
 
-def _solve(spec: OperatorSpec, mesh: Mesh, g, f, lo: float, hi: float, theta: float,
-           direction: str, keep: _Keep = _Keep()) -> np.ndarray:
+def _solve(spec: OperatorSpec, mesh: Mesh, g, f, lo: float, hi: float, direction: str,
+           keep: _Keep = _Keep()) -> np.ndarray:
     """March one state over [lo, hi]: forward from data g at lo, or backward from g at hi.
 
     Returns what ``keep`` keeps, as (slices, N, kept cells).
     """
-    scheme = ThetaScheme(mesh, spec, theta)
+    scheme = ThetaScheme(mesh, spec)
     x = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
     out = _march(scheme, mesh.time_index(lo), mesh.time_index(hi), x,
                  _slab_source_fn(scheme, f), keep, direction == "backward")
     return out.reshape(len(out), scheme.N, out.shape[1] // scheme.N)
 
 
-def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
-                  theta: float = 1.0) -> Trajectory:
+def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float) -> Trajectory:
     """March the Cauchy problem from data g at time s up to time T.
 
     ``f`` is a per-slice source sampled as f(t) -> (N, ncells); the step
-    from t_m to t_{m+1} uses the theta-weighted combination.
+    from t_m to t_{m+1} uses f(t_{m+1}).
     """
-    values = _solve(spec, mesh, g, f, s, T, theta, "forward")
+    values = _solve(spec, mesh, g, f, s, T, "forward")
     return Trajectory(mesh, mesh.time_index(s), values)
 
 
-def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float,
-                   theta: float = 1.0) -> Trajectory:
+def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float) -> Trajectory:
     """March the adjoint problem from final data g at time b down to S.
 
     Each backward step is the exact matrix transpose of the corresponding
     forward step, so <forward(a), b> = <a, backward(b)> holds to roundoff
     for matching windows.  Sources pair with the slab convention of
-    ``solve_forward`` (stated for theta = 1).
+    ``solve_forward``.
     """
-    values = _solve(spec, mesh, g, f, S, b, theta, "backward")
+    values = _solve(spec, mesh, g, f, S, b, "backward")
     return Trajectory(mesh, mesh.time_index(S), values)
 
 
 ORACLE_CAP = 20_000
 
 
-def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float,
-                           theta: float = 1.0) -> Trajectory:
-    """Brute-force reference: one sparse direct solve of the stacked theta scheme.
+def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
+                           T: float) -> Trajectory:
+    """Brute-force reference: one sparse direct solve of the stacked implicit Euler steps.
 
-    Stacks the stored implicit and explicit step matrices into the
-    block-bidiagonal space-time system over all unknown slices and solves
-    it with ``spsolve``; only meant as a test oracle, capped at ORACLE_CAP
-    space-time unknowns.
+    Stacks each step's stored implicit matrix D on the block diagonal and
+    -I below it, the block-bidiagonal space-time system over all unknown
+    slices, and solves it with ``spsolve``; only meant as a test oracle,
+    capped at ORACLE_CAP space-time unknowns.
     """
-    scheme = ThetaScheme(mesh, spec, theta)
+    scheme = ThetaScheme(mesh, spec)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
     _check_window(i0, i1)
     K = i1 - i0
@@ -705,15 +663,14 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: fl
     u0 = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
 
     blocks = [[None] * K for _ in range(K)]
+    minus_eye = -sp.identity(nn, format="csr")
     rhs = np.zeros(K * nn)
+    rhs[:nn] = u0
     for k in range(K):
         m = i0 + k
         blocks[k][k] = scheme.implicit_lu(m + 1)[1]
-        E = scheme.explicit(m)
-        if k == 0:
-            rhs[:nn] += E @ u0
-        else:
-            blocks[k][k - 1] = -E
+        if k > 0:
+            blocks[k][k - 1] = minus_eye
         gm = src(m)
         if gm is not None:
             rhs[k * nn:(k + 1) * nn] += mesh.tau * gm

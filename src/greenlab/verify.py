@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .green import (_green_block, _richardson_column, _rho_ladder, averaged_green_column,
+from .green import (_green_block, _rho_ladder, averaged_green_column,
                     extrapolated_green_column, green_block_columns, propagator,
                     wrapped_heat_kernel)
 from .mesh import Mesh
@@ -221,13 +221,16 @@ def check_normalization(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
 
 
 def check_causality(spec: OperatorSpec, mesh: Mesh, Y, rho_list, T: float) -> CheckRecord:
-    """Zero extension: columns vanish identically before their source window."""
-    cols = [averaged_green_column(spec, mesh, Y, 1, float(rho), T) for rho in rho_list]
-    ext = _richardson_column(_rho_ladder(rho_list), cols, T)
+    """Zero extension: columns vanish identically before their source window.
+
+    Each radius's column is marched from step 0 with its source, and the
+    slices up to its first source slab must all be exactly zero.
+    """
     worst = 0.0
-    for col in (*cols, ext):
-        if col.field.i0:
-            worst = max(worst, float(np.max(np.abs(col.padded_values()[:col.field.i0]))))
+    for rho in _rho_ladder(rho_list):
+        first = mesh.cylinder(Y, rho, "minus")[0].start
+        _, early = _green_block(spec, mesh, Y, [1], rho, T, "forward", _Keep(range(first + 1)))
+        worst = max(worst, float(np.max(np.abs(early))))
     status = "pass" if worst == 0.0 else "fail"
     return CheckRecord("causality", "zero-extension", status, 0.0,
                        fitted={"max_early_value": worst},
@@ -390,7 +393,7 @@ def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0) -
 
 
 def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t: float,
-                  slack: float = 1.05, theta: float = 1.0) -> CheckRecord:
+                  slack: float = 1.05) -> CheckRecord:
     """L2 mass in E from data in F never beats exp(-c dist^2 / (t-s)), c = lam/(2 Lam^2)."""
     E_mask = np.asarray(E_mask, dtype=bool)
     F_mask = np.asarray(F_mask, dtype=bool)
@@ -402,7 +405,7 @@ def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t
         raise ConfigError("E and F must both contain cells")
     # one E cell at a time: the |E| x |F| gap array would dwarf the rest of the check
     d = min(float(np.min(np.linalg.norm(mesh.wrap_gaps(e - gF), axis=1))) for e in gE)
-    u_t = _solve(spec, mesh, g, None, s, t, theta, "forward", _Keep([mesh.time_index(t)]))[0]
+    u_t = _solve(spec, mesh, g, None, s, t, "forward", _Keep([mesh.time_index(t)]))[0]
     num = mesh.volume * float(np.sum(u_t[:, E_mask] ** 2))
     den = mesh.volume * float(np.sum(g[:, F_mask] ** 2))
     ratio = num / den
@@ -415,7 +418,7 @@ def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t
 
 
 def davies_growth(spec: OperatorSpec, mesh: Mesh, psi, gamma: float, f, s: float, t: float,
-                  slack: float = 1.05, theta: float = 1.0) -> CheckRecord:
+                  slack: float = 1.05) -> CheckRecord:
     """Exponentially weighted L2 growth against exp(2 nu gamma^2 (t-s)), nu = Lam^2/lam.
 
     psi must be grid-Lipschitz with face slopes at most gamma; gamma = 0
@@ -430,7 +433,7 @@ def davies_growth(spec: OperatorSpec, mesh: Mesh, psi, gamma: float, f, s: float
             raise ConfigError("psi violates the declared Lipschitz constant on a face")
     f = np.array(f, dtype=float)
     u0 = project_slice(mesh, f * np.exp(-psi)[None, :])
-    u_s, u_t = _solve(spec, mesh, u0, None, s, t, theta, "forward",
+    u_s, u_t = _solve(spec, mesh, u0, None, s, t, "forward",
                       _Keep([mesh.time_index(s), mesh.time_index(t)]))
     w = np.exp(2.0 * psi)[None, :]
     I_s = mesh.volume * float(np.sum(w * u_s ** 2))
@@ -575,7 +578,7 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
     slopes, consts = [], []
     for _ in range(n_solutions):
         g = rng.standard_normal((spec.coeffs.N, mesh.ncells))
-        vals = _solve(spec, mesh, g, None, float(mesh.t0), tc, 1.0, "forward", keep)
+        vals = _solve(spec, mesh, g, None, float(mesh.t0), tc, "forward", keep)
         E = np.array([_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
         if np.any(E <= 0):
             continue
@@ -627,8 +630,8 @@ def check_local_boundedness(spec: OperatorSpec, mesh: Mesh, mesh_fine: Mesh, X0,
 
     def ratio_on(m: Mesh) -> float:
         slices, ball = m.cylinder_slices(X0, R, "minus")
-        kept = _solve(spec, m, smooth_data(m), None, float(m.t0), float(X0[0]), 1.0,
-                      "forward", _Keep.on_cells(m, spec.coeffs.N, slices, ball))
+        kept = _solve(spec, m, smooth_data(m), None, float(m.t0), float(X0[0]), "forward",
+                      _Keep.on_cells(m, spec.coeffs.N, slices, ball))
 
         def cyl(rad):
             # a backward cylinder's slices end at the pole; the fancy index gives
@@ -657,7 +660,7 @@ def check_local_boundedness(spec: OperatorSpec, mesh: Mesh, mesh_fine: Mesh, X0,
 
 
 def initial_trace_test(spec: OperatorSpec, mesh: Mesh, g, x0, s: float, t_list,
-                       tolerance: float = 0.02, theta: float = 1.0) -> CheckRecord:
+                       tolerance: float = 0.02) -> CheckRecord:
     """Pointwise recovery of continuous initial data as t decreases to s."""
     t_list = sorted(float(t) for t in t_list)
     if t_list[0] <= s + mesh.tau * (1 - 1e-9):
@@ -666,7 +669,7 @@ def initial_trace_test(spec: OperatorSpec, mesh: Mesh, g, x0, s: float, t_list,
     cell = mesh.cell_index(x0)
     gx0 = g[:, cell].copy()
     probes = sorted({mesh.time_index(t) for t in t_list})
-    vals = _solve(spec, mesh, g, None, s, t_list[-1], theta, "forward", _Keep(probes))
+    vals = _solve(spec, mesh, g, None, s, t_list[-1], "forward", _Keep(probes))
     errs = []
     for t in t_list:
         u = vals[probes.index(mesh.time_index(t))]
@@ -684,14 +687,14 @@ def initial_trace_test(spec: OperatorSpec, mesh: Mesh, g, x0, s: float, t_list,
 
 
 def check_bounded_initial(spec: OperatorSpec, mesh: Mesh, g, s: float, t: float,
-                          tolerance: float = 1e-12, theta: float = 1.0) -> CheckRecord:
-    """Sup bound by the data sup; exact (max principle) for scalar implicit Euler."""
+                          tolerance: float = 1e-12) -> CheckRecord:
+    """Sup bound by the data sup; exact (max principle) for scalar systems."""
     g = np.array(g, dtype=float)
     gmax = float(np.max(np.abs(g)))
-    u_t = _solve(spec, mesh, g, None, s, t, theta, "forward", _Keep([mesh.time_index(t)]))[0]
+    u_t = _solve(spec, mesh, g, None, s, t, "forward", _Keep([mesh.time_index(t)]))[0]
     umax = float(np.max(np.abs(u_t)))
     ratio = umax / gmax if gmax > 0 else 0.0
-    if spec.coeffs.N == 1 and theta == 1.0:
+    if spec.coeffs.N == 1:
         status = "pass" if ratio <= 1.0 + tolerance else "fail"
     else:
         status = "informational"

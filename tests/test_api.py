@@ -2,11 +2,12 @@ import inspect
 import types
 
 import greenlab
-from greenlab import green, io, mesh, problem, solver
+from greenlab import cli, green, io, mesh, problem, solver, verify
 
 # Public names that only tests called; they are gone from the package.
 DELETED = {
-    green: ("apply_representation", "apply_initial", "block_at"),
+    green: ("apply_representation", "apply_initial", "block_at", "GREEN_THETA",
+            "_richardson_column"),
     solver: ("step_forward", "DiscreteOperator"),
     mesh: ("dirichlet_energy", "EnergyNorm", "energy_norm"),
     problem: ("vmo_modulus", "VmoProbe", "diagonal_distance", "transpose_coefficients"),
@@ -36,3 +37,15 @@ def test_deleted_methods_and_options_are_gone():
     assert not hasattr(mesh.Trajectory, "slice_l2")
     for fn in (solver.solve_forward, solver.solve_backward, solver.dense_spacetime_oracle):
         assert "slab_source" not in inspect.signature(fn).parameters
+    # implicit Euler is the only time scheme
+    for cls, attr in ((solver.ThetaScheme, "explicit"), (solver.ThetaScheme, "operator"),
+                      (solver.ThetaScheme, "_operator"), (green.GreenColumn, "padded_values"),
+                      (problem.OperatorSpec, "effective_coeffs")):
+        assert not hasattr(cls, attr), attr
+    assert "transposed" not in problem.OperatorSpec.__dataclass_fields__
+    assert "theta" not in cli.Context.__dataclass_fields__
+    assert "size" not in inspect.signature(solver._StepStore.get).parameters
+    for fn in (solver.ThetaScheme, solver._solve, solver.solve_forward, solver.solve_backward,
+               solver.dense_spacetime_oracle, verify.check_gaffney, verify.davies_growth,
+               verify.initial_trace_test, verify.check_bounded_initial):
+        assert "theta" not in inspect.signature(fn).parameters, fn.__name__

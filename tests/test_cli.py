@@ -46,12 +46,36 @@ def test_rotating_report_byte_determinism(tmp_path):
 
 
 def test_theta_contract_exit_2(tmp_path, capsys):
+    """Implicit Euler is the only scheme: theta may be 1 or absent, anything else exits 2."""
     sc = json.loads((SCEN / "heat-1d-core.json").read_text())
-    sc["theta"] = 0.25
     p = tmp_path / "bad.json"
+    for theta in (0.5, 0.25, True):
+        p.write_text(json.dumps(dict(sc, theta=theta)))
+        assert cli.run(str(p), out_dir=tmp_path / "bad") == 2
+        assert "theta" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    sc.pop("theta")
     p.write_text(json.dumps(sc))
-    assert cli.run(str(p)) == 2
-    assert "[1/2, 1]" in capsys.readouterr().err
+    assert cli.run(str(p), out_dir=tmp_path / "no-theta") == 0
+
+
+def test_theta_absent_reports_like_theta_one(tmp_path):
+    """A scenario without ``theta`` runs implicit Euler: only the echoed config differs."""
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    assert sc["theta"] == 1
+    p = tmp_path / "no-theta.json"
+    p.write_text(json.dumps({k: v for k, v in sc.items() if k != "theta"}))
+    one, absent = tmp_path / "one", tmp_path / "absent"
+    assert cli.run(str(SCEN / "heat-1d-core.json"), out_dir=one) == 0
+    assert cli.run(str(p), out_dir=absent) == 0
+    a, b = (json.loads((d / "report.json").read_text()) for d in (one, absent))
+    assert a.pop("config") == dict(b.pop("config"), theta=1)
+    assert a == b
+    names = sorted(f.name for f in one.iterdir())
+    assert names == sorted(f.name for f in absent.iterdir())
+    for name in names:
+        if name != "report.json":
+            assert (one / name).read_bytes() == (absent / name).read_bytes(), name
 
 
 def test_unknown_check_exit_2(tmp_path, capsys):
@@ -273,7 +297,7 @@ domain = Domain((0.0,), (1.0,), "periodic")
 mesh = Mesh(domain, (16,), tau=1 / 256, t0=0.0, steps=8)
 spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), domain)
 solve_forward(spec, mesh, np.ones((2, 16)), None, 0.0, float(mesh.times[8]))
-factors = sum(key[1] == "lu" for key in solver._STORE.entries)
+factors = len(solver._STORE.entries)
 result = [wrapper.calls, factors]
 """
         assert _fresh(tmp_path, code) == [[8, 8], list(LINALG)]

@@ -22,8 +22,15 @@ def fine_heat_setup(cells=128, extra=0):
     return dom, mesh, spec
 
 
+def padded(col):
+    """A column's values over the whole mesh window, zero outside its field."""
+    full = np.zeros((col.mesh.steps + 1, col.N, col.mesh.ncells))
+    full[col.field.i0:col.field.i0 + col.field.nslices] = col.field.values
+    return full
+
+
 def duhamel_slice(spec, mesh, slab_source, i0, K):
-    """Duhamel's formula at theta = 1 from zero data at t_i0: u(t_K) = tau sum_m P(t_K, t_m) g_m.
+    """Duhamel's formula from zero data at t_i0: u(t_K) = tau sum_m P(t_K, t_m) g_m.
 
     An implicit Euler step from t_m is P(t_{m+1}, t_m) = (I + tau L(t_{m+1}))^{-1}, so
     the slab source g_m (a flat array, or None) enters u(t_K) as tau P(t_K, t_m) g_m.
@@ -55,10 +62,10 @@ class TestAveragedColumn:
         rho = 4 / 32
         col = averaged_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]),
                                     1, rho, 48 / 512)
-        padded = col.padded_values()
+        full = padded(col)
         nslab = mesh32.slab_count(rho)
-        assert np.all(padded[:24 - nslab] == 0.0)
-        assert np.any(padded[24] != 0.0)
+        assert np.all(full[:24 - nslab] == 0.0)
+        assert np.any(full[24] != 0.0)
         assert np.all(col.value_at(0.0, mesh32.centers[3]) == 0.0)
 
     def test_decoupled_pair_second_component_zero(self, mesh32, periodic_1d):
@@ -128,8 +135,7 @@ class TestTransposeColumn:
         nslab = mesh32.slab_count(sigma)
         assert col.field.i0 == 0
         assert np.all(col.value_at(60 / 512, mesh32.centers[10]) == 0.0)
-        padded = col.padded_values()
-        assert np.all(padded[24 + nslab + 1:] == 0.0)
+        assert np.all(padded(col)[24 + nslab + 1:] == 0.0)
 
     def test_averaged_duality_heat_and_rotating(self, mesh32, periodic_1d):
         for preset, tol in (("heat", 1e-12), ("rotating", 1e-10)):
@@ -160,15 +166,15 @@ class TestTransposeColumn:
                                      1, sigma, 0.0)
         fwd = averaged_green_column(spec, mesh32, ((K - it) / 512, mesh32.centers[20]),
                                     1, sigma, float(mesh32.times[-1]))
-        pad_b = bwd.padded_values()
-        pad_f = fwd.padded_values()
+        pad_b = padded(bwd)
+        pad_f = padded(fwd)
         assert np.allclose(pad_b, pad_f[::-1], rtol=0, atol=1e-13)
 
 
 class TestPropagator:
     def test_one_step_heat_is_resolvent(self, mesh32, heat_spec):
         P = propagator(heat_spec, mesh32, 0.0, 1 / 512)
-        scheme = ThetaScheme(mesh32, heat_spec, 1.0)
+        scheme = ThetaScheme(mesh32, heat_spec)
         D = scheme.implicit_lu(1)[1].toarray()
         assert np.allclose(P.P @ D, np.eye(32), rtol=0, atol=1e-12)
 
@@ -286,8 +292,7 @@ class TestRhoRefinement:
         col = extrapolated_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[8]),
                                         1, [6 / 32, 4 / 32], 60 / 512)
         assert col.rho == 0.0
-        padded = col.padded_values()
-        assert np.all(padded[:24] == 0.0)
+        assert np.all(padded(col)[:24] == 0.0)
         assert np.all(col.value_at(20 / 512, mesh32.centers[8]) == 0.0)
 
 
@@ -302,7 +307,7 @@ class TestRepresentation:
             return np.stack([prof, 0.3 * prof])
 
         b = solve_forward(spec, mesh32, None, f, 0.0, 32 / 512)
-        # at theta = 1 the slab source of step m is f(t_{m+1})
+        # the slab source of step m is f(t_{m+1})
         for K in (16, 32):
             a = duhamel_slice(spec, mesh32, lambda m: f(float(mesh32.times[m + 1])).ravel(), 0, K)
             assert np.max(np.abs(a - b.values[K].ravel())) <= 1e-9 * np.max(np.abs(b.values))
@@ -424,7 +429,7 @@ class TestTransposeLimitConsistency:
         spec = OperatorSpec(make_preset("almost-diagonal"), periodic_1d)
         P = propagator(spec, mesh32, 0.0, 24 / 512)
         from greenlab.solver import ThetaScheme
-        scheme = ThetaScheme(mesh32, spec, 1.0)
+        scheme = ThetaScheme(mesh32, spec)
         b = np.random.default_rng(0).standard_normal(64)
         w = b.copy()
         for m in range(23, -1, -1):

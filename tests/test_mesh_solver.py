@@ -35,10 +35,10 @@ def slice_l2(traj):
     return np.sqrt(traj.mesh.volume * np.sum(traj.values ** 2, axis=(1, 2)))
 
 
-def step_forward(u, mesh, spec, theta=1.0):
-    """One theta-scheme step from t_0, as a one-step forward solve."""
-    return solve_forward(spec, mesh, u, None, float(mesh.times[0]), float(mesh.times[1]),
-                         theta=theta).values[-1]
+def step_forward(u, mesh, spec):
+    """One implicit Euler step from t_0, as a one-step forward solve."""
+    return solve_forward(spec, mesh, u, None, float(mesh.times[0]),
+                         float(mesh.times[1])).values[-1]
 
 
 class TestMesh:
@@ -257,15 +257,8 @@ class TestStepForward:
         x = mesh32.centers[:, 0]
         u = np.sin(2 * math.pi * x)[None, :]
         mu = 4 * math.sin(math.pi * h) ** 2 / h ** 2
-        out = step_forward(u, mesh32, heat_spec, theta=1.0)
+        out = step_forward(u, mesh32, heat_spec)
         assert np.allclose(out, u / (1 + tau * mu), rtol=1e-12, atol=1e-14)
-        out_cn = step_forward(u, mesh32, heat_spec, theta=0.5)
-        factor = (1 - tau * mu / 2) / (1 + tau * mu / 2)
-        assert np.allclose(out_cn, factor * u, rtol=1e-12, atol=1e-14)
-
-    def test_theta_below_half_rejected(self, mesh32, heat_spec):
-        with pytest.raises(ConfigError):
-            step_forward(np.zeros((1, 32)), mesh32, heat_spec, theta=0.25)
 
     def test_dirichlet_boundary_stays_zero(self, dirichlet_1d):
         mesh = Mesh(dirichlet_1d, (16,), tau=0.001, t0=0.0, steps=4)
@@ -415,7 +408,7 @@ class TestEnergyAndMonotonicity:
 
 class TestSchemeContracts:
     def test_residual_contract_enforced(self, mesh32, heat_spec):
-        scheme = ThetaScheme(mesh32, heat_spec, 1.0)
+        scheme = ThetaScheme(mesh32, heat_spec)
         u = np.random.default_rng(0).standard_normal(32)
         x = scheme.solve_implicit(1, u)
         D = scheme.implicit_lu(1)[1]
@@ -423,9 +416,9 @@ class TestSchemeContracts:
 
     def test_time_dependent_matrices_fresh_per_step(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("t-oscillating", n=1, period=0.02), periodic_1d)
-        scheme = ThetaScheme(mesh32, spec, 1.0)
-        a = scheme.operator(0).toarray()
-        b = scheme.operator(5).toarray()
+        scheme = ThetaScheme(mesh32, spec)
+        a = scheme.implicit_lu(1)[1].toarray()
+        b = scheme.implicit_lu(5)[1].toarray()
         assert not np.allclose(a, b)
 
 
@@ -458,32 +451,26 @@ class TestStepStore:
 
     def test_equal_keys_share_and_distinct_keys_do_not(self, store, mesh32, rotating,
                                                         periodic_1d):
-        def touch(scheme):
-            return scheme.operator(3), scheme.implicit_lu(3), scheme.explicit(3)
-
-        base = touch(ThetaScheme(mesh32, rotating, 1.0))
-        assert solver.cache_info().entries == 3
-        # equal by value: a rebuilt mesh and spec hit the same entries
+        base = ThetaScheme(mesh32, rotating).implicit_lu(3)
+        assert solver.cache_info().entries == 1
+        # equal by value: a rebuilt mesh and spec hit the same entry
         same_mesh = Mesh(Domain((0.0,), (1.0,), "periodic"), (32,), tau=1.0 / 512,
                          t0=0.0, steps=64)
         same_spec = OperatorSpec(rotating.coeffs, Domain((0.0,), (1.0,), "periodic"))
-        again = touch(ThetaScheme(same_mesh, same_spec, 1.0))
-        assert solver.cache_info().entries == 3
-        assert all(a is b for a, b in zip(base, again))
+        assert ThetaScheme(same_mesh, same_spec).implicit_lu(3) is base
+        assert solver.cache_info().entries == 1
         longer = Mesh(periodic_1d, (32,), tau=1.0 / 512, t0=0.0, steps=65)
-        others = [ThetaScheme(mesh32, OperatorSpec(rotating.coeffs, periodic_1d,
-                                                   transposed=True), 1.0),
-                  ThetaScheme(mesh32, rotating, 0.5),
-                  ThetaScheme(longer, rotating, 1.0)]
+        others = [ThetaScheme(mesh32, OperatorSpec(rotating.coeffs.transposed(), periodic_1d)),
+                  ThetaScheme(longer, rotating)]
         for i, scheme in enumerate(others, start=2):
-            got = touch(scheme)
-            assert solver.cache_info().entries == 3 * i
-            assert not any(a is b for a, b in zip(base, got))
+            assert scheme.implicit_lu(3) is not base
+            assert solver.cache_info().entries == i
 
     def test_evicts_least_recently_used(self, store, monkeypatch):
         def get(key):
-            return solver._STORE.get(key, lambda: [key], size=lambda value: 10)
+            return solver._STORE.get(key, lambda: [key])
 
+        monkeypatch.setattr(solver, "_factor_bytes", lambda value: 10)
         monkeypatch.setattr(solver, "CACHE_BYTES", 20)
         a = get("a")
         get("b")
@@ -535,37 +522,30 @@ class TestStepStore:
         """The store charges a matrix its arrays' bytes, so no array may view a larger buffer."""
         domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
         mesh = Mesh(domain, (16, 16), tau=2.0 ** -10, t0=0.0, steps=4)
-        # the cross-derivative entries of I + c*L are exact zeros, dropped from D and E
+        # the cross-derivative entries of I + tau*L are exact zeros, dropped from D
         spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), domain)
         g = np.random.default_rng(6).standard_normal((1, 256))
-        for theta in (1.0, 0.5):
-            solve_forward(spec, mesh, g, None, 0.0, float(mesh.times[4]), theta=theta)
+        solve_forward(spec, mesh, g, None, 0.0, float(mesh.times[4]))
 
         def allocated(arr):
             while isinstance(arr.base, np.ndarray):
                 arr = arr.base
             return arr.nbytes
 
-        kinds = set()
+        assert solver.cache_info().entries == 4
         for key, (value, _) in solver._STORE.entries.items():
-            kinds.add(key[1])
-            mat = value if key[1] == "expl" else value[0] if key[1] == "op" else value[1]
-            for arr in (mat.data, mat.indices, mat.indptr):
+            D = value[1]
+            for arr in (D.data, D.indices, D.indptr):
                 assert allocated(arr) == arr.nbytes, (key[1], arr.shape)
-        assert kinds == {"op", "lu", "expl"}
 
-    def test_theta_one_keeps_no_operators(self, store, periodic_2d):
+    def test_store_keeps_only_implicit_pairs(self, store, periodic_2d):
         mesh = Mesh(periodic_2d, (16, 16), tau=2.0 ** -10, t0=0.0, steps=8)
         spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), periodic_2d)
         g = np.random.default_rng(6).standard_normal((1, 256))
-        T = float(mesh.times[8])
-        solve_forward(spec, mesh, g, None, 0.0, T)
-        kinds = [key[1] for key in solver._STORE.entries]
-        assert kinds.count("lu") == 8 and "op" not in kinds
-        # theta < 1: explicit(m) reads the same operator, so it stays stored
-        solve_forward(spec, mesh, g, None, 0.0, T, theta=0.5)
-        kinds = [key[1] for key in solver._STORE.entries if key[0].parts[2] == 0.5]
-        assert kinds.count("op") == 9
+        solve_forward(spec, mesh, g, None, 0.0, float(mesh.times[8]))
+        entries = solver._STORE.entries
+        assert [key[1] for key in entries] == list(range(1, 9))
+        assert all(type(value) is solver._Implicit for value, _ in entries.values())
 
     def test_rotating_duality_assembles_each_step_once(self, store, monkeypatch):
         path = resources.files("greenlab") / "scenarios" / "rotating-2x2.json"
@@ -587,7 +567,7 @@ class TestStepStore:
 
 def _loop_assemble(mesh, spec, t):
     """Reference: the per-entry loop that assembled every step before the pattern was memoised."""
-    coeffs = spec.effective_coeffs()
+    coeffs = spec.coeffs
     n, N = coeffs.n, coeffs.N
     C = mesh.ncells
     rows, cols, vals = [], [], []
@@ -653,7 +633,7 @@ def _pattern_case(field, mode, transposed=False):
                   else _random_n2_N3())
         domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
     mesh = Mesh(domain, PATTERN_CELLS[field], tau=1 / 256, t0=0.0, steps=8)
-    return mesh, OperatorSpec(coeffs, domain, transposed=transposed)
+    return mesh, OperatorSpec(coeffs.transposed() if transposed else coeffs, domain)
 
 
 class TestStepLayer:
@@ -686,27 +666,25 @@ class TestStepLayer:
                 assert np.max(np.abs(blocks.sum(axis=3))) <= 1e-14 * scale  # row sums
                 assert np.max(np.abs(blocks.sum(axis=1))) <= 1e-14 * scale  # column sums
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
     def test_step_matrices_bitwise_equal_identity_plus_operator(self, store, field, mode,
-                                                                theta):
-        """D and E, built from L's data, equal ``sp.identity(nn) +- c*L`` to the bit."""
-        mesh, spec = _pattern_case(field, mode)
-        scheme = ThetaScheme(mesh, spec, theta)
+                                                                 transposed):
+        """D, built from L's data, equals ``sp.identity(nn) + tau*L`` to the bit."""
+        mesh, spec = _pattern_case(field, mode, transposed)
+        scheme = ThetaScheme(mesh, spec)
         eye = sp.identity(scheme.nn, format="csr")
         for m in (1, 3):
             L = assemble(mesh, spec, float(mesh.times[m]))
             lu, D = scheme.implicit_lu(m)
-            want = eye + mesh.tau * theta * L
-            pairs = [(D, want if isinstance(lu, solver._FourierSolver) else want.tocsc())]
-            if theta < 1.0:
-                pairs.append((scheme.explicit(m), eye - mesh.tau * (1.0 - theta) * L))
-            for got, want in pairs:
-                assert type(got) is type(want)
-                for attr in ("data", "indices", "indptr"):
-                    a, b = getattr(got, attr), getattr(want, attr)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+            want = eye + mesh.tau * L
+            if not isinstance(lu, solver._FourierSolver):
+                want = want.tocsc()
+            assert type(D) is type(want)
+            for attr in ("data", "indices", "indptr"):
+                a, b = getattr(D, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
     def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d):
         mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=4)
@@ -740,7 +718,7 @@ class TestStepLayer:
         reached = []
         g = np.random.default_rng(2).standard_normal((1, 32))
         with pytest.raises(ConfigError, match="non-finite coefficient"):
-            solver._march(ThetaScheme(mesh32, spec, 1.0), 0, 10, g.ravel(),
+            solver._march(ThetaScheme(mesh32, spec), 0, 10, g.ravel(),
                           lambda m: reached.append(m))
         assert reached == [0, 1, 2, 3, 4]  # the step into t_5 is the first to fail
 
@@ -750,7 +728,7 @@ class TestStepLayer:
         mesh = Mesh(domain, (32, 32), tau=2.0 ** -12, t0=0.0, steps=4)
         # periodic heat takes the Fourier path; an x-dependent field keeps splu
         preset = "x-oscillatory" if mode == "periodic" else "heat"
-        scheme = ThetaScheme(mesh, OperatorSpec(make_preset(preset, n=2), domain), 1.0)
+        scheme = ThetaScheme(mesh, OperatorSpec(make_preset(preset, n=2), domain))
         lu, D = scheme.implicit_lu(1)
         assert lu.nnz < spla.splu(D).nnz
         rhs = np.random.default_rng(4).standard_normal(scheme.nn)
@@ -758,42 +736,27 @@ class TestStepLayer:
             x = scheme.solve_implicit(1, rhs, trans=trans)
             assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
 
-    def test_theta_one_steps_skip_the_identity(self, store, monkeypatch, mesh32, periodic_1d):
+    def test_marches_assemble_each_step_once(self, store, monkeypatch, mesh32, periodic_1d):
+        """A step builds only its implicit matrix: forward and adjoint marches over
+        steps 1..24 assemble L(t_1)..L(t_24) once each and store 24 entries."""
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        times = []
+        real = solver._assemble
+        monkeypatch.setattr(solver, "_assemble",
+                            lambda *args: times.append(args[2]) or real(*args))
         g = np.random.default_rng(7).standard_normal((2, 32))
         T = float(mesh32.times[24])
-        ref = [solve_forward(spec, mesh32, g, None, 0.0, T).values,
-               solve_backward(spec, mesh32, g, None, T, 0.0).values]
-
-        def no_explicit(self, m):
-            raise AssertionError("theta = 1 steps need no explicit matrix")
-
-        monkeypatch.setattr(ThetaScheme, "explicit", no_explicit)
-        got = [solve_forward(spec, mesh32, g, None, 0.0, T).values,
-               solve_backward(spec, mesh32, g, None, T, 0.0).values]
-        for a, b in zip(ref, got):
-            assert a.tobytes() == b.tobytes()
-
-    def test_theta_one_explicit_is_one_identity(self, store, monkeypatch, mesh32, periodic_1d):
-        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
-        calls = []
-        real = solver._assemble
-        monkeypatch.setattr(solver, "_assemble", lambda *args: calls.append(args) or real(*args))
-        scheme = ThetaScheme(mesh32, spec, 1.0)
-        E = scheme.explicit(0)
-        assert all(scheme.explicit(m) is E for m in range(1, 8))
-        assert calls == [] and solver.cache_info().entries == 1
-        assert (E != sp.identity(scheme.nn, format="csr")).nnz == 0
-        # theta < 1 keeps one explicit matrix per step
-        half = ThetaScheme(mesh32, spec, 0.5)
-        assert half.explicit(0) is not half.explicit(1)
+        solve_forward(spec, mesh32, g, None, 0.0, T)
+        solve_backward(spec, mesh32, g, None, T, 0.0)
+        assert times == [float(t) for t in mesh32.times[1:25]]
+        assert solver.cache_info().entries == 24
 
 
 class TestBlockSolve:
     @pytest.mark.parametrize("trans", ["N", "T"])
     def test_small_bad_column_raises(self, monkeypatch, mesh32, periodic_1d, trans):
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
-        scheme = ThetaScheme(mesh32, spec, 1.0)
+        scheme = ThetaScheme(mesh32, spec)
         lu, D = scheme.implicit_lu(1)
         rng = np.random.default_rng(8)
         rhs = np.stack([1e6 * rng.standard_normal(64), 1e-6 * rng.standard_normal(64)], axis=1)
@@ -869,8 +832,9 @@ class TestFourierPath:
     def test_matches_superlu(self, store, field, transposed):
         domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
         mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=4)
-        scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain,
-                                                transposed=transposed), 1.0)
+        coeffs = FOURIER_FIELDS[field]()
+        scheme = ThetaScheme(mesh, OperatorSpec(coeffs.transposed() if transposed else coeffs,
+                                                domain))
         fourier, D = scheme.implicit_lu(2)
         assert isinstance(fourier, solver._FourierSolver)
         # the store charges the inverse blocks and the arrays of D
@@ -901,7 +865,7 @@ class TestFourierPath:
         calls = []
         real = spla.splu
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(a) or real(*a, **k))
-        scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain), 1.0)
+        scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain))
         lu, D = scheme.implicit_lu(1)
         assert len(calls) == 1 and not isinstance(lu, solver._FourierSolver)
         rhs = np.random.default_rng(10).standard_normal(scheme.nn)
@@ -913,7 +877,7 @@ class TestFourierPath:
     def test_kernel_and_inverse_symbol(self, store, monkeypatch, field):
         domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
         mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=4)
-        scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain), 1.0)
+        scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain))
         D = scheme.implicit_lu(2)[1]
         N, C = scheme.N, mesh.ncells
         # reference: slice D's columns at cell 0 of each component
@@ -937,7 +901,7 @@ class TestFourierPath:
         mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=4)
         real = solver._assemble
         monkeypatch.setattr(solver, "_assemble", lambda *args: (real(*args)[0], True))
-        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("x-oscillatory", n=2), domain), 1.0)
+        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("x-oscillatory", n=2), domain))
         assert isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver)
         rhs = np.random.default_rng(11).standard_normal(scheme.nn)
         with pytest.raises(SolverError, match="residual"):
@@ -952,7 +916,7 @@ def _march_scheme(case):
     mesh = Mesh(domain, (16, 9)[:n], tau=2.0 ** -10, t0=0.0, steps=12)
     coeffs = (make_preset("rotating", w0=0.5, omega=2.0) if n == 1
               else make_preset("decoupled-heat-pair" if case == "fourier" else "heat", n=2))
-    scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain), 1.0)
+    scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain))
     assert isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver) == (case == "fourier")
     return scheme
 
@@ -1017,7 +981,7 @@ class TestStreamingMarch:
         lo, hi = float(mesh.times[1]), float(mesh.times[9])
         full = (solve_forward(spec, mesh, g, None, lo, hi) if direction == "forward"
                 else solve_backward(spec, mesh, g, None, hi, lo))
-        kept = solver._solve(spec, mesh, g, None, lo, hi, 1.0, direction,
+        kept = solver._solve(spec, mesh, g, None, lo, hi, direction,
                              solver._Keep.on_cells(mesh, 2, [1, 4, 9], cells))
         assert kept.tobytes() == full.values[[0, 3, 8]][:, :, cells].tobytes()
 
@@ -1059,7 +1023,7 @@ def _carry_scheme(field):
     """A scheme on the Fourier path with every step's solver already in the store."""
     domain = Domain((0.0, 0.0), (1.0, 1.5), "periodic")
     mesh = Mesh(domain, (16, 9), tau=2.0 ** -10, t0=0.0, steps=12)
-    scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain), 1.0)
+    scheme = ThetaScheme(mesh, OperatorSpec(FOURIER_FIELDS[field](), domain))
     for m in range(1, mesh.steps + 1):
         assert isinstance(scheme.implicit_lu(m)[0], solver._FourierSolver)
     return scheme

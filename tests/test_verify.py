@@ -111,7 +111,7 @@ class TestDuality:
         # fixture: march the transposed operator backward in time with the
         # same implicit-Euler recipe (coefficients at each step's own time)
         t_spec = OperatorSpec(spec.coeffs.transposed(), periodic_1d)
-        scheme = ThetaScheme(mesh32, t_spec, 1.0)
+        scheme = ThetaScheme(mesh32, t_spec)
         q = _mollifier(mesh32, 2, X[1], sigma, 1)
         n_sig = mesh32.slab_count(sigma)
         i_pole = 44
@@ -136,7 +136,18 @@ class TestExactChecks:
         Y = (20 / 512, mesh32.centers[16])
         rec = V.check_causality(spec, mesh32, Y, [4 / 32, 3 / 32], 53 / 512)
         assert rec.status == "pass" and rec.fitted["max_early_value"] == 0.0
-        assert len(scheme_log) == 2  # the Richardson column reuses both columns
+        assert len(scheme_log) == 2  # one march per radius
+
+    def test_causality_reads_marched_values(self, mesh32, periodic_1d, monkeypatch):
+        """A step that adds 1.0 to every state puts nonzero values before the
+        source window, and the check must see them."""
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        Y = (20 / 512, mesh32.centers[16])
+        real = ThetaScheme.forward_step
+        monkeypatch.setattr(ThetaScheme, "forward_step",
+                            lambda self, m, u, g=None: real(self, m, u, g) + 1.0)
+        rec = V.check_causality(spec, mesh32, Y, [4 / 32, 3 / 32], 53 / 512)
+        assert rec.status == "fail" and rec.fitted["max_early_value"] >= 1.0
 
     def test_semigroup_associativity(self, mesh32, heat_spec):
         rec1 = V.check_semigroup(heat_spec, mesh32, 0.0, 16 / 512, 48 / 512)
@@ -511,9 +522,9 @@ class TestStreamedChecks:
         domain = Domain((0.0, 0.0), (1.0, 1.0), "periodic")
         mesh = Mesh(domain, (64, 64), tau=2.0 ** -12, t0=0.0, steps=256)
         spec = OperatorSpec(make_preset("heat", n=2), domain)
-        ThetaScheme(mesh, spec, 1.0).implicit_lu(1)  # the step store, shared by every check
+        ThetaScheme(mesh, spec).implicit_lu(1)  # the step store, shared by every check
         trajectory = (mesh.steps + 1) * mesh.ncells * 8  # bytes of one whole trajectory
-        ctx = cli.Context("heat-64", spec, mesh, 1.0, 0)
+        ctx = cli.Context("heat-64", spec, mesh, 0)
         X0 = (float(mesh.times[-1]), mesh.centers[32 * 64 + 32])
         ladder = [k / 64 for k in (4, 6, 8, 12, 16)]  # the outer cylinder spans all 256 slabs
         for check in (lambda: cli._run_adjoint(ctx),
