@@ -65,10 +65,11 @@ a view of D's arrays.
 The marcher keeps what a ``_Keep`` names: the slices at some mesh time
 indices and some flat state rows, copied as the march passes them, so a
 check that reads one slice or one cylinder holds that and not the whole
-(steps + 1, N, ncells) field.  The default keeps every slice and row, which
-is what the public solvers and column builders return; the checks in
-``verify`` and the adjoint pairing in ``cli`` march through ``_solve``
-with the slices and cells they read.
+(steps + 1, N, ncells) field; the march stops at the last slice it keeps
+(backward: the first), so no step runs whose state nobody reads.  The
+default keeps every slice and row, which is what the public solvers and
+column builders return; the checks in ``verify`` and the adjoint pairing
+in ``cli`` march through ``_solve`` with the slices and cells they read.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec) shares one process-wide store of
@@ -81,9 +82,13 @@ factor 12 bytes per L+U nonzero, a Fourier solver the bytes of its inverse
 blocks (plain and conjugate-transposed), and either one the CSC/CSR arrays
 of D.  No stored array views a larger buffer; a pattern array that entries
 share with the stencil or the cached patterns is charged to each of them,
-so the charge bounds what the store holds from above.  Past
-``CACHE_BYTES`` it evicts the least recently used entries, never the one
-just built.  ``cache_info`` reports its size.
+so the charge bounds the numpy arrays the store holds from above.  It does
+not bound a SuperLU factor's own memory: ``splu`` keeps its factors and
+workspace on the C heap, uncharged, about 280 KB per 64 x 64 step factor
+of a 1-D rotating N = 2 run that is charged 17 KB in all.  ``CACHE_BYTES``
+caps the charge, not the process's memory.  Past it the store evicts the
+least recently used entries, never the one just built.  ``cache_info``
+reports its size.
 
 ``dense_spacetime_oracle`` stacks the stored step matrices into one sparse
 block-bidiagonal space-time system and solves it with ``spsolve``; the
@@ -581,6 +586,8 @@ def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
     start from x at t_{i1}.  ``src(m)`` gives step m's source, shaped like x
     (or None).  Returns the kept states as (slices, rows), or (B, slices,
     rows) for a block; by default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
+    A forward march stops at its last kept slice and a backward one at its
+    first, since no state beyond is read.
     """
     _check_window(i0, i1)
     slices = range(i0, i1 + 1) if keep.slices is None else [int(m) for m in keep.slices]
@@ -599,7 +606,8 @@ def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
 
     step = scheme.backward_step if backward else scheme.forward_step
     put(i1 if backward else i0, x)
-    for m in (range(i1 - 1, i0 - 1, -1) if backward else range(i0, i1)):
+    for m in (range(i1 - 1, min(slices, default=i1) - 1, -1) if backward
+              else range(i0, max(slices, default=i0))):
         x = step(m, x, src(m))
         put(m if backward else m + 1, x)
     return out

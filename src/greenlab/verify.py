@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .green import (_green_block, _rho_ladder, averaged_green_column,
                     extrapolated_green_column, green_block_columns, propagator,
                     wrapped_heat_kernel)
-from .mesh import Mesh
+from .mesh import Mesh, _positions_in
 from .problem import OperatorSpec
 from .solver import _Keep, _solve, project_slice
 
@@ -516,11 +516,11 @@ def weak_lp_levels(column, use_gradient: bool = False, margin: float = 0.2) -> C
                                 "measures": [float(v) for v in meas]})
 
 
-def _faces_inside(mesh: Mesh, ax: int, X0, radius: float) -> np.ndarray:
-    """Mask of the faces normal to ax whose midpoints lie inside the ball at X0."""
+def _face_distances(mesh: Mesh, ax: int, X0) -> np.ndarray:
+    """Distances from X0's point to the midpoints of the faces normal to ax."""
     xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
     pts, _, _ = mesh.face_positions(ax)
-    return np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+    return np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1)
 
 
 def _face_cells(mesh: Mesh, X0, radius: float) -> np.ndarray:
@@ -528,28 +528,62 @@ def _face_cells(mesh: Mesh, X0, radius: float) -> np.ndarray:
     sides = []
     for ax in range(mesh.n):
         _, left, right = mesh.face_positions(ax)
-        inside = _faces_inside(mesh, ax, X0, radius)
+        inside = _face_distances(mesh, ax, X0) < radius
         sides += [left[inside], right[inside]]
     return np.unique(np.concatenate(sides))
 
 
-def _cylinder_energy(mesh: Mesh, X0, radius: float, vals: np.ndarray, cells=None) -> float:
-    """Dirichlet energy over the discrete backward cylinder at X0.
+def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
+    """Dirichlet energies over the discrete backward cylinders at X0, one per radius.
 
-    ``vals`` holds the slices up to the pole, as (slices, N, cells), at the
-    flat cells ``cells`` (None for all); the cylinder reads the last
-    ``slab_count(radius)`` of them, since a backward cylinder's slices end
-    at its pole.  Counts the faces whose midpoints lie inside the ball.
+    ``solutions`` yields, one solution at a time, the slices up to the pole
+    as (slices, N, cells) at the flat cells ``cells`` (None for all); the
+    cylinder of radius r reads the last ``slab_count(r)`` of them, since a
+    backward cylinder's slices end at its pole, and counts the faces whose
+    midpoints lie inside its ball.  Yields the energies of ``ladder``'s
+    radii for each solution, as an array, and drops the solution first.
+
+    Each axis is differenced once per solution, as ``Mesh.face_difference``
+    does, over the faces and slices of the largest cylinder, into buffers
+    kept from one solution to the next.  A smaller cylinder's slices are
+    the last of those and its faces a subset, so its energy sums a gather
+    of the squares.  The squares are held faces-major, (faces, slices, N),
+    the memory order of ``face_difference``'s result, so that every sum
+    adds in the order, and to the bits, of ``np.sum`` over that face
+    difference squared.
     """
-    slabs = mesh.slab_count(radius)
-    if slabs > len(vals):
-        raise ConfigError(f"cylinder of radius {radius} spans more slices than are held")
-    vals = vals[len(vals) - slabs:]
-    total = 0.0
+    slabs = [mesh.slab_count(r) for r in ladder]
+    S = max(slabs)
+    axes = []  # per axis: the largest ball's faces and each radius's subset of them
     for ax in range(mesh.n):
-        diff = mesh.face_difference(vals, ax, _faces_inside(mesh, ax, X0, radius), cells)
-        total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
-    return total
+        _, left, right = mesh.face_positions(ax)
+        dist = _face_distances(mesh, ax, X0)
+        outer = dist < max(ladder)
+        left, right = left[outer], right[outer]
+        if cells is not None:
+            left, right = (_positions_in(np.asarray(cells), side) for side in (left, right))
+        axes.append((left, right, [np.flatnonzero(dist[outer] < r) for r in ladder]))
+    rows = sq = spare = None
+    for vals in solutions:
+        if S > len(vals):
+            raise ConfigError(f"cylinder of radius {max(ladder)} spans more slices than are held")
+        if rows is None:
+            rows = np.empty((vals.shape[2], S, vals.shape[1]))
+            sq, spare = (np.empty((max(len(a[0]) for a in axes), S, vals.shape[1]))
+                         for _ in range(2))
+        np.copyto(rows, vals[len(vals) - S:].transpose(2, 0, 1))
+        del vals  # not held while the next solution marches
+        E = np.zeros(len(ladder))
+        for ax, (left, right, subsets) in enumerate(axes):
+            # the indices are in range; mode "clip" spares the copy of out that "raise" makes
+            d = np.take(rows, right, axis=0, out=sq[:len(right)], mode="clip")
+            d -= np.take(rows, left, axis=0, out=spare[:len(left)], mode="clip")
+            d /= mesh.h[ax]
+            d *= d
+            for i, (s, sub) in enumerate(zip(slabs, subsets)):
+                part = d if s == S and len(sub) == len(d) else d[sub, S - s:]
+                E[i] += float(np.sum(part)) * mesh.volume * mesh.tau
+        yield E
 
 
 def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 10,
@@ -575,11 +609,10 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
     keep = _Keep.on_cells(mesh, spec.coeffs.N, slices, cells)
     rng = np.random.default_rng(seed)
     n = mesh.n
+    solutions = (_solve(spec, mesh, rng.standard_normal((spec.coeffs.N, mesh.ncells)), None,
+                        float(mesh.t0), tc, "forward", keep) for _ in range(n_solutions))
     slopes, consts = [], []
-    for _ in range(n_solutions):
-        g = rng.standard_normal((spec.coeffs.N, mesh.ncells))
-        vals = _solve(spec, mesh, g, None, float(mesh.t0), tc, "forward", keep)
-        E = np.array([_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
+    for E in _cylinder_energies(mesh, X0, ladder, solutions, cells):
         if np.any(E <= 0):
             continue
         fit = loglog_fit(np.asarray(ladder), E)

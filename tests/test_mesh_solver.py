@@ -19,7 +19,7 @@ from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec,
                       solve_forward, transpose_green_column, wrapped_heat_kernel)
 from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
-from greenlab.verify import _cylinder_energy, _face_cells
+from greenlab.verify import _cylinder_energies, _face_cells
 
 from conftest import bundle_1d
 
@@ -108,17 +108,18 @@ class TestMesh:
         vals = np.random.default_rng(12).standard_normal((17, 2, mesh.ncells))
         X0 = (16 / 256, mesh.centers[21])
         # the slices up to the pole at step 16; radius 0.25 spans all 16 slabs
-        warm = [_cylinder_energy(mesh, X0, r, vals[:16]) for r in (0.2, 0.25)]
+        [warm] = _cylinder_energies(mesh, X0, (0.2, 0.25), [vals[:16]])
         # an equal mesh builds its geometry afresh: the same energies, bit for bit
         cold = Mesh(domain, (8, 6), tau=1 / 256, t0=0.0, steps=16)
-        assert warm == [_cylinder_energy(cold, X0, r, vals[:16]) for r in (0.2, 0.25)]
+        [again] = _cylinder_energies(cold, X0, (0.2, 0.25), [vals[:16]])
+        assert again.tobytes() == warm.tobytes()
         # and so do the values at only the cells next to the outer ball's faces
         cells = _face_cells(mesh, X0, 0.25)
         assert len(cells) < mesh.ncells
-        assert warm == [_cylinder_energy(mesh, X0, r, vals[:16, :, cells], cells)
-                        for r in (0.2, 0.25)]
+        [subset] = _cylinder_energies(mesh, X0, (0.2, 0.25), [vals[:16, :, cells]], cells)
+        assert subset.tobytes() == warm.tobytes()
         with pytest.raises(ConfigError, match="more slices than are held"):
-            _cylinder_energy(mesh, X0, 0.25, vals[1:16])
+            list(_cylinder_energies(mesh, X0, (0.2, 0.25), [vals[1:16]]))
         # and the same as a sum over the faces built by hand (the cell to the right of
         # each face and the one on its left along the axis), to roundoff
         grid = vals.reshape(17, 2, 8, 6)[6:16]  # early ends of the minus cylinder's 10 slabs
@@ -971,6 +972,33 @@ class TestStreamingMarch:
                            (solver._Keep(rows=rows), full[..., rows])):
             kept = run(keep)
             assert kept.shape == want.shape and kept.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("case", ["fourier", "dirichlet", "n=1"])
+    def test_march_ends_at_last_kept_slice(self, monkeypatch, case, direction, block):
+        """A forward march stops at its last kept slice and a backward one at its
+        first; what it keeps is bitwise what the full march has there."""
+        scheme = _march_scheme(case)
+        backward = direction == "backward"
+        rng = np.random.default_rng(8)
+        shape = (scheme.nn, 3) if block else (scheme.nn,)
+        x, G = rng.standard_normal(shape), rng.standard_normal(shape)
+        name = "backward_step" if backward else "forward_step"
+        steps, real = [], getattr(scheme, name)
+        monkeypatch.setattr(scheme, name, lambda m, *a: steps.append(m) or real(m, *a))
+
+        def run(keep=solver._Keep()):
+            steps.clear()
+            return solver._march(scheme, 2, 11, x, lambda m: G if m in (4, 5) else None, keep,
+                                 backward=backward)
+
+        full = run()
+        assert sorted(steps) == list(range(2, 11))
+        slices = [5, 8, 10] if backward else [3, 5, 7]  # the window is 2..11
+        kept = run(solver._Keep(slices))
+        assert sorted(steps) == (list(range(5, 11)) if backward else list(range(2, 7)))
+        assert kept.tobytes() == full[..., [m - 2 for m in slices], :].tobytes()
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_cells_of_every_component(self, direction):

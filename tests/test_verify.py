@@ -382,6 +382,61 @@ class TestReport:
         assert not rep.all_pass
 
 
+def _cylinder_energy(mesh, X0, radius, vals, cells=None):
+    """Reference: one radius's energy from its own face difference over the faces inside
+    its ball and the last ``slab_count(radius)`` held slices."""
+    xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
+    vals = vals[len(vals) - mesh.slab_count(radius):]
+    total = 0.0
+    for ax in range(mesh.n):
+        pts, _, _ = mesh.face_positions(ax)
+        inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+        diff = mesh.face_difference(vals, ax, inside, cells)
+        total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
+    return total
+
+
+class TestCylinderEnergies:
+    """One face difference per solution and axis gives every radius's energy, bit for bit
+    as that radius's own face difference does."""
+
+    @pytest.mark.parametrize("extra", [0, 3])  # held slices beyond the outer cylinder's
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    def test_matches_per_radius_face_differences(self, mode, n, N, subset, extra):
+        domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+        if n == 1:
+            mesh = Mesh(domain, (32,), tau=2.0 ** -10, t0=0.0, steps=48)
+            ladder = [k / 32 for k in (3, 4, 6)]  # 9, 16 and 36 slabs
+        else:
+            mesh = Mesh(domain, (8, 6), tau=2.0 ** -8, t0=0.0, steps=32)
+            ladder = [0.2, 0.25, 0.3]  # 10, 16 and 23 slabs
+        X0 = (float(mesh.times[-1]), mesh.centers[1])  # near a corner: wrapped or clipped
+        held = mesh.slab_count(ladder[-1]) + extra
+        cells = V._face_cells(mesh, X0, ladder[-1]) if subset else None
+        rng = np.random.default_rng(9)
+        solutions = [rng.standard_normal((held, N, mesh.ncells)) for _ in range(3)]
+        if subset:
+            assert len(cells) < mesh.ncells
+            solutions = [vals[:, :, cells] for vals in solutions]
+        got = list(V._cylinder_energies(mesh, X0, ladder, iter(solutions), cells))
+        assert len(got) == 3
+        for E, vals in zip(got, solutions):
+            want = np.array([_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
+            assert E.tobytes() == want.tobytes()
+            assert np.all(np.diff(E) > 0)
+
+    def test_cells_missing_a_face_neighbour_fail_loudly(self, mesh32):
+        X0 = (float(mesh32.times[-1]), mesh32.centers[5])
+        ladder = [3 / 32, 4 / 32]  # 4 and 8 slabs
+        cells = V._face_cells(mesh32, X0, ladder[-1])[1:]
+        vals = np.ones((8, 1, len(cells)))
+        with pytest.raises(ConfigError, match="both neighbours"):
+            list(V._cylinder_energies(mesh32, X0, ladder, [vals], cells))
+
+
 # References for the streamed checks: the same computations on whole trajectories.
 
 
