@@ -66,8 +66,8 @@ def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
 
 
 # A check parameter's JSON type is its builder's annotation: float is any
-# number, int an integer, list[X] a list of X values and a union any of its
-# arms.  ``_check_params`` holds every scenario value to it.
+# number, int an integer, list[X] a non-empty list of X values and a union
+# any of its arms.  ``_check_params`` holds every scenario value to it.
 Frac = float | list[float]  # one box fraction for every axis, or one per axis
 
 _JSON_NAMES = {float: ("a number", "numbers"), int: ("an integer", "integers"),
@@ -92,13 +92,6 @@ def _describe(kind, many: bool = False) -> str:
     if get_args(kind):
         return " or ".join(_describe(arm, many) for arm in get_args(kind))
     return _JSON_NAMES[kind][many]
-
-
-def _listed(check: str, key: str, values) -> list:
-    """The list a scenario gives for ``check``'s ``key``; it must not be empty."""
-    if not values:
-        raise ConfigError(f"{check}: {key} must be a non-empty list")
-    return list(values)
 
 
 def _rho_from_cells(mesh: Mesh, k) -> float:
@@ -155,7 +148,7 @@ def load_scenario(path) -> dict:
 
 
 def _check_params(chk: dict) -> None:
-    """Reject a check config's unknown keys and values of the wrong JSON type."""
+    """Reject a check config's unknown keys, values of the wrong JSON type and empty lists."""
     name = chk["name"]
     kinds, _ = CHECKS[name]
     _require_keys(chk, set(kinds) | {"name"}, f"check {name!r}")
@@ -163,6 +156,8 @@ def _check_params(chk: dict) -> None:
         if key != "name" and not _fits(value, kinds[key]):
             raise ConfigError(f"{name}: {key} must be {_describe(kinds[key])}, "
                               f"got {json.dumps(value)}")
+        if value == []:  # the annotation allows a list here: it has to hold a value
+            raise ConfigError(f"{name}: {key} must be a non-empty list")
 
 
 def build_context(sc: dict) -> Context:
@@ -202,12 +197,10 @@ def _run_duality(ctx: Context, y_fracs: list[Frac | None] = (None,),
     mesh = ctx.mesh
     s_step = int(mesh.steps // 4 if s_step is None else s_step)
     t_step = int((3 * mesh.steps) // 4 if t_step is None else t_step)
-    rhos = [_rho_from_cells(mesh, k) for k in _listed("duality", "rho_cells", rho_cells)]
-    sigmas = [_rho_from_cells(mesh, k) for k in _listed("duality", "sigma_cells", sigma_cells)]
-    poles = [(_time(mesh, s_step), _cell_at_frac(mesh, f, 0.25))
-             for f in _listed("duality", "y_fracs", y_fracs)]
-    probes = [(_time(mesh, t_step), _cell_at_frac(mesh, f, 0.75))
-              for f in _listed("duality", "x_fracs", x_fracs)]
+    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
+    sigmas = [_rho_from_cells(mesh, k) for k in sigma_cells]
+    poles = [(_time(mesh, s_step), _cell_at_frac(mesh, f, 0.25)) for f in y_fracs]
+    probes = [(_time(mesh, t_step), _cell_at_frac(mesh, f, 0.75)) for f in x_fracs]
     pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
              for rho in rhos for sigma in sigmas]
     S_idx = s_step - _cylinder_steps(mesh, max(rhos)) - 1
@@ -236,7 +229,7 @@ def _run_normalization(ctx: Context, s_step: int = 0, t_step: int | None = None,
 def _run_causality(ctx: Context, rho_cells: list[float] = (6, 4), s_step: int | None = None,
                    t_step: int | None = None, y_frac: Frac | None = None):
     mesh = ctx.mesh
-    rhos = [_rho_from_cells(mesh, k) for k in _listed("causality", "rho_cells", rho_cells)]
+    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
     Y = (_time(mesh, s_step, _cylinder_steps(mesh, max(rhos)) + 1),
          _cell_at_frac(mesh, y_frac, 0.5))
     return V.check_causality(ctx.spec, mesh, Y, rhos, _time(mesh, t_step, mesh.steps))
@@ -246,7 +239,7 @@ def _run_heat_kernel(ctx: Context, rho_cells: list[float] = (8, 6, 4),
                      s_step: int | None = None, dt: float = 0.05, y_frac: Frac | None = None,
                      tolerance: float = 0.02, radius_factor: float = 3.0):
     mesh = ctx.mesh
-    rhos = [_rho_from_cells(mesh, k) for k in _listed("heat-kernel", "rho_cells", rho_cells)]
+    rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
     s_step = int(_cylinder_steps(mesh, max(rhos)) if s_step is None else s_step)
     t_step = s_step + max(1, int(round(float(dt) / mesh.tau)))
     if t_step > mesh.steps:
@@ -301,7 +294,7 @@ def _run_gaussian(ctx: Context, rho_cells: float = 4, s_step: int | None = None,
     left = mesh.steps - s_step
     if dt_steps is None:
         dt_steps = [left // 3, 2 * left // 3, left]
-    times = [_time(mesh, s_step + int(k)) for k in _listed("gaussian", "dt_steps", dt_steps)]
+    times = [_time(mesh, s_step + int(k)) for k in dt_steps]
     Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.5))
     samples = V.gaussian_samples(ctx.spec, mesh, Y, times, rho)
     return V.fit_gaussian(samples, ctx.spec.coeffs.lam, ctx.spec.coeffs.Lam, mesh.n,
@@ -367,7 +360,7 @@ def _run_initial_trace(ctx: Context, width: float | None = None, x0_frac: Frac |
     x0 = _cell_at_frac(mesh, x0_frac, 0.5)
     g = _bump_datum(ctx, width, x0)
     s_step = int(s_step)
-    t_list = [_time(mesh, s_step + int(k)) for k in _listed("initial-trace", "t_steps", t_steps)]
+    t_list = [_time(mesh, s_step + int(k)) for k in t_steps]
     return V.initial_trace_test(ctx.spec, mesh, g, x0, _time(mesh, s_step), t_list,
                                 tolerance=float(tolerance))
 

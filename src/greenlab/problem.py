@@ -13,6 +13,7 @@ numpy blocks of shape (P, n, n, N, N).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -308,8 +309,9 @@ def load_table(path, lam: float, Lam: float, R_c: float = math.inf) -> Coefficie
         k = np.searchsorted(t_vals, t + 1e-12, side="right") - 1
         k = min(max(k, 0), nt - 1)
         sl = table[k]
-        # multilinear in x with clamped edges
-        w_lo, i_lo = [], []
+        # multilinear in x with clamped edges: per axis the (index, weight) of
+        # the grid points left and right of each point
+        ends = []
         for ax in range(n):
             xv = x_vals[ax]
             pos = np.clip(pts[:, ax], xv[0], xv[-1])
@@ -319,21 +321,12 @@ def load_table(path, lam: float, Lam: float, R_c: float = math.inf) -> Coefficie
                 frac = (pos - xv[j]) / (xv[j + 1] - xv[j])
             else:
                 frac = np.zeros(len(pos))
-            i_lo.append(j)
-            w_lo.append(1.0 - frac)
-        if n == 1:
-            j0, w0 = i_lo[0], w_lo[0]
-            out = (sl[j0] * w0[:, None, None, None, None]
-                   + sl[np.minimum(j0 + 1, dims[0] - 1)] * (1 - w0)[:, None, None, None, None])
-        else:
-            j0, j1 = i_lo
-            w0, w1 = w_lo
-            jp0 = np.minimum(j0 + 1, dims[0] - 1)
-            jp1 = np.minimum(j1 + 1, dims[1] - 1)
-            wq = [(w0 * w1, (j0, j1)), ((1 - w0) * w1, (jp0, j1)),
-                  (w0 * (1 - w1), (j0, jp1)), ((1 - w0) * (1 - w1), (jp0, jp1))]
-            out = sum(w[:, None, None, None, None] * sl[ij] for w, ij in wq)
-        return out
+            w = 1.0 - frac
+            ends.append(((j, w), (np.minimum(j + 1, dims[ax] - 1), 1 - w)))
+        # the 2^n corners, axis 0 fastest, each weighed by its axes' weights in axis order
+        corners = (c[::-1] for c in itertools.product(*ends[::-1]))
+        return sum(math.prod(w for _, w in c)[:, None, None, None, None]
+                   * sl[tuple(j for j, _ in c)] for c in corners)
 
     return CoefficientField(n, N, lam, Lam, R_c, "table", fn,
                             time_dependent=nt > 1, x_dependent=True,

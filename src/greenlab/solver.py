@@ -13,20 +13,16 @@ Implicit Euler is the only time scheme: the slab conventions of
 ``Mesh.cylinder`` make the duality identity exact for it alone.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
-The operator's sparsity pattern depends only on (mesh, N), never on t.
-``_stencil`` builds it once per (mesh, N), together with the face points
-of all axes stacked into one array and a sparse gather from the raveled
-face tensors to the CSR data, and keeps the last eight; each assembly
-evaluates the face tensors with one ``tensor`` call and fills the data.
-
-The step matrix D = I + tau*L comes straight from L's CSR data:
-``_shifted`` scales it, adds 1 at the diagonal positions and drops exact
-zeros, which gives ``sp.identity(nn) + tau*L`` to the bit.  The pattern
-of I + L and its diagonal positions are cached per (mesh, N) by
-``_shift_pattern`` (on a dirichlet mesh L's pinned rows are empty, so that
-pattern gains their diagonals), and the pattern left after dropping the
-zeros is cached per zero mask by ``_pruned_pattern``: the steps of a run
-share one pattern and each stored matrix owns only its exact-size data.
+The pattern of the step matrix D = I + tau*L depends only on (mesh, N),
+never on t.  ``_stencil`` builds it once per (mesh, N), with the positions
+of its diagonal, the face points of all axes stacked into one array and a
+sparse gather from the raveled face tensors to L's values on that pattern,
+and keeps the last eight.  Each assembly evaluates the face tensors with one
+``tensor`` call and gathers; ``_shifted`` scales the values, adds 1 on the
+diagonal and drops exact zeros, which gives ``sp.identity(nn) + tau*L`` to
+the bit.  The pattern left after dropping the zeros is cached per zero mask
+by ``_pruned_pattern``: the steps of a run share one pattern and each
+stored matrix owns only its exact-size data.
 
 The implicit matrix D = I + tau*L(t_m) is solved by one of two solvers,
 chosen from the values of the face tensors the assembly already
@@ -140,12 +136,13 @@ spla = _DeferredLinalg()
 
 @lru_cache(maxsize=8)
 def _stencil(mesh: Mesh, N: int):
-    """Face points, value gather and CSR pattern of ``assemble`` on one mesh.
+    """(pts, gather, indices, indptr, diag) of one mesh: the CSR pattern of I + L.
 
-    The operator's pattern depends only on (mesh, N): its CSR data at time t
-    is ``gather @ tensor(t, pts).ravel()``, where ``pts`` stacks the face
-    points of every axis in axis order, and the dirichlet projection is
-    already applied to ``indices`` and ``indptr``.
+    On that pattern L(t)'s values are ``gather @ tensor(t, pts).ravel()``,
+    where ``pts`` stacks the face points of every axis in axis order, and
+    ``diag`` holds the positions of the diagonal.  The dirichlet projection
+    is already applied: the pinned rows of L are empty, so their diagonals
+    are gather rows without weights.
     """
     n, C, nn = mesh.n, mesh.ncells, N * mesh.ncells
     faces = [mesh.face_positions(a) for a in range(n)]
@@ -203,51 +200,35 @@ def _stencil(mesh: Mesh, N: int):
     src = src[order]
     data = np.repeat(wts, counts)[order]
     del order
-    gather = sp.csr_matrix((data, src, np.append(starts, len(data))), shape=(len(keys), offset))
+    starts = np.append(starts, len(data))
+    # the diagonals that L lacks join by search and insert, never a second
+    # sort: ``np.union1d`` made a first 64 x 64 build 2 to 3 times slower
+    diag = np.arange(nn, dtype=np.int64) * (nn + 1)
+    at = np.searchsorted(keys, diag)
+    missing = keys[np.minimum(at, len(keys) - 1)] != diag
+    if missing.any():
+        at = at[missing]
+        keys = np.insert(keys, at, diag[missing])
+        starts = np.insert(starts, at, starts[at])  # empty gather rows
+    diag = np.searchsorted(keys, diag)
+    gather = sp.csr_matrix((data, src, starts), shape=(len(keys), offset))
     indices = (keys % nn).astype(np.int32)
     indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
     pts = np.concatenate([pts for pts, _, _ in faces])
-    for arr in (pts, indices, indptr):
+    for arr in (pts, indices, indptr, diag):
         arr.flags.writeable = False  # shared by every assembly on this mesh
-    return pts, gather, indices, indptr
-
-
-@lru_cache(maxsize=8)
-def _shift_pattern(mesh: Mesh, N: int):
-    """(indices, indptr, lpos, diag): the CSR pattern of I + L on one mesh, the
-    positions of L's entries in it and those of its diagonal.
-
-    On a periodic mesh L's pattern already holds every diagonal, so it is the
-    stencil's own and ``lpos`` is None; on a dirichlet mesh the pinned rows
-    of L are empty and the pattern gains their diagonals.
-    """
-    _, _, indices, indptr = _stencil(mesh, N)
-    nn = len(indptr) - 1
-    keys = np.repeat(np.arange(nn, dtype=np.int64) * nn, np.diff(indptr)) + indices
-    diag = np.arange(nn, dtype=np.int64) * (nn + 1)
-    # search and merge, never sort: a first sort pages in numpy's sort
-    # kernels, about 0.3 MB of peak RSS in a run that sorts nothing else
-    at = np.searchsorted(keys, diag)
-    missing = keys[np.minimum(at, len(keys) - 1)] != diag
-    if not missing.any():
-        return indices, indptr, None, at
-    union = np.insert(keys, at[missing], diag[missing])
-    indices = (union % nn).astype(np.int32)
-    indptr = np.searchsorted(union, nn * np.arange(nn + 1)).astype(np.int32)
-    for arr in (indices, indptr):
-        arr.flags.writeable = False
-    return indices, indptr, np.searchsorted(union, keys), np.searchsorted(union, diag)
+    return pts, gather, indices, indptr, diag
 
 
 @lru_cache(maxsize=8)
 def _pruned_pattern(mesh: Mesh, N: int, bits: bytes):
-    """The entries of ``_shift_pattern(mesh, N)`` that the packed mask ``bits`` keeps.
+    """The entries of the pattern of ``_stencil(mesh, N)`` that the packed mask ``bits`` keeps.
 
     Returns their positions and the CSR pattern they form.  Exact zeros come
     from zero entries of the face tensors, which stay zero from step to step,
     so the steps of a run share one mask and one pruned pattern.
     """
-    indices, indptr, _, _ = _shift_pattern(mesh, N)
+    _, _, indices, indptr, _ = _stencil(mesh, N)
     nz = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=len(indices)))
     pattern = (indices[nz], np.searchsorted(nz, indptr).astype(np.int32))
     for arr in pattern:
@@ -255,44 +236,40 @@ def _pruned_pattern(mesh: Mesh, N: int, bits: bytes):
     return (nz, *pattern)
 
 
-def _shifted(mesh: Mesh, N: int, L, c: float) -> sp.csr_matrix:
-    """I + c*L as a CSR matrix, straight from L's data.
+def _shifted(mesh: Mesh, N: int, data: np.ndarray, c: float) -> sp.csr_matrix:
+    """I + c*L as a CSR matrix, from L's values ``data`` on the stencil pattern.
 
-    Bitwise equal to ``sp.identity(nn, format="csr") + c*L``: the same
-    entries, exact zeros dropped.  The data is a fresh exact-size array; the
-    pattern arrays are the cached ones of this mesh.
+    Scales ``data`` in place and adds 1 on the diagonal, which gives
+    ``sp.identity(nn, format="csr") + c*L`` to the bit once exact zeros are
+    dropped.  The data is an exact-size array; the pattern arrays are the
+    cached ones of this mesh.
     """
-    indices, indptr, lpos, diag = _shift_pattern(mesh, N)
-    if lpos is None:
-        data = L.data * c
-    else:
-        data = np.zeros(len(indices))
-        data[lpos] = L.data * c
+    _, _, indices, indptr, diag = _stencil(mesh, N)
+    data *= c
     data[diag] += 1.0
     keep = data != 0
     if not keep.all():
         nz, indices, indptr = _pruned_pattern(mesh, N, np.packbits(keep).tobytes())
         data = data[nz]
-    return sp.csr_matrix((data, indices, indptr), shape=L.shape)
+    nn = len(indptr) - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
 
 
 def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
-    """``assemble(mesh, spec, t)`` and whether its implicit matrices take the Fourier path.
+    """L(t)'s values on the stencil pattern, and whether its implicit matrices take the Fourier path.
 
     That path needs a periodic 2-D mesh and face tensors that are exactly
     equal at every face, which makes the operator block-circulant.
     """
-    coeffs = spec.coeffs
-    pts, gather, indices, indptr = _stencil(mesh, coeffs.N)
-    A = coeffs.tensor(t, pts)
+    pts, gather, _, _, _ = _stencil(mesh, spec.coeffs.N)
+    A = spec.coeffs.tensor(t, pts)
     if not np.isfinite(A).all():
         raise ConfigError(f"non-finite coefficient at a face (t={t})")
     # equal on the faces of each axis, which translating by one cell maps onto
     # themselves; a periodic mesh has one face per cell on each axis
     fourier = mesh.periodic and mesh.n == 2 and all(
         (B[1:] == B[:-1]).all() for B in np.split(A, 2))
-    nn = coeffs.N * mesh.ncells
-    return sp.csr_matrix((gather @ A.ravel(), indices, indptr), shape=(nn, nn)), fourier
+    return gather @ A.ravel(), fourier
 
 
 def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
@@ -315,9 +292,13 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
     in dirichlet mode the pinned boundary layer is projected out (rows and
     columns zeroed), in periodic mode indices wrap and row sums vanish.
     Only the face tensors are evaluated here; the pattern and the gather
-    come from ``_stencil``, built once per (mesh, N).
+    come from ``_stencil``, built once per (mesh, N).  The pattern is that of
+    I + L, so a dirichlet mesh's pinned rows hold an explicit 0 on the
+    diagonal.
     """
-    return _assemble(mesh, spec, t)[0]
+    _, _, indices, indptr, _ = _stencil(mesh, spec.coeffs.N)
+    nn = len(indptr) - 1
+    return sp.csr_matrix((_assemble(mesh, spec, t)[0], indices, indptr), shape=(nn, nn))
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -479,14 +460,11 @@ class ThetaScheme:
 
         The solver is a ``_FourierSolver`` when the face tensors of L(t_m)
         allow it (see ``_assemble``), otherwise the ``splu`` factorization of D.
-        Nothing else reads L(t_m), so it is assembled here and not stored.
+        L(t_m)'s values become D's data in place; L itself is never stored.
         """
         def build():
-            L, fourier = _assemble(self.mesh, self.spec, float(self.mesh.times[m]))
-            D = _shifted(self.mesh, self.N, L, self.mesh.tau)
-            # let the factorization reuse L's memory: keeping L alive through
-            # splu left the heap 0.1-0.2 MB larger on a 1-D run of 128 steps
-            del L
+            values, fourier = _assemble(self.mesh, self.spec, float(self.mesh.times[m]))
+            D = _shifted(self.mesh, self.N, values, self.mesh.tau)
             if fourier:
                 return _Implicit(_FourierSolver(D, self.N, self.mesh.cells), D)
             D = D.tocsc()

@@ -594,13 +594,17 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
     cylinders at X0 and the slope of log energy vs log radius is fitted;
     the worst exponent over the sample set is reported as n + 2*mu0.
     Pass requires mu0 >= ``mu_min`` for x-independent coefficients;
-    otherwise the record is informational (no checkable constant).
+    otherwise the record is informational (no checkable constant).  Every
+    radius must lie below the field's ``R_c``, where the estimate is assumed.
     """
     ladder = sorted(float(r) for r in ladder)
     if len(ladder) < 3:
         raise ConfigError("cylinder ladder needs at least three radii")
     tc = float(X0[0])
     R = ladder[-1]
+    if not R < spec.coeffs.R_c:
+        raise ConfigError(f"the ladder's largest radius {R:g} must be below R_c = "
+                          f"{spec.coeffs.R_c:g}, where the interior estimate holds")
     if mesh.time_index(tc) * mesh.tau < R * R:
         raise ConfigError("mesh window too short for the outer cylinder")
     mesh.cylinder_slices(X0, ladder[0], "minus")  # the smallest must span a slab

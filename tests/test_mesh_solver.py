@@ -600,7 +600,10 @@ def _loop_assemble(mesh, spec, t):
     if not mesh.periodic:
         mask = np.tile(mesh.interior_mask, N)
         keep = mask[rows] & mask[cols]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        # the pattern is that of I + L: each pinned row holds an explicit 0 on its diagonal
+        pinned = np.flatnonzero(~mask)
+        rows, cols = np.append(rows[keep], pinned), np.append(cols[keep], pinned)
+        vals = np.append(vals[keep], np.zeros(len(pinned)))
     return sp.coo_matrix((vals, (rows, cols)), shape=(N * C, N * C)).tocsr()
 
 
@@ -693,7 +696,7 @@ class TestStepLayer:
             mesh.face_positions(a)  # the mesh's own geometry, built before the stencil
         tracemalloc.start()
         try:
-            _, gather, indices, indptr = solver._stencil.__wrapped__(mesh, 1)
+            _, gather, indices, indptr, _ = solver._stencil.__wrapped__(mesh, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

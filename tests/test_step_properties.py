@@ -1,0 +1,118 @@
+"""Property tests of the step matrices over random strongly parabolic fields on tiny meshes.
+
+Each field is lam*I plus a skew coupling plus a small symmetric perturbation
+that moves with (t, x), so every (alpha, beta) entry is generally nonzero.
+The step matrix must be ``sp.identity(nn) + tau*L`` to the bit, and the
+exact identities the construction rests on (adjointness, averaged duality,
+semigroup) must hold at the tolerances of the acceptance battery.
+"""
+
+import math
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, assemble, solve_backward,
+                      solve_forward, validate_parabolicity)
+from greenlab import solver
+from greenlab import verify as V
+from greenlab.solver import ThetaScheme
+
+PROPERTY_SETTINGS = settings(max_examples=24, deadline=None, derandomize=True)
+
+
+def parabolic_field(n, N, vary, seed):
+    """lam*I + K - K^T + s(t, x)*P with |s| <= 1 and ||P||_2 = lam/4, so lam*3/4 is a lower bound.
+
+    ``vary`` is "const" (s = 1), "t" (s = cos 5t) or "x" (s = sin(2 pi x_0 + 3t)).
+    """
+    rng = np.random.default_rng(seed)
+    d = n * N
+    lam = rng.uniform(0.5, 2.0)
+    K = rng.standard_normal((d, d))
+    P = rng.standard_normal((d, d))
+    P = 0.25 * lam * (P + P.T) / np.linalg.norm(P + P.T, 2)
+    base = lam * np.eye(d) + K - K.T
+    # the flat index a * N + i of the quadratic form to the tensor's [a, b, i, j]
+    B, Q = (M.reshape(n, N, n, N).transpose(0, 2, 1, 3) for M in (base, P))
+
+    def fn(t, pts):
+        if vary == "const":
+            s = np.ones(len(pts))
+        elif vary == "t":
+            s = np.full(len(pts), math.cos(5.0 * t))
+        else:
+            s = np.sin(2 * np.pi * pts[:, 0] + 3.0 * t)
+        return B + s[:, None, None, None, None] * Q
+
+    # the Frobenius norm is convex in s, so its largest value sits at s = +-1
+    Lam = max(np.linalg.norm(base + P), np.linalg.norm(base - P))
+    return CoefficientField(n, N, 0.75 * lam, float(Lam), math.inf, f"random-{seed}", fn,
+                            time_dependent=vary != "const", x_dependent=vary == "x")
+
+
+@st.composite
+def cases(draw):
+    """(mesh, spec) of a random field on a mesh of 4 to 6 cells per axis."""
+    n = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["periodic", "dirichlet"]))
+    vary = draw(st.sampled_from(["const", "t", "x"]))
+    cells = tuple(draw(st.lists(st.integers(4, 6), min_size=n, max_size=n)))
+    coeffs = parabolic_field(n, N, vary, draw(st.integers(0, 2**32 - 1)))
+    domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+    # a duality pair needs rho >= 2 max(h); its cylinders span 7 to 16 slabs
+    rho = 2.0 * max(L / c for L, c in zip(domain.lengths, cells))
+    tau = 1 / 64
+    slabs = math.floor(rho * rho / tau * (1 + 1e-12))
+    mesh = Mesh(domain, cells, tau=tau, t0=0.0, steps=2 * slabs + 4)
+    return mesh, OperatorSpec(coeffs, domain)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_step_matrix_is_identity_plus_tau_operator(case):
+    mesh, spec = case
+    assert validate_parabolicity(spec.coeffs, 8).ok
+    scheme = ThetaScheme(mesh, spec)
+    eye = sp.identity(scheme.nn, format="csr")
+    for m in (1, mesh.steps):
+        lu, D = scheme.implicit_lu(m)
+        want = eye + mesh.tau * assemble(mesh, spec, float(mesh.times[m]))
+        if not isinstance(lu, solver._FourierSolver):
+            want = want.tocsc()
+        assert type(D) is type(want)
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(D, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_adjointness_duality_and_semigroup(case):
+    mesh, spec = case
+    N, T = spec.coeffs.N, float(mesh.times[-1])
+    rng = np.random.default_rng(mesh.ncells * N)
+    a, b = rng.standard_normal((2, N, mesh.ncells))
+    fa = solve_forward(spec, mesh, a, None, 0.0, T).values[-1]
+    bb = solve_backward(spec, mesh, b, None, T, 0.0).values[0]
+    lhs, rhs = float(np.sum(fa * b)), float(np.sum(a * bb))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    # one pair: Y at the first interior cell after rho^2, X at the last one 4 steps later
+    rho = 2.0 * float(np.max(mesh.h))
+    slabs = mesh.slab_count(rho)
+    inner = np.flatnonzero(mesh.interior_mask)
+    Y = (float(mesh.times[slabs]), mesh.centers[inner[0]])
+    X = (float(mesh.times[slabs + 4]), mesh.centers[inner[-1]])
+    # against the block's scale: on these small tori the averages are close to
+    # the identity, and an off-diagonal entry 1e-6 of the block's size carries
+    # a roundoff that ``check_duality``'s per-entry residual reads as 1e-9
+    fwd, = V._block_averages(spec, mesh, [(Y, rho, X, rho)], T, "forward")
+    bwd, = V._block_averages(spec, mesh, [(X, rho, Y, rho)], 0.0, "backward")
+    assert np.max(np.abs(bwd.T - fwd)) <= 1e-10 * np.max(np.abs(fwd))
+
+    rec = V.check_semigroup(spec, mesh, 0.0, float(mesh.times[slabs]), T)
+    assert rec.status == "pass", rec.fitted

@@ -297,6 +297,16 @@ class TestInteriorDecayAndBoundedness:
         assert np.isfinite(rec.fitted["mu0"])
         assert rec.fitted["C0"] >= 1.0
 
+    @pytest.mark.parametrize("R_c", [1 / 64, 12 / 96])
+    def test_ladder_must_stay_below_R_c(self, periodic_1d, R_c):
+        # the interior estimate is assumed only below R_c; the outer radius is 12 h
+        mesh = Mesh(periodic_1d, (96,), tau=1 / 4608, t0=0.0, steps=96)
+        spec = OperatorSpec(make_preset("heat", n=1, R_c=R_c), periodic_1d)
+        ladder = [k / 96 for k in (6, 8, 12)]
+        with pytest.raises(ConfigError, match="R_c"):
+            V.ph_decay_fit(spec, mesh, (float(mesh.times[-1]), mesh.centers[48]), ladder,
+                           n_solutions=2)
+
     def test_local_boundedness_stable(self, periodic_1d):
         mesh = Mesh(periodic_1d, (48,), tau=1 / 2048, t0=0.0, steps=96)
         fine = Mesh(periodic_1d, (96,), tau=1 / 4096, t0=0.0, steps=192)
