@@ -5,10 +5,10 @@ from .problem import (CoefficientField, Domain, OperatorSpec, load_table, make_p
                       validate_parabolicity)
 from .mesh import Mesh, Trajectory, parabolic_distance
 from .solver import ThetaScheme, assemble, dense_spacetime_oracle, solve_backward, solve_forward
-from .green import (GreenColumn, Propagator, averaged_green_column, cylinder_average,
-                    extrapolated_green_column, green_block_columns, heat_kernel,
-                    propagator, rho_refinement, transpose_block_columns,
-                    transpose_green_column, wrapped_heat_kernel)
+from .green import (GreenColumn, averaged_green_column, cylinder_average,
+                    extrapolated_green_column, green_block_columns, heat_kernel, propagator,
+                    rho_refinement, transpose_block_columns, transpose_green_column,
+                    wrapped_heat_kernel)
 
 __version__ = "0.1.0"
 
@@ -18,8 +18,8 @@ __all__ = (
     "validate_parabolicity",
     "Mesh", "Trajectory", "parabolic_distance",
     "ThetaScheme", "assemble", "dense_spacetime_oracle", "solve_backward", "solve_forward",
-    "GreenColumn", "Propagator", "averaged_green_column", "cylinder_average",
-    "extrapolated_green_column", "green_block_columns", "heat_kernel",
-    "propagator", "rho_refinement", "transpose_block_columns",
-    "transpose_green_column", "wrapped_heat_kernel",
+    "GreenColumn", "averaged_green_column", "cylinder_average",
+    "extrapolated_green_column", "green_block_columns", "heat_kernel", "propagator",
+    "rho_refinement", "transpose_block_columns", "transpose_green_column",
+    "wrapped_heat_kernel",
 )

@@ -29,7 +29,7 @@ from .green import averaged_green_column
 from .io import report_to_json, write_samples_csv
 from .mesh import Mesh
 from .problem import Domain, OperatorSpec, load_table, make_preset
-from .solver import _Keep, _preload_linalg, _solve, dense_spacetime_oracle, solve_forward
+from .solver import _preload_linalg
 
 
 @dataclass
@@ -392,18 +392,8 @@ def _run_oracle(ctx: Context, t_step: int | None = None, seed: int | None = None
     mesh = ctx.mesh
     rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
     g = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
-    t_step = int(min(mesh.steps, 24) if t_step is None else t_step)
-    s, t = _time(mesh, 0), _time(mesh, t_step)
-    marched = solve_forward(ctx.spec, mesh, g, None, s, t)
-    dense = dense_spacetime_oracle(ctx.spec, mesh, g, None, s, t)
-    num = float(np.max(np.abs(marched.values - dense.values)))
-    den = float(np.max(np.abs(dense.values)))
-    resid = num / den if den > 0 else 0.0
-    tol = float(tolerance)
-    return V.CheckRecord("oracle", "spacetime-oracle-equivalence",
-                         "pass" if resid <= tol else "fail", tol,
-                         fitted={"max_rel_diff": resid},
-                         samples={"t_step": t_step})
+    return V.check_oracle(ctx.spec, mesh, g, _time(mesh, 0),
+                          _time(mesh, t_step, min(mesh.steps, 24)), tolerance=float(tolerance))
 
 
 def _run_adjoint(ctx: Context, t_step: int | None = None, seed: int | None = None,
@@ -412,17 +402,8 @@ def _run_adjoint(ctx: Context, t_step: int | None = None, seed: int | None = Non
     rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
     a = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
     b = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
-    t_step = int(mesh.steps if t_step is None else t_step)
-    s, t = _time(mesh, 0), _time(mesh, t_step)
-    fa = _solve(ctx.spec, mesh, a, None, s, t, "forward", _Keep([t_step]))[0]
-    bb = _solve(ctx.spec, mesh, b, None, s, t, "backward", _Keep([0]))[0]
-    lhs, rhs = float(np.sum(fa * b)), float(np.sum(a * bb))
-    resid = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    tol = float(tolerance)
-    return V.CheckRecord("adjoint", "forward-backward-adjointness",
-                         "pass" if resid <= tol else "fail", tol,
-                         fitted={"pairing_residual": resid},
-                         samples={"t_step": t_step})
+    return V.check_adjoint(ctx.spec, mesh, a, b, _time(mesh, 0),
+                           _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
 
 
 # Each check's parameters are the keyword arguments of its builder; the

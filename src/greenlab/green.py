@@ -194,35 +194,17 @@ def cylinder_average(traj: Trajectory, pole, radius: float, kind: str) -> np.nda
 # propagators
 # ----------------------------------------------------------------------
 
-PROPAGATOR_CAP = 4000
+PROPAGATOR_CAP = 4000  # unknowns of a dense propagator; normalization marches N states
 
 
-@dataclass
-class Propagator:
-    """Dense one-window solution operator P(t, s) of the homogeneous scheme."""
-
-    mesh: Mesh
-    s: float
-    t: float
-    P: np.ndarray
-    N: int
-
-    def row_sums(self) -> np.ndarray:
-        """For each (i, x): sum_y of the Green block row times volume -> (i, x, j)."""
-        C = self.mesh.ncells
-        R = self.P.reshape(self.N, C, self.N, C).sum(axis=3)
-        return R
-
-
-def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float) -> Propagator:
-    """P(t, s): the identity block marched from s to t; column j is unit state j's march."""
+def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float) -> np.ndarray:
+    """P(t, s) as an (nn, nn) array: the identity block marched from s to t, so
+    column j is the march of unit state j."""
     scheme = ThetaScheme(mesh, spec)
     if scheme.nn > PROPAGATOR_CAP:
         raise ConfigError(f"propagator size {scheme.nn} exceeds cap {PROPAGATOR_CAP}")
     i0, i1 = mesh.time_index(s), mesh.time_index(t)
-    out = _march(scheme, i0, i1, np.eye(scheme.nn), lambda m: None, _Keep([i1]))
-    # keep the F-ordered view: a C-ordered copy changes the reduction order of row_sums
-    return Propagator(mesh, float(mesh.times[i0]), float(mesh.times[i1]), out[:, 0].T, scheme.N)
+    return _march(scheme, i0, i1, np.eye(scheme.nn), lambda m: None, _Keep([i1]))[:, 0].T
 
 
 # ----------------------------------------------------------------------

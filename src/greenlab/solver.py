@@ -50,8 +50,9 @@ One private marcher, ``_march``, runs every time loop, forward or (with
 ``dense_spacetime_oracle`` check that a window spans a step with one
 ``_check_window``.  ``solve_forward``/``solve_backward`` march
 one state, the Green column builders march all source components of a
-pole as one block, and ``green.propagator`` marches the (nn, nn) identity
-block.  Both solvers solve a block bitwise equal to its columns one by
+pole as one block, ``green.propagator`` marches the (nn, nn) identity
+block and ``verify.check_normalization`` the (nn, N) block of constant
+states.  Both solvers solve a block bitwise equal to its columns one by
 one.  Every solve checks the relative residual of each column against
 ``RESIDUAL_TOL`` with the assembled D, so a bad small column cannot hide
 behind a large one and a wrong Fourier symbol fails loudly; the residual

@@ -9,6 +9,7 @@ from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, SolverError,
                       rho_refinement, solve_forward, transpose_green_column,
                       wrapped_heat_kernel)
 from greenlab import green
+from greenlab import verify as V
 from greenlab.solver import ThetaScheme
 
 
@@ -40,7 +41,7 @@ def duhamel_slice(spec, mesh, slab_source, i0, K):
         g = slab_source(m)
         if g is not None:
             P = propagator(spec, mesh, float(mesh.times[m]), float(mesh.times[K]))
-            u += mesh.tau * (P.P @ g)
+            u += mesh.tau * (P @ g)
     return u
 
 
@@ -176,24 +177,22 @@ class TestPropagator:
         P = propagator(heat_spec, mesh32, 0.0, 1 / 512)
         scheme = ThetaScheme(mesh32, heat_spec)
         D = scheme.implicit_lu(1)[1].toarray()
-        assert np.allclose(P.P @ D, np.eye(32), rtol=0, atol=1e-12)
+        assert np.allclose(P @ D, np.eye(32), rtol=0, atol=1e-12)
 
     def test_composition_and_rowsums(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("rotating", omega=2.0), periodic_1d)
         P_ts = propagator(spec, mesh32, 0.0, 40 / 512)
         P_tr = propagator(spec, mesh32, 16 / 512, 40 / 512)
         P_rs = propagator(spec, mesh32, 0.0, 16 / 512)
-        resid = np.max(np.abs(P_ts.P - P_tr.P @ P_rs.P)) / np.max(np.abs(P_ts.P))
+        resid = np.max(np.abs(P_ts - P_tr @ P_rs)) / np.max(np.abs(P_ts))
         assert resid <= 1e-12
-        R = P_ts.row_sums()
-        for i in range(2):
-            for j in range(2):
-                target = 1.0 if i == j else 0.0
-                assert np.max(np.abs(R[i, :, j] - target)) <= 1e-12
+        # the normalization march of the constant states sums the dense P's columns
+        R = V._row_sums(spec, mesh32, 0.0, 40 / 512)
+        assert np.max(np.abs(R - P_ts.reshape(2, 32, 2, 32).sum(axis=3))) <= 1e-14
 
     def test_green_block_sampling(self, mesh32, heat_spec):
         P = propagator(heat_spec, mesh32, 0.0, 8 / 512)
-        blk = P.P.reshape(1, 32, 1, 32)[:, 10, :, 10] / mesh32.volume
+        blk = P.reshape(1, 32, 1, 32)[:, 10, :, 10] / mesh32.volume
         assert blk.shape == (1, 1)
         assert blk[0, 0] > 0
 
@@ -243,7 +242,7 @@ class TestPropagator:
                             lambda self, m, *args: stepped.append(m) or real(self, m, *args))
         i0, i1 = 2, 7
         s, t = float(mesh.times[i0]), float(mesh.times[i1])
-        P = propagator(spec, mesh, s, t).P
+        P = propagator(spec, mesh, s, t)
         assert stepped == list(range(i0, i1))
         for j in range(P.shape[1]):
             e = np.zeros(P.shape[0])
@@ -258,7 +257,7 @@ class TestPropagator:
         mesh_half = Mesh(periodic_1d, (32,), tau=1 / 1024, t0=0.0, steps=128)
         P1 = propagator(spec1, mesh32, 0.0, 16 / 512)
         P2 = propagator(spec2, mesh_half, 0.0, 16 / 1024)  # same step count
-        assert np.array_equal(P1.P, P2.P)
+        assert np.array_equal(P1, P2)
 
 
 class TestRhoRefinement:
@@ -335,7 +334,7 @@ class TestRepresentation:
 class TestApplyInitial:
     def test_constant_preserved_periodic(self, mesh32, heat_spec):
         g = np.full((1, 32), 1.7)
-        out = propagator(heat_spec, mesh32, 0.0, 24 / 512).P @ g.ravel()
+        out = propagator(heat_spec, mesh32, 0.0, 24 / 512) @ g.ravel()
         assert np.allclose(out, g.ravel(), rtol=0, atol=1e-12)
 
     def test_point_mass_gives_green_column_slice(self, mesh32, heat_spec):
@@ -343,12 +342,12 @@ class TestApplyInitial:
         g[0, 16] = 1.0 / mesh32.volume
         out = solve_forward(heat_spec, mesh32, g, None, 0.0, 16 / 512).values[-1]
         P = propagator(heat_spec, mesh32, 0.0, 16 / 512)
-        assert np.allclose(out[0], P.P[:, 16] / mesh32.volume, rtol=0, atol=1e-12)
+        assert np.allclose(out[0], P[:, 16] / mesh32.volume, rtol=0, atol=1e-12)
 
     def test_equals_solve_forward(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("almost-diagonal"), periodic_1d)
         g = np.random.default_rng(1).standard_normal((2, 32))
-        out = propagator(spec, mesh32, 0.0, 24 / 512).P @ g.ravel()
+        out = propagator(spec, mesh32, 0.0, 24 / 512) @ g.ravel()
         traj = solve_forward(spec, mesh32, g, None, 0.0, 24 / 512)
         assert np.max(np.abs(out - traj.values[-1].ravel())) <= 1e-12 * np.max(np.abs(out))
 
@@ -399,7 +398,7 @@ class TestScalarNonnegativity:
                          ("x-oscillatory", {"n": 1})):
             spec = OperatorSpec(make_preset(name, **kw), periodic_1d)
             P = propagator(spec, mesh32, 0.0, 24 / 512)
-            assert P.P.min() >= -1e-15
+            assert P.min() >= -1e-15
 
 
 class TestTransposeLimitConsistency:
@@ -434,4 +433,4 @@ class TestTransposeLimitConsistency:
         w = b.copy()
         for m in range(23, -1, -1):
             w = scheme.backward_step(m, w)
-        assert np.allclose(P.P.T @ b, w, rtol=0, atol=1e-13)
+        assert np.allclose(P.T @ b, w, rtol=0, atol=1e-13)

@@ -3,8 +3,9 @@
 Each field is lam*I plus a skew coupling plus a small symmetric perturbation
 that moves with (t, x), so every (alpha, beta) entry is generally nonzero.
 The step matrix must be ``sp.identity(nn) + tau*L`` to the bit, and the
-exact identities the construction rests on (adjointness, averaged duality,
-semigroup) must hold at the tolerances of the acceptance battery.
+checks of the exact identities the construction rests on (adjointness,
+averaged duality, semigroup, and normalization on a torus) must pass at
+their default tolerances, those of the acceptance battery.
 """
 
 import math
@@ -14,8 +15,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, assemble, solve_backward,
-                      solve_forward, validate_parabolicity)
+from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, assemble,
+                      validate_parabolicity)
 from greenlab import solver
 from greenlab import verify as V
 from greenlab.solver import ThetaScheme
@@ -89,6 +90,16 @@ def test_step_matrix_is_identity_plus_tau_operator(case):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
 
+def duality_pair(mesh):
+    """Y at the first interior cell after rho^2, X at the last one 4 steps later."""
+    rho = 2.0 * float(np.max(mesh.h))
+    slabs = mesh.slab_count(rho)
+    inner = np.flatnonzero(mesh.interior_mask)
+    Y = (float(mesh.times[slabs]), mesh.centers[inner[0]])
+    X = (float(mesh.times[slabs + 4]), mesh.centers[inner[-1]])
+    return Y, X, rho, rho
+
+
 @PROPERTY_SETTINGS
 @given(cases())
 def test_adjointness_duality_and_semigroup(case):
@@ -96,23 +107,23 @@ def test_adjointness_duality_and_semigroup(case):
     N, T = spec.coeffs.N, float(mesh.times[-1])
     rng = np.random.default_rng(mesh.ncells * N)
     a, b = rng.standard_normal((2, N, mesh.ncells))
-    fa = solve_forward(spec, mesh, a, None, 0.0, T).values[-1]
-    bb = solve_backward(spec, mesh, b, None, T, 0.0).values[0]
-    lhs, rhs = float(np.sum(fa * b)), float(np.sum(a * bb))
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+    pair = duality_pair(mesh)
+    records = [V.check_adjoint(spec, mesh, a, b, 0.0, T),
+               V.check_duality(spec, mesh, [pair], T, 0.0),
+               V.check_semigroup(spec, mesh, 0.0, pair[0][0], T)]
+    if mesh.periodic:
+        records.append(V.check_normalization(spec, mesh, 0.0, T))
+    for rec in records:
+        assert rec.status == "pass", (rec.name, rec.fitted)
 
-    # one pair: Y at the first interior cell after rho^2, X at the last one 4 steps later
-    rho = 2.0 * float(np.max(mesh.h))
-    slabs = mesh.slab_count(rho)
-    inner = np.flatnonzero(mesh.interior_mask)
-    Y = (float(mesh.times[slabs]), mesh.centers[inner[0]])
-    X = (float(mesh.times[slabs + 4]), mesh.centers[inner[-1]])
-    # against the block's scale: on these small tori the averages are close to
-    # the identity, and an off-diagonal entry 1e-6 of the block's size carries
-    # a roundoff that ``check_duality``'s per-entry residual reads as 1e-9
-    fwd, = V._block_averages(spec, mesh, [(Y, rho, X, rho)], T, "forward")
-    bwd, = V._block_averages(spec, mesh, [(X, rho, Y, rho)], 0.0, "backward")
-    assert np.max(np.abs(bwd.T - fwd)) <= 1e-10 * np.max(np.abs(fwd))
 
-    rec = V.check_semigroup(spec, mesh, 0.0, float(mesh.times[slabs]), T)
+def test_duality_reads_each_block_at_its_scale():
+    """A block near the identity: its off-diagonal averages are 7e-7, and forward
+    and adjoint agree to roundoff of the block, far below 1e-10 of it."""
+    domain = Domain((0.0,), (1.0,), "periodic")
+    mesh = Mesh(domain, (4,), tau=1 / 64, t0=0.0, steps=36)
+    spec = OperatorSpec(parabolic_field(1, 2, "const", 1), domain)
+    pair = duality_pair(mesh)
+    assert pair[2] == 0.5
+    rec = V.check_duality(spec, mesh, [pair], float(mesh.times[-1]), 0.0)
     assert rec.status == "pass", rec.fitted
