@@ -28,21 +28,23 @@ The implicit matrix D = I + tau*L(t_m) is solved by one of two solvers,
 chosen from the values of the face tensors the assembly already
 evaluated, never from a flag such as ``CoefficientField.x_dependent``:
 
-* Fourier: on a periodic 2-D mesh whose face tensors are exactly equal at
-  every face, D is block-circulant.  ``_FourierSolver`` reads the N columns
-  of D at cell 0 from D's entries as a kernel, inverts its ``rfft2`` symbol
-  once (one N x N block per wavenumber, a reciprocal when N = 1) and
-  solves with ``rfft2``, a batched N x N product and ``irfft2``.  A scheme
+* Fourier: on a periodic mesh, 1-D or 2-D, whose face tensors are exactly
+  equal at every face, D is block-circulant.  ``_FourierSolver`` reads the
+  N columns of D at cell 0 from D's entries as a kernel, inverts its
+  symbol once (one N x N block per wavenumber, a reciprocal when N = 1)
+  and solves with a real FFT, a batched N x N product and the inverse
+  FFT: ``rfft``/``irfft`` on 1-D, ``rfft2``/``irfft2`` on 2-D.  A scheme
   keeps the state its last Fourier solve returned together with that
   state's spectrum; a solve whose right-hand side is that very state (a
   step without a source, forward or adjoint, flat or block) reuses the
-  spectrum and skips the ``rfft2``, so a march transforms forward once,
-  plus once per step with a source.
-* SuperLU: everywhere else (n = 1, where per-call FFT overhead loses to a
-  small ``splu``; dirichlet meshes; x-dependent fields and tables), D is
-  factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
-  degree on the pattern of A^T + A), which suits the structurally
-  symmetric operator.
+  spectrum and skips the forward FFT, so a march transforms forward once,
+  plus once per step with a source.  Every eighth step sets the carried
+  spectrum's subnormal parts to 0, which keeps a long march from slowing
+  down as its modes decay and leaves the states bitwise unchanged.
+* SuperLU: everywhere else (dirichlet meshes, x-dependent fields and
+  tables), D is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering
+  (minimum degree on the pattern of A^T + A), which suits the
+  structurally symmetric operator.
 
 One private marcher, ``_march``, runs every time loop, forward or (with
 ``backward``) through the adjoint steps, for a flat (nn,) state or an
@@ -74,18 +76,26 @@ step matrices: the (solver, D) pair of each step's implicit matrix.  A key
 holds the frozen mesh and spec themselves (equal by value; coefficient
 functions by identity) and the step index (``"const"`` for static
 coefficients).  A step's solver assembles L(t_m) itself and the operator
-is not stored, since nothing else reads it.  The store charges a SuperLU
-factor 12 bytes per L+U nonzero, a Fourier solver the bytes of its inverse
-blocks (plain and conjugate-transposed), and either one the CSC/CSR arrays
-of D.  No stored array views a larger buffer; a pattern array that entries
-share with the stencil or the cached patterns is charged to each of them,
-so the charge bounds the numpy arrays the store holds from above.  It does
-not bound a SuperLU factor's own memory: ``splu`` keeps its factors and
-workspace on the C heap, uncharged, about 280 KB per 64 x 64 step factor
-of a 1-D rotating N = 2 run that is charged 17 KB in all.  ``CACHE_BYTES``
-caps the charge, not the process's memory.  Past it the store evicts the
-least recently used entries, never the one just built.  ``cache_info``
-reports its size.
+is not stored, since nothing else reads it.  The store charges a Fourier
+solver the bytes of its inverse blocks (plain and conjugate-transposed), a
+SuperLU factor 12 bytes per L+U nonzero plus ``SUPERLU_FIXED_BYTES``, and
+either one the CSC/CSR arrays of D.  No stored array views a larger
+buffer; a pattern array that entries share with the stencil or the cached
+patterns is charged to each of them.  ``splu`` keeps its factors on the C
+heap, in four L/U arrays sized from a fill guess (about 740 bytes per
+nonzero of D in all, by ``mallinfo2``); the 12 bytes per nonzero count
+only their written part.  With glibc's mmap threshold at 128 KiB, as
+``perfbench`` pins it, an array above the threshold is mapped and resident
+only where written and one below it may be resident whole, so a factor
+holds at most 4 x 128 KiB = ``SUPERLU_FIXED_BYTES`` more.  By
+``ru_maxrss`` over stored 1-D and 2-D dirichlet factors of 16 to 4 096
+unknowns, the largest excess was 299 KB (16 x 16 cells, the store
+evicting), and the RSS a march added stayed below the charge.  Under
+glibc's default threshold, which rises after large frees, a mid-size
+factor can exceed it: 917 KB resident against 646 KB charged at 1 536
+unknowns, 1-D.  ``CACHE_BYTES`` caps the charge.  Past it the store
+evicts the least recently used entries, never the one just built.
+``cache_info`` reports its size.
 
 ``dense_spacetime_oracle`` stacks the stored step matrices into one sparse
 block-bidiagonal space-time system and solves it with ``spsolve``; the
@@ -94,9 +104,9 @@ BLAS thread count.
 
 ``scipy.sparse.linalg`` (``splu`` and ``spsolve``) loads on first use:
 ``spla`` is a stand-in that imports it on its first attribute lookup.  A
-periodic 2-D run that solves only by Fourier never loads it, nor the
-``scipy.linalg`` it pulls in, which saves about 10 MB of RSS and 0.1 to
-0.2 s per process.  A run that will use it pays the import during set-up:
+periodic run that solves only by Fourier, 1-D or 2-D, never loads it, nor
+the ``scipy.linalg`` it pulls in, which saves about 10 MB of RSS and 0.1
+to 0.2 s per process.  A run that will use it pays the import during set-up:
 ``cli.build_context`` calls ``_preload_linalg``, whose guess sits next to
 the ``_assemble`` rule it predicts.
 """
@@ -116,6 +126,7 @@ from .problem import OperatorSpec
 
 RESIDUAL_TOL = 1e-11
 CACHE_BYTES = 256 * 2**20
+SUPERLU_FIXED_BYTES = 512 * 2**10  # heap a SuperLU factor may hold beyond its nonzeros
 
 
 class _DeferredLinalg:
@@ -259,8 +270,9 @@ def _shifted(mesh: Mesh, N: int, data: np.ndarray, c: float) -> sp.csr_matrix:
 def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
     """L(t)'s values on the stencil pattern, and whether its implicit matrices take the Fourier path.
 
-    That path needs a periodic 2-D mesh and face tensors that are exactly
-    equal at every face, which makes the operator block-circulant.
+    That path needs a periodic mesh, of either dimension, and face tensors
+    that are exactly equal at every face, which makes the operator
+    block-circulant.
     """
     pts, gather, _, _, _ = _stencil(mesh, spec.coeffs.N)
     A = spec.coeffs.tensor(t, pts)
@@ -268,8 +280,7 @@ def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
         raise ConfigError(f"non-finite coefficient at a face (t={t})")
     # equal on the faces of each axis, which translating by one cell maps onto
     # themselves; a periodic mesh has one face per cell on each axis
-    fourier = mesh.periodic and mesh.n == 2 and all(
-        (B[1:] == B[:-1]).all() for B in np.split(A, 2))
+    fourier = mesh.periodic and all((B[1:] == B[:-1]).all() for B in np.split(A, mesh.n))
     return gather @ A.ravel(), fourier
 
 
@@ -278,11 +289,13 @@ def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
 
     It is, when the run lists the space-time oracle (``spsolve``) or when
     ``_assemble`` will send the implicit matrices to SuperLU: sure to on a
-    1-D or dirichlet mesh, and nearly sure to for an x-dependent field (every
-    table is one).  The guess only moves the import into set-up; a wrong one
-    costs time, never correctness.
+    dirichlet mesh, and nearly sure to for an x-dependent field (every table
+    is one).  A periodic run on an x-independent field solves by Fourier in
+    1-D and 2-D alike, so it loads the module only for an oracle.  The guess
+    only moves the import into set-up; a wrong one costs time, never
+    correctness.
     """
-    if oracle or mesh.n != 2 or not mesh.periodic or spec.coeffs.x_dependent:
+    if oracle or not mesh.periodic or spec.coeffs.x_dependent:
         import scipy.sparse.linalg  # noqa: F401
 
 
@@ -322,22 +335,52 @@ def _csr_bytes(mat) -> int:
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
-class _FourierSolver:
-    """Solves with a block-circulant implicit matrix D on a periodic 2-D mesh.
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
-    The N columns of D at cell 0 are an (N, N, c0, c1) kernel; ``rfft2`` of
+
+def _flush_subnormals(spectrum: np.ndarray) -> None:
+    """Set the subnormal parts of a C-contiguous complex spectrum to 0, in place.
+
+    A carried spectrum decays mode by mode through the subnormal range, where
+    every product and butterfly costs many normal ones: after 5 000 steps of
+    a 320-cell 1-D heat march, a carried step took 4 to 11 us longer than at
+    the start.  A subnormal part adds nothing to a state of normal size, so
+    the states stay bitwise what they were.
+    """
+    parts = spectrum.view(np.float64)
+    parts[np.abs(parts) < _TINY] = 0.0
+
+
+def _rfft(a: np.ndarray, cells: tuple) -> np.ndarray:
+    """The real FFT of ``a`` over its trailing cell axes: ``rfft`` on 1-D, ``rfft2`` on 2-D.
+
+    ``rfftn`` would serve both, at 2 to 3 times their call overhead.  The
+    transform is looked up in ``np.fft`` on every call.
+    """
+    return np.fft.rfft(a) if len(cells) == 1 else np.fft.rfft2(a)
+
+
+def _irfft(y: np.ndarray, cells: tuple) -> np.ndarray:
+    """The inverse of ``_rfft``, back to ``cells`` (odd counts included)."""
+    return np.fft.irfft(y, n=cells[0]) if len(cells) == 1 else np.fft.irfft2(y, s=cells)
+
+
+class _FourierSolver:
+    """Solves with a block-circulant implicit matrix D on a periodic mesh, 1-D or 2-D.
+
+    The N columns of D at cell 0 are an (N, N, *cells) kernel; ``_rfft`` of
     the kernel is one N x N symbol block per wavenumber, inverted here once
-    (by a reciprocal when N = 1).  A solve is ``rfft2``, one N x N product
-    per wavenumber and ``irfft2``; ``trans="T"`` uses the conjugate-transposed
+    (by a reciprocal when N = 1).  A solve is ``_rfft``, one N x N product
+    per wavenumber and ``_irfft``; ``trans="T"`` uses the conjugate-transposed
     inverse blocks, which are the inverse symbol of D^T.  Given the spectrum
     a previous solve returned with its right-hand side, a solve skips the
-    ``rfft2`` and costs one ``irfft2``.
+    forward transform and costs one inverse transform.
     """
 
     def __init__(self, D, N: int, cells):
         self.N, self.cells = N, tuple(cells)
         kernel = self.kernel(D, N, self.cells)
-        symbol = np.moveaxis(np.fft.rfft2(kernel), (0, 1), (-2, -1))
+        symbol = np.moveaxis(_rfft(kernel, self.cells), (0, 1), (-2, -1))
         inv = 1.0 / symbol if N == 1 else np.linalg.inv(symbol)
         self.inv = {"N": np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1))),
                     "T": np.ascontiguousarray(np.moveaxis(inv.conj(), (-2, -1), (1, 0)))}
@@ -361,14 +404,17 @@ class _FourierSolver:
 
         ``spectrum`` is rhs's spectrum as an earlier solve returned it, or None
         to transform rhs.  Returns the solution and the spectrum it is the
-        ``irfft2`` of, shaped (B, N, c0, c1 // 2 + 1).
+        ``_irfft`` of, C-contiguous and shaped (B, N, *cells) with the last
+        axis halved plus one.
         """
         M = self.inv[trans]
-        r = np.fft.rfft2(rhs.T.reshape(-1, self.N, *self.cells)) if spectrum is None else spectrum
-        y = M[:, 0] * r[:, None, 0]
+        r = spectrum
+        if r is None:
+            r = _rfft(rhs.T.reshape(-1, self.N, *self.cells), self.cells)
+        y = np.multiply(M[:, 0], r[:, None, 0], order="C")
         for j in range(1, self.N):
             y += M[:, j] * r[:, None, j]
-        x = np.fft.irfft2(y, s=self.cells).reshape(len(r), -1)
+        x = _irfft(y, self.cells).reshape(len(r), -1)
         return (x.T if rhs.ndim == 2 else x[0]), y
 
 
@@ -387,7 +433,10 @@ class _Implicit(tuple):
 
 def _factor_bytes(pair) -> int:
     solver, D = pair
-    held = solver.nbytes if isinstance(solver, _FourierSolver) else 12 * int(solver.nnz)
+    if isinstance(solver, _FourierSolver):
+        held = solver.nbytes
+    else:
+        held = 12 * int(solver.nnz) + SUPERLU_FIXED_BYTES
     return held + _csr_bytes(D)
 
 
@@ -487,6 +536,8 @@ class ThetaScheme:
         if isinstance(lu, _FourierSolver):
             state, spectrum = self._carry
             x, spectrum = lu.solve(rhs, trans, spectrum if rhs is state else None)
+            if m % 8 == 0:  # a part gone subnormal costs a few slow steps at most
+                _flush_subnormals(spectrum)
             self._carry = (x, spectrum)
         else:
             x = lu.solve(rhs, trans=trans)

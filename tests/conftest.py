@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from greenlab import Domain, Mesh, OperatorSpec, make_preset
+from greenlab import Domain, Mesh, OperatorSpec, make_preset, solver
 
 
 @pytest.fixture
@@ -45,3 +47,30 @@ def bundle_1d(domain):
 
 def rng_slice(rng, N, mesh):
     return rng.standard_normal((N, mesh.ncells))
+
+
+def spoiled(lu, column):
+    """A step solver that solves like ``lu`` but scales ``column`` of a block by 1 + 1e-4.
+
+    A Fourier solver stays one, so ``solve_implicit`` takes the same branch
+    as with ``lu``; a SuperLU factor is wrapped.
+    """
+    def spoil(x):
+        x[:, column] *= 1 + 1e-4
+        return x
+
+    if isinstance(lu, solver._FourierSolver):
+        fake = copy.copy(lu)
+
+        def solve(b, trans="N", spectrum=None):
+            x, y = lu.solve(b, trans, spectrum)
+            return spoil(x), y
+
+        fake.solve = solve
+        return fake
+
+    class Spoiled:
+        def solve(self, b, trans="N"):
+            return spoil(lu.solve(b, trans=trans))
+
+    return Spoiled()

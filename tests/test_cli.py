@@ -253,8 +253,11 @@ class TestDeferredLinalg:
     def test_import_loads_no_linalg(self, tmp_path):
         assert _fresh(tmp_path, "import greenlab.cli") == [None, []]
 
-    def test_fourier_run_loads_no_linalg(self, tmp_path):
-        (tmp_path / "sc.json").write_text(json.dumps(_heat_2d()))
+    @pytest.mark.parametrize("case", ["heat-2d", "heat-1d-sweep"])
+    def test_fourier_run_loads_no_linalg(self, tmp_path, case):
+        # periodic and x-independent, without an oracle: Fourier in 2-D and 1-D alike
+        sc = _heat_2d() if case == "heat-2d" else json.loads((SCEN / f"{case}.json").read_text())
+        (tmp_path / "sc.json").write_text(json.dumps(sc))
         code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
         assert _fresh(tmp_path, code) == [0, []]
 
@@ -293,7 +296,7 @@ class Counting:
         return getattr(self._spla, name)
 
 solver.spla = wrapper = Counting(solver.spla)
-domain = Domain((0.0,), (1.0,), "periodic")
+domain = Domain((0.0,), (1.0,), "dirichlet")
 mesh = Mesh(domain, (16,), tau=1 / 256, t0=0.0, steps=8)
 spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), domain)
 solve_forward(spec, mesh, np.ones((2, 16)), None, 0.0, float(mesh.times[8]))

@@ -8,9 +8,11 @@ from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, SolverError,
                       green_block_columns, heat_kernel, make_preset, propagator,
                       rho_refinement, solve_forward, transpose_green_column,
                       wrapped_heat_kernel)
-from greenlab import green
+from greenlab import green, solver
 from greenlab import verify as V
 from greenlab.solver import ThetaScheme
+
+from conftest import spoiled
 
 
 def fine_heat_setup(cells=128, extra=0):
@@ -196,27 +198,23 @@ class TestPropagator:
         assert blk.shape == (1, 1)
         assert blk[0, 0] > 0
 
-    def test_spoiled_column_raises(self, monkeypatch, mesh32, heat_spec):
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])  # Fourier and SuperLU
+    def test_spoiled_column_raises(self, monkeypatch, mode):
+        domain = Domain((0.0,), (1.0,), mode)
+        mesh = Mesh(domain, (32,), tau=1.0 / 512, t0=0.0, steps=64)
+        spec = OperatorSpec(make_preset("heat", n=1), domain)
         real = ThetaScheme.implicit_lu
+        kinds = []
 
-        class Spoiled:
-            """Solves like the factor, but spoils one column of the block."""
-
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, b, trans="N"):
-                x = self.lu.solve(b, trans=trans)
-                x[:, 5] *= 1 + 1e-4
-                return x
-
-        def spoiled(self, m):
+        def spoiling(self, m):
             lu, D = real(self, m)
-            return Spoiled(lu), D
+            kinds.append(isinstance(lu, solver._FourierSolver))
+            return solver._Implicit(spoiled(lu, 5), D)
 
-        monkeypatch.setattr(ThetaScheme, "implicit_lu", spoiled)
+        monkeypatch.setattr(ThetaScheme, "implicit_lu", spoiling)
         with pytest.raises(SolverError, match="residual"):
-            propagator(heat_spec, mesh32, 0.0, 4 / 512)
+            propagator(spec, mesh, 0.0, 4 / 512)
+        assert kinds == [mode == "periodic"]
 
     def test_size_cap(self, monkeypatch, periodic_1d):
         mesh = Mesh(periodic_1d, (64,), tau=1 / 512, t0=0.0, steps=8)

@@ -540,10 +540,11 @@ def _whole_sup_ratio(spec, mesh, X0, R, seed):
             / math.sqrt(float(np.mean(np.sum(outer ** 2, axis=1)))))
 
 
-STREAM_CASES = {  # (preset, n, boundary): the Fourier path, SuperLU on dirichlet, and n = 1
+STREAM_CASES = {  # (preset, n, boundary): the Fourier path and SuperLU, in 2-D and 1-D
     "fourier": ("decoupled-heat-pair", 2, "periodic"),
     "dirichlet": ("x-oscillatory", 2, "dirichlet"),
-    "n=1": ("rotating", 1, "periodic"),
+    "fourier-1d": ("rotating", 1, "periodic"),
+    "dirichlet-1d": ("rotating", 1, "dirichlet"),
 }
 
 
