@@ -46,29 +46,33 @@ evaluated, never from a flag such as ``CoefficientField.x_dependent``:
   (minimum degree on the pattern of A^T + A), which suits the
   structurally symmetric operator.
 
-One private marcher, ``_march``, runs every time loop, forward or (with
-``backward``) through the adjoint steps, for a flat (nn,) state or an
-(nn, B) block of B states sharing every step's solver.  It and
-``dense_spacetime_oracle`` check that a window spans a step with one
-``_check_window``.  ``solve_forward``/``solve_backward`` march
-one state, the Green column builders march all source components of a
-pole as one block, ``green.propagator`` marches the (nn, nn) identity
-block and ``verify.check_normalization`` the (nn, N) block of constant
-states.  Both solvers solve a block bitwise equal to its columns one by
-one.  Every solve checks the relative residual of each column against
+One private time loop, the generator ``_stream``, runs every march,
+forward or (with ``backward``) through the adjoint steps, for a flat (nn,)
+state or an (nn, B) block of B states sharing every step's solver.
+``_march`` stacks what it yields; ``verify.ph_decay_fit`` folds it into
+its cylinder energies as it comes.  It and ``dense_spacetime_oracle``
+check that a window spans a step with one ``_check_window``.
+``solve_forward``/``solve_backward`` march one state, the Green column
+builders march all source components of a pole as one block,
+``green.propagator`` marches the (nn, nn) identity block and
+``verify.check_normalization`` the (nn, N) block of constant states.
+Both solvers solve a block bitwise equal to its columns one by one.  Every
+solve checks the relative residual of each column against
 ``RESIDUAL_TOL`` with the assembled D, so a bad small column cannot hide
 behind a large one and a wrong Fourier symbol fails loudly; the residual
 of a ``trans="T"`` solve uses D's transpose, built once per stored step as
 a view of D's arrays.
 
-The marcher keeps what a ``_Keep`` names: the slices at some mesh time
-indices and some flat state rows, copied as the march passes them, so a
+A march keeps what a ``_Keep`` names: the slices at some mesh time
+indices and some flat state rows, handed on as the march passes them, so a
 check that reads one slice or one cylinder holds that and not the whole
 (steps + 1, N, ncells) field; the march stops at the last slice it keeps
 (backward: the first), so no step runs whose state nobody reads.  The
 default keeps every slice and row, which is what the public solvers and
 column builders return; the checks in ``verify`` and the adjoint pairing
-in ``cli`` march through ``_solve`` with the slices and cells they read.
+in ``cli`` march through ``_solve`` with the slices and cells they read,
+and ``interior-decay`` consumes ``_stream`` a few slices at a time, so it
+never holds its outer cylinder.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec) shares one process-wide store of
@@ -608,38 +612,67 @@ def _check_window(i0: int, i1: int) -> None:
         raise ConfigError(f"the march window {i0}..{i1} must span at least one time step")
 
 
-def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
-           keep: _Keep = _Keep(), backward: bool = False) -> np.ndarray:
-    """Steps over t_{i0}..t_{i1} of a flat state (nn,) or a block (nn, B).
+def _kept_slices(keep: _Keep, i0: int, i1: int) -> Sequence[int]:
+    """The mesh time indices ``keep`` keeps in the window t_{i0}..t_{i1}, checked.
+
+    A range stays a range, so a march that keeps a long run of slices holds
+    no list of them.
+    """
+    _check_window(i0, i1)
+    slices = keep.slices
+    if slices is None:
+        return range(i0, i1 + 1)
+    if not isinstance(slices, range):
+        slices = [int(m) for m in slices]
+    if (any(b <= a for a, b in zip(slices, slices[1:]))
+            or (slices and not i0 <= slices[0] <= slices[-1] <= i1)):
+        raise ConfigError("kept slices must be increasing steps inside the march "
+                          f"window {i0}..{i1}")
+    return slices
+
+
+def _stream(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
+            keep: _Keep = _Keep(), backward: bool = False):
+    """The time loop: steps over t_{i0}..t_{i1} of a flat state (nn,) or a block (nn, B).
 
     Forward steps start from x at t_{i0}; with ``backward`` adjoint steps
     start from x at t_{i1}.  ``src(m)`` gives step m's source, shaped like x
-    (or None).  Returns the kept states as (slices, rows), or (B, slices,
-    rows) for a block; by default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
-    A forward march stops at its last kept slice and a backward one at its
-    first, since no state beyond is read.
+    (or None).  Yields ``(m, state[rows])`` at each kept slice m as the march
+    passes it, in march order (backward: decreasing m), where ``rows`` are
+    the kept rows (all of them, as a view of the state, when ``keep.rows`` is
+    None); a consumer must not change what it is given.  A forward march
+    stops at its last kept slice and a backward one at its first, since no
+    state beyond is read.  The window and the kept slices are checked when
+    the stream starts, before its first step.
     """
-    _check_window(i0, i1)
-    slices = range(i0, i1 + 1) if keep.slices is None else [int(m) for m in keep.slices]
-    if keep.slices is not None and (slices != sorted(set(slices))
-                                    or not all(i0 <= m <= i1 for m in slices)):
-        raise ConfigError("kept slices must be increasing steps inside the march "
-                          f"window {i0}..{i1}")
-    slot = {m: j for j, m in enumerate(slices)}
+    slices = _kept_slices(keep, i0, i1)
+    due = iter(reversed(slices) if backward else slices)  # the kept slices in march order
+    at = next(due, None)
     rows = slice(None) if keep.rows is None else keep.rows
-    out = np.empty(x.shape[1:] + (len(slot), x.shape[0] if keep.rows is None else len(rows)))
-
-    def put(m, state):
-        j = slot.get(m)
-        if j is not None:
-            out[..., j, :] = state[rows].T
-
     step = scheme.backward_step if backward else scheme.forward_step
-    put(i1 if backward else i0, x)
-    for m in (range(i1 - 1, min(slices, default=i1) - 1, -1) if backward
-              else range(i0, max(slices, default=i0))):
+    if at == (i1 if backward else i0):
+        yield at, x[rows]
+        at = next(due, None)
+    for m in (range(i1 - 1, (slices[0] if slices else i1) - 1, -1) if backward
+              else range(i0, slices[-1] if slices else i0)):
         x = step(m, x, src(m))
-        put(m if backward else m + 1, x)
+        if at == (m if backward else m + 1):
+            yield at, x[rows]
+            at = next(due, None)
+
+
+def _march(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
+           keep: _Keep = _Keep(), backward: bool = False) -> np.ndarray:
+    """The states ``_stream`` yields, stacked in increasing time order.
+
+    Returns the kept states as (slices, rows), or (B, slices, rows) for a
+    block; by default (i1 - i0 + 1, nn) or (B, i1 - i0 + 1, nn).
+    """
+    slot = {m: j for j, m in enumerate(_kept_slices(keep, i0, i1))}
+    out = np.empty(x.shape[1:] + (len(slot), x.shape[0] if keep.rows is None
+                                  else len(keep.rows)))
+    for m, state in _stream(scheme, i0, i1, x, src, keep, backward):
+        out[..., slot[m], :] = state.T
     return out
 
 

@@ -20,7 +20,7 @@ from .green import (_green_block, _rho_ladder, averaged_green_column,
                     wrapped_heat_kernel)
 from .mesh import Mesh, _positions_in
 from .problem import OperatorSpec
-from .solver import (ThetaScheme, _Keep, _march, _solve, dense_spacetime_oracle,
+from .solver import (ThetaScheme, _Keep, _march, _solve, _stream, dense_spacetime_oracle,
                      project_slice, solve_forward)
 
 # ----------------------------------------------------------------------
@@ -424,6 +424,9 @@ def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0) -
 # ----------------------------------------------------------------------
 
 
+GAP_BLOCK = 4096  # coordinate gaps (32 KiB) per block of the E-F distance
+
+
 def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t: float,
                   slack: float = 1.05) -> CheckRecord:
     """L2 mass in E from data in F never beats exp(-c dist^2 / (t-s)), c = lam/(2 Lam^2)."""
@@ -435,8 +438,11 @@ def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t
     gF = mesh.centers[F_mask]
     if len(gE) == 0 or len(gF) == 0:
         raise ConfigError("E and F must both contain cells")
-    # one E cell at a time: the |E| x |F| gap array would dwarf the rest of the check
-    d = min(float(np.min(np.linalg.norm(mesh.wrap_gaps(e - gF), axis=1))) for e in gE)
+    # blocks of E cells: the |E| x |F| gap array would dwarf the rest of the check, and
+    # each block's stays well under glibc's 128 KiB mmap threshold
+    block = max(1, GAP_BLOCK // (len(gF) * mesh.n))
+    d = min(float(np.min(np.linalg.norm(mesh.wrap_gaps(gE[i:i + block, None] - gF), axis=2)))
+            for i in range(0, len(gE), block))
     u_t = _solve(spec, mesh, g, None, s, t, "forward", _Keep([mesh.time_index(t)]))[0]
     num = mesh.volume * float(np.sum(u_t[:, E_mask] ** 2))
     den = mesh.volume * float(np.sum(g[:, F_mask] ** 2))
@@ -565,27 +571,39 @@ def _face_cells(mesh: Mesh, X0, radius: float) -> np.ndarray:
     return np.unique(np.concatenate(sides))
 
 
+ENERGY_CHUNK = 16  # slices per partial sum of the cylinder energies
+
+
 def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
     """Dirichlet energies over the discrete backward cylinders at X0, one per radius.
 
-    ``solutions`` yields, one solution at a time, the slices up to the pole
-    as (slices, N, cells) at the flat cells ``cells`` (None for all); the
-    cylinder of radius r reads the last ``slab_count(r)`` of them, since a
-    backward cylinder's slices end at its pole, and counts the faces whose
-    midpoints lie inside its ball.  Yields the energies of ``ladder``'s
-    radii for each solution, as an array, and drops the solution first.
+    ``solutions`` yields, one solution at a time, the march past the slices
+    of the largest cylinder as ``solver._stream`` yields it: (time index,
+    rows) pairs, where rows holds the N components at the flat cells
+    ``cells`` (None for all), flat and component-major.  A backward
+    cylinder's slices end at its pole, so the cylinder of radius r reads the
+    last ``slab_count(r)`` of them, and it counts the faces whose midpoints
+    lie inside its ball.  Yields the energies of ``ladder``'s radii for each
+    solution, as an array.
 
-    Each axis is differenced once per solution, as ``Mesh.face_difference``
-    does, over the faces and slices of the largest cylinder, into buffers
-    kept from one solution to the next.  A smaller cylinder's slices are
-    the last of those and its faces a subset, so its energy sums a gather
-    of the squares.  The squares are held faces-major, (faces, slices, N),
-    the memory order of ``face_difference``'s result, so that every sum
-    adds in the order, and to the bits, of ``np.sum`` over that face
-    difference squared.
+    The slices are gathered in chunks of ``ENERGY_CHUNK``, counted from the
+    largest cylinder's first slice (the last chunk may hold fewer), into
+    buffers allocated once and reused, so the memory held does not grow
+    with the number of slices.  Each chunk is differenced once per axis, as
+    ``Mesh.face_difference`` does, over the largest ball's faces; a smaller
+    ball's faces are a subset, gathered from the squares.  The energy of
+    radius r adds, chunk by chunk and within a chunk axis by axis, the
+    ``np.sum`` of the squares of ``face_difference`` over r's faces and r's
+    slices in the chunk, times the cell volume and tau.  The squares are
+    held faces-major, (faces, slices, N), the memory order of
+    ``face_difference``'s result, so that each sum adds in the order, and to
+    the bits, of that reference.  The grouping differs from one ``np.sum``
+    over the whole cylinder only at roundoff.
     """
     slabs = [mesh.slab_count(r) for r in ladder]
     S = max(slabs)
+    first = mesh.time_index(float(X0[0])) - S
+    K = mesh.ncells if cells is None else len(cells)
     axes = []  # per axis: the largest ball's faces and each radius's subset of them
     for ax in range(mesh.n):
         _, left, right = mesh.face_positions(ax)
@@ -595,26 +613,53 @@ def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
         if cells is not None:
             left, right = (_positions_in(np.asarray(cells), side) for side in (left, right))
         axes.append((left, right, [np.flatnonzero(dist[outer] < r) for r in ladder]))
-    rows = sq = spare = None
-    for vals in solutions:
-        if S > len(vals):
-            raise ConfigError(f"cylinder of radius {max(ladder)} spans more slices than are held")
-        if rows is None:
-            rows = np.empty((vals.shape[2], S, vals.shape[1]))
-            sq, spare = (np.empty((max(len(a[0]) for a in axes), S, vals.shape[1]))
-                         for _ in range(2))
-        np.copyto(rows, vals[len(vals) - S:].transpose(2, 0, 1))
-        del vals  # not held while the next solution marches
-        E = np.zeros(len(ladder))
+    chunk = sq = spare = None
+
+    def wrong(detail):
+        return ConfigError(f"cylinder of radius {max(ladder)} needs the slices "
+                           f"{first}..{first + S - 1} in order; {detail}")
+
+    def buffer(buf, shape):
+        return buf[:math.prod(shape)].reshape(shape)
+
+    def add(E, a, c):
+        """Adds the chunk of c slices that starts at slice ``first + a``."""
+        N = chunk.shape[2]
         for ax, (left, right, subsets) in enumerate(axes):
+            shape = (len(right), c, N)
             # the indices are in range; mode "clip" spares the copy of out that "raise" makes
-            d = np.take(rows, right, axis=0, out=sq[:len(right)], mode="clip")
-            d -= np.take(rows, left, axis=0, out=spare[:len(left)], mode="clip")
+            d = np.take(chunk[:, :c], right, axis=0, out=buffer(sq, shape), mode="clip")
+            d -= np.take(chunk[:, :c], left, axis=0, out=buffer(spare, shape), mode="clip")
             d /= mesh.h[ax]
             d *= d
             for i, (s, sub) in enumerate(zip(slabs, subsets)):
-                part = d if s == S and len(sub) == len(d) else d[sub, S - s:]
+                lo = max(S - s - a, 0)  # radius i reads the slices from first + S - s on
+                if lo >= c:
+                    continue
+                part = d
+                if lo > 0 or len(sub) < len(right):
+                    part = np.take(d[:, lo:], sub, axis=0, mode="clip",
+                                   out=buffer(spare, (len(sub), c - lo, N)))
                 E[i] += float(np.sum(part)) * mesh.volume * mesh.tau
+
+    for march in solutions:
+        E = np.zeros(len(ladder))
+        held = 0
+        for m, rows in march:
+            if held == S or m != first + held:
+                raise wrong(f"slice {m} came after {held} of them")
+            if chunk is None:
+                chunk = np.empty((K, ENERGY_CHUNK, rows.size // K))
+                sq, spare = (np.empty(ENERGY_CHUNK * chunk.shape[2]
+                                      * max(len(right) for _, right, _ in axes))
+                             for _ in range(2))
+            j = held % ENERGY_CHUNK
+            chunk[:, j] = rows.reshape(-1, K).T
+            held += 1
+            if j == ENERGY_CHUNK - 1 or held == S:
+                add(E, held - j - 1, j + 1)
+        if held < S:
+            raise wrong(f"the march held {held}")
         yield E
 
 
@@ -624,7 +669,10 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
 
     Random-data homogeneous solves are restricted to nested backward
     cylinders at X0 and the slope of log energy vs log radius is fitted;
-    the worst exponent over the sample set is reported as n + 2*mu0.
+    the worst exponent over the sample set is reported as n + 2*mu0.  Each
+    solution's march is folded into the energies as it passes the outer
+    cylinder, ``ENERGY_CHUNK`` slices at a time, so the check holds neither
+    a trajectory nor a cylinder.
     Pass requires mu0 >= ``mu_min`` for x-independent coefficients;
     otherwise the record is informational (no checkable constant).  Every
     radius must lie below the field's ``R_c``, where the estimate is assumed.
@@ -643,10 +691,12 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
     slices, _ = mesh.cylinder_slices(X0, R, "minus")
     cells = _face_cells(mesh, X0, R)
     keep = _Keep.on_cells(mesh, spec.coeffs.N, slices, cells)
+    scheme = ThetaScheme(mesh, spec)
     rng = np.random.default_rng(seed)
     n = mesh.n
-    solutions = (_solve(spec, mesh, rng.standard_normal((spec.coeffs.N, mesh.ncells)), None,
-                        float(mesh.t0), tc, "forward", keep) for _ in range(n_solutions))
+    solutions = (_stream(scheme, 0, mesh.time_index(tc),
+                         project_slice(mesh, rng.standard_normal((scheme.N, mesh.ncells))).ravel(),
+                         lambda m: None, keep) for _ in range(n_solutions))
     slopes, consts = [], []
     for E in _cylinder_energies(mesh, X0, ladder, solutions, cells):
         if np.any(E <= 0):

@@ -213,10 +213,12 @@ def test_report_independent_of_blas_threads(tmp_path):
 
 
 LINALG = ("scipy.sparse.linalg", "scipy.linalg")
+UNUSED = LINALG + ("scipy.fft",)  # a Fourier run transforms with np.fft
 
 
-def _fresh(tmp_path, code: str):
-    """Run ``code`` in a fresh interpreter; return its ``result`` and which of LINALG it loaded.
+def _fresh(tmp_path, code: str, watched=LINALG):
+    """Run ``code`` in a fresh interpreter; return its ``result`` and which of ``watched`` it
+    loaded.
 
     The test modules import ``scipy.sparse.linalg`` themselves, so only a
     fresh process shows what greenlab imports.
@@ -225,7 +227,7 @@ def _fresh(tmp_path, code: str):
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (f"result = None\n{code}\nimport json, sys\n"
-             f"print(json.dumps([result, [m for m in {LINALG!r} if m in sys.modules]]))")
+             f"print(json.dumps([result, [m for m in {tuple(watched)!r} if m in sys.modules]]))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
                          capture_output=True, text=True, timeout=120)
     return json.loads(out.stdout.splitlines()[-1])
@@ -251,7 +253,7 @@ class TestDeferredLinalg:
     """``scipy.sparse.linalg`` loads only in runs that use it, and set-up pays for it."""
 
     def test_import_loads_no_linalg(self, tmp_path):
-        assert _fresh(tmp_path, "import greenlab.cli") == [None, []]
+        assert _fresh(tmp_path, "import greenlab.cli", UNUSED) == [None, []]
 
     @pytest.mark.parametrize("case", ["heat-2d", "heat-1d-sweep"])
     def test_fourier_run_loads_no_linalg(self, tmp_path, case):
@@ -259,7 +261,7 @@ class TestDeferredLinalg:
         sc = _heat_2d() if case == "heat-2d" else json.loads((SCEN / f"{case}.json").read_text())
         (tmp_path / "sc.json").write_text(json.dumps(sc))
         code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
-        assert _fresh(tmp_path, code) == [0, []]
+        assert _fresh(tmp_path, code, UNUSED) == [0, []]
 
     @pytest.mark.parametrize("case", ["heat-1d-core", "dirichlet", "oracle", "x-oscillatory"])
     def test_set_up_imports_what_the_run_will_use(self, tmp_path, case):

@@ -111,19 +111,23 @@ class TestMesh:
                     arr[0] = 0
         vals = np.random.default_rng(12).standard_normal((17, 2, mesh.ncells))
         X0 = (16 / 256, mesh.centers[21])
+
+        def passing(held):  # the march past the slices up to the pole, as the marcher yields it
+            return [((m, slc.ravel()) for m, slc in enumerate(held))]
+
         # the slices up to the pole at step 16; radius 0.25 spans all 16 slabs
-        [warm] = _cylinder_energies(mesh, X0, (0.2, 0.25), [vals[:16]])
+        [warm] = _cylinder_energies(mesh, X0, (0.2, 0.25), passing(vals[:16]))
         # an equal mesh builds its geometry afresh: the same energies, bit for bit
         cold = Mesh(domain, (8, 6), tau=1 / 256, t0=0.0, steps=16)
-        [again] = _cylinder_energies(cold, X0, (0.2, 0.25), [vals[:16]])
+        [again] = _cylinder_energies(cold, X0, (0.2, 0.25), passing(vals[:16]))
         assert again.tobytes() == warm.tobytes()
         # and so do the values at only the cells next to the outer ball's faces
         cells = _face_cells(mesh, X0, 0.25)
         assert len(cells) < mesh.ncells
-        [subset] = _cylinder_energies(mesh, X0, (0.2, 0.25), [vals[:16, :, cells]], cells)
+        [subset] = _cylinder_energies(mesh, X0, (0.2, 0.25), passing(vals[:16, :, cells]), cells)
         assert subset.tobytes() == warm.tobytes()
-        with pytest.raises(ConfigError, match="more slices than are held"):
-            list(_cylinder_energies(mesh, X0, (0.2, 0.25), [vals[1:16]]))
+        with pytest.raises(ConfigError, match=r"needs the slices 0\.\.15 in order"):
+            list(_cylinder_energies(mesh, X0, (0.2, 0.25), passing(vals[:15])))
         # and the same as a sum over the faces built by hand (the cell to the right of
         # each face and the one on its left along the axis), to roundoff
         grid = vals.reshape(17, 2, 8, 6)[6:16]  # early ends of the minus cylinder's 10 slabs
@@ -1059,6 +1063,27 @@ class TestStreamingMarch:
         kept = run(solver._Keep(slices))
         assert sorted(steps) == (list(range(5, 11)) if backward else list(range(2, 7)))
         assert kept.tobytes() == full[..., [m - 2 for m in slices], :].tobytes()
+
+    @pytest.mark.parametrize("block", [False, True])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("case", MARCH_CASES)
+    def test_stream_yields_the_kept_states(self, case, direction, block):
+        """The time loop hands each kept state on as the march passes it, in march order,
+        bitwise as ``_march`` stacks it."""
+        scheme = _march_scheme(case)
+        backward = direction == "backward"
+        rng = np.random.default_rng(3)
+        shape = (scheme.nn, 3) if block else (scheme.nn,)
+        x, G = rng.standard_normal(shape), rng.standard_normal(shape)
+        rows = rng.permutation(scheme.nn)[:20]
+        for keep in (solver._Keep(), solver._Keep(range(3, 9)), solver._Keep([2, 5, 11], rows)):
+            args = (scheme, 2, 11, x, lambda m: G if m in (4, 5) else None, keep, backward)
+            stacked = solver._march(*args)
+            slices = list(range(2, 12) if keep.slices is None else keep.slices)
+            streamed = list(solver._stream(*args))
+            assert [m for m, _ in streamed] == (slices[::-1] if backward else slices)
+            for m, state in streamed:
+                assert state.T.tobytes() == stacked[..., slices.index(m), :].tobytes()
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("case", ["fourier-1d", "dirichlet-1d"])

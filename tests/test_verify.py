@@ -408,8 +408,8 @@ class TestReport:
 
 
 def _cylinder_energy(mesh, X0, radius, vals, cells=None):
-    """Reference: one radius's energy from its own face difference over the faces inside
-    its ball and the last ``slab_count(radius)`` held slices."""
+    """Reference: one radius's energy as one ``np.sum`` of its own face difference over the
+    faces inside its ball and the last ``slab_count(radius)`` held slices."""
     xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
     vals = vals[len(vals) - mesh.slab_count(radius):]
     total = 0.0
@@ -421,36 +421,68 @@ def _cylinder_energy(mesh, X0, radius, vals, cells=None):
     return total
 
 
-class TestCylinderEnergies:
-    """One face difference per solution and axis gives every radius's energy, bit for bit
-    as that radius's own face difference does."""
+CHUNK = 16  # the slices of one partial sum, as ``verify.ENERGY_CHUNK`` documents
 
-    @pytest.mark.parametrize("extra", [0, 3])  # held slices beyond the outer cylinder's
+
+def _chunked_cylinder_energy(mesh, X0, radius, vals, cells=None):
+    """Reference for the documented grouping of ``verify._cylinder_energies``: ``vals`` holds
+    the slices of the largest cylinder; chunks of CHUNK of them, counted from its first slice,
+    each add one ``np.sum`` of the squared face difference per axis over the faces inside
+    the ball of ``radius`` and the chunk's slices in its cylinder."""
+    xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
+    first = len(vals) - mesh.slab_count(radius)  # offset of the radius's first slice
+    total = 0.0
+    for a in range(0, len(vals), CHUNK):
+        part = vals[max(a, first):a + CHUNK]
+        if len(part) == 0:
+            continue
+        for ax in range(mesh.n):
+            pts, _, _ = mesh.face_positions(ax)
+            inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+            diff = mesh.face_difference(part, ax, inside, cells)
+            total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
+    return total
+
+
+def _passing(vals, first):
+    """The march past the slices ``vals`` from mesh time index ``first`` on, as
+    ``solver._stream`` yields it: (time index, flat component-major rows)."""
+    return ((first + k, slc.ravel()) for k, slc in enumerate(vals))
+
+
+class TestCylinderEnergies:
+    """The streamed energies add, chunk by chunk, what each radius's own face difference
+    gives, bit for bit, and agree with one sum over the whole cylinder at roundoff."""
+
     @pytest.mark.parametrize("subset", [False, True])
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
-    def test_matches_per_radius_face_differences(self, mode, n, N, subset, extra):
+    def test_matches_chunked_face_differences(self, mode, n, N, subset):
         domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
         if n == 1:
             mesh = Mesh(domain, (32,), tau=2.0 ** -10, t0=0.0, steps=48)
-            ladder = [k / 32 for k in (3, 4, 6)]  # 9, 16 and 36 slabs
+            ladder = [k / 32 for k in (3, 4, 6)]  # 9, 16 and 36 slabs: 3 chunks, 1 partial
         else:
             mesh = Mesh(domain, (8, 6), tau=2.0 ** -8, t0=0.0, steps=32)
             ladder = [0.2, 0.25, 0.3]  # 10, 16 and 23 slabs
         X0 = (float(mesh.times[-1]), mesh.centers[1])  # near a corner: wrapped or clipped
-        held = mesh.slab_count(ladder[-1]) + extra
+        S = mesh.slab_count(ladder[-1])
+        first = mesh.steps - S
         cells = V._face_cells(mesh, X0, ladder[-1]) if subset else None
         rng = np.random.default_rng(9)
-        solutions = [rng.standard_normal((held, N, mesh.ncells)) for _ in range(3)]
+        solutions = [rng.standard_normal((S, N, mesh.ncells)) for _ in range(3)]
         if subset:
             assert len(cells) < mesh.ncells
             solutions = [vals[:, :, cells] for vals in solutions]
-        got = list(V._cylinder_energies(mesh, X0, ladder, iter(solutions), cells))
+        got = list(V._cylinder_energies(mesh, X0, ladder,
+                                        (_passing(vals, first) for vals in solutions), cells))
         assert len(got) == 3
         for E, vals in zip(got, solutions):
-            want = np.array([_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
+            want = np.array([_chunked_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
             assert E.tobytes() == want.tobytes()
+            whole = np.array([_cylinder_energy(mesh, X0, r, vals, cells) for r in ladder])
+            assert np.max(np.abs(E - whole) / whole) <= 1e-13
             assert np.all(np.diff(E) > 0)
 
     def test_cells_missing_a_face_neighbour_fail_loudly(self, mesh32):
@@ -459,26 +491,46 @@ class TestCylinderEnergies:
         cells = V._face_cells(mesh32, X0, ladder[-1])[1:]
         vals = np.ones((8, 1, len(cells)))
         with pytest.raises(ConfigError, match="both neighbours"):
-            list(V._cylinder_energies(mesh32, X0, ladder, [vals], cells))
+            list(V._cylinder_energies(mesh32, X0, ladder, [_passing(vals, 56)], cells))
+
+    @pytest.mark.parametrize("start, count", [(57, 7), (56, 7), (56, 9), (55, 8)])
+    def test_march_must_pass_exactly_the_outer_slices(self, mesh32, start, count):
+        # the pole is at step 64 and the outer cylinder's 8 slices are 56..63
+        X0 = (float(mesh32.times[-1]), mesh32.centers[5])
+        vals = np.ones((count, 1, 32))
+        with pytest.raises(ConfigError, match=r"needs the slices 56\.\.63 in order"):
+            list(V._cylinder_energies(mesh32, X0, [3 / 32, 4 / 32], [_passing(vals, start)]))
 
 
 # References for the streamed checks: the same computations on whole trajectories.
 
 
 def _whole_ph_decay_fit(spec, mesh, X0, ladder, n_solutions, seed, mu_min=0.9):
-    """``ph_decay_fit`` with each energy read from the whole trajectory."""
+    """``ph_decay_fit`` with each energy read from the whole trajectory, in the documented
+    grouping of ``verify._cylinder_energies``; each energy also agrees with one ``np.sum``
+    over the whole cylinder to 1e-13 relative."""
     ladder = sorted(float(r) for r in ladder)
     xc = np.atleast_1d(np.asarray(X0[1], dtype=float))
+    outer = mesh.time_index(float(X0[0])) - mesh.slab_count(ladder[-1])  # its first slice
 
     def energy(traj, radius):
         vals, _ = traj.cylinder(X0, radius, "minus")
-        total = 0.0
-        for ax in range(mesh.n):
-            pts, left, right = mesh.face_positions(ax)
-            inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
-            diff = (vals[..., right[inside]] - vals[..., left[inside]]) / mesh.h[ax]
-            total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
-        return total
+        slabs, _ = mesh.cylinder(X0, radius, "minus")
+        chunk = (np.asarray(slabs) - outer) // CHUNK  # the partial sums, counted from outer
+        def add(total, part):  # axis by axis, as the energies add
+            for ax in range(mesh.n):
+                pts, left, right = mesh.face_positions(ax)
+                inside = np.linalg.norm(mesh.wrap_gaps(pts - xc[None, :]), axis=1) < radius
+                diff = (part[..., right[inside]] - part[..., left[inside]]) / mesh.h[ax]
+                total += float(np.sum(diff ** 2)) * mesh.volume * mesh.tau
+            return total
+
+        chunked = 0.0
+        for k in np.unique(chunk):
+            chunked = add(chunked, vals[chunk == k])
+        single = add(0.0, vals)
+        assert abs(chunked - single) <= 1e-13 * single
+        return chunked
 
     rng = np.random.default_rng(seed)
     slopes, consts = [], []
@@ -618,3 +670,27 @@ class TestStreamedChecks:
                 tracemalloc.stop()
             assert rec.status == "pass"
             assert peak < trajectory, (rec.name, peak)
+
+    def test_interior_decay_peak_does_not_grow_with_slabs(self):
+        """interior-decay holds a chunk of slices of its cylinders, never a cylinder: on
+        64 x 64 heat its traced peak stays below 1 MB when the outer cylinder spans 256
+        slabs, and does not grow when the same radii span 4 times the slabs."""
+        domain = Domain((0.0, 0.0), (1.0, 1.0), "periodic")
+        spec = OperatorSpec(make_preset("heat", n=2), domain)
+        ladder = [k / 64 for k in (4, 6, 8, 12, 16)]
+        peaks = {}
+        # the long window first, so that what a first run allocates once counts against it
+        for steps in (1024, 256):
+            mesh = Mesh(domain, (64, 64), tau=1 / (16 * steps), t0=0.0, steps=steps)
+            assert mesh.slab_count(ladder[-1]) == steps  # the outer cylinder spans every slab
+            ThetaScheme(mesh, spec).implicit_lu(1)  # the step store, shared by every check
+            X0 = (float(mesh.times[-1]), mesh.centers[32 * 64 + 32])
+            tracemalloc.start()
+            try:
+                rec = V.ph_decay_fit(spec, mesh, X0, ladder, n_solutions=2)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.status == "pass"
+        assert peaks[256] < 2 ** 20, peaks
+        assert peaks[1024] <= peaks[256] + 16 * 2 ** 10, peaks
