@@ -47,20 +47,20 @@ def _require_keys(obj: dict, allowed: set, where: str):
 
 
 def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
-    """Cell center at the given per-axis box fractions.
+    """Center of the cell at the given per-axis box fractions.
 
-    ``fracs`` None means ``per_axis`` on every axis, in any dimension; an
-    explicit fraction list must have one entry per axis.
+    On each axis the cell is ``floor(frac * cells)``, wrapped: a fraction on a
+    cell edge takes the right-hand cell, the edge convention of the
+    checkerboard preset, whatever the parity of the edge.  ``fracs`` None
+    means ``per_axis`` on every axis, in any dimension; an explicit fraction
+    list must have one entry per axis.
     """
     if fracs is None:
         fracs = [per_axis] * mesh.n
     fracs = np.atleast_1d(np.asarray(fracs, dtype=float))
     if len(fracs) != mesh.n:
         raise ConfigError("position fraction dimension mismatch")
-    idx = []
-    for ax in range(mesh.n):
-        k = int(round(fracs[ax] * mesh.cells[ax] - 0.5)) % mesh.cells[ax]
-        idx.append(k)
+    idx = [math.floor(f * m) % m for f, m in zip(fracs, mesh.cells)]
     flat = int(np.ravel_multi_index(idx, mesh.cells))
     return mesh.centers[flat]
 

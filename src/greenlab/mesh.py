@@ -247,6 +247,13 @@ class Mesh:
             faces.append(arrays)
         return tuple(faces)
 
+    @cached_property
+    def face_points(self) -> np.ndarray:
+        """The points of ``face_positions`` of every axis, stacked in axis order, read-only."""
+        pts = np.concatenate([pts for pts, _, _ in self._faces])
+        pts.flags.writeable = False
+        return pts
+
     def face_positions(self, ax: int):
         """(points, left_flat, right_flat) for the faces normal to axis ax.
 

@@ -13,16 +13,22 @@ Implicit Euler is the only time scheme: the slab conventions of
 ``Mesh.cylinder`` make the duality identity exact for it alone.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
-The pattern of the step matrix D = I + tau*L depends only on (mesh, N),
-never on t.  ``_stencil`` builds it once per (mesh, N), with the positions
-of its diagonal, the face points of all axes stacked into one array and a
-sparse gather from the raveled face tensors to L's values on that pattern,
-and keeps the last eight.  Each assembly evaluates the face tensors with one
-``tensor`` call and gathers; ``_shifted`` scales the values, adds 1 on the
-diagonal and drops exact zeros, which gives ``sp.identity(nn) + tau*L`` to
-the bit.  The pattern left after dropping the zeros is cached per zero mask
-by ``_pruned_pattern``: the steps of a run share one pattern and each
-stored matrix owns only its exact-size data.
+The pattern of the step matrix D = I + tau*L depends on (mesh, N) and on
+which tensor entries A^{ab}_{ij} are nonzero at some face.  ``_stencil``
+builds it once per (mesh, N, entries), with the positions of its diagonal
+and a sparse gather from the raveled face tensors to L's values on that
+pattern, and keeps the last eight.  Each assembly evaluates the face
+tensors at ``Mesh.face_points`` with one ``tensor`` call, reads the
+entries that are nonzero at some face from those values and gathers only
+them: on a diagonal field (heat, t-oscillating) the gather and the pattern
+skip the entries that are zero at every face, which would add only exact
+zeros.  ``_shifted`` scales the values, adds 1 on the diagonal and drops
+the exact zeros left (entries zero at some faces only, cancellation),
+which gives ``sp.identity(nn) + tau*L`` to the bit.  The pattern left after
+dropping them is cached per stencil and zero mask by ``_pruned_pattern``:
+the steps of a run share one pattern and each stored matrix owns only its
+exact-size data.  The public ``assemble`` gathers every entry, so its
+pattern depends on (mesh, N) alone.
 
 The implicit matrix D = I + tau*L(t_m) is solved by one of two solvers,
 chosen from the values of the face tensors the assembly already
@@ -33,14 +39,17 @@ evaluated, never from a flag such as ``CoefficientField.x_dependent``:
   N columns of D at cell 0 from D's entries as a kernel, inverts its
   symbol once (one N x N block per wavenumber, a reciprocal when N = 1)
   and solves with a real FFT, a batched N x N product and the inverse
-  FFT: ``rfft``/``irfft`` on 1-D, ``rfft2``/``irfft2`` on 2-D.  A scheme
-  keeps the state its last Fourier solve returned together with that
-  state's spectrum; a solve whose right-hand side is that very state (a
-  step without a source, forward or adjoint, flat or block) reuses the
-  spectrum and skips the forward FFT, so a march transforms forward once,
-  plus once per step with a source.  Every eighth step sets the carried
-  spectrum's subnormal parts to 0, which keeps a long march from slowing
-  down as its modes decay and leaves the states bitwise unchanged.
+  FFT: ``rfft``/``irfft`` on 1-D, ``rfft2``/``irfft2`` on 2-D.  It stores
+  that one inverse; a ``trans="T"`` solve multiplies by the conjugates of
+  its transposed blocks, which is bitwise what a stored inverse symbol of
+  D^T would give.  A scheme keeps the state its last Fourier solve
+  returned together with that state's spectrum; a solve whose right-hand
+  side is that very state (a step without a source, forward or adjoint,
+  flat or block) reuses the spectrum and skips the forward FFT, so a march
+  transforms forward once, plus once per step with a source.  Every eighth
+  step sets the carried spectrum's subnormal parts to 0, which keeps a
+  long march from slowing down as its modes decay and leaves the states
+  bitwise unchanged.
 * SuperLU: everywhere else (dirichlet meshes, x-dependent fields and
   tables), D is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering
   (minimum degree on the pattern of A^T + A), which suits the
@@ -81,14 +90,14 @@ holds the frozen mesh and spec themselves (equal by value; coefficient
 functions by identity) and the step index (``"const"`` for static
 coefficients).  A step's solver assembles L(t_m) itself and the operator
 is not stored, since nothing else reads it.  The store charges a Fourier
-solver the bytes of its inverse blocks (plain and conjugate-transposed), a
-SuperLU factor 12 bytes per L+U nonzero plus ``SUPERLU_FIXED_BYTES``, and
-either one the CSC/CSR arrays of D.  No stored array views a larger
-buffer; a pattern array that entries share with the stencil or the cached
-patterns is charged to each of them.  ``splu`` keeps its factors on the C
-heap, in four L/U arrays sized from a fill guess (about 740 bytes per
-nonzero of D in all, by ``mallinfo2``); the 12 bytes per nonzero count
-only their written part.  With glibc's mmap threshold at 128 KiB, as
+solver the bytes of its one array of inverse blocks, a SuperLU factor 12
+bytes per L+U nonzero plus ``SUPERLU_FIXED_BYTES``, and either one the
+CSC/CSR arrays of D.  No stored array views a larger buffer; a pattern
+array that entries share with the stencil or the cached patterns is
+charged to each of them.  ``splu`` keeps its factors on the C heap, in four
+L/U arrays sized from a fill guess (about 740 bytes per nonzero of D in
+all, by ``mallinfo2``); the 12 bytes per nonzero count only their written
+part.  With glibc's mmap threshold at 128 KiB, as
 ``perfbench`` pins it, an array above the threshold is mapped and resident
 only where written and one below it may be resident whole, so a factor
 holds at most 4 x 128 KiB = ``SUPERLU_FIXED_BYTES`` more.  By
@@ -151,23 +160,27 @@ spla = _DeferredLinalg()
 
 
 @lru_cache(maxsize=8)
-def _stencil(mesh: Mesh, N: int):
-    """(pts, gather, indices, indptr, diag) of one mesh: the CSR pattern of I + L.
+def _stencil(mesh: Mesh, N: int, entries: tuple):
+    """(gather, indices, indptr, diag) of the tensor entries ``entries`` on one mesh.
 
-    On that pattern L(t)'s values are ``gather @ tensor(t, pts).ravel()``,
-    where ``pts`` stacks the face points of every axis in axis order, and
-    ``diag`` holds the positions of the diagonal.  The dirichlet projection
-    is already applied: the pinned rows of L are empty, so their diagonals
-    are gather rows without weights.
+    ``indices`` and ``indptr`` are the CSR pattern of I + L, which holds the
+    diagonal and the positions that ``entries`` reach; L(t)'s values on it
+    are ``gather @ A.ravel()``, where A is ``tensor(t, mesh.face_points)``,
+    and ``diag`` holds the positions of the diagonal.  ``entries`` are flat
+    indices (a * n + b) * N * N + i * N + j into a face tensor, increasing,
+    and the gather reads only them.  The dirichlet projection is already
+    applied: the pinned rows of L are empty, so their diagonals are gather
+    rows without weights.
     """
     n, C, nn = mesh.n, mesh.ncells, N * mesh.ncells
     faces = [mesh.face_positions(a) for a in range(n)]
     stride = n * n * N * N  # tensor values per face
     size = stride * sum(len(pts) for pts, _, _ in faces)
     itype = np.int32 if max(size, nn) < 2**31 else np.int64
-    comp = C * np.arange(N, dtype=itype)[:, None]
-    # one (i, j) block per (a, b, side, shift): rows, columns and positions in
-    # A of its valid faces, shaped (N, N, faces), and one weight for all of them
+    comp = C * np.arange(N, dtype=itype)
+    entries = np.array(entries, dtype=itype)
+    # one block of entries per (a, b, side, shift): rows, columns and positions
+    # in A of its valid faces, shaped (entries, faces), and one weight for all
     rows, cols, src, wts, counts = [], [], [], [], []
     offset = 0
     for a, (pts, left, right) in enumerate(faces):
@@ -176,6 +189,10 @@ def _stencil(mesh: Mesh, N: int):
         offset += stride * len(left)
         inv_ha = 1.0 / mesh.h[a]
         for b in range(n):
+            ab = entries[(entries // (N * N)) == a * n + b]
+            if not len(ab):
+                continue
+            i, j = divmod(ab % (N * N), N)
             if b == a:
                 col_specs = [(right, None, +1.0 / mesh.h[b]),
                              (left, None, -1.0 / mesh.h[b])]
@@ -186,7 +203,6 @@ def _stencil(mesh: Mesh, N: int):
                 rm, vrm = mesh.shift_flat(right, b, -1)
                 q = 1.0 / (4.0 * mesh.h[b])
                 col_specs = [(lp, vlp, +q), (rp, vrp, +q), (lm, vlm, -q), (rm, vrm, -q)]
-            ij = (a * n + b) * N * N + np.arange(N * N, dtype=itype).reshape(N, N, 1)
             for row_cells, sgn in ((left, -inv_ha), (right, +inv_ha)):
                 for col_cells, valid, w in col_specs:
                     if not mesh.periodic:  # project out the pinned boundary layer
@@ -194,12 +210,11 @@ def _stencil(mesh: Mesh, N: int):
                         valid = inside if valid is None else valid & inside
                     r, c, p = (v if valid is None else v[valid]
                                for v in (row_cells, col_cells, base))
-                    shape = (N, N, len(p))
-                    rows.append(np.broadcast_to((comp + r.astype(itype))[:, None], shape))
-                    cols.append(np.broadcast_to((comp + c.astype(itype))[None], shape))
-                    src.append(p + ij)
+                    rows.append(comp[i, None] + r.astype(itype))
+                    cols.append(comp[j, None] + c.astype(itype))
+                    src.append(p + ab[:, None])
                     wts.append(sgn * w)
-                    counts.append(len(p) * N * N)
+                    counts.append(len(p) * len(ab))
     src = np.concatenate(src, axis=None)
     key = np.concatenate(rows, axis=None, dtype=np.int64)
     key *= nn
@@ -230,21 +245,21 @@ def _stencil(mesh: Mesh, N: int):
     gather = sp.csr_matrix((data, src, starts), shape=(len(keys), offset))
     indices = (keys % nn).astype(np.int32)
     indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
-    pts = np.concatenate([pts for pts, _, _ in faces])
-    for arr in (pts, indices, indptr, diag):
-        arr.flags.writeable = False  # shared by every assembly on this mesh
-    return pts, gather, indices, indptr, diag
+    for arr in (indices, indptr, diag):
+        arr.flags.writeable = False  # shared by every assembly on this stencil
+    return gather, indices, indptr, diag
 
 
 @lru_cache(maxsize=8)
-def _pruned_pattern(mesh: Mesh, N: int, bits: bytes):
-    """The entries of the pattern of ``_stencil(mesh, N)`` that the packed mask ``bits`` keeps.
+def _pruned_pattern(mesh: Mesh, N: int, entries: tuple, bits: bytes):
+    """The positions of ``_stencil(mesh, N, entries)``'s pattern that the packed mask ``bits`` keeps.
 
-    Returns their positions and the CSR pattern they form.  Exact zeros come
-    from zero entries of the face tensors, which stay zero from step to step,
+    Returns their positions and the CSR pattern they form.  The exact zeros
+    left on the stencil come from entries that are zero at some faces only
+    or from cancellation, which repeat from step to step on a run's fields,
     so the steps of a run share one mask and one pruned pattern.
     """
-    _, _, indices, indptr, _ = _stencil(mesh, N)
+    _, indices, indptr, _ = _stencil(mesh, N, entries)
     nz = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=len(indices)))
     pattern = (indices[nz], np.searchsorted(nz, indptr).astype(np.int32))
     for arr in pattern:
@@ -252,40 +267,51 @@ def _pruned_pattern(mesh: Mesh, N: int, bits: bytes):
     return (nz, *pattern)
 
 
-def _shifted(mesh: Mesh, N: int, data: np.ndarray, c: float) -> sp.csr_matrix:
-    """I + c*L as a CSR matrix, from L's values ``data`` on the stencil pattern.
+def _shifted(mesh: Mesh, N: int, entries: tuple, data: np.ndarray, c: float) -> sp.csr_matrix:
+    """I + c*L as a CSR matrix, from L's values ``data`` on the pattern of ``_stencil(mesh, N, entries)``.
 
     Scales ``data`` in place and adds 1 on the diagonal, which gives
     ``sp.identity(nn, format="csr") + c*L`` to the bit once exact zeros are
     dropped.  The data is an exact-size array; the pattern arrays are the
-    cached ones of this mesh.
+    cached ones of this stencil.
     """
-    _, _, indices, indptr, diag = _stencil(mesh, N)
+    _, indices, indptr, diag = _stencil(mesh, N, entries)
     data *= c
     data[diag] += 1.0
     keep = data != 0
     if not keep.all():
-        nz, indices, indptr = _pruned_pattern(mesh, N, np.packbits(keep).tobytes())
+        nz, indices, indptr = _pruned_pattern(mesh, N, entries, np.packbits(keep).tobytes())
         data = data[nz]
     nn = len(indptr) - 1
     return sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
 
 
-def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
-    """L(t)'s values on the stencil pattern, and whether its implicit matrices take the Fourier path.
+def _assemble(mesh: Mesh, spec: OperatorSpec, t: float, entries: tuple | None = None):
+    """L(t)'s values, the entries of the stencil they sit on, and whether the Fourier path applies.
 
-    That path needs a periodic mesh, of either dimension, and face tensors
-    that are exactly equal at every face, which makes the operator
-    block-circulant.
+    The values sit on the pattern of ``_stencil(mesh, N, entries)``.
+    ``entries`` None picks the tensor entries that are nonzero at some face,
+    read from the face tensors evaluated here: an entry that is zero at
+    every face adds only exact zeros to L, so leaving it out changes no
+    value of I + tau*L.  The Fourier path needs a periodic mesh, of either
+    dimension, and face tensors that are exactly equal at every face, which
+    makes the operator block-circulant.
     """
-    pts, gather, _, _, _ = _stencil(mesh, spec.coeffs.N)
-    A = spec.coeffs.tensor(t, pts)
+    A = spec.coeffs.tensor(t, mesh.face_points)
     if not np.isfinite(A).all():
         raise ConfigError(f"non-finite coefficient at a face (t={t})")
     # equal on the faces of each axis, which translating by one cell maps onto
     # themselves; a periodic mesh has one face per cell on each axis
     fourier = mesh.periodic and all((B[1:] == B[:-1]).all() for B in np.split(A, mesh.n))
-    return gather @ A.ravel(), fourier
+    flat = A.reshape(len(A), -1)  # one row per face, a copy only for a strided A
+    if entries is None:
+        # one contiguous row per entry: ``flat.any(axis=0)``, which reduces
+        # across the rows of ``flat``, took 10 times longer at 64^2
+        used = (flat != 0).T.copy().any(axis=1)
+        # a field that is zero everywhere keeps one entry, so L has a pattern
+        entries = tuple(np.flatnonzero(used).tolist()) or (0,)
+    gather = _stencil(mesh, spec.coeffs.N, entries)[0]
+    return gather @ flat.ravel(), entries, fourier
 
 
 def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
@@ -310,13 +336,16 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
     in dirichlet mode the pinned boundary layer is projected out (rows and
     columns zeroed), in periodic mode indices wrap and row sums vanish.
     Only the face tensors are evaluated here; the pattern and the gather
-    come from ``_stencil``, built once per (mesh, N).  The pattern is that of
-    I + L, so a dirichlet mesh's pinned rows hold an explicit 0 on the
-    diagonal.
+    come from ``_stencil`` over every tensor entry, zero or not, so the
+    pattern depends on (mesh, N) alone.  It is that of I + L, so a dirichlet
+    mesh's pinned rows hold an explicit 0 on the diagonal.
     """
-    _, _, indices, indptr, _ = _stencil(mesh, spec.coeffs.N)
+    N = spec.coeffs.N
+    entries = tuple(range(mesh.n * mesh.n * N * N))
+    _, indices, indptr, _ = _stencil(mesh, N, entries)
     nn = len(indptr) - 1
-    return sp.csr_matrix((_assemble(mesh, spec, t)[0], indices, indptr), shape=(nn, nn))
+    return sp.csr_matrix((_assemble(mesh, spec, t, entries)[0], indices, indptr),
+                         shape=(nn, nn))
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -375,8 +404,9 @@ class _FourierSolver:
     The N columns of D at cell 0 are an (N, N, *cells) kernel; ``_rfft`` of
     the kernel is one N x N symbol block per wavenumber, inverted here once
     (by a reciprocal when N = 1).  A solve is ``_rfft``, one N x N product
-    per wavenumber and ``_irfft``; ``trans="T"`` uses the conjugate-transposed
-    inverse blocks, which are the inverse symbol of D^T.  Given the spectrum
+    per wavenumber and ``_irfft``; ``trans="T"`` multiplies by the
+    conjugate-transposed inverse blocks, the inverse symbol of D^T, taken
+    from the one stored inverse as the solve runs.  Given the spectrum
     a previous solve returned with its right-hand side, a solve skips the
     forward transform and costs one inverse transform.
     """
@@ -386,9 +416,8 @@ class _FourierSolver:
         kernel = self.kernel(D, N, self.cells)
         symbol = np.moveaxis(_rfft(kernel, self.cells), (0, 1), (-2, -1))
         inv = 1.0 / symbol if N == 1 else np.linalg.inv(symbol)
-        self.inv = {"N": np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1))),
-                    "T": np.ascontiguousarray(np.moveaxis(inv.conj(), (-2, -1), (1, 0)))}
-        self.nbytes = sum(blocks.nbytes for blocks in self.inv.values())
+        self.inv = np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1)))
+        self.nbytes = self.inv.nbytes
 
     @staticmethod
     def kernel(D, N: int, cells) -> np.ndarray:
@@ -411,13 +440,15 @@ class _FourierSolver:
         ``_irfft`` of, C-contiguous and shaped (B, N, *cells) with the last
         axis halved plus one.
         """
-        M = self.inv[trans]
+        # the block columns: of the inverse, or for D^T its conjugated rows
+        M = ([self.inv[:, j] for j in range(self.N)] if trans == "N"
+             else [self.inv[j].conj() for j in range(self.N)])
         r = spectrum
         if r is None:
             r = _rfft(rhs.T.reshape(-1, self.N, *self.cells), self.cells)
-        y = np.multiply(M[:, 0], r[:, None, 0], order="C")
+        y = np.multiply(M[0], r[:, None, 0], order="C")
         for j in range(1, self.N):
-            y += M[:, j] * r[:, None, j]
+            y += M[j] * r[:, None, j]
         x = _irfft(y, self.cells).reshape(len(r), -1)
         return (x.T if rhs.ndim == 2 else x[0]), y
 
@@ -517,8 +548,9 @@ class ThetaScheme:
         L(t_m)'s values become D's data in place; L itself is never stored.
         """
         def build():
-            values, fourier = _assemble(self.mesh, self.spec, float(self.mesh.times[m]))
-            D = _shifted(self.mesh, self.N, values, self.mesh.tau)
+            values, entries, fourier = _assemble(self.mesh, self.spec,
+                                                 float(self.mesh.times[m]))
+            D = _shifted(self.mesh, self.N, entries, values, self.mesh.tau)
             if fourier:
                 return _Implicit(_FourierSolver(D, self.N, self.mesh.cells), D)
             D = D.tocsc()
@@ -532,8 +564,8 @@ class ThetaScheme:
         A Fourier solve of the state the previous Fourier solve returned
         reuses that state's spectrum, so a caller must not change a returned
         state in place and solve with it again.  Each column's relative
-        residual, with the physical rhs, must stay within RESIDUAL_TOL; a
-        stale spectrum fails that check.
+        residual, with the physical rhs, must stay within RESIDUAL_TOL, and a
+        zero column must solve to exactly 0; a stale spectrum fails that check.
         """
         pair = self.implicit_lu(m)
         lu, D = pair
@@ -546,16 +578,22 @@ class ThetaScheme:
         else:
             x = lu.solve(rhs, trans=trans)
         res = (D if trans == "N" else pair.DT) @ x - rhs
+        # both solvers return exactly 0 for a zero column, so its residual
+        # must be 0; a NaN residual fails too
         if rhs.ndim == 1:
             num, den = np.linalg.norm(res), np.linalg.norm(rhs)
-            bad = den > 0 and num > RESIDUAL_TOL * den
+            ok = num <= RESIDUAL_TOL * den
         else:  # per column: a bad small column must not hide behind a large one
             num = np.sqrt(np.einsum("ij,ij->j", res, res))
             den = np.sqrt(np.einsum("ij,ij->j", rhs, rhs))
-            bad = bool(np.any((den > 0) & (num > RESIDUAL_TOL * den)))
-        if bad:
+            ok = (num <= RESIDUAL_TOL * den).all()
+        if not ok:
             num, den = np.atleast_1d(num, den)
-            worst = np.max(num[den > 0] / den[den > 0])
+            bad = ~(num <= RESIDUAL_TOL * den)
+            if np.any(den[bad] == 0):
+                raise SolverError(f"linear solve residual {np.max(num[den == 0]):.3e} "
+                                  "for a zero right-hand side")
+            worst = np.max(num[bad] / den[bad])
             raise SolverError(f"linear solve residual {worst:.3e} exceeds {RESIDUAL_TOL}")
         return x
 

@@ -49,16 +49,12 @@ def rng_slice(rng, N, mesh):
     return rng.standard_normal((N, mesh.ncells))
 
 
-def spoiled(lu, column):
-    """A step solver that solves like ``lu`` but scales ``column`` of a block by 1 + 1e-4.
+def _passed_through(lu, spoil):
+    """A step solver that solves like ``lu`` and hands each solution to ``spoil``.
 
     A Fourier solver stays one, so ``solve_implicit`` takes the same branch
     as with ``lu``; a SuperLU factor is wrapped.
     """
-    def spoil(x):
-        x[:, column] *= 1 + 1e-4
-        return x
-
     if isinstance(lu, solver._FourierSolver):
         fake = copy.copy(lu)
 
@@ -74,3 +70,17 @@ def spoiled(lu, column):
             return spoil(lu.solve(b, trans=trans))
 
     return Spoiled()
+
+
+def spoiled(lu, column):
+    """A step solver that solves like ``lu`` but scales ``column`` of a block by 1 + 1e-4."""
+    def spoil(x):
+        x[:, column] *= 1 + 1e-4
+        return x
+
+    return _passed_through(lu, spoil)
+
+
+def plus_one(lu):
+    """A step solver that solves like ``lu`` and adds 1 to every entry of the solution."""
+    return _passed_through(lu, lambda x: x + 1.0)

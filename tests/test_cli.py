@@ -5,6 +5,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import greenlab
@@ -475,6 +476,18 @@ class TestBuilderCoverage:
         sc["checks"] = [{"name": "causality", "rho_cells": [3, 2], "y_frac": [0.5]}]
         p.write_text(json.dumps(sc))
         assert cli.run(str(p), out_dir=tmp_path / "bad") == 2
+
+    def test_fraction_on_a_cell_edge_takes_the_right_hand_cell(self):
+        """floor(frac * cells), on odd and even edges alike; off an edge, the cell
+        that holds the point; 1.0 wraps to cell 0."""
+        domain = greenlab.Domain((0.0, 0.0), (1.0, 2.0), "periodic")
+        mesh = greenlab.Mesh(domain, (32, 10), tau=1 / 64, t0=0.0, steps=4)
+        for fracs, cells in (([3 / 32, 0.5], (3, 5)), ([4 / 32, 0.3], (4, 3)),
+                             ([0.1, 0.25], (3, 2)), ([1.0, 0.95], (0, 9))):
+            want = mesh.centers[cells[0] * 10 + cells[1]]
+            assert np.array_equal(cli._cell_at_frac(mesh, fracs, 0.5), want), fracs
+        # the default fraction 0.5 sits on the edge between cells 15 and 16
+        assert np.array_equal(cli._cell_at_frac(mesh, None, 0.5), mesh.centers[16 * 10 + 5])
 
     @pytest.mark.parametrize("slabs", [80, 200])
     def test_local_boundedness_cylinder_taller_than_window_exit_2(self, tmp_path, capsys,

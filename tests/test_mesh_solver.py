@@ -25,7 +25,7 @@ from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
 from greenlab.verify import _cylinder_energies, _face_cells
 
-from conftest import bundle_1d, spoiled
+from conftest import bundle_1d, plus_one, spoiled
 
 
 def dirichlet_energy(mesh, slc):
@@ -734,13 +734,14 @@ class TestStepLayer:
                 a, b = getattr(D, attr), getattr(want, attr)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
-    def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d):
+    @pytest.mark.parametrize("entries", [(0, 1, 2, 3), (0, 3)])  # all, and the diagonal
+    def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d, entries):
         mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=4)
         for a in range(mesh.n):
             mesh.face_positions(a)  # the mesh's own geometry, built before the stencil
         tracemalloc.start()
         try:
-            _, gather, indices, indptr, _ = solver._stencil.__wrapped__(mesh, 1)
+            gather, indices, indptr, _ = solver._stencil.__wrapped__(mesh, 1, entries)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -825,6 +826,26 @@ class TestBlockSolve:
         assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
         with pytest.raises(SolverError, match="residual"):
             scheme.solve_implicit(1, rhs, trans=trans)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])  # Fourier and SuperLU
+    def test_zero_rhs_must_solve_to_zero(self, monkeypatch, mode, trans):
+        """A zero column has no relative residual: its solution must be exactly 0."""
+        domain = Domain((0.0,), (1.0,), mode)
+        mesh = Mesh(domain, (32,), tau=1.0 / 512, t0=0.0, steps=64)
+        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0),
+                                                domain))
+        lu, D = scheme.implicit_lu(1)
+        assert isinstance(lu, solver._FourierSolver) == (mode == "periodic")
+        mixed = np.stack([np.random.default_rng(12).standard_normal(64), np.zeros(64)], axis=1)
+        assert not scheme.solve_implicit(1, np.zeros(64), trans).any()
+        assert not scheme.solve_implicit(1, mixed, trans)[:, 1].any()
+
+        bad = plus_one(lu)
+        monkeypatch.setattr(scheme, "implicit_lu", lambda m: solver._Implicit(bad, D))
+        for zero in (np.zeros(64), np.zeros((64, 3))):  # flat, and a block of zero columns
+            with pytest.raises(SolverError, match="zero right-hand side"):
+                scheme.solve_implicit(1, zero, trans=trans)
 
 
 def _coupled(n, N):
@@ -951,15 +972,15 @@ class TestFourierPath:
         rfft = np.fft.rfft if mesh.n == 1 else np.fft.rfft2
         ref = np.moveaxis(inv(np.moveaxis(rfft(want), (0, 1), (-2, -1))), (-2, -1), (0, 1))
         if N == 1:  # within roundoff of LAPACK's inverse of each 1 x 1 block
-            assert np.max(np.abs(fourier.inv["N"] - ref) / np.abs(ref)) <= 1e-15
+            assert np.max(np.abs(fourier.inv - ref) / np.abs(ref)) <= 1e-15
         else:
-            assert fourier.inv["N"].tobytes() == ref.tobytes()
+            assert fourier.inv.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fourier_path_on_x_dependent_field_fails_loudly(self, store, monkeypatch, n):
         domain, mesh = _fourier_mesh(n)
         real = solver._assemble
-        monkeypatch.setattr(solver, "_assemble", lambda *args: (real(*args)[0], True))
+        monkeypatch.setattr(solver, "_assemble", lambda *args: (*real(*args)[:2], True))
         scheme = ThetaScheme(mesh, OperatorSpec(make_preset("x-oscillatory", n=n), domain))
         assert isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver)
         rhs = np.random.default_rng(11).standard_normal(scheme.nn)

@@ -5,17 +5,22 @@ that moves with (t, x), so every (alpha, beta) entry is generally nonzero.
 The step matrix must be ``sp.identity(nn) + tau*L`` to the bit, and the
 checks of the exact identities the construction rests on (adjointness,
 averaged duality, semigroup, and normalization on a torus) must pass at
-their default tolerances, those of the acceptance battery.
+their default tolerances, those of the acceptance battery.  Fields written
+to CSV and read back by ``load_table`` hold the same step matrix property,
+with entries that are zero at every face and entries that vanish in one
+time slice only, so a step picks the tensor entries its stencil gathers.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, assemble,
+from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, assemble, load_table,
                       validate_parabolicity)
 from greenlab import solver
 from greenlab import verify as V
@@ -72,14 +77,11 @@ def cases(draw):
     return mesh, OperatorSpec(coeffs, domain)
 
 
-@PROPERTY_SETTINGS
-@given(cases())
-def test_step_matrix_is_identity_plus_tau_operator(case):
-    mesh, spec = case
-    assert validate_parabolicity(spec.coeffs, 8).ok
+def assert_step_matrices_exact(mesh, spec, steps):
+    """D of each step is ``sp.identity(nn) + tau*assemble(...)`` to the bit."""
     scheme = ThetaScheme(mesh, spec)
     eye = sp.identity(scheme.nn, format="csr")
-    for m in (1, mesh.steps):
+    for m in steps:
         lu, D = scheme.implicit_lu(m)
         want = eye + mesh.tau * assemble(mesh, spec, float(mesh.times[m]))
         if not isinstance(lu, solver._FourierSolver):
@@ -87,7 +89,113 @@ def test_step_matrix_is_identity_plus_tau_operator(case):
         assert type(D) is type(want)
         for attr in ("data", "indices", "indptr"):
             a, b = getattr(D, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, attr)
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_step_matrix_is_identity_plus_tau_operator(case):
+    mesh, spec = case
+    assert validate_parabolicity(spec.coeffs, 8).ok
+    assert_step_matrices_exact(mesh, spec, (1, mesh.steps))
+
+
+TABLE_TAU = 1 / 64
+TABLE_T1 = 2.5 * TABLE_TAU  # the second time slice of a table starts between t_2 and t_3
+
+
+def table_field(n, N, nodes, slices, cross, zero, seed):
+    """Node tensors of a table, shaped (slices, *nodes, n, n, N, N), and its (lam, Lam).
+
+    Each node holds lam*I + K - K^T + s*P with a node's own s in [-1, 1] and
+    ||P||_2 = lam/8.  Without ``cross`` every alpha != beta entry is zero;
+    ``zero`` names one flat pair p != q of the quadratic form whose two
+    entries are zero in the slices listed with it.  Dropping blocks and one
+    symmetric pair leaves ||P'||_2 <= lam/4, so lam*3/4 is a lower bound.
+    """
+    rng = np.random.default_rng(seed)
+    d = n * N
+    lam = rng.uniform(0.5, 2.0)
+    K = rng.standard_normal((d, d))
+    P = rng.standard_normal((d, d))
+    P = 0.125 * lam * (P + P.T) / np.linalg.norm(P + P.T, 2)
+    s = rng.uniform(-1.0, 1.0, (slices, *nodes))
+    flat = (lam * np.eye(d) + K - K.T) + s[..., None, None] * P
+    if not cross:
+        axis = np.arange(d) // N
+        flat[..., axis[:, None] != axis[None, :]] = 0.0
+    if zero is not None:
+        (p, q), where = zero
+        flat[where, ..., p, q] = flat[where, ..., q, p] = 0.0
+    tensors = flat.reshape(slices, *nodes, n, N, n, N).swapaxes(-3, -2)
+    Lam = float(np.max(np.sqrt(np.sum(tensors ** 2, axis=(-4, -3, -2, -1)))))
+    return tensors, 0.75 * lam, Lam
+
+
+def write_table(path, tensors, times, lengths):
+    """Write node tensors as a ``load_table`` CSV; the nodes of an axis span its length."""
+    slices, *nodes = tensors.shape[:-4]
+    n, N = tensors.shape[-4], tensors.shape[-2]
+    axes = [np.linspace(0.0, L, k) if k > 1 else np.array([0.5 * L])
+            for L, k in zip(lengths, nodes)]
+    lines = [f"# {n} {N} {slices} " + " ".join(map(str, nodes))]
+    for idx in np.ndindex(tensors.shape):
+        x = ",".join(repr(float(axes[ax][idx[1 + ax]])) for ax in range(n))
+        tensor_index = ",".join(str(k + 1) for k in idx[-4:])
+        lines.append(f"{times[idx[0]]!r},{x},{tensor_index},{float(tensors[idx])!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@st.composite
+def table_cases(draw):
+    """(mesh, spec) of a random table field on a mesh of 4 to 6 cells per axis."""
+    n = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(1, 3))
+    slices = draw(st.sampled_from([1, 2]))
+    nodes = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    cross = n == 2 and draw(st.booleans())
+    # the flat pairs p != q of the quadratic form that may hold nonzero entries
+    pairs = [(p, q) for p in range(n * N) for q in range(p)
+             if cross or p // N == q // N]
+    zero = None
+    if pairs and draw(st.booleans()):
+        where = draw(st.sampled_from([slice(None), slice(0, 1)][:slices]))
+        zero = (draw(st.sampled_from(pairs)), where)
+    mode = draw(st.sampled_from(["periodic", "dirichlet"]))
+    cells = tuple(draw(st.lists(st.integers(4, 6), min_size=n, max_size=n)))
+    domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+    tensors, lam, Lam = table_field(n, N, nodes, slices, cross, zero,
+                                    draw(st.integers(0, 2**32 - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        write_table(path, tensors, (0.0, TABLE_T1), domain.lengths)
+        coeffs = load_table(path, lam, Lam)
+    mesh = Mesh(domain, cells, tau=TABLE_TAU, t0=0.0, steps=5)
+    return mesh, OperatorSpec(coeffs, domain)
+
+
+@PROPERTY_SETTINGS
+@given(table_cases())
+def test_table_step_matrix_is_identity_plus_tau_operator(case):
+    mesh, spec = case
+    assert_step_matrices_exact(mesh, spec, range(1, mesh.steps + 1))
+
+
+def test_entry_vanishing_in_one_slice_gives_two_stencils(tmp_path):
+    """A 2-D N = 2 table whose coupling entries vanish before TABLE_T1 only: the
+    steps before it gather fewer tensor entries than those after, and every
+    step matrix is still exact."""
+    domain = Domain((0.0, 0.0), (1.0, 1.5), "dirichlet")
+    tensors, lam, Lam = table_field(2, 2, (2, 3), 2, True, ((1, 0), slice(0, 1)), 5)
+    path = tmp_path / "vanishing.csv"
+    write_table(path, tensors, (0.0, TABLE_T1), domain.lengths)
+    mesh = Mesh(domain, (5, 4), tau=TABLE_TAU, t0=0.0, steps=5)
+    spec = OperatorSpec(load_table(path, lam, Lam), domain)
+    entries = [solver._assemble(mesh, spec, float(t))[1] for t in mesh.times[1:]]
+    assert entries[0] == entries[1] != entries[2] == entries[4]
+    assert set(entries[0]) < set(entries[2])
+    assert_step_matrices_exact(mesh, spec, range(1, mesh.steps + 1))
 
 
 def duality_pair(mesh):
