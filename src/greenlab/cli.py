@@ -138,6 +138,7 @@ def load_scenario(path) -> dict:
     for key in ("cells", "box", "tau", "steps"):
         if key not in mesh_cfg:
             raise ConfigError(f"mesh config is missing {key!r}")
+    _check_mesh(mesh_cfg)
     for chk in sc["checks"]:
         if "name" not in chk:
             raise ConfigError("every check needs a name")
@@ -145,6 +146,33 @@ def load_scenario(path) -> dict:
             raise ConfigError(f"unknown check name {chk['name']!r}")
         _check_params(chk)
     return sc
+
+
+# the JSON type of each typed mesh key, in ``_fits``'s terms
+_MESH_KINDS = {"cells": list[int], "box": list[list[float]], "tau": float, "steps": int,
+               "t0": float}
+
+
+def _check_mesh(mesh_cfg: dict) -> None:
+    """Reject mesh values of the wrong JSON type, empty lists, non-finite numbers and a time
+    grid that overflows, naming the key."""
+    for key, kind in _MESH_KINDS.items():
+        value = mesh_cfg.get(key, 0.0)
+        if not _fits(value, kind) or value == []:
+            raise ConfigError(f"mesh.{key} must be {_describe(kind)}, got {json.dumps(value)}")
+        numbers = [v for pair in value for v in pair] if key == "box" else [value]
+        if key in ("tau", "t0", "box") and not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"mesh.{key} must be finite, got {json.dumps(value)}")
+    if any(len(pair) != 2 for pair in mesh_cfg["box"]):
+        raise ConfigError(f"mesh.box must hold one [lo, hi] pair per axis, "
+                          f"got {json.dumps(mesh_cfg['box'])}")
+    try:
+        end = mesh_cfg.get("t0", 0.0) + mesh_cfg["tau"] * mesh_cfg["steps"]
+    except OverflowError:  # a step count beyond the float range
+        end = math.inf
+    if not math.isfinite(end):
+        raise ConfigError(f"mesh.tau must keep the last time t0 + tau*steps finite, "
+                          f"got {json.dumps(mesh_cfg['tau'])}")
 
 
 def _check_params(chk: dict) -> None:

@@ -271,7 +271,11 @@ def load_table(path, lam: float, Lam: float, R_c: float = math.inf) -> Coefficie
     nearest-left in t and multilinear in x on the stored grid; declared
     (lam, Lam) come from the caller.
     """
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read table {path}: {exc}") from exc
+    with fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ConfigError("table must start with a '# n N nt nx [ny]' header")

@@ -13,47 +13,51 @@ Implicit Euler is the only time scheme: the slab conventions of
 ``Mesh.cylinder`` make the duality identity exact for it alone.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
-The pattern of the step matrix D = I + tau*L depends on (mesh, N) and on
-which tensor entries A^{ab}_{ij} are nonzero at some face.  ``_stencil``
-builds it once per (mesh, N, entries), with the positions of its diagonal
-and a sparse gather from the raveled face tensors to L's values on that
-pattern, and keeps the last eight.  Each assembly evaluates the face
-tensors at ``Mesh.face_points`` with one ``tensor`` call, reads the
-entries that are nonzero at some face from those values and gathers only
-them: on a diagonal field (heat, t-oscillating) the gather and the pattern
-skip the entries that are zero at every face, which would add only exact
-zeros.  ``_shifted`` scales the values, adds 1 on the diagonal and drops
-the exact zeros left (entries zero at some faces only, cancellation),
-which gives ``sp.identity(nn) + tau*L`` to the bit.  The pattern left after
-dropping them is cached per stencil and zero mask by ``_pruned_pattern``:
-the steps of a run share one pattern and each stored matrix owns only its
-exact-size data.  The public ``assemble`` gathers every entry, so its
-pattern depends on (mesh, N) alone.
-
-The implicit matrix D = I + tau*L(t_m) is solved by one of two solvers,
-chosen from the values of the face tensors the assembly already
-evaluated, never from a flag such as ``CoefficientField.x_dependent``:
+Each step evaluates the face tensors at ``Mesh.face_points`` with one
+``tensor`` call (``_assemble``) and picks one of two solvers from those
+values, never from a flag such as ``CoefficientField.x_dependent``:
 
 * Fourier: on a periodic mesh, 1-D or 2-D, whose face tensors are exactly
-  equal at every face, D is block-circulant.  ``_FourierSolver`` reads the
-  N columns of D at cell 0 from D's entries as a kernel, inverts its
-  symbol once (one N x N block per wavenumber, a reciprocal when N = 1)
-  and solves with a real FFT, a batched N x N product and the inverse
-  FFT: ``rfft``/``irfft`` on 1-D, ``rfft2``/``irfft2`` on 2-D.  It stores
-  that one inverse; a ``trans="T"`` solve multiplies by the conjugates of
-  its transposed blocks, which is bitwise what a stored inverse symbol of
-  D^T would give.  A scheme keeps the state its last Fourier solve
-  returned together with that state's spectrum; a solve whose right-hand
-  side is that very state (a step without a source, forward or adjoint,
-  flat or block) reuses the spectrum and skips the forward FFT, so a march
-  transforms forward once, plus once per step with a source.  Every eighth
-  step sets the carried spectrum's subnormal parts to 0, which keeps a
-  long march from slowing down as its modes decay and leaves the states
-  bitwise unchanged.
+  equal at every face, D = I + tau*L is block-circulant.  No gather runs
+  and no sparse matrix is built: ``_Stencil.build`` sums L's kernel, its
+  N columns at cell 0, from the face tensor of each axis with the weights
+  ``_stencil`` uses (+-1/h_a^2 for alpha = beta, +-1/(4 h_a h_b) for
+  alpha != beta), in the order the gather adds them, so the kernel is the
+  cell-0 columns of ``sp.identity(nn) + tau*assemble(...)`` to the bit.
+  The stencil keeps D's nonzero (N, N) blocks at their 3^n offsets.
+  ``_FourierSolver`` inverts the kernel's symbol once (one N x N block per
+  wavenumber, a reciprocal when N = 1) and solves with a real FFT, a
+  batched N x N product and the inverse FFT, per axis: ``rfft``/``irfft``
+  on 1-D, and on 2-D ``rfft`` then ``fft`` along the other axis (and back
+  with ``ifft`` then ``irfft``), which is what ``rfft2``/``irfft2`` run,
+  bitwise, without their argument handling.  It stores that one inverse; a
+  ``trans="T"`` solve multiplies by the conjugates of its transposed
+  blocks, which is bitwise what a stored inverse symbol of D^T would give.
+  A scheme keeps the state its last Fourier solve returned together with
+  that state's spectrum; a solve whose right-hand side is that very state
+  (a step without a source, forward or adjoint, flat or block) reuses the
+  spectrum and skips the forward FFT, so a march transforms forward once,
+  plus once per step with a source.  Every eighth step sets the carried
+  spectrum's subnormal parts to 0, which keeps a long march from slowing
+  down as its modes decay and leaves the states bitwise unchanged.
 * SuperLU: everywhere else (dirichlet meshes, x-dependent fields and
-  tables), D is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering
-  (minimum degree on the pattern of A^T + A), which suits the
-  structurally symmetric operator.
+  tables), ``_gathered`` reads the entries that are nonzero at some face
+  and gathers only them (on a diagonal field, heat or t-oscillating, the
+  entries that are zero at every face would add only exact zeros), and D
+  is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
+  degree on the pattern of A^T + A), which suits the structurally
+  symmetric operator.
+
+The CSR pattern of I + L depends on (mesh, N) and on the gathered entries.
+``_stencil`` builds it once per (mesh, N, entries), with the positions of
+its diagonal and a sparse gather from the raveled face tensors to L's
+values on that pattern, and keeps the last eight.  ``_shifted`` scales the
+values, adds 1 on the diagonal and drops the exact zeros left (entries zero
+at some faces only, cancellation), which gives ``sp.identity(nn) + tau*L``
+to the bit.  The pattern left after dropping them is cached per stencil and
+zero mask by ``_pruned_pattern``: the steps of a run share one pattern and
+each stored matrix owns only its exact-size data.  The public ``assemble``
+gathers every entry, so its pattern depends on (mesh, N) alone.
 
 One private time loop, the generator ``_stream``, runs every march,
 forward or (with ``backward``) through the adjoint steps, for a flat (nn,)
@@ -67,10 +71,14 @@ builders march all source components of a pole as one block,
 ``verify.check_normalization`` the (nn, N) block of constant states.
 Both solvers solve a block bitwise equal to its columns one by one.  Every
 solve checks the relative residual of each column against
-``RESIDUAL_TOL`` with the assembled D, so a bad small column cannot hide
-behind a large one and a wrong Fourier symbol fails loudly; the residual
-of a ``trans="T"`` solve uses D's transpose, built once per stored step as
-a view of D's arrays.
+``RESIDUAL_TOL``, so a bad small column cannot hide behind a large one.
+A SuperLU step's residual is ``D @ x - rhs`` with the stored CSC matrix; a
+Fourier step's applies the stencil's blocks to shifted copies of the state,
+with rhs stacked in for one product, so it shares nothing with the FFT and
+a wrong inverse symbol or a stale carried spectrum fails loudly.  A
+``trans="T"`` solve checks against D's transpose, built once per stored
+step: a view of the CSC arrays, or a stencil with negated offsets and
+transposed blocks.
 
 A march keeps what a ``_Keep`` names: the slices at some mesh time
 indices and some flat state rows, handed on as the march passes them, so a
@@ -85,53 +93,60 @@ never holds its outer cylinder.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec) shares one process-wide store of
-step matrices: the (solver, D) pair of each step's implicit matrix.  A key
-holds the frozen mesh and spec themselves (equal by value; coefficient
-functions by identity) and the step index (``"const"`` for static
-coefficients).  A step's solver assembles L(t_m) itself and the operator
-is not stored, since nothing else reads it.  The store charges a Fourier
-solver the bytes of its one array of inverse blocks, a SuperLU factor 12
-bytes per L+U nonzero plus ``SUPERLU_FIXED_BYTES``, and either one the
-CSC/CSR arrays of D.  No stored array views a larger buffer; a pattern
-array that entries share with the stencil or the cached patterns is
-charged to each of them.  ``splu`` keeps its factors on the C heap, in four
-L/U arrays sized from a fill guess (about 740 bytes per nonzero of D in
-all, by ``mallinfo2``); the 12 bytes per nonzero count only their written
-part.  With glibc's mmap threshold at 128 KiB, as
-``perfbench`` pins it, an array above the threshold is mapped and resident
-only where written and one below it may be resident whole, so a factor
-holds at most 4 x 128 KiB = ``SUPERLU_FIXED_BYTES`` more.  By
-``ru_maxrss`` over stored 1-D and 2-D dirichlet factors of 16 to 4 096
-unknowns, the largest excess was 299 KB (16 x 16 cells, the store
-evicting), and the RSS a march added stayed below the charge.  Under
-glibc's default threshold, which rises after large frees, a mid-size
-factor can exceed it: 917 KB resident against 646 KB charged at 1 536
-unknowns, 1-D.  ``CACHE_BYTES`` caps the charge.  Past it the store
-evicts the least recently used entries, never the one just built.
-``cache_info`` reports its size.
+steps: the (solver, D) pair of each step's implicit matrix, D a
+``_Stencil`` or a CSC matrix.  A key holds the frozen mesh and spec
+themselves (equal by value; coefficient functions by identity) and the
+step index (``"const"`` for static coefficients).  A step's solver
+evaluates L(t_m) itself and the operator is not stored, since nothing else
+reads it.  The store charges a Fourier step the bytes of its inverse
+symbol and of the blocks of its two stencils (D and D^T), and a SuperLU
+step 12 bytes per L+U nonzero plus ``SUPERLU_FIXED_BYTES`` and the
+CSC arrays of D.  No stored array views a larger buffer; a pattern array
+that entries share with the stencil or the cached patterns is charged to
+each of them.  ``splu`` keeps its factors on the C heap, in four L/U
+arrays sized from a fill guess (about 740 bytes per nonzero of D in all,
+by ``mallinfo2``); the 12 bytes per nonzero count only their written part.
+With glibc's mmap threshold at 128 KiB, as ``perfbench`` pins it, an array
+above the threshold is mapped and resident only where written and one
+below it may be resident whole, so a factor holds at most 4 x 128 KiB =
+``SUPERLU_FIXED_BYTES`` more.  By ``ru_maxrss`` over stored 1-D and 2-D
+dirichlet factors of 16 to 4 096 unknowns, the largest excess was 299 KB
+(16 x 16 cells, the store evicting), and the RSS a march added stayed
+below the charge.  Under glibc's default threshold, which rises after
+large frees, a mid-size factor can exceed it: 917 KB resident against 646
+KB charged at 1 536 unknowns, 1-D.  ``CACHE_BYTES`` caps the charge.  Past
+it the store evicts the least recently used entries, never the one just
+built.  ``cache_info`` reports its size.
 
-``dense_spacetime_oracle`` stacks the stored step matrices into one sparse
+``dense_spacetime_oracle`` gathers each step's D afresh, independent of
+the store and of the Fourier stencil, stacks them into one sparse
 block-bidiagonal space-time system and solves it with ``spsolve``; the
 dense ``np.linalg.solve`` it replaced gave results that moved with the
 BLAS thread count.
 
-``scipy.sparse.linalg`` (``splu`` and ``spsolve``) loads on first use:
-``spla`` is a stand-in that imports it on its first attribute lookup.  A
-periodic run that solves only by Fourier, 1-D or 2-D, never loads it, nor
-the ``scipy.linalg`` it pulls in, which saves about 10 MB of RSS and 0.1
-to 0.2 s per process.  A run that will use it pays the import during set-up:
-``cli.build_context`` calls ``_preload_linalg``, whose guess sits next to
-the ``_assemble`` rule it predicts.
+``scipy.sparse`` and ``scipy.sparse.linalg`` (``splu`` and ``spsolve``)
+load on first use: ``sp`` and ``spla`` are stand-ins that import their
+module on the first attribute lookup.  ``_stencil``, ``assemble``, the
+SuperLU steps and the oracle use them; a periodic run that solves only by
+Fourier, 1-D or 2-D, loads neither, nor the ``scipy.linalg`` that the
+second pulls in: ``import greenlab.cli`` costs 31 MB of RSS and 0.11 s
+where the eager ``import scipy.sparse`` made it 52 MB and 0.25 s (medians
+of 5 fresh processes under a 128 KiB mmap threshold).  A run that will use
+them pays the import during set-up: ``cli.build_context`` calls
+``_preload_linalg``, whose guess sits next to the ``_assemble`` rule it
+predicts.
 """
 
 from __future__ import annotations
 
+import importlib
+import itertools
+import math
 from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, SolverError
 from .mesh import Mesh, Trajectory
@@ -142,21 +157,23 @@ CACHE_BYTES = 256 * 2**20
 SUPERLU_FIXED_BYTES = 512 * 2**10  # heap a SuperLU factor may hold beyond its nonzeros
 
 
-class _DeferredLinalg:
-    """Stands in for ``scipy.sparse.linalg`` and imports it on the first attribute lookup.
+class _Deferred:
+    """Stands in for a module and imports it on the first attribute lookup.
 
-    Every lookup reads the imported module, so a patch of
-    ``scipy.sparse.linalg.splu`` takes effect, and ``spla`` itself stays a
-    module attribute that a wrapper may replace.
+    Every lookup reads the imported module, so a patch of, say,
+    ``scipy.sparse.linalg.splu`` takes effect, and the stand-in itself stays
+    a module attribute that a wrapper may replace.
     """
 
-    def __getattr__(self, name):
-        import scipy.sparse.linalg
+    def __init__(self, name: str):
+        self._name = name
 
-        return getattr(scipy.sparse.linalg, name)
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
 
 
-spla = _DeferredLinalg()
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
 
 
 @lru_cache(maxsize=8)
@@ -286,23 +303,34 @@ def _shifted(mesh: Mesh, N: int, entries: tuple, data: np.ndarray, c: float) -> 
     return sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
 
 
-def _assemble(mesh: Mesh, spec: OperatorSpec, t: float, entries: tuple | None = None):
-    """L(t)'s values, the entries of the stencil they sit on, and whether the Fourier path applies.
+def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
+    """The face tensors of L(t), and one per axis when the Fourier path applies.
 
-    The values sit on the pattern of ``_stencil(mesh, N, entries)``.
-    ``entries`` None picks the tensor entries that are nonzero at some face,
-    read from the face tensors evaluated here: an entry that is zero at
-    every face adds only exact zeros to L, so leaving it out changes no
-    value of I + tau*L.  The Fourier path needs a periodic mesh, of either
-    dimension, and face tensors that are exactly equal at every face, which
-    makes the operator block-circulant.
+    Returns (A, faces): A is ``tensor(t, mesh.face_points)``, checked finite.
+    ``faces`` is None unless the mesh is periodic, of either dimension, and
+    A is exactly equal on the faces of each axis, which makes the operator
+    block-circulant; then ``faces[a]`` is the (n, n, N, N) tensor of axis
+    a's faces, and no gather runs.
     """
     A = spec.coeffs.tensor(t, mesh.face_points)
     if not np.isfinite(A).all():
         raise ConfigError(f"non-finite coefficient at a face (t={t})")
     # equal on the faces of each axis, which translating by one cell maps onto
     # themselves; a periodic mesh has one face per cell on each axis
-    fourier = mesh.periodic and all((B[1:] == B[:-1]).all() for B in np.split(A, mesh.n))
+    if mesh.periodic:
+        axes = A.reshape(mesh.n, mesh.ncells, *A.shape[1:])
+        if (axes[:, 1:] == axes[:, :-1]).all():
+            return A, axes[:, 0]
+    return A, None
+
+
+def _gathered(mesh: Mesh, N: int, A: np.ndarray, entries: tuple | None = None):
+    """(values, entries): L's values from the face tensors A, on ``_stencil(mesh, N, entries)``'s pattern.
+
+    ``entries`` None picks the tensor entries that are nonzero at some face:
+    an entry that is zero at every face adds only exact zeros to L, so
+    leaving it out changes no value of I + tau*L.
+    """
     flat = A.reshape(len(A), -1)  # one row per face, a copy only for a strided A
     if entries is None:
         # one contiguous row per entry: ``flat.any(axis=0)``, which reduces
@@ -310,20 +338,25 @@ def _assemble(mesh: Mesh, spec: OperatorSpec, t: float, entries: tuple | None = 
         used = (flat != 0).T.copy().any(axis=1)
         # a field that is zero everywhere keeps one entry, so L has a pattern
         entries = tuple(np.flatnonzero(used).tolist()) or (0,)
-    gather = _stencil(mesh, spec.coeffs.N, entries)[0]
-    return gather @ flat.ravel(), entries, fourier
+    return _stencil(mesh, N, entries)[0] @ flat.ravel(), entries
+
+
+def _step_matrix(mesh: Mesh, N: int, A: np.ndarray) -> sp.csr_matrix:
+    """D = I + tau*L as a CSR matrix, gathered from the face tensors A over their nonzero entries."""
+    values, entries = _gathered(mesh, N, A)
+    return _shifted(mesh, N, entries, values, mesh.tau)
 
 
 def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
-    """Import ``scipy.sparse.linalg`` now when a run on (mesh, spec) is expected to use it.
+    """Import ``scipy.sparse.linalg`` (and so ``scipy.sparse``) now when a run on (mesh, spec) will use it.
 
     It is, when the run lists the space-time oracle (``spsolve``) or when
     ``_assemble`` will send the implicit matrices to SuperLU: sure to on a
     dirichlet mesh, and nearly sure to for an x-dependent field (every table
     is one).  A periodic run on an x-independent field solves by Fourier in
-    1-D and 2-D alike, so it loads the module only for an oracle.  The guess
-    only moves the import into set-up; a wrong one costs time, never
-    correctness.
+    1-D and 2-D alike and builds no sparse matrix, so it loads neither
+    module unless it lists an oracle.  The guess only moves the import into
+    set-up; a wrong one costs time, never correctness.
     """
     if oracle or not mesh.periodic or spec.coeffs.x_dependent:
         import scipy.sparse.linalg  # noqa: F401
@@ -344,8 +377,8 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
     entries = tuple(range(mesh.n * mesh.n * N * N))
     _, indices, indptr, _ = _stencil(mesh, N, entries)
     nn = len(indptr) - 1
-    return sp.csr_matrix((_assemble(mesh, spec, t, entries)[0], indices, indptr),
-                         shape=(nn, nn))
+    values, _ = _gathered(mesh, N, _assemble(mesh, spec, t)[0], entries)
+    return sp.csr_matrix((values, indices, indptr), shape=(nn, nn))
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -384,53 +417,199 @@ def _flush_subnormals(spectrum: np.ndarray) -> None:
     parts[np.abs(parts) < _TINY] = 0.0
 
 
-def _rfft(a: np.ndarray, cells: tuple) -> np.ndarray:
-    """The real FFT of ``a`` over its trailing cell axes: ``rfft`` on 1-D, ``rfft2`` on 2-D.
+@lru_cache(maxsize=8)
+def _kernel_terms(mesh: Mesh):
+    """The terms of L's kernel on a periodic mesh, in the order the gather of ``_stencil`` sums them.
 
-    ``rfftn`` would serve both, at 2 to 3 times their call overhead.  The
-    transform is looked up in ``np.fft`` on every call.
+    The kernel is L's N columns at cell 0; its (N, N) block at the offset d
+    in {-1, 0, 1}^n couples row cell d to cell 0.  On a mesh whose face
+    tensors are equal at every face, the block is a sum of terms w * T_a[a, b],
+    with T_a the tensor of axis a's faces and ``_stencil``'s weights:
+    +-1/h_a * 1/h_a for b = a and +-1/h_a * 1/(4 h_b) for b != a.  The gather
+    adds them in the order of their face-tensor positions (axis, face,
+    entry), where face p of an axis has cell p on its right; summing in that
+    order gives L's values to the bit.  Returns (offsets, ranks): offsets is
+    (3^n, n), and ranks holds, for each position in the sums, the arrays
+    (k, ab, w) of the blocks k that have a term there, its entry
+    ab = a * n + b and its weight w.
     """
-    return np.fft.rfft(a) if len(cells) == 1 else np.fft.rfft2(a)
+    n, eye = mesh.n, np.eye(mesh.n, dtype=int)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    sums = []
+    for row in offsets:
+        terms = []
+        for a in range(n):
+            inv_ha = 1.0 / mesh.h[a]
+            # the faces of axis a with the row cell on their left and on their right
+            for left, sgn in ((row, -inv_ha), (row - eye[a], +inv_ha)):
+                right = left + eye[a]
+                face = np.ravel_multi_index(tuple(right % mesh.cells), mesh.cells)
+                for b in range(n):
+                    if b == a:
+                        cols = [(right, +1.0 / mesh.h[b]), (left, -1.0 / mesh.h[b])]
+                    else:
+                        q = 1.0 / (4.0 * mesh.h[b])
+                        cols = [(left + eye[b], +q), (right + eye[b], +q),
+                                (left - eye[b], -q), (right - eye[b], -q)]
+                    terms += [((a, face, b), a * n + b, sgn * w)
+                              for col, w in cols if not (col % mesh.cells).any()]
+        sums.append([term[1:] for term in sorted(terms)])
+    ranks = []
+    for r in range(max(map(len, sums))):
+        k = [i for i, terms in enumerate(sums) if len(terms) > r]
+        ab, w = zip(*(sums[i][r] for i in k))
+        ranks.append((np.array(k), np.array(ab), np.array(w)))
+    return offsets, ranks
+
+
+@lru_cache(maxsize=64)
+def _shift_pieces(d: tuple) -> tuple:
+    """(dst, src) index pairs into (N, *cells, B) arrays: copying u[src] to dst puts u[x - d] at x.
+
+    One pair per combination of the axes' two wrapped ranges; on an axis of
+    two cells the offsets +1 and -1 give the same shift.
+    """
+    ranges = {0: [(slice(None), slice(None))],
+              1: [(slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None))],
+              -1: [(slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))]}
+    every = slice(None)  # the component axis; the trailing block axis is left out
+    return tuple(((every, *(dst for dst, _ in combo)), (every, *(src for _, src in combo)))
+                 for combo in itertools.product(*(ranges[da] for da in d)))
+
+
+class _Stencil:
+    """A block-circulant implicit matrix D on a periodic mesh, as its nonzero (N, N) blocks.
+
+    ``D[i*C + (x + d), j*C + x] = blocks[k][i, j]`` for the offset
+    d = ``offsets[k]``, cells wrapping.  ``T`` is D's transpose: the offsets
+    negated and the blocks transposed.  ``residual`` applies D to shifted
+    copies of a state, so it shares nothing with the FFT that solves with D.
+    """
+
+    # The residual's stack of shifted copies lives in one buffer that every
+    # stencil reuses: allocated per call, the stack of one 64^2 state (197 KB)
+    # sits above a 128 KiB mmap threshold, and mapping and faulting in fresh
+    # pages tripled the run time of a 2-D heat march.  A block is stacked a
+    # few columns at a time, so the buffer holds at most STACK_BYTES, or one
+    # column's stack when that is larger.
+    STACK_BYTES = 2**20
+    _buffer = np.empty(0)
+
+    def __init__(self, cells, offsets: np.ndarray, blocks: np.ndarray):
+        self.cells, self.offsets, self.N = tuple(cells), offsets, blocks.shape[1]
+        # [blocks[0] | ... | blocks[-1] | -I]: the residual is one product of
+        # this row with the shifted states stacked over rhs
+        self.row = np.concatenate([*blocks, -np.eye(self.N)], axis=1)
+        # (destination in the stack, source in the state) of every shifted copy
+        self._copies = [((k, *dst), src) for k, d in enumerate(offsets.tolist())
+                        for dst, src in _shift_pieces(tuple(d))]
+        self._nn = self.N * math.prod(self.cells)
+        # the block columns one stack holds: (K + 1) N copies of C cells each
+        self._width = max(1, self.STACK_BYTES // (8 * self.row.shape[1] * math.prod(self.cells)))
+        self.nbytes = self.row.nbytes + offsets.nbytes
+
+    @classmethod
+    def build(cls, mesh: Mesh, faces: np.ndarray, tau: float) -> "_Stencil":
+        """D = I + tau*L from the face tensor of each axis (``_assemble``'s ``faces``).
+
+        Its blocks are L's kernel summed in the gather's order, scaled by tau
+        with 1 added on the diagonal, as ``_shifted`` makes D's entries: the
+        cell-0 columns of ``sp.identity(nn) + tau*assemble(...)``, to the bit.
+        """
+        offsets, ranks = _kernel_terms(mesh)
+        n = mesh.n
+        axis = np.arange(n)[:, None]
+        T = faces[axis, axis, np.arange(n)]  # T[a, b]: entry (a, b) of axis a's faces
+        T = T.reshape(n * n, *T.shape[2:])
+        L = np.zeros((len(offsets), *T.shape[1:]))
+        for k, ab, w in ranks:
+            L[k] += w[:, None, None] * T[ab]
+        D = L * tau
+        center = len(offsets) // 2  # the offset 0
+        D[center] += np.eye(len(D[center]))
+        keep = D.reshape(len(D), -1).any(axis=1)
+        return cls(mesh.cells, offsets[keep], D[keep])
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.row[:, :-self.N].reshape(self.N, -1, self.N).swapaxes(0, 1)
+
+    @property
+    def T(self) -> "_Stencil":
+        return _Stencil(self.cells, -self.offsets, self.blocks.swapaxes(1, 2))
+
+    def kernel(self) -> np.ndarray:
+        """[i, j, x] = D[i*C + x, j*C]: D's N columns at cell 0, shaped (N, N, *cells)."""
+        kernel = np.zeros((self.N, self.N, *self.cells))
+        at = (slice(None), slice(None), *(self.offsets % self.cells).T)
+        np.add.at(kernel, at, self.blocks.transpose(1, 2, 0))
+        return kernel
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """D @ x - rhs for a flat (nn,) state or an (nn, B) block, shaped like x."""
+        u = x.reshape(self.N, *self.cells, -1)
+        v = rhs.reshape(u.shape)
+        if u.shape[-1] <= self._width:
+            return self._residual(u, v).reshape(x.shape)
+        res = np.empty(x.shape)
+        for j in range(0, u.shape[-1], self._width):
+            cols = slice(j, j + self._width)
+            res[:, cols] = self._residual(u[..., cols], v[..., cols])
+        return res
+
+    def _residual(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """D @ u - v for (N, *cells, B) states, shaped (nn, B): one product of ``row``
+        with the shifted copies of u stacked over v."""
+        size = (len(self.offsets) + 1) * u.size
+        if _Stencil._buffer.size < size:
+            _Stencil._buffer = np.empty(size)
+        stack = _Stencil._buffer[:size].reshape(-1, *u.shape)
+        for dst, src in self._copies:
+            stack[dst] = u[src]
+        stack[-1] = v
+        res = np.dot(self.row, stack.reshape(self.row.shape[1], -1))
+        return res.reshape(self._nn, u.shape[-1])
+
+
+def _rfft(a: np.ndarray, cells: tuple) -> np.ndarray:
+    """The real FFT of ``a`` over its trailing cell axes.
+
+    On 2-D it runs what ``rfft2`` runs, ``rfft`` along the last axis and
+    ``fft`` along the other, bitwise, without its argument handling: about
+    9 us of a 64^2 transform.  ``rfftn`` costs 2 to 3 times more still.
+    The transforms are looked up in ``np.fft`` on every call.
+    """
+    if len(cells) == 1:
+        return np.fft.rfft(a)
+    return np.fft.fft(np.fft.rfft(a), axis=-2)
 
 
 def _irfft(y: np.ndarray, cells: tuple) -> np.ndarray:
-    """The inverse of ``_rfft``, back to ``cells`` (odd counts included)."""
-    return np.fft.irfft(y, n=cells[0]) if len(cells) == 1 else np.fft.irfft2(y, s=cells)
+    """The inverse of ``_rfft``, back to ``cells`` (odd counts included); on 2-D ``irfft2``'s steps."""
+    if len(cells) == 1:
+        return np.fft.irfft(y, n=cells[0])
+    return np.fft.irfft(np.fft.ifft(y, axis=-2), n=cells[1])
 
 
 class _FourierSolver:
     """Solves with a block-circulant implicit matrix D on a periodic mesh, 1-D or 2-D.
 
-    The N columns of D at cell 0 are an (N, N, *cells) kernel; ``_rfft`` of
-    the kernel is one N x N symbol block per wavenumber, inverted here once
-    (by a reciprocal when N = 1).  A solve is ``_rfft``, one N x N product
-    per wavenumber and ``_irfft``; ``trans="T"`` multiplies by the
-    conjugate-transposed inverse blocks, the inverse symbol of D^T, taken
-    from the one stored inverse as the solve runs.  Given the spectrum
-    a previous solve returned with its right-hand side, a solve skips the
-    forward transform and costs one inverse transform.
+    ``_rfft`` of D's kernel (``_Stencil.kernel``) is one N x N symbol block
+    per wavenumber, inverted here once (by a reciprocal when N = 1).  A
+    solve is ``_rfft``, one N x N product per wavenumber and ``_irfft``;
+    ``trans="T"`` multiplies by the conjugate-transposed inverse blocks, the
+    inverse symbol of D^T, taken from the one stored inverse as the solve
+    runs.  Given the spectrum a previous solve returned with its right-hand
+    side, a solve skips the forward transform and costs one inverse
+    transform.
     """
 
-    def __init__(self, D, N: int, cells):
-        self.N, self.cells = N, tuple(cells)
-        kernel = self.kernel(D, N, self.cells)
-        symbol = np.moveaxis(_rfft(kernel, self.cells), (0, 1), (-2, -1))
-        inv = 1.0 / symbol if N == 1 else np.linalg.inv(symbol)
+    def __init__(self, stencil: _Stencil):
+        self.N, self.cells = stencil.N, stencil.cells
+        symbol = np.moveaxis(_rfft(stencil.kernel(), self.cells), (0, 1), (-2, -1))
+        inv = 1.0 / symbol if self.N == 1 else np.linalg.inv(symbol)
         self.inv = np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1)))
         self.nbytes = self.inv.nbytes
-
-    @staticmethod
-    def kernel(D, N: int, cells) -> np.ndarray:
-        """[i, j, x] = D[i*C + x, j*C], read from D's CSR entries in the columns j*C."""
-        C = D.shape[0] // N
-        in_cols = D.indices == 0
-        for j in range(1, N):
-            in_cols |= D.indices == j * C
-        pos = np.flatnonzero(in_cols)
-        rows = np.searchsorted(D.indptr, pos, side="right") - 1
-        kernel = np.zeros((N, N, C))
-        kernel[rows // C, D.indices[pos] // C, rows % C] = D.data[pos]
-        return kernel.reshape(N, N, *cells)
 
     def solve(self, rhs: np.ndarray, trans: str = "N", spectrum=None):
         """Solve for a flat (nn,) state or an (nn, B) block, bitwise column by column.
@@ -456,8 +635,10 @@ class _FourierSolver:
 class _Implicit(tuple):
     """The stored (solver, D) pair of one step's implicit matrix.
 
-    ``DT`` is D's transpose for the residual checks of ``trans="T"`` solves,
-    built once per entry; it is a view that shares D's arrays.
+    D is a ``_Stencil`` for a Fourier solver and a CSC matrix for a SuperLU
+    factor.  ``DT`` is D's transpose for the residual checks of
+    ``trans="T"`` solves, built once per entry: a view that shares a CSC
+    matrix's arrays, or a stencil of its own.
     """
 
     def __new__(cls, solver, D):
@@ -469,10 +650,8 @@ class _Implicit(tuple):
 def _factor_bytes(pair) -> int:
     solver, D = pair
     if isinstance(solver, _FourierSolver):
-        held = solver.nbytes
-    else:
-        held = 12 * int(solver.nnz) + SUPERLU_FIXED_BYTES
-    return held + _csr_bytes(D)
+        return solver.nbytes + D.nbytes + pair.DT.nbytes
+    return 12 * int(solver.nnz) + SUPERLU_FIXED_BYTES + _csr_bytes(D)
 
 
 class _StepStore:
@@ -543,17 +722,18 @@ class ThetaScheme:
     def implicit_lu(self, m: int):
         """Solver of D = I + tau*L(t_m), with D: the stored ``_Implicit`` pair.
 
-        The solver is a ``_FourierSolver`` when the face tensors of L(t_m)
-        allow it (see ``_assemble``), otherwise the ``splu`` factorization of D.
-        L(t_m)'s values become D's data in place; L itself is never stored.
+        The solver is a ``_FourierSolver`` with D as a ``_Stencil`` when the
+        face tensors of L(t_m) allow it (see ``_assemble``), otherwise the
+        ``splu`` factorization of D as a CSC matrix, whose data L(t_m)'s
+        gathered values become in place; L itself is never stored.
         """
         def build():
-            values, entries, fourier = _assemble(self.mesh, self.spec,
-                                                 float(self.mesh.times[m]))
-            D = _shifted(self.mesh, self.N, entries, values, self.mesh.tau)
-            if fourier:
-                return _Implicit(_FourierSolver(D, self.N, self.mesh.cells), D)
-            D = D.tocsc()
+            mesh = self.mesh
+            A, faces = _assemble(mesh, self.spec, float(mesh.times[m]))
+            if faces is not None:
+                stencil = _Stencil.build(mesh, faces, mesh.tau)
+                return _Implicit(_FourierSolver(stencil), stencil)
+            D = _step_matrix(mesh, self.N, A).tocsc()
             return _Implicit(spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D)
 
         return _STORE.get((self._base, "const" if self._static else m), build)
@@ -569,15 +749,17 @@ class ThetaScheme:
         """
         pair = self.implicit_lu(m)
         lu, D = pair
+        mat = D if trans == "N" else pair.DT
         if isinstance(lu, _FourierSolver):
             state, spectrum = self._carry
             x, spectrum = lu.solve(rhs, trans, spectrum if rhs is state else None)
             if m % 8 == 0:  # a part gone subnormal costs a few slow steps at most
                 _flush_subnormals(spectrum)
             self._carry = (x, spectrum)
+            res = mat.residual(x, rhs)
         else:
             x = lu.solve(rhs, trans=trans)
-        res = (D if trans == "N" else pair.DT) @ x - rhs
+            res = mat @ x - rhs
         # both solvers return exactly 0 for a zero column, so its residual
         # must be 0; a NaN residual fails too
         if rhs.ndim == 1:
@@ -756,10 +938,12 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
                            T: float) -> Trajectory:
     """Brute-force reference: one sparse direct solve of the stacked implicit Euler steps.
 
-    Stacks each step's stored implicit matrix D on the block diagonal and
-    -I below it, the block-bidiagonal space-time system over all unknown
-    slices, and solves it with ``spsolve``; only meant as a test oracle,
-    capped at ORACLE_CAP space-time unknowns.
+    Stacks each step's implicit matrix D, gathered afresh by
+    ``_step_matrix`` and so independent of the step store and of the
+    Fourier stencil, on the block diagonal and -I below it, the
+    block-bidiagonal space-time system over all unknown slices, and solves
+    it with ``spsolve``; only meant as a test oracle, capped at ORACLE_CAP
+    space-time unknowns.
     """
     scheme = ThetaScheme(mesh, spec)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
@@ -777,7 +961,8 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
     rhs[:nn] = u0
     for k in range(K):
         m = i0 + k
-        blocks[k][k] = scheme.implicit_lu(m + 1)[1]
+        A = _assemble(mesh, spec, float(mesh.times[m + 1]))[0]
+        blocks[k][k] = _step_matrix(mesh, scheme.N, A)
         if k > 0:
             blocks[k][k - 1] = minus_eye
         gm = src(m)

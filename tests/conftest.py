@@ -2,8 +2,9 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from greenlab import Domain, Mesh, OperatorSpec, make_preset, solver
+from greenlab import Domain, Mesh, OperatorSpec, assemble, make_preset, solver
 
 
 @pytest.fixture
@@ -43,6 +44,33 @@ def bundle_1d(domain):
         OperatorSpec(make_preset("almost-diagonal", eps=0.1), domain),
         OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), domain),
     ]
+
+
+def step_matrix(mesh, spec, m):
+    """D = I + tau*L(t_m) from the public ``assemble``, as a CSR matrix."""
+    nn = spec.coeffs.N * mesh.ncells
+    return sp.identity(nn, format="csr") + mesh.tau * assemble(mesh, spec, float(mesh.times[m]))
+
+
+def cell0_kernel(D, N, cells):
+    """[i, j, x] = D[i*C + x, j*C]: a sparse D's N columns at cell 0, shaped (N, N, *cells)."""
+    cols = D[:, np.arange(N) * int(np.prod(cells))].toarray()
+    return np.ascontiguousarray(cols.T.reshape(N, N, *cells).swapaxes(0, 1))
+
+
+def assert_stored_step_exact(pair, want):
+    """A stored step holds D = ``want`` to the bit: a SuperLU step its CSC matrix, a
+    Fourier step a stencil whose kernel is ``want``'s N columns at cell 0."""
+    lu, D = pair
+    if isinstance(lu, solver._FourierSolver):
+        kernel = cell0_kernel(want, D.N, D.cells)
+        assert D.kernel().tobytes() == kernel.tobytes()
+        return
+    want = want.tocsc()
+    assert type(D) is type(want)
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(D, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
 
 
 def rng_slice(rng, N, mesh):

@@ -162,6 +162,43 @@ def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("steps", 8.7, "mesh.steps must be an integer, got 8.7"),  # it ran 8 steps
+    ("steps", True, "mesh.steps must be an integer, got true"),
+    ("cells", ["a"], 'mesh.cells must be a list of integers, got ["a"]'),
+    ("cells", [64.0], "mesh.cells must be a list of integers, got [64.0]"),
+    ("cells", 64, "mesh.cells must be a list of integers, got 64"),
+    ("cells", [], "mesh.cells must be a list of integers, got []"),
+    ("tau", math.nan, "mesh.tau must be finite, got NaN"),
+    ("tau", "0.1", 'mesh.tau must be a number, got "0.1"'),
+    ("tau", 1e308, "mesh.tau must keep the last time t0 + tau*steps finite, got 1e+308"),
+    ("t0", math.inf, "mesh.t0 must be finite, got Infinity"),
+    ("box", [[0.0, math.nan]], "mesh.box must be finite, got [[0.0, NaN]]"),
+    ("box", [[0, "x"]], 'mesh.box must be a list of lists of numbers, got [[0, "x"]]'),
+    ("box", [0, 1], "mesh.box must be a list of lists of numbers, got [0, 1]"),
+    ("box", [[0.0, 0.5, 1.0]], "mesh.box must hold one [lo, hi] pair per axis"),
+])
+def test_malformed_mesh_key_exit_2(tmp_path, capsys, key, value, want):
+    # a mesh value of the wrong type or a non-finite one is a bad scenario, named by its key
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["mesh"][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_table_exit_2(tmp_path, capsys):
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["preset"] = {"table": str(tmp_path / "absent.csv"), "lambda": 1.0, "Lambda": 1.0}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    assert f"cannot read table {tmp_path / 'absent.csv'}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_past_window_names_window_and_step(tmp_path, capsys):
     # the longest default ray lands on lattice step 3604 of a 640-step window
     sc = {
@@ -213,16 +250,17 @@ def test_report_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
-LINALG = ("scipy.sparse.linalg", "scipy.linalg")
-UNUSED = LINALG + ("scipy.fft",)  # a Fourier run transforms with np.fft
+LINALG = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")
+# a Fourier run transforms with np.fft and builds no sparse matrix
+UNUSED = LINALG + ("scipy.fft",)
 
 
 def _fresh(tmp_path, code: str, watched=LINALG):
     """Run ``code`` in a fresh interpreter; return its ``result`` and which of ``watched`` it
     loaded.
 
-    The test modules import ``scipy.sparse.linalg`` themselves, so only a
-    fresh process shows what greenlab imports.
+    The test modules import ``scipy.sparse`` and ``scipy.sparse.linalg``
+    themselves, so only a fresh process shows what greenlab imports.
     """
     src = os.path.dirname(os.path.dirname(greenlab.__file__))
     env = dict(os.environ,
@@ -251,7 +289,8 @@ def _heat_2d(**changes):
 
 
 class TestDeferredLinalg:
-    """``scipy.sparse.linalg`` loads only in runs that use it, and set-up pays for it."""
+    """``scipy.sparse`` and ``scipy.sparse.linalg`` load only in runs that use them, and
+    set-up pays for them."""
 
     def test_import_loads_no_linalg(self, tmp_path):
         assert _fresh(tmp_path, "import greenlab.cli", UNUSED) == [None, []]
@@ -264,7 +303,8 @@ class TestDeferredLinalg:
         code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
         assert _fresh(tmp_path, code, UNUSED) == [0, []]
 
-    @pytest.mark.parametrize("case", ["heat-1d-core", "dirichlet", "oracle", "x-oscillatory"])
+    @pytest.mark.parametrize("case", ["heat-1d-core", "dirichlet", "oracle", "x-oscillatory",
+                                      "table"])
     def test_set_up_imports_what_the_run_will_use(self, tmp_path, case):
         if case == "heat-1d-core":
             sc = json.loads((SCEN / "heat-1d-core.json").read_text())
@@ -272,11 +312,53 @@ class TestDeferredLinalg:
             sc = _heat_2d(mesh=dict(_heat_2d()["mesh"], boundary="dirichlet"))
         elif case == "oracle":
             sc = _heat_2d(checks=[{"name": "oracle", "t_step": 4}])
+        elif case == "table":  # constant in x and t, yet every table is x-dependent
+            rows = [f"0.0,{x},{y},{a},{b},1,1,{float(a == b)}" for x in (0.0, 1.0)
+                    for y in (0.0, 1.0) for a in (1, 2) for b in (1, 2)]
+            (tmp_path / "table.csv").write_text("# 2 1 1 2 2\n" + "\n".join(rows) + "\n")
+            sc = _heat_2d(preset={"table": "table.csv", "lambda": 1.0, "Lambda": 2.0})
         else:
             sc = _heat_2d(preset={"name": "x-oscillatory", "n": 2})
         (tmp_path / "sc.json").write_text(json.dumps(sc))
         code = "from greenlab import cli\ncli.build_context(cli.load_scenario('sc.json'))"
         assert _fresh(tmp_path, code) == [None, list(LINALG)]
+
+    def test_public_assemble_returns_the_same_csr_matrix(self, tmp_path):
+        """``assemble``, in a process that never loaded ``scipy.sparse``, loads it and returns
+        the CSR matrix that greenlab returned when it imported the module eagerly: the same
+        digests of data, indices and indptr, for an N = 2 field with every tensor entry
+        nonzero and varying in x, on a 2-D periodic, a 2-D dirichlet and a 1-D dirichlet mesh.
+        The field takes only sums and products, which IEEE arithmetic rounds the same way
+        on every platform."""
+        code = """
+import hashlib
+import numpy as np
+from greenlab import CoefficientField, Domain, Mesh, OperatorSpec, assemble
+
+BASE = np.array([[[[2.0, 0.3], [-0.3, 1.5]], [[0.2, 0.1], [0.05, 0.4]]],
+                 [[[0.1, -0.2], [0.3, 0.25]], [[1.8, 0.2], [-0.1, 2.2]]]])
+
+result = []
+for mode, n in (("periodic", 2), ("dirichlet", 2), ("dirichlet", 1)):
+    def cross(t, pts, n=n):
+        s = (pts[:, 0] * (1.0 - pts[:, 0]) + t)[:, None, None, None, None]
+        return BASE[:n, :n] * (1.0 + 0.1 * s)
+
+    domain = Domain((0.0,) * n, (1.0, 1.5)[:n], mode)
+    mesh = Mesh(domain, (16, 9)[:n], tau=2.0 ** -10, t0=0.0, steps=4)
+    coeffs = CoefficientField(n, 2, 0.5, 4.0, float("inf"), "cross", cross, x_dependent=True,
+                              time_dependent=True)
+    L = assemble(mesh, OperatorSpec(coeffs, domain), float(mesh.times[1]))
+    h = hashlib.sha256()
+    for arr in (L.data, L.indices, L.indptr):
+        h.update(arr.dtype.str.encode() + arr.tobytes())
+    result.append([type(L).__name__, h.hexdigest()[:16]])
+"""
+        got, loaded = _fresh(tmp_path, code, ("scipy.sparse",))
+        assert loaded == ["scipy.sparse"]  # by ``assemble`` itself
+        # recorded with greenlab's eager ``import scipy.sparse``, before it was deferred
+        digests = ("671ffcfd3fea943c", "f125f2086ae1a26c", "f06b0d5d6c29d1ec")
+        assert got == [["csr_matrix", digest] for digest in digests]
 
     def test_replaced_spla_sees_every_factorization(self, tmp_path):
         # a wrapper that replaces ``solver.spla`` and reads ``splu`` when it is

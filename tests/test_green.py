@@ -12,7 +12,7 @@ from greenlab import green, solver
 from greenlab import verify as V
 from greenlab.solver import ThetaScheme
 
-from conftest import spoiled
+from conftest import spoiled, step_matrix
 
 
 def fine_heat_setup(cells=128, extra=0):
@@ -177,8 +177,7 @@ class TestTransposeColumn:
 class TestPropagator:
     def test_one_step_heat_is_resolvent(self, mesh32, heat_spec):
         P = propagator(heat_spec, mesh32, 0.0, 1 / 512)
-        scheme = ThetaScheme(mesh32, heat_spec)
-        D = scheme.implicit_lu(1)[1].toarray()
+        D = step_matrix(mesh32, heat_spec, 1).toarray()
         assert np.allclose(P @ D, np.eye(32), rtol=0, atol=1e-12)
 
     def test_composition_and_rowsums(self, mesh32, periodic_1d):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,8 @@ from greenlab import cli, solver
 from greenlab.solver import ThetaScheme
 from greenlab.verify import _cylinder_energies, _face_cells
 
-from conftest import bundle_1d, plus_one, spoiled
+from conftest import (assert_stored_step_exact, bundle_1d, cell0_kernel, plus_one, spoiled,
+                      step_matrix)
 
 
 def dirichlet_energy(mesh, slc):
@@ -420,14 +422,14 @@ class TestSchemeContracts:
         scheme = ThetaScheme(mesh32, heat_spec)
         u = np.random.default_rng(0).standard_normal(32)
         x = scheme.solve_implicit(1, u)
-        D = scheme.implicit_lu(1)[1]
+        D = step_matrix(mesh32, heat_spec, 1)
         assert np.linalg.norm(D @ x - u) <= 1e-11 * np.linalg.norm(u)
 
     def test_time_dependent_matrices_fresh_per_step(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("t-oscillating", n=1, period=0.02), periodic_1d)
         scheme = ThetaScheme(mesh32, spec)
-        a = scheme.implicit_lu(1)[1].toarray()
-        b = scheme.implicit_lu(5)[1].toarray()
+        a = scheme.implicit_lu(1)[1].kernel()
+        b = scheme.implicit_lu(5)[1].kernel()
         assert not np.allclose(a, b)
 
 
@@ -528,7 +530,8 @@ class TestStepStore:
 
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
     def test_stored_matrices_own_exact_size_arrays(self, store, mode):
-        """The store charges a matrix its arrays' bytes, so no array may view a larger buffer."""
+        """The store charges a step its arrays' bytes, so no array may view a larger buffer:
+        a SuperLU step's CSC arrays, a Fourier step's inverse symbol and both stencils."""
         domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
         mesh = Mesh(domain, (16, 16), tau=2.0 ** -10, t0=0.0, steps=4)
         # the cross-derivative entries of I + tau*L are exact zeros, dropped from D
@@ -543,8 +546,10 @@ class TestStepStore:
 
         assert solver.cache_info().entries == 4
         for key, (value, _) in solver._STORE.entries.items():
-            D = value[1]
-            for arr in (D.data, D.indices, D.indptr):
+            lu, D = value
+            arrays = ((lu.inv, D.row, D.offsets, value.DT.row, value.DT.offsets)
+                      if mode == "periodic" else (D.data, D.indices, D.indptr))
+            for arr in arrays:
                 assert allocated(arr) == arr.nbytes, (key[1], arr.shape)
 
     def test_store_keeps_only_implicit_pairs(self, store, periodic_2d):
@@ -719,20 +724,12 @@ class TestStepLayer:
     @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
     def test_step_matrices_bitwise_equal_identity_plus_operator(self, store, field, mode,
                                                                  transposed):
-        """D, built from L's data, equals ``sp.identity(nn) + tau*L`` to the bit."""
+        """D, built from L's data, equals ``sp.identity(nn) + tau*L`` to the bit; on the
+        Fourier path, its stencil's kernel equals that matrix's columns at cell 0."""
         mesh, spec = _pattern_case(field, mode, transposed)
         scheme = ThetaScheme(mesh, spec)
-        eye = sp.identity(scheme.nn, format="csr")
         for m in (1, 3):
-            L = assemble(mesh, spec, float(mesh.times[m]))
-            lu, D = scheme.implicit_lu(m)
-            want = eye + mesh.tau * L
-            if not isinstance(lu, solver._FourierSolver):
-                want = want.tocsc()
-            assert type(D) is type(want)
-            for attr in ("data", "indices", "indptr"):
-                a, b = getattr(D, attr), getattr(want, attr)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+            assert_stored_step_exact(scheme.implicit_lu(m), step_matrix(mesh, spec, m))
 
     @pytest.mark.parametrize("entries", [(0, 1, 2, 3), (0, 3)])  # all, and the diagonal
     def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d, entries):
@@ -819,7 +816,8 @@ class TestBlockSolve:
 
         bad = spoiled(lu, 1)  # spoils the small second column
         monkeypatch.setattr(scheme, "implicit_lu", lambda m: solver._Implicit(bad, D))
-        mat = D if trans == "N" else D.T
+        ref = step_matrix(mesh, spec, 1)
+        mat = ref if trans == "N" else ref.T
         x = block.copy()
         x[:, 1] *= 1 + 1e-4
         # one norm over the whole block would not see the bad column
@@ -913,10 +911,13 @@ class TestFourierPath:
         domain, mesh = _fourier_mesh(coeffs.n)
         scheme = ThetaScheme(mesh, OperatorSpec(coeffs.transposed() if transposed else coeffs,
                                                 domain))
-        fourier, D = scheme.implicit_lu(2)
+        pair = scheme.implicit_lu(2)
+        fourier, stencil = pair
         assert isinstance(fourier, solver._FourierSolver)
-        # the store charges the inverse blocks and the arrays of D
-        assert solver.cache_info().bytes == fourier.nbytes + solver._csr_bytes(D)
+        # the store charges the inverse blocks and the stencils of D and D^T
+        assert solver.cache_info().bytes == fourier.nbytes + stencil.nbytes + pair.DT.nbytes
+        # SuperLU on D as the public ``assemble`` gathers it, a second build of the weights
+        D = step_matrix(mesh, scheme.spec, 2)
         lu = spla.splu(D.tocsc(), permc_spec="MMD_AT_PLUS_A")
         rhs = np.random.default_rng(9).standard_normal((scheme.nn, 3))
         for trans in ("N", "T"):
@@ -954,20 +955,20 @@ class TestFourierPath:
 
     @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
     def test_kernel_and_inverse_symbol(self, store, monkeypatch, field):
+        """The closed-form kernel is the cell-0 columns of I + tau*assemble(...), to the bit:
+        two builds of the stencil weights, one per face tensor of each axis and one gathered
+        from every face, must agree."""
         coeffs = FOURIER_FIELDS[field]()
         domain, mesh = _fourier_mesh(coeffs.n)
-        scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain))
-        D = scheme.implicit_lu(2)[1]
-        N, C = scheme.N, mesh.ncells
-        # reference: slice D's columns at cell 0 of each component
-        cols = D[:, np.arange(N) * C].toarray()
-        want = np.ascontiguousarray(cols.T.reshape(N, N, *mesh.cells).swapaxes(0, 1))
-        kernel = solver._FourierSolver.kernel(D, N, mesh.cells)
-        assert kernel.tobytes() == want.tobytes()
+        spec = OperatorSpec(coeffs, domain)
+        stencil = ThetaScheme(mesh, spec).implicit_lu(2)[1]
+        N = spec.coeffs.N
+        want = cell0_kernel(step_matrix(mesh, spec, 2), N, mesh.cells)
+        assert stencil.kernel().tobytes() == want.tobytes()
         inv = np.linalg.inv
         inverted = []
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
-        fourier = solver._FourierSolver(D, N, mesh.cells)
+        fourier = solver._FourierSolver(stencil)
         assert len(inverted) == (0 if N == 1 else 1)  # 1 x 1 blocks take a reciprocal
         rfft = np.fft.rfft if mesh.n == 1 else np.fft.rfft2
         ref = np.moveaxis(inv(np.moveaxis(rfft(want), (0, 1), (-2, -1))), (-2, -1), (0, 1))
@@ -976,16 +977,107 @@ class TestFourierPath:
         else:
             assert fourier.inv.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
+    def test_stencil_residual_matches_assembled_matrix(self, store, field):
+        """A Fourier step's residual, from shifted copies of the state, is
+        ``(I + tau*assemble) @ x - rhs`` to roundoff: "N" with D's stencil, "T" with
+        D^T's, on flat states and on blocks in both memory orders."""
+        coeffs = FOURIER_FIELDS[field]()
+        domain, mesh = _fourier_mesh(coeffs.n)
+        spec = OperatorSpec(coeffs, domain)
+        pair = ThetaScheme(mesh, spec).implicit_lu(2)
+        D = step_matrix(mesh, spec, 2)
+        rng = np.random.default_rng(17)
+        for stencil, mat in ((pair[1], D), (pair.DT, D.T)):
+            for shape, order in (((D.shape[0],), "C"), ((D.shape[0], 3), "C"),
+                                 ((D.shape[0], 3), "F")):
+                x = np.asarray(rng.standard_normal(shape), order=order)
+                rhs = rng.standard_normal(shape)
+                got, want = stencil.residual(x, rhs), mat @ x - rhs
+                scale = abs(mat) @ abs(x) + abs(rhs)
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), (field, shape, order)
+
+    def test_stencil_residual_of_a_wide_block_in_column_chunks(self, store, monkeypatch):
+        """A block whose stack of shifted copies would pass ``STACK_BYTES`` is checked a few
+        columns at a time, to the same residual, and the shared buffer stays within the
+        bound: a (nn, nn) propagator block on a 2-D mesh would otherwise stack 6 nn^2."""
+        domain, mesh = _fourier_mesh(2)
+        spec = OperatorSpec(make_preset("heat", n=2), domain)
+        column = 6 * mesh.ncells * 8  # the 5-point stencil's copies and rhs
+        monkeypatch.setattr(solver._Stencil, "STACK_BYTES", 2 * column)
+        monkeypatch.setattr(solver._Stencil, "_buffer", np.empty(0))
+        stencil = ThetaScheme(mesh, spec).implicit_lu(1)[1]
+        assert len(stencil.offsets) == 5
+        rng = np.random.default_rng(19)
+        x, rhs = (np.asfortranarray(rng.standard_normal((mesh.ncells, 5))) for _ in range(2))
+        D = step_matrix(mesh, spec, 1)
+        got = stencil.residual(x, rhs)
+        assert solver._Stencil._buffer.nbytes == 2 * column
+        assert np.all(np.abs(got - (D @ x - rhs)) <= 1e-15 * (abs(D) @ abs(x) + abs(rhs)))
+
+    @pytest.mark.parametrize("cells", [(2,), (3,), (2, 3), (3, 2), (2, 2), (3, 5)])
+    def test_stencil_residual_on_two_and_three_cell_axes(self, cells):
+        """On a 2-cell axis the offsets +1 and -1 shift to the same cell, on a 3-cell axis
+        each wrapped piece is one cell wide: the residual sums every block, as the
+        block-circulant matrix D[x + d, x] = blocks[d] built entry by entry does."""
+        N, C = 2, math.prod(cells)
+        rng = np.random.default_rng(18)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=len(cells))))
+        blocks = rng.standard_normal((len(offsets), N, N))
+        stencil = solver._Stencil(cells, offsets, blocks)
+        D = np.zeros((N * C, N * C))
+        for d, block in zip(offsets, blocks):
+            for y in itertools.product(*map(range, cells)):
+                x = np.ravel_multi_index(tuple((np.array(y) + d) % cells), cells)
+                y = np.ravel_multi_index(y, cells)
+                D[np.ix_(np.arange(N) * C + x, np.arange(N) * C + y)] += block
+        kernel = stencil.kernel()  # the cell-0 columns, with coinciding offsets summed
+        assert np.allclose(kernel, D[:, np.arange(N) * C].T.reshape(N, N, *cells).swapaxes(0, 1),
+                           rtol=0, atol=1e-15)
+        for st, mat in ((stencil, D), (stencil.T, D.T)):
+            for shape in ((N * C,), (N * C, 4)):
+                x, rhs = rng.standard_normal(shape), rng.standard_normal(shape)
+                got, want = st.residual(x, rhs), mat @ x - rhs
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-15 * (abs(mat) @ abs(x) + abs(rhs)))
+
     @pytest.mark.parametrize("n", [1, 2])
-    def test_fourier_path_on_x_dependent_field_fails_loudly(self, store, monkeypatch, n):
+    def test_fourier_path_needs_every_face_equal(self, store, n):
+        """A Fourier step reads one face tensor per axis, and its residual applies the
+        same stencil, so only the exact decision keeps an x-dependent field off the path:
+        one entry one ulp off at one face of any axis sends the step to SuperLU.  Built
+        from the first faces anyway, the step solves a different operator."""
         domain, mesh = _fourier_mesh(n)
-        real = solver._assemble
-        monkeypatch.setattr(solver, "_assemble", lambda *args: (*real(*args)[:2], True))
-        scheme = ThetaScheme(mesh, OperatorSpec(make_preset("x-oscillatory", n=n), domain))
-        assert isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver)
-        rhs = np.random.default_rng(11).standard_normal(scheme.nn)
-        with pytest.raises(SolverError, match="residual"):
+        coupled = _coupled(n, 2)
+        assert isinstance(ThetaScheme(mesh, OperatorSpec(coupled, domain)).implicit_lu(1)[0],
+                          solver._FourierSolver)
+        rng = np.random.default_rng(11)
+        rhs = rng.standard_normal(2 * mesh.ncells)
+        starts = np.cumsum([0] + [len(mesh.face_positions(a)[0]) for a in range(n)])
+        for a in range(n):
+            face = int(rng.integers(starts[a] + 1, starts[a + 1]))
+
+            def off_by_one_ulp(t, pts, _face=face, _a=a):
+                A = coupled.tensor_fn(t, pts)
+                A[_face, _a, _a, 1, 0] = np.nextafter(A[_face, _a, _a, 1, 0], np.inf)
+                return A
+
+            spec = OperatorSpec(CoefficientField(n, 2, 1.0, 10.0, math.inf, f"ulp-off-{a}",
+                                                 off_by_one_ulp), domain)
+            assert solver._assemble(mesh, spec, 0.0)[1] is None
+            scheme = ThetaScheme(mesh, spec)
+            assert not isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver)
             scheme.solve_implicit(1, rhs)
+        # the x-oscillatory field forced onto the path: the residual cannot tell
+        field = OperatorSpec(make_preset("x-oscillatory", n=n), domain)
+        A = solver._assemble(mesh, field, 0.0)[0]
+        forced = solver._Stencil.build(mesh, np.stack([B[0] for B in np.split(A, n)]),
+                                       mesh.tau)
+        b = rhs[:mesh.ncells]
+        x = solver._FourierSolver(forced).solve(b)[0]
+        assert np.linalg.norm(forced.residual(x, b)) <= 1e-13 * np.linalg.norm(b)
+        assert np.linalg.norm(step_matrix(mesh, field, 0) @ x - b) > 1e-3 * np.linalg.norm(b)
 
 
 MARCH_CASES = ["fourier", "fourier-1d", "dirichlet", "dirichlet-1d"]
@@ -1018,18 +1110,28 @@ class TestStoredTranspose:
         scheme = _march_scheme(case)
         pair = scheme.implicit_lu(1)
         D = pair[1]
-        # a view that shares D's arrays, so the store's byte charge is the pair's alone
-        assert all(np.shares_memory(getattr(D, a), getattr(pair.DT, a))
-                   for a in ("data", "indices", "indptr"))
-        assert solver.cache_info().bytes == solver._factor_bytes(pair)
         made = []
-        real = type(D).transpose
-        monkeypatch.setattr(type(D), "transpose", lambda *a, **k: made.append(1) or real(*a, **k))
+        if case.startswith("fourier"):
+            # D^T's stencil: the offsets negated and the blocks transposed
+            assert np.array_equal(pair.DT.offsets, -D.offsets)
+            assert np.array_equal(pair.DT.blocks, D.blocks.swapaxes(1, 2))
+            real = solver._Stencil.T
+            monkeypatch.setattr(solver._Stencil, "T",
+                                property(lambda self: made.append(1) or real.fget(self)))
+        else:
+            # a view that shares D's arrays, so the store's byte charge is the pair's alone
+            assert all(np.shares_memory(getattr(D, a), getattr(pair.DT, a))
+                       for a in ("data", "indices", "indptr"))
+            real = type(D).transpose
+            monkeypatch.setattr(type(D), "transpose",
+                                lambda *a, **k: made.append(1) or real(*a, **k))
+        assert solver.cache_info().bytes == solver._factor_bytes(pair)
         rhs = np.random.default_rng(4).standard_normal(scheme.nn)
         for _ in range(3):
             x = scheme.solve_implicit(1, rhs, trans="T")
         assert made == [] and scheme.implicit_lu(1).DT is pair.DT
-        assert np.linalg.norm(real(D) @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
+        ref = step_matrix(scheme.mesh, scheme.spec, 1).T
+        assert np.linalg.norm(ref @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
 
 
 class TestStreamingMarch:
@@ -1203,9 +1305,9 @@ class TestSpectrumCarry:
         x, G = rng.standard_normal(shape), rng.standard_normal(shape)
         calls = _count_forward_ffts(monkeypatch)
         self._run(scheme, x, None, direction)
-        assert len(calls) == 1  # the first step's rhs
-        # rfft on 1-D, rfft2 on 2-D: never rfftn, whose call overhead is 2 to 3 times theirs
-        assert calls[0][0] == ("rfft" if scheme.mesh.n == 1 else "rfft2")
+        # the first step's rhs, by ``rfft`` on 1-D and 2-D alike: never ``rfft2`` or
+        # ``rfftn``, which run the same per-axis transforms behind more argument handling
+        assert [name for name, _ in calls] == ["rfft"]
         del calls[:]
         self._run(scheme, x, G, direction)
         assert len(calls) == 3  # the first step and the two source steps

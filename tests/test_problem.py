@@ -151,6 +151,14 @@ class TestTableLoader:
         rep = validate_parabolicity(loaded, 8)
         assert rep.ok
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "coefficients.csv"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ConfigError, match=f"cannot read table {path}"):
+            load_table(path, 1.0, 1.0)
+
     def test_missing_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# 1 1 1 2\n0.0,0.0,1,1,1,1,1.0\n")

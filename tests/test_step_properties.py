@@ -16,15 +16,16 @@ import os
 import tempfile
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, assemble, load_table,
+from greenlab import (CoefficientField, Domain, Mesh, OperatorSpec, load_table,
                       validate_parabolicity)
 from greenlab import solver
 from greenlab import verify as V
 from greenlab.solver import ThetaScheme
+
+from conftest import assert_stored_step_exact, step_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=24, deadline=None, derandomize=True)
 
@@ -78,18 +79,12 @@ def cases(draw):
 
 
 def assert_step_matrices_exact(mesh, spec, steps):
-    """D of each step is ``sp.identity(nn) + tau*assemble(...)`` to the bit."""
+    """D of each step is ``sp.identity(nn) + tau*assemble(...)`` to the bit; a Fourier
+    step's stencil, built from one face tensor per axis, has that matrix's columns at
+    cell 0 as its kernel."""
     scheme = ThetaScheme(mesh, spec)
-    eye = sp.identity(scheme.nn, format="csr")
     for m in steps:
-        lu, D = scheme.implicit_lu(m)
-        want = eye + mesh.tau * assemble(mesh, spec, float(mesh.times[m]))
-        if not isinstance(lu, solver._FourierSolver):
-            want = want.tocsc()
-        assert type(D) is type(want)
-        for attr in ("data", "indices", "indptr"):
-            a, b = getattr(D, attr), getattr(want, attr)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (m, attr)
+        assert_stored_step_exact(scheme.implicit_lu(m), step_matrix(mesh, spec, m))
 
 
 @PROPERTY_SETTINGS
@@ -192,7 +187,8 @@ def test_entry_vanishing_in_one_slice_gives_two_stencils(tmp_path):
     write_table(path, tensors, (0.0, TABLE_T1), domain.lengths)
     mesh = Mesh(domain, (5, 4), tau=TABLE_TAU, t0=0.0, steps=5)
     spec = OperatorSpec(load_table(path, lam, Lam), domain)
-    entries = [solver._assemble(mesh, spec, float(t))[1] for t in mesh.times[1:]]
+    entries = [solver._gathered(mesh, 2, solver._assemble(mesh, spec, float(t))[0])[1]
+               for t in mesh.times[1:]]
     assert entries[0] == entries[1] != entries[2] == entries[4]
     assert set(entries[0]) < set(entries[2])
     assert_step_matrices_exact(mesh, spec, range(1, mesh.steps + 1))
