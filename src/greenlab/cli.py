@@ -22,6 +22,11 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
+# Every scenario draws check data from ``np.random.default_rng`` (adjoint,
+# oracle, interior-decay, local-boundedness), and ``import numpy`` leaves
+# ``numpy.random`` out: importing it here (about 17 ms and 6 MB) makes set-up
+# pay for it, not the first check that draws.
+import numpy.random  # noqa: F401
 
 from . import verify as V
 from .errors import ConfigError, SolverError
@@ -71,7 +76,8 @@ def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
 Frac = float | list[float]  # one box fraction for every axis, or one per axis
 
 _JSON_NAMES = {float: ("a number", "numbers"), int: ("an integer", "integers"),
-               bool: ("true or false", "booleans"), type(None): ("null", "nulls")}
+               bool: ("true or false", "booleans"), type(None): ("null", "nulls"),
+               str: ("a string", "strings"), dict: ("an object", "objects")}
 
 
 def _fits(value, kind) -> bool:
@@ -128,6 +134,11 @@ def load_scenario(path) -> dict:
     for key in ("name", "preset", "mesh", "checks"):
         if key not in sc:
             raise ConfigError(f"scenario is missing required key {key!r}")
+    for key, kind in _SCENARIO_KINDS.items():
+        if key in sc and not _fits(sc[key], kind):
+            raise ConfigError(f"{key} must be {_describe(kind)}, got {json.dumps(sc[key])}")
+    if sc.get("seed", 0) < 0:  # ``np.random.default_rng`` takes no negative seed
+        raise ConfigError(f"seed must be a non-negative integer, got {sc['seed']}")
     theta = sc.get("theta", 1)
     if isinstance(theta, bool) or theta != 1:
         raise ConfigError("theta must be 1 (implicit Euler is the only time scheme), "
@@ -148,7 +159,10 @@ def load_scenario(path) -> dict:
     return sc
 
 
-# the JSON type of each typed mesh key, in ``_fits``'s terms
+# the JSON type of each typed scenario key, in ``_fits``'s terms
+_SCENARIO_KINDS = {"name": str, "preset": dict, "mesh": dict, "checks": list[dict], "seed": int,
+                   "sweep": dict}
+# and of each typed mesh key
 _MESH_KINDS = {"cells": list[int], "box": list[list[float]], "tau": float, "steps": int,
                "t0": float}
 
@@ -186,6 +200,8 @@ def _check_params(chk: dict) -> None:
                               f"got {json.dumps(value)}")
         if value == []:  # the annotation allows a list here: it has to hold a value
             raise ConfigError(f"{name}: {key} must be a non-empty list")
+        if key == "seed" and value is not None and value < 0:
+            raise ConfigError(f"{name}: seed must be a non-negative integer or null, got {value}")
 
 
 def build_context(sc: dict) -> Context:
@@ -209,7 +225,7 @@ def build_context(sc: dict) -> Context:
                 float(mesh_cfg["tau"]), float(mesh_cfg.get("t0", 0.0)),
                 int(mesh_cfg["steps"]))
     spec = OperatorSpec(coeffs, domain)
-    _preload_linalg(mesh, spec, any(chk["name"] == "oracle" for chk in sc["checks"]))
+    _preload_linalg(mesh, spec)
     return Context(str(sc["name"]), spec, mesh, int(sc.get("seed", 0)))
 
 
@@ -539,6 +555,10 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
         if not sweep_cfg:
             raise ConfigError("scenario has no 'sweep' section (metric check/field)")
         _require_keys(sweep_cfg, {"check", "field"}, "sweep")
+        for key in ("check", "field"):
+            if not _fits(sweep_cfg.get(key), str):
+                raise ConfigError(f"sweep.{key} must be a string, "
+                                  f"got {json.dumps(sweep_cfg.get(key))}")
         metric_check = sweep_cfg["check"]
         metric_field = sweep_cfg["field"]
         chk_cfg = next((c for c in sc["checks"] if c["name"] == metric_check), None)

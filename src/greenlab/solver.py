@@ -50,13 +50,16 @@ values, never from a flag such as ``CoefficientField.x_dependent``:
 
 The CSR pattern of I + L depends on (mesh, N) and on the gathered entries.
 ``_stencil`` builds it once per (mesh, N, entries), with the positions of
-its diagonal and a sparse gather from the raveled face tensors to L's
-values on that pattern, and keeps the last eight.  ``_shifted`` scales the
-values, adds 1 on the diagonal and drops the exact zeros left (entries zero
-at some faces only, cancellation), which gives ``sp.identity(nn) + tau*L``
-to the bit.  The pattern left after dropping them is cached per stencil and
-zero mask by ``_pruned_pattern``: the steps of a run share one pattern and
-each stored matrix owns only its exact-size data.  The public ``assemble``
+its diagonal and a gather from the raveled face tensors to L's values on
+that pattern, and keeps the last eight.  The gather is numpy arrays
+(rows, sources, weights) applied by ``np.bincount``, which sums each row
+in the order of a CSR product, so it needs no ``scipy.sparse``.
+``_implicit_values`` scales the values and adds 1 on the diagonal;
+``_step_matrix`` drops the exact zeros left (entries zero at some faces
+only, cancellation), which gives ``sp.identity(nn) + tau*L`` to the bit.
+The pattern left after dropping them is cached per stencil and zero mask
+by ``_pruned_pattern``: the steps of a run share one pattern and each
+stored matrix owns only its exact-size data.  The public ``assemble``
 gathers every entry, so its pattern depends on (mesh, N) alone.
 
 One private time loop, the generator ``_stream``, runs every march,
@@ -118,17 +121,20 @@ KB charged at 1 536 unknowns, 1-D.  ``CACHE_BYTES`` caps the charge.  Past
 it the store evicts the least recently used entries, never the one just
 built.  ``cache_info`` reports its size.
 
-``dense_spacetime_oracle`` gathers each step's D afresh, independent of
-the store and of the Fourier stencil, stacks them into one sparse
-block-bidiagonal space-time system and solves it with ``spsolve``; the
-dense ``np.linalg.solve`` it replaced gave results that moved with the
-BLAS thread count.
+``dense_spacetime_oracle`` gathers each step's D afresh over every tensor
+entry, independent of the store, of the Fourier stencil and of SuperLU.
+The space-time system it solves is block lower-bidiagonal, so one direct
+solve is a block forward substitution: the steps are factorized together
+by band LU with partial pivoting, in an order that folds periodic axes so
+the wrap-around couplings stay in the band, and each step then solves in
+turn.  It uses elementwise numpy operations only, no BLAS call and no
+reduction, so its result does not move with the BLAS thread count.
 
-``scipy.sparse`` and ``scipy.sparse.linalg`` (``splu`` and ``spsolve``)
-load on first use: ``sp`` and ``spla`` are stand-ins that import their
-module on the first attribute lookup.  ``_stencil``, ``assemble``, the
-SuperLU steps and the oracle use them; a periodic run that solves only by
-Fourier, 1-D or 2-D, loads neither, nor the ``scipy.linalg`` that the
+``scipy.sparse`` and ``scipy.sparse.linalg`` (``splu``) load on first
+use: ``sp`` and ``spla`` are stand-ins that import their module on the
+first attribute lookup.  ``assemble`` and the SuperLU steps use them; a
+periodic run on an x-independent field, 1-D or 2-D, solves by Fourier and
+its oracle by numpy, and loads neither, nor the ``scipy.linalg`` that the
 second pulls in: ``import greenlab.cli`` costs 31 MB of RSS and 0.11 s
 where the eager ``import scipy.sparse`` made it 52 MB and 0.25 s (medians
 of 5 fresh processes under a 128 KiB mmap threshold).  A run that will use
@@ -181,9 +187,12 @@ def _stencil(mesh: Mesh, N: int, entries: tuple):
     """(gather, indices, indptr, diag) of the tensor entries ``entries`` on one mesh.
 
     ``indices`` and ``indptr`` are the CSR pattern of I + L, which holds the
-    diagonal and the positions that ``entries`` reach; L(t)'s values on it
-    are ``gather @ A.ravel()``, where A is ``tensor(t, mesh.face_points)``,
-    and ``diag`` holds the positions of the diagonal.  ``entries`` are flat
+    diagonal and the positions that ``entries`` reach, and ``diag`` holds
+    the positions of the diagonal.  ``gather`` is (rows, src, weights): L(t)'s
+    values on the pattern sum ``weights * A.ravel()[src]`` by ``rows``
+    (``_gathered``), where A is ``tensor(t, mesh.face_points)``; each row's
+    terms are in CSR order, so the sums are those of the CSR product
+    ``gather @ A.ravel()`` to the bit.  ``entries`` are flat
     indices (a * n + b) * N * N + i * N + j into a face tensor, increasing,
     and the gather reads only them.  The dirichlet projection is already
     applied: the pinned rows of L are empty, so their diagonals are gather
@@ -259,12 +268,12 @@ def _stencil(mesh: Mesh, N: int, entries: tuple):
         keys = np.insert(keys, at, diag[missing])
         starts = np.insert(starts, at, starts[at])  # empty gather rows
     diag = np.searchsorted(keys, diag)
-    gather = sp.csr_matrix((data, src, starts), shape=(len(keys), offset))
+    rows = np.repeat(np.arange(len(keys), dtype=itype), np.diff(starts))
     indices = (keys % nn).astype(np.int32)
     indptr = np.searchsorted(keys, nn * np.arange(nn + 1)).astype(np.int32)
-    for arr in (indices, indptr, diag):
+    for arr in (rows, src, data, indices, indptr, diag):
         arr.flags.writeable = False  # shared by every assembly on this stencil
-    return gather, indices, indptr, diag
+    return (rows, src, data), indices, indptr, diag
 
 
 @lru_cache(maxsize=8)
@@ -282,25 +291,6 @@ def _pruned_pattern(mesh: Mesh, N: int, entries: tuple, bits: bytes):
     for arr in pattern:
         arr.flags.writeable = False
     return (nz, *pattern)
-
-
-def _shifted(mesh: Mesh, N: int, entries: tuple, data: np.ndarray, c: float) -> sp.csr_matrix:
-    """I + c*L as a CSR matrix, from L's values ``data`` on the pattern of ``_stencil(mesh, N, entries)``.
-
-    Scales ``data`` in place and adds 1 on the diagonal, which gives
-    ``sp.identity(nn, format="csr") + c*L`` to the bit once exact zeros are
-    dropped.  The data is an exact-size array; the pattern arrays are the
-    cached ones of this stencil.
-    """
-    _, indices, indptr, diag = _stencil(mesh, N, entries)
-    data *= c
-    data[diag] += 1.0
-    keep = data != 0
-    if not keep.all():
-        nz, indices, indptr = _pruned_pattern(mesh, N, entries, np.packbits(keep).tobytes())
-        data = data[nz]
-    nn = len(indptr) - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
 
 
 def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
@@ -338,27 +328,54 @@ def _gathered(mesh: Mesh, N: int, A: np.ndarray, entries: tuple | None = None):
         used = (flat != 0).T.copy().any(axis=1)
         # a field that is zero everywhere keeps one entry, so L has a pattern
         entries = tuple(np.flatnonzero(used).tolist()) or (0,)
-    return _stencil(mesh, N, entries)[0] @ flat.ravel(), entries
+    (rows, src, weights), indices, _, _ = _stencil(mesh, N, entries)
+    # bincount adds each row's terms in order, from 0, as the CSR product does
+    values = np.bincount(rows, weights=weights * flat.ravel()[src], minlength=len(indices))
+    return values, entries
+
+
+def _implicit_values(mesh: Mesh, N: int, A: np.ndarray, entries: tuple | None = None):
+    """(values, entries): D = I + tau*L on ``_stencil(mesh, N, entries)``'s pattern, exact zeros kept.
+
+    L's values are gathered from the face tensors A by ``_gathered``
+    (``entries`` None picks the nonzero ones); scaled by tau, with 1 added
+    on the diagonal, they give ``sp.identity(nn) + tau*L`` to the bit once
+    exact zeros are dropped.
+    """
+    values, entries = _gathered(mesh, N, A, entries)
+    values *= mesh.tau
+    values[_stencil(mesh, N, entries)[3]] += 1.0
+    return values, entries
 
 
 def _step_matrix(mesh: Mesh, N: int, A: np.ndarray) -> sp.csr_matrix:
-    """D = I + tau*L as a CSR matrix, gathered from the face tensors A over their nonzero entries."""
-    values, entries = _gathered(mesh, N, A)
-    return _shifted(mesh, N, entries, values, mesh.tau)
+    """D = I + tau*L as a CSR matrix, gathered from the face tensors A over their nonzero entries.
+
+    The exact zeros left (entries zero at some faces only, cancellation) are
+    dropped; the data is an exact-size array and the pattern arrays are the
+    cached ones of the stencil or of ``_pruned_pattern``.
+    """
+    data, entries = _implicit_values(mesh, N, A)
+    _, indices, indptr, _ = _stencil(mesh, N, entries)
+    keep = data != 0
+    if not keep.all():
+        nz, indices, indptr = _pruned_pattern(mesh, N, entries, np.packbits(keep).tobytes())
+        data = data[nz]
+    nn = len(indptr) - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
 
 
-def _preload_linalg(mesh: Mesh, spec: OperatorSpec, oracle: bool) -> None:
+def _preload_linalg(mesh: Mesh, spec: OperatorSpec) -> None:
     """Import ``scipy.sparse.linalg`` (and so ``scipy.sparse``) now when a run on (mesh, spec) will use it.
 
-    It is, when the run lists the space-time oracle (``spsolve``) or when
-    ``_assemble`` will send the implicit matrices to SuperLU: sure to on a
-    dirichlet mesh, and nearly sure to for an x-dependent field (every table
-    is one).  A periodic run on an x-independent field solves by Fourier in
-    1-D and 2-D alike and builds no sparse matrix, so it loads neither
-    module unless it lists an oracle.  The guess only moves the import into
+    It is, when ``_assemble`` will send the implicit matrices to SuperLU:
+    sure to on a dirichlet mesh, and nearly sure to for an x-dependent field
+    (every table is one).  A periodic run on an x-independent field solves
+    by Fourier in 1-D and 2-D alike, and its space-time oracle by numpy
+    alone, so it loads neither module.  The guess only moves the import into
     set-up; a wrong one costs time, never correctness.
     """
-    if oracle or not mesh.periodic or spec.coeffs.x_dependent:
+    if not mesh.periodic or spec.coeffs.x_dependent:
         import scipy.sparse.linalg  # noqa: F401
 
 
@@ -513,7 +530,7 @@ class _Stencil:
         """D = I + tau*L from the face tensor of each axis (``_assemble``'s ``faces``).
 
         Its blocks are L's kernel summed in the gather's order, scaled by tau
-        with 1 added on the diagonal, as ``_shifted`` makes D's entries: the
+        with 1 added on the diagonal, as ``_implicit_values`` makes D's entries: the
         cell-0 columns of ``sp.identity(nn) + tau*assemble(...)``, to the bit.
         """
         offsets, ranks = _kernel_terms(mesh)
@@ -934,42 +951,141 @@ def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float) -> 
 ORACLE_CAP = 20_000
 
 
+def _band_order(mesh: Mesh, N: int) -> np.ndarray:
+    """The oracle's elimination order: ``order[p]`` is the flat unknown at band position p.
+
+    Cell by cell, the N components innermost, the axis with the fewest cells
+    varying fastest.  A periodic axis is folded to 0, C-1, 1, C-2, ..., which
+    puts the wrap-around neighbours next to each other and every neighbour
+    at most two places away, so D's couplings lie within about 3N positions
+    of the diagonal in 1-D and N (2 C_fast + 3) in 2-D.
+    """
+    strides = np.cumprod((1, *mesh.cells[:0:-1]))[::-1]  # of the flat cell index
+    cells = np.zeros(1, dtype=np.int64)
+    for a in sorted(range(mesh.n), key=lambda a: -mesh.cells[a]):
+        C = mesh.cells[a]
+        line = np.arange(C)
+        if mesh.periodic:
+            line = np.stack([line, C - 1 - line], axis=1).ravel()[:C]
+        cells = (cells[:, None] + strides[a] * line).ravel()
+    return (cells[:, None] + mesh.ncells * np.arange(N)).ravel()
+
+
+def _band_factor(band: np.ndarray, kl: int, u: int) -> np.ndarray:
+    """LU-factorize K band matrices at once, in place, with partial pivoting; returns the pivots.
+
+    ``band[k, j, u + i - j]`` is entry (i, j) of matrix k, for n columns j
+    followed by u zero ones that keep every window inside the array; kl is
+    the lower width and u >= kl the upper width of U, which row swaps widen
+    to the matrix's upper width plus kl.  As in LAPACK's ``gbtrf``, column
+    j's multipliers overwrite its entries below the diagonal, and a swap
+    moves only the entries from column j on.  ``pivots[k, j]`` is the offset
+    t of the row j + t swapped with row j.  A step is a few elementwise
+    operations over a strided window of all K matrices, with one scratch
+    array for the update; a zero pivot raises SolverError.
+    """
+    K, cols, R = band.shape
+    flat = band.reshape(K, -1)
+    ks = np.arange(K)
+    pivots = np.empty((K, cols - u), dtype=np.intp)
+    update = np.empty((K, u, kl))
+    for j in range(cols - u):
+        # V[k, c, t] is entry (j + t, j + c): column j at c = 0, row j at t = 0
+        start = j * R + u
+        V = flat[:, start:start + (u + 1) * (R - 1)].reshape(K, u + 1, R - 1)[:, :, :kl + 1]
+        t = np.abs(V[:, 0]).argmax(axis=1)
+        pivots[:, j] = t
+        row = V[ks, :, t]
+        if not row[:, 0].all():
+            raise SolverError(f"the space-time oracle met a singular step matrix at column {j}")
+        V[ks, :, t] = V[:, :, 0]
+        V[:, :, 0] = row
+        V[:, 0, 1:] /= row[:, :1]
+        # the update reaches only the columns that some pivot row reaches, at
+        # most the upper width while no row is swapped, and goes through the
+        # scratch array: ``V[:, 1:, 1:] -= ...`` made numpy copy the window
+        # first, 1 MB per column on a 64 x 64 mesh
+        w = 1 + int(np.flatnonzero(row.any(axis=0))[-1])
+        scratch = update[:, :w - 1]
+        np.multiply(V[:, 1:w, :1], V[:, :1, 1:], out=scratch)
+        np.subtract(V[:, 1:w, 1:], scratch, out=scratch)
+        V[:, 1:w, 1:] = scratch
+    return pivots
+
+
+def _band_solve(band: np.ndarray, pivots: np.ndarray, kl: int, u: int,
+                b: np.ndarray) -> np.ndarray:
+    """Solve with one matrix that ``_band_factor`` factorized: its band and pivots, rhs b.
+
+    Forward through the row swaps and multipliers, then back through U, a
+    column at a time, so every step is an elementwise update of a few
+    entries and no sum is reduced.
+    """
+    n = len(b)
+    x = np.zeros(u + n + kl)  # the zeros around b take the updates beyond its ends
+    x[u:u + n] = b
+    lower, upper = band[:n, u + 1:], band[:n, :u + 1]
+    for j, t in enumerate(pivots.tolist()):
+        i = u + j
+        if t:
+            x[i], x[i + t] = x[i + t], x[i]
+        x[i + 1:i + kl + 1] -= lower[j] * x[i]
+    for j in range(n - 1, -1, -1):
+        i = u + j
+        x[i] /= upper[j, u]
+        x[i - u:i] -= upper[j, :u] * x[i]
+    return x[u:u + n]
+
+
 def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
                            T: float) -> Trajectory:
-    """Brute-force reference: one sparse direct solve of the stacked implicit Euler steps.
+    """Brute-force reference: one direct solve of the stacked implicit Euler steps, in numpy alone.
 
-    Stacks each step's implicit matrix D, gathered afresh by
-    ``_step_matrix`` and so independent of the step store and of the
-    Fourier stencil, on the block diagonal and -I below it, the
-    block-bidiagonal space-time system over all unknown slices, and solves
-    it with ``spsolve``; only meant as a test oracle, capped at ORACLE_CAP
-    space-time unknowns.
+    The space-time system over all unknown slices holds each step's D on
+    its block diagonal and -I below it.  It is block lower-bidiagonal, so
+    its direct solve is a block forward substitution, x_k = D_k^{-1}
+    (x_{k-1} + tau*g_k), with each D_k gathered afresh by
+    ``_implicit_values`` over every tensor entry: independent of the step
+    store, of the Fourier stencil and of SuperLU.  The steps share one
+    pattern, put in ``_band_order``, and are factorized together by band LU
+    with partial pivoting (``_band_factor``); each then solves on its own
+    (``_band_solve``).  No step calls BLAS or reduces a sum, so the result
+    does not depend on the BLAS thread count.
+    With lower width kl and upper width ku, the factors of K steps of nn
+    unknowns take 8 K (nn + kl + ku) (2 kl + ku + 1) bytes, about 8 bytes x
+    ORACLE_CAP x (2 kl + ku + 1) at most.  Only meant as a test oracle,
+    capped at ORACLE_CAP space-time unknowns.
     """
     scheme = ThetaScheme(mesh, spec)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
     _check_window(i0, i1)
     K = i1 - i0
-    nn = scheme.nn
+    N, nn = scheme.N, scheme.nn
     if K * nn > ORACLE_CAP:
         raise ConfigError(f"oracle size {K * nn} exceeds cap {ORACLE_CAP}")
     src = _slab_source_fn(scheme, f)
-    u0 = project_slice(mesh, _as_slice(mesh, scheme.N, g)).ravel()
+    u0 = project_slice(mesh, _as_slice(mesh, N, g)).ravel()
 
-    blocks = [[None] * K for _ in range(K)]
-    minus_eye = -sp.identity(nn, format="csr")
-    rhs = np.zeros(K * nn)
-    rhs[:nn] = u0
+    entries = tuple(range(mesh.n * mesh.n * N * N))  # one pattern for every step
+    _, indices, indptr, _ = _stencil(mesh, N, entries)
+    order = _band_order(mesh, N)
+    pos = np.empty(nn, dtype=np.int64)
+    pos[order] = np.arange(nn)
+    rows, cols = pos[np.repeat(np.arange(nn), np.diff(indptr))], pos[indices]
+    kl = max(int(np.max(rows - cols)), 1)
+    u = kl + int(np.max(cols - rows))
+    band = np.zeros((K, nn + u, u + kl + 1))
     for k in range(K):
-        m = i0 + k
-        A = _assemble(mesh, spec, float(mesh.times[m + 1]))[0]
-        blocks[k][k] = _step_matrix(mesh, scheme.N, A)
-        if k > 0:
-            blocks[k][k - 1] = minus_eye
-        gm = src(m)
-        if gm is not None:
-            rhs[k * nn:(k + 1) * nn] += mesh.tau * gm
-    sol = spla.spsolve(sp.bmat(blocks, format="csc"), rhs)
-    out = np.empty((K + 1, scheme.N, mesh.ncells))
-    out[0] = u0.reshape(scheme.N, -1)
-    out[1:] = sol.reshape(K, scheme.N, mesh.ncells)
+        A = _assemble(mesh, spec, float(mesh.times[i0 + k + 1]))[0]
+        band[k, cols, u + rows - cols] = _implicit_values(mesh, N, A, entries)[0]
+    pivots = _band_factor(band, kl, u)
+
+    out = np.empty((K + 1, N, mesh.ncells))
+    out[0] = u0.reshape(N, -1)
+    x = u0
+    for k in range(K):
+        gm = src(i0 + k)
+        b = x if gm is None else x + mesh.tau * gm
+        x = out[k + 1].reshape(nn)  # a view: the solution lands in place
+        x[order] = _band_solve(band[k], pivots[k], kl, u, b[order])
     return Trajectory(mesh, i0, out)

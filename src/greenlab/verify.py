@@ -19,7 +19,7 @@ from .green import (_green_block, _rho_ladder, averaged_green_column,
                     extrapolated_green_column, green_block_columns, propagator,
                     wrapped_heat_kernel)
 from .mesh import Mesh, _positions_in
-from .problem import OperatorSpec
+from .problem import OperatorSpec, _sorted_unique
 from .solver import (ThetaScheme, _Keep, _march, _solve, _stream, dense_spacetime_oracle,
                      project_slice, solve_forward)
 
@@ -130,7 +130,7 @@ def _block_averages(spec: OperatorSpec, mesh: Mesh, wants, horizon: float,
     for members in groups.values():
         P, r = wants[members[0][0]][:2]
         slices = sorted(set().union(*(idx for _, idx, _ in members)))
-        cells = np.unique(np.concatenate([ball for _, _, ball in members]))
+        cells = _sorted_unique(np.concatenate([ball for _, _, ball in members]))
         _, block = _green_block(spec, mesh, P, range(1, N + 1), r, horizon, direction,
                                 _Keep.on_cells(mesh, N, slices, cells))
         for i, idx, ball in members:
@@ -568,7 +568,7 @@ def _face_cells(mesh: Mesh, X0, radius: float) -> np.ndarray:
         _, left, right = mesh.face_positions(ax)
         inside = _face_distances(mesh, ax, X0) < radius
         sides += [left[inside], right[inside]]
-    return np.unique(np.concatenate(sides))
+    return _sorted_unique(np.concatenate(sides))
 
 
 ENERGY_CHUNK = 16  # slices per partial sum of the cylinder energies

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,9 @@ import greenlab
 from greenlab import cli
 
 SCEN = resources.files("greenlab") / "scenarios"
+
+
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def scenario_path(name):
@@ -148,6 +153,7 @@ def test_empty_or_short_list_parameter_exit_2(tmp_path, capsys, check, key, valu
     ("duality", "y_fracs", ["a"], "a list of numbers or lists of numbers or nulls"),
     ("semigroup", "tolerance", "1e-12", "a number"),
     ("oracle", "seed", 1.5, "an integer or null"),
+    ("adjoint", "seed", -1, "a non-negative integer or null"),
     ("weak-levels", "gradient", 1, "true or false"),
 ])
 def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value, want):
@@ -163,25 +169,38 @@ def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value
 
 
 @pytest.mark.parametrize("key, value, want", [
-    ("steps", 8.7, "mesh.steps must be an integer, got 8.7"),  # it ran 8 steps
-    ("steps", True, "mesh.steps must be an integer, got true"),
-    ("cells", ["a"], 'mesh.cells must be a list of integers, got ["a"]'),
-    ("cells", [64.0], "mesh.cells must be a list of integers, got [64.0]"),
-    ("cells", 64, "mesh.cells must be a list of integers, got 64"),
-    ("cells", [], "mesh.cells must be a list of integers, got []"),
-    ("tau", math.nan, "mesh.tau must be finite, got NaN"),
-    ("tau", "0.1", 'mesh.tau must be a number, got "0.1"'),
-    ("tau", 1e308, "mesh.tau must keep the last time t0 + tau*steps finite, got 1e+308"),
-    ("t0", math.inf, "mesh.t0 must be finite, got Infinity"),
-    ("box", [[0.0, math.nan]], "mesh.box must be finite, got [[0.0, NaN]]"),
-    ("box", [[0, "x"]], 'mesh.box must be a list of lists of numbers, got [[0, "x"]]'),
-    ("box", [0, 1], "mesh.box must be a list of lists of numbers, got [0, 1]"),
-    ("box", [[0.0, 0.5, 1.0]], "mesh.box must hold one [lo, hi] pair per axis"),
+    ("mesh.steps", 8.7, "mesh.steps must be an integer, got 8.7"),  # it ran 8 steps
+    ("mesh.steps", True, "mesh.steps must be an integer, got true"),
+    ("mesh.cells", ["a"], 'mesh.cells must be a list of integers, got ["a"]'),
+    ("mesh.cells", [64.0], "mesh.cells must be a list of integers, got [64.0]"),
+    ("mesh.cells", 64, "mesh.cells must be a list of integers, got 64"),
+    ("mesh.cells", [], "mesh.cells must be a list of integers, got []"),
+    ("mesh.tau", math.nan, "mesh.tau must be finite, got NaN"),
+    ("mesh.tau", "0.1", 'mesh.tau must be a number, got "0.1"'),
+    ("mesh.tau", 1e308, "mesh.tau must keep the last time t0 + tau*steps finite, got 1e+308"),
+    ("mesh.t0", math.inf, "mesh.t0 must be finite, got Infinity"),
+    ("mesh.box", [[0.0, math.nan]], "mesh.box must be finite, got [[0.0, NaN]]"),
+    ("mesh.box", [[0, "x"]], 'mesh.box must be a list of lists of numbers, got [[0, "x"]]'),
+    ("mesh.box", [0, 1], "mesh.box must be a list of lists of numbers, got [0, 1]"),
+    ("mesh.box", [[0.0, 0.5, 1.0]], "mesh.box must hold one [lo, hi] pair per axis"),
+    ("seed", "a", 'seed must be an integer, got "a"'),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),  # it ran with seed 1
+    ("checks", {"name": "adjoint"}, 'checks must be a list of objects, got {"name": "adjoint"}'),
+    ("checks", ["adjoint"], 'checks must be a list of objects, got ["adjoint"]'),
+    ("preset", [1], "preset must be an object, got [1]"),
+    ("mesh", [1], "mesh must be an object, got [1]"),
+    ("name", {"a": 1}, 'name must be a string, got {"a": 1}'),  # it ran, named "{'a': 1}"
+    ("sweep", 5, "sweep must be an object, got 5"),
 ])
-def test_malformed_mesh_key_exit_2(tmp_path, capsys, key, value, want):
-    # a mesh value of the wrong type or a non-finite one is a bad scenario, named by its key
+def test_malformed_scenario_key_exit_2(tmp_path, capsys, key, value, want):
+    # a value of the wrong type, out of range or non-finite is a bad scenario, named by its key
     sc = json.loads((SCEN / "heat-1d-core.json").read_text())
-    sc["mesh"][key] = value
+    *parents, last = key.split(".")
+    obj = sc
+    for part in parents:
+        obj = obj[part]
+    obj[last] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(sc))
     assert cli.run(str(p), out_dir=tmp_path / "out") == 2
@@ -303,15 +322,26 @@ class TestDeferredLinalg:
         code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
         assert _fresh(tmp_path, code, UNUSED) == [0, []]
 
-    @pytest.mark.parametrize("case", ["heat-1d-core", "dirichlet", "oracle", "x-oscillatory",
-                                      "table"])
+    @pytest.mark.parametrize("case", ["heat-1d-core", "rotating-2x2", "columns-rotating-1d"])
+    def test_oracle_run_loads_no_linalg(self, tmp_path, case):
+        # periodic and x-independent, with an oracle: the space-time oracle solves by numpy
+        # alone, and no run needs ``numpy.ma``
+        if case == "columns-rotating-1d":
+            spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+            bench = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(bench)
+            sc = bench.make_scenario(case, 1)
+        else:
+            sc = json.loads((SCEN / f"{case}.json").read_text())
+        assert any(chk["name"] == "oracle" for chk in sc["checks"])
+        (tmp_path / "sc.json").write_text(json.dumps(sc))
+        code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
+        assert _fresh(tmp_path, code, LINALG + ("numpy.ma",)) == [0, []]
+
+    @pytest.mark.parametrize("case", ["dirichlet", "x-oscillatory", "table"])
     def test_set_up_imports_what_the_run_will_use(self, tmp_path, case):
-        if case == "heat-1d-core":
-            sc = json.loads((SCEN / "heat-1d-core.json").read_text())
-        elif case == "dirichlet":
+        if case == "dirichlet":
             sc = _heat_2d(mesh=dict(_heat_2d()["mesh"], boundary="dirichlet"))
-        elif case == "oracle":
-            sc = _heat_2d(checks=[{"name": "oracle", "t_step": 4}])
         elif case == "table":  # constant in x and t, yet every table is x-dependent
             rows = [f"0.0,{x},{y},{a},{b},1,1,{float(a == b)}" for x in (0.0, 1.0)
                     for y in (0.0, 1.0) for a in (1, 2) for b in (1, 2)]
@@ -451,6 +481,21 @@ class TestSweep:
         p.write_text(json.dumps(sc))
         assert cli.sweep(str(p), "rho", [8, 4], out_dir=tmp_path / "sw") == 2
         assert "rho_cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("field", [1], "sweep.field must be a string, got [1]"),
+        ("check", None, "sweep.check must be a string, got null"),
+    ])
+    def test_malformed_sweep_section_exit_2(self, tmp_path, capsys, key, value, want):
+        sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
+        if value is None:
+            del sc["sweep"][key]
+        else:
+            sc["sweep"][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(sc))
+        assert cli.sweep(str(p), "rho", [8, 6], out_dir=tmp_path / "out") == 2
+        assert want in capsys.readouterr().err
 
     def test_single_value_no_fit(self, tmp_path):
         code = cli.sweep(scenario_path("heat-1d-sweep.json"), "h", [1 / 64],

@@ -188,6 +188,21 @@ class TestAssemble:
         assert row[6] == pytest.approx(-1 / h2)
         assert np.count_nonzero(row) == 3
 
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("n, N", [(1, 1), (1, 3), (2, 1), (2, 2)])
+    def test_gather_sums_rows_as_the_csr_product(self, mode, n, N):
+        """``_gathered`` applies the stencil's gather with ``np.bincount``: bit for bit the
+        CSR product of the same gather, on random face tensors with every entry nonzero."""
+        domain = Domain((0.0,) * n, (1.0,) * n, mode)
+        mesh = Mesh(domain, (9, 6)[:n], tau=2.0 ** -8, t0=0.0, steps=2)
+        A = np.random.default_rng(N).standard_normal((len(mesh.face_points), n, n, N, N))
+        entries = tuple(range(n * n * N * N))
+        (rows, src, weights), indices, _, _ = solver._stencil(mesh, N, entries)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(indices)))])
+        gather = sp.csr_matrix((weights, src, indptr), shape=(len(indices), A.size))
+        values, _ = solver._gathered(mesh, N, A, entries)
+        assert values.tobytes() == (gather @ A.ravel()).tobytes()
+
     def test_constant_scale_linearity(self, mesh32, periodic_1d):
         c = 3.5
         spec_c = OperatorSpec(make_preset("diag", values=(c,)), periodic_1d)
@@ -347,6 +362,49 @@ class TestSolveForward:
             den = float(np.max(np.abs(b.values)))
             assert num / den < 1e-9
 
+    @pytest.mark.parametrize("x_dependent", [True, False])
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("cells", [(17,), (9, 7)])
+    def test_oracle_matches_march_without_scipy(self, monkeypatch, mode, cells, x_dependent):
+        """The space-time oracle reaches neither ``scipy.sparse`` nor ``scipy.sparse.linalg``
+        and matches the march at 1e-9: odd cell counts in 1-D and 2-D, periodic and
+        dirichlet, an N = 3 field that couples its components and varies in t, and in x or
+        not (a periodic march then solves by Fourier from the closed-form kernel, while
+        the oracle gathers D)."""
+        n = len(cells)
+        domain = Domain((0.0,) * n, (1.0,) * n, mode)
+        mesh = Mesh(domain, cells, tau=2.0 ** -8, t0=0.0, steps=6)
+        base = np.zeros((n, n, 3, 3))
+        for a in range(n):
+            base[a, a] = np.eye(3) + 0.2 * np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+        if n == 2:
+            base[0, 1] = base[1, 0] = 0.1 * np.eye(3)
+
+        def fn(t, pts):
+            s = 1.0 + 0.3 * x_dependent * np.sin(2 * np.pi * pts[:, 0]) + t
+            return base * s[:, None, None, None, None]
+
+        spec = OperatorSpec(CoefficientField(n, 3, 0.5, 4.0, math.inf, "coupled-3", fn,
+                                             x_dependent=x_dependent, time_dependent=True),
+                            domain)
+        g = np.random.default_rng(5).standard_normal((3, mesh.ncells))
+
+        def f(t):
+            return np.cos(12 * t) * np.tile(mesh.centers[:, 0], (3, 1))
+
+        T = float(mesh.times[-1])
+        marched = solve_forward(spec, mesh, g, f, 0.0, T)  # SuperLU may need scipy: first
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the oracle reached scipy for {name!r}")
+
+        monkeypatch.setattr(solver, "sp", Unreachable())
+        monkeypatch.setattr(solver, "spla", Unreachable())
+        oracle = dense_spacetime_oracle(spec, mesh, g, f, 0.0, T)
+        num = float(np.max(np.abs(marched.values - oracle.values)))
+        assert num <= 1e-9 * float(np.max(np.abs(oracle.values)))
+
     def test_oracle_one_step_equals_step_forward(self, mesh32, heat_spec):
         g = np.random.default_rng(0).standard_normal((1, 32))
         one = dense_spacetime_oracle(heat_spec, mesh32, g, None, 0.0, 1 / 512)
@@ -358,6 +416,40 @@ class TestSolveForward:
         spec = OperatorSpec(make_preset("heat", n=1), periodic_1d)
         with pytest.raises(ConfigError):
             dense_spacetime_oracle(spec, mesh, None, None, 0.0, 400e-4)
+
+
+class TestBandLU:
+    """The space-time oracle's band LU against dense matrices it has to pivot on."""
+
+    @staticmethod
+    def banded(rng, K, n, kl, ku):
+        """K random (n, n) matrices of lower width kl and upper width ku, with a small
+        diagonal, dense and in ``_band_factor``'s storage."""
+        u = kl + ku
+        i, j = np.nonzero(np.tri(n, n, ku) - np.tri(n, n, -kl - 1))
+        dense = np.zeros((K, n, n))
+        dense[:, i, j] = rng.standard_normal((K, len(i)))
+        dense[:, np.arange(n), np.arange(n)] *= 1e-3  # partial pivoting has to swap rows
+        band = np.zeros((K, n + u, u + kl + 1))
+        band[:, j, u + i - j] = dense[:, i, j]
+        return dense, band
+
+    @pytest.mark.parametrize("kl, ku", [(1, 1), (2, 3), (4, 1)])
+    def test_solves_like_a_dense_solve(self, kl, ku):
+        rng = np.random.default_rng(10 * kl + ku)
+        dense, band = self.banded(rng, 3, 13, kl, ku)
+        pivots = solver._band_factor(band, kl, kl + ku)
+        assert pivots.any()
+        for k in range(3):
+            b = rng.standard_normal(13)
+            x = solver._band_solve(band[k], pivots[k], kl, kl + ku, b)
+            assert np.allclose(x, np.linalg.solve(dense[k], b), rtol=1e-10, atol=0)
+
+    def test_singular_matrix_raises(self):
+        dense, band = self.banded(np.random.default_rng(0), 2, 8, 2, 2)
+        band[1, 3] = 0.0  # column 3 of the second matrix
+        with pytest.raises(SolverError, match="singular"):
+            solver._band_factor(band, 2, 4)
 
 
 class TestSolveBackward:
@@ -738,12 +830,11 @@ class TestStepLayer:
             mesh.face_positions(a)  # the mesh's own geometry, built before the stencil
         tracemalloc.start()
         try:
-            gather, indices, indptr, _ = solver._stencil.__wrapped__(mesh, 1, entries)
+            gather, indices, indptr, diag = solver._stencil.__wrapped__(mesh, 1, entries)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(arr.nbytes for arr in (gather.data, gather.indices, gather.indptr,
-                                          indices, indptr))
+        kept = sum(arr.nbytes for arr in (*gather, indices, indptr, diag))
         assert peak <= 3 * kept, (peak, kept)
 
     def test_non_finite_coefficient_stops_at_its_step(self, store, mesh32, periodic_1d):

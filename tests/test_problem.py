@@ -175,3 +175,16 @@ def test_table_loader_2d(tmp_path):
     pts = np.array([[0.25, 1.0 / 3.0], [0.0, 0.0]])
     assert np.allclose(loaded.tensor(0.0, pts), field.tensor(0.0, pts),
                        rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, math.nan]), max_size=12))
+def test_sorted_unique_is_np_unique(values):
+    """``_sorted_unique`` returns ``np.unique``'s array, byte for byte, NaN and signed zeros
+    included, on floats and on integers."""
+    from greenlab.problem import _sorted_unique
+
+    for arr in (np.array(values, dtype=float), np.array(values, dtype=float)[:0],
+                np.array([v if math.isfinite(v) else 3 for v in values], dtype=np.int64)):
+        got, want = _sorted_unique(arr), np.unique(arr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
