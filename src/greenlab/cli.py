@@ -33,7 +33,7 @@ from .errors import ConfigError, SolverError
 from .green import averaged_green_column
 from .io import report_to_json, write_samples_csv
 from .mesh import Mesh
-from .problem import Domain, OperatorSpec, load_table, make_preset
+from .problem import PRESETS, Domain, OperatorSpec, load_table, make_preset
 from .solver import _preload_linalg
 
 
@@ -43,12 +43,6 @@ class Context:
     spec: OperatorSpec
     mesh: Mesh
     seed: int
-
-
-def _require_keys(obj: dict, allowed: set, where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
@@ -70,9 +64,10 @@ def _cell_at_frac(mesh: Mesh, fracs, per_axis: float):
     return mesh.centers[flat]
 
 
-# A check parameter's JSON type is its builder's annotation: float is any
-# number, int an integer, list[X] a non-empty list of X values and a union
-# any of its arms.  ``_check_params`` holds every scenario value to it.
+# A scenario value's JSON type is a kind: float is any finite number, int an
+# integer, list[X] a non-empty list of X values and a union any of its arms.
+# A check's or a preset's kinds are its builder's annotations; ``_check_section``
+# holds every scenario value to its kind.
 Frac = float | list[float]  # one box fraction for every axis, or one per axis
 
 _JSON_NAMES = {float: ("a number", "numbers"), int: ("an integer", "integers"),
@@ -123,60 +118,98 @@ def _time(mesh: Mesh, step, default=None) -> float:
     return float(mesh.times[m])
 
 
+def _numbers(value) -> list:
+    """The floats in a JSON value, lists flattened: the values that can be non-finite."""
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def _check_section(cfg: dict, kinds: dict, required, where: str) -> None:
+    """Hold one scenario section to its kinds, naming ``where`` and the key.
+
+    Rejects an unknown key, a missing ``required`` key, a value that does not
+    fit its kind, an empty list, a non-finite number and a negative seed
+    (``np.random.default_rng`` takes none).
+    """
+    for key in cfg:
+        if key not in kinds:
+            raise ConfigError(f"{where}{key} is not a known key (known: {', '.join(kinds)})")
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{where}{key} is missing: it must be {_describe(kinds[key])}")
+    for key, value in cfg.items():
+        kind = kinds[key]
+        if not _fits(value, kind) or value == []:
+            raise ConfigError(f"{where}{key} must be {_describe(kind)}, got {json.dumps(value)}")
+        if not all(map(math.isfinite, _numbers(value))):
+            raise ConfigError(f"{where}{key} must be finite, got {json.dumps(value)}")
+        if key == "seed" and value is not None and value < 0:
+            kind = _describe(kind).replace("an integer", "a non-negative integer")
+            raise ConfigError(f"{where}seed must be {kind}, got {value}")
+
+
+def _signature(builder) -> tuple[dict, tuple]:
+    """A builder's scenario keys: the kind of each keyword argument, and those without a default."""
+    params = [p for p in inspect.signature(builder, eval_str=True).parameters.values()
+              if p.name != "ctx"]
+    return ({p.name: p.annotation for p in params},
+            tuple(p.name for p in params if p.default is p.empty))
+
+
+def _named(cfg: dict, table: dict, where: str):
+    """The entry of ``table`` that a section's ``name`` key names."""
+    name = cfg.get("name")
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{where}name must be one of {', '.join(table)}, "
+                          f"got {json.dumps(name)}")
+    return table[name]
+
+
+# the kinds of the top-level keys, the mesh, a table preset and the sweep section
+_SCENARIO_KINDS = {"name": str, "preset": dict, "mesh": dict, "theta": float, "seed": int,
+                   "checks": list[dict], "sweep": dict}
+_MESH_KINDS = {"cells": list[int], "box": list[list[float]], "tau": float, "steps": int,
+               "t0": float, "boundary": str}
+_TABLE_KINDS = {"table": str, "lambda": float, "Lambda": float, "R_c": float}
+_SWEEP_KINDS = {"check": str, "field": str}
+
+
 def load_scenario(path) -> dict:
     try:
         with open(path) as fh:
             sc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    _require_keys(sc, {"name", "preset", "mesh", "theta", "seed", "checks", "sweep"},
-                  "scenario")
-    for key in ("name", "preset", "mesh", "checks"):
-        if key not in sc:
-            raise ConfigError(f"scenario is missing required key {key!r}")
-    for key, kind in _SCENARIO_KINDS.items():
-        if key in sc and not _fits(sc[key], kind):
-            raise ConfigError(f"{key} must be {_describe(kind)}, got {json.dumps(sc[key])}")
-    if sc.get("seed", 0) < 0:  # ``np.random.default_rng`` takes no negative seed
-        raise ConfigError(f"seed must be a non-negative integer, got {sc['seed']}")
-    theta = sc.get("theta", 1)
-    if isinstance(theta, bool) or theta != 1:
+    return _check_scenario(sc)
+
+
+def _check_scenario(sc) -> dict:
+    """Type every section of a scenario, so that ``build_context`` builds from good values."""
+    if not isinstance(sc, dict):
+        raise ConfigError(f"a scenario must be a JSON object, got {json.dumps(sc)}")
+    _check_section(sc, _SCENARIO_KINDS, ("name", "preset", "mesh", "checks"), "")
+    if sc.get("theta", 1) != 1:
         raise ConfigError("theta must be 1 (implicit Euler is the only time scheme), "
-                          f"got {json.dumps(theta)}")
-    mesh_cfg = sc["mesh"]
-    _require_keys(mesh_cfg, {"cells", "box", "tau", "steps", "t0", "boundary"},
-                  "mesh")
-    for key in ("cells", "box", "tau", "steps"):
-        if key not in mesh_cfg:
-            raise ConfigError(f"mesh config is missing {key!r}")
-    _check_mesh(mesh_cfg)
-    for chk in sc["checks"]:
-        if "name" not in chk:
-            raise ConfigError("every check needs a name")
-        if chk["name"] not in CHECKS:
-            raise ConfigError(f"unknown check name {chk['name']!r}")
-        _check_params(chk)
+                          f"got {json.dumps(sc['theta'])}")
+    _check_section(sc["mesh"], _MESH_KINDS, ("cells", "box", "tau", "steps"), "mesh.")
+    _check_mesh(sc["mesh"])
+    preset = sc["preset"]
+    if "table" in preset:
+        _check_section(preset, _TABLE_KINDS, ("table", "lambda", "Lambda"), "preset.")
+    else:
+        kinds, required = _signature(_named(preset, PRESETS, "preset."))
+        _check_section(preset, {"name": str, **kinds}, ("name", *required), "preset.")
+    for i, chk in enumerate(sc["checks"]):
+        kinds, _ = _named(chk, CHECKS, f"checks[{i}].")  # every check parameter has a default
+        _check_section(chk, {"name": str, **kinds}, ("name",), f"{chk['name']}: ")
+    if "sweep" in sc:
+        _check_section(sc["sweep"], _SWEEP_KINDS, tuple(_SWEEP_KINDS), "sweep.")
     return sc
 
 
-# the JSON type of each typed scenario key, in ``_fits``'s terms
-_SCENARIO_KINDS = {"name": str, "preset": dict, "mesh": dict, "checks": list[dict], "seed": int,
-                   "sweep": dict}
-# and of each typed mesh key
-_MESH_KINDS = {"cells": list[int], "box": list[list[float]], "tau": float, "steps": int,
-               "t0": float}
-
-
 def _check_mesh(mesh_cfg: dict) -> None:
-    """Reject mesh values of the wrong JSON type, empty lists, non-finite numbers and a time
-    grid that overflows, naming the key."""
-    for key, kind in _MESH_KINDS.items():
-        value = mesh_cfg.get(key, 0.0)
-        if not _fits(value, kind) or value == []:
-            raise ConfigError(f"mesh.{key} must be {_describe(kind)}, got {json.dumps(value)}")
-        numbers = [v for pair in value for v in pair] if key == "box" else [value]
-        if key in ("tau", "t0", "box") and not all(map(math.isfinite, numbers)):
-            raise ConfigError(f"mesh.{key} must be finite, got {json.dumps(value)}")
+    """Reject a box that is not one [lo, hi] pair per axis and a time grid that overflows."""
     if any(len(pair) != 2 for pair in mesh_cfg["box"]):
         raise ConfigError(f"mesh.box must hold one [lo, hi] pair per axis, "
                           f"got {json.dumps(mesh_cfg['box'])}")
@@ -189,44 +222,22 @@ def _check_mesh(mesh_cfg: dict) -> None:
                           f"got {json.dumps(mesh_cfg['tau'])}")
 
 
-def _check_params(chk: dict) -> None:
-    """Reject a check config's unknown keys, values of the wrong JSON type and empty lists."""
-    name = chk["name"]
-    kinds, _ = CHECKS[name]
-    _require_keys(chk, set(kinds) | {"name"}, f"check {name!r}")
-    for key, value in chk.items():
-        if key != "name" and not _fits(value, kinds[key]):
-            raise ConfigError(f"{name}: {key} must be {_describe(kinds[key])}, "
-                              f"got {json.dumps(value)}")
-        if value == []:  # the annotation allows a list here: it has to hold a value
-            raise ConfigError(f"{name}: {key} must be a non-empty list")
-        if key == "seed" and value is not None and value < 0:
-            raise ConfigError(f"{name}: seed must be a non-negative integer or null, got {value}")
-
-
 def build_context(sc: dict) -> Context:
-    preset_cfg = dict(sc["preset"])
-    if "table" in preset_cfg:
-        _require_keys(preset_cfg, {"table", "lambda", "Lambda", "R_c"}, "preset")
-        coeffs = load_table(preset_cfg["table"], float(preset_cfg["lambda"]),
-                            float(preset_cfg["Lambda"]),
-                            float(preset_cfg.get("R_c", math.inf)))
+    """Build the system of a scenario that ``load_scenario`` has typed."""
+    preset = dict(sc["preset"])
+    if "table" in preset:
+        coeffs = load_table(preset["table"], float(preset["lambda"]), float(preset["Lambda"]),
+                            preset.get("R_c", math.inf))
     else:
-        name = preset_cfg.pop("name", None)
-        if name is None:
-            raise ConfigError("preset needs a name or a table path")
-        coeffs = make_preset(name, **preset_cfg)
+        coeffs = make_preset(preset.pop("name"), **preset)
     mesh_cfg = sc["mesh"]
-    box = mesh_cfg["box"]
-    lo = tuple(float(b[0]) for b in box)
-    hi = tuple(float(b[1]) for b in box)
+    lo, hi = zip(*((float(a), float(b)) for a, b in mesh_cfg["box"]))
     domain = Domain(lo, hi, mesh_cfg.get("boundary", "periodic"))
-    mesh = Mesh(domain, tuple(int(c) for c in mesh_cfg["cells"]),
-                float(mesh_cfg["tau"]), float(mesh_cfg.get("t0", 0.0)),
-                int(mesh_cfg["steps"]))
+    mesh = Mesh(domain, tuple(mesh_cfg["cells"]), float(mesh_cfg["tau"]),
+                float(mesh_cfg.get("t0", 0.0)), mesh_cfg["steps"])
     spec = OperatorSpec(coeffs, domain)
     _preload_linalg(mesh, spec)
-    return Context(str(sc["name"]), spec, mesh, int(sc.get("seed", 0)))
+    return Context(sc["name"], spec, mesh, sc.get("seed", 0))
 
 
 # ----------------------------------------------------------------------
@@ -454,9 +465,7 @@ def _run_adjoint(ctx: Context, t_step: int | None = None, seed: int | None = Non
 # allowed scenario keys and their JSON types are read from the signature.
 # Builders are looked up here at call time, so wrappers installed in this
 # table take effect.
-CHECKS = {name: ({key: param.annotation for key, param
-                  in inspect.signature(builder, eval_str=True).parameters.items()
-                  if key != "ctx"}, builder)
+CHECKS = {name: (_signature(builder)[0], builder)
           for name, builder in {
               "duality": _run_duality,
               "semigroup": _run_semigroup,
@@ -535,15 +544,19 @@ def run(scenario_path, out_dir=None) -> int:
     return 0 if report.all_pass else 1
 
 
-def _parse_values(text: str):
+def _parse_values(text: str) -> list[float]:
+    """``--values``: comma-separated positive finite numbers or fractions ``a/b``."""
     vals = []
     for tok in text.split(","):
-        tok = tok.strip()
-        if "/" in tok:
-            a, b = tok.split("/")
-            vals.append(float(a) / float(b))
-        else:
-            vals.append(float(tok))
+        num, slash, den = tok.partition("/")
+        try:
+            v = float(num) / float(den) if slash else float(num)
+        except (ValueError, ZeroDivisionError):
+            v = math.nan
+        if not (math.isfinite(v) and v > 0):
+            raise argparse.ArgumentTypeError(f"{tok.strip()!r} is not a positive number "
+                                             "or fraction")
+        vals.append(v)
     return vals
 
 
@@ -551,16 +564,9 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
     """Repeat the scenario's metric check along one refinement axis."""
     try:
         sc = load_scenario(scenario_path)
-        sweep_cfg = sc.get("sweep")
-        if not sweep_cfg:
+        if "sweep" not in sc:
             raise ConfigError("scenario has no 'sweep' section (metric check/field)")
-        _require_keys(sweep_cfg, {"check", "field"}, "sweep")
-        for key in ("check", "field"):
-            if not _fits(sweep_cfg.get(key), str):
-                raise ConfigError(f"sweep.{key} must be a string, "
-                                  f"got {json.dumps(sweep_cfg.get(key))}")
-        metric_check = sweep_cfg["check"]
-        metric_field = sweep_cfg["field"]
+        metric_check, metric_field = sc["sweep"]["check"], sc["sweep"]["field"]
         chk_cfg = next((c for c in sc["checks"] if c["name"] == metric_check), None)
         if chk_cfg is None:
             raise ConfigError(f"metric check {metric_check!r} not in scenario checks")
@@ -589,9 +595,8 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
                 for c in sc_v["checks"]:
                     if c["name"] == metric_check:
                         c["rho_cells"] = [int(v)] if listed else int(v)
-            ctx = build_context(sc_v)
+            ctx = build_context(_check_scenario(sc_v))
             chk_v = next(c for c in sc_v["checks"] if c["name"] == metric_check)
-            _check_params(chk_v)
             rec = _run_check(ctx, chk_v)
             metric = rec.fitted.get(metric_field)
             if metric is None:
@@ -625,12 +630,12 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="refinement study along one axis")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--axis", required=True, choices=["h", "tau", "rho"])
-    p_sweep.add_argument("--values", required=True)
+    p_sweep.add_argument("--values", required=True, type=_parse_values)
     p_sweep.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.scenario, args.out)
-    return sweep(args.scenario, args.axis, _parse_values(args.values), args.out)
+    return sweep(args.scenario, args.axis, args.values, args.out)
 
 
 if __name__ == "__main__":

@@ -150,117 +150,107 @@ def _scalar_diag_tensor(n: int, a_of_tx: Callable[[float, np.ndarray], np.ndarra
     return fn
 
 
-def make_preset(name: str, **kw) -> CoefficientField:
-    """Construct one of the bundled closed-form coefficient presets.
+# Each preset is one builder: its keyword arguments are the preset's scenario keys, their
+# annotations the keys' JSON types (``cli`` reads them from the signature), and it declares
+# exact (lam, Lam).  Every preset takes ``R_c``, +inf by default.  Float casts keep a JSON
+# integer from reaching the declared constants and names as an int.
 
-    Available names: heat, decoupled-heat-pair, diag, t-oscillating,
-    x-oscillatory, checkerboard, almost-diagonal, rotating.
-    Each preset declares exact (lam, Lam); R_c defaults to +inf and may be
-    overridden with ``R_c=...``.
-    """
-    R_c = float(kw.pop("R_c", math.inf))
-    if name == "heat":
-        n = int(kw.pop("n", 1))
-        _reject_extras(name, kw)
-        mat = np.zeros((n, n, 1, 1))
-        for ax in range(n):
-            mat[ax, ax, 0, 0] = 1.0
-        return CoefficientField(n, 1, 1.0, math.sqrt(n), R_c, f"heat-{n}d",
-                                _const_tensor(mat, n, 1))
-    if name == "decoupled-heat-pair":
-        n = int(kw.pop("n", 1))
-        _reject_extras(name, kw)
-        mat = np.zeros((n, n, 2, 2))
-        for ax in range(n):
-            mat[ax, ax] = np.eye(2)
-        return CoefficientField(n, 2, 1.0, math.sqrt(2 * n), R_c,
-                                f"decoupled-pair-{n}d", _const_tensor(mat, n, 2))
-    if name == "diag":
-        vals = tuple(float(v) for v in kw.pop("values", (2.0, 0.5)))
-        _reject_extras(name, kw)
-        n = len(vals)
-        mat = np.zeros((n, n, 1, 1))
-        for ax, v in enumerate(vals):
-            mat[ax, ax, 0, 0] = v
-        return CoefficientField(n, 1, min(vals), math.sqrt(sum(v * v for v in vals)),
-                                R_c, "diag" + str(vals), _const_tensor(mat, n, 1))
-    if name == "t-oscillating":
-        n = int(kw.pop("n", 1))
-        base = float(kw.pop("base", 1.0))
-        amp = float(kw.pop("amp", 0.5))
-        period = float(kw.pop("period", 1.0))
-        _reject_extras(name, kw)
-        if not 0 <= amp < base:
-            raise ConfigError("t-oscillating needs 0 <= amp < base")
 
-        def a(t, pts):
-            return np.full(pts.shape[0], base + amp * math.sin(2 * math.pi * t / period))
+def _heat(n: int = 1, R_c: float = math.inf) -> CoefficientField:
+    return CoefficientField(n, 1, 1.0, math.sqrt(n), R_c, f"heat-{n}d",
+                            _const_tensor(np.eye(n), n, 1))
 
-        return CoefficientField(n, 1, base - amp, (base + amp) * math.sqrt(n), R_c,
-                                "t-oscillating", _scalar_diag_tensor(n, a),
-                                time_dependent=True)
-    if name == "x-oscillatory":
-        n = int(kw.pop("n", 1))
-        off = float(kw.pop("offset", 2.0))
-        amp = float(kw.pop("amp", 1.0))
-        wavelength = float(kw.pop("wavelength", 1.0))
-        _reject_extras(name, kw)
-        if not 0 <= amp < off:
-            raise ConfigError("x-oscillatory needs 0 <= amp < offset")
 
-        def a(t, pts):
-            return off + amp * np.sin(2 * np.pi * pts[:, 0] / wavelength)
+def _decoupled_heat_pair(n: int = 1, R_c: float = math.inf) -> CoefficientField:
+    return CoefficientField(n, 2, 1.0, math.sqrt(2 * n), R_c, f"decoupled-pair-{n}d",
+                            _const_tensor(np.eye(n)[:, :, None, None] * np.eye(2), n, 2))
 
-        return CoefficientField(n, 1, off - amp, (off + amp) * math.sqrt(n), R_c,
-                                "x-oscillatory", _scalar_diag_tensor(n, a),
-                                x_dependent=True)
-    if name == "checkerboard":
-        n = int(kw.pop("n", 1))
-        lo = float(kw.pop("low", 1.0))
-        hi = float(kw.pop("high", 4.0))
-        period = float(kw.pop("period", 0.25))
-        _reject_extras(name, kw)
-        if not 0 < lo <= hi:
-            raise ConfigError("checkerboard needs 0 < low <= high")
 
-        # Value flips with the parity of floor(x_1/period); at a point that
-        # sits exactly on a tile edge, floor picks the right-hand tile.
-        def a(t, pts):
-            parity = np.floor(pts[:, 0] / period).astype(np.int64) % 2
-            return np.where(parity == 0, lo, hi)
+def _diag(values: list[float] = (2.0, 0.5), R_c: float = math.inf) -> CoefficientField:
+    vals = tuple(float(v) for v in values)
+    return CoefficientField(len(vals), 1, min(vals), math.sqrt(sum(v * v for v in vals)), R_c,
+                            "diag" + str(vals), _const_tensor(np.diag(vals), len(vals), 1))
 
-        return CoefficientField(n, 1, lo, hi * math.sqrt(n), R_c, "checkerboard",
-                                _scalar_diag_tensor(n, a), x_dependent=True)
-    if name == "almost-diagonal":
-        eps = float(kw.pop("eps", 0.1))
-        _reject_extras(name, kw)
-        if not 0 <= eps < 1:
-            raise ConfigError("almost-diagonal needs 0 <= eps < 1")
+
+def _t_oscillating(n: int = 1, base: float = 1.0, amp: float = 0.5, period: float = 1.0,
+                   R_c: float = math.inf) -> CoefficientField:
+    base, amp, period = float(base), float(amp), float(period)
+    if not 0 <= amp < base:
+        raise ConfigError("t-oscillating needs 0 <= amp < base")
+
+    def a(t, pts):
+        return np.full(pts.shape[0], base + amp * math.sin(2 * math.pi * t / period))
+
+    return CoefficientField(n, 1, base - amp, (base + amp) * math.sqrt(n), R_c,
+                            "t-oscillating", _scalar_diag_tensor(n, a), time_dependent=True)
+
+
+def _x_oscillatory(n: int = 1, offset: float = 2.0, amp: float = 1.0,
+                   wavelength: float = 1.0, R_c: float = math.inf) -> CoefficientField:
+    off, amp, wavelength = float(offset), float(amp), float(wavelength)
+    if not 0 <= amp < off:
+        raise ConfigError("x-oscillatory needs 0 <= amp < offset")
+
+    def a(t, pts):
+        return off + amp * np.sin(2 * np.pi * pts[:, 0] / wavelength)
+
+    return CoefficientField(n, 1, off - amp, (off + amp) * math.sqrt(n), R_c,
+                            "x-oscillatory", _scalar_diag_tensor(n, a), x_dependent=True)
+
+
+def _checkerboard(n: int = 1, low: float = 1.0, high: float = 4.0, period: float = 0.25,
+                  R_c: float = math.inf) -> CoefficientField:
+    lo, hi, period = float(low), float(high), float(period)
+    if not 0 < lo <= hi:
+        raise ConfigError("checkerboard needs 0 < low <= high")
+
+    # Value flips with the parity of floor(x_1/period); at a point that
+    # sits exactly on a tile edge, floor picks the right-hand tile.
+    def a(t, pts):
+        parity = np.floor(pts[:, 0] / period).astype(np.int64) % 2
+        return np.where(parity == 0, lo, hi)
+
+    return CoefficientField(n, 1, lo, hi * math.sqrt(n), R_c, "checkerboard",
+                            _scalar_diag_tensor(n, a), x_dependent=True)
+
+
+def _almost_diagonal(eps: float = 0.1, R_c: float = math.inf) -> CoefficientField:
+    if not 0 <= eps < 1:
+        raise ConfigError("almost-diagonal needs 0 <= eps < 1")
+    return CoefficientField(1, 2, 1.0 - eps, math.sqrt(2 + 2 * eps * eps), R_c,
+                            "almost-diagonal", _const_tensor([[1.0, eps], [eps, 1.0]], 1, 2))
+
+
+def _rotating(w0: float = 0.5, omega: float = 1.0, R_c: float = math.inf) -> CoefficientField:
+    # Antisymmetric inter-component coupling: the quadratic form ignores
+    # the skew part, so lam = 1 exactly while the tensor is nonsymmetric.
+    def fn(t, pts):
+        w = w0 * math.cos(2 * math.pi * omega * t)
         mat = np.zeros((1, 1, 2, 2))
-        mat[0, 0] = np.array([[1.0, eps], [eps, 1.0]])
-        return CoefficientField(1, 2, 1.0 - eps, math.sqrt(2 + 2 * eps * eps), R_c,
-                                "almost-diagonal", _const_tensor(mat, 1, 2))
-    if name == "rotating":
-        w0 = float(kw.pop("w0", 0.5))
-        omega = float(kw.pop("omega", 1.0))
-        _reject_extras(name, kw)
+        mat[0, 0] = np.array([[1.0, w], [-w, 1.0]])
+        return np.broadcast_to(mat, (pts.shape[0],) + mat.shape).copy()
 
-        # Antisymmetric inter-component coupling: the quadratic form ignores
-        # the skew part, so lam = 1 exactly while the tensor is nonsymmetric.
-        def fn(t, pts):
-            w = w0 * math.cos(2 * math.pi * omega * t)
-            mat = np.zeros((1, 1, 2, 2))
-            mat[0, 0] = np.array([[1.0, w], [-w, 1.0]])
-            return np.broadcast_to(mat, (pts.shape[0],) + mat.shape).copy()
-
-        return CoefficientField(1, 2, 1.0, math.sqrt(2 + 2 * w0 * w0), R_c,
-                                "rotating", fn, time_dependent=omega != 0.0)
-    raise ConfigError(f"unknown preset {name!r}")
+    return CoefficientField(1, 2, 1.0, math.sqrt(2 + 2 * w0 * w0), R_c, "rotating", fn,
+                            time_dependent=omega != 0.0)
 
 
-def _reject_extras(name, kw):
-    if kw:
-        raise ConfigError(f"unknown parameters for preset {name!r}: {sorted(kw)}")
+PRESETS = {
+    "heat": _heat,
+    "decoupled-heat-pair": _decoupled_heat_pair,
+    "diag": _diag,
+    "t-oscillating": _t_oscillating,
+    "x-oscillatory": _x_oscillatory,
+    "checkerboard": _checkerboard,
+    "almost-diagonal": _almost_diagonal,
+    "rotating": _rotating,
+}
+
+
+def make_preset(name: str, **kw) -> CoefficientField:
+    """The closed-form preset ``name`` (a key of ``PRESETS``), built from its keywords ``kw``."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    return PRESETS[name](**kw)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

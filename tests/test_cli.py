@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greenlab
-from greenlab import cli
+from greenlab import ConfigError, cli
 
 SCEN = resources.files("greenlab") / "scenarios"
 
@@ -155,6 +157,10 @@ def test_empty_or_short_list_parameter_exit_2(tmp_path, capsys, check, key, valu
     ("oracle", "seed", 1.5, "an integer or null"),
     ("adjoint", "seed", -1, "a non-negative integer or null"),
     ("weak-levels", "gradient", 1, "true or false"),
+    # a non-finite number: NaN passed every tolerance comparison as a failure (exit 1)
+    ("adjoint", "tolerance", math.nan, "finite"),
+    ("causality", "y_frac", [math.nan], "finite"),
+    ("gaussian", "rho_cells", math.inf, "finite"),
 ])
 def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value, want):
     # exit 1 is a failing check; a value of the wrong type is a bad scenario
@@ -192,6 +198,24 @@ def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value
     ("mesh", [1], "mesh must be an object, got [1]"),
     ("name", {"a": 1}, 'name must be a string, got {"a": 1}'),  # it ran, named "{'a': 1}"
     ("sweep", 5, "sweep must be an object, got 5"),
+    ("sweep", {"check": 5, "field": "c_fit"}, "sweep.check must be a string, got 5"),
+    ("checks", [], "checks must be a list of objects, got []"),
+    # preset keys: 1.5 and true ran 1-D heat; the others ended in tracebacks
+    ("preset.n", 1.5, "preset.n must be an integer, got 1.5"),
+    ("preset.n", True, "preset.n must be an integer, got true"),
+    ("preset.n", "two", 'preset.n must be an integer, got "two"'),
+    ("preset.R_c", "x", 'preset.R_c must be a number, got "x"'),
+    ("preset.R_c", math.inf, "preset.R_c must be finite, got Infinity"),
+    ("preset.nope", 1, "preset.nope is not a known key"),
+    ("preset", {"n": 1}, "preset.name must be one of heat, "),
+    ("preset", {"name": "diag", "values": [1, "x"]},
+     'preset.values must be a list of numbers, got [1, "x"]'),
+    ("preset", {"name": "diag", "values": 3}, "preset.values must be a list of numbers, got 3"),
+    ("preset", {"name": "t-oscillating", "amp": [0.1]}, "preset.amp must be a number, got [0.1]"),
+    ("preset", {"table": "t.csv", "Lambda": 1.0}, "preset.lambda is missing: it must be a number"),
+    ("preset", {"table": "t.csv", "lambda": "x", "Lambda": 1.0},
+     'preset.lambda must be a number, got "x"'),
+    ("preset", {"table": 0, "lambda": 1.0, "Lambda": 1.0}, "preset.table must be a string, got 0"),
 ])
 def test_malformed_scenario_key_exit_2(tmp_path, capsys, key, value, want):
     # a value of the wrong type, out of range or non-finite is a bad scenario, named by its key
@@ -208,6 +232,77 @@ def test_malformed_scenario_key_exit_2(tmp_path, capsys, key, value, want):
     assert not (tmp_path / "out").exists()
 
 
+def _typed_scenarios(table: str) -> list:
+    """A scenario with a key of every section, and its twin on a coefficient table."""
+    sc = {
+        "name": "typed", "theta": 1, "seed": 3,
+        "preset": {"name": "t-oscillating", "n": 1, "amp": 0.25, "R_c": 2.0},
+        "mesh": {"cells": [8], "box": [[0.0, 1.0]], "tau": 0.01, "steps": 4, "t0": 0.0,
+                 "boundary": "periodic"},
+        "checks": [{"name": "duality", "y_fracs": [[0.25], None], "rho_cells": [2],
+                    "s_step": 1, "tolerance": 1e-10},
+                   {"name": "interior-decay", "seed": 1, "x_frac": 0.5, "solutions": 2}],
+        "sweep": {"check": "duality", "field": "max_residual"},
+    }
+    return [sc, dict(sc, preset={"table": table, "lambda": 1.0, "Lambda": 1.0, "R_c": 2.0})]
+
+
+def _json_type(value) -> str:
+    return {bool: "bool", int: "number", float: "number", str: "string", list: "list",
+            dict: "object", type(None): "null"}[type(value)]
+
+
+_OTHER_JSON_VALUES = {
+    "bool": st.booleans(), "number": st.integers(-3, 3) | st.floats(-1e3, 1e3),
+    "string": st.text(max_size=3), "list": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.sampled_from("ab"), st.integers(0, 3), max_size=1),
+    "null": st.none(),
+}
+
+
+def _typed_targets():
+    """(scenario index, key path, the name a message gives the key) for every scenario value."""
+    sc, table_sc = _typed_scenarios("table.csv")
+    targets = [(0, (key,), key) for key in sc]
+    for i, sc_i in enumerate((sc, table_sc)):
+        targets += [(i, ("preset", key), f"preset.{key}") for key in sc_i["preset"]]
+    targets += [(0, ("mesh", key), f"mesh.{key}") for key in sc["mesh"]]
+    targets += [(0, ("sweep", key), f"sweep.{key}") for key in sc["sweep"]]
+    for k, chk in enumerate(sc["checks"]):
+        targets += [(0, ("checks", k, key),
+                     f"checks[{k}].name" if key == "name" else f"{chk['name']}: {key}")
+                    for key in chk]
+    return targets
+
+
+@pytest.fixture(scope="module")
+def typed_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("typed")
+    (path / "table.csv").write_text("# 1 1 1 2\n0.0,0.0,1,1,1,1,1.0\n0.0,1.0,1,1,1,1,1.0\n")
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(_typed_targets()), data=st.data())
+def test_any_value_of_another_json_type_is_rejected_by_name(typed_dir, target, data):
+    """One value swapped for another JSON type, or NaN: the scenario loads and builds, or it
+    raises ConfigError naming that key; nothing else escapes."""
+    index, path, label = target
+    sc = _typed_scenarios(str(typed_dir / "table.csv"))[index]
+    *parents, last = path
+    obj = sc
+    for part in parents:
+        obj = obj[part]
+    kinds = [k for k in _OTHER_JSON_VALUES if k != _json_type(obj[last])]
+    obj[last] = data.draw(st.just(math.nan) | st.sampled_from(kinds).flatmap(
+        _OTHER_JSON_VALUES.__getitem__))
+    (typed_dir / "sc.json").write_text(json.dumps(sc))
+    try:
+        cli.build_context(cli.load_scenario(str(typed_dir / "sc.json")))
+    except ConfigError as exc:
+        assert label in str(exc)
+
+
 def test_missing_table_exit_2(tmp_path, capsys):
     sc = json.loads((SCEN / "heat-1d-core.json").read_text())
     sc["preset"] = {"table": str(tmp_path / "absent.csv"), "lambda": 1.0, "Lambda": 1.0}
@@ -216,6 +311,18 @@ def test_missing_table_exit_2(tmp_path, capsys):
     assert cli.run(str(p), out_dir=tmp_path / "out") == 2
     assert f"cannot read table {tmp_path / 'absent.csv'}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_table_preset_of_a_number_reads_nothing(tmp_path, capsys, monkeypatch):
+    # ``"table": 0`` made ``load_table`` open fd 0: it read stdin as the table, then closed it
+    monkeypatch.setattr(cli, "load_table", lambda *args: pytest.fail("a table was opened"))
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["preset"] = {"table": 0, "lambda": 1.0, "Lambda": 1.0}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    assert "preset.table must be a string" in capsys.readouterr().err
+    os.fstat(0)  # still open
 
 
 def test_time_past_window_names_window_and_step(tmp_path, capsys):
@@ -484,7 +591,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("key, value, want", [
         ("field", [1], "sweep.field must be a string, got [1]"),
-        ("check", None, "sweep.check must be a string, got null"),
+        ("check", None, "sweep.check is missing: it must be a string"),
     ])
     def test_malformed_sweep_section_exit_2(self, tmp_path, capsys, key, value, want):
         sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
@@ -496,6 +603,21 @@ class TestSweep:
         p.write_text(json.dumps(sc))
         assert cli.sweep(str(p), "rho", [8, 6], out_dir=tmp_path / "out") == 2
         assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, values", [
+        ("rho", "abc"), ("rho", "1/0"), ("rho", "nan"), ("h", "0"), ("h", "1/32,,1/64"),
+        ("h", "1/"), ("tau", "inf"), ("tau", "=-0.001"),
+    ])
+    def test_values_not_positive_numbers_exit_2(self, tmp_path, capsys, axis, values):
+        # abc, 1/0 and nan ended in tracebacks while parsing, 0 on h in the sweep
+        argv = ["sweep", scenario_path("heat-1d-sweep.json"), "--axis", axis,
+                "--out", str(tmp_path / "sw")]
+        argv += [f"--values{values}"] if values.startswith("=") else ["--values", values]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "argument --values: " in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_single_value_no_fit(self, tmp_path):
         code = cli.sweep(scenario_path("heat-1d-sweep.json"), "h", [1 / 64],

@@ -1,10 +1,14 @@
+import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenlab import cli, problem
 from greenlab import (CoefficientField, ConfigError, Domain, load_table, make_preset,
                       validate_parabolicity)
 
@@ -188,3 +192,21 @@ def test_sorted_unique_is_np_unique(values):
                 np.array([v if math.isfinite(v) else 3 for v in values], dtype=np.int64)):
         got, want = _sorted_unique(arr), np.unique(arr)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_readme_presets_table_lists_every_builder_signature():
+    """README's Presets table names each preset of ``PRESETS`` in order, with its builder's
+    parameters, their JSON types and their defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Presets\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+
+    def default(value):
+        return "+∞" if value == math.inf else \
+            json.dumps(list(value)) if isinstance(value, tuple) else repr(value)
+
+    assert [row[0] for row in rows] == [f"| `{name}`" for name in problem.PRESETS]
+    for row, builder in zip(rows, problem.PRESETS.values()):
+        params = inspect.signature(builder, eval_str=True).parameters.values()
+        assert row[1] == "; ".join(f"`{p.name}`: {cli._describe(p.annotation)} = "
+                                   f"{default(p.default)}" for p in params)
