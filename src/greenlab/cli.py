@@ -22,18 +22,13 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
-# Every scenario draws check data from ``np.random.default_rng`` (adjoint,
-# oracle, interior-decay, local-boundedness), and ``import numpy`` leaves
-# ``numpy.random`` out: importing it here (about 17 ms and 6 MB) makes set-up
-# pay for it, not the first check that draws.
-import numpy.random  # noqa: F401
 
 from . import verify as V
 from .errors import ConfigError, SolverError
 from .green import averaged_green_column
 from .io import report_to_json, write_samples_csv
 from .mesh import Mesh
-from .problem import PRESETS, Domain, OperatorSpec, load_table, make_preset
+from .problem import PRESETS, Domain, OperatorSpec, load_table, make_preset, seeded_uniform
 from .solver import _preload_linalg
 
 
@@ -129,8 +124,8 @@ def _check_section(cfg: dict, kinds: dict, required, where: str) -> None:
     """Hold one scenario section to its kinds, naming ``where`` and the key.
 
     Rejects an unknown key, a missing ``required`` key, a value that does not
-    fit its kind, an empty list, a non-finite number and a negative seed
-    (``np.random.default_rng`` takes none).
+    fit its kind, an empty list, a non-finite number and a seed outside
+    [0, 2**64), which ``seeded_uniform`` takes as the 64-bit start of its stream.
     """
     for key in cfg:
         if key not in kinds:
@@ -147,6 +142,8 @@ def _check_section(cfg: dict, kinds: dict, required, where: str) -> None:
         if key == "seed" and value is not None and value < 0:
             kind = _describe(kind).replace("an integer", "a non-negative integer")
             raise ConfigError(f"{where}seed must be {kind}, got {value}")
+        if key == "seed" and value is not None and value >= 2 ** 64:
+            raise ConfigError(f"{where}seed must be below 2**64, got {value}")
 
 
 def _signature(builder) -> tuple[dict, tuple]:
@@ -445,8 +442,7 @@ def _run_local_boundedness(ctx: Context, t_step: int | None = None,
 def _run_oracle(ctx: Context, t_step: int | None = None, seed: int | None = None,
                 tolerance: float = 1e-9):
     mesh = ctx.mesh
-    rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
-    g = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
+    g = seeded_uniform(ctx.seed if seed is None else seed, (ctx.spec.coeffs.N, mesh.ncells))
     return V.check_oracle(ctx.spec, mesh, g, _time(mesh, 0),
                           _time(mesh, t_step, min(mesh.steps, 24)), tolerance=float(tolerance))
 
@@ -454,9 +450,8 @@ def _run_oracle(ctx: Context, t_step: int | None = None, seed: int | None = None
 def _run_adjoint(ctx: Context, t_step: int | None = None, seed: int | None = None,
                  tolerance: float = 1e-12):
     mesh = ctx.mesh
-    rng = np.random.default_rng(int(ctx.seed if seed is None else seed))
-    a = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
-    b = rng.standard_normal((ctx.spec.coeffs.N, mesh.ncells))
+    a, b = seeded_uniform(ctx.seed if seed is None else seed,
+                          (2, ctx.spec.coeffs.N, mesh.ncells))
     return V.check_adjoint(ctx.spec, mesh, a, b, _time(mesh, 0),
                            _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
 
@@ -594,7 +589,7 @@ def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
                 listed = get_origin(CHECKS[metric_check][0].get("rho_cells")) is list
                 for c in sc_v["checks"]:
                     if c["name"] == metric_check:
-                        c["rho_cells"] = [int(v)] if listed else int(v)
+                        c["rho_cells"] = [v] if listed else v
             ctx = build_context(_check_scenario(sc_v))
             chk_v = next(c for c in sc_v["checks"] if c["name"] == metric_check)
             rec = _run_check(ctx, chk_v)

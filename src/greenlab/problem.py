@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -153,20 +154,35 @@ def _scalar_diag_tensor(n: int, a_of_tx: Callable[[float, np.ndarray], np.ndarra
 # Each preset is one builder: its keyword arguments are the preset's scenario keys, their
 # annotations the keys' JSON types (``cli`` reads them from the signature), and it declares
 # exact (lam, Lam).  Every preset takes ``R_c``, +inf by default.  Float casts keep a JSON
-# integer from reaching the declared constants and names as an int.
+# integer from reaching the declared constants and names as an int.  A builder holds its
+# keys to their ranges before it computes anything from them.
+
+
+def _in_range(key: str, value, ok: bool, rule: str) -> None:
+    """Reject a preset value outside its range, naming its scenario key."""
+    if not ok:
+        raise ConfigError(f"preset.{key} must be {rule}, got {value!r}")
+
+
+def _dimension(n) -> None:
+    _in_range("n", n, n in (1, 2), "1 or 2")
 
 
 def _heat(n: int = 1, R_c: float = math.inf) -> CoefficientField:
+    _dimension(n)
     return CoefficientField(n, 1, 1.0, math.sqrt(n), R_c, f"heat-{n}d",
                             _const_tensor(np.eye(n), n, 1))
 
 
 def _decoupled_heat_pair(n: int = 1, R_c: float = math.inf) -> CoefficientField:
+    _dimension(n)
     return CoefficientField(n, 2, 1.0, math.sqrt(2 * n), R_c, f"decoupled-pair-{n}d",
                             _const_tensor(np.eye(n)[:, :, None, None] * np.eye(2), n, 2))
 
 
 def _diag(values: list[float] = (2.0, 0.5), R_c: float = math.inf) -> CoefficientField:
+    _in_range("values", list(values), len(values) in (1, 2) and all(v > 0 for v in values),
+              "one or two positive numbers")
     vals = tuple(float(v) for v in values)
     return CoefficientField(len(vals), 1, min(vals), math.sqrt(sum(v * v for v in vals)), R_c,
                             "diag" + str(vals), _const_tensor(np.diag(vals), len(vals), 1))
@@ -174,6 +190,8 @@ def _diag(values: list[float] = (2.0, 0.5), R_c: float = math.inf) -> Coefficien
 
 def _t_oscillating(n: int = 1, base: float = 1.0, amp: float = 0.5, period: float = 1.0,
                    R_c: float = math.inf) -> CoefficientField:
+    _dimension(n)
+    _in_range("period", period, period > 0, "positive")
     base, amp, period = float(base), float(amp), float(period)
     if not 0 <= amp < base:
         raise ConfigError("t-oscillating needs 0 <= amp < base")
@@ -187,6 +205,8 @@ def _t_oscillating(n: int = 1, base: float = 1.0, amp: float = 0.5, period: floa
 
 def _x_oscillatory(n: int = 1, offset: float = 2.0, amp: float = 1.0,
                    wavelength: float = 1.0, R_c: float = math.inf) -> CoefficientField:
+    _dimension(n)
+    _in_range("wavelength", wavelength, wavelength > 0, "positive")
     off, amp, wavelength = float(offset), float(amp), float(wavelength)
     if not 0 <= amp < off:
         raise ConfigError("x-oscillatory needs 0 <= amp < offset")
@@ -200,6 +220,8 @@ def _x_oscillatory(n: int = 1, offset: float = 2.0, amp: float = 1.0,
 
 def _checkerboard(n: int = 1, low: float = 1.0, high: float = 4.0, period: float = 0.25,
                   R_c: float = math.inf) -> CoefficientField:
+    _dimension(n)
+    _in_range("period", period, period > 0, "positive")
     lo, hi, period = float(low), float(high), float(period)
     if not 0 < lo <= hi:
         raise ConfigError("checkerboard needs 0 < low <= high")
@@ -342,6 +364,40 @@ def load_table(path, lam: float, Lam: float, R_c: float = math.inf) -> Coefficie
 
 
 # ----------------------------------------------------------------------
+# seeded check data
+# ----------------------------------------------------------------------
+
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_MASK = 2 ** 64 - 1
+
+
+def seeded_uniform(seed: int, shape, skip: int = 0) -> np.ndarray:
+    """Seeded data uniform on [-1, 1), the same on every machine.
+
+    Value i, in C order, is the SplitMix64 output (Steele, Lea & Flood, OOPSLA
+    2014) for counter c = ``skip + i`` of the stream whose state starts at
+    ``seed``: the state ``seed + (c + 1) * _GOLDEN`` mod 2**64, mixed, as a
+    counter-based generator computes it (Salmon et al., SC 2011).  The
+    output's top 53 bits k map to ``k * 2**-52 - 1``.  Only wrapping
+    ``uint64`` arithmetic runs, so every value is exact, and ``skip``
+    continues a stream without drawing what comes before it.
+    """
+    seed, skip = operator.index(seed), operator.index(skip)
+    if not 0 <= seed <= _MASK:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    z = np.arange(math.prod(shape), dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64((seed + (skip + 1) * _GOLDEN) & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0).reshape(shape)
+
+
+# ----------------------------------------------------------------------
 # diagnostics
 # ----------------------------------------------------------------------
 
@@ -353,10 +409,10 @@ class ParabolicityReport:
     ok: bool
 
 
-def _sample_points(coeffs, sample_count, rng):
-    """Sample times in [0, 1] and points in the unit box."""
+def _sample_points(coeffs, sample_count, seed):
+    """Sample times in [0, 1] and points in the unit box, the first draws of ``seed``."""
     ts = np.linspace(0.0, 1.0, max(2, int(math.isqrt(sample_count)) + 1))
-    pts = rng.random((sample_count, coeffs.n))
+    pts = (seeded_uniform(seed, (sample_count, coeffs.n)) + 1.0) / 2.0
     return ts, pts
 
 
@@ -369,19 +425,19 @@ def validate_parabolicity(coeffs: CoefficientField, sample_count: int,
     eigendirection of the symmetrized tensor at each sample).  Lambda_est
     is the largest sampled Frobenius norm.  ``ok`` holds when both sit on
     the declared side of the constants within 1e-12 (1e-8 for a loaded
-    table).
+    table).  The points and then the directions are consecutive segments of
+    the ``seeded_uniform`` stream of ``seed``.
     """
     if sample_count < 1:
         raise ConfigError("sample_count must be >= 1")
     tol = 1e-8 if coeffs.from_table else 1e-12
-    rng = np.random.default_rng(seed)
     n, N = coeffs.n, coeffs.N
     d = n * N
-    ts, pts = _sample_points(coeffs, sample_count, rng)
+    ts, pts = _sample_points(coeffs, sample_count, seed)
 
     dirs = [np.eye(d)]
     nrand = max(8, 4 * d)
-    v = rng.standard_normal((nrand, d))
+    v = seeded_uniform(seed, (nrand, d), skip=sample_count * n)
     dirs.append(v / np.linalg.norm(v, axis=1, keepdims=True))
     xi_fixed = np.vstack(dirs)
 

@@ -192,6 +192,10 @@ def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value
     ("seed", "a", 'seed must be an integer, got "a"'),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),  # it ran with seed 1
+    # a seed is the 64-bit start of a SplitMix64 stream
+    ("seed", 2 ** 64, "seed must be below 2**64, got 18446744073709551616"),
+    ("checks", [{"name": "adjoint", "seed": 2 ** 64 + 1}],
+     "adjoint: seed must be below 2**64, got 18446744073709551617"),
     ("checks", {"name": "adjoint"}, 'checks must be a list of objects, got {"name": "adjoint"}'),
     ("checks", ["adjoint"], 'checks must be a list of objects, got ["adjoint"]'),
     ("preset", [1], "preset must be an object, got [1]"),
@@ -216,6 +220,19 @@ def test_parameter_of_wrong_json_type_exit_2(tmp_path, capsys, check, key, value
     ("preset", {"table": "t.csv", "lambda": "x", "Lambda": 1.0},
      'preset.lambda must be a number, got "x"'),
     ("preset", {"table": 0, "lambda": 1.0, "Lambda": 1.0}, "preset.table must be a string, got 0"),
+    # preset values out of range, rejected before the builder computes with them: the
+    # first three ended in tracebacks, wavelength 0 failed at the first step and period 0
+    # of checkerboard ran to exit 0 on a field of NaN parities
+    ("preset", {"name": "heat", "n": -1}, "preset.n must be 1 or 2, got -1"),
+    ("preset", {"name": "x-oscillatory", "n": -2}, "preset.n must be 1 or 2, got -2"),
+    ("preset", {"name": "t-oscillating", "period": 0}, "preset.period must be positive, got 0"),
+    ("preset", {"name": "x-oscillatory", "wavelength": 0},
+     "preset.wavelength must be positive, got 0"),
+    ("preset", {"name": "checkerboard", "period": 0}, "preset.period must be positive, got 0"),
+    ("preset", {"name": "diag", "values": [2.0, -0.5]},
+     "preset.values must be one or two positive numbers, got [2.0, -0.5]"),
+    ("preset", {"name": "diag", "values": [1, 2, 3]},
+     "preset.values must be one or two positive numbers, got [1, 2, 3]"),
 ])
 def test_malformed_scenario_key_exit_2(tmp_path, capsys, key, value, want):
     # a value of the wrong type, out of range or non-finite is a bad scenario, named by its key
@@ -445,6 +462,20 @@ class TestDeferredLinalg:
         code = "from greenlab import cli\nresult = cli.run('sc.json', 'out')"
         assert _fresh(tmp_path, code, LINALG + ("numpy.ma",)) == [0, []]
 
+    def test_seeded_data_loads_no_numpy_random(self, tmp_path):
+        # adjoint, oracle, interior-decay, local-boundedness and the parabolicity audit
+        # draw from ``seeded_uniform``, which needs only numpy's integer arithmetic
+        if _fresh(tmp_path, "import numpy", ("numpy.random",)) != [None, []]:
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+        sc["checks"] += [{"name": "interior-decay", "ladder_cells": [2, 3, 4], "solutions": 2},
+                         {"name": "local-boundedness"}]
+        (tmp_path / "sc.json").write_text(json.dumps(sc))
+        code = ("from greenlab import cli, make_preset, validate_parabolicity\n"
+                "validate_parabolicity(make_preset('almost-diagonal'), 16)\n"
+                "result = cli.run('sc.json', 'out')")
+        assert _fresh(tmp_path, code, ("numpy.random",)) == [0, []]
+
     @pytest.mark.parametrize("case", ["dirichlet", "x-oscillatory", "table"])
     def test_set_up_imports_what_the_run_will_use(self, tmp_path, case):
         if case == "dirichlet":
@@ -545,6 +576,16 @@ class TestSweep:
         assert code == 0
         order = float((tmp_path / "sw" / "order.txt").read_text().split()[2])
         assert 1.5 <= order <= 2.6
+
+    def test_rho_sweep_keeps_fractional_radii(self, tmp_path, capsys):
+        # rho_cells is a number of cells, not an integer: 4.9 ran as 4 once
+        code = cli.main(["sweep", scenario_path("heat-1d-sweep.json"), "--axis", "rho",
+                         "--values", "4.9,4", "--out", str(tmp_path / "sw")])
+        assert code == 0
+        rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        (rho_a, err_a), (rho_b, err_b) = (map(float, row.split(",")) for row in rows)
+        assert (rho_a, rho_b) == (4.9, 4.0) and err_a != err_b
 
     def test_rho_sweep_keeps_the_checks_own_shape(self, tmp_path, monkeypatch):
         # gaussian takes one radius, heat-kernel a list of them

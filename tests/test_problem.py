@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,3 +211,55 @@ def test_readme_presets_table_lists_every_builder_signature():
         params = inspect.signature(builder, eval_str=True).parameters.values()
         assert row[1] == "; ".join(f"`{p.name}`: {cli._describe(p.annotation)} = "
                                    f"{default(p.default)}" for p in params)
+
+
+def _splitmix64(seed: int, count: int) -> list:
+    """The first ``count`` SplitMix64 outputs of the state ``seed``, in Python integers."""
+    out, state, mask = [], seed, 2 ** 64 - 1
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestSeededUniform:
+    def test_canonical_outputs_of_seed_0(self):
+        assert _splitmix64(0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 + 5, 2 ** 63, 2 ** 64 - 1])
+    def test_matches_the_scalar_reference(self, seed):
+        got = problem.seeded_uniform(seed, (3, 5))
+        want = [(z >> 11) * 2.0 ** -52 - 1.0 for z in _splitmix64(seed, 15)]
+        assert got.shape == (3, 5) and got.dtype == np.float64
+        assert got.ravel().tolist() == want
+
+    def test_values_are_multiples_of_2_to_the_minus_52_on_the_half_open_interval(self):
+        u = problem.seeded_uniform(11, 4096)
+        assert np.all(u >= -1.0) and np.all(u < 1.0)
+        k = (u + 1.0) * 2.0 ** 52
+        assert np.array_equal(k, np.floor(k))
+        assert u.min() < -0.99 and u.max() > 0.99 and abs(u.mean()) < 0.05
+
+    def test_skip_continues_the_stream(self):
+        whole = problem.seeded_uniform(5, (4, 6))
+        for skip in (0, 1, 7, 23):
+            part = problem.seeded_uniform(5, 24 - skip, skip=skip)
+            assert np.array_equal(part, whole.ravel()[skip:])
+
+    def test_no_warning_under_error_filters(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem.seeded_uniform(2 ** 64 - 1, (2, 3), skip=2 ** 40)
+            problem.seeded_uniform(0, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            problem.seeded_uniform(seed, 3)
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(TypeError):
+            problem.seeded_uniform(1.5, 3)
