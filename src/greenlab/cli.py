@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_origin
@@ -517,20 +518,38 @@ def _write_outputs(out_dir: Path, name: str, scenario: dict, report: V.Verificat
         write_samples_csv(out_dir / f"{idx:02d}-{rec.name}.csv", keys, rows)
 
 
-def run(scenario_path, out_dir=None) -> int:
-    """Execute a scenario; returns the process exit code."""
+def _exit_code(body) -> int:
+    """Run ``body()`` and return its exit code, or that of the error that ends it.
+
+    An invalid scenario exits 2, a solver failure 3 and any other exception,
+    an internal error, 4 with its traceback on stderr, so exit 1 stays with
+    a failing check.
+    """
     try:
-        sc = load_scenario(scenario_path)
-        ctx = build_context(sc)
-        report = V.VerificationReport()
-        for chk in sc["checks"]:
-            report.add(_run_check(ctx, chk))
+        return body()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        print("unexpected error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
+
+
+def run(scenario_path, out_dir=None) -> int:
+    """Execute a scenario; returns the process exit code."""
+    return _exit_code(lambda: _run(scenario_path, out_dir))
+
+
+def _run(scenario_path, out_dir) -> int:
+    sc = load_scenario(scenario_path)
+    ctx = build_context(sc)
+    report = V.VerificationReport()
+    for chk in sc["checks"]:
+        report.add(_run_check(ctx, chk))
     out = Path(out_dir) if out_dir else Path(f"out-{ctx.name}")
     _write_outputs(out, ctx.name, sc, report)
     for rec in report.records:
@@ -556,54 +575,51 @@ def _parse_values(text: str) -> list[float]:
 
 
 def sweep(scenario_path, axis: str, values, out_dir=None) -> int:
-    """Repeat the scenario's metric check along one refinement axis."""
-    try:
-        sc = load_scenario(scenario_path)
-        if "sweep" not in sc:
-            raise ConfigError("scenario has no 'sweep' section (metric check/field)")
-        metric_check, metric_field = sc["sweep"]["check"], sc["sweep"]["field"]
-        chk_cfg = next((c for c in sc["checks"] if c["name"] == metric_check), None)
-        if chk_cfg is None:
-            raise ConfigError(f"metric check {metric_check!r} not in scenario checks")
-        if axis not in ("h", "tau", "rho"):
-            raise ConfigError("sweep axis must be h, tau, or rho")
-        vals = sorted(values, reverse=True)
-        if list(values) != vals and list(values) != vals[::-1]:
-            raise ConfigError("sweep values must be monotone")
-        rows = []
-        for v in values:
-            sc_v = json.loads(json.dumps(sc))
-            mesh_cfg = sc_v["mesh"]
-            if axis == "h":
-                L = [b[1] - b[0] for b in mesh_cfg["box"]]
-                h0 = L[0] / mesh_cfg["cells"][0]
-                mesh_cfg["cells"] = [int(round(Li / v)) for Li in L]
-                scale = (v / h0) ** 2
-                mesh_cfg["tau"] = mesh_cfg["tau"] * scale
-                mesh_cfg["steps"] = int(round(mesh_cfg["steps"] / scale))
-            elif axis == "tau":
-                scale = v / mesh_cfg["tau"]
-                mesh_cfg["tau"] = v
-                mesh_cfg["steps"] = int(round(mesh_cfg["steps"] / scale))
-            else:
-                listed = get_origin(CHECKS[metric_check][0].get("rho_cells")) is list
-                for c in sc_v["checks"]:
-                    if c["name"] == metric_check:
-                        c["rho_cells"] = [v] if listed else v
-            ctx = build_context(_check_scenario(sc_v))
-            chk_v = next(c for c in sc_v["checks"] if c["name"] == metric_check)
-            rec = _run_check(ctx, chk_v)
-            metric = rec.fitted.get(metric_field)
-            if metric is None:
-                raise ConfigError(f"metric field {metric_field!r} not in record")
-            rows.append((float(v), float(metric)))
-            print(f"{axis}={v:g}: {metric_field}={metric:.6g}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    """Repeat the scenario's metric check along one refinement axis; returns the exit code."""
+    return _exit_code(lambda: _sweep(scenario_path, axis, values, out_dir))
+
+
+def _sweep(scenario_path, axis: str, values, out_dir) -> int:
+    sc = load_scenario(scenario_path)
+    if "sweep" not in sc:
+        raise ConfigError("scenario has no 'sweep' section (metric check/field)")
+    metric_check, metric_field = sc["sweep"]["check"], sc["sweep"]["field"]
+    chk_cfg = next((c for c in sc["checks"] if c["name"] == metric_check), None)
+    if chk_cfg is None:
+        raise ConfigError(f"metric check {metric_check!r} not in scenario checks")
+    if axis not in ("h", "tau", "rho"):
+        raise ConfigError("sweep axis must be h, tau, or rho")
+    vals = sorted(values, reverse=True)
+    if list(values) != vals and list(values) != vals[::-1]:
+        raise ConfigError("sweep values must be monotone")
+    rows = []
+    for v in values:
+        sc_v = json.loads(json.dumps(sc))
+        mesh_cfg = sc_v["mesh"]
+        if axis == "h":
+            L = [b[1] - b[0] for b in mesh_cfg["box"]]
+            h0 = L[0] / mesh_cfg["cells"][0]
+            mesh_cfg["cells"] = [int(round(Li / v)) for Li in L]
+            scale = (v / h0) ** 2
+            mesh_cfg["tau"] = mesh_cfg["tau"] * scale
+            mesh_cfg["steps"] = int(round(mesh_cfg["steps"] / scale))
+        elif axis == "tau":
+            scale = v / mesh_cfg["tau"]
+            mesh_cfg["tau"] = v
+            mesh_cfg["steps"] = int(round(mesh_cfg["steps"] / scale))
+        else:
+            listed = get_origin(CHECKS[metric_check][0].get("rho_cells")) is list
+            for c in sc_v["checks"]:
+                if c["name"] == metric_check:
+                    c["rho_cells"] = [v] if listed else v
+        ctx = build_context(_check_scenario(sc_v))
+        chk_v = next(c for c in sc_v["checks"] if c["name"] == metric_check)
+        rec = _run_check(ctx, chk_v)
+        metric = rec.fitted.get(metric_field)
+        if metric is None:
+            raise ConfigError(f"metric field {metric_field!r} not in record")
+        rows.append((float(v), float(metric)))
+        print(f"{axis}={v:g}: {metric_field}={metric:.6g}")
     out = Path(out_dir) if out_dir else Path(f"sweep-{sc['name']}-{axis}")
     out.mkdir(parents=True, exist_ok=True)
     write_samples_csv(out / "sweep.csv", [axis, metric_field], rows)

@@ -24,15 +24,20 @@ values, never from a flag such as ``CoefficientField.x_dependent``:
   ``_stencil`` uses (+-1/h_a^2 for alpha = beta, +-1/(4 h_a h_b) for
   alpha != beta), in the order the gather adds them, so the kernel is the
   cell-0 columns of ``sp.identity(nn) + tau*assemble(...)`` to the bit.
-  The stencil keeps D's nonzero (N, N) blocks at their 3^n offsets.
-  ``_FourierSolver`` inverts the kernel's symbol once (one N x N block per
-  wavenumber, a reciprocal when N = 1) and solves with a real FFT, a
-  batched N x N product and the inverse FFT, per axis: ``rfft``/``irfft``
-  on 1-D, and on 2-D ``rfft`` then ``fft`` along the other axis (and back
-  with ``ifft`` then ``irfft``), which is what ``rfft2``/``irfft2`` run,
-  bitwise, without their argument handling.  It stores that one inverse; a
-  ``trans="T"`` solve multiplies by the conjugates of its transposed
-  blocks, which is bitwise what a stored inverse symbol of D^T would give.
+  The stencil keeps D's nonzero (N, N) blocks at their 3^n offsets.  A
+  divergence-form operator on faces that all hold one tensor is an even
+  block convolution, B_{-d} = B_d, so the kernel's symbol is real: to the
+  bit in 1-D, and in 2-D up to an ulp of the cross terms, which cancel on
+  the axis-0 offsets in a different order at d and -d.
+  ``_FourierSolver`` keeps its real part and inverts it once in float64
+  (one N x N block per wavenumber, a reciprocal when N = 1), and solves
+  with a real FFT, a batched N x N product and the inverse FFT, per axis:
+  ``rfft``/``irfft`` on 1-D, and on 2-D ``rfft`` then ``fft`` along the
+  other axis (and back with ``ifft`` then ``irfft``), which is what
+  ``rfft2``/``irfft2`` run, bitwise, without their argument handling.  It
+  stores that one real inverse, 8 N^2 bytes per wavenumber; a
+  ``trans="T"`` solve multiplies by its transposed blocks, the inverse
+  symbol of D^T.
   A scheme keeps the state its last Fourier solve returned together with
   that state's spectrum; a solve whose right-hand side is that very state
   (a step without a source, forward or adjoint, flat or block) reuses the
@@ -80,8 +85,11 @@ Fourier step's applies the stencil's blocks to shifted copies of the state,
 with rhs stacked in for one product, so it shares nothing with the FFT and
 a wrong inverse symbol or a stale carried spectrum fails loudly.  A
 ``trans="T"`` solve checks against D's transpose, built once per stored
-step: a view of the CSC arrays, or a stencil with negated offsets and
-transposed blocks.
+step: a view of the CSC arrays, D's own stencil when its blocks satisfy
+B_{-d} = B_d^T to the bit (every N = 1 step in 1-D, and in 2-D without
+alpha != beta entries), or a stencil with negated offsets and transposed
+blocks.  The stencils of a run share one plan of the shifted
+copies per offsets tuple (``_copy_plan``).
 
 A march keeps what a ``_Keep`` names: the slices at some mesh time
 indices and some flat state rows, handed on as the march passes them, so a
@@ -101,12 +109,12 @@ steps: the (solver, D) pair of each step's implicit matrix, D a
 themselves (equal by value; coefficient functions by identity) and the
 step index (``"const"`` for static coefficients).  A step's solver
 evaluates L(t_m) itself and the operator is not stored, since nothing else
-reads it.  The store charges a Fourier step the bytes of its inverse
-symbol and of the blocks of its two stencils (D and D^T), and a SuperLU
-step 12 bytes per L+U nonzero plus ``SUPERLU_FIXED_BYTES`` and the
-CSC arrays of D.  No stored array views a larger buffer; a pattern array
-that entries share with the stencil or the cached patterns is charged to
-each of them.  ``splu`` keeps its factors on the C heap, in four L/U
+reads it.  The store charges a Fourier step the bytes of its real
+inverse symbol and of the blocks of its stencils (D, and D^T unless it is
+D), and a SuperLU step 12 bytes per L+U nonzero plus
+``SUPERLU_FIXED_BYTES`` and the CSC arrays of D.  No stored array views a
+larger buffer; a pattern array that entries share with the stencil or the
+cached patterns is charged to each of them.  ``splu`` keeps its factors on the C heap, in four L/U
 arrays sized from a fill guess (about 740 bytes per nonzero of D in all,
 by ``mallinfo2``); the 12 bytes per nonzero count only their written part.
 With glibc's mmap threshold at 128 KiB, as ``perfbench`` pins it, an array
@@ -494,13 +502,21 @@ def _shift_pieces(d: tuple) -> tuple:
                  for combo in itertools.product(*(ranges[da] for da in d)))
 
 
+@lru_cache(maxsize=16)
+def _copy_plan(offsets: tuple) -> tuple:
+    """(destination in the stack, source in the state) of every shifted copy ``_Stencil._residual``
+    makes for the offsets ``offsets``: the stencils of a run share one plan."""
+    return tuple(((k, *dst), src) for k, d in enumerate(offsets) for dst, src in _shift_pieces(d))
+
+
 class _Stencil:
     """A block-circulant implicit matrix D on a periodic mesh, as its nonzero (N, N) blocks.
 
     ``D[i*C + (x + d), j*C + x] = blocks[k][i, j]`` for the offset
     d = ``offsets[k]``, cells wrapping.  ``T`` is D's transpose: the offsets
-    negated and the blocks transposed.  ``residual`` applies D to shifted
-    copies of a state, so it shares nothing with the FFT that solves with D.
+    negated and the blocks transposed, or D itself when its blocks satisfy
+    B_{-d} = B_d^T to the bit.  ``residual`` applies D to shifted copies of
+    a state, so it shares nothing with the FFT that solves with D.
     """
 
     # The residual's stack of shifted copies lives in one buffer that every
@@ -517,9 +533,7 @@ class _Stencil:
         # [blocks[0] | ... | blocks[-1] | -I]: the residual is one product of
         # this row with the shifted states stacked over rhs
         self.row = np.concatenate([*blocks, -np.eye(self.N)], axis=1)
-        # (destination in the stack, source in the state) of every shifted copy
-        self._copies = [((k, *dst), src) for k, d in enumerate(offsets.tolist())
-                        for dst, src in _shift_pieces(tuple(d))]
+        self._copies = _copy_plan(tuple(map(tuple, offsets.tolist())))
         self._nn = self.N * math.prod(self.cells)
         # the block columns one stack holds: (K + 1) N copies of C cells each
         self._width = max(1, self.STACK_BYTES // (8 * self.row.shape[1] * math.prod(self.cells)))
@@ -553,7 +567,12 @@ class _Stencil:
 
     @property
     def T(self) -> "_Stencil":
-        return _Stencil(self.cells, -self.offsets, self.blocks.swapaxes(1, 2))
+        blocks = self.blocks
+        at = {d: k for k, d in enumerate(map(tuple, self.offsets.tolist()))}
+        mirror = [at.get(tuple(-d for d in offset)) for offset in at]
+        if None not in mirror and np.array_equal(blocks[mirror], blocks.swapaxes(1, 2)):
+            return self
+        return _Stencil(self.cells, -self.offsets, blocks.swapaxes(1, 2))
 
     def kernel(self) -> np.ndarray:
         """[i, j, x] = D[i*C + x, j*C]: D's N columns at cell 0, shaped (N, N, *cells)."""
@@ -612,18 +631,23 @@ class _FourierSolver:
     """Solves with a block-circulant implicit matrix D on a periodic mesh, 1-D or 2-D.
 
     ``_rfft`` of D's kernel (``_Stencil.kernel``) is one N x N symbol block
-    per wavenumber, inverted here once (by a reciprocal when N = 1).  A
-    solve is ``_rfft``, one N x N product per wavenumber and ``_irfft``;
-    ``trans="T"`` multiplies by the conjugate-transposed inverse blocks, the
-    inverse symbol of D^T, taken from the one stored inverse as the solve
-    runs.  Given the spectrum a previous solve returned with its right-hand
-    side, a solve skips the forward transform and costs one inverse
-    transform.
+    per wavenumber.  A divergence-form D on faces that all hold one tensor
+    is an even block convolution, B_{-d} = B_d, so its symbol is real: the
+    real part is kept and inverted here once in float64 (by a reciprocal
+    when N = 1), half the bytes of a complex inverse.  It is the symbol of
+    D's even part, which is D to the bit in 1-D and within an ulp of the
+    cross terms in 2-D (see the module docstring).  An odd stencil would
+    get a wrong inverse, which the residual check of every solve rejects.
+    A solve is ``_rfft``, one N x N product per wavenumber and ``_irfft``;
+    ``trans="T"`` multiplies by the transposed inverse blocks, the inverse
+    symbol of D^T, taken from the one stored inverse as the solve runs.
+    Given the spectrum a previous solve returned with its right-hand side,
+    a solve skips the forward transform and costs one inverse transform.
     """
 
     def __init__(self, stencil: _Stencil):
         self.N, self.cells = stencil.N, stencil.cells
-        symbol = np.moveaxis(_rfft(stencil.kernel(), self.cells), (0, 1), (-2, -1))
+        symbol = np.moveaxis(_rfft(stencil.kernel(), self.cells).real, (0, 1), (-2, -1))
         inv = 1.0 / symbol if self.N == 1 else np.linalg.inv(symbol)
         self.inv = np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1)))
         self.nbytes = self.inv.nbytes
@@ -636,9 +660,8 @@ class _FourierSolver:
         ``_irfft`` of, C-contiguous and shaped (B, N, *cells) with the last
         axis halved plus one.
         """
-        # the block columns: of the inverse, or for D^T its conjugated rows
-        M = ([self.inv[:, j] for j in range(self.N)] if trans == "N"
-             else [self.inv[j].conj() for j in range(self.N)])
+        # the block columns: of the inverse, or for D^T its rows
+        M = self.inv.swapaxes(0, 1) if trans == "N" else self.inv
         r = spectrum
         if r is None:
             r = _rfft(rhs.T.reshape(-1, self.N, *self.cells), self.cells)
@@ -655,7 +678,8 @@ class _Implicit(tuple):
     D is a ``_Stencil`` for a Fourier solver and a CSC matrix for a SuperLU
     factor.  ``DT`` is D's transpose for the residual checks of
     ``trans="T"`` solves, built once per entry: a view that shares a CSC
-    matrix's arrays, or a stencil of its own.
+    matrix's arrays, D itself for a stencil equal to its transpose, or a
+    stencil of its own.
     """
 
     def __new__(cls, solver, D):
@@ -665,9 +689,16 @@ class _Implicit(tuple):
 
 
 def _factor_bytes(pair) -> int:
+    """The store's charge of one ``_Implicit`` pair.
+
+    A Fourier step: its real inverse symbol, 8 N^2 bytes per wavenumber,
+    and its stencils' blocks, D^T's only when it is not D itself.  A
+    SuperLU step: 12 bytes per L+U nonzero, ``SUPERLU_FIXED_BYTES`` and the
+    CSC arrays of D.
+    """
     solver, D = pair
     if isinstance(solver, _FourierSolver):
-        return solver.nbytes + D.nbytes + pair.DT.nbytes
+        return solver.nbytes + D.nbytes + (0 if pair.DT is D else pair.DT.nbytes)
     return 12 * int(solver.nnz) + SUPERLU_FIXED_BYTES + _csr_bytes(D)
 
 
@@ -949,6 +980,7 @@ def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float) -> 
 
 
 ORACLE_CAP = 20_000
+ORACLE_BAND_BYTES = 8 * 2**20  # the oracle's band factors held at once, one step at least
 
 
 def _band_order(mesh: Mesh, N: int) -> np.ndarray:
@@ -1047,14 +1079,19 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
     (x_{k-1} + tau*g_k), with each D_k gathered afresh by
     ``_implicit_values`` over every tensor entry: independent of the step
     store, of the Fourier stencil and of SuperLU.  The steps share one
-    pattern, put in ``_band_order``, and are factorized together by band LU
-    with partial pivoting (``_band_factor``); each then solves on its own
-    (``_band_solve``).  No step calls BLAS or reduces a sum, so the result
-    does not depend on the BLAS thread count.
-    With lower width kl and upper width ku, the factors of K steps of nn
-    unknowns take 8 K (nn + kl + ku) (2 kl + ku + 1) bytes, about 8 bytes x
-    ORACLE_CAP x (2 kl + ku + 1) at most.  Only meant as a test oracle,
-    capped at ORACLE_CAP space-time unknowns.
+    pattern, put in ``_band_order``, and go in groups of consecutive steps:
+    a group is factorized together by band LU with partial pivoting
+    (``_band_factor``), each of its steps then solves on its own
+    (``_band_solve``), and its band is dropped before the next group fills.
+    A group's factors are bitwise those of one batch of all K steps.  No
+    step calls BLAS or reduces a sum, so the result does not depend on the
+    BLAS thread count.
+    With lower width kl and upper width ku, one step of nn unknowns takes
+    b = 8 (nn + kl + ku) (2 kl + ku + 1) bytes of band, and a group holds
+    g = max(1, ORACLE_BAND_BYTES // b) steps, so the factors held at once
+    take g b bytes: at most ORACLE_BAND_BYTES, or one step's band when that
+    is larger (13.6 MB on a 64 x 64 heat mesh).  Only meant as a test
+    oracle, capped at ORACLE_CAP space-time unknowns.
     """
     scheme = ThetaScheme(mesh, spec)
     i0, i1 = mesh.time_index(s), mesh.time_index(T)
@@ -1074,18 +1111,23 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
     rows, cols = pos[np.repeat(np.arange(nn), np.diff(indptr))], pos[indices]
     kl = max(int(np.max(rows - cols)), 1)
     u = kl + int(np.max(cols - rows))
-    band = np.zeros((K, nn + u, u + kl + 1))
-    for k in range(K):
-        A = _assemble(mesh, spec, float(mesh.times[i0 + k + 1]))[0]
-        band[k, cols, u + rows - cols] = _implicit_values(mesh, N, A, entries)[0]
-    pivots = _band_factor(band, kl, u)
+    shape = (nn + u, u + kl + 1)  # one step's band
+    group = max(1, ORACLE_BAND_BYTES // (8 * math.prod(shape)))
 
     out = np.empty((K + 1, N, mesh.ncells))
     out[0] = u0.reshape(N, -1)
     x = u0
-    for k in range(K):
-        gm = src(i0 + k)
-        b = x if gm is None else x + mesh.tau * gm
-        x = out[k + 1].reshape(nn)  # a view: the solution lands in place
-        x[order] = _band_solve(band[k], pivots[k], kl, u, b[order])
+    for k0 in range(0, K, group):
+        steps = range(k0, min(k0 + group, K))
+        band = np.zeros((len(steps), *shape))
+        for j, k in enumerate(steps):
+            A = _assemble(mesh, spec, float(mesh.times[i0 + k + 1]))[0]
+            band[j, cols, u + rows - cols] = _implicit_values(mesh, N, A, entries)[0]
+        pivots = _band_factor(band, kl, u)
+        for j, k in enumerate(steps):
+            gm = src(i0 + k)
+            b = x if gm is None else x + mesh.tau * gm
+            x = out[k + 1].reshape(nn)  # a view: the solution lands in place
+            x[order] = _band_solve(band[j], pivots[j], kl, u, b[order])
+        del band, pivots  # freed before the next group fills its own
     return Trajectory(mesh, i0, out)

@@ -370,6 +370,31 @@ def test_failing_check_exit_1(tmp_path):
     assert cli.run(str(p), out_dir=tmp_path / "out") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unexpected_error_exit_4(tmp_path, capsys, monkeypatch, command):
+    """An exception other than ConfigError or SolverError is an internal error: exit 4
+    with its traceback on stderr, and no output, since exit 1 means a failing check."""
+    sc = json.loads((SCEN / "heat-1d-sweep.json").read_text())
+    sc["checks"] = [{"name": "gaussian", "rho_cells": 6}]
+    sc["sweep"] = {"check": "gaussian", "field": "c_fit"}
+    p = tmp_path / "bug.json"
+    p.write_text(json.dumps(sc))
+    kinds, _ = cli.CHECKS["gaussian"]
+
+    def builder(ctx, **params):
+        raise RuntimeError("a bug in a check builder")
+
+    monkeypatch.setitem(cli.CHECKS, "gaussian", (kinds, builder))
+    argv = [command, str(p), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "rho", "--values", "8,4"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("RuntimeError: a bug in a check builder")
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_byte_determinism(tmp_path):
     cli.run(scenario_path("heat-1d-core.json"), out_dir=tmp_path / "a")
     cli.run(scenario_path("heat-1d-core.json"), out_dir=tmp_path / "b")

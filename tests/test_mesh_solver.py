@@ -405,6 +405,68 @@ class TestSolveForward:
         num = float(np.max(np.abs(marched.values - oracle.values)))
         assert num <= 1e-9 * float(np.max(np.abs(oracle.values)))
 
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    def test_oracle_groups_equal_one_batch(self, monkeypatch, mode):
+        """Factored in groups of consecutive steps, one or three at a time, the oracle
+        gives bitwise the trajectory of one batch of all its steps: a 2-D N = 2 field
+        that couples its components and varies in t, with a source."""
+        domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
+        mesh = Mesh(domain, (7, 6), tau=2.0 ** -8, t0=0.0, steps=8)
+        base = np.einsum("ab,ij->abij", np.eye(2), [[1.0, 0.3], [-0.2, 1.0]])
+        base[0, 1] = base[1, 0] = 0.1 * np.eye(2)
+
+        def fn(t, pts):
+            return np.broadcast_to(base * (1.0 + t), (len(pts), *base.shape)).copy()
+
+        spec = OperatorSpec(CoefficientField(2, 2, 0.5, 4.0, math.inf, "coupled-t", fn,
+                                             time_dependent=True), domain)
+        g = np.random.default_rng(8).standard_normal((2, mesh.ncells))
+
+        def f(t):
+            return np.cos(12 * t) * np.tile(mesh.centers[:, 0], (2, 1))
+
+        T = float(mesh.times[-1])
+        groups = []
+        factor = solver._band_factor
+        monkeypatch.setattr(solver, "_band_factor",
+                            lambda band, kl, u: groups.append(band.shape) or factor(band, kl, u))
+        whole = dense_spacetime_oracle(spec, mesh, g, f, 0.0, T).values
+        assert [shape[0] for shape in groups] == [8]
+        step = 8 * math.prod(groups[0][1:])
+        for budget, sizes in ((1, [1] * 8), (3 * step + 7, [3, 3, 2])):
+            monkeypatch.setattr(solver, "ORACLE_BAND_BYTES", budget)
+            groups.clear()
+            assert np.array_equal(dense_spacetime_oracle(spec, mesh, g, f, 0.0, T).values, whole)
+            assert [shape[0] for shape in groups] == sizes
+
+    def test_oracle_peak_is_about_one_group(self, monkeypatch):
+        """With the band budget at two steps, the oracle of eight 2-D steps holds about one
+        group of two steps' band factors at its peak, where one batch would hold eight."""
+        domain = Domain((0.0, 0.0), (1.0, 1.0), "periodic")
+        mesh = Mesh(domain, (12, 12), tau=2.0 ** -8, t0=0.0, steps=8)
+        spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), domain)
+        g = np.cos(np.arange(mesh.ncells, dtype=float)).reshape(1, -1)
+        T = float(mesh.times[-1])
+        groups = []
+        factor = solver._band_factor
+        monkeypatch.setattr(solver, "_band_factor",
+                            lambda band, kl, u: groups.append(band.shape) or factor(band, kl, u))
+        whole = dense_spacetime_oracle(spec, mesh, g, None, 0.0, T).values  # warms the caches
+        step = 8 * math.prod(groups[0][1:])
+        monkeypatch.setattr(solver, "ORACLE_BAND_BYTES", 2 * step)
+        groups.clear()
+        tracemalloc.start()
+        try:
+            grouped = dense_spacetime_oracle(spec, mesh, g, None, 0.0, T).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [shape[0] for shape in groups] == [2] * 4
+        assert np.array_equal(grouped, whole)
+        # one group's band plus the march's own arrays: 2.9 steps' band here, where one
+        # batch of the 8 steps peaked at 10.2
+        assert peak <= 4 * step, (peak, step)
+
     def test_oracle_one_step_equals_step_forward(self, mesh32, heat_spec):
         g = np.random.default_rng(0).standard_normal((1, 32))
         one = dense_spacetime_oracle(heat_spec, mesh32, g, None, 0.0, 1 / 512)
@@ -1005,10 +1067,17 @@ class TestFourierPath:
         pair = scheme.implicit_lu(2)
         fourier, stencil = pair
         assert isinstance(fourier, solver._FourierSolver)
-        # the store charges the inverse blocks and the stencils of D and D^T
-        assert solver.cache_info().bytes == fourier.nbytes + stencil.nbytes + pair.DT.nbytes
         # SuperLU on D as the public ``assemble`` gathers it, a second build of the weights
         D = step_matrix(mesh, scheme.spec, 2)
+        # D^T's stencil is D's own exactly when the assembled D is symmetric
+        assert (pair.DT is stencil) == ((D != D.T).nnz == 0)
+        # the store charges the real inverse blocks, 8 N^2 bytes per wavenumber, and the
+        # stencils of D and of D^T, that of D^T only when it is not D itself
+        C0, C1 = math.prod(mesh.cells[:-1]), mesh.cells[-1]
+        assert fourier.inv.dtype == np.float64
+        assert fourier.nbytes == 8 * coeffs.N ** 2 * C0 * (C1 // 2 + 1)
+        assert solver.cache_info().bytes == fourier.nbytes + stencil.nbytes + (
+            0 if pair.DT is stencil else pair.DT.nbytes)
         lu = spla.splu(D.tocsc(), permc_spec="MMD_AT_PLUS_A")
         rhs = np.random.default_rng(9).standard_normal((scheme.nn, 3))
         for trans in ("N", "T"):
@@ -1062,11 +1131,47 @@ class TestFourierPath:
         fourier = solver._FourierSolver(stencil)
         assert len(inverted) == (0 if N == 1 else 1)  # 1 x 1 blocks take a reciprocal
         rfft = np.fft.rfft if mesh.n == 1 else np.fft.rfft2
-        ref = np.moveaxis(inv(np.moveaxis(rfft(want), (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        # the symbol of an even kernel is real: its real part, inverted in float64
+        symbol = np.moveaxis(rfft(want).real, (0, 1), (-2, -1))
+        ref = np.moveaxis(inv(symbol), (-2, -1), (0, 1))
+        assert fourier.inv.dtype == np.float64
         if N == 1:  # within roundoff of LAPACK's inverse of each 1 x 1 block
             assert np.max(np.abs(fourier.inv - ref) / np.abs(ref)) <= 1e-15
         else:
             assert fourier.inv.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("field", ["heat", "coupled-N3-1d"])
+    def test_odd_stencil_fails_the_residual_gate(self, store, monkeypatch, field, trans):
+        """The solver inverts the real part of the symbol, which is the inverse only for an
+        even stencil.  A first-order term b * (u(x + h) - u(x - h)) / (2h) along axis 0
+        makes B_{+e1} != B_{-e1}: its solve must raise from the residual check, not
+        return a wrong state."""
+        coeffs = FOURIER_FIELDS[field]()
+        domain, mesh = _fourier_mesh(coeffs.n)
+        rhs = np.random.default_rng(21).standard_normal(coeffs.N * mesh.ncells)
+        # the even stencil passes the gate
+        ThetaScheme(mesh, OperatorSpec(coeffs, domain)).solve_implicit(1, rhs, trans=trans)
+        build = solver._Stencil.build
+
+        def odd_build(mesh, faces, tau):
+            even = build(mesh, faces, tau)
+            blocks = even.blocks.copy()
+            drift = tau / (2 * mesh.h[0]) * np.eye(even.N)
+            for k, d in enumerate(even.offsets.tolist()):
+                if d[0] and not any(d[1:]):
+                    blocks[k] -= d[0] * drift  # through B_d, cell y reads u(y - d)
+            return solver._Stencil(even.cells, even.offsets, blocks)
+
+        monkeypatch.setattr(solver, "_STORE", solver._StepStore())
+        monkeypatch.setattr(solver._Stencil, "build", staticmethod(odd_build))
+        scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain))
+        D = scheme.implicit_lu(1)[1]
+        plus, minus = (D.blocks[D.offsets.tolist().index([s] + [0] * (coeffs.n - 1))]
+                       for s in (1, -1))
+        assert not np.array_equal(plus, minus)
+        with pytest.raises(SolverError, match="residual .* exceeds"):
+            scheme.solve_implicit(1, rhs, trans=trans)
 
     @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
     def test_stencil_residual_matches_assembled_matrix(self, store, field):
@@ -1203,9 +1308,15 @@ class TestStoredTranspose:
         D = pair[1]
         made = []
         if case.startswith("fourier"):
-            # D^T's stencil: the offsets negated and the blocks transposed
-            assert np.array_equal(pair.DT.offsets, -D.offsets)
-            assert np.array_equal(pair.DT.blocks, D.blocks.swapaxes(1, 2))
+            mirror = solver._Stencil(D.cells, -D.offsets, D.blocks.swapaxes(1, 2))
+            # the 2-D decoupled heat pair is symmetric: D^T is D's own stencil, charged once
+            assert (pair.DT is D) == (case == "fourier")
+            if pair.DT is D:
+                assert mirror.kernel().tobytes() == D.kernel().tobytes()
+                assert solver.cache_info().bytes == pair[0].nbytes + D.nbytes
+            else:  # D^T's stencil: the offsets negated and the blocks transposed
+                assert np.array_equal(pair.DT.offsets, mirror.offsets)
+                assert np.array_equal(pair.DT.blocks, mirror.blocks)
             real = solver._Stencil.T
             monkeypatch.setattr(solver._Stencil, "T",
                                 property(lambda self: made.append(1) or real.fget(self)))

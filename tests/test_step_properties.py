@@ -95,6 +95,52 @@ def test_step_matrix_is_identity_plus_tau_operator(case):
     assert_step_matrices_exact(mesh, spec, (1, mesh.steps))
 
 
+@st.composite
+def fourier_cases(draw):
+    """(mesh, spec) of a random x-independent field, or its transpose, on a periodic mesh."""
+    n = draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(1, 3))
+    coeffs = parabolic_field(n, N, draw(st.sampled_from(["const", "t"])),
+                             draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        coeffs = coeffs.transposed()
+    cells = tuple(draw(st.lists(st.integers(4, 7), min_size=n, max_size=n)))
+    domain = Domain((0.0,) * n, (1.0, 1.5)[:n], "periodic")
+    return Mesh(domain, cells, tau=1 / 64, t0=0.0, steps=3), OperatorSpec(coeffs, domain)
+
+
+@PROPERTY_SETTINGS
+@given(fourier_cases())
+def test_fourier_stencil_is_even_and_its_inverse_real(case):
+    """A Fourier step stores the float64 inverse of its symbol's real part, the symbol of
+    D's even part.  D is even in exact arithmetic, however nonsymmetric the tensor: B_{-d}
+    equals B_d to the bit in 1-D, and in 2-D within a few ulps of its terms (the cross
+    terms that cancel on the axis-0 offsets are summed in a different order at d and at
+    -d).  So the real inverse solves D, forward and transposed, to roundoff."""
+    mesh, spec = case
+    scheme = ThetaScheme(mesh, spec)
+    N, eps = spec.coeffs.N, np.finfo(float).eps
+    rhs = np.sin(np.arange(scheme.nn) + 1.0)
+    for m in range(1, mesh.steps + 1):
+        lu, D = scheme.implicit_lu(m)
+        assert isinstance(lu, solver._FourierSolver)
+        assert lu.inv.dtype == np.float64
+        assert lu.inv.shape == (N, N, *mesh.cells[:-1], mesh.cells[-1] // 2 + 1)
+        # every term of a block is tau * T[a, b][i, j] times a weight of at most 1/h^2
+        T = spec.coeffs.tensor(float(mesh.times[m]), mesh.face_points[:1])[0]
+        term = mesh.tau * np.abs(T).max(axis=(0, 1)) / np.min(mesh.h) ** 2
+        blocks = {d: b for d, b in zip(map(tuple, D.offsets.tolist()), D.blocks)}
+        for d, block in blocks.items():
+            mirror = blocks[tuple(-x for x in d)]
+            if mesh.n == 1:
+                assert mirror.tobytes() == block.tobytes(), d
+            else:
+                assert np.all(np.abs(mirror - block) <= 8 * eps * term), d
+        for trans, mat in (("N", D), ("T", scheme.implicit_lu(m).DT)):
+            x = scheme.solve_implicit(m, rhs, trans=trans)
+            assert np.linalg.norm(mat.residual(x, rhs)) <= 1e-13 * np.linalg.norm(rhs)
+
+
 TABLE_TAU = 1 / 64
 TABLE_T1 = 2.5 * TABLE_TAU  # the second time slice of a table starts between t_2 and t_3
 
