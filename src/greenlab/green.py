@@ -7,16 +7,22 @@ s - rho^2 and extended by zero below.  The transpose column mirrors this
 with the adjoint solver on the forward cylinder.  The discrete cylinders
 and their slab conventions are those of ``Mesh.cylinder``.
 
-One private builder marches every column: the N source components of a
-pole share their source window, so ``green_block_columns`` and
-``transpose_block_columns`` march them as one block, bitwise equal to the
-single-component ``averaged_green_column`` and ``transpose_green_column``.
-The public builders keep the whole window; the duality check asks the same
-builder for only the slices and cells of the cylinders it averages over,
-the causality check for the slices from step 0 to a column's first source
-slab.  Columns and ``propagator``, which marches the identity block and
-keeps its last slice, all take implicit Euler steps through the solver's
-one marcher, ``solver._march``.
+One private builder, ``_green_block``, marches every column, for one or
+several sources (a pole and a radius each) at once: the N source
+components of a pole share their source window, so
+``green_block_columns`` and ``transpose_block_columns`` march them as one
+block, bitwise equal to the single-component ``averaged_green_column`` and
+``transpose_green_column``.  The public builders keep the whole window of
+one source.  The duality check makes one march per direction, of all its
+forward or all its transpose sources, keeping only the slices and cells of
+the cylinders it averages over; the causality check makes one march for
+its radii, keeping the slices from step 0 to each column's first source
+slab.  The packing rule lives in ``_packs``: sources at one pole time
+share a block, as many as keep its spectrum within
+``solver.BLOCK_SPECTRUM_BYTES``, and every packed column is bitwise its
+own march.  Columns and the propagators, which march the identity block and
+keep the slices they return, all take implicit Euler steps through the
+solver's one marcher, ``solver._march``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh, Trajectory
 from .problem import OperatorSpec
-from .solver import ThetaScheme, _Keep, _march
+from .solver import BLOCK_SPECTRUM_BYTES, ThetaScheme, _Keep, _march
 
 
 def heat_kernel(n: int, t: float, r) -> np.ndarray:
@@ -118,49 +124,90 @@ class GreenColumn:
         return self.field.slice_at(t)[:, self.mesh.cell_index(x)].copy()
 
 
-def _green_block(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
-                 direction: str, keep: _Keep = _Keep()):
-    """The columns of source components ``ks`` at one pole, marched as one block.
+def _packs(mesh: Mesh, poles, columns: int, N: int) -> list:
+    """The blocks that sources at ``poles`` march in, as lists of their indices.
 
-    Forward columns carry the minus-cylinder source and run up to the
-    horizon; backward (transpose) columns carry the plus-cylinder source and
-    run down to it.  A forward march starts at its source window, or at the
-    first kept slice when that comes earlier, so the zero extension below
-    the window is marched rather than assumed.  Returns the first time index
-    of the march window and what ``keep`` keeps of the columns, as
-    (len(ks), slices, N, kept cells).
+    Sources pack when their poles share a time.  A source window then ends,
+    in march order, at the pole's step for every source (a minus cylinder
+    ends at its pole, and so does a plus cylinder marched backward), so no
+    packed column past its window takes a fresh transform while another
+    column's source is still on: each column stays bitwise its own march.
+    A block holds as many sources, of ``columns`` columns of N components
+    each, as keep its spectrum within ``BLOCK_SPECTRUM_BYTES`` at 16 bytes
+    per value; a source alone over it marches alone.
     """
-    _check_resolvable(mesh, radius)
+    per = 16 * columns * N * math.prod(mesh.cells[:-1]) * (mesh.cells[-1] // 2 + 1)
+    size = max(1, BLOCK_SPECTRUM_BYTES // per)
+    runs: dict = {}
+    for j, pole in enumerate(poles):
+        runs.setdefault(mesh.time_index(float(pole[0])), []).append(j)
+    return [run[i:i + size] for run in runs.values() for i in range(0, len(run), size)]
+
+
+def _green_block(spec: OperatorSpec, mesh: Mesh, sources, ks, horizon: float,
+                 direction: str, keep: _Keep = _Keep()):
+    """The columns of source components ``ks`` at each (pole, radius) of ``sources``.
+
+    Forward columns carry the minus-cylinder source of their pole and radius
+    and run up to the horizon; backward (transpose) columns carry the
+    plus-cylinder source and run down to it.  The sources march in the
+    blocks of ``_packs``, one block for a few sources at one time.  Each
+    column carries its own source window: a column marched before its window
+    holds exact zeros, which its steps keep at zero.  Every block marches
+    from the earliest window start (forward; backward from the latest window
+    end), or from the first kept slice when that comes earlier, so the zero
+    extension below a window is marched rather than assumed.  Returns the
+    first time index of the march window and what ``keep`` keeps of the
+    columns, as (len(sources), len(ks), slices, N, kept cells).
+    """
     N = spec.coeffs.N
     for k in ks:
         if not 1 <= k <= N:
             raise ConfigError(f"component k={k} outside 1..{N}")
-    _check_pole(mesh, pole)
     forward = direction == "forward"
-    active, _ = mesh.cylinder(pole, radius, "minus" if forward else "plus")
-    G = np.stack([_mollifier(mesh, N, pole[1], radius, k) for k in ks], axis=1)
-
-    def src(m):
-        return G if m in active else None
-
+    windows = []
+    for pole, radius in sources:
+        _check_resolvable(mesh, radius)
+        _check_pole(mesh, pole)
+        windows.append(mesh.cylinder(pole, radius, "minus" if forward else "plus")[0])
     if forward:
-        i0, i1 = active.start, mesh.time_index(horizon)
+        i0, i1 = min(w.start for w in windows), mesh.time_index(horizon)
         if keep.slices is not None and len(keep.slices) and keep.slices[0] < i0:
             i0 = int(keep.slices[0])
     else:
-        i0, i1 = mesh.time_index(horizon), active.stop
-    block = _march(ThetaScheme(mesh, spec), i0, i1, np.zeros_like(G), src, keep,
-                   backward=not forward)
-    return i0, block.reshape(block.shape[:2] + (N, block.shape[2] // N))
+        i0, i1 = mesh.time_index(horizon), max(w.stop for w in windows)
+    out = None
+    for pack in _packs(mesh, [pole for pole, _ in sources], len(ks), N):
+        # batch-major, as the solver returns its blocks: G.T is C-contiguous
+        G = np.stack([_mollifier(mesh, N, sources[j][0][1], sources[j][1], k)
+                      for j in pack for k in ks]).T
+        # each step's source: the columns whose window holds the step, the others 0
+        steps, masked = {}, {}
+        for m in range(min(windows[j].start for j in pack), max(windows[j].stop for j in pack)):
+            opened = tuple(m in windows[j] for j in pack)
+            if any(opened):
+                if opened not in masked:
+                    masked[opened] = G if all(opened) else G * np.repeat(opened, len(ks))
+                steps[m] = masked[opened]
+        block = _march(ThetaScheme(mesh, spec), i0, i1, np.zeros_like(G), steps.get, keep,
+                       backward=not forward)
+        block = block.reshape(len(pack), len(ks), *block.shape[1:])
+        if len(pack) == len(sources):
+            out = block
+        else:
+            if out is None:
+                out = np.empty((len(sources), *block.shape[1:]))
+            out[pack] = block
+    return i0, out.reshape(*out.shape[:3], N, -1)
 
 
 def _green_columns(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
                    direction: str) -> list:
-    """Columns of ``_green_block``; each column's field is a view of the whole block."""
-    i0, block = _green_block(spec, mesh, pole, ks, radius, horizon, direction)
+    """Columns of ``_green_block`` at one source; each field is a view of the whole block."""
+    i0, block = _green_block(spec, mesh, [(pole, radius)], ks, horizon, direction)
     where = (float(pole[0]), np.atleast_1d(np.asarray(pole[1], dtype=float)))
     return [GreenColumn(spec, mesh, where, k, radius, Trajectory(mesh, i0, vals), direction)
-            for k, vals in zip(ks, block)]
+            for k, vals in zip(ks, block[0])]
 
 
 def averaged_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho: float,
@@ -194,17 +241,27 @@ def cylinder_average(traj: Trajectory, pole, radius: float, kind: str) -> np.nda
 # propagators
 # ----------------------------------------------------------------------
 
-PROPAGATOR_CAP = 4000  # unknowns of a dense propagator; normalization marches N states
+# unknowns of a dense propagator, which bounds propagator and semigroup; normalization
+# marches N states
+PROPAGATOR_CAP = 4000
+
+
+def _propagators(spec: OperatorSpec, mesh: Mesh, s: float, times) -> list:
+    """P(t, s) for each t of the increasing ``times``: the slices at those times of one
+    march of the identity block from s."""
+    scheme = ThetaScheme(mesh, spec)
+    if scheme.nn > PROPAGATOR_CAP:
+        raise ConfigError(f"propagator size {scheme.nn} exceeds cap {PROPAGATOR_CAP}")
+    steps = [mesh.time_index(t) for t in times]
+    out = _march(scheme, mesh.time_index(s), steps[-1], np.eye(scheme.nn), lambda m: None,
+                 _Keep(steps))
+    return [out[:, j].T for j in range(len(steps))]
 
 
 def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float) -> np.ndarray:
     """P(t, s) as an (nn, nn) array: the identity block marched from s to t, so
     column j is the march of unit state j."""
-    scheme = ThetaScheme(mesh, spec)
-    if scheme.nn > PROPAGATOR_CAP:
-        raise ConfigError(f"propagator size {scheme.nn} exceeds cap {PROPAGATOR_CAP}")
-    i0, i1 = mesh.time_index(s), mesh.time_index(t)
-    return _march(scheme, i0, i1, np.eye(scheme.nn), lambda m: None, _Keep([i1]))[:, 0].T
+    return _propagators(spec, mesh, s, [t])[0]
 
 
 # ----------------------------------------------------------------------

@@ -74,16 +74,19 @@ state or an (nn, B) block of B states sharing every step's solver.
 its cylinder energies as it comes.  It and ``dense_spacetime_oracle``
 check that a window spans a step with one ``_check_window``.
 ``solve_forward``/``solve_backward`` march one state, the Green column
-builders march all source components of a pole as one block,
-``green.propagator`` marches the (nn, nn) identity block and
-``verify.check_normalization`` the (nn, N) block of constant states.
+builder marches all source components of several poles and radii as one
+block (the duality check makes one march per direction, in blocks whose
+spectrum fits ``BLOCK_SPECTRUM_BYTES``), ``green.propagator`` marches the
+(nn, nn) identity block and ``verify.check_normalization`` the (nn, N)
+block of constant states.
 Both solvers solve a block bitwise equal to its columns one by one.  Every
 solve checks the relative residual of each column against
 ``RESIDUAL_TOL``, so a bad small column cannot hide behind a large one.
 A SuperLU step's residual is ``D @ x - rhs`` with the stored CSC matrix; a
-Fourier step's applies the stencil's blocks to shifted copies of the state,
-with rhs stacked in for one product, so it shares nothing with the FFT and
-a wrong inverse symbol or a stale carried spectrum fails loudly.  A
+Fourier step's applies the stencil's blocks to shifted copies of each
+state, with its rhs stacked in for one product per state, so it shares
+nothing with the FFT and a wrong inverse symbol or a stale carried spectrum
+fails loudly.  A
 ``trans="T"`` solve checks against D's transpose, built once per stored
 step: a view of the CSC arrays, D's own stencil when its blocks satisfy
 B_{-d} = B_d^T to the bit (every N = 1 step in 1-D, and in 2-D without
@@ -489,7 +492,7 @@ def _kernel_terms(mesh: Mesh):
 
 @lru_cache(maxsize=64)
 def _shift_pieces(d: tuple) -> tuple:
-    """(dst, src) index pairs into (N, *cells, B) arrays: copying u[src] to dst puts u[x - d] at x.
+    """(dst, src) cell-axis slices: u's cells ``src``, copied to ``dst``, put u[x - d] at x.
 
     One pair per combination of the axes' two wrapped ranges; on an axis of
     two cells the offsets +1 and -1 give the same shift.
@@ -497,16 +500,27 @@ def _shift_pieces(d: tuple) -> tuple:
     ranges = {0: [(slice(None), slice(None))],
               1: [(slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None))],
               -1: [(slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))]}
-    every = slice(None)  # the component axis; the trailing block axis is left out
-    return tuple(((every, *(dst for dst, _ in combo)), (every, *(src for _, src in combo)))
+    return tuple((tuple(dst for dst, _ in combo), tuple(src for _, src in combo))
                  for combo in itertools.product(*(ranges[da] for da in d)))
 
 
 @lru_cache(maxsize=16)
 def _copy_plan(offsets: tuple) -> tuple:
-    """(destination in the stack, source in the state) of every shifted copy ``_Stencil._residual``
-    makes for the offsets ``offsets``: the stencils of a run share one plan."""
-    return tuple(((k, *dst), src) for k, d in enumerate(offsets) for dst, src in _shift_pieces(d))
+    """(destination in the (B, K + 1, N, *cells) stack, source in the (B, N, *cells) states)
+    of every shifted copy ``_Stencil._residual`` makes for the offsets ``offsets``: the
+    stencils of a run share one plan."""
+    every = slice(None)
+    return tuple(((every, k, every, *dst), (every, every, *src))
+                 for k, d in enumerate(offsets) for dst, src in _shift_pieces(d))
+
+
+# ``green._packs`` packs Green sources into blocks whose spectrum, 16 bytes
+# per value, stays within glibc's 128 KiB mmap threshold, as perfbench pins
+# it.  Past it every step maps and faults in fresh arrays: on 64^2 heat,
+# forward blocks of one-column sources took 5.5 ms per column in blocks of 3
+# (101 KB of spectrum), 7.4 ms in blocks of 4 and 8.7-9.4 ms in blocks of 6
+# or 8, against 7.1 ms for a column alone (1 BLAS thread, medians of 9).
+BLOCK_SPECTRUM_BYTES = 128 * 2**10
 
 
 class _Stencil:
@@ -582,29 +596,40 @@ class _Stencil:
         return kernel
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """D @ x - rhs for a flat (nn,) state or an (nn, B) block, shaped like x."""
-        u = x.reshape(self.N, *self.cells, -1)
-        v = rhs.reshape(u.shape)
-        if u.shape[-1] <= self._width:
-            return self._residual(u, v).reshape(x.shape)
-        res = np.empty(x.shape)
-        for j in range(0, u.shape[-1], self._width):
-            cols = slice(j, j + self._width)
-            res[:, cols] = self._residual(u[..., cols], v[..., cols])
-        return res
+        """D @ x - rhs for a flat (nn,) state or an (nn, B) block, shaped like x.
+
+        A block is read batch-major, through ``x.T`` as (B, N, *cells), the
+        layout of the C-contiguous array whose transpose
+        ``_FourierSolver.solve`` returns, so every shifted copy moves runs
+        of contiguous cells.  Read through the (nn, B) view, the copies
+        gathered one strided value at a time: at 64^2 and B = 2 the residual
+        took 107 us per column, against 30 us (one process, 1 BLAS thread).
+        Each column's residual is its flat residual to the bit.
+        """
+        B = 1 if x.ndim == 1 else x.shape[1]
+        shape = (B, self.N, *self.cells)
+        u, v = x.T.reshape(shape), rhs.T.reshape(shape)
+        if B <= self._width:
+            res = self._residual(u, v)
+        else:
+            res = np.empty((B, self._nn))
+            for j in range(0, B, self._width):
+                cols = slice(j, j + self._width)
+                res[cols] = self._residual(u[cols], v[cols])
+        return res.T.reshape(x.shape)
 
     def _residual(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """D @ u - v for (N, *cells, B) states, shaped (nn, B): one product of ``row``
-        with the shifted copies of u stacked over v."""
+        """D @ u - v for (b, N, *cells) states, shaped (b, nn): for each state one product
+        of ``row`` with its shifted copies stacked over its v."""
         size = (len(self.offsets) + 1) * u.size
         if _Stencil._buffer.size < size:
             _Stencil._buffer = np.empty(size)
-        stack = _Stencil._buffer[:size].reshape(-1, *u.shape)
+        stack = _Stencil._buffer[:size].reshape(len(u), -1, *u.shape[1:])
         for dst, src in self._copies:
             stack[dst] = u[src]
-        stack[-1] = v
-        res = np.dot(self.row, stack.reshape(self.row.shape[1], -1))
-        return res.reshape(self._nn, u.shape[-1])
+        stack[:, -1] = v
+        res = np.matmul(self.row, stack.reshape(len(u), self.row.shape[1], -1))
+        return res.reshape(len(u), self._nn)
 
 
 def _rfft(a: np.ndarray, cells: tuple) -> np.ndarray:

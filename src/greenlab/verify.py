@@ -5,6 +5,21 @@ names the mathematical identity being tested, the fitted quantities, the
 tolerance that decided pass/fail, and sampling metadata.  Checks are pure
 functions of their inputs; fits never fail on data, only on violated
 preconditions, and informational records never gate anything.
+
+Checks that read slices or cylinders keep only those: ``gaffney``,
+``bounded-initial``, ``davies`` and ``adjoint`` their first or last slice,
+``initial-trace`` its probe slices, ``causality`` the slices up to each
+column's first source slab, ``interior-decay`` and ``local-boundedness``
+the slices of their outer cylinder at the cells they read, and ``duality``
+the slices and ball cells of its cylinders.  ``duality`` makes one march
+per direction and ``causality`` one for its radii, in the blocks of
+``green._packs``; ``semigroup`` takes P(r, s) and P(t, s) from one march;
+``normalization`` marches the N constant states as one (nn, N) block, so
+it needs no dense propagator.  ``interior-decay`` folds its marches as they
+pass (``_cylinder_energies``) and differs from one sum over the whole
+cylinder only at roundoff; every other record is byte-identical to the one
+computed from whole trajectories.  ``weak-levels``, ``gaussian``,
+``heat-kernel`` and ``pointwise-decay`` still hold whole columns.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .green import (_green_block, _rho_ladder, averaged_green_column,
+from .green import (_green_block, _propagators, _rho_ladder, averaged_green_column,
                     extrapolated_green_column, green_block_columns, propagator,
                     wrapped_heat_kernel)
 from .mesh import Mesh, _positions_in
@@ -111,14 +126,17 @@ def operator_norms(blocks: np.ndarray) -> np.ndarray:
 
 def _block_averages(spec: OperatorSpec, mesh: Mesh, wants, horizon: float,
                     direction: str) -> list:
-    """Cylinder averages of each distinct block of Green columns.
+    """Cylinder averages of Green columns, from one march per direction.
 
     ``wants`` lists (pole, radius, cylinder pole, cylinder radius) per pair;
     forward columns are averaged over plus cylinders, transpose columns over
-    minus cylinders.  The block of each distinct (pole, radius) is marched
-    once and keeps only the slices and ball cells of its pairs' cylinders.
-    Entry [k, l] of each returned (N, N) array is component l of column k
-    averaged over the pair's cylinder, as ``cylinder_average`` averages it.
+    minus cylinders.  Each distinct (pole, radius) is one source of N
+    columns, and ``_green_block`` marches all of them, in the blocks of
+    ``green._packs``: one block when the poles share their time and the
+    block's spectrum fits.  The march keeps only the slices and ball cells of
+    the pairs' cylinders.  Entry [k, l] of each returned (N, N) array is
+    component l of column k averaged over the pair's cylinder, as
+    ``cylinder_average`` averages it.
     """
     kind = "plus" if direction == "forward" else "minus"
     N = spec.coeffs.N
@@ -126,17 +144,18 @@ def _block_averages(spec: OperatorSpec, mesh: Mesh, wants, horizon: float,
     for i, (P, r, Q, q) in enumerate(wants):
         key = (float(P[0]), tuple(np.atleast_1d(np.asarray(P[1], dtype=float))), float(r))
         groups.setdefault(key, []).append((i, *mesh.cylinder_slices(Q, q, kind)))
+    members = [m for group in groups.values() for m in group]
+    slices = sorted(set().union(*(idx for _, idx, _ in members)))
+    cells = _sorted_unique(np.concatenate([ball for _, _, ball in members]))
+    _, block = _green_block(spec, mesh, [wants[group[0][0]][:2] for group in groups.values()],
+                            range(1, N + 1), horizon, direction,
+                            _Keep.on_cells(mesh, N, slices, cells))
     out = [None] * len(wants)
-    for members in groups.values():
-        P, r = wants[members[0][0]][:2]
-        slices = sorted(set().union(*(idx for _, idx, _ in members)))
-        cells = _sorted_unique(np.concatenate([ball for _, _, ball in members]))
-        _, block = _green_block(spec, mesh, P, range(1, N + 1), r, horizon, direction,
-                                _Keep.on_cells(mesh, N, slices, cells))
-        for i, idx, ball in members:
+    for cols, group in zip(block, groups.values()):
+        for i, idx, ball in group:
             j, at = slices.index(idx.start), np.searchsorted(cells, ball)
             out[i] = np.stack([col[j:j + len(idx)][:, :, at].mean(axis=(0, 2))
-                               for col in block])
+                               for col in cols])
     return out
 
 
@@ -147,9 +166,11 @@ def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
 
     ``pairs`` is an iterable of (Y, X, rho, sigma); the forward column is
     solved up to T >= t + sigma^2 and the adjoint column down to
-    S <= s - rho^2 so the pairing windows overlap.  Each distinct forward
-    (Y, rho) and transpose (X, sigma) block is marched once.  A pair's (N, N)
-    blocks F and B are compared at their scale: max|B^T - F| / max(max|F|, max|B|).
+    S <= s - rho^2 so the pairing windows overlap.  The columns of every
+    distinct forward (Y, rho) march together, and so do those of every
+    transpose (X, sigma): one march per direction (``_block_averages``).  A
+    pair's (N, N) blocks F and B are compared at their scale:
+    max|B^T - F| / max(max|F|, max|B|).
     """
     pairs = list(pairs)
     if not pairs:
@@ -170,12 +191,16 @@ def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
 
 def check_semigroup(spec: OperatorSpec, mesh: Mesh, s: float, r: float, t: float,
                     tolerance: float = 1e-12) -> CheckRecord:
-    """Composition through an intermediate time reproduces the propagator."""
+    """Composition through an intermediate time reproduces the propagator.
+
+    P(r, s) and P(t, s) are the slices at r and t of one march of the
+    identity block from s, bitwise the marches that stop at each; P(t, r)
+    is a second march.
+    """
     if not (s < r < t):
         raise ConfigError("need s < r < t")
-    P_ts = propagator(spec, mesh, s, t)
+    P_rs, P_ts = _propagators(spec, mesh, s, [r, t])
     P_tr = propagator(spec, mesh, r, t)
-    P_rs = propagator(spec, mesh, s, r)
     num = float(np.max(np.abs(P_ts - P_tr @ P_rs)))
     den = float(np.max(np.abs(P_ts)))
     resid = num / den if den > 0 else 0.0
@@ -228,14 +253,15 @@ def check_normalization(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
 def check_causality(spec: OperatorSpec, mesh: Mesh, Y, rho_list, T: float) -> CheckRecord:
     """Zero extension: columns vanish identically before their source window.
 
-    Each radius's column is marched from step 0 with its source, and the
-    slices up to its first source slab must all be exactly zero.
+    The columns of all radii march from step 0 as one block, each with its
+    own source window, and each column's slices up to its first source slab
+    must all be exactly zero.
     """
-    worst = 0.0
-    for rho in _rho_ladder(rho_list):
-        first = mesh.cylinder(Y, rho, "minus")[0].start
-        _, early = _green_block(spec, mesh, Y, [1], rho, T, "forward", _Keep(range(first + 1)))
-        worst = max(worst, float(np.max(np.abs(early))))
+    rhos = _rho_ladder(rho_list)
+    firsts = [mesh.cylinder(Y, rho, "minus")[0].start for rho in rhos]
+    _, early = _green_block(spec, mesh, [(Y, rho) for rho in rhos], [1], T, "forward",
+                            _Keep(range(max(firsts) + 1)))
+    worst = max(float(np.max(np.abs(col[0, :first + 1]))) for col, first in zip(early, firsts))
     status = "pass" if worst == 0.0 else "fail"
     return CheckRecord("causality", "zero-extension", status, 0.0,
                        fitted={"max_early_value": worst},

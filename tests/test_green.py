@@ -386,6 +386,43 @@ class TestBlockSampling:
         # the rotating coupling reaches both field components of every column
         assert all(np.abs(col.field.values).max(axis=(0, 2)).min() > 0 for col in fwd + bwd)
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_packed_sources_are_their_own_columns(self, boundary, direction):
+        """Sources at one time, of two radii, march as one block: each column is bitwise
+        its own march inside that march's window and exactly 0 outside it."""
+        dom = Domain((0.0,), (1.0,), boundary)
+        mesh = Mesh(dom, (32,), tau=1 / 512, t0=0.0, steps=64)
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), dom)
+        t, horizon = (20 / 512, 53 / 512) if direction == "forward" else (44 / 512, 11 / 512)
+        sources = [((t, mesh.centers[c]), r) for c in (9, 14) for r in (4 / 32, 3 / 32)]
+        i0, block = green._green_block(spec, mesh, sources, [1, 2], horizon, direction)
+        assert block.shape[:2] == (4, 2)
+        lengths = set()
+        for cols, (pole, r) in zip(block, sources):
+            for col, one in zip(cols, green._green_columns(spec, mesh, pole, [1, 2], r,
+                                                           horizon, direction)):
+                inside = slice(one.field.i0 - i0, one.field.i0 - i0 + one.field.nslices)
+                assert col[inside].tobytes() == one.field.values.tobytes()
+                assert not np.delete(col, np.arange(len(col))[inside], axis=0).any()
+                lengths.add(one.field.nslices)
+        # the smaller radius's own march is shorter: its packed column holds zeros
+        assert min(lengths) < block.shape[2] == max(lengths)
+
+    def test_packs_by_pole_time_within_the_spectrum_bound(self, periodic_2d):
+        """A 64 x 64 column's spectrum is 64 x 33 x 16 bytes: 3 one-column sources share
+        a block, sources at another pole time take their own, and a source over the
+        bound marches alone."""
+        mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=8)
+        line = Mesh(Domain((0.0,), (1.0,), "periodic"), (32,), tau=1 / 512, t0=0.0, steps=8)
+        steps = (2, 2, 3, 2, 2, 3)
+        poles = [(k * mesh.tau, mesh.centers[0]) for k in steps]
+        assert green._packs(mesh, poles, 1, 1) == [[0, 1, 3], [4], [2, 5]]
+        assert green._packs(mesh, poles, 2, 1) == [[0], [1], [3], [4], [2], [5]]
+        assert green._packs(mesh, poles, 2, 2) == [[0], [1], [3], [4], [2], [5]]
+        poles = [(k * line.tau, line.centers[0]) for k in steps]
+        assert green._packs(line, poles, 2, 2) == [[0, 1, 3, 4], [2, 5]]
+
 
 class TestScalarNonnegativity:
     def test_propagator_entries_nonnegative_scalar_theta1(self, mesh32, periodic_1d):

@@ -1194,6 +1194,27 @@ class TestFourierPath:
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 1e-15 * scale), (field, shape, order)
 
+    @pytest.mark.parametrize("field", ["heat", "decoupled-heat-pair", "heat-1d", "rotating-1d"])
+    def test_block_residual_equals_flat_residuals(self, store, field):
+        """A block's residual, read batch-major, is each column's flat residual to the bit
+        (N = 1 and 2, 1-D and 2-D): for the block a solve returns, a transposed
+        C-contiguous array, and for blocks in either (nn, B) memory order."""
+        coeffs = FOURIER_FIELDS[field]()
+        domain, mesh = _fourier_mesh(coeffs.n)
+        scheme = ThetaScheme(mesh, OperatorSpec(coeffs, domain))
+        pair = scheme.implicit_lu(2)
+        rng = np.random.default_rng(23)
+        rhs = rng.standard_normal((scheme.nn, 3))
+        solved = pair[0].solve(rhs)[0]
+        assert solved.T.flags.c_contiguous
+        for stencil in (pair[1], pair.DT):
+            for x in (solved, np.ascontiguousarray(solved), np.asfortranarray(solved)):
+                got = stencil.residual(x, rhs)
+                assert got.shape == x.shape
+                for b in range(3):
+                    flat = stencil.residual(x[:, b].copy(), rhs[:, b].copy())
+                    assert got[:, b].tobytes() == flat.tobytes(), (field, b)
+
     def test_stencil_residual_of_a_wide_block_in_column_chunks(self, store, monkeypatch):
         """A block whose stack of shifted copies would pass ``STACK_BYTES`` is checked a few
         columns at a time, to the same residual, and the shared buffer stays within the

@@ -45,10 +45,12 @@ def scheme_log(monkeypatch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.shapes = set()
+            self.solves = 0
             made.append(self)
 
         def solve_implicit(self, m, rhs, trans="N"):
             self.shapes.add(rhs.shape)
+            self.solves += 1
             return super().solve_implicit(m, rhs, trans)
 
     for module in (solver, green):
@@ -57,25 +59,69 @@ def scheme_log(monkeypatch):
 
 
 class TestDuality:
-    def test_rotating_grid_marches_each_block_once(self, mesh32, periodic_1d, scheme_log,
-                                                   monkeypatch):
-        # the columns-rotating-1d grid: 3 poles x 3 probes x rho {4, 3} x sigma {4, 3} cells
-        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
-        poles = [(20 / 512, mesh32.centers[c]) for c in (6, 9, 12)]
-        probes = [(44 / 512, mesh32.centers[c]) for c in (19, 22, 25)]
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_rotating_grid_marches_each_direction_once(self, boundary, scheme_log, monkeypatch):
+        """The columns-rotating-1d grid: 3 poles x 3 probes x rho {4, 3} x sigma {4, 3}
+        cells.  On the dirichlet mesh the blocks solve by SuperLU."""
+        domain = Domain((0.0,), (1.0,), boundary)
+        mesh = Mesh(domain, (32,), tau=1.0 / 512, t0=0.0, steps=64)
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), domain)
+        poles = [(20 / 512, mesh.centers[c]) for c in (6, 9, 12)]
+        probes = [(44 / 512, mesh.centers[c]) for c in (19, 22, 25)]
         radii = [4 / 32, 3 / 32]
         pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
                  for rho in radii for sigma in radii]
-        rec = V.check_duality(spec, mesh32, pairs, T=53 / 512, S=11 / 512)
-        # 3 poles x 2 radii forward, 3 probes x 2 radii transpose; 144 per-pair columns before
-        assert len(scheme_log) == 12
-        assert all(scheme.shapes == {(64, 2)} for scheme in scheme_log)
+        rec = V.check_duality(spec, mesh, pairs, T=53 / 512, S=11 / 512)
+        # 3 poles x 2 radii x N = 2 forward columns in one march, 3 probes x 2 radii x 2
+        # transpose columns in another; 144 per-pair columns before
+        assert len(scheme_log) == 2
+        assert all(scheme.shapes == {(64, 12)} for scheme in scheme_log)
         monkeypatch.undo()
-        ref = _per_pair_duality(spec, mesh32, pairs, T=53 / 512, S=11 / 512)
+        fourier = isinstance(ThetaScheme(mesh, spec).implicit_lu(1)[0], solver._FourierSolver)
+        assert fourier == (boundary == "periodic")
+        ref = _per_pair_duality(spec, mesh, pairs, T=53 / 512, S=11 / 512)
         assert rec.to_dict() == ref.to_dict()
         assert rec.fitted["max_residual"] == ref.fitted["max_residual"] > 0
         assert rec.samples["pairs"] == 36 * 4
         assert rec.status == "pass"
+
+    def test_poles_at_two_times_match_per_pair_columns(self, mesh32, periodic_1d, scheme_log,
+                                                       monkeypatch):
+        """Sources pack only with sources whose pole shares their time: the forward
+        columns at two pole times march in two blocks, the transpose ones in one, and
+        the record is bitwise the per-pair columns'."""
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        poles = [(20 / 512, mesh32.centers[6]), (24 / 512, mesh32.centers[10]),
+                 (20 / 512, mesh32.centers[12])]
+        probes = [(44 / 512, mesh32.centers[c]) for c in (19, 25)]
+        radii = [4 / 32, 3 / 32]
+        pairs = [(Y, X, rho, sigma) for Y in poles for X in probes
+                 for rho in radii for sigma in radii]
+        rec = V.check_duality(spec, mesh32, pairs, T=53 / 512, S=11 / 512)
+        # (2 poles at 20 and 1 at 24) x 2 radii x N = 2; 2 probes x 2 radii x 2
+        assert sorted(scheme.shapes.pop()[1] for scheme in scheme_log) == [4, 8, 8]
+        monkeypatch.undo()
+        ref = _per_pair_duality(spec, mesh32, pairs, T=53 / 512, S=11 / 512)
+        assert rec.to_dict() == ref.to_dict() and rec.status == "pass"
+
+    def test_2d_blocks_stay_within_the_packing_bound(self, periodic_2d, scheme_log,
+                                                     monkeypatch):
+        """On 64 x 64 cells a column's spectrum is 64 x 33 x 16 bytes, so 3 columns fit
+        ``BLOCK_SPECTRUM_BYTES``: 4 forward sources march as blocks of 3 and 1, and the
+        record is bitwise the per-pair columns'."""
+        mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=96)
+        spec = OperatorSpec(make_preset("heat", n=2), periodic_2d)
+        tau = mesh.tau
+        poles = [(32 * tau, mesh.centers[c]) for c in (20 * 64 + 20, 26 * 64 + 18)]
+        probes = [(64 * tau, mesh.centers[40 * 64 + 42])]
+        pairs = [(Y, X, rho, 4 / 64) for Y in poles for X in probes for rho in (4 / 64, 3 / 64)]
+        rec = V.check_duality(spec, mesh, pairs, T=81 * tau, S=15 * tau)
+        widths = sorted(width for scheme in scheme_log for _, width in scheme.shapes)
+        assert widths == [1, 1, 3]
+        assert 3 * 64 * 33 * 16 <= solver.BLOCK_SPECTRUM_BYTES < 4 * 64 * 33 * 16
+        monkeypatch.undo()
+        ref = _per_pair_duality(spec, mesh, pairs, T=81 * tau, S=15 * tau)
+        assert rec.to_dict() == ref.to_dict() and rec.status == "pass"
 
     def test_heat_tight(self, mesh32, heat_spec):
         pairs = [((16 / 512, mesh32.centers[8]), (44 / 512, mesh32.centers[24]),
@@ -132,12 +178,13 @@ class TestDuality:
 
 
 class TestExactChecks:
-    def test_causality_marches_each_radius_once(self, mesh32, periodic_1d, scheme_log):
+    def test_causality_marches_its_ladder_once(self, mesh32, periodic_1d, scheme_log):
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
         Y = (20 / 512, mesh32.centers[16])
         rec = V.check_causality(spec, mesh32, Y, [4 / 32, 3 / 32], 53 / 512)
         assert rec.status == "pass" and rec.fitted["max_early_value"] == 0.0
-        assert len(scheme_log) == 2  # one march per radius
+        # one march, a column of component 1 per radius
+        assert len(scheme_log) == 1 and scheme_log[0].shapes == {(64, 2)}
 
     def test_causality_reads_marched_values(self, mesh32, periodic_1d, monkeypatch):
         """A step that adds 1.0 to every state puts nonzero values before the
@@ -155,6 +202,20 @@ class TestExactChecks:
         rec2 = V.check_semigroup(heat_spec, mesh32, 16 / 512, 32 / 512, 48 / 512)
         assert rec1.status == rec2.status == "pass"
         assert rec1.fitted["max_residual"] <= 1e-12
+
+    def test_semigroup_keeps_two_slices_of_one_march(self, mesh32, periodic_1d, scheme_log,
+                                                     monkeypatch):
+        """P(r, s) is the slice at r of the march that gives P(t, s): (t - s) + (t - r)
+        solves of the identity block, and the record of three separate propagators."""
+        spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
+        rec = V.check_semigroup(spec, mesh32, 0.0, 24 / 512, 56 / 512)
+        assert sum(scheme.solves for scheme in scheme_log) == 56 + 32
+        assert all(scheme.shapes == {(64, 64)} for scheme in scheme_log)
+        monkeypatch.undo()
+        P_ts, P_tr, P_rs = (green.propagator(spec, mesh32, a, b)
+                            for a, b in ((0.0, 56 / 512), (24 / 512, 56 / 512), (0.0, 24 / 512)))
+        want = float(np.max(np.abs(P_ts - P_tr @ P_rs))) / float(np.max(np.abs(P_ts)))
+        assert rec.fitted["max_residual"] == want and rec.status == "pass"
 
     def test_semigroup_needs_interior_time(self, mesh32, heat_spec):
         with pytest.raises(ConfigError):
