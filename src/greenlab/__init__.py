@@ -4,11 +4,8 @@ from .errors import ConfigError, SolverError
 from .problem import (CoefficientField, Domain, OperatorSpec, load_table, make_preset,
                       validate_parabolicity)
 from .mesh import Mesh, Trajectory, parabolic_distance
-from .solver import ThetaScheme, assemble, dense_spacetime_oracle, solve_backward, solve_forward
-from .green import (GreenColumn, averaged_green_column, cylinder_average,
-                    extrapolated_green_column, green_block_columns, heat_kernel, propagator,
-                    rho_refinement, transpose_block_columns, transpose_green_column,
-                    wrapped_heat_kernel)
+from .solver import ThetaScheme, assemble, dense_spacetime_oracle, solve_forward
+from .green import heat_kernel, wrapped_heat_kernel
 
 __version__ = "0.1.0"
 
@@ -17,9 +14,6 @@ __all__ = (
     "CoefficientField", "Domain", "OperatorSpec", "load_table", "make_preset",
     "validate_parabolicity",
     "Mesh", "Trajectory", "parabolic_distance",
-    "ThetaScheme", "assemble", "dense_spacetime_oracle", "solve_backward", "solve_forward",
-    "GreenColumn", "averaged_green_column", "cylinder_average",
-    "extrapolated_green_column", "green_block_columns", "heat_kernel", "propagator",
-    "rho_refinement", "transpose_block_columns", "transpose_green_column",
-    "wrapped_heat_kernel",
+    "ThetaScheme", "assemble", "dense_spacetime_oracle", "solve_forward",
+    "heat_kernel", "wrapped_heat_kernel",
 )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import verify as V
 from .errors import ConfigError, SolverError
-from .green import averaged_green_column
+from .green import _green_block
 from .io import report_to_json, write_samples_csv
 from .mesh import Mesh
 from .problem import PRESETS, Domain, OperatorSpec, load_table, make_preset, seeded_uniform
@@ -269,7 +269,8 @@ def _run_semigroup(ctx: Context, s_step: int = 0, r_step: int | None = None,
     mesh = ctx.mesh
     return V.check_semigroup(ctx.spec, mesh, _time(mesh, s_step),
                              _time(mesh, r_step, mesh.steps // 2),
-                             _time(mesh, t_step, mesh.steps), tolerance=float(tolerance))
+                             _time(mesh, t_step, mesh.steps), tolerance=float(tolerance),
+                             seed=ctx.seed)
 
 
 def _run_normalization(ctx: Context, s_step: int = 0, t_step: int | None = None,
@@ -382,8 +383,10 @@ def _run_weak_levels(ctx: Context, rho_cells: float = 2, s_step: int | None = No
     mesh = ctx.mesh
     rho = _rho_from_cells(mesh, rho_cells)
     Y = (_time(mesh, s_step, _cylinder_steps(mesh, rho)), _cell_at_frac(mesh, y_frac, 0.5))
-    col = averaged_green_column(ctx.spec, mesh, Y, 1, rho, _time(mesh, t_step, mesh.steps))
-    return V.weak_lp_levels(col, use_gradient=bool(gradient), margin=float(margin))
+    T = _time(mesh, t_step, mesh.steps)
+    _, block = _green_block(ctx.spec, mesh, [(Y, rho)], [1], T, "forward")
+    return V.weak_lp_levels(mesh, Y, rho, block[0, 0], T, use_gradient=bool(gradient),
+                            margin=float(margin))
 
 
 def _run_interior_decay(ctx: Context, ladder_cells: list[float] = (6, 8, 12, 16, 24, 32),

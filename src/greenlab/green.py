@@ -1,4 +1,4 @@
-"""Averaged Green's matrices and dense propagators.
+"""Averaged Green's matrices, marched a block of columns at a time.
 
 A Green column with pole Y = (s, y) and component k is the forward solve
 whose source is the normalized cell indicator of the backward parabolic
@@ -8,32 +8,28 @@ with the adjoint solver on the forward cylinder.  The discrete cylinders
 and their slab conventions are those of ``Mesh.cylinder``.
 
 One private builder, ``_green_block``, marches every column, for one or
-several sources (a pole and a radius each) at once: the N source
-components of a pole share their source window, so
-``green_block_columns`` and ``transpose_block_columns`` march them as one
-block, bitwise equal to the single-component ``averaged_green_column`` and
-``transpose_green_column``.  The public builders keep the whole window of
-one source.  The duality check makes one march per direction, of all its
-forward or all its transpose sources, keeping only the slices and cells of
-the cylinders it averages over; the causality check makes one march for
-its radii, keeping the slices from step 0 to each column's first source
-slab.  The packing rule lives in ``_packs``: sources at one pole time
-share a block, as many as keep its spectrum within
-``solver.BLOCK_SPECTRUM_BYTES``, and every packed column is bitwise its
-own march.  Columns and the propagators, which march the identity block and
-keep the slices they return, all take implicit Euler steps through the
-solver's one marcher, ``solver._march``.
+several sources (a pole and a radius each) at once, and keeps only what
+its ``solver._Keep`` names.  The duality check makes one march per
+direction, of all its forward or all its transpose sources, keeping only
+the slices and cells of the cylinders it averages over; the causality check
+makes one march for its radii, keeping the slices from step 0 to each
+column's first source slab; ``heat-kernel`` marches its radii as one block
+and keeps the probe slice, ``gaussian`` and ``pointwise-decay`` keep their
+probe slices (and cells), and only ``weak-levels`` keeps a whole column.
+The packing rule lives in ``_packs``: sources at one pole time share a
+block, as many as keep its spectrum within ``solver.BLOCK_SPECTRUM_BYTES``,
+and every packed column is bitwise its own march.  Every column takes
+implicit Euler steps through the solver's one marcher, ``solver._march``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .mesh import Mesh, Trajectory
+from .mesh import Mesh
 from .problem import OperatorSpec
 from .solver import BLOCK_SPECTRUM_BYTES, ThetaScheme, _Keep, _march
 
@@ -89,39 +85,6 @@ def _mollifier(mesh: Mesh, N: int, y, radius: float, k: int) -> np.ndarray:
     g = np.zeros((N, mesh.ncells))
     g[k - 1, ball] = c
     return g.ravel()
-
-
-@dataclass
-class GreenColumn:
-    """One sampled column of an averaged Green's matrix.
-
-    ``field`` spans [s - rho^2, T] for forward columns (zero-extended below)
-    and [S, t + sigma^2] for transpose columns (zero-extended above).
-    ``k`` is the 1-based source component; rho = 0 marks an extrapolated
-    column, whose field starts exactly at the pole time.
-    """
-
-    spec: OperatorSpec
-    mesh: Mesh
-    pole: tuple
-    k: int
-    rho: float
-    field: Trajectory
-    direction: str = "forward"
-
-    @property
-    def N(self) -> int:
-        return self.field.N
-
-    def value_at(self, t: float, x) -> np.ndarray:
-        """Column vector at (t, x); applies the zero extension exactly."""
-        lo, hi = self.field.window
-        eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if self.direction == "forward" and t < lo - eps:
-            return np.zeros(self.N)
-        if self.direction == "backward" and t > hi + eps:
-            return np.zeros(self.N)
-        return self.field.slice_at(t)[:, self.mesh.cell_index(x)].copy()
 
 
 def _packs(mesh: Mesh, poles, columns: int, N: int) -> list:
@@ -201,81 +164,9 @@ def _green_block(spec: OperatorSpec, mesh: Mesh, sources, ks, horizon: float,
     return i0, out.reshape(*out.shape[:3], N, -1)
 
 
-def _green_columns(spec: OperatorSpec, mesh: Mesh, pole, ks, radius: float, horizon: float,
-                   direction: str) -> list:
-    """Columns of ``_green_block`` at one source; each field is a view of the whole block."""
-    i0, block = _green_block(spec, mesh, [(pole, radius)], ks, horizon, direction)
-    where = (float(pole[0]), np.atleast_1d(np.asarray(pole[1], dtype=float)))
-    return [GreenColumn(spec, mesh, where, k, radius, Trajectory(mesh, i0, vals), direction)
-            for k, vals in zip(ks, block[0])]
-
-
-def averaged_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho: float,
-                          T: float) -> GreenColumn:
-    """Forward solve with the normalized minus-cylinder indicator source.
-
-    Y = (s, y) must sit on the grid; the mesh window must reach down to
-    s - rho^2 (time clipping is an error, spatial clipping at a dirichlet
-    boundary is allowed).
-    """
-    return _green_columns(spec, mesh, Y, [k], rho, T, "forward")[0]
-
-
-def transpose_green_column(spec: OperatorSpec, mesh: Mesh, X, k: int, sigma: float,
-                           S: float) -> GreenColumn:
-    """Adjoint solve with the plus-cylinder indicator source (mirror image)."""
-    return _green_columns(spec, mesh, X, [k], sigma, S, "backward")[0]
-
-
-def cylinder_average(traj: Trajectory, pole, radius: float, kind: str) -> np.ndarray:
-    """Cell-and-slab average of a trajectory over a discrete cylinder.
-
-    Averages over the slices and ball cells of ``Trajectory.cylinder``,
-    which match the source conventions of the Green columns.
-    """
-    vals, ball = traj.cylinder(pole, radius, kind)
-    return vals[:, :, ball].mean(axis=(0, 2))
-
-
 # ----------------------------------------------------------------------
-# propagators
+# rho ladders
 # ----------------------------------------------------------------------
-
-# unknowns of a dense propagator, which bounds propagator and semigroup; normalization
-# marches N states
-PROPAGATOR_CAP = 4000
-
-
-def _propagators(spec: OperatorSpec, mesh: Mesh, s: float, times) -> list:
-    """P(t, s) for each t of the increasing ``times``: the slices at those times of one
-    march of the identity block from s."""
-    scheme = ThetaScheme(mesh, spec)
-    if scheme.nn > PROPAGATOR_CAP:
-        raise ConfigError(f"propagator size {scheme.nn} exceeds cap {PROPAGATOR_CAP}")
-    steps = [mesh.time_index(t) for t in times]
-    out = _march(scheme, mesh.time_index(s), steps[-1], np.eye(scheme.nn), lambda m: None,
-                 _Keep(steps))
-    return [out[:, j].T for j in range(len(steps))]
-
-
-def propagator(spec: OperatorSpec, mesh: Mesh, s: float, t: float) -> np.ndarray:
-    """P(t, s) as an (nn, nn) array: the identity block marched from s to t, so
-    column j is the march of unit state j."""
-    return _propagators(spec, mesh, s, [t])[0]
-
-
-# ----------------------------------------------------------------------
-# rho refinement and extrapolation
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RhoTable:
-    rhos: np.ndarray
-    values: np.ndarray          # (len(rhos), N) column samples at the probe
-    extrapolated: np.ndarray    # (N,)
-    observed_order: float
-    monotone: bool
 
 
 def _rho_weights(rhos: np.ndarray) -> np.ndarray:
@@ -291,58 +182,3 @@ def _rho_ladder(rho_list) -> np.ndarray:
     if len(rhos) < 2 or np.any(np.diff(rhos) >= 0):
         raise ConfigError("rho_list must be strictly decreasing with >= 2 entries")
     return rhos
-
-
-def rho_refinement(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
-                   X_probe) -> RhoTable:
-    """Sample one Green column at a probe across a ladder of radii.
-
-    Extrapolates with the quadratic-in-rho model (averaging a twice
-    differentiable kernel over a shrinking cylinder) and reports the
-    observed convergence order; non-monotone ladders are flagged, not
-    fatal.
-    """
-    rhos = _rho_ladder(rho_list)
-    tp, xp = float(X_probe[0]), X_probe[1]
-    if mesh.pdist((tp, xp), (float(Y[0]), Y[1])) <= 3.0 * rhos[0]:
-        raise ConfigError("probe must satisfy |X - Y|_p > 3 * max(rho)")
-    vals = []
-    for r in rhos:
-        col = averaged_green_column(spec, mesh, Y, k, float(r), tp)
-        vals.append(col.value_at(tp, xp))
-    vals = np.asarray(vals)
-    w = _rho_weights(rhos)
-    extrap = w @ vals
-    errs = np.linalg.norm(vals - extrap[None, :], axis=1)
-    good = errs > 0
-    if good.sum() >= 2:
-        slope = np.polyfit(np.log(rhos[good]), np.log(errs[good]), 1)[0]
-    else:
-        slope = float("nan")
-    monotone = bool(np.all(np.diff(errs) <= 1e-14 + 1e-9 * errs[:-1]))
-    return RhoTable(rhos, vals, extrap, float(slope), monotone)
-
-
-def extrapolated_green_column(spec: OperatorSpec, mesh: Mesh, Y, k: int, rho_list,
-                              T: float) -> GreenColumn:
-    """Richardson-combined column with rho = 0; exactly zero before the pole time."""
-    rhos = _rho_ladder(rho_list)
-    cols = [averaged_green_column(spec, mesh, Y, k, float(r), T) for r in rhos]
-    i_pole = mesh.time_index(cols[0].pole[0])
-    combined = np.zeros((mesh.time_index(T) - i_pole + 1, cols[0].N, mesh.ncells))
-    for wj, col in zip(_rho_weights(rhos), cols):
-        off = i_pole - col.field.i0
-        combined += wj * col.field.values[off:off + combined.shape[0]]
-    return GreenColumn(spec, mesh, cols[0].pole, k, 0.0, Trajectory(mesh, i_pole, combined),
-                       "forward")
-
-
-def green_block_columns(spec: OperatorSpec, mesh: Mesh, Y, rho: float, T: float):
-    """All N source components of the averaged column at one pole, as one block."""
-    return _green_columns(spec, mesh, Y, range(1, spec.coeffs.N + 1), rho, T, "forward")
-
-
-def transpose_block_columns(spec: OperatorSpec, mesh: Mesh, X, sigma: float, S: float):
-    """All N source components of the transpose column at one pole, as one block."""
-    return _green_columns(spec, mesh, X, range(1, spec.coeffs.N + 1), sigma, S, "backward")
-

@@ -316,38 +316,3 @@ class Trajectory:
         if self.i0 < 0 or self.i0 + self.values.shape[0] - 1 > self.mesh.steps:
             raise ConfigError("trajectory window exceeds the mesh time grid")
 
-    @property
-    def N(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def nslices(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.mesh.times[self.i0:self.i0 + self.nslices]
-
-    @property
-    def window(self):
-        t = self.times
-        return float(t[0]), float(t[-1])
-
-    def slice_at(self, t: float) -> np.ndarray:
-        k = self.mesh.time_index(t) - self.i0
-        if not 0 <= k < self.nslices:
-            raise ConfigError(f"time {t} outside the trajectory window")
-        return self.values[k]
-
-    def cylinder(self, pole, r: float, kind: str):
-        """(values on the attached slices, ball cells) of ``mesh.cylinder(pole, r, kind)``.
-
-        The values are a view of shape (slab count, N, ncells), one slice
-        per slab in time order; cylinders reaching outside this window are
-        a ConfigError.
-        """
-        slices, cells = self.mesh.cylinder_slices(pole, r, kind)
-        lo, hi = slices.start - self.i0, slices.stop - self.i0
-        if lo < 0 or hi > self.nslices:
-            raise ConfigError("cylinder lies outside the trajectory window")
-        return self.values[lo:hi], cells

@@ -73,12 +73,12 @@ state or an (nn, B) block of B states sharing every step's solver.
 ``_march`` stacks what it yields; ``verify.ph_decay_fit`` folds it into
 its cylinder energies as it comes.  It and ``dense_spacetime_oracle``
 check that a window spans a step with one ``_check_window``.
-``solve_forward``/``solve_backward`` march one state, the Green column
-builder marches all source components of several poles and radii as one
-block (the duality check makes one march per direction, in blocks whose
-spectrum fits ``BLOCK_SPECTRUM_BYTES``), ``green.propagator`` marches the
-(nn, nn) identity block and ``verify.check_normalization`` the (nn, N)
-block of constant states.
+``solve_forward`` and the checks' ``_solve`` march one state, the Green
+column builder marches all source components of several poles and radii as
+one block (the duality check makes one march per direction, in blocks whose
+spectrum fits ``BLOCK_SPECTRUM_BYTES``), ``verify.check_semigroup`` marches
+an (nn, 4) block of seeded probe states and ``verify.check_normalization``
+the (nn, N) block of constant states; no march carries an (nn, nn) block.
 Both solvers solve a block bitwise equal to its columns one by one.  Every
 solve checks the relative residual of each column against
 ``RESIDUAL_TOL``, so a bad small column cannot hide behind a large one.
@@ -99,11 +99,11 @@ indices and some flat state rows, handed on as the march passes them, so a
 check that reads one slice or one cylinder holds that and not the whole
 (steps + 1, N, ncells) field; the march stops at the last slice it keeps
 (backward: the first), so no step runs whose state nobody reads.  The
-default keeps every slice and row, which is what the public solvers and
-column builders return; the checks in ``verify`` and the adjoint pairing
-in ``cli`` march through ``_solve`` with the slices and cells they read,
-and ``interior-decay`` consumes ``_stream`` a few slices at a time, so it
-never holds its outer cylinder.
+default keeps every slice and row, which is what ``solve_forward`` returns
+and the ``weak-levels`` column holds; every other check in ``verify``
+marches through ``_solve``, ``_march`` or ``green._green_block`` with the
+slices and cells it reads, and ``interior-decay`` consumes ``_stream`` a
+few slices at a time, so it never holds its outer cylinder.
 
 ``assemble`` is a pure function of (mesh, spec, t), so every
 ``ThetaScheme`` of the same (mesh, spec) shares one process-wide store of
@@ -990,18 +990,6 @@ def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float) -> T
     """
     values = _solve(spec, mesh, g, f, s, T, "forward")
     return Trajectory(mesh, mesh.time_index(s), values)
-
-
-def solve_backward(spec: OperatorSpec, mesh: Mesh, g, f, b: float, S: float) -> Trajectory:
-    """March the adjoint problem from final data g at time b down to S.
-
-    Each backward step is the exact matrix transpose of the corresponding
-    forward step, so <forward(a), b> = <a, backward(b)> holds to roundoff
-    for matching windows.  Sources pair with the slab convention of
-    ``solve_forward``.
-    """
-    values = _solve(spec, mesh, g, f, S, b, "backward")
-    return Trajectory(mesh, mesh.time_index(S), values)
 
 
 ORACLE_CAP = 20_000

@@ -6,20 +6,23 @@ tolerance that decided pass/fail, and sampling metadata.  Checks are pure
 functions of their inputs; fits never fail on data, only on violated
 preconditions, and informational records never gate anything.
 
-Checks that read slices or cylinders keep only those: ``gaffney``,
-``bounded-initial``, ``davies`` and ``adjoint`` their first or last slice,
-``initial-trace`` its probe slices, ``causality`` the slices up to each
-column's first source slab, ``interior-decay`` and ``local-boundedness``
-the slices of their outer cylinder at the cells they read, and ``duality``
-the slices and ball cells of its cylinders.  ``duality`` makes one march
-per direction and ``causality`` one for its radii, in the blocks of
-``green._packs``; ``semigroup`` takes P(r, s) and P(t, s) from one march;
-``normalization`` marches the N constant states as one (nn, N) block, so
-it needs no dense propagator.  ``interior-decay`` folds its marches as they
-pass (``_cylinder_energies``) and differs from one sum over the whole
-cylinder only at roundoff; every other record is byte-identical to the one
-computed from whole trajectories.  ``weak-levels``, ``gaussian``,
-``heat-kernel`` and ``pointwise-decay`` still hold whole columns.
+Every check marches through ``solver._march`` (or its generator
+``_stream``), and Green columns through ``green._green_block``, keeping only
+what it reads: ``gaffney``, ``bounded-initial``, ``davies`` and ``adjoint``
+their first or last slice, ``initial-trace`` its probe slices, ``causality``
+the slices up to each column's first source slab, ``interior-decay`` and
+``local-boundedness`` the slices of their outer cylinder at the cells they
+read, ``duality`` the slices and ball cells of its cylinders,
+``heat-kernel`` and ``gaussian`` their probe slices, and ``pointwise-decay``
+the probe cells of its probe slices.  ``duality`` makes one march per
+direction and ``causality`` and ``heat-kernel`` one for their radii, in the
+blocks of ``green._packs``.  ``semigroup`` marches a block of
+``SEMIGROUP_PROBES`` seeded states (Freivalds' check of a matrix product)
+and ``normalization`` the N constant states, so no check forms an (nn, nn)
+array.  ``interior-decay`` folds its marches as they pass
+(``_cylinder_energies``) and differs from one sum over the whole cylinder
+only at roundoff; every other record is byte-identical to the one computed
+from whole trajectories.  Only ``weak-levels`` still holds a whole column.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .green import (_green_block, _propagators, _rho_ladder, averaged_green_column,
-                    extrapolated_green_column, green_block_columns, propagator,
-                    wrapped_heat_kernel)
+from .green import _green_block, _rho_ladder, _rho_weights, wrapped_heat_kernel
 from .mesh import Mesh, _positions_in
 from .problem import OperatorSpec, _sorted_unique, seeded_uniform
 from .solver import (ThetaScheme, _Keep, _march, _solve, _stream, dense_spacetime_oracle,
@@ -189,20 +190,34 @@ def check_duality(spec: OperatorSpec, mesh: Mesh, pairs, T: float, S: float,
                        fitted={"max_residual": worst}, samples={"pairs": sum(F.size for F in fwd)})
 
 
-def check_semigroup(spec: OperatorSpec, mesh: Mesh, s: float, r: float, t: float,
-                    tolerance: float = 1e-12) -> CheckRecord:
-    """Composition through an intermediate time reproduces the propagator.
+SEMIGROUP_PROBES = 4  # states of the semigroup check's probe block
 
-    P(r, s) and P(t, s) are the slices at r and t of one march of the
-    identity block from s, bitwise the marches that stop at each; P(t, r)
-    is a second march.
+
+def check_semigroup(spec: OperatorSpec, mesh: Mesh, s: float, r: float, t: float,
+                    tolerance: float = 1e-12, seed: int = 0) -> CheckRecord:
+    """Composition through an intermediate time reproduces the propagator, on probes.
+
+    Freivalds' check (1977) of P(t, s) = P(t, r) P(r, s): a block X of
+    ``SEMIGROUP_PROBES`` states, drawn from the ``seeded_uniform`` stream of
+    ``seed`` and projected, marches from s, and its slices at r and t are
+    Y_r = P(r, s) X and Y_t = P(t, s) X.  Y_r then marches from r to t, which
+    gives Z_t = P(t, r) Y_r.  The record is max|Y_t - Z_t| / max|Y_t|; no
+    (nn, nn) array is formed.  On the Fourier path the second march
+    transforms Y_r afresh where the first carried its spectrum, so the sides
+    may differ at roundoff; SuperLU steps repeat to the bit, and the record
+    reads 0.
     """
     if not (s < r < t):
         raise ConfigError("need s < r < t")
-    P_rs, P_ts = _propagators(spec, mesh, s, [r, t])
-    P_tr = propagator(spec, mesh, r, t)
-    num = float(np.max(np.abs(P_ts - P_tr @ P_rs)))
-    den = float(np.max(np.abs(P_ts)))
+    scheme = ThetaScheme(mesh, spec)
+    i_r, i_t = mesh.time_index(r), mesh.time_index(t)
+    X = project_slice(mesh, seeded_uniform(seed, (SEMIGROUP_PROBES * scheme.N, mesh.ncells)))
+    Y = _march(scheme, mesh.time_index(s), i_t, X.reshape(SEMIGROUP_PROBES, -1).T,
+               lambda m: None, _Keep([i_r, i_t]))
+    del X  # only Y_r, Y_t and Z_t are held during the second march
+    Z = _march(scheme, i_r, i_t, Y[:, 0].T, lambda m: None, _Keep([i_t]))
+    num = float(np.max(np.abs(Y[:, 1] - Z[:, 0])))
+    den = float(np.max(np.abs(Y[:, 1])))
     resid = num / den if den > 0 else 0.0
     status = "pass" if resid <= tolerance else "fail"
     return CheckRecord("semigroup", "semigroup-composition", status, tolerance,
@@ -306,7 +321,10 @@ def heat_kernel_check(spec: OperatorSpec, mesh: Mesh, Y, t_probe: float, rho_lis
 
     Only meaningful for the identity-coefficient preset on a periodic box;
     the comparison window is the parabolic ball |x - y| <= radius_factor
-    * sqrt(t - s) in the torus metric.
+    * sqrt(t - s) in the torus metric.  The columns of every radius march as
+    one block and keep the probe slice; a ladder of radii is combined there
+    with the weights of the rho -> 0 limit (``green._rho_weights``), one
+    radius read as it is.
     """
     if spec.coeffs.N != 1 or not spec.coeffs.name.startswith("heat"):
         raise ConfigError("heat kernel check needs the identity-coefficient preset")
@@ -315,12 +333,18 @@ def heat_kernel_check(spec: OperatorSpec, mesh: Mesh, Y, t_probe: float, rho_lis
     s = float(Y[0])
     y = np.atleast_1d(np.asarray(Y[1], dtype=float))
     rho_list = [float(r) for r in rho_list]
+    rhos = rho_list if len(rho_list) == 1 else _rho_ladder(rho_list)
+    it = mesh.time_index(t_probe)
+    _, block = _green_block(spec, mesh, [(Y, float(r)) for r in rhos], [1], t_probe, "forward",
+                            _Keep([it]))
+    slices = block[:, 0, 0, 0]  # each radius's probe slice, component 1
     if len(rho_list) == 1:
-        col = averaged_green_column(spec, mesh, Y, 1, rho_list[0], t_probe)
+        u = slices[0]
     else:
-        col = extrapolated_green_column(spec, mesh, Y, 1, rho_list, t_probe)
-    dt = float(mesh.times[mesh.time_index(t_probe)] - s)
-    u = col.field.slice_at(float(mesh.times[mesh.time_index(t_probe)]))[0]
+        u = np.zeros(mesh.ncells)
+        for w, v in zip(_rho_weights(rhos), slices):
+            u += w * v
+    dt = float(mesh.times[it] - s)
     gaps = mesh.wrap_gaps(mesh.centers - y[None, :])
     dist = np.linalg.norm(gaps, axis=1)
     ref = wrapped_heat_kernel(mesh.n, dt, gaps, mesh.domain.lengths)
@@ -339,26 +363,33 @@ def pointwise_ray_samples(spec: OperatorSpec, mesh: Mesh, Y, distances, rho: flo
 
     Returns (actual parabolic distances, operator norms); probe times and
     positions snap to the grid, and the recorded distance is the snapped
-    one.
+    one.  The N columns march as one block up to the last probe's step,
+    keeping the probe cells of the probe slices; probes that snap to one
+    step share its slice.
     """
     s = float(Y[0])
     y = np.atleast_1d(np.asarray(Y[1], dtype=float))
     distances = sorted(float(d) for d in distances)
-    t_max = s + distances[-1] ** 2
-    cols = green_block_columns(spec, mesh, Y, rho, t_max)
-    out_d, out_g = [], []
+    probes = []  # (time index, point) of each distance
     for d in distances:
-        it = mesh.time_index(s + round(d * d / mesh.tau) * mesh.tau)
         shift = np.zeros(mesh.n)
         shift[axis] = round(d / mesh.h[axis]) * mesh.h[axis]
-        x = y + shift
+        probes.append((mesh.time_index(s + round(d * d / mesh.tau) * mesh.tau), y + shift))
+    slices = sorted({it for it, _ in probes})
+    cells = _sorted_unique(np.array([mesh.cell_index(x) for _, x in probes]))
+    N = spec.coeffs.N
+    _, block = _green_block(spec, mesh, [(Y, rho)], range(1, N + 1), float(mesh.times[slices[-1]]),
+                            "forward", _Keep.on_cells(mesh, N, slices, cells))
+    out_d, out_g = [], []
+    for it, x in probes:
         t = float(mesh.times[it])
         d_act = mesh.pdist((t, x), (s, y))
         if d_act < 3.0 * rho * (1.0 - 1e-12):
             raise ConfigError(f"probe at distance {d_act} too close to the pole (3*rho)")
-        block = np.stack([c.value_at(t, x) for c in cols], axis=1)
+        # [l, k]: component l of column k at the probe
+        at = block[0, :, slices.index(it), :, np.searchsorted(cells, mesh.cell_index(x))]
         out_d.append(d_act)
-        out_g.append(float(operator_norms(block[None])[0]))
+        out_g.append(float(operator_norms(at.T[None])[0]))
     return np.asarray(out_d), np.asarray(out_g)
 
 
@@ -380,25 +411,26 @@ def gaussian_samples(spec: OperatorSpec, mesh: Mesh, Y, times, rho: float):
 
     Samples beyond 0.4 times the smallest box side, or with magnitude below
     1e-10 of the slice peak, are excluded (torus wrap-around and roundoff
-    would otherwise pollute the far tail).
+    would otherwise pollute the far tail).  The N columns march as one
+    block that keeps the slices at ``times``.
     """
     s = float(Y[0])
     y = np.atleast_1d(np.asarray(Y[1], dtype=float))
-    t_max = max(times)
-    cols = green_block_columns(spec, mesh, Y, rho, t_max)
+    N = spec.coeffs.N
+    slices = sorted({mesh.time_index(t) for t in times})
+    _, block = _green_block(spec, mesh, [(Y, rho)], range(1, N + 1), max(times), "forward",
+                            _Keep(slices))
     dist = np.linalg.norm(mesh.wrap_gaps(mesh.centers - y[None, :]), axis=1)
     keep_dist = dist <= 0.4 * float(np.min(mesh.domain.lengths))
-    N = spec.coeffs.N
     out = []
     for t in times:
         it = mesh.time_index(t)
-        t_snap = float(mesh.times[it])
-        dt = t_snap - s
+        dt = float(mesh.times[it]) - s
         if dt <= 0:
             raise ConfigError("sample times must follow the pole")
         blocks = np.empty((mesh.ncells, N, N))
-        for k, col in enumerate(cols):
-            blocks[:, :, k] = col.field.slice_at(t_snap).T
+        for k in range(N):
+            blocks[:, :, k] = block[0, k, slices.index(it)].T
         norms = operator_norms(blocks)
         floor = 1e-10 * float(norms.max())
         keep = keep_dist & (norms > floor)
@@ -531,37 +563,38 @@ def _cylinder_measure(r: float, n: int) -> float:
     return 2.0 * r * r * ball
 
 
-def weak_lp_levels(column, use_gradient: bool = False, margin: float = 0.2) -> CheckRecord:
+def weak_lp_levels(mesh: Mesh, pole, rho: float, values: np.ndarray, horizon: float,
+                   use_gradient: bool = False, margin: float = 0.2) -> CheckRecord:
     """Superlevel-set measure of a column (or its gradient) vs the threshold.
 
-    Measures |{|Gamma^rho| > tau}| with the cell-counted space-time measure
-    and fits the log-log slope; the target exponents are -(n+2)/n for
-    values and -(n+2)/(n+1) for gradients.  The thresholds are one decade
-    placed measure-matched to the resolvable window: the top threshold is
-    the level whose set fills a parabolic cylinder of radius 3 rho (above
-    the mollifier scale), and the ladder must stay inside the box and the
-    time horizon.
+    ``values`` is the column of radius ``rho`` at ``pole`` over its whole
+    window, up to the time ``horizon``, shaped (slices, N, ncells), as
+    ``green._green_block`` keeps it by default.  Measures
+    |{|Gamma^rho| > tau}| with the cell-counted space-time measure and fits
+    the log-log slope; the target exponents are -(n+2)/n for values and
+    -(n+2)/(n+1) for gradients.  The thresholds are one decade placed
+    measure-matched to the resolvable window: the top threshold is the level
+    whose set fills a parabolic cylinder of radius 3 rho (above the
+    mollifier scale), and the ladder must stay inside the box and the time
+    horizon.
     """
-    mesh = column.mesh
-    traj = column.field
     n = mesh.n
     if use_gradient:
-        samples = np.concatenate([np.linalg.norm(mesh.face_difference(traj.values, ax),
+        samples = np.concatenate([np.linalg.norm(mesh.face_difference(values, ax),
                                                  axis=1).ravel() for ax in range(n)])
         target = -(n + 2.0) / (n + 1.0)
         name, anchor = "weak-levels-gradient", "gradient-level-measure"
     else:
-        samples = np.linalg.norm(traj.values, axis=1).ravel()
+        samples = np.linalg.norm(values, axis=1).ravel()
         target = -(n + 2.0) / n
         name, anchor = "weak-levels-value", "value-level-measure"
     if float(samples.max()) <= 0:
         raise ConfigError("column is identically zero")
     samples = np.sort(samples)
     weight = mesh.volume * mesh.tau
-    s_pole = float(column.pole[0])
-    horizon = column.field.window[1] - s_pole
-    r_max = min(float(np.min(mesh.domain.lengths)) / 4.0, math.sqrt(max(horizon, 0.0)))
-    k = int(round(_cylinder_measure(3.0 * column.rho, n) / weight))
+    window = float(mesh.times[mesh.time_index(horizon)]) - float(pole[0])
+    r_max = min(float(np.min(mesh.domain.lengths)) / 4.0, math.sqrt(max(window, 0.0)))
+    k = int(round(_cylinder_measure(3.0 * rho, n) / weight))
     if not 1 <= k < len(samples):
         raise ConfigError("window too small to resolve the top level set")
     thresholds = float(samples[-k]) * 10.0 ** np.linspace(-1.0, 0.0, 9)
@@ -575,7 +608,7 @@ def weak_lp_levels(column, use_gradient: bool = False, margin: float = 0.2) -> C
     status = "pass" if fit.exponent <= target + margin else "fail"
     return CheckRecord(name, anchor, status, margin,
                        fitted={"slope": fit.exponent, "target": target, "r2": fit.r2,
-                               "rho": column.rho},
+                               "rho": rho},
                        samples={"thresholds": [float(v) for v in thresholds],
                                 "measures": [float(v) for v in meas]})
 

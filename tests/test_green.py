@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, SolverError,
-                      averaged_green_column, cylinder_average, extrapolated_green_column,
-                      green_block_columns, heat_kernel, make_preset, propagator,
-                      rho_refinement, solve_forward, transpose_green_column,
-                      wrapped_heat_kernel)
+from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, SolverError, heat_kernel,
+                      make_preset, solve_forward, wrapped_heat_kernel)
 from greenlab import green, solver
 from greenlab import verify as V
 from greenlab.solver import ThetaScheme
 
 from conftest import spoiled, step_matrix
+from reference import column, cylinder_average, padded, propagator, value_at
 
 
 def fine_heat_setup(cells=128, extra=0):
@@ -23,13 +21,6 @@ def fine_heat_setup(cells=128, extra=0):
     mesh = Mesh(dom, (cells,), tau=tau, t0=0.0, steps=steps)
     spec = OperatorSpec(make_preset("heat", n=1), dom)
     return dom, mesh, spec
-
-
-def padded(col):
-    """A column's values over the whole mesh window, zero outside its field."""
-    full = np.zeros((col.mesh.steps + 1, col.N, col.mesh.ncells))
-    full[col.field.i0:col.field.i0 + col.field.nslices] = col.field.values
-    return full
 
 
 def duhamel_slice(spec, mesh, slab_source, i0, K):
@@ -63,20 +54,18 @@ class TestHeatKernelHelpers:
 class TestAveragedColumn:
     def test_zero_before_source_window(self, mesh32, heat_spec):
         rho = 4 / 32
-        col = averaged_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]),
-                                    1, rho, 48 / 512)
+        col = column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]), 1, rho, 48 / 512)
         full = padded(col)
         nslab = mesh32.slab_count(rho)
         assert np.all(full[:24 - nslab] == 0.0)
         assert np.any(full[24] != 0.0)
-        assert np.all(col.value_at(0.0, mesh32.centers[3]) == 0.0)
+        assert np.all(value_at(col, 0.0, mesh32.centers[3]) == 0.0)
 
     def test_decoupled_pair_second_component_zero(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("decoupled-heat-pair", n=1), periodic_1d)
-        col = averaged_green_column(spec, mesh32, (24 / 512, mesh32.centers[16]),
-                                    1, 4 / 32, 48 / 512)
-        assert np.all(col.field.values[:, 1, :] == 0.0)
-        assert np.any(col.field.values[:, 0, :] != 0.0)
+        col = column(spec, mesh32, (24 / 512, mesh32.centers[16]), 1, 4 / 32, 48 / 512)
+        assert np.all(col.values[:, 1, :] == 0.0)
+        assert np.any(col.values[:, 0, :] != 0.0)
 
     def test_cylinder_average_representation_oracle(self):
         # far from the pole, the column value is the cylinder average of the
@@ -89,7 +78,7 @@ class TestAveragedColumn:
         s = float(mesh.times[i_pole])
         y = mesh.centers[64]
         T = float(mesh.times[i_pole + int(round(0.04 / mesh.tau))])
-        col = averaged_green_column(spec, mesh, (s, y), 1, rho, T)
+        col = column(spec, mesh, (s, y), 1, rho, T)
         ball = mesh.ball_cells(y, rho)
         t_probe = float(mesh.times[mesh.time_index(T)])
         for cell in (84, 96):
@@ -101,43 +90,38 @@ class TestAveragedColumn:
                 acc.append(np.mean(wrapped_heat_kernel(1, t_probe - t_src, gaps,
                                                        mesh.domain.lengths)))
             oracle = float(np.mean(acc))
-            got = float(col.value_at(t_probe, x)[0])
+            got = float(value_at(col, t_probe, x)[0])
             assert got == pytest.approx(oracle, rel=0.01)
 
     def test_rho_below_resolution_rejected(self, mesh32, heat_spec):
         with pytest.raises(ConfigError):
-            averaged_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]),
-                                  1, 1.5 / 32, 48 / 512)
+            column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]), 1, 1.5 / 32, 48 / 512)
 
     def test_time_clipping_rejected(self, mesh32, heat_spec):
         with pytest.raises(ConfigError):
-            averaged_green_column(heat_spec, mesh32, (4 / 512, mesh32.centers[16]),
-                                  1, 4 / 32, 48 / 512)
+            column(heat_spec, mesh32, (4 / 512, mesh32.centers[16]), 1, 4 / 32, 48 / 512)
 
     def test_dirichlet_spatial_clipping_allowed(self, dirichlet_1d):
         mesh = Mesh(dirichlet_1d, (32,), tau=1 / 512, t0=0.0, steps=64)
         spec = OperatorSpec(make_preset("heat", n=1), dirichlet_1d)
         # pole two cells from the pinned layer: the rho-ball is clipped
-        col = averaged_green_column(spec, mesh, (24 / 512, mesh.centers[2]),
-                                    1, 4 / 32, 48 / 512)
-        assert np.all(col.field.values[:, :, 0] == 0.0)
+        col = column(spec, mesh, (24 / 512, mesh.centers[2]), 1, 4 / 32, 48 / 512)
+        assert np.all(col.values[:, :, 0] == 0.0)
 
     def test_pole_on_boundary_layer_rejected(self, dirichlet_1d):
         mesh = Mesh(dirichlet_1d, (32,), tau=1 / 512, t0=0.0, steps=64)
         spec = OperatorSpec(make_preset("heat", n=1), dirichlet_1d)
         with pytest.raises(ConfigError):
-            averaged_green_column(spec, mesh, (24 / 512, mesh.centers[0]),
-                                  1, 4 / 32, 48 / 512)
+            column(spec, mesh, (24 / 512, mesh.centers[0]), 1, 4 / 32, 48 / 512)
 
 
 class TestTransposeColumn:
     def test_zero_after_source_window(self, mesh32, heat_spec):
         sigma = 4 / 32
-        col = transpose_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]),
-                                     1, sigma, 0.0)
+        col = column(heat_spec, mesh32, (24 / 512, mesh32.centers[16]), 1, sigma, 0.0, "backward")
         nslab = mesh32.slab_count(sigma)
-        assert col.field.i0 == 0
-        assert np.all(col.value_at(60 / 512, mesh32.centers[10]) == 0.0)
+        assert col.i0 == 0
+        assert np.all(value_at(col, 60 / 512, mesh32.centers[10]) == 0.0)
         assert np.all(padded(col)[24 + nslab + 1:] == 0.0)
 
     def test_averaged_duality_heat_and_rotating(self, mesh32, periodic_1d):
@@ -148,14 +132,14 @@ class TestTransposeColumn:
             Y = (16 / 512, mesh32.centers[8])
             X = (44 / 512, mesh32.centers[24])
             rho = sigma = 4 / 32
-            fwd = {k: averaged_green_column(spec, mesh32, Y, k, rho, 64 / 512)
+            fwd = {k: column(spec, mesh32, Y, k, rho, 64 / 512)
                    for k in range(1, N + 1)}
-            bwd = {l: transpose_green_column(spec, mesh32, X, l, sigma, 0.0)
+            bwd = {l: column(spec, mesh32, X, l, sigma, 0.0, "backward")
                    for l in range(1, N + 1)}
             for k in range(1, N + 1):
-                rhs = cylinder_average(fwd[k].field, X, sigma, "plus")
+                rhs = cylinder_average(fwd[k], X, sigma, "plus")
                 for l in range(1, N + 1):
-                    lhs = float(cylinder_average(bwd[l].field, Y, rho, "minus")[k - 1])
+                    lhs = float(cylinder_average(bwd[l], Y, rho, "minus")[k - 1])
                     den = max(abs(lhs), abs(float(rhs[l - 1])))
                     assert abs(lhs - rhs[l - 1]) <= tol * den
 
@@ -165,10 +149,9 @@ class TestTransposeColumn:
         sigma = 4 / 32
         nslab = mesh32.slab_count(sigma)
         it = 40
-        bwd = transpose_green_column(spec, mesh32, (it / 512, mesh32.centers[20]),
-                                     1, sigma, 0.0)
-        fwd = averaged_green_column(spec, mesh32, ((K - it) / 512, mesh32.centers[20]),
-                                    1, sigma, float(mesh32.times[-1]))
+        bwd = column(spec, mesh32, (it / 512, mesh32.centers[20]), 1, sigma, 0.0, "backward")
+        fwd = column(spec, mesh32, ((K - it) / 512, mesh32.centers[20]),
+                     1, sigma, float(mesh32.times[-1]))
         pad_b = padded(bwd)
         pad_f = padded(fwd)
         assert np.allclose(pad_b, pad_f[::-1], rtol=0, atol=1e-13)
@@ -215,13 +198,6 @@ class TestPropagator:
             propagator(spec, mesh, 0.0, 4 / 512)
         assert kinds == [mode == "periodic"]
 
-    def test_size_cap(self, monkeypatch, periodic_1d):
-        mesh = Mesh(periodic_1d, (64,), tau=1 / 512, t0=0.0, steps=8)
-        spec = OperatorSpec(make_preset("heat", n=1), periodic_1d)
-        monkeypatch.setattr(green, "PROPAGATOR_CAP", 32)
-        with pytest.raises(ConfigError, match="exceeds cap 32"):
-            propagator(spec, mesh, 0.0, 8 / 512)
-
     @pytest.mark.parametrize("case", ["heat-1d", "rotating-1d", "fourier-2d"])
     def test_columns_are_single_column_marches(self, monkeypatch, case):
         """Column j of P is the forward march of unit state j, bit for bit, and P
@@ -259,37 +235,22 @@ class TestPropagator:
 
 class TestRhoRefinement:
     def test_heat_extrapolation_hits_kernel(self):
+        """The rho -> 0 weights that ``heat-kernel`` combines its radii with recover the
+        kernel at a probe within 1%, and the radii's errors fall at an order near 2."""
         dom, mesh, spec = fine_heat_setup()
         h = mesh.h[0]
-        nmax = mesh.slab_count(8 * h)
-        s = float(mesh.times[nmax])
+        rhos = np.array([8 * h, 6 * h, 4 * h])
+        s = float(mesh.times[mesh.slab_count(rhos[0])])
         y = mesh.centers[64]
         t_probe = float(mesh.times[mesh.steps])
         x_probe = mesh.centers[96]
-        table = rho_refinement(spec, mesh, (s, y), 1, [8 * h, 6 * h, 4 * h],
-                               (t_probe, x_probe))
-        dt = t_probe - s
-        ref = wrapped_heat_kernel(1, dt, (x_probe - y)[None, :], dom.lengths)[0]
-        assert table.extrapolated[0] == pytest.approx(ref, rel=0.01)
-        assert 1.2 <= table.observed_order <= 2.8
-
-    def test_probe_too_close_rejected(self, mesh32, heat_spec):
-        with pytest.raises(ConfigError):
-            rho_refinement(heat_spec, mesh32, (24 / 512, mesh32.centers[16]), 1,
-                           [6 / 32, 4 / 32], (25 / 512, mesh32.centers[17]))
-
-    def test_decoupled_component_zero_for_all_rho(self, mesh32, periodic_1d):
-        spec = OperatorSpec(make_preset("decoupled-heat-pair", n=1), periodic_1d)
-        col = extrapolated_green_column(spec, mesh32, (24 / 512, mesh32.centers[8]),
-                                        1, [6 / 32, 4 / 32], 60 / 512)
-        assert np.all(col.field.values[:, 1, :] == 0.0)
-
-    def test_extrapolated_column_zero_before_pole(self, mesh32, heat_spec):
-        col = extrapolated_green_column(heat_spec, mesh32, (24 / 512, mesh32.centers[8]),
-                                        1, [6 / 32, 4 / 32], 60 / 512)
-        assert col.rho == 0.0
-        assert np.all(padded(col)[:24] == 0.0)
-        assert np.all(col.value_at(20 / 512, mesh32.centers[8]) == 0.0)
+        vals = np.array([value_at(column(spec, mesh, (s, y), 1, r, t_probe), t_probe,
+                                  x_probe)[0] for r in rhos])
+        extrapolated = green._rho_weights(rhos) @ vals
+        ref = wrapped_heat_kernel(1, t_probe - s, (x_probe - y)[None, :], dom.lengths)[0]
+        assert extrapolated == pytest.approx(ref, rel=0.01)
+        order = np.polyfit(np.log(rhos), np.log(np.abs(vals - extrapolated)), 1)[0]
+        assert 1.2 <= order <= 2.8
 
 
 class TestRepresentation:
@@ -315,17 +276,17 @@ class TestRepresentation:
     def test_mollified_source_reproduces_column(self, mesh32, heat_spec):
         rho = 4 / 32
         Y = (24 / 512, mesh32.centers[16])
-        col = averaged_green_column(heat_spec, mesh32, Y, 1, rho, 48 / 512)
+        col = column(heat_spec, mesh32, Y, 1, rho, 48 / 512)
         from greenlab.green import _mollifier
         g = _mollifier(mesh32, 1, Y[1], rho, 1)
         nslab = mesh32.slab_count(rho)
         active = range(24 - nslab, 24)
-        assert col.field.i0 == 24 - nslab
+        assert col.i0 == 24 - nslab
         for K in (20, 24, 36, 48):
             u = duhamel_slice(heat_spec, mesh32, lambda m: g if m in active else None,
                               24 - nslab, K)
-            assert np.max(np.abs(u - col.field.values[K - col.field.i0, 0])) <= \
-                1e-11 * np.max(col.field.values)
+            assert np.max(np.abs(u - col.values[K - col.i0, 0])) <= \
+                1e-11 * np.max(col.values)
 
 
 class TestApplyInitial:
@@ -356,9 +317,9 @@ class TestApplyInitial:
 class TestBlockSampling:
     def test_block_columns_match_scalar(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("almost-diagonal"), periodic_1d)
-        cols = green_block_columns(spec, mesh32, (24 / 512, mesh32.centers[8]),
-                                   4 / 32, 56 / 512)
-        blk = np.stack([c.value_at(48 / 512, mesh32.centers[20]) for c in cols], axis=1)
+        i0, block = green._green_block(spec, mesh32, [((24 / 512, mesh32.centers[8]), 4 / 32)],
+                                       [1, 2], 56 / 512, "forward")
+        blk = block[0, :, mesh32.time_index(48 / 512) - i0, :, 20].T
         assert blk.shape == (2, 2)
         # symmetric coupling: the block is symmetric for this preset
         assert blk[0, 1] == pytest.approx(blk[1, 0], rel=1e-9)
@@ -370,21 +331,16 @@ class TestBlockSampling:
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), dom)
         Y = (20 / 512, mesh.centers[9])
         X = (44 / 512, mesh.centers[22])
-        fwd = green_block_columns(spec, mesh, Y, 4 / 32, 53 / 512)
-        bwd = green.transpose_block_columns(spec, mesh, X, 3 / 32, 11 / 512)
-        singles = ([averaged_green_column(spec, mesh, Y, k, 4 / 32, 53 / 512) for k in (1, 2)]
-                   + [transpose_green_column(spec, mesh, X, k, 3 / 32, 11 / 512)
-                      for k in (1, 2)])
-        assert len(fwd) == len(bwd) == 2
-        for blk, one in zip(fwd + bwd, singles):
-            assert (blk.k, blk.rho, blk.direction) == (one.k, one.rho, one.direction)
-            assert blk.pole[0] == one.pole[0]
-            assert blk.pole[1].tobytes() == one.pole[1].tobytes()
-            assert blk.field.i0 == one.field.i0
-            assert blk.field.values.shape == one.field.values.shape
-            assert blk.field.values.tobytes() == one.field.values.tobytes()
-        # the rotating coupling reaches both field components of every column
-        assert all(np.abs(col.field.values).max(axis=(0, 2)).min() > 0 for col in fwd + bwd)
+        for pole, r, horizon, direction in ((Y, 4 / 32, 53 / 512, "forward"),
+                                            (X, 3 / 32, 11 / 512, "backward")):
+            i0, block = green._green_block(spec, mesh, [(pole, r)], [1, 2], horizon, direction)
+            for k, col in zip((1, 2), block[0]):
+                one = column(spec, mesh, pole, k, r, horizon, direction)
+                assert i0 == one.i0
+                assert col.shape == one.values.shape
+                assert col.tobytes() == one.values.tobytes()
+                # the rotating coupling reaches both field components of every column
+                assert np.abs(col).max(axis=(0, 2)).min() > 0
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
@@ -400,12 +356,12 @@ class TestBlockSampling:
         assert block.shape[:2] == (4, 2)
         lengths = set()
         for cols, (pole, r) in zip(block, sources):
-            for col, one in zip(cols, green._green_columns(spec, mesh, pole, [1, 2], r,
-                                                           horizon, direction)):
-                inside = slice(one.field.i0 - i0, one.field.i0 - i0 + one.field.nslices)
-                assert col[inside].tobytes() == one.field.values.tobytes()
+            for col, one in zip(cols, [column(spec, mesh, pole, k, r, horizon, direction)
+                                       for k in (1, 2)]):
+                inside = slice(one.i0 - i0, one.i0 - i0 + len(one.values))
+                assert col[inside].tobytes() == one.values.tobytes()
                 assert not np.delete(col, np.arange(len(col))[inside], axis=0).any()
-                lengths.add(one.field.nslices)
+                lengths.add(len(one.values))
         # the smaller radius's own march is shorter: its packed column holds zeros
         assert min(lengths) < block.shape[2] == max(lengths)
 
@@ -451,10 +407,10 @@ class TestTransposeLimitConsistency:
         bwd = np.zeros((2, 2))
         for k in (1, 2):
             for wj, r in zip(w, radii):
-                colf = averaged_green_column(spec, mesh, Y, k, r, X[0])
-                fwd[:, k - 1] += wj * colf.value_at(X[0], X[1])
-                colb = transpose_green_column(spec, mesh, X, k, r, Y[0])
-                bwd[:, k - 1] += wj * colb.value_at(Y[0], Y[1])
+                colf = column(spec, mesh, Y, k, r, X[0])
+                fwd[:, k - 1] += wj * value_at(colf, X[0], X[1])
+                colb = column(spec, mesh, X, k, r, Y[0], "backward")
+                bwd[:, k - 1] += wj * value_at(colb, Y[0], Y[1])
         assert np.allclose(fwd, bwd.T, rtol=0.02, atol=1e-4 * np.abs(fwd).max())
 
     def test_propagator_transpose_is_exact_discrete_adjoint_kernel(self, mesh32,

@@ -18,16 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, SolverError,
-                      Trajectory,
-                      assemble, averaged_green_column, dense_spacetime_oracle,
-                      make_preset, parabolic_distance, propagator, solve_backward,
-                      solve_forward, transpose_green_column, wrapped_heat_kernel)
-from greenlab import cli, solver
+                      Trajectory, assemble, dense_spacetime_oracle, make_preset,
+                      parabolic_distance, solve_forward, wrapped_heat_kernel)
+from greenlab import cli, green, solver
 from greenlab.solver import ThetaScheme
-from greenlab.verify import _cylinder_energies, _face_cells
+from greenlab.verify import _cylinder_energies, _face_cells, check_normalization
 
 from conftest import (assert_stored_step_exact, bundle_1d, cell0_kernel, plus_one, spoiled,
                       step_matrix)
+from reference import column, cylinder, solve_backward
 
 
 def dirichlet_energy(mesh, slc):
@@ -164,10 +163,10 @@ class TestMesh:
         # minus slabs attach at their early ends, plus slabs at their late ends
         vals = np.arange(65, dtype=float)[:, None, None] * np.ones((1, 1, 32))
         traj = Trajectory(mesh32, 0, vals)
-        assert traj.cylinder(pole, r, "minus")[0][:, 0, 0].tolist() == list(range(16, 24))
-        assert traj.cylinder(pole, r, "plus")[0][:, 0, 0].tolist() == list(range(25, 33))
+        assert cylinder(traj, pole, r, "minus")[0][:, 0, 0].tolist() == list(range(16, 24))
+        assert cylinder(traj, pole, r, "plus")[0][:, 0, 0].tolist() == list(range(25, 33))
         with pytest.raises(ConfigError):
-            Trajectory(mesh32, 20, vals[20:]).cylinder(pole, r, "minus")
+            cylinder(Trajectory(mesh32, 20, vals[20:]), pole, r, "minus")
         with pytest.raises(ConfigError):
             mesh32.cylinder((4 / 512, pole[1]), r, "minus")
         with pytest.raises(ConfigError):
@@ -601,8 +600,8 @@ class TestStepStore:
         Y = (20 / 512, np.array([0.25 + 0.5 / 32]))
         X = (44 / 512, np.array([0.75 + 0.5 / 32]))
         b = np.random.default_rng(3).standard_normal((2, 32))
-        return [averaged_green_column(spec, mesh, Y, 2, 4 / 32, 64 / 512).field.values,
-                transpose_green_column(spec, mesh, X, 1, 4 / 32, 0.0).field.values,
+        return [column(spec, mesh, Y, 2, 4 / 32, 64 / 512).values,
+                column(spec, mesh, X, 1, 4 / 32, 0.0, "backward").values,
                 solve_backward(spec, mesh, b, None, 48 / 512, 8 / 512).values]
 
     def test_cold_and_warm_store_bitwise_equal(self, store, mesh32, rotating):
@@ -1453,14 +1452,15 @@ class TestStreamingMarch:
         first, last = float(mesh32.times[12]), float(mesh32.times[28])
         calls = {
             "solve_forward": lambda: solve_forward(heat_spec, mesh32, None, None, s, s),
-            "solve_backward": lambda: solve_backward(heat_spec, mesh32, None, None, s, s),
+            "_solve backward": lambda: solver._solve(heat_spec, mesh32, None, None, s, s,
+                                                     "backward"),
             # the forward column starts at its source's first slice, the transpose
             # column at its source's last one
-            "averaged_green_column":
-                lambda: averaged_green_column(heat_spec, mesh32, (s, y), 1, r, first),
-            "transpose_green_column":
-                lambda: transpose_green_column(heat_spec, mesh32, (s, y), 1, r, last),
-            "propagator": lambda: propagator(heat_spec, mesh32, s, s),
+            "_green_block forward": lambda: green._green_block(heat_spec, mesh32, [((s, y), r)],
+                                                               [1], first, "forward"),
+            "_green_block backward": lambda: green._green_block(heat_spec, mesh32, [((s, y), r)],
+                                                                [1], last, "backward"),
+            "normalization": lambda: check_normalization(heat_spec, mesh32, s, s),
             "dense_spacetime_oracle":
                 lambda: dense_spacetime_oracle(heat_spec, mesh32, None, None, s, s),
         }

@@ -4,16 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory,
-                      averaged_green_column, cylinder_average, make_preset,
-                      solve_forward, transpose_green_column)
+from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory, make_preset,
+                      solve_forward)
 from greenlab import cli, green, solver
 from greenlab import verify as V
-from greenlab.green import _mollifier
+from greenlab.green import _mollifier, wrapped_heat_kernel
 from greenlab.problem import seeded_uniform
 from greenlab.solver import ThetaScheme
 
 from conftest import bundle_1d
+from reference import column, cylinder, cylinder_average, propagator, slice_at, value_at
 
 
 def _per_pair_duality(spec, mesh, pairs, T, S, tolerance=1e-10):
@@ -24,9 +24,9 @@ def _per_pair_duality(spec, mesh, pairs, T, S, tolerance=1e-10):
     count = 0
     for (Y, X, rho, sigma) in pairs:
         # F[k, l]: component l of forward column k; Bt[k, l]: component k of transpose column l
-        F = np.stack([cylinder_average(averaged_green_column(spec, mesh, Y, k, rho, T).field,
-                                       X, sigma, "plus") for k in range(1, N + 1)])
-        Bt = np.stack([cylinder_average(transpose_green_column(spec, mesh, X, l, sigma, S).field,
+        F = np.stack([cylinder_average(column(spec, mesh, Y, k, rho, T), X, sigma, "plus")
+                      for k in range(1, N + 1)])
+        Bt = np.stack([cylinder_average(column(spec, mesh, X, l, sigma, S, "backward"),
                                         Y, rho, "minus") for l in range(1, N + 1)], axis=1)
         scale = max(float(np.max(np.abs(F))), float(np.max(np.abs(Bt))))
         worst = max(worst, float(np.max(np.abs(Bt - F))) / scale)
@@ -38,7 +38,8 @@ def _per_pair_duality(spec, mesh, pairs, T, S, tolerance=1e-10):
 
 @pytest.fixture
 def scheme_log(monkeypatch):
-    """Every ThetaScheme built through solver or green, with the rhs shapes it solved."""
+    """Every ThetaScheme built through solver, green or verify, with the rhs shapes it
+    solved."""
     made = []
 
     class Logged(ThetaScheme):
@@ -53,7 +54,7 @@ def scheme_log(monkeypatch):
             self.solves += 1
             return super().solve_implicit(m, rhs, trans)
 
-    for module in (solver, green):
+    for module in (solver, green, V):
         monkeypatch.setattr(module, "ThetaScheme", Logged)
     return made
 
@@ -152,8 +153,8 @@ class TestDuality:
         Y = (16 / 512, mesh32.centers[8])
         X = (44 / 512, mesh32.centers[24])
         rho = sigma = 4 / 32
-        fwd = averaged_green_column(spec, mesh32, Y, 1, rho, 64 / 512)
-        rhs = float(cylinder_average(fwd.field, X, sigma, "plus")[0])
+        fwd = column(spec, mesh32, Y, 1, rho, 64 / 512)
+        rhs = float(cylinder_average(fwd, X, sigma, "plus")[0])
 
         # fixture: march the transposed operator backward in time with the
         # same implicit-Euler recipe (coefficients at each step's own time)
@@ -203,19 +204,14 @@ class TestExactChecks:
         assert rec1.status == rec2.status == "pass"
         assert rec1.fitted["max_residual"] <= 1e-12
 
-    def test_semigroup_keeps_two_slices_of_one_march(self, mesh32, periodic_1d, scheme_log,
-                                                     monkeypatch):
-        """P(r, s) is the slice at r of the march that gives P(t, s): (t - s) + (t - r)
-        solves of the identity block, and the record of three separate propagators."""
+    def test_semigroup_keeps_two_slices_of_one_march(self, mesh32, periodic_1d, scheme_log):
+        """Y_r and Y_t are the slices at r and t of one march of the (nn, K) probe block
+        from s, and Z_t is a second march from r: (t - s) + (t - r) solves of the block."""
         spec = OperatorSpec(make_preset("rotating", w0=0.5, omega=2.0), periodic_1d)
         rec = V.check_semigroup(spec, mesh32, 0.0, 24 / 512, 56 / 512)
         assert sum(scheme.solves for scheme in scheme_log) == 56 + 32
-        assert all(scheme.shapes == {(64, 64)} for scheme in scheme_log)
-        monkeypatch.undo()
-        P_ts, P_tr, P_rs = (green.propagator(spec, mesh32, a, b)
-                            for a, b in ((0.0, 56 / 512), (24 / 512, 56 / 512), (0.0, 24 / 512)))
-        want = float(np.max(np.abs(P_ts - P_tr @ P_rs))) / float(np.max(np.abs(P_ts)))
-        assert rec.fitted["max_residual"] == want and rec.status == "pass"
+        assert all(scheme.shapes == {(64, V.SEMIGROUP_PROBES)} for scheme in scheme_log)
+        assert rec.status == "pass" and rec.fitted["max_residual"] <= 1e-12
 
     def test_semigroup_needs_interior_time(self, mesh32, heat_spec):
         with pytest.raises(ConfigError):
@@ -227,11 +223,10 @@ class TestExactChecks:
             assert rec.status == "pass"
             assert rec.fitted["max_row_deviation"] <= 1e-12
 
-    def test_normalization_runs_past_the_propagator_cap(self, periodic_2d):
-        """64 x 64 cells are more unknowns than ``PROPAGATOR_CAP``; the march of
-        the constant state holds far less than one dense nn x nn array."""
+    def test_normalization_holds_no_dense_propagator(self, periodic_2d):
+        """On 64 x 64 cells the march of the constant state holds far less than one
+        dense nn x nn array."""
         mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=16)
-        assert mesh.ncells > green.PROPAGATOR_CAP
         spec = OperatorSpec(make_preset("heat", n=2), periodic_2d)
         tracemalloc.start()
         try:
@@ -253,6 +248,63 @@ class TestExactChecks:
         a = V.check_semigroup(heat_spec, mesh32, 0.0, 16 / 512, 48 / 512)
         b = V.check_semigroup(heat_spec, mesh32, 0.0, 16 / 512, 48 / 512)
         assert a.to_dict() == b.to_dict()
+
+
+class TestProbeSemigroup:
+    """``semigroup`` marches a seeded probe block (Freivalds' check), not dense
+    propagators, so it can fail, agrees with the dense identity and runs on any mesh."""
+
+    @pytest.mark.parametrize("preset", ["heat", "rotating"])
+    def test_a_skipped_first_step_fails(self, mesh32, periodic_1d, monkeypatch, preset):
+        kw = {"n": 1} if preset == "heat" else {"w0": 0.5, "omega": 2.0}
+        spec = OperatorSpec(make_preset(preset, **kw), periodic_1d)
+        args = (spec, mesh32, 0.0, 24 / 512, 56 / 512)
+        assert V.check_semigroup(*args).status == "pass"
+        real = V._march
+
+        def skipping(scheme, i0, i1, x, src, keep=solver._Keep(), backward=False):
+            return real(scheme, i0 + 1, i1, x, src, keep, backward)  # starts a step late
+
+        monkeypatch.setattr(V, "_march", skipping)
+        rec = V.check_semigroup(*args)
+        assert rec.status == "fail" and rec.fitted["max_residual"] > 1e-6
+
+    @pytest.mark.parametrize("name", ["heat-1d-core", "rotating-2x2"])
+    def test_probe_and_dense_residuals_on_bundled_meshes(self, name):
+        """The bundled scenarios' records, and the dense P(t, s) - P(t, r) P(r, s) of
+        ``tests/reference.py`` at the same times, both stay within 1e-12."""
+        sc = cli.load_scenario(cli.Path(cli.__file__).parent / "scenarios" / f"{name}.json")
+        ctx = cli.build_context(sc)
+        params = next({k: v for k, v in c.items() if k != "name"} for c in sc["checks"]
+                      if c["name"] == "semigroup")
+        rec = cli._run_semigroup(ctx, **params)
+        assert rec.status == "pass" and rec.fitted["max_residual"] <= 1e-12
+        s, r, t = (rec.samples[k] for k in ("s", "r", "t"))
+        P_ts = propagator(ctx.spec, ctx.mesh, s, t)
+        dense = P_ts - propagator(ctx.spec, ctx.mesh, r, t) @ propagator(ctx.spec, ctx.mesh, s, r)
+        assert float(np.max(np.abs(dense))) / float(np.max(np.abs(P_ts))) <= 1e-12
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    def test_runs_on_meshes_past_any_dense_propagator(self, boundary):
+        """64 x 64 periodic heat (4 096 unknowns) and 16 x 16 dirichlet heat pass.  On the
+        64 x 64 mesh the traced peak stays within 12 (nn, K) probe states, 1.5 MiB: the
+        kept slices Y_r, Y_t and Z_t and the march's spectra and residual temporaries
+        (1.2 MB measured), where one dense propagator would take 134 MB."""
+        domain = Domain((0.0, 0.0), (1.0, 1.0), boundary)
+        cells = 64 if boundary == "periodic" else 16
+        mesh = Mesh(domain, (cells, cells), tau=2.0 ** -12, t0=0.0, steps=32)
+        spec = OperatorSpec(make_preset("heat", n=2), domain)
+        args = (spec, mesh, 0.0, float(mesh.times[12]), float(mesh.times[-1]))
+        assert V.check_semigroup(*args, seed=5).status == "pass"  # the step store, warm
+        tracemalloc.start()
+        try:
+            rec = V.check_semigroup(*args, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.status == "pass" and rec.fitted["max_residual"] <= 1e-12, rec.fitted
+        if boundary == "periodic":
+            assert peak < 12 * mesh.ncells * V.SEMIGROUP_PROBES * 8, peak
 
 
 class TestDecayFits:
@@ -285,11 +337,11 @@ class TestGaussianSamples:
         s = float(mesh.times[mesh.slab_count(rho) + 1])
         times = [float(mesh.times[200]), float(mesh.times[400])]
         samples = V.gaussian_samples(spec, mesh, (s, y), times, rho)
-        col = averaged_green_column(spec, mesh, (s, y), 1, rho, times[-1])
+        col = column(spec, mesh, (s, y), 1, rho, times[-1])
         true = np.abs(mesh.centers[:, 0] - y[0])
         assert samples
         for dt, d, g in samples:
-            cells = np.nonzero(np.abs(col.field.slice_at(s + dt)[0]) == g)[0]
+            cells = np.nonzero(np.abs(slice_at(col, s + dt)[0]) == g)[0]
             assert len(cells) > 0
             assert np.all(true[cells] == d)
 
@@ -577,7 +629,7 @@ def _whole_ph_decay_fit(spec, mesh, X0, ladder, n_solutions, seed, mu_min=0.9):
     outer = mesh.time_index(float(X0[0])) - mesh.slab_count(ladder[-1])  # its first slice
 
     def energy(traj, radius):
-        vals, _ = traj.cylinder(X0, radius, "minus")
+        vals, _ = cylinder(traj, X0, radius, "minus")
         slabs, _ = mesh.cylinder(X0, radius, "minus")
         chunk = (np.asarray(slabs) - outer) // CHUNK  # the partial sums, counted from outer
         def add(total, part):  # axis by axis, as the energies add
@@ -647,12 +699,64 @@ def _whole_sup_ratio(spec, mesh, X0, R, seed):
     traj = solve_forward(spec, mesh, g, None, float(mesh.t0), float(X0[0]))
 
     def cyl(rad):
-        vals, ball = traj.cylinder(X0, rad, "minus")
+        vals, ball = cylinder(traj, X0, rad, "minus")
         return vals[:, :, ball]
 
     inner, outer = cyl(R / 4.0), cyl(R)
     return (float(np.max(np.linalg.norm(inner, axis=1)))
             / math.sqrt(float(np.mean(np.sum(outer ** 2, axis=1)))))
+
+
+def _whole_heat_kernel(spec, mesh, Y, t_probe, rhos, tolerance, radius_factor=3.0):
+    """``heat_kernel_check`` from one whole column per radius, the radii's probe slices
+    combined from zeros with the rho -> 0 weights (one radius read as it is)."""
+    slices = [slice_at(column(spec, mesh, Y, 1, r, t_probe), t_probe)[0] for r in rhos]
+    u = slices[0]
+    if len(rhos) > 1:
+        u = np.zeros(mesh.ncells)
+        for w, v in zip(green._rho_weights(np.asarray(rhos)), slices):
+            u += w * v
+    dt = float(mesh.times[mesh.time_index(t_probe)] - Y[0])
+    gaps = mesh.wrap_gaps(mesh.centers - Y[1][None, :])
+    ref = wrapped_heat_kernel(mesh.n, dt, gaps, mesh.domain.lengths)
+    mask = np.linalg.norm(gaps, axis=1) <= radius_factor * math.sqrt(dt)
+    err = float(np.max(np.abs(u[mask] - ref[mask]) / ref[mask]))
+    return V.CheckRecord("heat-kernel", "gaussian-kernel-oracle",
+                         "pass" if err <= tolerance else "fail", tolerance,
+                         fitted={"sup_rel_error": err, "dt": dt},
+                         samples={"cells": int(mask.sum()), "rhos": rhos})
+
+
+def _whole_gaussian_samples(spec, mesh, Y, times, rho):
+    """``gaussian_samples`` from the N whole columns at the pole."""
+    cols = [column(spec, mesh, Y, k, rho, max(times)) for k in range(1, spec.coeffs.N + 1)]
+    dist = np.linalg.norm(mesh.wrap_gaps(mesh.centers - Y[1][None, :]), axis=1)
+    near = dist <= 0.4 * float(np.min(mesh.domain.lengths))
+    out = []
+    for t in times:
+        blocks = np.stack([slice_at(col, t).T for col in cols], axis=2)  # [cell, l, k]
+        norms = V.operator_norms(blocks)
+        keep = near & (norms > 1e-10 * float(norms.max()))
+        dt = float(mesh.times[mesh.time_index(t)]) - Y[0]
+        out += [(dt, float(d), float(g)) for d, g in zip(dist[keep], norms[keep])]
+    return out
+
+
+def _whole_ray_samples(spec, mesh, Y, distances, rho, axis=0):
+    """``pointwise_ray_samples`` from the N whole columns at the pole."""
+    s, y = Y
+    distances = sorted(distances)
+    last = s + round(distances[-1] ** 2 / mesh.tau) * mesh.tau
+    cols = [column(spec, mesh, Y, k, rho, last) for k in range(1, spec.coeffs.N + 1)]
+    out_d, out_g = [], []
+    for d in distances:
+        t = float(mesh.times[mesh.time_index(s + round(d * d / mesh.tau) * mesh.tau)])
+        x = y.copy()
+        x[axis] += round(d / mesh.h[axis]) * mesh.h[axis]
+        block = np.stack([value_at(col, t, x) for col in cols], axis=1)  # [l, k]
+        out_d.append(mesh.pdist((t, x), (s, y)))
+        out_g.append(float(V.operator_norms(block[None])[0]))
+    return np.asarray(out_d), np.asarray(out_g)
 
 
 STREAM_CASES = {  # (preset, n, boundary): the Fourier path and SuperLU, in 2-D and 1-D
@@ -713,6 +817,61 @@ class TestStreamedChecks:
         rec = V.check_duality(spec, mesh, pairs, T=117 / 1024, S=3 / 1024)
         ref = _per_pair_duality(spec, mesh, pairs, T=117 / 1024, S=3 / 1024)
         assert rec.to_dict() == ref.to_dict() and rec.status == "pass"
+
+    @pytest.mark.parametrize("radii", [[3], [4, 3, 2]])
+    @pytest.mark.parametrize("case", ["fourier", "fourier-1d"])
+    def test_heat_kernel_matches_whole_columns(self, case, radii):
+        """On the periodic meshes, with the heat preset the check needs."""
+        _, mesh = _stream_case(case, 16, 2.0 ** -10, 280)
+        spec = OperatorSpec(make_preset("heat", n=mesh.n), mesh.domain)
+        Y = (float(mesh.times[66]), mesh.centers[mesh.ncells // 2 + 5])
+        rhos = [k / 16 for k in radii]
+        t_probe = float(mesh.times[130])
+        rec = V.heat_kernel_check(spec, mesh, Y, t_probe, rhos, tolerance=0.5)
+        ref = _whole_heat_kernel(spec, mesh, Y, t_probe, rhos, tolerance=0.5)
+        assert rec.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_gaussian_and_ray_samples_match_whole_columns(self, case):
+        """Gaussian times out of order and repeated, and ray probes of which two snap to
+        one step and one cell (one slice kept for both) and the longest off the grid."""
+        spec, mesh = _stream_case(case, 16, 2.0 ** -10, 280)
+        Y = (float(mesh.times[17]), mesh.centers[3 if mesh.n == 1 else 3 * 16 + 8])
+        times = [float(mesh.times[17 + k]) for k in (100, 50, 100, 250)]
+        assert (V.gaussian_samples(spec, mesh, Y, times, 2 / 16)
+                == _whole_gaussian_samples(spec, mesh, Y, times, 2 / 16))
+        # the longest ray's d^2 / tau is 240.25: its probe snaps to step 240
+        distances = [12 / 32, 14 / 32, 12 / 32 * (1 + 1e-9), 15.5 / 32]
+        d, g = V.pointwise_ray_samples(spec, mesh, Y, distances, 2 / 16)
+        d_ref, g_ref = _whole_ray_samples(spec, mesh, Y, distances, 2 / 16)
+        assert d[0] == d[1] and g[0] == g[1]  # the probes that snap together
+        assert d.tobytes() == d_ref.tobytes() and g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_weak_levels_matches_the_whole_column(self, case, gradient):
+        """The record, or the error that the level sets leave these unit boxes, is the
+        whole column's; at these horizons the dirichlet cases and every gradient give
+        records."""
+        spec, mesh = _stream_case(case, 64, 2.0 ** -12, 400)
+        t_step = 200 if case == "dirichlet-1d" else 400
+        rho = cli._rho_from_cells(mesh, 2)
+        Y = (float(mesh.times[cli._cylinder_steps(mesh, rho)]), cli._cell_at_frac(mesh, None, 0.5))
+        T = float(mesh.times[t_step])
+
+        def outcome(check):
+            try:
+                return check().to_dict()
+            except ConfigError as err:
+                return str(err)
+
+        got = outcome(lambda: cli._run_weak_levels(cli.Context(case, spec, mesh, 0), rho_cells=2,
+                                                   t_step=t_step, gradient=gradient, margin=5.0))
+        want = outcome(lambda: V.weak_lp_levels(mesh, Y, rho,
+                                                column(spec, mesh, Y, 1, rho, T).values, T,
+                                                use_gradient=gradient, margin=5.0))
+        assert got == want
+        assert isinstance(got, dict) or not (gradient or case.startswith("dirichlet"))
 
     def test_peaks_below_one_trajectory(self):
         domain = Domain((0.0, 0.0), (1.0, 1.0), "periodic")
