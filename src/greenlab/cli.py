@@ -91,6 +91,13 @@ def _describe(kind, many: bool = False) -> str:
     return _JSON_NAMES[kind][many]
 
 
+def _positive(check: str, **values) -> None:
+    """Reject a check parameter that is not above 0, naming the check and its key."""
+    for key, value in values.items():
+        if not value > 0:
+            raise ConfigError(f"{check}: {key} must be positive, got {value}")
+
+
 def _rho_from_cells(mesh: Mesh, k) -> float:
     return float(k) * float(np.max(mesh.h))
 
@@ -293,6 +300,7 @@ def _run_heat_kernel(ctx: Context, rho_cells: list[float] = (8, 6, 4),
                      s_step: int | None = None, dt: float = 0.05, y_frac: Frac | None = None,
                      tolerance: float = 0.02, radius_factor: float = 3.0):
     mesh = ctx.mesh
+    _positive("heat-kernel", dt=dt, radius_factor=radius_factor)
     rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
     s_step = int(_cylinder_steps(mesh, max(rhos)) if s_step is None else s_step)
     t_step = s_step + max(1, int(round(float(dt) / mesh.tau)))
@@ -393,6 +401,7 @@ def _run_interior_decay(ctx: Context, ladder_cells: list[float] = (6, 8, 12, 16,
                         t_step: int | None = None, x_frac: Frac | None = None,
                         solutions: int = 10, seed: int | None = None, mu_min: float = 0.9):
     mesh = ctx.mesh
+    _positive("interior-decay", solutions=solutions)
     hmax = float(np.max(mesh.h))
     ladder = [float(k) * hmax for k in ladder_cells]
     X0 = (_time(mesh, t_step, mesh.steps), _cell_at_frac(mesh, x_frac, 0.5))
@@ -413,6 +422,7 @@ def _run_initial_trace(ctx: Context, width: float | None = None, x0_frac: Frac |
                        tolerance: float = 0.02):
     mesh = ctx.mesh
     width = 0.1 * float(np.min(mesh.domain.lengths)) if width is None else float(width)
+    _positive("initial-trace", width=width)
     x0 = _cell_at_frac(mesh, x0_frac, 0.5)
     g = _bump_datum(ctx, width, x0)
     s_step = int(s_step)

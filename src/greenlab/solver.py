@@ -15,16 +15,21 @@ State layout: slices are (N, ncells) arrays, flattened component-major.
 
 Each step evaluates the face tensors at ``Mesh.face_points`` with one
 ``tensor`` call (``_assemble``) and picks one of two solvers from those
-values, never from a flag such as ``CoefficientField.x_dependent``:
+values, never from a flag such as ``CoefficientField.x_dependent``.  Both
+gather L from ``_stencil`` over the entries that are nonzero at some face
+(``_used_entries``; on a diagonal field, heat or t-oscillating, the others
+would add only exact zeros):
 
 * Fourier: on a periodic mesh, 1-D or 2-D, whose face tensors are exactly
-  equal at every face, D = I + tau*L is block-circulant.  No gather runs
-  and no sparse matrix is built: ``_Stencil.build`` sums L's kernel, its
-  N columns at cell 0, from the face tensor of each axis with the weights
-  ``_stencil`` uses (+-1/h_a^2 for alpha = beta, +-1/(4 h_a h_b) for
-  alpha != beta), in the order the gather adds them, so the kernel is the
-  cell-0 columns of ``sp.identity(nn) + tau*assemble(...)`` to the bit.
-  The stencil keeps D's nonzero (N, N) blocks at their 3^n offsets.  A
+  equal at every face, D = I + tau*L is block-circulant, and no sparse
+  matrix is built.  ``_Stencil.build`` keeps D's kernel, its N columns at
+  cell 0, as D's nonzero (N, N) blocks at their 3^n offsets.  With one
+  tensor on the faces of each axis those columns depend on h alone, and
+  the gather sums each entry in face order, which is the same on every
+  torus of at least 4 cells per axis: so the kernel is the cell-0 columns
+  of D gathered on the 4^n torus with the same h, from the first face of
+  each axis (``_kernel_gather``), those of
+  ``sp.identity(nn) + tau*assemble(...)`` to the bit.  A
   divergence-form operator on faces that all hold one tensor is an even
   block convolution, B_{-d} = B_d, so the kernel's symbol is real: to the
   bit in 1-D, and in 2-D up to an ulp of the cross terms, which cancel on
@@ -46,11 +51,8 @@ values, never from a flag such as ``CoefficientField.x_dependent``:
   spectrum's subnormal parts to 0, which keeps a long march from slowing
   down as its modes decay and leaves the states bitwise unchanged.
 * SuperLU: everywhere else (dirichlet meshes, x-dependent fields and
-  tables), ``_gathered`` reads the entries that are nonzero at some face
-  and gathers only them (on a diagonal field, heat or t-oscillating, the
-  entries that are zero at every face would add only exact zeros), and D
-  is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering (minimum
-  degree on the pattern of A^T + A), which suits the structurally
+  tables), D is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering
+  (minimum degree on the pattern of A^T + A), which suits the structurally
   symmetric operator.
 
 The CSR pattern of I + L depends on (mesh, N) and on the gathered entries.
@@ -167,7 +169,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .mesh import Mesh, Trajectory
-from .problem import OperatorSpec
+from .problem import Domain, OperatorSpec
 
 RESIDUAL_TOL = 1e-11
 CACHE_BYTES = 256 * 2**20
@@ -304,14 +306,47 @@ def _pruned_pattern(mesh: Mesh, N: int, entries: tuple, bits: bytes):
     return (nz, *pattern)
 
 
-def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
-    """The face tensors of L(t), and one per axis when the Fourier path applies.
+@lru_cache(maxsize=8)
+def _kernel_gather(mesh: Mesh, N: int, entries: tuple):
+    """The gather terms of D's kernel, its N columns at cell 0, on a periodic ``mesh`` whose faces all hold one tensor.
 
-    Returns (A, faces): A is ``tensor(t, mesh.face_points)``, checked finite.
-    ``faces`` is None unless the mesh is periodic, of either dimension, and
-    A is exactly equal on the faces of each axis, which makes the operator
-    block-circulant; then ``faces[a]`` is the (n, n, N, N) tensor of axis
-    a's faces, and no gather runs.
+    They are ``_stencil``'s terms of the cell-0 columns on the 4^n torus
+    with ``mesh``'s h (a box of 4 h gives that h exactly), each source moved
+    to the first face of its axis on ``mesh``; the module docstring says why
+    that is D's kernel to the bit.  Returns (rows, src, weights, at, diag,
+    offsets): the terms, their rows numbered over the torus pattern's
+    cell-0 positions and their sources in ``mesh``'s raveled face tensors;
+    each such position's flat index (k * N + i) * N + j into the (3^n, N, N)
+    blocks, block k at ``offsets[k]``; and the positions on the diagonal.
+    """
+    n, stride = mesh.n, mesh.n ** 2 * N * N  # tensor values per face
+    torus = Mesh(Domain((0.0,) * n, tuple(4.0 * mesh.h), "periodic"), (4,) * n,
+                 tau=mesh.tau, t0=0.0, steps=1)
+    C = torus.ncells
+    (rows, src, weights), indices, indptr, _ = _stencil(torus, N, entries)
+    cell0 = indices % C == 0  # the pattern positions in the cell-0 columns
+    pos = np.flatnonzero(cell0)
+    row = np.searchsorted(indptr, pos, side="right") - 1
+    i, x = np.divmod(row, C)
+    d = (np.array(np.unravel_index(x, torus.cells)) + 1) % 4 - 1  # cell 3 is offset -1
+    at = (np.ravel_multi_index(tuple(d + 1), (3,) * n) * N + i) * N + indices[pos] // C
+    terms = cell0[rows]
+    axis, src = np.divmod(src[terms].astype(np.int64), C * stride)
+    gather = ((np.cumsum(cell0) - 1)[rows[terms]], axis * (mesh.ncells * stride) + src % stride,
+              weights[terms], at, np.flatnonzero(row == indices[pos]),
+              np.array(list(itertools.product((-1, 0, 1), repeat=n))))
+    for arr in gather:
+        arr.flags.writeable = False  # shared by every step on this mesh
+    return gather
+
+
+def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
+    """The face tensors of L(t), and whether the Fourier path applies.
+
+    Returns (A, fourier): A is ``tensor(t, mesh.face_points)``, checked
+    finite.  ``fourier`` is True when the mesh is periodic, of either
+    dimension, and A is exactly equal on the faces of each axis, which makes
+    the operator block-circulant.
     """
     A = spec.coeffs.tensor(t, mesh.face_points)
     if not np.isfinite(A).all():
@@ -319,54 +354,54 @@ def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
     # equal on the faces of each axis, which translating by one cell maps onto
     # themselves; a periodic mesh has one face per cell on each axis
     if mesh.periodic:
-        axes = A.reshape(mesh.n, mesh.ncells, *A.shape[1:])
-        if (axes[:, 1:] == axes[:, :-1]).all():
-            return A, axes[:, 0]
-    return A, None
+        axes = A.reshape(mesh.n, mesh.ncells, -1)
+        return A, bool((axes[:, 1:] == axes[:, :-1]).all())
+    return A, False
 
 
-def _gathered(mesh: Mesh, N: int, A: np.ndarray, entries: tuple | None = None):
-    """(values, entries): L's values from the face tensors A, on ``_stencil(mesh, N, entries)``'s pattern.
+def _used_entries(A: np.ndarray) -> tuple:
+    """The flat tensor entries of the face tensors A that are nonzero at some face.
 
-    ``entries`` None picks the tensor entries that are nonzero at some face:
-    an entry that is zero at every face adds only exact zeros to L, so
-    leaving it out changes no value of I + tau*L.
+    An entry that is zero at every face adds only exact zeros to L, so
+    leaving it out changes no value of I + tau*L.  A field that is zero
+    everywhere keeps one entry, so L has a pattern.
     """
-    flat = A.reshape(len(A), -1)  # one row per face, a copy only for a strided A
-    if entries is None:
-        # one contiguous row per entry: ``flat.any(axis=0)``, which reduces
-        # across the rows of ``flat``, took 10 times longer at 64^2
-        used = (flat != 0).T.copy().any(axis=1)
-        # a field that is zero everywhere keeps one entry, so L has a pattern
-        entries = tuple(np.flatnonzero(used).tolist()) or (0,)
+    # one contiguous row per entry: ``flat.any(axis=0)``, which reduces across
+    # the rows of ``flat``, took 10 times longer at 64^2
+    used = (A.reshape(len(A), -1) != 0).T.copy().any(axis=1)
+    return tuple(np.flatnonzero(used).tolist()) or (0,)
+
+
+def _gathered(mesh: Mesh, N: int, A: np.ndarray, entries: tuple) -> np.ndarray:
+    """L's values from the face tensors A, on ``_stencil(mesh, N, entries)``'s pattern."""
     (rows, src, weights), indices, _, _ = _stencil(mesh, N, entries)
+    flat = A.reshape(len(A), -1)  # one row per face, a copy only for a strided A
     # bincount adds each row's terms in order, from 0, as the CSR product does
-    values = np.bincount(rows, weights=weights * flat.ravel()[src], minlength=len(indices))
-    return values, entries
+    return np.bincount(rows, weights=weights * flat.ravel()[src], minlength=len(indices))
 
 
-def _implicit_values(mesh: Mesh, N: int, A: np.ndarray, entries: tuple | None = None):
-    """(values, entries): D = I + tau*L on ``_stencil(mesh, N, entries)``'s pattern, exact zeros kept.
+def _implicit_values(mesh: Mesh, N: int, A: np.ndarray, entries: tuple) -> np.ndarray:
+    """D = I + tau*L on ``_stencil(mesh, N, entries)``'s pattern, exact zeros kept.
 
-    L's values are gathered from the face tensors A by ``_gathered``
-    (``entries`` None picks the nonzero ones); scaled by tau, with 1 added
-    on the diagonal, they give ``sp.identity(nn) + tau*L`` to the bit once
-    exact zeros are dropped.
+    L's values are gathered from the face tensors A by ``_gathered``;
+    scaled by tau, with 1 added on the diagonal, they give
+    ``sp.identity(nn) + tau*L`` to the bit once exact zeros are dropped.
     """
-    values, entries = _gathered(mesh, N, A, entries)
+    values = _gathered(mesh, N, A, entries)
     values *= mesh.tau
     values[_stencil(mesh, N, entries)[3]] += 1.0
-    return values, entries
+    return values
 
 
 def _step_matrix(mesh: Mesh, N: int, A: np.ndarray) -> sp.csr_matrix:
-    """D = I + tau*L as a CSR matrix, gathered from the face tensors A over their nonzero entries.
+    """D = I + tau*L as a CSR matrix, gathered from the face tensors A over ``_used_entries``.
 
     The exact zeros left (entries zero at some faces only, cancellation) are
     dropped; the data is an exact-size array and the pattern arrays are the
     cached ones of the stencil or of ``_pruned_pattern``.
     """
-    data, entries = _implicit_values(mesh, N, A)
+    entries = _used_entries(A)
+    data = _implicit_values(mesh, N, A, entries)
     _, indices, indptr, _ = _stencil(mesh, N, entries)
     keep = data != 0
     if not keep.all():
@@ -405,7 +440,7 @@ def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
     entries = tuple(range(mesh.n * mesh.n * N * N))
     _, indices, indptr, _ = _stencil(mesh, N, entries)
     nn = len(indptr) - 1
-    values, _ = _gathered(mesh, N, _assemble(mesh, spec, t)[0], entries)
+    values = _gathered(mesh, N, _assemble(mesh, spec, t)[0], entries)
     return sp.csr_matrix((values, indices, indptr), shape=(nn, nn))
 
 
@@ -443,51 +478,6 @@ def _flush_subnormals(spectrum: np.ndarray) -> None:
     """
     parts = spectrum.view(np.float64)
     parts[np.abs(parts) < _TINY] = 0.0
-
-
-@lru_cache(maxsize=8)
-def _kernel_terms(mesh: Mesh):
-    """The terms of L's kernel on a periodic mesh, in the order the gather of ``_stencil`` sums them.
-
-    The kernel is L's N columns at cell 0; its (N, N) block at the offset d
-    in {-1, 0, 1}^n couples row cell d to cell 0.  On a mesh whose face
-    tensors are equal at every face, the block is a sum of terms w * T_a[a, b],
-    with T_a the tensor of axis a's faces and ``_stencil``'s weights:
-    +-1/h_a * 1/h_a for b = a and +-1/h_a * 1/(4 h_b) for b != a.  The gather
-    adds them in the order of their face-tensor positions (axis, face,
-    entry), where face p of an axis has cell p on its right; summing in that
-    order gives L's values to the bit.  Returns (offsets, ranks): offsets is
-    (3^n, n), and ranks holds, for each position in the sums, the arrays
-    (k, ab, w) of the blocks k that have a term there, its entry
-    ab = a * n + b and its weight w.
-    """
-    n, eye = mesh.n, np.eye(mesh.n, dtype=int)
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
-    sums = []
-    for row in offsets:
-        terms = []
-        for a in range(n):
-            inv_ha = 1.0 / mesh.h[a]
-            # the faces of axis a with the row cell on their left and on their right
-            for left, sgn in ((row, -inv_ha), (row - eye[a], +inv_ha)):
-                right = left + eye[a]
-                face = np.ravel_multi_index(tuple(right % mesh.cells), mesh.cells)
-                for b in range(n):
-                    if b == a:
-                        cols = [(right, +1.0 / mesh.h[b]), (left, -1.0 / mesh.h[b])]
-                    else:
-                        q = 1.0 / (4.0 * mesh.h[b])
-                        cols = [(left + eye[b], +q), (right + eye[b], +q),
-                                (left - eye[b], -q), (right - eye[b], -q)]
-                    terms += [((a, face, b), a * n + b, sgn * w)
-                              for col, w in cols if not (col % mesh.cells).any()]
-        sums.append([term[1:] for term in sorted(terms)])
-    ranks = []
-    for r in range(max(map(len, sums))):
-        k = [i for i, terms in enumerate(sums) if len(terms) > r]
-        ab, w = zip(*(sums[i][r] for i in k))
-        ranks.append((np.array(k), np.array(ab), np.array(w)))
-    return offsets, ranks
 
 
 @lru_cache(maxsize=64)
@@ -554,24 +544,22 @@ class _Stencil:
         self.nbytes = self.row.nbytes + offsets.nbytes
 
     @classmethod
-    def build(cls, mesh: Mesh, faces: np.ndarray, tau: float) -> "_Stencil":
-        """D = I + tau*L from the face tensor of each axis (``_assemble``'s ``faces``).
+    def build(cls, mesh: Mesh, A: np.ndarray) -> "_Stencil":
+        """D = I + tau*L from the face tensors A of a periodic mesh whose faces all hold one tensor.
 
-        Its blocks are L's kernel summed in the gather's order, scaled by tau
-        with 1 added on the diagonal, as ``_implicit_values`` makes D's entries: the
-        cell-0 columns of ``sp.identity(nn) + tau*assemble(...)``, to the bit.
+        Its blocks are the gathered D's cell-0 columns, read from the first
+        face of each axis through ``_kernel_gather`` over ``_used_entries(A)``:
+        L's values summed by ``np.bincount``, scaled by tau, with 1 added on
+        the diagonal, as ``_implicit_values`` makes D's entries.  The blocks
+        that are zero are dropped.
         """
-        offsets, ranks = _kernel_terms(mesh)
-        n = mesh.n
-        axis = np.arange(n)[:, None]
-        T = faces[axis, axis, np.arange(n)]  # T[a, b]: entry (a, b) of axis a's faces
-        T = T.reshape(n * n, *T.shape[2:])
-        L = np.zeros((len(offsets), *T.shape[1:]))
-        for k, ab, w in ranks:
-            L[k] += w[:, None, None] * T[ab]
-        D = L * tau
-        center = len(offsets) // 2  # the offset 0
-        D[center] += np.eye(len(D[center]))
+        N = A.shape[-1]
+        rows, src, weights, at, diag, offsets = _kernel_gather(mesh, N, _used_entries(A))
+        values = np.bincount(rows, weights=weights * A.ravel()[src], minlength=len(at))
+        values *= mesh.tau
+        values[diag] += 1.0
+        D = np.zeros((len(offsets), N, N))
+        D.reshape(-1)[at] = values
         keep = D.reshape(len(D), -1).any(axis=1)
         return cls(mesh.cells, offsets[keep], D[keep])
 
@@ -655,8 +643,8 @@ def _irfft(y: np.ndarray, cells: tuple) -> np.ndarray:
 class _FourierSolver:
     """Solves with a block-circulant implicit matrix D on a periodic mesh, 1-D or 2-D.
 
-    ``_rfft`` of D's kernel (``_Stencil.kernel``) is one N x N symbol block
-    per wavenumber.  A divergence-form D on faces that all hold one tensor
+    ``_rfft`` of D's kernel (``_Stencil.kernel``, the gathered D's cell-0
+    columns, read on the 4^n torus) is one N x N symbol block per wavenumber.  A divergence-form D on faces that all hold one tensor
     is an even block convolution, B_{-d} = B_d, so its symbol is real: the
     real part is kept and inverted here once in float64 (by a reciprocal
     when N = 1), half the bytes of a complex inverse.  It is the symbol of
@@ -802,9 +790,9 @@ class ThetaScheme:
         """
         def build():
             mesh = self.mesh
-            A, faces = _assemble(mesh, self.spec, float(mesh.times[m]))
-            if faces is not None:
-                stencil = _Stencil.build(mesh, faces, mesh.tau)
+            A, fourier = _assemble(mesh, self.spec, float(mesh.times[m]))
+            if fourier:
+                stencil = _Stencil.build(mesh, A)
                 return _Implicit(_FourierSolver(stencil), stencil)
             D = _step_matrix(mesh, self.N, A).tocsc()
             return _Implicit(spla.splu(D, permc_spec="MMD_AT_PLUS_A"), D)
@@ -1135,7 +1123,7 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
         band = np.zeros((len(steps), *shape))
         for j, k in enumerate(steps):
             A = _assemble(mesh, spec, float(mesh.times[i0 + k + 1]))[0]
-            band[j, cols, u + rows - cols] = _implicit_values(mesh, N, A, entries)[0]
+            band[j, cols, u + rows - cols] = _implicit_values(mesh, N, A, entries)
         pivots = _band_factor(band, kl, u)
         for j, k in enumerate(steps):
             gm = src(i0 + k)

@@ -872,12 +872,17 @@ def initial_trace_test(spec: OperatorSpec, mesh: Mesh, g, x0, s: float, t_list,
 
 def check_bounded_initial(spec: OperatorSpec, mesh: Mesh, g, s: float, t: float,
                           tolerance: float = 1e-12) -> CheckRecord:
-    """Sup bound by the data sup; exact (max principle) for scalar systems."""
+    """Sup bound by the data sup; exact (max principle) for scalar systems.
+
+    A datum that is zero at every cell bounds nothing, so it is a ConfigError.
+    """
     g = np.array(g, dtype=float)
     gmax = float(np.max(np.abs(g)))
+    if not gmax > 0:
+        raise ConfigError("bounded-initial: the datum is zero at every cell; the segment of "
+                          "halfwidth around center_frac must hold a cell center")
     u_t = _solve(spec, mesh, g, None, s, t, "forward", _Keep([mesh.time_index(t)]))[0]
-    umax = float(np.max(np.abs(u_t)))
-    ratio = umax / gmax if gmax > 0 else 0.0
+    ratio = float(np.max(np.abs(u_t))) / gmax
     if spec.coeffs.N == 1:
         status = "pass" if ratio <= 1.0 + tolerance else "fail"
     else:

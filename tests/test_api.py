@@ -13,7 +13,7 @@ DELETED = {
             "green_block_columns", "transpose_block_columns", "extrapolated_green_column",
             "rho_refinement", "RhoTable", "cylinder_average", "propagator", "_propagators",
             "PROPAGATOR_CAP"),
-    solver: ("step_forward", "DiscreteOperator", "solve_backward"),
+    solver: ("step_forward", "DiscreteOperator", "solve_backward", "_kernel_terms"),
     mesh: ("dirichlet_energy", "EnergyNorm", "energy_norm"),
     problem: ("vmo_modulus", "VmoProbe", "diagonal_distance", "transpose_coefficients"),
     verify: ("_rel_residual",),

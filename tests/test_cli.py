@@ -142,6 +142,26 @@ def test_empty_or_short_list_parameter_exit_2(tmp_path, capsys, check, key, valu
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("check, key, value", [
+    ("heat-kernel", "dt", 0.0), ("heat-kernel", "dt", -0.05),
+    ("heat-kernel", "radius_factor", -1.0), ("initial-trace", "width", 0.0),
+    ("interior-decay", "solutions", 0),
+    # a segment narrower than half a cell holds no cell center: the datum is zero
+    ("bounded-initial", "halfwidth", 0.001),
+])
+def test_parameter_out_of_range_exit_2(tmp_path, capsys, check, key, value):
+    # a value that types but leaves nothing to check is a bad scenario, not a pass
+    # (exit 0), a failing check (exit 1) or a traceback (exit 4)
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["checks"] = [{"name": check, key: value}]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{check}: " in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("check, key, value, want", [
     # a list where a number is expected
     ("gaussian", "rho_cells", [4], "a number"),

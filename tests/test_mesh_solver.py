@@ -199,7 +199,7 @@ class TestAssemble:
         (rows, src, weights), indices, _, _ = solver._stencil(mesh, N, entries)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(indices)))])
         gather = sp.csr_matrix((weights, src, indptr), shape=(len(indices), A.size))
-        values, _ = solver._gathered(mesh, N, A, entries)
+        values = solver._gathered(mesh, N, A, entries)
         assert values.tobytes() == (gather @ A.ravel()).tobytes()
 
     def test_constant_scale_linearity(self, mesh32, periodic_1d):
@@ -368,8 +368,8 @@ class TestSolveForward:
         """The space-time oracle reaches neither ``scipy.sparse`` nor ``scipy.sparse.linalg``
         and matches the march at 1e-9: odd cell counts in 1-D and 2-D, periodic and
         dirichlet, an N = 3 field that couples its components and varies in t, and in x or
-        not (a periodic march then solves by Fourier from the closed-form kernel, while
-        the oracle gathers D)."""
+        not (a periodic march then solves by Fourier from the kernel gathered on the 4^n
+        torus, while the oracle gathers D on the mesh)."""
         n = len(cells)
         domain = Domain((0.0,) * n, (1.0,) * n, mode)
         mesh = Mesh(domain, cells, tau=2.0 ** -8, t0=0.0, steps=6)
@@ -1043,11 +1043,12 @@ FOURIER_FIELDS = {
 }
 
 
-def _fourier_mesh(n, steps=4):
-    """A periodic mesh of odd and even cell counts: (16, 9) in 2-D, (15,) in 1-D."""
+def _fourier_mesh(n, steps=4, smallest=False):
+    """A periodic mesh of odd and even cell counts: (16, 9) in 2-D, (15,) in 1-D, or with
+    ``smallest`` the fewest cells a mesh takes, (4, 5) and (4,); h_x != h_y in 2-D."""
     domain = Domain((0.0,) * n, (1.0, 1.5)[:n], "periodic")
-    return domain, Mesh(domain, (16, 9) if n == 2 else (15,), tau=2.0 ** -10, t0=0.0,
-                        steps=steps)
+    cells = ((4, 5) if smallest else (16, 9)) if n == 2 else ((4,) if smallest else (15,))
+    return domain, Mesh(domain, cells, tau=2.0 ** -10, t0=0.0, steps=steps)
 
 
 class TestFourierPath:
@@ -1112,13 +1113,14 @@ class TestFourierPath:
             x = scheme.solve_implicit(1, rhs, trans=trans)
             assert np.linalg.norm(mat @ x - rhs) <= solver.RESIDUAL_TOL * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("smallest", [False, True], ids=["mesh", "4-cells"])
     @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
-    def test_kernel_and_inverse_symbol(self, store, monkeypatch, field):
-        """The closed-form kernel is the cell-0 columns of I + tau*assemble(...), to the bit:
-        two builds of the stencil weights, one per face tensor of each axis and one gathered
-        from every face, must agree."""
+    def test_kernel_and_inverse_symbol(self, store, monkeypatch, field, smallest):
+        """The kernel, gathered on the 4^n torus of the same h from the first face of each
+        axis, is the cell-0 columns of I + tau*assemble(...) on the mesh, to the bit, also
+        on the smallest meshes, where an axis of 4 cells is the torus's own."""
         coeffs = FOURIER_FIELDS[field]()
-        domain, mesh = _fourier_mesh(coeffs.n)
+        domain, mesh = _fourier_mesh(coeffs.n, smallest=smallest)
         spec = OperatorSpec(coeffs, domain)
         stencil = ThetaScheme(mesh, spec).implicit_lu(2)[1]
         N = spec.coeffs.N
@@ -1153,10 +1155,10 @@ class TestFourierPath:
         ThetaScheme(mesh, OperatorSpec(coeffs, domain)).solve_implicit(1, rhs, trans=trans)
         build = solver._Stencil.build
 
-        def odd_build(mesh, faces, tau):
-            even = build(mesh, faces, tau)
+        def odd_build(mesh, A):
+            even = build(mesh, A)
             blocks = even.blocks.copy()
-            drift = tau / (2 * mesh.h[0]) * np.eye(even.N)
+            drift = mesh.tau / (2 * mesh.h[0]) * np.eye(even.N)
             for k, d in enumerate(even.offsets.tolist()):
                 if d[0] and not any(d[1:]):
                     blocks[k] -= d[0] * drift  # through B_d, cell y reads u(y - d)
@@ -1281,15 +1283,14 @@ class TestFourierPath:
 
             spec = OperatorSpec(CoefficientField(n, 2, 1.0, 10.0, math.inf, f"ulp-off-{a}",
                                                  off_by_one_ulp), domain)
-            assert solver._assemble(mesh, spec, 0.0)[1] is None
+            assert solver._assemble(mesh, spec, 0.0)[1] is False
             scheme = ThetaScheme(mesh, spec)
             assert not isinstance(scheme.implicit_lu(1)[0], solver._FourierSolver)
             scheme.solve_implicit(1, rhs)
         # the x-oscillatory field forced onto the path: the residual cannot tell
         field = OperatorSpec(make_preset("x-oscillatory", n=n), domain)
         A = solver._assemble(mesh, field, 0.0)[0]
-        forced = solver._Stencil.build(mesh, np.stack([B[0] for B in np.split(A, n)]),
-                                       mesh.tau)
+        forced = solver._Stencil.build(mesh, A)
         b = rhs[:mesh.ncells]
         x = solver._FourierSolver(forced).solve(b)[0]
         assert np.linalg.norm(forced.residual(x, b)) <= 1e-13 * np.linalg.norm(b)

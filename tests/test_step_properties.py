@@ -233,7 +233,7 @@ def test_entry_vanishing_in_one_slice_gives_two_stencils(tmp_path):
     write_table(path, tensors, (0.0, TABLE_T1), domain.lengths)
     mesh = Mesh(domain, (5, 4), tau=TABLE_TAU, t0=0.0, steps=5)
     spec = OperatorSpec(load_table(path, lam, Lam), domain)
-    entries = [solver._gathered(mesh, 2, solver._assemble(mesh, spec, float(t))[0])[1]
+    entries = [solver._used_entries(solver._assemble(mesh, spec, float(t))[0])
                for t in mesh.times[1:]]
     assert entries[0] == entries[1] != entries[2] == entries[4]
     assert set(entries[0]) < set(entries[2])

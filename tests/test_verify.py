@@ -485,8 +485,9 @@ class TestInitialData:
             assert rec.fitted["ratio"] <= 1.0 + 1e-12
 
     def test_bounded_initial_zero_data(self, mesh32, heat_spec):
-        rec = V.check_bounded_initial(heat_spec, mesh32, np.zeros((1, 32)), 0.0, 16 / 512)
-        assert rec.fitted["ratio"] == 0.0
+        # a zero datum bounds nothing: no vacuous pass with ratio 0
+        with pytest.raises(ConfigError, match="zero at every cell.*halfwidth.*center_frac"):
+            V.check_bounded_initial(heat_spec, mesh32, np.zeros((1, 32)), 0.0, 16 / 512)
 
     def test_bounded_initial_system_informational(self, mesh32, periodic_1d):
         spec = OperatorSpec(make_preset("rotating"), periodic_1d)
