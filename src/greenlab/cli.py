@@ -4,10 +4,10 @@
 requested checks, and writes a structured report, per-check CSV data, and
 a human-readable summary.  ``greenlab sweep`` repeats a scenario's metric
 check along one refinement axis and fits the observed order.  Scenario
-files are strict JSON: unknown keys anywhere are rejected.
-
-Exit codes: 0 all gating checks pass, 1 check failure, 2 invalid scenario
-or parameters, 3 solver failure.
+files are strict JSON: unknown keys anywhere are rejected.  The check
+builders turn scenario parameters into check arguments (seeded data, steps
+mapped to times) and build no record themselves.  The exit codes are those
+of ``_exit_code``.
 """
 
 from __future__ import annotations
@@ -301,9 +301,12 @@ def _run_heat_kernel(ctx: Context, rho_cells: list[float] = (8, 6, 4),
                      tolerance: float = 0.02, radius_factor: float = 3.0):
     mesh = ctx.mesh
     _positive("heat-kernel", dt=dt, radius_factor=radius_factor)
+    if not 0.5 < dt / mesh.tau < mesh.steps + 0.5:  # dt / tau may overflow to inf
+        raise ConfigError(f"heat-kernel: dt must round to 1..{mesh.steps} time steps of "
+                          f"{mesh.tau:g}, got {dt}")
     rhos = [_rho_from_cells(mesh, k) for k in rho_cells]
     s_step = int(_cylinder_steps(mesh, max(rhos)) if s_step is None else s_step)
-    t_step = s_step + max(1, int(round(float(dt) / mesh.tau)))
+    t_step = s_step + round(dt / mesh.tau)
     if t_step > mesh.steps:
         raise ConfigError("heat kernel probe time leaves the mesh window")
     Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.5))
@@ -341,6 +344,10 @@ def _run_davies(ctx: Context, gamma: float = 1.0, s_step: int = 0, t_step: int |
                 slack: float = 1.05):
     mesh = ctx.mesh
     gamma = float(gamma)
+    if gamma < 0:
+        raise ConfigError(f"davies: gamma must be non-negative, got {gamma}")
+    if gamma == 0 and mesh.periodic:  # the datum is then constant, and a constant never moves
+        raise ConfigError(f"davies: gamma must be positive on a periodic mesh, got {gamma}")
     psi = tent_profile(mesh, gamma)
     f = np.ones((ctx.spec.coeffs.N, mesh.ncells))
     return V.davies_growth(ctx.spec, mesh, psi, gamma, f, _time(mesh, s_step),
@@ -351,6 +358,7 @@ def _run_gaussian(ctx: Context, rho_cells: float = 4, s_step: int | None = None,
                   dt_steps: list[int] | None = None, y_frac: Frac | None = None,
                   c_max: float = 10.0):
     mesh = ctx.mesh
+    _positive("gaussian", c_max=c_max)
     rho = _rho_from_cells(mesh, rho_cells)
     s_step = int(_cylinder_steps(mesh, rho) if s_step is None else s_step)
     left = mesh.steps - s_step
@@ -372,6 +380,8 @@ def _run_pointwise_decay(ctx: Context, rho_cells: float = 2, s_step: int | None 
     npts, decade = int(n_points), float(decade)
     if npts < 2:
         raise ConfigError(f"pointwise-decay: n_points must be at least 2, got {npts}")
+    if not 0 <= axis < mesh.n:
+        raise ConfigError(f"pointwise-decay: axis must be in 0..{mesh.n - 1}, got {axis}")
     ds = [d_min * 10 ** (decade * k / (npts - 1)) for k in range(npts)]
     s_step = int(_cylinder_steps(mesh, rho) if s_step is None else s_step)
     Y = (_time(mesh, s_step), _cell_at_frac(mesh, y_frac, 0.1))
@@ -534,9 +544,10 @@ def _write_outputs(out_dir: Path, name: str, scenario: dict, report: V.Verificat
 def _exit_code(body) -> int:
     """Run ``body()`` and return its exit code, or that of the error that ends it.
 
-    An invalid scenario exits 2, a solver failure 3 and any other exception,
-    an internal error, 4 with its traceback on stderr, so exit 1 stays with
-    a failing check.
+    ``body`` returns 0 when every non-informational check passes and 1
+    otherwise.  An invalid scenario exits 2, a solver failure 3 and any
+    other exception, an internal error, 4 with its traceback on stderr, so
+    exit 1 stays with a failing check.
     """
     try:
         return body()

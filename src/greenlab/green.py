@@ -7,19 +7,11 @@ s - rho^2 and extended by zero below.  The transpose column mirrors this
 with the adjoint solver on the forward cylinder.  The discrete cylinders
 and their slab conventions are those of ``Mesh.cylinder``.
 
-One private builder, ``_green_block``, marches every column, for one or
-several sources (a pole and a radius each) at once, and keeps only what
-its ``solver._Keep`` names.  The duality check makes one march per
-direction, of all its forward or all its transpose sources, keeping only
-the slices and cells of the cylinders it averages over; the causality check
-makes one march for its radii, keeping the slices from step 0 to each
-column's first source slab; ``heat-kernel`` marches its radii as one block
-and keeps the probe slice, ``gaussian`` and ``pointwise-decay`` keep their
-probe slices (and cells), and only ``weak-levels`` keeps a whole column.
-The packing rule lives in ``_packs``: sources at one pole time share a
-block, as many as keep its spectrum within ``solver.BLOCK_SPECTRUM_BYTES``,
-and every packed column is bitwise its own march.  Every column takes
-implicit Euler steps through the solver's one marcher, ``solver._march``.
+The module owns the one builder of these columns, ``_green_block``, which
+marches them through the solver's one marcher, ``solver._march``, and the
+rule that packs sources into blocks, ``_packs``; the mollifier source is
+``_mollifier``, and the weights of the rho -> 0 limit ``_rho_weights``.
+What each check keeps of its columns is in that check's docstring.
 """
 
 from __future__ import annotations

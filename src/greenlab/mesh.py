@@ -66,10 +66,6 @@ class Mesh:
         return self.domain.n
 
     @property
-    def boundary_mode(self) -> str:
-        return self.domain.boundary_mode
-
-    @property
     def periodic(self) -> bool:
         return self.domain.periodic
 
@@ -259,7 +255,8 @@ class Mesh:
 
         Periodic meshes include the wrap face; dirichlet meshes only list
         interior faces (both neighbor cells in-grid).  The arrays are built
-        once per mesh and are read-only.
+        once per mesh and are read-only, shared by the stencil gather,
+        ``face_difference`` and the interior-decay energies.
         """
         return self._faces[ax]
 

@@ -13,147 +13,29 @@ Implicit Euler is the only time scheme: the slab conventions of
 ``Mesh.cylinder`` make the duality identity exact for it alone.
 State layout: slices are (N, ncells) arrays, flattened component-major.
 
-Each step evaluates the face tensors at ``Mesh.face_points`` with one
-``tensor`` call (``_assemble``) and picks one of two solvers from those
-values, never from a flag such as ``CoefficientField.x_dependent``.  Both
-gather L from ``_stencil`` over the entries that are nonzero at some face
-(``_used_entries``; on a diagonal field, heat or t-oscillating, the others
-would add only exact zeros):
+Each mechanism of this module is described once, in the docstring of the
+code named here:
 
-* Fourier: on a periodic mesh, 1-D or 2-D, whose face tensors are exactly
-  equal at every face, D = I + tau*L is block-circulant, and no sparse
-  matrix is built.  ``_Stencil.build`` keeps D's kernel, its N columns at
-  cell 0, as D's nonzero (N, N) blocks at their 3^n offsets.  With one
-  tensor on the faces of each axis those columns depend on h alone, and
-  the gather sums each entry in face order, which is the same on every
-  torus of at least 4 cells per axis: so the kernel is the cell-0 columns
-  of D gathered on the 4^n torus with the same h, from the first face of
-  each axis (``_kernel_gather``), those of
-  ``sp.identity(nn) + tau*assemble(...)`` to the bit.  A
-  divergence-form operator on faces that all hold one tensor is an even
-  block convolution, B_{-d} = B_d, so the kernel's symbol is real: to the
-  bit in 1-D, and in 2-D up to an ulp of the cross terms, which cancel on
-  the axis-0 offsets in a different order at d and -d.
-  ``_FourierSolver`` keeps its real part and inverts it once in float64
-  (one N x N block per wavenumber, a reciprocal when N = 1), and solves
-  with a real FFT, a batched N x N product and the inverse FFT, per axis:
-  ``rfft``/``irfft`` on 1-D, and on 2-D ``rfft`` then ``fft`` along the
-  other axis (and back with ``ifft`` then ``irfft``), which is what
-  ``rfft2``/``irfft2`` run, bitwise, without their argument handling.  It
-  stores that one real inverse, 8 N^2 bytes per wavenumber; a
-  ``trans="T"`` solve multiplies by its transposed blocks, the inverse
-  symbol of D^T.
-  A scheme keeps the state its last Fourier solve returned together with
-  that state's spectrum; a solve whose right-hand side is that very state
-  (a step without a source, forward or adjoint, flat or block) reuses the
-  spectrum and skips the forward FFT, so a march transforms forward once,
-  plus once per step with a source.  Every eighth step sets the carried
-  spectrum's subnormal parts to 0, which keeps a long march from slowing
-  down as its modes decay and leaves the states bitwise unchanged.
-* SuperLU: everywhere else (dirichlet meshes, x-dependent fields and
-  tables), D is factorized by ``splu`` with the ``MMD_AT_PLUS_A`` ordering
-  (minimum degree on the pattern of A^T + A), which suits the structurally
-  symmetric operator.
-
-The CSR pattern of I + L depends on (mesh, N) and on the gathered entries.
-``_stencil`` builds it once per (mesh, N, entries), with the positions of
-its diagonal and a gather from the raveled face tensors to L's values on
-that pattern, and keeps the last eight.  The gather is numpy arrays
-(rows, sources, weights) applied by ``np.bincount``, which sums each row
-in the order of a CSR product, so it needs no ``scipy.sparse``.
-``_implicit_values`` scales the values and adds 1 on the diagonal;
-``_step_matrix`` drops the exact zeros left (entries zero at some faces
-only, cancellation), which gives ``sp.identity(nn) + tau*L`` to the bit.
-The pattern left after dropping them is cached per stencil and zero mask
-by ``_pruned_pattern``: the steps of a run share one pattern and each
-stored matrix owns only its exact-size data.  The public ``assemble``
-gathers every entry, so its pattern depends on (mesh, N) alone.
-
-One private time loop, the generator ``_stream``, runs every march,
-forward or (with ``backward``) through the adjoint steps, for a flat (nn,)
-state or an (nn, B) block of B states sharing every step's solver.
-``_march`` stacks what it yields; ``verify.ph_decay_fit`` folds it into
-its cylinder energies as it comes.  It and ``dense_spacetime_oracle``
-check that a window spans a step with one ``_check_window``.
-``solve_forward`` and the checks' ``_solve`` march one state, the Green
-column builder marches all source components of several poles and radii as
-one block (the duality check makes one march per direction, in blocks whose
-spectrum fits ``BLOCK_SPECTRUM_BYTES``), ``verify.check_semigroup`` marches
-an (nn, 4) block of seeded probe states and ``verify.check_normalization``
-the (nn, N) block of constant states; no march carries an (nn, nn) block.
-Both solvers solve a block bitwise equal to its columns one by one.  Every
-solve checks the relative residual of each column against
-``RESIDUAL_TOL``, so a bad small column cannot hide behind a large one.
-A SuperLU step's residual is ``D @ x - rhs`` with the stored CSC matrix; a
-Fourier step's applies the stencil's blocks to shifted copies of each
-state, with its rhs stacked in for one product per state, so it shares
-nothing with the FFT and a wrong inverse symbol or a stale carried spectrum
-fails loudly.  A
-``trans="T"`` solve checks against D's transpose, built once per stored
-step: a view of the CSC arrays, D's own stencil when its blocks satisfy
-B_{-d} = B_d^T to the bit (every N = 1 step in 1-D, and in 2-D without
-alpha != beta entries), or a stencil with negated offsets and transposed
-blocks.  The stencils of a run share one plan of the shifted
-copies per offsets tuple (``_copy_plan``).
-
-A march keeps what a ``_Keep`` names: the slices at some mesh time
-indices and some flat state rows, handed on as the march passes them, so a
-check that reads one slice or one cylinder holds that and not the whole
-(steps + 1, N, ncells) field; the march stops at the last slice it keeps
-(backward: the first), so no step runs whose state nobody reads.  The
-default keeps every slice and row, which is what ``solve_forward`` returns
-and the ``weak-levels`` column holds; every other check in ``verify``
-marches through ``_solve``, ``_march`` or ``green._green_block`` with the
-slices and cells it reads, and ``interior-decay`` consumes ``_stream`` a
-few slices at a time, so it never holds its outer cylinder.
-
-``assemble`` is a pure function of (mesh, spec, t), so every
-``ThetaScheme`` of the same (mesh, spec) shares one process-wide store of
-steps: the (solver, D) pair of each step's implicit matrix, D a
-``_Stencil`` or a CSC matrix.  A key holds the frozen mesh and spec
-themselves (equal by value; coefficient functions by identity) and the
-step index (``"const"`` for static coefficients).  A step's solver
-evaluates L(t_m) itself and the operator is not stored, since nothing else
-reads it.  The store charges a Fourier step the bytes of its real
-inverse symbol and of the blocks of its stencils (D, and D^T unless it is
-D), and a SuperLU step 12 bytes per L+U nonzero plus
-``SUPERLU_FIXED_BYTES`` and the CSC arrays of D.  No stored array views a
-larger buffer; a pattern array that entries share with the stencil or the
-cached patterns is charged to each of them.  ``splu`` keeps its factors on the C heap, in four L/U
-arrays sized from a fill guess (about 740 bytes per nonzero of D in all,
-by ``mallinfo2``); the 12 bytes per nonzero count only their written part.
-With glibc's mmap threshold at 128 KiB, as ``perfbench`` pins it, an array
-above the threshold is mapped and resident only where written and one
-below it may be resident whole, so a factor holds at most 4 x 128 KiB =
-``SUPERLU_FIXED_BYTES`` more.  By ``ru_maxrss`` over stored 1-D and 2-D
-dirichlet factors of 16 to 4 096 unknowns, the largest excess was 299 KB
-(16 x 16 cells, the store evicting), and the RSS a march added stayed
-below the charge.  Under glibc's default threshold, which rises after
-large frees, a mid-size factor can exceed it: 917 KB resident against 646
-KB charged at 1 536 unknowns, 1-D.  ``CACHE_BYTES`` caps the charge.  Past
-it the store evicts the least recently used entries, never the one just
-built.  ``cache_info`` reports its size.
-
-``dense_spacetime_oracle`` gathers each step's D afresh over every tensor
-entry, independent of the store, of the Fourier stencil and of SuperLU.
-The space-time system it solves is block lower-bidiagonal, so one direct
-solve is a block forward substitution: the steps are factorized together
-by band LU with partial pivoting, in an order that folds periodic axes so
-the wrap-around couplings stay in the band, and each step then solves in
-turn.  It uses elementwise numpy operations only, no BLAS call and no
-reduction, so its result does not move with the BLAS thread count.
-
-``scipy.sparse`` and ``scipy.sparse.linalg`` (``splu``) load on first
-use: ``sp`` and ``spla`` are stand-ins that import their module on the
-first attribute lookup.  ``assemble`` and the SuperLU steps use them; a
-periodic run on an x-independent field, 1-D or 2-D, solves by Fourier and
-its oracle by numpy, and loads neither, nor the ``scipy.linalg`` that the
-second pulls in: ``import greenlab.cli`` costs 31 MB of RSS and 0.11 s
-where the eager ``import scipy.sparse`` made it 52 MB and 0.25 s (medians
-of 5 fresh processes under a 128 KiB mmap threshold).  A run that will use
-them pays the import during set-up: ``cli.build_context`` calls
-``_preload_linalg``, whose guess sits next to the ``_assemble`` rule it
-predicts.
+* the flux stencil, the one home of the flux weights and the face order:
+  ``_stencil``, with ``_used_entries`` (the entries it gathers),
+  ``_implicit_values``, ``_step_matrix`` and ``_pruned_pattern`` (D =
+  I + tau*L on its pattern) and the public ``assemble``;
+* the choice between the Fourier and the SuperLU solver, made from the
+  evaluated face tensors: ``_assemble`` and ``ThetaScheme.implicit_lu``;
+* the Fourier path: ``_kernel_gather`` (D's kernel, read from the
+  stencil's gather), ``_Stencil`` (D as blocks, its transpose and its
+  residual, with ``_copy_plan``), ``_FourierSolver`` (the real inverse
+  symbol), ``_rfft`` and ``_irfft``, and the spectrum a scheme carries
+  (``ThetaScheme``, ``_flush_subnormals``);
+* the SuperLU path and the scipy modules it loads on first use:
+  ``ThetaScheme.implicit_lu``, ``_Deferred`` and ``_preload_linalg``;
+* the step store and its byte charge: ``_StepStore``, ``_factor_bytes``
+  and ``cache_info``;
+* the one time loop and what a march keeps: ``_stream``, ``_march``,
+  ``_Keep`` and ``_check_window``, and the residual gate of every solve,
+  ``ThetaScheme.solve_implicit``;
+* the space-time oracle: ``dense_spacetime_oracle``, with
+  ``_band_order``, ``_band_factor`` and ``_band_solve``.
 """
 
 from __future__ import annotations
@@ -173,12 +55,19 @@ from .problem import Domain, OperatorSpec
 
 RESIDUAL_TOL = 1e-11
 CACHE_BYTES = 256 * 2**20
-SUPERLU_FIXED_BYTES = 512 * 2**10  # heap a SuperLU factor may hold beyond its nonzeros
+SUPERLU_FIXED_BYTES = 512 * 2**10  # SuperLU heap beyond the nonzeros: see _factor_bytes
 
 
 class _Deferred:
     """Stands in for a module and imports it on the first attribute lookup.
 
+    ``sp`` and ``spla`` stand in for ``scipy.sparse`` and
+    ``scipy.sparse.linalg``, which ``assemble`` and the SuperLU steps use.  A
+    periodic run on an x-independent field, 1-D or 2-D, solves by Fourier
+    and its oracle by numpy, and loads neither, nor the ``scipy.linalg``
+    that the second pulls in: ``import greenlab.cli`` costs 31 MB of RSS and
+    0.11 s where the eager ``import scipy.sparse`` made it 52 MB and 0.25 s
+    (medians of 5 fresh processes under a 128 KiB mmap threshold).
     Every lookup reads the imported module, so a patch of, say,
     ``scipy.sparse.linalg.splu`` takes effect, and the stand-in itself stays
     a module attribute that a wrapper may replace.
@@ -209,7 +98,9 @@ def _stencil(mesh: Mesh, N: int, entries: tuple):
     indices (a * n + b) * N * N + i * N + j into a face tensor, increasing,
     and the gather reads only them.  The dirichlet projection is already
     applied: the pinned rows of L are empty, so their diagonals are gather
-    rows without weights.
+    rows without weights.  The gather is numpy arrays applied by
+    ``np.bincount``, so it needs no ``scipy.sparse``; it is built once per
+    (mesh, N, entries), and the last eight are kept.
     """
     n, C, nn = mesh.n, mesh.ncells, N * mesh.ncells
     faces = [mesh.face_positions(a) for a in range(n)]
@@ -296,7 +187,8 @@ def _pruned_pattern(mesh: Mesh, N: int, entries: tuple, bits: bytes):
     Returns their positions and the CSR pattern they form.  The exact zeros
     left on the stencil come from entries that are zero at some faces only
     or from cancellation, which repeat from step to step on a run's fields,
-    so the steps of a run share one mask and one pruned pattern.
+    so the steps of a run share one mask and one pruned pattern, and each
+    stored matrix owns only its exact-size data.
     """
     _, indices, indptr, _ = _stencil(mesh, N, entries)
     nz = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=len(indices)))
@@ -312,12 +204,20 @@ def _kernel_gather(mesh: Mesh, N: int, entries: tuple):
 
     They are ``_stencil``'s terms of the cell-0 columns on the 4^n torus
     with ``mesh``'s h (a box of 4 h gives that h exactly), each source moved
-    to the first face of its axis on ``mesh``; the module docstring says why
-    that is D's kernel to the bit.  Returns (rows, src, weights, at, diag,
-    offsets): the terms, their rows numbered over the torus pattern's
-    cell-0 positions and their sources in ``mesh``'s raveled face tensors;
-    each such position's flat index (k * N + i) * N + j into the (3^n, N, N)
-    blocks, block k at ``offsets[k]``; and the positions on the diagonal.
+    to the first face of its axis on ``mesh``.  That is D's kernel to the
+    bit, the cell-0 columns of ``sp.identity(nn) + tau*assemble(...)``: with
+    one tensor on the faces of each axis those columns depend on h alone,
+    and the gather sums each entry in face order, which is the same on every
+    torus of at least 4 cells per axis.  So the flux weights and the face
+    order are written once, in ``_stencil``, for every path.  The terms are
+    selected once per (mesh, N, entries), and each step sums them with one
+    ``np.bincount`` (``_Stencil.build``).
+
+    Returns (rows, src, weights, at, diag, offsets): the terms, their rows
+    numbered over the torus pattern's cell-0 positions and their sources in
+    ``mesh``'s raveled face tensors; each such position's flat index
+    (k * N + i) * N + j into the (3^n, N, N) blocks, block k at
+    ``offsets[k]``; and the positions on the diagonal.
     """
     n, stride = mesh.n, mesh.n ** 2 * N * N  # tensor values per face
     torus = Mesh(Domain((0.0,) * n, tuple(4.0 * mesh.h), "periodic"), (4,) * n,
@@ -343,10 +243,12 @@ def _kernel_gather(mesh: Mesh, N: int, entries: tuple):
 def _assemble(mesh: Mesh, spec: OperatorSpec, t: float):
     """The face tensors of L(t), and whether the Fourier path applies.
 
-    Returns (A, fourier): A is ``tensor(t, mesh.face_points)``, checked
-    finite.  ``fourier`` is True when the mesh is periodic, of either
-    dimension, and A is exactly equal on the faces of each axis, which makes
-    the operator block-circulant.
+    Returns (A, fourier): A is ``tensor(t, mesh.face_points)``, one call
+    over the stacked face points of every axis, checked finite.
+    ``fourier`` is True when the mesh is periodic, of either dimension, and
+    A is exactly equal on the faces of each axis, which makes the operator
+    block-circulant; it is read from the values, never from a flag such as
+    ``CoefficientField.x_dependent``.
     """
     A = spec.coeffs.tensor(t, mesh.face_points)
     if not np.isfinite(A).all():
@@ -363,8 +265,10 @@ def _used_entries(A: np.ndarray) -> tuple:
     """The flat tensor entries of the face tensors A that are nonzero at some face.
 
     An entry that is zero at every face adds only exact zeros to L, so
-    leaving it out changes no value of I + tau*L.  A field that is zero
-    everywhere keeps one entry, so L has a pattern.
+    leaving it out changes no value of I + tau*L: on a diagonal field (heat,
+    t-oscillating) the Fourier and the SuperLU path neither gather nor store
+    the cross entries.  A field that is zero everywhere keeps one entry, so
+    L has a pattern.
     """
     # one contiguous row per entry: ``flat.any(axis=0)``, which reduces across
     # the rows of ``flat``, took 10 times longer at 64^2
@@ -418,8 +322,9 @@ def _preload_linalg(mesh: Mesh, spec: OperatorSpec) -> None:
     sure to on a dirichlet mesh, and nearly sure to for an x-dependent field
     (every table is one).  A periodic run on an x-independent field solves
     by Fourier in 1-D and 2-D alike, and its space-time oracle by numpy
-    alone, so it loads neither module.  The guess only moves the import into
-    set-up; a wrong one costs time, never correctness.
+    alone, so it loads neither module.  ``cli.build_context`` calls it, so
+    the guess only moves the import into set-up; a wrong one costs time,
+    never correctness.
     """
     if not mesh.periodic or spec.coeffs.x_dependent:
         import scipy.sparse.linalg  # noqa: F401
@@ -470,11 +375,13 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 def _flush_subnormals(spectrum: np.ndarray) -> None:
     """Set the subnormal parts of a C-contiguous complex spectrum to 0, in place.
 
-    A carried spectrum decays mode by mode through the subnormal range, where
-    every product and butterfly costs many normal ones: after 5 000 steps of
-    a 320-cell 1-D heat march, a carried step took 4 to 11 us longer than at
-    the start.  A subnormal part adds nothing to a state of normal size, so
-    the states stay bitwise what they were.
+    ``ThetaScheme.solve_implicit`` flushes the spectrum it carries every
+    eighth step.  A carried spectrum decays mode by mode through the
+    subnormal range, where every product and butterfly costs many normal
+    ones: after 5 000 steps of a 320-cell 1-D heat march, a carried step
+    took 4 to 11 us longer than at the start.  A subnormal part adds
+    nothing to a state of normal size, so the states stay bitwise what they
+    were.
     """
     parts = spectrum.view(np.float64)
     parts[np.abs(parts) < _TINY] = 0.0
@@ -517,10 +424,12 @@ class _Stencil:
     """A block-circulant implicit matrix D on a periodic mesh, as its nonzero (N, N) blocks.
 
     ``D[i*C + (x + d), j*C + x] = blocks[k][i, j]`` for the offset
-    d = ``offsets[k]``, cells wrapping.  ``T`` is D's transpose: the offsets
-    negated and the blocks transposed, or D itself when its blocks satisfy
-    B_{-d} = B_d^T to the bit.  ``residual`` applies D to shifted copies of
-    a state, so it shares nothing with the FFT that solves with D.
+    d = ``offsets[k]``, cells wrapping, one of the 3^n offsets.  ``T`` is
+    D's transpose: the offsets negated and the blocks transposed, or D
+    itself when its blocks satisfy B_{-d} = B_d^T to the bit (every N = 1
+    step in 1-D, and in 2-D without alpha != beta entries).  ``residual``
+    applies D to shifted copies of a state, so it shares nothing with the
+    FFT that solves with D.
     """
 
     # The residual's stack of shifted copies lives in one buffer that every
@@ -644,13 +553,15 @@ class _FourierSolver:
     """Solves with a block-circulant implicit matrix D on a periodic mesh, 1-D or 2-D.
 
     ``_rfft`` of D's kernel (``_Stencil.kernel``, the gathered D's cell-0
-    columns, read on the 4^n torus) is one N x N symbol block per wavenumber.  A divergence-form D on faces that all hold one tensor
-    is an even block convolution, B_{-d} = B_d, so its symbol is real: the
-    real part is kept and inverted here once in float64 (by a reciprocal
-    when N = 1), half the bytes of a complex inverse.  It is the symbol of
-    D's even part, which is D to the bit in 1-D and within an ulp of the
-    cross terms in 2-D (see the module docstring).  An odd stencil would
-    get a wrong inverse, which the residual check of every solve rejects.
+    columns, read on the 4^n torus) is one N x N symbol block per
+    wavenumber.  A divergence-form D on faces that all hold one tensor is an
+    even block convolution, B_{-d} = B_d, so its symbol is real: the real
+    part is kept and inverted here once in float64 (by a reciprocal when
+    N = 1), half the bytes of a complex inverse.  It is the symbol of D's
+    even part, which is D to the bit in 1-D and within an ulp of the cross
+    terms in 2-D, which cancel on the axis-0 offsets in a different order at
+    d and -d.  An odd stencil would get a wrong inverse, which the residual
+    check of every solve rejects.
     A solve is ``_rfft``, one N x N product per wavenumber and ``_irfft``;
     ``trans="T"`` multiplies by the transposed inverse blocks, the inverse
     symbol of D^T, taken from the one stored inverse as the solve runs.
@@ -704,10 +615,25 @@ class _Implicit(tuple):
 def _factor_bytes(pair) -> int:
     """The store's charge of one ``_Implicit`` pair.
 
-    A Fourier step: its real inverse symbol, 8 N^2 bytes per wavenumber,
-    and its stencils' blocks, D^T's only when it is not D itself.  A
-    SuperLU step: 12 bytes per L+U nonzero, ``SUPERLU_FIXED_BYTES`` and the
-    CSC arrays of D.
+    A Fourier step: its real inverse symbol, 8 N^2 bytes per wavenumber
+    (17 024 bytes in all for a 64^2 N = 1 step), and its stencils' blocks,
+    D^T's only when it is not D itself.  A SuperLU step: 12 bytes per L+U
+    nonzero, ``SUPERLU_FIXED_BYTES`` and the CSC arrays of D.  No stored
+    array views a larger buffer; a pattern array that entries share with
+    the stencil or the cached patterns is charged to each of them.
+
+    ``splu`` keeps its factors on the C heap, in four L/U arrays sized from
+    a fill guess (about 740 bytes per nonzero of D in all, by
+    ``mallinfo2``); the 12 bytes per nonzero count only their written part.
+    With glibc's mmap threshold at 128 KiB, as ``perfbench`` pins it, an
+    array above the threshold is mapped and resident only where written and
+    one below it may be resident whole, so a factor holds at most
+    4 x 128 KiB = ``SUPERLU_FIXED_BYTES`` more.  By ``ru_maxrss`` over
+    stored 1-D and 2-D dirichlet factors of 16 to 4 096 unknowns, the
+    largest excess was 299 KB (16 x 16 cells, the store evicting), and the
+    RSS a march added stayed below the charge.  Under glibc's default
+    threshold, which rises after large frees, a mid-size factor can exceed
+    it: 917 KB resident against 646 KB charged at 1 536 unknowns, 1-D.
     """
     solver, D = pair
     if isinstance(solver, _FourierSolver):
@@ -718,7 +644,14 @@ def _factor_bytes(pair) -> int:
 class _StepStore:
     """Least-recently-used map from step keys to ``_Implicit`` pairs, bounded by CACHE_BYTES.
 
-    Every caller gets the same stored object, so no caller may modify one.
+    ``assemble`` is a pure function of (mesh, spec, t), so every
+    ``ThetaScheme`` of the same (mesh, spec) shares the one process-wide
+    store, ``_STORE``.  A key holds the frozen mesh and spec themselves
+    (equal by value; coefficient functions by identity) and the step index
+    (``"const"`` for static coefficients).  Each entry is charged
+    ``_factor_bytes``; past ``CACHE_BYTES`` the least recently used entries
+    go first, never the one just built.  Every caller gets the same stored
+    object, so no caller may modify one.
     """
 
     def __init__(self):
@@ -768,7 +701,11 @@ class ThetaScheme:
     """Implicit Euler step matrices and factorizations of one (mesh, spec), from the shared store.
 
     The scheme also holds its last Fourier solution and that solution's
-    spectrum, never in the store: one state per scheme, for one march.
+    spectrum, never in the store: one state per scheme, for one march.  A
+    solve whose right-hand side is that very state (a step without a
+    source, forward or adjoint, flat or block) reuses the spectrum and
+    skips the forward FFT, so a march transforms forward once, plus once per
+    step with a source.
     """
 
     def __init__(self, mesh: Mesh, spec: OperatorSpec):
@@ -784,9 +721,13 @@ class ThetaScheme:
         """Solver of D = I + tau*L(t_m), with D: the stored ``_Implicit`` pair.
 
         The solver is a ``_FourierSolver`` with D as a ``_Stencil`` when the
-        face tensors of L(t_m) allow it (see ``_assemble``), otherwise the
-        ``splu`` factorization of D as a CSC matrix, whose data L(t_m)'s
-        gathered values become in place; L itself is never stored.
+        face tensors of L(t_m) allow it (see ``_assemble``), and builds no
+        sparse matrix.  Otherwise (dirichlet meshes, x-dependent fields and
+        tables) it is the ``splu`` factorization of D as a CSC matrix, whose
+        data L(t_m)'s gathered values become in place, with the
+        ``MMD_AT_PLUS_A`` ordering (minimum degree on the pattern of
+        A^T + A), which suits the structurally symmetric operator.  L
+        itself is never stored.
         """
         def build():
             mesh = self.mesh
@@ -802,11 +743,17 @@ class ThetaScheme:
     def solve_implicit(self, m: int, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve with the implicit matrix of step m; rhs is (nn,) or a block (nn, B).
 
+        Both solvers solve a block bitwise equal to its columns one by one.
         A Fourier solve of the state the previous Fourier solve returned
         reuses that state's spectrum, so a caller must not change a returned
         state in place and solve with it again.  Each column's relative
-        residual, with the physical rhs, must stay within RESIDUAL_TOL, and a
-        zero column must solve to exactly 0; a stale spectrum fails that check.
+        residual, with the physical rhs, must stay within RESIDUAL_TOL, so a
+        bad small column cannot hide behind a large one, and a zero column
+        must solve to exactly 0.  A SuperLU step's residual is ``D @ x - rhs``
+        with the stored CSC matrix, a Fourier step's ``_Stencil.residual``,
+        which shares nothing with the FFT: a wrong inverse symbol or a stale
+        spectrum fails the check.  A ``trans="T"`` solve checks against
+        ``_Implicit.DT``.
         """
         pair = self.implicit_lu(m)
         lu, D = pair
@@ -841,7 +788,8 @@ class ThetaScheme:
         return x
 
     def forward_step(self, m: int, u: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-        """One step t_m -> t_{m+1} of a flat state or an (nn, B) block; g is the source."""
+        """One step t_m -> t_{m+1} of a flat state or an (nn, B) block: the rhs is u + tau*g,
+        g the source f(t_{m+1}) (``_slab_source_fn``)."""
         rhs = u if g is None else u + self.mesh.tau * g
         return self.solve_implicit(m + 1, rhs)
 
@@ -876,7 +824,9 @@ def _slab_source_fn(scheme: ThetaScheme, f):
 class _Keep(NamedTuple):
     """What a march keeps: the slices at the mesh time indices ``slices``
     (increasing) and the flat state rows ``rows``, in that order; None keeps
-    every slice or every row."""
+    every slice or every row, which is what ``solve_forward`` returns and the
+    ``weak-levels`` column holds.  A check that reads one slice or one
+    cylinder holds that, not the whole (steps + 1, N, ncells) field."""
 
     slices: Sequence[int] | None = None
     rows: np.ndarray | None = None
@@ -888,7 +838,7 @@ class _Keep(NamedTuple):
 
 
 def _check_window(i0: int, i1: int) -> None:
-    """Reject a window t_{i0}..t_{i1} that spans no time step."""
+    """Reject a window t_{i0}..t_{i1} that spans no time step: every march and the oracle."""
     if i1 <= i0:
         raise ConfigError(f"the march window {i0}..{i1} must span at least one time step")
 
@@ -914,7 +864,8 @@ def _kept_slices(keep: _Keep, i0: int, i1: int) -> Sequence[int]:
 
 def _stream(scheme: ThetaScheme, i0: int, i1: int, x: np.ndarray, src,
             keep: _Keep = _Keep(), backward: bool = False):
-    """The time loop: steps over t_{i0}..t_{i1} of a flat state (nn,) or a block (nn, B).
+    """The one time loop of every march: steps over t_{i0}..t_{i1} of a flat state (nn,) or a
+    block (nn, B) of states that share every step's solver.
 
     Forward steps start from x at t_{i0}; with ``backward`` adjoint steps
     start from x at t_{i1}.  ``src(m)`` gives step m's source, shaped like x
@@ -1091,7 +1042,8 @@ def dense_spacetime_oracle(spec: OperatorSpec, mesh: Mesh, g, f, s: float,
     b = 8 (nn + kl + ku) (2 kl + ku + 1) bytes of band, and a group holds
     g = max(1, ORACLE_BAND_BYTES // b) steps, so the factors held at once
     take g b bytes: at most ORACLE_BAND_BYTES, or one step's band when that
-    is larger (13.6 MB on a 64 x 64 heat mesh).  Only meant as a test
+    is larger (13.6 MB on a 64 x 64 heat mesh, where 4 steps in one batch
+    added 56 MB of ``ru_maxrss`` and the groups 16.5 MB).  Only meant as a test
     oracle, capped at ORACLE_CAP space-time unknowns.
     """
     scheme = ThetaScheme(mesh, spec)

@@ -7,22 +7,14 @@ functions of their inputs; fits never fail on data, only on violated
 preconditions, and informational records never gate anything.
 
 Every check marches through ``solver._march`` (or its generator
-``_stream``), and Green columns through ``green._green_block``, keeping only
-what it reads: ``gaffney``, ``bounded-initial``, ``davies`` and ``adjoint``
-their first or last slice, ``initial-trace`` its probe slices, ``causality``
-the slices up to each column's first source slab, ``interior-decay`` and
-``local-boundedness`` the slices of their outer cylinder at the cells they
-read, ``duality`` the slices and ball cells of its cylinders,
-``heat-kernel`` and ``gaussian`` their probe slices, and ``pointwise-decay``
-the probe cells of its probe slices.  ``duality`` makes one march per
-direction and ``causality`` and ``heat-kernel`` one for their radii, in the
-blocks of ``green._packs``.  ``semigroup`` marches a block of
-``SEMIGROUP_PROBES`` seeded states (Freivalds' check of a matrix product)
-and ``normalization`` the N constant states, so no check forms an (nn, nn)
-array.  ``interior-decay`` folds its marches as they pass
+``_stream``), and Green columns through ``green._green_block``, keeping
+only what it reads; each check's docstring says what that is.  No check
+forms an (nn, nn) array, and only ``weak_lp_levels`` reads a whole column.
+Cylinder slices come from ``Mesh.cylinder_slices`` alone.
+``interior-decay`` folds its marches into its energies as they pass
 (``_cylinder_energies``) and differs from one sum over the whole cylinder
 only at roundoff; every other record is byte-identical to the one computed
-from whole trajectories.  Only ``weak-levels`` still holds a whole column.
+from whole trajectories.
 """
 
 from __future__ import annotations
@@ -49,12 +41,6 @@ class BoundFit:
     exponent: float
     constant: float
     r2: float
-    sample_range: tuple
-    n_samples: int
-
-    def to_dict(self):
-        return {"exponent": self.exponent, "constant": self.constant, "r2": self.r2,
-                "sample_range": list(self.sample_range), "n_samples": self.n_samples}
 
 
 @dataclass
@@ -108,8 +94,7 @@ def loglog_fit(xs, ys) -> BoundFit:
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return BoundFit(float(coef[0]), float(math.exp(coef[1])), r2,
-                    (float(xs[good].min()), float(xs[good].max())), int(good.sum()))
+    return BoundFit(float(coef[0]), float(math.exp(coef[1])), r2)
 
 
 def operator_norms(blocks: np.ndarray) -> np.ndarray:
@@ -286,7 +271,8 @@ def check_causality(spec: OperatorSpec, mesh: Mesh, Y, rho_list, T: float) -> Ch
 def check_adjoint(spec: OperatorSpec, mesh: Mesh, a, b, s: float, t: float,
                   tolerance: float = 1e-12) -> CheckRecord:
     """<P(t, s) a, b> = <a, P(t, s)^T b>, from the forward march of a from s and
-    the adjoint march of b from t, relative to the larger side."""
+    the adjoint march of b from t, each keeping its last slice, relative to the
+    larger side."""
     i0, i1 = mesh.time_index(s), mesh.time_index(t)
     fa = _solve(spec, mesh, a, None, s, t, "forward", _Keep([i1]))[0]
     bb = _solve(spec, mesh, b, None, s, t, "backward", _Keep([i0]))[0]
@@ -487,7 +473,10 @@ GAP_BLOCK = 4096  # coordinate gaps (32 KiB) per block of the E-F distance
 
 def check_gaffney(spec: OperatorSpec, mesh: Mesh, E_mask, F_mask, g, s: float, t: float,
                   slack: float = 1.05) -> CheckRecord:
-    """L2 mass in E from data in F never beats exp(-c dist^2 / (t-s)), c = lam/(2 Lam^2)."""
+    """L2 mass in E from data in F never beats exp(-c dist^2 / (t-s)), c = lam/(2 Lam^2).
+
+    The datum marches from s to t and keeps only its slice at t.
+    """
     E_mask = np.asarray(E_mask, dtype=bool)
     F_mask = np.asarray(F_mask, dtype=bool)
     g = np.array(g, dtype=float)
@@ -518,7 +507,8 @@ def davies_growth(spec: OperatorSpec, mesh: Mesh, psi, gamma: float, f, s: float
     """Exponentially weighted L2 growth against exp(2 nu gamma^2 (t-s)), nu = Lam^2/lam.
 
     psi must be grid-Lipschitz with face slopes at most gamma; gamma = 0
-    reduces to plain monotone L2 decay and is enforced with zero slack.
+    reduces to plain monotone L2 decay and is enforced with zero slack.  The
+    weighted datum marches from s to t and keeps its slices at s and t.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (mesh.ncells,):
@@ -639,18 +629,19 @@ def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
     ``solutions`` yields, one solution at a time, the march past the slices
     of the largest cylinder as ``solver._stream`` yields it: (time index,
     rows) pairs, where rows holds the N components at the flat cells
-    ``cells`` (None for all), flat and component-major.  A backward
-    cylinder's slices end at its pole, so the cylinder of radius r reads the
-    last ``slab_count(r)`` of them, and it counts the faces whose midpoints
-    lie inside its ball.  Yields the energies of ``ladder``'s radii for each
+    ``cells`` (None for all), flat and component-major.  The cylinder of
+    radius r reads the slices ``Mesh.cylinder_slices(X0, r, "minus")``
+    names, which end at the pole, and counts the faces whose midpoints lie
+    inside its ball.  Yields the energies of ``ladder``'s radii for each
     solution, as an array.
 
     The slices are gathered in chunks of ``ENERGY_CHUNK``, counted from the
-    largest cylinder's first slice (the last chunk may hold fewer), into
-    buffers allocated once and reused, so the memory held does not grow
-    with the number of slices.  Each chunk is differenced once per axis, as
-    ``Mesh.face_difference`` does, over the largest ball's faces; a smaller
-    ball's faces are a subset, gathered from the squares.  The energy of
+    largest cylinder's first slice (the last chunk may hold fewer), cells
+    first, into buffers allocated once and reused across solutions, so the
+    memory held does not grow with the number of slices.  Each chunk is
+    differenced once per axis, as ``Mesh.face_difference`` does, over the
+    largest ball's faces; a smaller ball's faces are a subset, gathered from
+    the squares.  The energy of
     radius r adds, chunk by chunk and within a chunk axis by axis, the
     ``np.sum`` of the squares of ``face_difference`` over r's faces and r's
     slices in the chunk, times the cell volume and tau.  The squares are
@@ -659,30 +650,29 @@ def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
     the bits, of that reference.  The grouping differs from one ``np.sum``
     over the whole cylinder only at roundoff.
     """
-    slabs = [mesh.slab_count(r) for r in ladder]
-    S = max(slabs)
-    first = mesh.time_index(float(X0[0])) - S
+    outer, _ = mesh.cylinder_slices(X0, max(ladder), "minus")
+    starts = [mesh.cylinder_slices(X0, r, "minus")[0].start for r in ladder]
     K = mesh.ncells if cells is None else len(cells)
     axes = []  # per axis: the largest ball's faces and each radius's subset of them
     for ax in range(mesh.n):
         _, left, right = mesh.face_positions(ax)
         dist = _face_distances(mesh, ax, X0)
-        outer = dist < max(ladder)
-        left, right = left[outer], right[outer]
+        inside = dist < max(ladder)
+        left, right = left[inside], right[inside]
         if cells is not None:
             left, right = (_positions_in(np.asarray(cells), side) for side in (left, right))
-        axes.append((left, right, [np.flatnonzero(dist[outer] < r) for r in ladder]))
+        axes.append((left, right, [np.flatnonzero(dist[inside] < r) for r in ladder]))
     chunk = sq = spare = None
 
     def wrong(detail):
         return ConfigError(f"cylinder of radius {max(ladder)} needs the slices "
-                           f"{first}..{first + S - 1} in order; {detail}")
+                           f"{outer.start}..{outer.stop - 1} in order; {detail}")
 
     def buffer(buf, shape):
         return buf[:math.prod(shape)].reshape(shape)
 
-    def add(E, a, c):
-        """Adds the chunk of c slices that starts at slice ``first + a``."""
+    def add(E, m0, c):
+        """Adds the chunk of c slices that starts at the time index m0."""
         N = chunk.shape[2]
         for ax, (left, right, subsets) in enumerate(axes):
             shape = (len(right), c, N)
@@ -691,8 +681,8 @@ def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
             d -= np.take(chunk[:, :c], left, axis=0, out=buffer(spare, shape), mode="clip")
             d /= mesh.h[ax]
             d *= d
-            for i, (s, sub) in enumerate(zip(slabs, subsets)):
-                lo = max(S - s - a, 0)  # radius i reads the slices from first + S - s on
+            for i, (start, sub) in enumerate(zip(starts, subsets)):
+                lo = max(start - m0, 0)  # the chunk's first slice in radius i's cylinder
                 if lo >= c:
                     continue
                 part = d
@@ -705,7 +695,7 @@ def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
         E = np.zeros(len(ladder))
         held = 0
         for m, rows in march:
-            if held == S or m != first + held:
+            if held == len(outer) or m != outer.start + held:
                 raise wrong(f"slice {m} came after {held} of them")
             if chunk is None:
                 chunk = np.empty((K, ENERGY_CHUNK, rows.size // K))
@@ -715,9 +705,9 @@ def _cylinder_energies(mesh: Mesh, X0, ladder, solutions, cells=None):
             j = held % ENERGY_CHUNK
             chunk[:, j] = rows.reshape(-1, K).T
             held += 1
-            if j == ENERGY_CHUNK - 1 or held == S:
-                add(E, held - j - 1, j + 1)
-        if held < S:
+            if j == ENERGY_CHUNK - 1 or held == len(outer):
+                add(E, m - j, j + 1)
+        if held < len(outer):
             raise wrong(f"the march held {held}")
         yield E
 
@@ -746,9 +736,6 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
     if not R < spec.coeffs.R_c:
         raise ConfigError(f"the ladder's largest radius {R:g} must be below R_c = "
                           f"{spec.coeffs.R_c:g}, where the interior estimate holds")
-    if mesh.time_index(tc) * mesh.tau < R * R:
-        raise ConfigError("mesh window too short for the outer cylinder")
-    mesh.cylinder_slices(X0, ladder[0], "minus")  # the smallest must span a slab
     slices, _ = mesh.cylinder_slices(X0, R, "minus")
     cells = _face_cells(mesh, X0, R)
     keep = _Keep.on_cells(mesh, spec.coeffs.N, slices, cells)
@@ -796,6 +783,8 @@ def check_local_boundedness(spec: OperatorSpec, mesh: Mesh, mesh_fine: Mesh, X0,
     tracks the measured ratio and passes when it is finite and stable
     under one mesh refinement.  The data is 2 plus three cosine modes whose
     periods, amplitudes and phases come from ``seeded_uniform(seed, (3, n + 2))``.
+    On each mesh the march keeps the slices of the outer cylinder at its
+    ball cells.
     """
     n = mesh.n
     u = seeded_uniform(seed, (3, n + 2))
@@ -845,7 +834,10 @@ def check_local_boundedness(spec: OperatorSpec, mesh: Mesh, mesh_fine: Mesh, X0,
 
 def initial_trace_test(spec: OperatorSpec, mesh: Mesh, g, x0, s: float, t_list,
                        tolerance: float = 0.02) -> CheckRecord:
-    """Pointwise recovery of continuous initial data as t decreases to s."""
+    """Pointwise recovery of continuous initial data as t decreases to s.
+
+    The datum marches from s and keeps only its slices at the probe times.
+    """
     t_list = sorted(float(t) for t in t_list)
     if t_list[0] <= s + mesh.tau * (1 - 1e-9):
         raise ConfigError("need t - s >= tau for every probe time")
@@ -875,6 +867,7 @@ def check_bounded_initial(spec: OperatorSpec, mesh: Mesh, g, s: float, t: float,
     """Sup bound by the data sup; exact (max principle) for scalar systems.
 
     A datum that is zero at every cell bounds nothing, so it is a ConfigError.
+    The datum marches from s to t and keeps only its slice at t.
     """
     g = np.array(g, dtype=float)
     gmax = float(np.max(np.abs(g)))

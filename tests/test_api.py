@@ -39,6 +39,10 @@ def test_all_names_public_objects_only():
 
 def test_deleted_methods_and_options_are_gone():
     assert not hasattr(problem.Domain, "dist_to_boundary")
+    # nothing read them; the boundary mode is the domain's
+    assert not hasattr(mesh.Mesh, "boundary_mode")
+    assert not hasattr(verify.BoundFit, "to_dict")
+    assert set(verify.BoundFit.__dataclass_fields__) == {"exponent", "constant", "r2"}
     # a trajectory is its mesh, first step and values; tests read slices and cylinders
     # through tests/reference.py
     for attr in ("slice_l2", "N", "nslices", "times", "window", "slice_at", "cylinder"):

@@ -148,6 +148,13 @@ def test_empty_or_short_list_parameter_exit_2(tmp_path, capsys, check, key, valu
     ("interior-decay", "solutions", 0),
     # a segment narrower than half a cell holds no cell center: the datum is zero
     ("bounded-initial", "halfwidth", 0.001),
+    # a dt below half a step rounds to no step, and dt / tau may overflow
+    ("heat-kernel", "dt", 1e-6), ("heat-kernel", "dt", 1e306),
+    # a flat weight on a periodic mesh weighs a constant datum, which never moves
+    ("davies", "gamma", 0.0), ("davies", "gamma", -1.0),
+    ("gaussian", "c_max", 0.0), ("gaussian", "c_max", -1.0),
+    # a 1-D mesh has axis 0 alone
+    ("pointwise-decay", "axis", 1), ("pointwise-decay", "axis", -1),
 ])
 def test_parameter_out_of_range_exit_2(tmp_path, capsys, check, key, value):
     # a value that types but leaves nothing to check is a bad scenario, not a pass
@@ -413,6 +420,71 @@ def test_unexpected_error_exit_4(tmp_path, capsys, monkeypatch, command):
     assert "Traceback (most recent call last)" in err
     assert err.rstrip().endswith("RuntimeError: a bug in a check builder")
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_rows(heading: str, first: str) -> list:
+    """The cells of the README table under ``heading`` whose header starts with ``first``."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    table = section.split(f"| {first} |", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split(" | ")]
+            for line in table.splitlines()[2:]]
+
+
+def test_readme_exit_code_table_matches_exit_code(capsys):
+    """README's exit codes, in order, are what ``cli._exit_code`` returns for a passing
+    and a failing run and for each kind of error."""
+    def raising(exc):
+        def body():
+            raise exc("boom")
+        return body
+
+    bodies = [lambda: 0, lambda: 1, raising(ConfigError), raising(greenlab.SolverError),
+              raising(RuntimeError)]
+    rows = _readme_rows("Command line", "exit code")
+    assert [int(code) for code, _ in rows] == [cli._exit_code(body) for body in bodies]
+    assert "ConfigError" in rows[2][1] and "SolverError" in rows[3][1]
+    assert "traceback" in rows[4][1] and "Traceback" in capsys.readouterr().err
+
+
+def test_readme_key_table_matches_the_kinds():
+    """README's key table lists the top-level, mesh, table-preset and sweep keys in the
+    order of ``cli``'s kinds tables, with their JSON types; a key it calls required is
+    one whose absence exits 2, and an optional one may be left out."""
+    kinds = {"": cli._SCENARIO_KINDS, "mesh.": cli._MESH_KINDS, "preset.": cli._TABLE_KINDS,
+             "sweep.": cli._SWEEP_KINDS}
+    keys = [(where, key, kind) for where, table in kinds.items() for key, kind in table.items()]
+    rows = _readme_rows("Command line", "key")
+    assert [(key, kind) for key, kind, _ in rows] == [
+        (f"`{where}{key}`", cli._describe(kind)) for where, key, kind in keys]
+    base = json.loads((SCEN / "heat-1d-sweep.json").read_text())
+    base["preset"] = {"table": "coefficients.csv", "lambda": 1.0, "Lambda": 1.0}
+    for (_, _, note), (where, key, _) in zip(rows, keys):
+        sc = json.loads(json.dumps(base))
+        (sc[where[:-1]] if where else sc).pop(key, None)
+        if where + key == "preset.table":  # without it the preset is a named one
+            with pytest.raises(ConfigError, match="preset.name must be one of"):
+                cli._check_scenario(sc)
+        elif note.startswith("required"):
+            with pytest.raises(ConfigError, match=f"{where}{key} is missing"):
+                cli._check_scenario(sc)
+        else:
+            assert note.startswith("optional"), where + key
+            cli._check_scenario(sc)
+
+
+def test_davies_gamma_zero_runs_on_a_dirichlet_mesh(tmp_path):
+    # the pinned layer makes the datum non-constant, so gamma = 0 checks plain L2 decay
+    sc = json.loads((SCEN / "heat-1d-core.json").read_text())
+    sc["mesh"]["boundary"] = "dirichlet"
+    sc["checks"] = [{"name": "davies", "gamma": 0.0}]
+    p = tmp_path / "davies.json"
+    p.write_text(json.dumps(sc))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 0
+    [rec] = json.loads((tmp_path / "out" / "report.json").read_text())["report"]["records"]
+    assert rec["fitted"]["gamma"] == 0.0 and rec["fitted"]["ratio"] < 1.0
 
 
 def test_report_byte_determinism(tmp_path):

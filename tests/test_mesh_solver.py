@@ -687,7 +687,7 @@ class TestStepStore:
         a SuperLU step's CSC arrays, a Fourier step's inverse symbol and both stencils."""
         domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
         mesh = Mesh(domain, (16, 16), tau=2.0 ** -10, t0=0.0, steps=4)
-        # the cross-derivative entries of I + tau*L are exact zeros, dropped from D
+        # the cross-derivative entries are zero at every face, so they are never gathered
         spec = OperatorSpec(make_preset("t-oscillating", n=2, period=0.05), domain)
         g = np.random.default_rng(6).standard_normal((1, 256))
         solve_forward(spec, mesh, g, None, 0.0, float(mesh.times[4]))

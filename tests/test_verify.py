@@ -436,6 +436,19 @@ class TestInteriorDecayAndBoundedness:
             V.ph_decay_fit(spec, mesh, (float(mesh.times[-1]), mesh.centers[48]), ladder,
                            n_solutions=2)
 
+    def test_outer_cylinder_may_reach_step_0(self, periodic_1d):
+        # R = 12 h and R^2 / tau = 9.375, so the outer cylinder spans 9 slabs: at the pole
+        # t = 9 tau < R^2 they all lie on the grid, and one step earlier they do not
+        mesh = Mesh(periodic_1d, (96,), tau=1 / 600, t0=0.0, steps=12)
+        spec = OperatorSpec(make_preset("heat", n=1), periodic_1d)
+        ladder = [k / 96 for k in (6, 8, 12)]
+        X0 = (float(mesh.times[9]), mesh.centers[48])
+        rec = V.ph_decay_fit(spec, mesh, X0, ladder, n_solutions=2, seed=3)
+        assert rec.to_dict() == _whole_ph_decay_fit(spec, mesh, X0, ladder, 2, 3).to_dict()
+        with pytest.raises(ConfigError, match="leaves the mesh time grid"):
+            V.ph_decay_fit(spec, mesh, (float(mesh.times[8]), mesh.centers[48]), ladder,
+                           n_solutions=2)
+
     def test_local_boundedness_stable(self, periodic_1d):
         mesh = Mesh(periodic_1d, (48,), tau=1 / 2048, t0=0.0, steps=96)
         fine = Mesh(periodic_1d, (96,), tau=1 / 4096, t0=0.0, steps=192)
