@@ -613,9 +613,9 @@ def _sweep(scenario_path, axis: str, values, out_dir) -> int:
         raise ConfigError(f"metric check {metric_check!r} not in scenario checks")
     if axis not in ("h", "tau", "rho"):
         raise ConfigError("sweep axis must be h, tau, or rho")
-    vals = sorted(values, reverse=True)
-    if list(values) != vals and list(values) != vals[::-1]:
-        raise ConfigError("sweep values must be monotone")
+    vals = sorted(set(values), reverse=True)  # a repeated value is not a refinement step
+    if list(values) not in (vals, vals[::-1]):
+        raise ConfigError(f"sweep --values must be strictly monotone, got {list(values)}")
     rows = []
     for v in values:
         sc_v = json.loads(json.dumps(sc))

@@ -10,7 +10,8 @@ and their slab conventions are those of ``Mesh.cylinder``.
 The module owns the one builder of these columns, ``_green_block``, which
 marches them through the solver's one marcher, ``solver._march``, and the
 rule that packs sources into blocks, ``_packs``; the mollifier source is
-``_mollifier``, and the weights of the rho -> 0 limit ``_rho_weights``.
+``_mollifier``, the weights of the rho -> 0 limit ``_rho_weights``, and the one
+least-squares line, ``_line_fit``, which ``verify.loglog_fit`` fits too.
 What each check keeps of its columns is in that check's docstring.
 """
 
@@ -161,11 +162,23 @@ def _green_block(spec: OperatorSpec, mesh: Mesh, sources, ks, horizon: float,
 # ----------------------------------------------------------------------
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray, fit: str):
+    """Intercept and slope of the least-squares line y ~ a + b x, per column of y; fewer
+    than two distinct x leave b undetermined, and ConfigError names ``fit``."""
+    dx = x - x.mean()
+    sxx = dx @ dx
+    if not sxx > 0:
+        raise ConfigError(f"{fit} needs two distinct abscissae, got {x.tolist()}")
+    ybar = y.mean(axis=0)
+    slope = dx @ (y - ybar) / sxx
+    return ybar - x.mean() * slope, slope
+
+
 def _rho_weights(rhos: np.ndarray) -> np.ndarray:
-    """Least-squares extraction weights for the rho -> 0 limit, model a + c rho^2."""
-    M = np.stack([np.ones_like(rhos), rhos ** 2], axis=1)
-    pinv = np.linalg.pinv(M)
-    return pinv[0]
+    """Weights w, w @ v the least-squares intercept a of v ~ a + c rho^2, in closed form
+    w = 1/n - xbar (x - xbar) / sum (x - xbar)^2 with x = rho^2 (``_line_fit``): no
+    pseudo-inverse, whose LAPACK faults in about 1 MB of code on its first call."""
+    return _line_fit(rhos ** 2, np.eye(len(rhos)), "the rho -> 0 limit")[0]
 
 
 def _rho_ladder(rho_list) -> np.ndarray:

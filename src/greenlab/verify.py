@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .green import _green_block, _rho_ladder, _rho_weights, wrapped_heat_kernel
+from .green import _green_block, _line_fit, _rho_ladder, _rho_weights, wrapped_heat_kernel
 from .mesh import Mesh, _positions_in
 from .problem import OperatorSpec, _sorted_unique, seeded_uniform
 from .solver import (ThetaScheme, _Keep, _march, _solve, _stream, dense_spacetime_oracle,
@@ -81,20 +81,20 @@ class VerificationReport:
 
 
 def loglog_fit(xs, ys) -> BoundFit:
-    """Least-squares power-law fit; r2 is reported, never discarded."""
+    """Least-squares power law y ~ C x^p, r2 reported, never discarded; in closed form
+    p = sum (lx - lxbar)(ly - lybar) / sum (lx - lxbar)^2, lx = log x, ly = log y
+    (``green._line_fit``), since LAPACK's first call faults in about 1 MB of code."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     good = (xs > 0) & (ys > 0)
     if good.sum() < 2:
         raise ConfigError("need at least two positive samples for a log-log fit")
     lx, ly = np.log(xs[good]), np.log(ys[good])
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ly - pred) ** 2))
+    icpt, slope = _line_fit(lx, ly, "a log-log fit")
+    ss_res = float(np.sum((ly - (slope * lx + icpt)) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return BoundFit(float(coef[0]), float(math.exp(coef[1])), r2)
+    return BoundFit(float(slope), float(math.exp(icpt)), r2)
 
 
 def operator_norms(blocks: np.ndarray) -> np.ndarray:
@@ -230,20 +230,13 @@ def check_normalization(spec: OperatorSpec, mesh: Mesh, s: float, t: float,
     systems by the maximum principle.
     """
     R = _row_sums(spec, mesh, s, t)
-    N = R.shape[0]
-    eye_dev = 0.0
-    for i in range(N):
-        for j in range(N):
-            target = 1.0 if i == j else 0.0
-            rows = R[i, :, j] if mesh.periodic else R[i, mesh.interior_mask, j]
-            eye_dev = max(eye_dev, float(np.max(np.abs(rows - target))))
+    N, rows = len(R), R if mesh.periodic else R[:, mesh.interior_mask]
+    eye_dev = float(np.max(np.abs(rows - np.eye(N)[:, None, :])))
     if mesh.periodic:
         status = "pass" if eye_dev <= tolerance else "fail"
         fitted = {"max_row_deviation": eye_dev}
     else:
-        deficit = 0.0
-        for i in range(N):
-            deficit = max(deficit, float(np.max(1.0 - R[i, mesh.interior_mask, i])))
+        deficit = float(np.max(1.0 - rows[range(N), :, range(N)]))
         status = "informational"
         fitted = {"max_row_deviation": eye_dev, "boundary_deficit": deficit}
     return CheckRecord("normalization", "mass-normalization", status, tolerance,
@@ -324,12 +317,7 @@ def heat_kernel_check(spec: OperatorSpec, mesh: Mesh, Y, t_probe: float, rho_lis
     _, block = _green_block(spec, mesh, [(Y, float(r)) for r in rhos], [1], t_probe, "forward",
                             _Keep([it]))
     slices = block[:, 0, 0, 0]  # each radius's probe slice, component 1
-    if len(rho_list) == 1:
-        u = slices[0]
-    else:
-        u = np.zeros(mesh.ncells)
-        for w, v in zip(_rho_weights(rhos), slices):
-            u += w * v
+    u = slices[0] if len(rhos) == 1 else sum(w * v for w, v in zip(_rho_weights(rhos), slices))
     dt = float(mesh.times[it] - s)
     gaps = mesh.wrap_gaps(mesh.centers - y[None, :])
     dist = np.linalg.norm(gaps, axis=1)
@@ -754,12 +742,8 @@ def ph_decay_fit(spec: OperatorSpec, mesh: Mesh, X0, ladder, n_solutions: int = 
             continue
         fit = loglog_fit(np.asarray(ladder), E)
         slopes.append(fit.exponent)
-        worst_pair = 0.0
-        for i in range(len(ladder)):
-            for j in range(i + 1, len(ladder)):
-                worst_pair = max(worst_pair,
-                                 (E[i] / E[j]) * (ladder[j] / ladder[i]) ** fit.exponent)
-        consts.append(worst_pair)
+        consts.append(max((E[i] / E[j]) * (ladder[j] / ladder[i]) ** fit.exponent
+                          for i in range(len(ladder)) for j in range(i + 1, len(ladder))))
     if not slopes:
         raise ConfigError("all sampled solutions had zero cylinder energy")
     slope_worst = float(min(slopes))

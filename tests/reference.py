@@ -1,4 +1,5 @@
-"""Whole Green columns, dense propagators and adjoint trajectories, for tests only.
+"""Whole Green columns, dense propagators, adjoint trajectories and LAPACK line fits,
+for tests only.
 
 The package keeps only the slices and cells each check reads; the tests
 that compare against whole fields build them here from the same two
@@ -9,10 +10,14 @@ up to the horizon, backward (the transpose column) from the horizon up to
 its source window's end.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from greenlab import ConfigError, Trajectory
-from greenlab.green import _green_block
+from greenlab import verify as V
+from greenlab.green import _green_block, _rho_weights
 from greenlab.solver import ThetaScheme, _Keep, _march, _solve
 
 
@@ -70,3 +75,22 @@ def propagator(spec, mesh, s: float, t: float) -> np.ndarray:
 def solve_backward(spec, mesh, g, f, b: float, S: float) -> Trajectory:
     """The adjoint march from final data g at time b down to S, every slice."""
     return Trajectory(mesh, mesh.time_index(S), _solve(spec, mesh, g, f, S, b, "backward"))
+
+
+def assert_fits_match_lapack(fits, ladders):
+    """``loglog_fit`` on each (xs, ys) of ``fits`` agrees with LAPACK's least squares on
+    log y ~ p log x + log C, and ``_rho_weights`` on each of ``ladders`` with the
+    pseudo-inverse of the model a + c rho^2, to 1e-13 relative."""
+    for xs, ys in fits:
+        fit = V.loglog_fit(xs, ys)
+        A = np.stack([np.log(xs), np.ones(len(xs))], axis=1)
+        ly = np.log(ys)
+        coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
+        r2 = 1.0 - np.sum((ly - A @ coef) ** 2) / np.sum((ly - ly.mean()) ** 2)
+        assert fit.exponent == pytest.approx(coef[0], rel=1e-13, abs=0)
+        assert fit.constant == pytest.approx(math.exp(coef[1]), rel=1e-13, abs=0)
+        assert fit.r2 == pytest.approx(r2, rel=1e-13, abs=1e-15)
+    for rhos in ladders:
+        rhos = np.asarray(rhos, dtype=float)
+        want = np.linalg.pinv(np.stack([np.ones_like(rhos), rhos ** 2], axis=1))[0]
+        assert np.max(np.abs(_rho_weights(rhos) - want)) <= 1e-13 * np.max(np.abs(want))

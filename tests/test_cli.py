@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 import greenlab
 from greenlab import ConfigError, cli
+from greenlab import verify as V
+
+from reference import assert_fits_match_lapack
 
 SCEN = resources.files("greenlab") / "scenarios"
 
@@ -676,6 +679,61 @@ result = [wrapper.calls, factors]
         assert _fresh(tmp_path, code) == [[8, 8], list(LINALG)]
 
 
+LAPACK = ("lstsq", "pinv", "inv", "solve", "svd", "eigh")
+
+# periodic N = 1 runs and sweeps: (scenario, sweep values along rho or None)
+SCALAR_CASES = {"heat-1d-core": ("heat-1d-core.json", None),
+                "heat-1d-sweep": ("heat-1d-sweep.json", None),  # heat-kernel's rho ladder
+                "rho-sweep": ("heat-1d-sweep.json", [8, 6, 4]),
+                "heat-2d": (None, None)}  # _heat_2d(), with interior-decay
+
+
+def _scalar_case(tmp_path, case, out):
+    """Run or sweep one of ``SCALAR_CASES`` into ``out``; its exit code and outputs."""
+    name, values = SCALAR_CASES[case]
+    if name is None:
+        (tmp_path / "sc.json").write_text(json.dumps(_heat_2d()))
+    path = str(tmp_path / "sc.json") if name is None else scenario_path(name)
+    code = cli.run(path, out) if values is None else cli.sweep(path, "rho", values, out)
+    return code, {f.name: f.read_bytes() for f in sorted(Path(out).iterdir())}
+
+
+class TestClosedFormFits:
+    """Line fits are closed forms: a periodic N = 1 run calls no numpy LAPACK routine."""
+
+    @pytest.mark.parametrize("case", SCALAR_CASES)
+    def test_scalar_run_calls_no_lapack(self, tmp_path, monkeypatch, case):
+        plain = _scalar_case(tmp_path, case, tmp_path / "plain")
+        assert plain[0] == 0
+        monkeypatch.setattr(greenlab.solver, "_STORE", greenlab.solver._StepStore())
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"np.linalg.{name} was called")
+            return call
+
+        for name in LAPACK:
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+        assert _scalar_case(tmp_path, case, tmp_path / "guarded") == plain
+
+    def test_bundled_fits_match_lapack(self, tmp_path, monkeypatch):
+        fits, ladders = [], []
+        loglog_fit, rho_weights = V.loglog_fit, V._rho_weights
+        monkeypatch.setattr(V, "loglog_fit",
+                            lambda xs, ys: fits.append((xs, ys)) or loglog_fit(xs, ys))
+        monkeypatch.setattr(V, "_rho_weights",
+                            lambda rhos: ladders.append(rhos) or rho_weights(rhos))
+        for case in SCALAR_CASES:
+            assert _scalar_case(tmp_path, case, tmp_path / case)[0] == 0
+        assert cli.sweep(scenario_path("heat-1d-sweep.json"), "h", [1 / 32, 1 / 64, 1 / 128],
+                         tmp_path / "h-sweep") == 0
+        # two sweeps and interior-decay's two solutions; the run and the h sweep's three
+        # points each extrapolate heat-kernel's rho ladder
+        assert len(fits) == 4 and len(ladders) == 4
+        monkeypatch.undo()
+        assert_fits_match_lapack(fits, ladders)
+
+
 class TestSweep:
     def test_h_sweep_order(self, tmp_path, capsys):
         code = cli.sweep(scenario_path("heat-1d-sweep.json"), "h",
@@ -787,6 +845,15 @@ class TestSweep:
     def test_non_monotone_values_rejected(self, tmp_path):
         assert cli.sweep(scenario_path("heat-1d-sweep.json"), "h",
                          [1 / 32, 1 / 128, 1 / 64], out_dir=tmp_path / "sw") == 2
+
+    @pytest.mark.parametrize("values", ["4,4", "8,6,6", "4,4,8"])
+    def test_repeated_values_exit_2(self, tmp_path, capsys, values):
+        # two equal points leave the observed order undetermined
+        code = cli.main(["sweep", scenario_path("heat-1d-sweep.json"), "--axis", "rho",
+                         "--values", values, "--out", str(tmp_path / "sw")])
+        assert code == 2
+        assert "sweep --values must be strictly monotone" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_main_entrypoint(self, tmp_path, capsys):
         code = cli.main(["sweep", scenario_path("heat-1d-sweep.json"),

@@ -438,6 +438,7 @@ class TestSolveForward:
             assert np.array_equal(dense_spacetime_oracle(spec, mesh, g, f, 0.0, T).values, whole)
             assert [shape[0] for shape in groups] == sizes
 
+    @pytest.mark.peak
     def test_oracle_peak_is_about_one_group(self, monkeypatch):
         """With the band budget at two steps, the oracle of eight 2-D steps holds about one
         group of two steps' band factors at its peak, where one batch would hold eight."""
@@ -714,6 +715,7 @@ class TestStepStore:
         assert [key[1] for key in entries] == list(range(1, 9))
         assert all(type(value) is solver._Implicit for value, _ in entries.values())
 
+    @pytest.mark.peak
     def test_superlu_march_rss_stays_within_budget(self, tmp_path):
         """A long 1-D dirichlet time-dependent march, one SuperLU factor per step,
         adds at most the store's budget plus 4 MB of RSS, which covers the march's
@@ -884,6 +886,7 @@ class TestStepLayer:
         for m in (1, 3):
             assert_stored_step_exact(scheme.implicit_lu(m), step_matrix(mesh, spec, m))
 
+    @pytest.mark.peak
     @pytest.mark.parametrize("entries", [(0, 1, 2, 3), (0, 3)])  # all, and the diagonal
     def test_stencil_peak_is_a_small_multiple_of_what_it_keeps(self, periodic_2d, entries):
         mesh = Mesh(periodic_2d, (64, 64), tau=2.0 ** -12, t0=0.0, steps=4)
