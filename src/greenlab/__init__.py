@@ -4,7 +4,7 @@ from .errors import ConfigError, SolverError
 from .problem import (CoefficientField, Domain, OperatorSpec, load_table, make_preset,
                       validate_parabolicity)
 from .mesh import Mesh, Trajectory, parabolic_distance
-from .solver import ThetaScheme, assemble, dense_spacetime_oracle, solve_forward
+from .solver import ThetaScheme, dense_spacetime_oracle
 from .green import heat_kernel, wrapped_heat_kernel
 
 __version__ = "0.1.0"
@@ -14,6 +14,6 @@ __all__ = (
     "CoefficientField", "Domain", "OperatorSpec", "load_table", "make_preset",
     "validate_parabolicity",
     "Mesh", "Trajectory", "parabolic_distance",
-    "ThetaScheme", "assemble", "dense_spacetime_oracle", "solve_forward",
+    "ThetaScheme", "dense_spacetime_oracle",
     "heat_kernel", "wrapped_heat_kernel",
 )

@@ -36,18 +36,19 @@ def heat_kernel(n: int, t: float, r) -> np.ndarray:
 
 
 def wrapped_heat_kernel(n: int, t: float, dx, lengths) -> np.ndarray:
-    """Torus heat kernel: image sum of the free kernel over lattice shifts."""
+    """Torus heat kernel at the gaps ``dx`` (rows of n coordinates).
+
+    The free kernel is a product over axes, so the torus kernel is the
+    product of the 1-D wrapped kernels, each an image sum over six lattice
+    shifts per side: 13 n kernel values per gap rather than 13^n.
+    """
     dx = np.atleast_2d(np.asarray(dx, dtype=float))
     L = np.asarray(lengths, dtype=float)
-    shifts = np.arange(-6, 7)  # six lattice images per axis and side
-    if n == 1:
-        d = dx[:, 0][:, None] + shifts[None, :] * L[0]
-        return heat_kernel(1, t, np.abs(d)).sum(axis=1)
-    out = np.zeros(dx.shape[0])
-    for sx in shifts:
-        for sy in shifts:
-            d = dx + np.array([sx * L[0], sy * L[1]])
-            out += heat_kernel(2, t, np.linalg.norm(d, axis=1))
+    shifts = np.arange(-6, 7)
+    out = np.ones(dx.shape[0])
+    for a in range(n):
+        d = dx[:, a][:, None] + shifts[None, :] * L[a]
+        out *= heat_kernel(1, t, np.abs(d)).sum(axis=1)
     return out
 
 

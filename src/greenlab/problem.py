@@ -6,9 +6,9 @@ together with its coercivity constant ``lam`` (the quadratic form lower
 bound), the Frobenius bound ``Lam``, and an interior-regularity scale
 ``R_c``.  Fields are immutable and safe to share between workers.
 
-Tensor index convention: ``eval`` takes 1-based indices (alpha, beta in
-1..n, i, j in 1..N); the vectorized ``tensor`` method returns 0-based
-numpy blocks of shape (P, n, n, N, N).
+Tensor index convention: ``CoefficientField.tensor`` returns numpy blocks
+of shape (P, n, n, N, N), indexed [p, alpha, beta, i, j] from 0; a CSV
+table (``load_table``) names its entries from 1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,21 +66,6 @@ class CoefficientField:
         if out.shape != expect:
             raise ConfigError(f"tensor_fn returned shape {out.shape}, expected {expect}")
         return out
-
-    def eval(self, t: float, x, alpha: int, beta: int, i: int, j: int) -> float:
-        """Scalar entry A^{alpha beta}_{ij}(t, x) with 1-based indices."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        blk = self.tensor(t, x[None, :])
-        return float(blk[0, alpha - 1, beta - 1, i - 1, j - 1])
-
-    def transposed(self) -> "CoefficientField":
-        """Swap alpha<->beta and i<->j; same lam, Lam by construction."""
-        base = self.tensor_fn
-
-        def t_fn(t, pts):
-            return np.asarray(base(t, pts)).transpose(0, 2, 1, 4, 3)
-
-        return replace(self, tensor_fn=t_fn, name=self.name + "^T")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ code named here:
 
 * the flux stencil, the one home of the flux weights and the face order:
   ``_stencil``, with ``_used_entries`` (the entries it gathers),
-  ``_implicit_values``, ``_step_matrix`` and ``_pruned_pattern`` (D =
-  I + tau*L on its pattern) and the public ``assemble``;
+  ``_gathered`` (L's values), and ``_implicit_values``, ``_step_matrix``
+  and ``_pruned_pattern`` (D = I + tau*L on its pattern);
 * the choice between the Fourier and the SuperLU solver, made from the
   evaluated face tensors: ``_assemble`` and ``ThetaScheme.implicit_lu``;
 * the Fourier path: ``_kernel_gather`` (D's kernel, read from the
@@ -62,7 +62,7 @@ class _Deferred:
     """Stands in for a module and imports it on the first attribute lookup.
 
     ``sp`` and ``spla`` stand in for ``scipy.sparse`` and
-    ``scipy.sparse.linalg``, which ``assemble`` and the SuperLU steps use.  A
+    ``scipy.sparse.linalg``, which the SuperLU steps use.  A
     periodic run on an x-independent field, 1-D or 2-D, solves by Fourier
     and its oracle by numpy, and loads neither, nor the ``scipy.linalg``
     that the second pulls in: ``import greenlab.cli`` costs 31 MB of RSS and
@@ -205,8 +205,8 @@ def _kernel_gather(mesh: Mesh, N: int, entries: tuple):
     They are ``_stencil``'s terms of the cell-0 columns on the 4^n torus
     with ``mesh``'s h (a box of 4 h gives that h exactly), each source moved
     to the first face of its axis on ``mesh``.  That is D's kernel to the
-    bit, the cell-0 columns of ``sp.identity(nn) + tau*assemble(...)``: with
-    one tensor on the faces of each axis those columns depend on h alone,
+    bit, the cell-0 columns of D as ``_implicit_values`` gathers it on
+    ``mesh``: with one tensor on the faces of each axis they depend on h alone,
     and the gather sums each entry in face order, which is the same on every
     torus of at least 4 cells per axis.  So the flux weights and the face
     order are written once, in ``_stencil``, for every path.  The terms are
@@ -328,25 +328,6 @@ def _preload_linalg(mesh: Mesh, spec: OperatorSpec) -> None:
     """
     if not mesh.periodic or spec.coeffs.x_dependent:
         import scipy.sparse.linalg  # noqa: F401
-
-
-def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
-    """Assemble the flux-form spatial operator -div(A D u) at time t, as a CSR matrix.
-
-    Each face contributes A(face midpoint) times the centered difference;
-    in dirichlet mode the pinned boundary layer is projected out (rows and
-    columns zeroed), in periodic mode indices wrap and row sums vanish.
-    Only the face tensors are evaluated here; the pattern and the gather
-    come from ``_stencil`` over every tensor entry, zero or not, so the
-    pattern depends on (mesh, N) alone.  It is that of I + L, so a dirichlet
-    mesh's pinned rows hold an explicit 0 on the diagonal.
-    """
-    N = spec.coeffs.N
-    entries = tuple(range(mesh.n * mesh.n * N * N))
-    _, indices, indptr, _ = _stencil(mesh, N, entries)
-    nn = len(indptr) - 1
-    values = _gathered(mesh, N, _assemble(mesh, spec, t)[0], entries)
-    return sp.csr_matrix((values, indices, indptr), shape=(nn, nn))
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -644,7 +625,7 @@ def _factor_bytes(pair) -> int:
 class _StepStore:
     """Least-recently-used map from step keys to ``_Implicit`` pairs, bounded by CACHE_BYTES.
 
-    ``assemble`` is a pure function of (mesh, spec, t), so every
+    A step's implicit matrix is a pure function of (mesh, spec, t), so every
     ``ThetaScheme`` of the same (mesh, spec) shares the one process-wide
     store, ``_STORE``.  A key holds the frozen mesh and spec themselves
     (equal by value; coefficient functions by identity) and the step index
@@ -824,8 +805,8 @@ def _slab_source_fn(scheme: ThetaScheme, f):
 class _Keep(NamedTuple):
     """What a march keeps: the slices at the mesh time indices ``slices``
     (increasing) and the flat state rows ``rows``, in that order; None keeps
-    every slice or every row, which is what ``solve_forward`` returns and the
-    ``weak-levels`` column holds.  A check that reads one slice or one
+    every slice or every row, which is what the ``oracle`` check compares and
+    the ``weak-levels`` column holds.  A check that reads one slice or one
     cylinder holds that, not the whole (steps + 1, N, ncells) field."""
 
     slices: Sequence[int] | None = None
@@ -919,16 +900,6 @@ def _solve(spec: OperatorSpec, mesh: Mesh, g, f, lo: float, hi: float, direction
     out = _march(scheme, mesh.time_index(lo), mesh.time_index(hi), x,
                  _slab_source_fn(scheme, f), keep, direction == "backward")
     return out.reshape(len(out), scheme.N, out.shape[1] // scheme.N)
-
-
-def solve_forward(spec: OperatorSpec, mesh: Mesh, g, f, s: float, T: float) -> Trajectory:
-    """March the Cauchy problem from data g at time s up to time T.
-
-    ``f`` is a per-slice source sampled as f(t) -> (N, ncells); the step
-    from t_m to t_{m+1} uses f(t_{m+1}).
-    """
-    values = _solve(spec, mesh, g, f, s, T, "forward")
-    return Trajectory(mesh, mesh.time_index(s), values)
 
 
 ORACLE_CAP = 20_000

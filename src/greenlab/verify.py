@@ -29,7 +29,7 @@ from .green import _green_block, _line_fit, _rho_ladder, _rho_weights, wrapped_h
 from .mesh import Mesh, _positions_in
 from .problem import OperatorSpec, _sorted_unique, seeded_uniform
 from .solver import (ThetaScheme, _Keep, _march, _solve, _stream, dense_spacetime_oracle,
-                     project_slice, solve_forward)
+                     project_slice)
 
 # ----------------------------------------------------------------------
 # records and fits
@@ -278,10 +278,11 @@ def check_adjoint(spec: OperatorSpec, mesh: Mesh, a, b, s: float, t: float,
 
 def check_oracle(spec: OperatorSpec, mesh: Mesh, g, s: float, t: float,
                  tolerance: float = 1e-9) -> CheckRecord:
-    """The marched solution from data g equals the space-time oracle's, sup-relative."""
-    marched = solve_forward(spec, mesh, g, None, s, t)
+    """The marched solution from data g equals the space-time oracle's, sup-relative,
+    over every slice from s to t."""
+    marched = _solve(spec, mesh, g, None, s, t, "forward")
     dense = dense_spacetime_oracle(spec, mesh, g, None, s, t)
-    num = float(np.max(np.abs(marched.values - dense.values)))
+    num = float(np.max(np.abs(marched - dense.values)))
     den = float(np.max(np.abs(dense.values)))
     resid = num / den if den > 0 else 0.0
     return CheckRecord("oracle", "spacetime-oracle-equivalence",
@@ -416,8 +417,12 @@ def gaussian_samples(spec: OperatorSpec, mesh: Mesh, Y, times, rho: float):
 def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0) -> CheckRecord:
     """Largest kappa for which |Gamma| <= C (t-s)^{-n/2} exp(-kappa xi^2), C <= c_max.
 
-    Passes when that rate is at least lam / (8 Lam^2), the conservative
-    theoretical exponent.
+    With xi^2 = |x-y|^2 / (t-s) and base = |Gamma| (t-s)^{n/2}, a sample
+    allows every kappa up to ln(c_max / base) / xi^2, so the fit is the
+    least of these over the samples with xi^2 > 0, in closed form, and at
+    most 64.  It is 0 when a sample with xi^2 = 0 exceeds c_max or the least
+    is negative; a sample with |Gamma| = 0 never binds.  Passes when the fit
+    is at least lam / (8 Lam^2), the conservative theoretical exponent.
     """
     if not samples:
         raise ConfigError("no gaussian samples supplied")
@@ -426,28 +431,14 @@ def fit_gaussian(samples, lam: float, Lam: float, n: int, c_max: float = 10.0) -
     g = np.array([s[2] for s in samples])
     xi2 = dist ** 2 / dt
     base = g * dt ** (n / 2.0)
-
-    def c_fit(kappa):
-        return float(np.max(base * np.exp(kappa * xi2)))
-
+    binds = (xi2 > 0) & (base > 0)
+    rates = np.log(c_max / base[binds]) / xi2[binds]
+    kappa_fit = 0.0 if np.any(base[xi2 == 0] > c_max) else max(float(rates.min(initial=64.0)), 0.0)
     kappa_target = lam / (8.0 * Lam ** 2)
-    lo, hi = 0.0, 1.0
-    while c_fit(hi) <= c_max and hi < 64.0:
-        hi *= 2.0
-    if c_fit(hi) <= c_max:
-        kappa_fit = hi
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if c_fit(mid) <= c_max:
-                lo = mid
-            else:
-                hi = mid
-        kappa_fit = lo
     status = "pass" if kappa_fit >= kappa_target else "fail"
     return CheckRecord("gaussian", "gaussian-upper-bound", status, c_max,
                        fitted={"kappa_fit": kappa_fit, "kappa_target": kappa_target,
-                               "C_at_target": c_fit(kappa_target)},
+                               "C_at_target": float(np.max(base * np.exp(kappa_target * xi2)))},
                        samples={"count": len(samples)})
 
 
@@ -537,7 +528,14 @@ def _level_measure(sorted_values: np.ndarray, weight: float, thresholds) -> np.n
 
 
 def _cylinder_measure(r: float, n: int) -> float:
-    ball = 2.0 * r if n == 1 else math.pi * r * r
+    """|Q_r| = omega_n r^n * 2 r^2, with the unit n-ball's volume omega_n from
+    omega_0 = 1, omega_1 = 2 and omega_n = (2 pi / n) omega_{n-2}, so omega_2 = pi
+    exactly; omega_n is multiplied by r n times."""
+    ball = 2.0 if n % 2 else 1.0
+    for k in range(2 + n % 2, n + 1, 2):
+        ball *= 2.0 * math.pi / k
+    for _ in range(n):
+        ball *= r
     return 2.0 * r * r * ball
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from greenlab import Domain, Mesh, OperatorSpec, assemble, make_preset, solver
+from greenlab import Domain, Mesh, OperatorSpec, make_preset, solver
+
+from reference import assemble
 
 
 @pytest.fixture
@@ -47,7 +49,7 @@ def bundle_1d(domain):
 
 
 def step_matrix(mesh, spec, m):
-    """D = I + tau*L(t_m) from the public ``assemble``, as a CSR matrix."""
+    """D = I + tau*L(t_m) from the reference ``assemble``, as a CSR matrix."""
     nn = spec.coeffs.N * mesh.ncells
     return sp.identity(nn, format="csr") + mesh.tau * assemble(mesh, spec, float(mesh.times[m]))
 

@@ -1,5 +1,5 @@
-"""Whole Green columns, dense propagators, adjoint trajectories and LAPACK line fits,
-for tests only.
+"""Whole Green columns, dense propagators, whole trajectories, the assembled operator,
+coefficient transposes and the earlier forms of closed-form fits, for tests only.
 
 The package keeps only the slices and cells each check reads; the tests
 that compare against whole fields build them here from the same two
@@ -7,18 +7,59 @@ builders every check uses, ``green._green_block`` and ``solver._march``
 (through ``solver._solve``), keeping every slice.  A column is a
 ``Trajectory`` over its own window: forward from its source window's start
 up to the horizon, backward (the transpose column) from the horizon up to
-its source window's end.
+its source window's end.  The sparse operator L(t) is gathered by the
+solver's own ``_stencil`` and ``_gathered``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from greenlab import ConfigError, Trajectory
+from greenlab import CoefficientField, ConfigError, Mesh, OperatorSpec, Trajectory
 from greenlab import verify as V
-from greenlab.green import _green_block, _rho_weights
-from greenlab.solver import ThetaScheme, _Keep, _march, _solve
+from greenlab.green import _green_block, _rho_weights, heat_kernel
+from greenlab.solver import ThetaScheme, _assemble, _gathered, _Keep, _march, _solve, _stencil, sp
+
+
+def assemble(mesh: Mesh, spec: OperatorSpec, t: float) -> sp.csr_matrix:
+    """The flux-form spatial operator L(t) = -div(A D u) as a CSR matrix.
+
+    The face tensors come from ``solver._assemble``, and the pattern and the
+    gather from ``solver._stencil`` over every tensor entry, zero or not, so
+    the pattern depends on (mesh, N) alone.  It is that of I + L, so a
+    dirichlet mesh's pinned rows hold an explicit 0 on the diagonal.
+    ``scipy.sparse`` loads here, through ``solver.sp``, on the first call.
+    """
+    N = spec.coeffs.N
+    entries = tuple(range(mesh.n * mesh.n * N * N))
+    _, indices, indptr, _ = _stencil(mesh, N, entries)
+    nn = len(indptr) - 1
+    values = _gathered(mesh, N, _assemble(mesh, spec, t)[0], entries)
+    return sp.csr_matrix((values, indices, indptr), shape=(nn, nn))
+
+
+def solve_forward(spec, mesh, g, f, s: float, T: float) -> Trajectory:
+    """The forward march from data g at time s up to T, every slice; the step from t_m to
+    t_{m+1} takes the source slice f(t_{m+1}) (or none when f is None)."""
+    return Trajectory(mesh, mesh.time_index(s), _solve(spec, mesh, g, f, s, T, "forward"))
+
+
+def transposed(coeffs: CoefficientField) -> CoefficientField:
+    """The field with alpha <-> beta and i <-> j swapped; the same lam and Lam."""
+    base = coeffs.tensor_fn
+
+    def fn(t, pts):
+        return np.asarray(base(t, pts)).transpose(0, 2, 1, 4, 3)
+
+    return replace(coeffs, tensor_fn=fn, name=coeffs.name + "^T")
+
+
+def entry(coeffs: CoefficientField, t: float, x, alpha: int, beta: int, i: int, j: int) -> float:
+    """The scalar A^{alpha beta}_{ij}(t, x), with indices from 1."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(coeffs.tensor(t, x[None, :])[0, alpha - 1, beta - 1, i - 1, j - 1])
 
 
 def column(spec, mesh, pole, k, radius, horizon, direction="forward") -> Trajectory:
@@ -94,3 +135,50 @@ def assert_fits_match_lapack(fits, ladders):
         rhos = np.asarray(rhos, dtype=float)
         want = np.linalg.pinv(np.stack([np.ones_like(rhos), rhos ** 2], axis=1))[0]
         assert np.max(np.abs(_rho_weights(rhos) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def kappa_search(samples, n: int, c_max: float = 10.0) -> float:
+    """``fit_gaussian``'s rate as a search found it: doubling from 1 up to 64, then 80
+    bisection steps on max(base * exp(kappa xi^2)) <= c_max from 0."""
+    dt, dist, g = (np.array([s[k] for s in samples]) for k in range(3))
+    xi2 = dist ** 2 / dt
+    base = g * dt ** (n / 2.0)
+
+    def c_fit(kappa):
+        return float(np.max(base * np.exp(kappa * xi2)))
+
+    lo, hi = 0.0, 1.0
+    while c_fit(hi) <= c_max and hi < 64.0:
+        hi *= 2.0
+    if c_fit(hi) <= c_max:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if c_fit(mid) <= c_max:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def image_sum_heat_kernel(n: int, t: float, dx, lengths) -> np.ndarray:
+    """The torus heat kernel as the package summed it: the images of the 1-D free kernel,
+    and in 2-D the 13 x 13 images of the 2-D one, six per axis and side."""
+    dx = np.atleast_2d(np.asarray(dx, dtype=float))
+    L = np.asarray(lengths, dtype=float)
+    shifts = np.arange(-6, 7)
+    if n == 1:
+        d = dx[:, 0][:, None] + shifts[None, :] * L[0]
+        return heat_kernel(1, t, np.abs(d)).sum(axis=1)
+    out = np.zeros(dx.shape[0])
+    for sx in shifts:
+        for sy in shifts:
+            d = dx + np.array([sx * L[0], sy * L[1]])
+            out += heat_kernel(2, t, np.linalg.norm(d, axis=1))
+    return out
+
+
+def cylinder_measure(r: float, n: int) -> float:
+    """|Q_r| = 2 r^2 times the ball's volume, 2 r in 1-D and pi r^2 in 2-D."""
+    ball = 2.0 * r if n == 1 else math.pi * r * r
+    return 2.0 * r * r * ball

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from greenlab import (Domain, Mesh, OperatorSpec, dense_spacetime_oracle, heat_kernel,
-                      make_preset, solve_forward, wrapped_heat_kernel)
+                      make_preset, wrapped_heat_kernel)
 from greenlab import verify as V
 from greenlab.cli import tent_profile
 from greenlab.green import _rho_weights
 
 from conftest import bundle_1d
-from reference import column, slice_at, solve_backward, value_at
+from reference import column, slice_at, solve_backward, solve_forward, value_at
 
 DOM1 = Domain((0.0,), (1.0,), "periodic")
 DOM1_LONG = Domain((0.0,), (4.0,), "periodic")

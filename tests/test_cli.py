@@ -523,11 +523,13 @@ def _fresh(tmp_path, code: str, watched=LINALG):
     loaded.
 
     The test modules import ``scipy.sparse`` and ``scipy.sparse.linalg``
-    themselves, so only a fresh process shows what greenlab imports.
+    themselves, so only a fresh process shows what greenlab imports.  The
+    process finds greenlab and, for ``code`` that imports it, ``reference``.
     """
     src = os.path.dirname(os.path.dirname(greenlab.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")])))
     probe = (f"result = None\n{code}\nimport json, sys\n"
              f"print(json.dumps([result, [m for m in {tuple(watched)!r} if m in sys.modules]]))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
@@ -612,7 +614,8 @@ class TestDeferredLinalg:
         assert _fresh(tmp_path, code) == [None, list(LINALG)]
 
     def test_public_assemble_returns_the_same_csr_matrix(self, tmp_path):
-        """``assemble``, in a process that never loaded ``scipy.sparse``, loads it and returns
+        """The reference ``assemble``, gathered by the solver's own ``_stencil`` and
+        ``_gathered``, in a process that never loaded ``scipy.sparse``, loads it and returns
         the CSR matrix that greenlab returned when it imported the module eagerly: the same
         digests of data, indices and indptr, for an N = 2 field with every tensor entry
         nonzero and varying in x, on a 2-D periodic, a 2-D dirichlet and a 1-D dirichlet mesh.
@@ -621,7 +624,8 @@ class TestDeferredLinalg:
         code = """
 import hashlib
 import numpy as np
-from greenlab import CoefficientField, Domain, Mesh, OperatorSpec, assemble
+from greenlab import CoefficientField, Domain, Mesh, OperatorSpec
+from reference import assemble
 
 BASE = np.array([[[[2.0, 0.3], [-0.3, 1.5]], [[0.2, 0.1], [0.05, 0.4]]],
                  [[[0.1, -0.2], [0.3, 0.25]], [[1.8, 0.2], [-0.1, 2.2]]]])
@@ -643,7 +647,7 @@ for mode, n in (("periodic", 2), ("dirichlet", 2), ("dirichlet", 1)):
     result.append([type(L).__name__, h.hexdigest()[:16]])
 """
         got, loaded = _fresh(tmp_path, code, ("scipy.sparse",))
-        assert loaded == ["scipy.sparse"]  # by ``assemble`` itself
+        assert loaded == ["scipy.sparse"]  # by ``assemble`` itself, through ``solver.sp``
         # recorded with greenlab's eager ``import scipy.sparse``, before it was deferred
         digests = ("671ffcfd3fea943c", "f125f2086ae1a26c", "f06b0d5d6c29d1ec")
         assert got == [["csr_matrix", digest] for digest in digests]
@@ -653,7 +657,8 @@ for mode, n in (("periodic", 2), ("dirichlet", 2), ("dirichlet", 1)):
         # installed, as a tracer does, before anything has imported the module
         code = """
 import numpy as np
-from greenlab import Domain, Mesh, OperatorSpec, make_preset, solve_forward, solver
+from greenlab import Domain, Mesh, OperatorSpec, make_preset, solver
+from reference import solve_forward
 
 class Counting:
     def __init__(self, spla):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, SolverError, heat_kernel,
-                      make_preset, solve_forward, wrapped_heat_kernel)
+                      make_preset, wrapped_heat_kernel)
 from greenlab import green, solver
 from greenlab import verify as V
 from greenlab.solver import ThetaScheme
 
 from conftest import spoiled, step_matrix
-from reference import column, cylinder_average, padded, propagator, value_at
+from reference import (column, cylinder_average, image_sum_heat_kernel, padded, propagator,
+                       solve_forward, value_at)
 
 
 def fine_heat_setup(cells=128, extra=0):
@@ -45,10 +46,29 @@ class TestHeatKernelHelpers:
         assert heat_kernel(1, 1.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5, rel=1e-12)
         assert heat_kernel(2, 1.0, 0.0) == pytest.approx((4 * math.pi) ** -1, rel=1e-12)
 
-    def test_wrapped_reduces_to_free_for_large_box(self):
-        free = heat_kernel(1, 0.01, 0.3)
-        wrapped = wrapped_heat_kernel(1, 0.01, np.array([[0.3]]), [50.0])[0]
+    @pytest.mark.parametrize("dx", [[[0.3]], [[0.1, 0.2, -0.3], [0.0, 0.0, 0.0], [0.4, -0.1, 0.05]]])
+    def test_wrapped_reduces_to_free_for_large_box(self, dx):
+        dx = np.array(dx)
+        n = dx.shape[1]
+        free = heat_kernel(n, 0.01, np.linalg.norm(dx, axis=1))
+        wrapped = wrapped_heat_kernel(n, 0.01, dx, [50.0] * n)
         assert wrapped == pytest.approx(free, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.05, 0.3])
+    @pytest.mark.parametrize("cells", [(64,), (48,), (64, 64), (32, 48)])
+    def test_wrapped_product_is_the_image_sum(self, cells, t):
+        """The product of 1-D wrapped kernels is the 1-D image sum to the bit, and the 2-D
+        image sum over 13 x 13 shifts within 1e-13 relative (2.9e-14 at t = 1e-3)."""
+        n = len(cells)
+        mesh = Mesh(Domain((0.0,) * n, (1.0, 1.5)[:n], "periodic"), cells, tau=1 / 256,
+                    t0=0.0, steps=4)
+        gaps = mesh.wrap_gaps(mesh.centers - mesh.centers[5][None, :])
+        got = wrapped_heat_kernel(n, t, gaps, mesh.domain.lengths)
+        want = image_sum_heat_kernel(n, t, gaps, mesh.domain.lengths)
+        if n == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 class TestAveragedColumn:

@@ -18,15 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenlab import (CoefficientField, ConfigError, Domain, Mesh, OperatorSpec, SolverError,
-                      Trajectory, assemble, dense_spacetime_oracle, make_preset,
-                      parabolic_distance, solve_forward, wrapped_heat_kernel)
+                      Trajectory, dense_spacetime_oracle, make_preset, parabolic_distance,
+                      wrapped_heat_kernel)
 from greenlab import cli, green, solver
 from greenlab.solver import ThetaScheme
 from greenlab.verify import _cylinder_energies, _face_cells, check_normalization
 
 from conftest import (assert_stored_step_exact, bundle_1d, cell0_kernel, plus_one, spoiled,
                       step_matrix)
-from reference import column, cylinder, solve_backward
+from reference import assemble, column, cylinder, solve_backward, solve_forward, transposed
 
 
 def dirichlet_energy(mesh, slc):
@@ -625,7 +625,7 @@ class TestStepStore:
         assert ThetaScheme(same_mesh, same_spec).implicit_lu(3) is base
         assert solver.cache_info().entries == 1
         longer = Mesh(periodic_1d, (32,), tau=1.0 / 512, t0=0.0, steps=65)
-        others = [ThetaScheme(mesh32, OperatorSpec(rotating.coeffs.transposed(), periodic_1d)),
+        others = [ThetaScheme(mesh32, OperatorSpec(transposed(rotating.coeffs), periodic_1d)),
                   ThetaScheme(longer, rotating)]
         for i, scheme in enumerate(others, start=2):
             assert scheme.implicit_lu(3) is not base
@@ -831,7 +831,7 @@ PATTERN_CELLS = {"rotating": (16,), "rotating-4": (4,), "rotating-5": (5,),
                  "random-n2-N3-5x4": (5, 4), "t-oscillating": (8, 6)}
 
 
-def _pattern_case(field, mode, transposed=False):
+def _pattern_case(field, mode, flip=False):
     """Mesh and spec of one case of PATTERN_CELLS."""
     if field.startswith("rotating"):
         coeffs = make_preset("rotating", w0=0.5, omega=2.0)
@@ -841,7 +841,7 @@ def _pattern_case(field, mode, transposed=False):
                   else _random_n2_N3())
         domain = Domain((0.0, 0.0), (1.0, 1.5), mode)
     mesh = Mesh(domain, PATTERN_CELLS[field], tau=1 / 256, t0=0.0, steps=8)
-    return mesh, OperatorSpec(coeffs.transposed() if transposed else coeffs, domain)
+    return mesh, OperatorSpec(transposed(coeffs) if flip else coeffs, domain)
 
 
 class TestStepLayer:
@@ -850,11 +850,11 @@ class TestStepLayer:
         """A cold, private step store for the test."""
         monkeypatch.setattr(solver, "_STORE", solver._StepStore())
 
-    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
-    def test_fixed_pattern_matches_loop(self, field, mode, transposed):
-        mesh, spec = _pattern_case(field, mode, transposed)
+    def test_fixed_pattern_matches_loop(self, field, mode, flip):
+        mesh, spec = _pattern_case(field, mode, flip)
         coeffs = spec.coeffs
         got = [assemble(mesh, spec, t) for t in (0.0, 3 / 256)]
         for t, L in zip((0.0, 3 / 256), got):
@@ -874,14 +874,13 @@ class TestStepLayer:
                 assert np.max(np.abs(blocks.sum(axis=3))) <= 1e-14 * scale  # row sums
                 assert np.max(np.abs(blocks.sum(axis=1))) <= 1e-14 * scale  # column sums
 
-    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("field", sorted(PATTERN_CELLS))
-    def test_step_matrices_bitwise_equal_identity_plus_operator(self, store, field, mode,
-                                                                 transposed):
+    def test_step_matrices_bitwise_equal_identity_plus_operator(self, store, field, mode, flip):
         """D, built from L's data, equals ``sp.identity(nn) + tau*L`` to the bit; on the
         Fourier path, its stencil's kernel equals that matrix's columns at cell 0."""
-        mesh, spec = _pattern_case(field, mode, transposed)
+        mesh, spec = _pattern_case(field, mode, flip)
         scheme = ThetaScheme(mesh, spec)
         for m in (1, 3):
             assert_stored_step_exact(scheme.implicit_lu(m), step_matrix(mesh, spec, m))
@@ -1060,17 +1059,17 @@ class TestFourierPath:
         """A cold, private step store for the test."""
         monkeypatch.setattr(solver, "_STORE", solver._StepStore())
 
-    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("field", sorted(FOURIER_FIELDS))
-    def test_matches_superlu(self, store, field, transposed):
+    def test_matches_superlu(self, store, field, flip):
         coeffs = FOURIER_FIELDS[field]()
         domain, mesh = _fourier_mesh(coeffs.n)
-        scheme = ThetaScheme(mesh, OperatorSpec(coeffs.transposed() if transposed else coeffs,
+        scheme = ThetaScheme(mesh, OperatorSpec(transposed(coeffs) if flip else coeffs,
                                                 domain))
         pair = scheme.implicit_lu(2)
         fourier, stencil = pair
         assert isinstance(fourier, solver._FourierSolver)
-        # SuperLU on D as the public ``assemble`` gathers it, a second build of the weights
+        # SuperLU on D as the reference ``assemble`` gathers it, a second build of the weights
         D = step_matrix(mesh, scheme.spec, 2)
         # D^T's stencil is D's own exactly when the assembled D is symmetric
         assert (pair.DT is stencil) == ((D != D.T).nnz == 0)

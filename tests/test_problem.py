@@ -13,6 +13,8 @@ from greenlab import cli, problem
 from greenlab import (CoefficientField, ConfigError, Domain, load_table, make_preset,
                       validate_parabolicity)
 
+from reference import entry, transposed
+
 
 def write_coefficient_table(path, coeffs, t_vals, axes):
     """Sample a field onto a grid and write the CSV table that ``load_table`` reads."""
@@ -96,7 +98,7 @@ class TestValidateParabolicity:
     def test_transposed_field_same_estimates(self):
         field, _ = random_field(3)
         a = validate_parabolicity(field, 12, seed=5)
-        b = validate_parabolicity(field.transposed(), 12, seed=5)
+        b = validate_parabolicity(transposed(field), 12, seed=5)
         assert a.lambda_est == b.lambda_est
         assert a.Lambda_est == b.Lambda_est
 
@@ -104,27 +106,27 @@ class TestValidateParabolicity:
 class TestTranspose:
     def test_heat_unchanged(self):
         heat = make_preset("heat", n=2)
-        t = heat.transposed()
+        t = transposed(heat)
         pts = np.array([[0.3, 0.7]])
         assert np.array_equal(heat.tensor(0.0, pts), t.tensor(0.0, pts))
 
     def test_symmetric_scalar_pointwise_equal(self):
         f = make_preset("x-oscillatory", n=2)
-        t = f.transposed()
+        t = transposed(f)
         pts = np.random.default_rng(0).random((5, 2))
         assert np.allclose(f.tensor(0.2, pts), t.tensor(0.2, pts), atol=0, rtol=0)
 
     def test_spot_index_swap(self):
         field, mat = random_field(11)
-        t = field.transposed()
-        assert t.eval(0.0, [0.1, 0.2], 1, 2, 1, 2) == pytest.approx(
-            field.eval(0.0, [0.1, 0.2], 2, 1, 2, 1), abs=0)
+        t = transposed(field)
+        assert entry(t, 0.0, [0.1, 0.2], 1, 2, 1, 2) == pytest.approx(
+            entry(field, 0.0, [0.1, 0.2], 2, 1, 2, 1), abs=0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_involution(self, seed):
         field, mat = random_field(seed)
-        tt = field.transposed().transposed()
+        tt = transposed(transposed(field))
         pts = np.random.default_rng(seed).random((4, 2))
         assert np.array_equal(tt.tensor(0.0, pts), field.tensor(0.0, pts))
 

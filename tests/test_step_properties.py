@@ -26,6 +26,7 @@ from greenlab import verify as V
 from greenlab.solver import ThetaScheme
 
 from conftest import assert_stored_step_exact, step_matrix
+from reference import transposed
 
 PROPERTY_SETTINGS = settings(max_examples=24, deadline=None, derandomize=True)
 
@@ -103,7 +104,7 @@ def fourier_cases(draw):
     coeffs = parabolic_field(n, N, draw(st.sampled_from(["const", "t"])),
                              draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        coeffs = coeffs.transposed()
+        coeffs = transposed(coeffs)
     cells = tuple(draw(st.lists(st.integers(4, 7), min_size=n, max_size=n)))
     domain = Domain((0.0,) * n, (1.0, 1.5)[:n], "periodic")
     return Mesh(domain, cells, tau=1 / 64, t0=0.0, steps=3), OperatorSpec(coeffs, domain)

@@ -1,11 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from greenlab import (ConfigError, Domain, Mesh, OperatorSpec, Trajectory, make_preset,
-                      solve_forward)
+from greenlab import ConfigError, Domain, Mesh, OperatorSpec, Trajectory, make_preset
 from greenlab import cli, green, solver
 from greenlab import verify as V
 from greenlab.green import _mollifier, wrapped_heat_kernel
@@ -13,8 +13,9 @@ from greenlab.problem import seeded_uniform
 from greenlab.solver import ThetaScheme
 
 from conftest import bundle_1d
-from reference import (assert_fits_match_lapack, column, cylinder, cylinder_average, propagator,
-                       slice_at, value_at)
+from reference import (assert_fits_match_lapack, column, cylinder, cylinder_average,
+                       cylinder_measure, kappa_search, propagator, slice_at, solve_forward,
+                       transposed, value_at)
 
 
 def _per_pair_duality(spec, mesh, pairs, T, S, tolerance=1e-10):
@@ -159,7 +160,7 @@ class TestDuality:
 
         # fixture: march the transposed operator backward in time with the
         # same implicit-Euler recipe (coefficients at each step's own time)
-        t_spec = OperatorSpec(spec.coeffs.transposed(), periodic_1d)
+        t_spec = OperatorSpec(transposed(spec.coeffs), periodic_1d)
         scheme = ThetaScheme(mesh32, t_spec)
         q = _mollifier(mesh32, 2, X[1], sigma, 1)
         n_sig = mesh32.slab_count(sigma)
@@ -341,9 +342,69 @@ class TestDecayFits:
         assert norms[0] == pytest.approx(3.0)
         assert norms[1] == pytest.approx(2.0)
 
+    def test_cylinder_measure_is_the_ball_volume_times_2_r_squared(self):
+        for r in (0.03, 0.25, 1.0, 1.7):
+            for n in (1, 2):
+                assert V._cylinder_measure(r, n) == cylinder_measure(r, n)  # to the bit
+            assert V._cylinder_measure(r, 3) == pytest.approx(2 * r * r * 4 * math.pi / 3 * r ** 3,
+                                                              rel=4e-16)
+
     def test_ray_fit_decade_required(self):
         with pytest.raises(ConfigError):
             V.fit_pointwise_decay([0.1, 0.2, 0.5], [1.0, 0.5, 0.2], 1)
+
+
+def _gaussian_sample_set(rng, n):
+    """Samples shaped like a Green column's: C (t-s)^{-n/2} exp(-k xi^2) with noise, a
+    tenth of them at the pole, above ``gaussian_samples``' floor of 1e-10 of the largest."""
+    m = int(rng.integers(1, 40))
+    dt = rng.uniform(0.01, 1.0, m)
+    dist = rng.uniform(0.0, 1.5, m) * (rng.random(m) > 0.1)
+    C = math.exp(rng.uniform(math.log(0.1), math.log(30.0)))
+    g = (C * dt ** (-n / 2) * np.exp(-rng.uniform(0.0, 90.0) * dist ** 2 / dt)
+         * np.exp(rng.uniform(-1.0, 0.2, m)))
+    keep = (g > 1e-10 * g.max()) & (g > 1e-150)
+    return list(zip(dt[keep], dist[keep], g[keep]))
+
+
+class TestGaussianFit:
+    """``fit_gaussian``'s closed form is the rate the bisection search found."""
+
+    def test_closed_form_matches_the_search(self):
+        edges = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 3))
+            samples = _gaussian_sample_set(rng, n)
+            if not samples:
+                continue
+            got = V.fit_gaussian(samples, 1.0, 1.0, n).fitted["kappa_fit"]
+            with np.errstate(over="ignore"):  # the search's exp overflows past the binding rate
+                want = kappa_search(samples, n)
+            if want in (0.0, 64.0) or got in (0.0, 64.0):
+                assert got == want
+                edges += 1
+            else:
+                assert abs(got - want) <= 1e-14 * want
+        assert 0 < edges < 400
+
+    @pytest.mark.parametrize("samples, kappa", [
+        ([(0.5, 0.0, 20.0), (0.5, 0.3, 0.1)], 0.0),  # above c_max at the pole
+        ([(0.5, 0.0, 1.0), (0.5, 0.3, 20.0)], 0.0),  # above c_max off the pole: a rate < 0
+        ([(0.5, 0.0, 1.0), (0.5, 0.3, 1e-40)], 64.0),  # every rate at least 64
+        ([(0.5, 0.0, 1.0), (0.25, 0.0, 2.0)], 64.0),  # no sample off the pole
+    ])
+    def test_edges_match_the_search(self, samples, kappa):
+        assert V.fit_gaussian(samples, 1.0, 1.0, 1).fitted["kappa_fit"] == kappa
+        assert kappa_search(samples, 1) == kappa
+
+    def test_zero_sample_never_binds_nor_warns(self):
+        samples = [(0.5, 0.0, 1.0), (0.5, 0.3, 0.5), (0.25, 0.4, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for at in (0.0, 0.2):
+                assert (V.fit_gaussian(samples + [(0.5, at, 0.0)], 1.0, 1.0, 1).fitted
+                        == V.fit_gaussian(samples, 1.0, 1.0, 1).fitted)
 
 
 class TestGaussianSamples:
