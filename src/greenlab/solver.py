@@ -18,8 +18,8 @@ code named here:
 
 * the flux stencil, the one home of the flux weights and the face order:
   ``_stencil``, with ``_used_entries`` (the entries it gathers),
-  ``_gathered`` (L's values), and ``_implicit_values``, ``_step_matrix``
-  and ``_pruned_pattern`` (D = I + tau*L on its pattern);
+  ``_gathered`` (L's values), and ``_implicit_values`` and ``_step_matrix``
+  (D = I + tau*L on its pattern, exact zeros kept);
 * the choice between the Fourier and the SuperLU solver, made from the
   evaluated face tensors: ``_assemble`` and ``ThetaScheme.implicit_lu``;
 * the Fourier path: ``_kernel_gather`` (D's kernel, read from the
@@ -27,8 +27,8 @@ code named here:
   residual, with ``_copy_plan``), ``_FourierSolver`` (the real inverse
   symbol), ``_rfft`` and ``_irfft``, and the spectrum a scheme carries
   (``ThetaScheme``, ``_flush_subnormals``);
-* the SuperLU path and the scipy modules it loads on first use:
-  ``ThetaScheme.implicit_lu``, ``_Deferred`` and ``_preload_linalg``;
+* the SuperLU path and the scipy modules it loads at its first step:
+  ``ThetaScheme.implicit_lu`` and ``_Deferred``;
 * the step store and its byte charge: ``_StepStore``, ``_factor_bytes``
   and ``cache_info``;
 * the one time loop and what a march keeps: ``_stream``, ``_march``,
@@ -62,12 +62,14 @@ class _Deferred:
     """Stands in for a module and imports it on the first attribute lookup.
 
     ``sp`` and ``spla`` stand in for ``scipy.sparse`` and
-    ``scipy.sparse.linalg``, which the SuperLU steps use.  A
-    periodic run on an x-independent field, 1-D or 2-D, solves by Fourier
-    and its oracle by numpy, and loads neither, nor the ``scipy.linalg``
-    that the second pulls in: ``import greenlab.cli`` costs 31 MB of RSS and
-    0.11 s where the eager ``import scipy.sparse`` made it 52 MB and 0.25 s
-    (medians of 5 fresh processes under a 128 KiB mmap threshold).
+    ``scipy.sparse.linalg``, which the SuperLU steps use, so both load at
+    a run's first SuperLU step, where ``_assemble`` has chosen that path,
+    and never at set-up.  A periodic run on an x-independent field, 1-D or
+    2-D, solves by Fourier and its oracle by numpy, and loads neither, nor
+    the ``scipy.linalg`` that the second pulls in: ``import greenlab.cli``
+    costs 31 MB of RSS and 0.11 s where the eager ``import scipy.sparse``
+    made it 52 MB and 0.25 s (medians of 5 fresh processes under a 128 KiB
+    mmap threshold).
     Every lookup reads the imported module, so a patch of, say,
     ``scipy.sparse.linalg.splu`` takes effect, and the stand-in itself stays
     a module attribute that a wrapper may replace.
@@ -181,24 +183,6 @@ def _stencil(mesh: Mesh, N: int, entries: tuple):
 
 
 @lru_cache(maxsize=8)
-def _pruned_pattern(mesh: Mesh, N: int, entries: tuple, bits: bytes):
-    """The positions of ``_stencil(mesh, N, entries)``'s pattern that the packed mask ``bits`` keeps.
-
-    Returns their positions and the CSR pattern they form.  The exact zeros
-    left on the stencil come from entries that are zero at some faces only
-    or from cancellation, which repeat from step to step on a run's fields,
-    so the steps of a run share one mask and one pruned pattern, and each
-    stored matrix owns only its exact-size data.
-    """
-    _, indices, indptr, _ = _stencil(mesh, N, entries)
-    nz = np.flatnonzero(np.unpackbits(np.frombuffer(bits, np.uint8), count=len(indices)))
-    pattern = (indices[nz], np.searchsorted(nz, indptr).astype(np.int32))
-    for arr in pattern:
-        arr.flags.writeable = False
-    return (nz, *pattern)
-
-
-@lru_cache(maxsize=8)
 def _kernel_gather(mesh: Mesh, N: int, entries: tuple):
     """The gather terms of D's kernel, its N columns at cell 0, on a periodic ``mesh`` whose faces all hold one tensor.
 
@@ -289,7 +273,8 @@ def _implicit_values(mesh: Mesh, N: int, A: np.ndarray, entries: tuple) -> np.nd
 
     L's values are gathered from the face tensors A by ``_gathered``;
     scaled by tau, with 1 added on the diagonal, they give
-    ``sp.identity(nn) + tau*L`` to the bit once exact zeros are dropped.
+    ``sp.identity(nn) + tau*L`` to the bit once exact zeros are dropped;
+    a SuperLU step (``_step_matrix``) and the oracle's band keep them.
     """
     values = _gathered(mesh, N, A, entries)
     values *= mesh.tau
@@ -300,34 +285,16 @@ def _implicit_values(mesh: Mesh, N: int, A: np.ndarray, entries: tuple) -> np.nd
 def _step_matrix(mesh: Mesh, N: int, A: np.ndarray) -> sp.csr_matrix:
     """D = I + tau*L as a CSR matrix, gathered from the face tensors A over ``_used_entries``.
 
-    The exact zeros left (entries zero at some faces only, cancellation) are
-    dropped; the data is an exact-size array and the pattern arrays are the
-    cached ones of the stencil or of ``_pruned_pattern``.
+    Its pattern arrays are the stencil's cached ones, exact zeros included,
+    and its data is ``_implicit_values``' array.  A zero that an entry
+    leaves at some faces only stays a structural nonzero for SuperLU;
+    ``_factor_bytes`` charges the fill that follows from it.
     """
     entries = _used_entries(A)
-    data = _implicit_values(mesh, N, A, entries)
     _, indices, indptr, _ = _stencil(mesh, N, entries)
-    keep = data != 0
-    if not keep.all():
-        nz, indices, indptr = _pruned_pattern(mesh, N, entries, np.packbits(keep).tobytes())
-        data = data[nz]
     nn = len(indptr) - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(nn, nn))
-
-
-def _preload_linalg(mesh: Mesh, spec: OperatorSpec) -> None:
-    """Import ``scipy.sparse.linalg`` (and so ``scipy.sparse``) now when a run on (mesh, spec) will use it.
-
-    It is, when ``_assemble`` will send the implicit matrices to SuperLU:
-    sure to on a dirichlet mesh, and nearly sure to for an x-dependent field
-    (every table is one).  A periodic run on an x-independent field solves
-    by Fourier in 1-D and 2-D alike, and its space-time oracle by numpy
-    alone, so it loads neither module.  ``cli.build_context`` calls it, so
-    the guess only moves the import into set-up; a wrong one costs time,
-    never correctness.
-    """
-    if not mesh.periodic or spec.coeffs.x_dependent:
-        import scipy.sparse.linalg  # noqa: F401
+    return sp.csr_matrix((_implicit_values(mesh, N, A, entries), indices, indptr),
+                         shape=(nn, nn))
 
 
 def project_slice(mesh: Mesh, slc: np.ndarray) -> np.ndarray:
@@ -513,21 +480,24 @@ class _Stencil:
 def _rfft(a: np.ndarray, cells: tuple) -> np.ndarray:
     """The real FFT of ``a`` over its trailing cell axes.
 
-    On 2-D it runs what ``rfft2`` runs, ``rfft`` along the last axis and
-    ``fft`` along the other, bitwise, without its argument handling: about
-    9 us of a 64^2 transform.  ``rfftn`` costs 2 to 3 times more still.
-    The transforms are looked up in ``np.fft`` on every call.
+    ``rfft`` along the last axis, then ``fft`` along each other cell axis,
+    last to first: on 2-D what ``rfft2`` runs, bitwise, without its
+    argument handling, which is about 9 us of a 64^2 transform.  ``rfftn``
+    costs 2 to 3 times more still.  The transforms are looked up in
+    ``np.fft`` on every call.
     """
-    if len(cells) == 1:
-        return np.fft.rfft(a)
-    return np.fft.fft(np.fft.rfft(a), axis=-2)
+    y = np.fft.rfft(a)
+    for axis in range(2, len(cells) + 1):
+        y = np.fft.fft(y, axis=-axis)
+    return y
 
 
 def _irfft(y: np.ndarray, cells: tuple) -> np.ndarray:
-    """The inverse of ``_rfft``, back to ``cells`` (odd counts included); on 2-D ``irfft2``'s steps."""
-    if len(cells) == 1:
-        return np.fft.irfft(y, n=cells[0])
-    return np.fft.irfft(np.fft.ifft(y, axis=-2), n=cells[1])
+    """The inverse of ``_rfft``, back to ``cells`` (odd counts included): ``ifft`` along the
+    leading cell axes, first to last, then ``irfft``, as ``irfft2`` runs on 2-D."""
+    for axis in range(len(cells), 1, -1):
+        y = np.fft.ifft(y, axis=-axis)
+    return np.fft.irfft(y, n=cells[-1])
 
 
 class _FourierSolver:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greenlab
-from greenlab import ConfigError, cli
+from greenlab import ConfigError, cli, wrapped_heat_kernel
 from greenlab import verify as V
 
 from reference import assert_fits_match_lapack
@@ -391,6 +391,55 @@ def test_time_past_window_names_window_and_step(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _ray_scenario(cells):
+    """A periodic 2-D heat pointwise-decay scenario at h = 1/32 and tau = h^2, with steps
+    enough for the default ray of 6 h to 60 h."""
+    return {"name": "heat-2d-ray", "preset": {"name": "heat", "n": 2},
+            "mesh": {"cells": cells, "box": [[0.0, c / 32] for c in cells], "tau": 2.0 ** -10,
+                     "steps": 3608, "boundary": "periodic"},
+            "checks": [{"name": "pointwise-decay", "rho_cells": 2, "d_min_cells": 6}]}
+
+
+def test_ray_past_a_third_of_the_torus_exit_2(tmp_path, capsys):
+    # the ray reaches 60 h = 1.875, past a third of the 2.5 side of the 4 x 2.5 torus,
+    # where the far probes see the wrapped images: run, it fitted -1.31 against -1.85
+    p = tmp_path / "ray.json"
+    p.write_text(json.dumps(_ray_scenario([128, 80])))
+    assert cli.run(str(p), out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "pointwise-decay" in err and "d_min_cells=6" in err and "decade=1" in err
+    assert "smallest side 2.5" in err and "128 x 80" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ray_at_a_third_of_the_torus_runs(tmp_path, monkeypatch):
+    """The 7.5 x 5.625 torus of 240 x 180 cells holds the ray of 1.875 at exactly a third of
+    its short side, so the check goes on to sample it."""
+    class Sampled(Exception):
+        pass
+
+    def samples(spec, mesh, Y, ds, rho, axis=0):
+        raise Sampled(max(ds))
+
+    p = tmp_path / "ray.json"
+    p.write_text(json.dumps(_ray_scenario([240, 180])))
+    ctx = cli.build_context(cli.load_scenario(str(p)))
+    monkeypatch.setattr(V, "pointwise_ray_samples", samples)
+    with pytest.raises(Sampled) as reached:
+        cli._run_pointwise_decay(ctx, rho_cells=2, d_min_cells=6)
+    assert reached.value.args[0] == pytest.approx(cli.RAY_TORUS_FRACTION * 5.625, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, sides, want", [
+    (2, (4.0, 3.0), -1.91), (2, (3.0, 3.0), -1.83), (2, (2.5, 1.5), -1.46), (1, (3.0,), -0.88)])
+def test_continuum_torus_kernel_along_the_ray(n, sides, want):
+    """The exponent the continuum torus kernel fits along the default ray, 8 probes over a
+    decade, on boxes of ``sides`` ray lengths: ``RAY_TORUS_FRACTION``'s comment."""
+    ds = 10 ** (np.arange(8) / 7 - 1)  # the longest ray is 1
+    g = [wrapped_heat_kernel(n, d * d, [[d] + [0.0] * (n - 1)], sides)[0] for d in ds]
+    assert V.loglog_fit(ds, g).exponent == pytest.approx(want, abs=0.005)
+
+
 def test_failing_check_exit_1(tmp_path):
     sc = json.loads((SCEN / "heat-1d-core.json").read_text())
     sc["checks"] = [{"name": "semigroup", "s_step": 0, "r_step": 32, "t_step": 80,
@@ -554,8 +603,8 @@ def _heat_2d(**changes):
 
 
 class TestDeferredLinalg:
-    """``scipy.sparse`` and ``scipy.sparse.linalg`` load only in runs that use them, and
-    set-up pays for them."""
+    """``scipy.sparse`` and ``scipy.sparse.linalg`` load only in runs that use them, at their
+    first SuperLU step."""
 
     def test_import_loads_no_linalg(self, tmp_path):
         assert _fresh(tmp_path, "import greenlab.cli", UNUSED) == [None, []]
@@ -598,11 +647,18 @@ class TestDeferredLinalg:
                 "result = cli.run('sc.json', 'out')")
         assert _fresh(tmp_path, code, ("numpy.random",)) == [0, []]
 
-    @pytest.mark.parametrize("case", ["dirichlet", "x-oscillatory", "table"])
-    def test_set_up_imports_what_the_run_will_use(self, tmp_path, case):
+    @pytest.mark.parametrize("case, digest, run_loads", [
+        ("dirichlet", "635b7753a7a3f79f", LINALG), ("x-oscillatory", "64b03ea5ac9b2787", LINALG),
+        ("table", "642e6f85845dc107", ())])
+    def test_set_up_loads_no_linalg(self, tmp_path, case, digest, run_loads):
+        """Set-up loads no ``scipy.sparse*``; a run loads it at its first SuperLU step.  A
+        table is x-dependent by its flag, but this one is constant in x and t, so every
+        step is a Fourier step and the run never loads it.  Each report has the bytes
+        written when set-up imported ``scipy.sparse.linalg`` on a guess from the mesh and
+        the flag (digests recorded then)."""
         if case == "dirichlet":
             sc = _heat_2d(mesh=dict(_heat_2d()["mesh"], boundary="dirichlet"))
-        elif case == "table":  # constant in x and t, yet every table is x-dependent
+        elif case == "table":
             rows = [f"0.0,{x},{y},{a},{b},1,1,{float(a == b)}" for x in (0.0, 1.0)
                     for y in (0.0, 1.0) for a in (1, 2) for b in (1, 2)]
             (tmp_path / "table.csv").write_text("# 2 1 1 2 2\n" + "\n".join(rows) + "\n")
@@ -610,8 +666,13 @@ class TestDeferredLinalg:
         else:
             sc = _heat_2d(preset={"name": "x-oscillatory", "n": 2})
         (tmp_path / "sc.json").write_text(json.dumps(sc))
-        code = "from greenlab import cli\ncli.build_context(cli.load_scenario('sc.json'))"
-        assert _fresh(tmp_path, code) == [None, list(LINALG)]
+        code = ("import hashlib, sys\nfrom greenlab import cli\n"
+                "cli.build_context(cli.load_scenario('sc.json'))\n"
+                f"set_up = [m for m in {LINALG!r} if m in sys.modules]\n"
+                "code = cli.run('sc.json', 'out')\n"
+                "report = hashlib.sha256(open('out/report.json', 'rb').read()).hexdigest()\n"
+                "result = [set_up, code, report[:16]]")
+        assert _fresh(tmp_path, code) == [[[], 0, digest], list(run_loads)]
 
     def test_public_assemble_returns_the_same_csr_matrix(self, tmp_path):
         """The reference ``assemble``, gathered by the solver's own ``_stencil`` and

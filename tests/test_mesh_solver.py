@@ -844,6 +844,22 @@ def _pattern_case(field, mode, flip=False):
     return mesh, OperatorSpec(transposed(coeffs) if flip else coeffs, domain)
 
 
+def _partly_zero_cross():
+    """A symmetric 2-D N = 1 field, x-dependent, whose cross entry A^{12} = A^{21} is exactly
+    zero where x_0 <= 1/2 and nonzero beyond: its step matrices hold exact zeros on the
+    stencil's pattern, where only the zero cross entries reach."""
+    def fn(t, pts):
+        x = pts[:, 0]
+        A = np.zeros((len(pts), 2, 2, 1, 1))
+        A[:, 0, 0, 0, 0] = 1.0 + 0.25 * np.sin(2 * np.pi * x)
+        A[:, 1, 1, 0, 0] = 1.5 - 0.2 * np.cos(2 * np.pi * pts[:, 1])
+        A[:, 0, 1, 0, 0] = A[:, 1, 0, 0, 0] = np.where(x > 0.5, 0.3 * np.sin(np.pi * x) ** 2, 0.0)
+        return A
+
+    return CoefficientField(2, 1, 0.4, 2.0, math.inf, "partly-zero-cross", fn,
+                            x_dependent=True)
+
+
 class TestStepLayer:
     @pytest.fixture
     def store(self, monkeypatch):
@@ -884,6 +900,44 @@ class TestStepLayer:
         scheme = ThetaScheme(mesh, spec)
         for m in (1, 3):
             assert_stored_step_exact(scheme.implicit_lu(m), step_matrix(mesh, spec, m))
+
+    @pytest.mark.parametrize("mode", ["periodic", "dirichlet"])
+    def test_superlu_step_keeps_the_exact_zeros(self, store, mode):
+        """A SuperLU step of a field whose cross entry is zero on part of the faces stores
+        D on the stencil's own pattern, its exact zeros kept: D is the reference step
+        matrix once they are dropped, every solve passes the residual gate, and the march
+        matches the space-time oracle."""
+        domain = Domain((0.0, 0.0), (1.0, 1.0), mode)
+        mesh = Mesh(domain, (16, 16), tau=2.0 ** -10, t0=0.0, steps=8)
+        spec = OperatorSpec(_partly_zero_cross(), domain)
+        A = solver._assemble(mesh, spec, float(mesh.times[1]))[0]
+        cross = A[:, 0, 1, 0, 0]
+        assert (cross == 0).any() and (cross != 0).any()
+        entries = solver._used_entries(A)
+        assert entries == (0, 1, 2, 3)
+        csr = solver._step_matrix(mesh, 1, A)
+        _, indices, indptr, _ = solver._stencil(mesh, 1, entries)
+        assert np.shares_memory(csr.indices, indices) and np.shares_memory(csr.indptr, indptr)
+        scheme = ThetaScheme(mesh, spec)
+        lu, D = scheme.implicit_lu(1)
+        assert not isinstance(lu, solver._FourierSolver)
+        assert D.nnz == len(indices) and (D.data == 0).any()
+        pruned = D.copy()
+        pruned.eliminate_zeros()
+        assert pruned.nnz < D.nnz
+        want = step_matrix(mesh, spec, 1)
+        assert_stored_step_exact((lu, pruned), want)
+        rhs = np.random.default_rng(8).standard_normal((scheme.nn, 3))
+        for trans, mat in (("N", want), ("T", want.T)):
+            x = scheme.solve_implicit(1, rhs, trans=trans)  # the residual gate, per column
+            res = np.linalg.norm(mat @ x - rhs, axis=0)
+            assert (res <= solver.RESIDUAL_TOL * np.linalg.norm(rhs, axis=0)).all()
+        g = np.random.default_rng(9).standard_normal((1, mesh.ncells))
+        T = float(mesh.times[-1])
+        marched = solve_forward(spec, mesh, g, None, 0.0, T)
+        oracle = dense_spacetime_oracle(spec, mesh, g, None, 0.0, T)
+        num = float(np.max(np.abs(marched.values - oracle.values)))
+        assert num <= 1e-12 * float(np.max(np.abs(oracle.values)))
 
     @pytest.mark.peak
     @pytest.mark.parametrize("entries", [(0, 1, 2, 3), (0, 3)])  # all, and the diagonal
@@ -1261,6 +1315,32 @@ class TestFourierPath:
                 got, want = st.residual(x, rhs), mat @ x - rhs
                 assert got.shape == want.shape
                 assert np.all(np.abs(got - want) <= 1e-15 * (abs(mat) @ abs(x) + abs(rhs)))
+
+    @pytest.mark.parametrize("cells", [(12,), (9,), (8, 6), (7, 5)])
+    def test_transforms_are_the_per_axis_calls(self, cells):
+        """``_rfft`` and ``_irfft`` give bitwise what ``rfft`` and ``irfft`` give in 1-D, and
+        ``rfft`` then ``fft`` along axis -2, and ``ifft`` along it then ``irfft``, in 2-D
+        (odd cell counts included)."""
+        a = np.random.default_rng(16).standard_normal((3, 2, *cells))
+        if len(cells) == 1:
+            y, back = np.fft.rfft(a), np.fft.irfft(np.fft.rfft(a), n=cells[0])
+        else:
+            y = np.fft.fft(np.fft.rfft(a), axis=-2)
+            back = np.fft.irfft(np.fft.ifft(y, axis=-2), n=cells[1])
+        assert solver._rfft(a, cells).tobytes() == y.tobytes()
+        assert solver._irfft(y, cells).tobytes() == back.tobytes()
+
+    def test_transforms_on_three_axes(self):
+        """On three cell axes the same loop is ``rfftn`` and ``irfftn`` to roundoff."""
+        cells = (5, 6, 7)
+        a = np.random.default_rng(17).standard_normal((2, *cells))
+        y = solver._rfft(a, cells)
+        want = np.fft.rfftn(a, axes=(-3, -2, -1))
+        assert y.shape == want.shape
+        assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
+        back = solver._irfft(y, cells)
+        assert np.max(np.abs(back - np.fft.irfftn(y, s=cells, axes=(-3, -2, -1)))) <= 1e-15
+        assert np.max(np.abs(back - a)) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_fourier_path_needs_every_face_equal(self, store, n):
